@@ -32,7 +32,7 @@ import pickle
 import signal
 import time
 
-from .network.netlist import Gate, Network
+from .network.netlist import Network
 from .parallel import faults
 from .parallel.snapshot import pack_state_columns, state_from_columns
 from .place.placement import Placement
@@ -234,27 +234,11 @@ def graft_state(state: EvalState, network: Network,
     *placement*, so resume must restore content *into* them rather
     than swap objects.  No mutation events are emitted — callers graft
     before any listener subscribes (engines and caches are built after
-    resume) — and the derived-structure caches are reset by hand.
+    resume) — and :meth:`Network.adopt` drops the derived indexes.
     """
-    source = state.network
-    network.name = source.name
-    network.inputs = list(source.inputs)
-    network._input_set = set(source._input_set)
-    network.outputs = list(source.outputs)
-    network._gates = {
-        name: Gate(
-            name=gate.name, gtype=gate.gtype,
-            fanins=list(gate.fanins), cell=gate.cell,
-        )
-        for name, gate in source._gates.items()
-    }
+    network.name = state.network.name
+    network.adopt(state.network, announce=False)
     network.version = state.version
-    network._fanout_cache = None
-    network._fanout_version = -1
-    network._po_count_cache = None
-    network._po_count_version = -1
-    network._topo_cache = None
-    network._topo_version = -1
     saved = state.placement
     placement.die_width = saved.die_width
     placement.die_height = saved.die_height

@@ -151,7 +151,8 @@ REGISTRY: dict[str, EventKind] = {
 KINDS: tuple[str, ...] = tuple(REGISTRY)
 
 #: ``Network`` methods that mutate the observed structure and emit the
-#: like-named event (plus the raw ``_touch`` hook itself).  The purity
+#: like-named event (plus ``adopt``, the whole-content replacement, and
+#: the raw ``_touch`` hook itself).  The purity
 #: lint (``tools.lint``) forbids any call to these names from code
 #: marked ``@projection_only`` — pricing a candidate must never mutate.
 MUTATING_NETWORK_METHODS: frozenset[str] = frozenset({
@@ -165,6 +166,7 @@ MUTATING_NETWORK_METHODS: frozenset[str] = frozenset({
     SET_GATE_TYPE,
     SET_CELL,
     SET_FANINS,
+    "adopt",
     "_touch",
     "notify_network_event",
 })

@@ -10,8 +10,21 @@ Primary inputs are nets with no driving gate.
 The structure is deliberately string-keyed: a pin is the pair
 ``(gate name, fanin index)``, and rewiring operations are nothing more
 than assignments into ``Gate.fanins``.  A monotonically increasing
-``version`` counter lets analyses (fanout maps, topological orders,
-timing graphs) cache against a network snapshot and detect staleness.
+``version`` counter lets analyses (topological orders, timing graphs)
+cache against a network snapshot and detect staleness.
+
+The network also owns two indexes that its typed mutators keep current
+in O(pins touched): the *fanout index* (net -> consumer pins, in gate
+insertion order then pin order — the order a whole-netlist scan
+yields) and the *primary-output index* (net -> positions in
+:attr:`Network.outputs`).  :meth:`Network.fanout`,
+:meth:`Network.fanout_degree`, :meth:`Network.is_output` and
+:meth:`Network.output_slots` therefore cost O(1) between mutations
+instead of a whole-map rebuild or an output-list scan.  Index lists are
+replaced, never edited in place, so a fanout list a caller holds stays
+a valid snapshot while it rewires.  Edits that bypass the mutators
+(assigning ``Gate.fanins`` then calling :meth:`Network._touch`, or
+:meth:`Network.adopt`) drop the indexes; the next query rebuilds them.
 
 Incremental analyses additionally need to know *what* changed, not
 just *that* something changed: every mutating method therefore emits a
@@ -29,6 +42,7 @@ invalidation rules are documented in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import bisect
 import weakref
 
 from dataclasses import dataclass, field
@@ -98,29 +112,38 @@ class Gate:
             yield Pin(self.name, index)
 
 
+#: Attributes derived from the structure: never pickled, rebuilt lazily.
+_DERIVED = frozenset({
+    "_listeners",
+    "_fanout_index",
+    "_rank",
+    "_next_rank",
+    "_po_index",
+    "_topo_cache",
+    "_topo_version",
+})
+
+
 class Network:
     """A combinational Boolean network.
 
     The class offers the queries every later stage needs — drivers,
     fanout maps, topological order, cones — and the primitive mutations
-    rewiring is built from.  Mutations bump :attr:`version`; cached
-    derived structures are recomputed lazily when the version moves.
+    rewiring is built from.  Mutations bump :attr:`version` and keep the
+    fanout and primary-output indexes current (see the module
+    docstring); the topological order is recomputed lazily when the
+    version moves.
     """
 
     def __init__(self, name: str = "top") -> None:
         self.name = name
         self.inputs: list[str] = []
-        self.outputs: list[str] = []
+        self._outputs: list[str] = []
         self._gates: dict[str, Gate] = {}
         self._input_set: set[str] = set()
         self.version = 0
-        self._fanout_cache: dict[str, list[Pin]] | None = None
-        self._fanout_version = -1
-        self._po_count_cache: dict[str, int] | None = None
-        self._po_count_version = -1
-        self._topo_cache: list[str] | None = None
-        self._topo_version = -1
         self._listeners: weakref.WeakSet[NetworkListener] = weakref.WeakSet()
+        self._reset_indexes()
 
     # ------------------------------------------------------------------
     # mutation events
@@ -149,7 +172,10 @@ class Network:
 
     def add_output(self, net: str) -> str:
         """Declare *net* a primary output (it may also feed other gates)."""
-        self.outputs.append(net)
+        self._outputs.append(net)
+        index = self._po_index
+        if index is not None:
+            index[net] = index.get(net, ()) + (len(self._outputs) - 1,)
         self._touch((events.ADD_OUTPUT, {"net": net}))
         return net
 
@@ -173,6 +199,11 @@ class Network:
             )
         gate = Gate(name=name, gtype=gtype, fanins=fanin_list, cell=cell)
         self._gates[name] = gate
+        if self._fanout_index is not None:
+            self._rank[name] = self._next_rank
+            self._next_rank += 1
+            for index, net in enumerate(fanin_list):
+                self._link(net, Pin(name, index))
         self._touch((
             events.ADD_GATE, {"gate": name, "fanins": tuple(fanin_list)}
         ))
@@ -187,9 +218,12 @@ class Network:
             raise NetworkError(
                 f"gate {name!r} still drives {len(consumers)} pins"
             )
-        if name in self.outputs:
+        if self.is_output(name):
             raise NetworkError(f"gate {name!r} is a primary output")
         fanins = tuple(self._gates[name].fanins)
+        for index, net in enumerate(fanins):
+            self._unlink(net, Pin(name, index))
+        self._rank.pop(name, None)
         del self._gates[name]
         self._touch((events.REMOVE_GATE, {"gate": name, "fanins": fanins}))
 
@@ -201,6 +235,21 @@ class Network:
 
     def __len__(self) -> int:
         return len(self._gates)
+
+    @property
+    def outputs(self) -> list[str]:
+        """Primary-output nets in declaration order.
+
+        Change them through :meth:`add_output` / :meth:`replace_output`
+        or by assigning a whole new list (which drops the output index);
+        never edit the returned list in place.
+        """
+        return self._outputs
+
+    @outputs.setter
+    def outputs(self, nets: Iterable[str]) -> None:
+        self._outputs = list(nets)
+        self._po_index = None
 
     def gate(self, name: str) -> Gate:
         """Return the gate driving net *name*."""
@@ -226,6 +275,14 @@ class Network:
         """True if *net* is a primary input."""
         return net in self._input_set
 
+    def is_output(self, net: str) -> bool:
+        """True if *net* is listed as a primary output."""
+        return net in self._outputs_index()
+
+    def output_slots(self, net: str) -> tuple[int, ...]:
+        """Positions of *net* in :attr:`outputs`, ascending (may be empty)."""
+        return self._outputs_index().get(net, ())
+
     def driver(self, net: str) -> Gate | None:
         """Gate driving *net*, or ``None`` for a primary input."""
         gate = self._gates.get(net)
@@ -238,31 +295,18 @@ class Network:
         return self.gate(pin.gate).fanins[pin.index]
 
     def fanout(self, net: str) -> list[Pin]:
-        """All in-pins the net drives (primary-output use not included)."""
-        return self._fanout_map().get(net, [])
+        """All in-pins the net drives (primary-output use not included).
+
+        Pins come in gate insertion order, then pin order.  The list is
+        a snapshot — mutations replace index lists instead of editing
+        them — so callers may rewire while iterating it, but must not
+        modify it.
+        """
+        return self._fanouts().get(net, [])
 
     def fanout_degree(self, net: str) -> int:
         """Number of sink pins plus one per primary-output listing."""
-        if (
-            self._po_count_cache is None
-            or self._po_count_version != self.version
-        ):
-            counts: dict[str, int] = {}
-            for output in self.outputs:
-                counts[output] = counts.get(output, 0) + 1
-            self._po_count_cache = counts
-            self._po_count_version = self.version
-        return len(self.fanout(net)) + self._po_count_cache.get(net, 0)
-
-    def _fanout_map(self) -> dict[str, list[Pin]]:
-        if self._fanout_cache is None or self._fanout_version != self.version:
-            fanout: dict[str, list[Pin]] = {}
-            for gate in self._gates.values():
-                for index, net in enumerate(gate.fanins):
-                    fanout.setdefault(net, []).append(Pin(gate.name, index))
-            self._fanout_cache = fanout
-            self._fanout_version = self.version
-        return self._fanout_cache
+        return len(self.fanout(net)) + len(self.output_slots(net))
 
     def topo_order(self) -> list[str]:
         """Gate names in topological order (fanins before fanouts).
@@ -285,7 +329,7 @@ class Network:
             indegree[gate.name] = count
         ready = [name for name, deg in indegree.items() if deg == 0]
         order: list[str] = []
-        fanout = self._fanout_map()
+        fanout = self._fanouts()
         cursor = 0
         while cursor < len(ready):
             name = ready[cursor]
@@ -354,10 +398,77 @@ class Network:
         return cone
 
     # ------------------------------------------------------------------
+    # derived indexes
+    # ------------------------------------------------------------------
+    def _reset_indexes(self) -> None:
+        """Drop every derived index; the next query rebuilds it."""
+        #: net -> consumer pins; ``None`` until first queried
+        self._fanout_index: dict[str, list[Pin]] | None = None
+        #: gate -> insertion rank, the fanout lists' sort key
+        self._rank: dict[str, int] = {}
+        self._next_rank = 0
+        #: net -> positions in ``outputs``; ``None`` until first queried
+        self._po_index: dict[str, tuple[int, ...]] | None = None
+        self._topo_cache: list[str] | None = None
+        self._topo_version = -1
+
+    def _fanouts(self) -> dict[str, list[Pin]]:
+        index = self._fanout_index
+        if index is None:
+            index = {}
+            rank: dict[str, int] = {}
+            for position, gate in enumerate(self._gates.values()):
+                rank[gate.name] = position
+                for pin_index, net in enumerate(gate.fanins):
+                    index.setdefault(net, []).append(Pin(gate.name, pin_index))
+            self._fanout_index = index
+            self._rank = rank
+            self._next_rank = len(rank)
+        return index
+
+    def _outputs_index(self) -> dict[str, tuple[int, ...]]:
+        index = self._po_index
+        if index is None:
+            index = {}
+            for position, net in enumerate(self._outputs):
+                index[net] = index.get(net, ()) + (position,)
+            self._po_index = index
+        return index
+
+    def _pin_key(self, pin: Pin) -> tuple[int, int]:
+        return (self._rank[pin.gate], pin.index)
+
+    def _link(self, net: str, pin: Pin) -> None:
+        """Add *pin* to *net*'s fanout list at its sorted position."""
+        index = self._fanout_index
+        if index is None:
+            return
+        pins = index.get(net)
+        if pins is None:
+            index[net] = [pin]
+            return
+        at = bisect.bisect(pins, self._pin_key(pin), key=self._pin_key)
+        index[net] = pins[:at] + [pin] + pins[at:]
+
+    def _unlink(self, net: str, pin: Pin) -> None:
+        """Remove *pin* from *net*'s fanout list."""
+        index = self._fanout_index
+        if index is None:
+            return
+        pins = [other for other in index[net] if other != pin]
+        if pins:
+            index[net] = pins
+        else:
+            del index[net]
+
+    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def _touch(self, event: tuple[str, dict] | None = None) -> None:
         self.version += 1
+        if event is None:
+            # an untracked edit: the indexes may no longer describe it
+            self._reset_indexes()
         if self._listeners:
             kind, data = event if event is not None else (events.UNKNOWN, {})
             for listener in tuple(self._listeners):
@@ -370,6 +481,9 @@ class Network:
             raise NetworkError(f"unknown net {net!r}")
         old = gate.fanins[pin.index]
         gate.fanins[pin.index] = net
+        if old != net:
+            self._unlink(old, pin)
+            self._link(net, pin)
         self._touch((
             events.REPLACE_FANIN, {"pin": pin, "old": old, "new": net}
         ))
@@ -381,6 +495,11 @@ class Network:
         net_b = self.fanin_net(pin_b)
         self.gate(pin_a.gate).fanins[pin_a.index] = net_b
         self.gate(pin_b.gate).fanins[pin_b.index] = net_a
+        if net_a != net_b:
+            self._unlink(net_a, pin_a)
+            self._unlink(net_b, pin_b)
+            self._link(net_b, pin_a)
+            self._link(net_a, pin_b)
         self._touch((
             events.SWAP_FANINS,
             {"pin_a": pin_a, "pin_b": pin_b, "net_a": net_a, "net_b": net_b},
@@ -390,7 +509,12 @@ class Network:
         """Retarget every primary-output reference from *old* to *new*."""
         if new not in self:
             raise NetworkError(f"unknown net {new!r}")
-        self.outputs = [new if net == old else net for net in self.outputs]
+        self._outputs = [new if net == old else net for net in self._outputs]
+        index = self._po_index
+        if index is not None and old != new:
+            moved = index.pop(old, ())
+            if moved:
+                index[new] = tuple(sorted(index.get(new, ()) + moved))
         self._touch((events.REPLACE_OUTPUT, {"old": old, "new": new}))
 
     def set_gate_type(self, name: str, gtype: GateType) -> None:
@@ -424,10 +548,43 @@ class Network:
         gate = self.gate(name)
         old = tuple(gate.fanins)
         gate.fanins = list(fanins)
+        for index, net in enumerate(old):
+            self._unlink(net, Pin(name, index))
+        for index, net in enumerate(gate.fanins):
+            self._link(net, Pin(name, index))
         self._touch((
             events.SET_FANINS,
             {"gate": name, "old": old, "new": tuple(gate.fanins)},
         ))
+
+    def adopt(self, source: "Network", announce: bool = True) -> None:
+        """Take over copies of *source*'s inputs, outputs and gates.
+
+        This object keeps its identity — name, listeners and every
+        reference other components hold — which is how whole-netlist
+        rewrites (mapping, committed trial copies, snapshot rollbacks,
+        checkpoint grafts) land in a live network.  The derived indexes
+        are dropped.  With *announce* the change reaches listeners as
+        the catch-all ``unknown`` event; a caller that describes it
+        precisely (the optimizer's ``restore`` diff) or must not emit
+        at all (a checkpoint graft) passes ``False`` and owns the
+        version and event itself.
+        """
+        self.inputs = list(source.inputs)
+        self._input_set = set(source._input_set)
+        self._outputs = list(source._outputs)
+        self._gates = {
+            name: Gate(
+                name=gate.name,
+                gtype=gate.gtype,
+                fanins=list(gate.fanins),
+                cell=gate.cell,
+            )
+            for name, gate in source._gates.items()
+        }
+        self._reset_indexes()
+        if announce:
+            self._touch()
 
     def recent_gates(self, count: int) -> list[str]:
         """Names of the *count* most recently added gates (oldest first).
@@ -455,39 +612,27 @@ class Network:
     # misc
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Picklable view: listeners and derived caches stay behind.
+        """Picklable view: listeners and derived indexes stay behind.
 
         Subscribed listeners (timing engines, supergate caches) belong
         to *this* process; a pickled copy shipped to an evaluation
-        worker must arrive unobserved.  The fanout/topo caches are
-        cheap to rebuild and would only fatten the payload.
+        worker must arrive unobserved.  The indexes are cheap to
+        rebuild and would only fatten the payload.
         """
-        state = self.__dict__.copy()
-        state["_listeners"] = None
-        state["_fanout_cache"] = None
-        state["_fanout_version"] = -1
-        state["_topo_cache"] = None
-        state["_topo_version"] = -1
-        return state
+        return {
+            key: value for key, value in self.__dict__.items()
+            if key not in _DERIVED
+        }
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._listeners = weakref.WeakSet()
+        self._reset_indexes()
 
     def copy(self, name: str | None = None) -> "Network":
         """Deep-copy the network (gate objects are duplicated)."""
         other = Network(name or self.name)
-        other.inputs = list(self.inputs)
-        other._input_set = set(self._input_set)
-        other.outputs = list(self.outputs)
-        for gate in self._gates.values():
-            other._gates[gate.name] = Gate(
-                name=gate.name,
-                gtype=gate.gtype,
-                fanins=list(gate.fanins),
-                cell=gate.cell,
-            )
-        other.version = 0
+        other.adopt(self, announce=False)
         return other
 
     def stats(self) -> dict[str, int]:
@@ -497,7 +642,7 @@ class Network:
             by_type[gate.gtype.name] = by_type.get(gate.gtype.name, 0) + 1
         return {
             "inputs": len(self.inputs),
-            "outputs": len(self.outputs),
+            "outputs": len(self._outputs),
             "gates": len(self._gates),
             "depth": self.depth(),
             **{f"n_{key.lower()}": val for key, val in sorted(by_type.items())},
@@ -506,5 +651,5 @@ class Network:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Network({self.name!r}, pi={len(self.inputs)}, "
-            f"po={len(self.outputs)}, gates={len(self._gates)})"
+            f"po={len(self._outputs)}, gates={len(self._gates)})"
         )

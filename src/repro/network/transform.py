@@ -227,7 +227,7 @@ def collapse_wire_pairs(network: Network) -> int:
         for pin in list(network.fanout(name)):
             network.replace_fanin(pin, target)
             retargeted += 1
-        if name in network.outputs and not network.is_input(target):
+        if network.is_output(name) and not network.is_input(target):
             network.replace_output(name, target)
             retargeted += 1
     return retargeted

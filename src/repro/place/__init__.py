@@ -9,7 +9,6 @@ from .placement import (
     manhattan,
     net_hpwl,
     net_terminals,
-    output_pad_points,
     perturbation,
     total_hpwl,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "manhattan",
     "net_hpwl",
     "net_terminals",
-    "output_pad_points",
     "perturbation",
     "place",
     "total_hpwl",

@@ -41,7 +41,7 @@ from ..contracts import projection_only
 from ..network import events
 from ..network.netlist import Network, Pin
 from ..network.soa import get_soa, ragged_indices
-from .placement import Placement, output_pad_points
+from .placement import Placement
 
 try:  # numpy accelerates batch scoring; the scalar path needs nothing
     import numpy as _np
@@ -149,13 +149,15 @@ class WirelengthEngine:
         self._ids = {net: index for index, net in enumerate(names)}
         self._sink_pins = [set() for _ in names]
         self._fixed = [[] for _ in names]
-        pad_points = output_pad_points(network, placement)
+        pads = placement.output_pads
         for net in names:
             index = self._ids[net]
             self._fixed[index].append(
                 placement.source_location(network, net)
             )
-            self._fixed[index].extend(pad_points.get(net, ()))
+            self._fixed[index].extend(
+                pads[slot] for slot in network.output_slots(net)
+            )
         for gate in network.gates():
             for pin_index, net in enumerate(gate.fanins):
                 self._sink_pins[self._ids[net]].add(

@@ -46,9 +46,8 @@ class Placement:
         sinks = [
             self.locations[pin.gate] for pin in network.fanout(net)
         ]
-        for index, output in enumerate(network.outputs):
-            if output == net:
-                sinks.append(self.output_pads[index])
+        for index in network.output_slots(net):
+            sinks.append(self.output_pads[index])
         return sinks
 
     def ensure_covered(self, network: Network) -> None:
@@ -58,6 +57,8 @@ class Placement:
         is that these nestle next to the gate they feed, perturbing
         nothing.  Called before timing analysis.
         """
+        if all(name in self.locations for name in network.gate_names()):
+            return  # the common case: skip the topological sort
         center = (self.die_width / 2.0, self.die_height / 2.0)
         for name in network.topo_order():
             if name in self.locations:
@@ -85,22 +86,6 @@ def manhattan(
 ) -> float:
     """Manhattan distance between two points."""
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def output_pad_points(
-    network: Network, placement: Placement
-) -> dict[str, list[tuple[float, float]]]:
-    """Output-pad coordinates grouped by driven net.
-
-    One pass over the output list, so whole-netlist consumers (the
-    wirelength engine's flattening) avoid the per-net scan that
-    :meth:`Placement.sink_locations` performs; a net listed as a
-    primary output more than once contributes one pad per listing.
-    """
-    pads: dict[str, list[tuple[float, float]]] = {}
-    for index, output in enumerate(network.outputs):
-        pads.setdefault(output, []).append(placement.output_pads[index])
-    return pads
 
 
 def net_terminals(

@@ -144,7 +144,7 @@ def optimize_fanout(
             best = trial_engine.max_delay
             buffers += added
             nets_done += 1
-            _adopt(network, trial_net)
+            network.adopt(trial_net)
             placement.locations = dict(trial_place.locations)
     return FanoutResult(
         initial_delay=initial,
@@ -152,12 +152,3 @@ def optimize_fanout(
         buffers_added=buffers,
         nets_buffered=nets_done,
     )
-
-
-def _adopt(network: Network, trial: Network) -> None:
-    """Copy trial structure into the live network object."""
-    network.inputs = list(trial.inputs)
-    network._input_set = set(trial._input_set)
-    network.outputs = list(trial.outputs)
-    network._gates = {g.name: g for g in trial.copy().gates()}
-    network._touch()

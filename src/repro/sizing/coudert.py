@@ -596,12 +596,7 @@ def _restore(
             if name in best_placement.locations
         )
     )
-    network.inputs = list(best_network.inputs)
-    network._input_set = set(best_network._input_set)
-    network.outputs = list(best_network.outputs)
-    network._gates = {
-        name: gate for name, gate in best_network.copy()._gates.items()
-    }
+    network.adopt(best_network, announce=False)
     placement.locations = dict(best_placement.locations)
     placement.input_pads = dict(best_placement.input_pads)
     placement.output_pads = dict(best_placement.output_pads)

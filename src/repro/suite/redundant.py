@@ -63,8 +63,7 @@ def inject_redundant_wires(
         x_net = rng.choice(g_gate.fanins)
         if x_net in h_gate.fanins:
             continue
-        h_gate.fanins.append(x_net)
-        network._touch()
+        network.set_fanins(h_name, [*h_gate.fanins, x_net])
         added += 1
     return added
 

@@ -63,7 +63,7 @@ def demorgan_box(network: Network, sg: Supergate) -> str:
     network.add_gate(cap, GateType.INV, [sg.root])
     for pin in consumers:
         network.replace_fanin(pin, cap)
-    if sg.root in network.outputs:
+    if network.is_output(sg.root):
         network.replace_output(sg.root, cap)
     return cap
 

@@ -109,11 +109,10 @@ def remove_redundancy(network: Network, event: Redundancy) -> bool:
     for action, payload in candidates:
         trial = network.copy()
         if action == "const_root":
-            gate = trial.gate(event.root)
             sg_value = _root_forcing_value(network, event.root)
             if sg_value is None:
                 continue
-            gate.fanins = []
+            trial.set_fanins(event.root, [])
             trial.set_gate_type(
                 event.root,
                 GateType.CONST0 if sg_value == 1 else GateType.CONST1,
@@ -128,7 +127,7 @@ def remove_redundancy(network: Network, event: Redundancy) -> bool:
             )
             trial.replace_fanin(pin, const_name)
         if networks_equivalent(network, trial):
-            _commit(network, trial)
+            network.adopt(trial)
             return True
     return False
 
@@ -161,17 +160,6 @@ def _agreement_pins(network: Network, event: Redundancy) -> list[Pin]:
         if implies_inputs(gate.gtype, out_value) == event.implied_value:
             pins.append(pin)
     return pins
-
-
-def _commit(network: Network, trial: Network) -> None:
-    """Copy the trial network's gate structure back into *network*."""
-    network.inputs = list(trial.inputs)
-    network._input_set = set(trial._input_set)
-    network.outputs = list(trial.outputs)
-    network._gates = {
-        name: gate for name, gate in trial._gates.items()
-    }
-    network._touch()
 
 
 def redundancy_counts(events: list[Redundancy]) -> dict[str, int]:

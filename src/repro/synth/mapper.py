@@ -93,7 +93,7 @@ def _split_gate(
             added += 1
             grouped.append(inner)
         level = grouped
-    gate.fanins = level
+    network.set_fanins(name, level)
     root_type = complement_type(base) if inverted else base
     network.set_gate_type(name, root_type)
     return added
@@ -111,22 +111,11 @@ def map_network(network: Network, library: Library) -> Network:
 
     decompose(network, library)
     mapped = phase_map(network)
-    _replace_contents(network, mapped)
+    network.adopt(mapped)
     collapse_wire_pairs(network)
     sweep(network)
     bind_cells(network, library)
     return network
-
-
-def _replace_contents(network: Network, source: Network) -> None:
-    """Overwrite *network*'s structure with *source*'s (keeps identity)."""
-    network.inputs = list(source.inputs)
-    network._input_set = set(source._input_set)
-    network.outputs = list(source.outputs)
-    network._gates = {
-        gate.name: gate for gate in source.copy().gates()
-    }
-    network._touch()
 
 
 def bind_cells(network: Network, library: Library) -> None:
@@ -181,7 +170,7 @@ def bind_cells(network: Network, library: Library) -> None:
             continue
         cells = implementations_of(gate)
         pins = network.fanout(gate.name)
-        pads = network.outputs.count(gate.name)
+        pads = len(network.output_slots(gate.name))
         fanout = max(len(pins) + pads, 1)
         wlm_length = 0.28 * die_side * (fanout ** 0.5)
         load = wlm_length * UNIT_WIRE_CAP_PER_UM + 0.05 * pads

@@ -48,7 +48,7 @@ def strash(network: Network) -> int:
         for loser, keeper in replacements.items():
             for pin in list(network.fanout(loser)):
                 network.replace_fanin(pin, keeper)
-            if loser in network.outputs:
+            if network.is_output(loser):
                 network.replace_output(loser, keeper)
         from ..network.transform import sweep
 

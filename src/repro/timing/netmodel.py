@@ -92,11 +92,10 @@ def build_star(
                     pin_capacitance(network, library, pin),
                 )
             )
-        for index, output in enumerate(network.outputs):
-            if output == net:
-                sink_specs.append(
-                    (None, placement.output_pads[index], po_pad_cap)
-                )
+        for index in network.output_slots(net):
+            sink_specs.append(
+                (None, placement.output_pads[index], po_pad_cap)
+            )
     else:
         sink_specs = override_sinks
     if not sink_specs:

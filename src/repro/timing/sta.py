@@ -679,7 +679,6 @@ class TimingEngine:
                                  fall + po_delay)
         target = self.period if self.period is not None else self.max_delay
         # 6. backward: re-propagate required through the fanin frontier
-        po_nets = set(network.outputs)
         bseeds: set[str] = set()
         for net in rebuilt:
             bseeds.add(net)
@@ -704,7 +703,7 @@ class TimingEngine:
                 if net in bdone:
                     continue
                 bdone.add(net)
-                pair = self._recompute_req0(net, po_nets)
+                pair = self._recompute_req0(net)
                 if self._req0.get(net) != pair:
                     self._req0[net] = pair
                     if not network.is_input(net):
@@ -718,13 +717,13 @@ class TimingEngine:
         self._analyzed_version = network.version
         self._clear_dirty()
 
-    def _recompute_req0(self, net: str, po_nets: set[str]) -> tuple[float, float]:
+    def _recompute_req0(self, net: str) -> tuple[float, float]:
         """Zero-target required pair at *net* from its consumers' cache."""
         self.stats.required_evals += 1
         network = self.network
         INF = float("inf")
         rise = fall = INF
-        if net in po_nets:
+        if network.is_output(net):
             po_delay = self._po_wire_delay(net)
             rise = fall = -po_delay
         for pin in network.fanout(net):
@@ -1196,7 +1195,6 @@ class TimingEngine:
         context: dict[str, float] = {}
         frontier: dict[str, float] = {}
         stars_new = {}
-        po_nets = set(network.outputs)
         for net, lost_pin, gained_pin in (
             (net_a, swap.pin_a, swap.pin_b),
             (net_b, swap.pin_b, swap.pin_a),
@@ -1225,7 +1223,7 @@ class TimingEngine:
             context[net] = self._driver_arrival_with_load(
                 net, stars_new[net].total_cap
             )
-            if net in po_nets:
+            if network.is_output(net):
                 frontier[net] = context[net] + self._po_delta(
                     net, stars_new[net]
                 )
@@ -1265,7 +1263,6 @@ class TimingEngine:
         context: dict[str, float] = {}
         frontier: dict[str, float] = {}
         stars_new: dict[str, StarNet] = {}
-        po_nets = set(network.outputs)
         # fanin nets see a different pin capacitance; sorted so the
         # frontier's float-summed gains are PYTHONHASHSEED-independent
         delta_cap = new_cell.input_cap - old_cell.input_cap
@@ -1275,7 +1272,7 @@ class TimingEngine:
             new_cap = star.total_cap + delta_cap * gate.fanins.count(fanin)
             stars_new[fanin] = _with_total_cap(star, new_cap)
             context[fanin] = self._driver_arrival_with_load(fanin, new_cap)
-            if fanin in po_nets:
+            if network.is_output(fanin):
                 frontier[fanin] = context[fanin]
             for sink in star.sinks:
                 if sink.pin is not None:
@@ -1639,7 +1636,6 @@ class TimingEngine:
     ) -> SlackProjection:
         """Frontier-only projection: drivers + sink gates of the moved nets."""
         network = self.network
-        po_nets = set(network.outputs)
         context: dict[str, tuple[float, float]] = {}
         deltas: dict[str, float] = {}
         for net in new_stars:
@@ -1659,7 +1655,7 @@ class TimingEngine:
                         - cell.delay(old_load, "fall"),
                     )
             context[net] = new_pair
-            if net in po_nets:
+            if network.is_output(net):
                 # the pad sink has no consumer gate to mirror a
                 # violation at, so the driver net itself carries the
                 # projected pad arrival; non-PO driver slowdowns are
@@ -1769,7 +1765,6 @@ class TimingEngine:
                         heap, (levels.get(pin.gate, 0), pin.gate)
                     )
         # backward: required times through the affected fanin frontier
-        po_nets = set(network.outputs)
         req_over: dict[str, tuple[float, float]] = {}
         visited_bwd: set[str] = set()
         bseeds: set[str] = set()
@@ -1788,7 +1783,7 @@ class TimingEngine:
             if net not in network:
                 continue
             visited_bwd.add(net)
-            pair = self._rebound_req0(net, moved, new_stars, req_over, po_nets)
+            pair = self._rebound_req0(net, moved, new_stars, req_over)
             old = req_over.get(net, self._req0.get(net))
             if pair != old:
                 req_over[net] = pair
@@ -1826,7 +1821,6 @@ class TimingEngine:
         moved: dict[Pin, str],
         new_stars: dict[str, StarNet],
         req_over: dict[str, tuple[float, float]],
-        po_nets: set[str],
     ) -> tuple[float, float]:
         """Zero-target required pair at *net* under a rebind overlay.
 
@@ -1840,7 +1834,7 @@ class TimingEngine:
         star = new_stars.get(net)
         if star is None:
             star = self._ensure_star(net)
-        if net in po_nets:
+        if network.is_output(net):
             po_delay = 0.0
             for sink in star.sinks:
                 if sink.pin is None:
