@@ -114,8 +114,8 @@ def test_soa_flatten_and_revalidate_floors():
     of a structural mutation; absorbing a pin rewiring as an in-place
     patch must leave only the numpy mirror rebuild, and an untouched
     kernel must hand out its cached view at near-zero cost — the
-    contract every per-move consumer (vector STA, HPWL rebuild,
-    snapshot packing) is built on.
+    contract every per-move consumer (vector STA, HPWL rebuild) is
+    built on.
     """
     target = max(2000, int(100_000 * configured_scale()))
     net = random_control(

@@ -11,36 +11,45 @@ written atomically (temp file, fsync, ``os.replace``), and after an
 interrupt save :class:`RunInterrupted` unwinds the run so the caller
 can exit with :data:`CHECKPOINT_EXIT_CODE`.
 
-The payload formats are built from the exact serializations the
-parallel snapshot protocol already guarantees bit-exact
-(:func:`repro.parallel.snapshot.pack_state_columns` /
-:func:`state_from_columns`): a :class:`~repro.timing.sta.EvalState`
-carries the network, placement and the engine's *cached* analysis
-verbatim — never recomputed — so a resumed engine prices, commits and
-logs exactly what the uninterrupted run would have.  The same holds
-for resume itself: ``run_rapids(resume=True)`` replays no work, it
-grafts the saved state into the live objects
-(:func:`graft_state` / :func:`engine_from_state`) and re-enters the
-loop at the saved cursor, producing a final fingerprint identical to
-an uninterrupted run (``tests/test_checkpoint.py`` locks this).
+Payloads hold the live objects themselves — :class:`~repro.network.
+netlist.Network`, :class:`~repro.place.placement.Placement` and the
+timing engine's exported :class:`~repro.timing.sta.EvalState` — and
+the manager pickles them whole.  Pickle round-trips floats and dict
+order exactly, and the state carries the engine's *cached* analysis
+verbatim, never recomputed, so a resumed engine prices, commits and
+logs exactly what the uninterrupted run would have.  Resume replays no
+work: ``run_rapids(resume=True)`` grafts the saved state into the live
+objects (:func:`graft_state` / :func:`engine_from_state`) and
+re-enters the loop at the saved cursor, producing a final fingerprint
+identical to an uninterrupted run (``tests/test_checkpoint.py`` locks
+this).  Every payload records :data:`PAYLOAD_FORMAT`; a file written in
+another format is refused with :class:`CheckpointFormatError`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import signal
 import time
 
 from .network.netlist import Network
-from .parallel import faults
-from .parallel.snapshot import pack_state_columns, state_from_columns
 from .place.placement import Placement
 from .timing.sta import EvalState, TimingEngine
 
 #: Exit status of a run stopped at a checkpoint (BSD ``EX_TEMPFAIL``:
 #: a temporary condition — rerun with ``--resume`` to continue).
 CHECKPOINT_EXIT_CODE = 75
+
+#: Layout of the saved payload: 2 pickles the live objects.  Files
+#: without the field hold the SoA column packing that preceded it.
+PAYLOAD_FORMAT = 2
+
+#: Environment variable carrying a JSON fault plan that SIGTERMs the
+#: run at chosen boundaries, e.g. ``{"checkpoint_round": {"1":
+#: {"action": "sigterm"}}}`` (boundaries count from 1).
+FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 
 class RunInterrupted(RuntimeError):
@@ -53,6 +62,39 @@ class RunInterrupted(RuntimeError):
         )
         self.path = path
         self.stage = stage
+
+
+class CheckpointFormatError(RuntimeError):
+    """The checkpoint file was written in another payload format."""
+
+    def __init__(self, path: str, found) -> None:
+        super().__init__(
+            f"checkpoint {path} has payload format {found!r}, this "
+            f"version reads {PAYLOAD_FORMAT}; rerun without --resume to "
+            f"start fresh"
+        )
+        self.path = path
+
+
+def checkpoint_fault(index: int) -> str | None:
+    """The planned action at checkpoint boundary *index*, if any.
+
+    ``sigterm`` raises the real signal (the manager's handler — or the
+    default one, killing the process — receives it) and returns the
+    action name so callers can make the interrupt flag deterministic
+    regardless of delivery timing.  Without a plan, or with one that
+    does not parse, nothing happens.
+    """
+    text = os.environ.get(FAULT_PLAN_ENV)
+    if not text:
+        return None
+    try:
+        action = json.loads(text)["checkpoint_round"][str(index)]["action"]
+    except (ValueError, TypeError, KeyError):
+        return None
+    if action == "sigterm":
+        signal.raise_signal(signal.SIGTERM)
+    return action
 
 
 class CheckpointManager:
@@ -115,14 +157,23 @@ class CheckpointManager:
     # persistence
     # ------------------------------------------------------------------
     def load(self) -> dict | None:
-        """The saved payload, or ``None`` (missing/corrupt → run fresh)."""
+        """The saved payload, or ``None`` (missing/corrupt → run fresh).
+
+        Raises :class:`CheckpointFormatError` for a readable payload of
+        another format, instead of failing later on a missing key.
+        """
         try:
             with open(self.path, "rb") as handle:
                 payload = pickle.load(handle)
         except (OSError, EOFError, pickle.UnpicklingError, ValueError,
                 AttributeError, ImportError):
             return None
-        return payload if isinstance(payload, dict) else None
+        if not isinstance(payload, dict):
+            return None
+        found = payload.pop("format", None)
+        if found != PAYLOAD_FORMAT:
+            raise CheckpointFormatError(self.path, found)
+        return payload
 
     def save(self, payload: dict) -> None:
         """Atomically replace the checkpoint file with *payload*.
@@ -134,7 +185,10 @@ class CheckpointManager:
         started = time.perf_counter()
         tmp = f"{self.path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(
+                {**payload, "format": PAYLOAD_FORMAT}, handle,
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
@@ -152,7 +206,7 @@ class CheckpointManager:
         injection point on the boundary counter.
         """
         self.boundaries += 1
-        action = faults.checkpoint_fault(self.boundaries)
+        action = checkpoint_fault(self.boundaries)
         if action == "sigterm":
             # raise_signal delivery lands at an interpreter checkpoint;
             # set the flag directly so the injected interrupt is
@@ -167,67 +221,9 @@ class CheckpointManager:
             raise RunInterrupted(self.path, stage)
 
 
-# ----------------------------------------------------------------------
-# state packing (array columns when possible, pickled graph otherwise)
-# ----------------------------------------------------------------------
-
-def pack_eval_state(state: EvalState) -> dict:
-    """*state* as a checkpoint payload entry.
-
-    Prefers the SoA column layout (compact, and its bit-exactness is
-    already locked by the snapshot protocol's tests); states the packer
-    cannot express fall back to the pickled object graph.
-    """
-    columns = pack_state_columns(state)
-    if columns is None:
-        return {"kind": "pickle", "state": state}
-    blocks, header = columns
-    return {
-        "kind": "soa",
-        "arrays": {name: array for name, array in blocks},
-        "header": header,
-    }
-
-
-def unpack_eval_state(packed: dict) -> EvalState:
-    """Inverse of :func:`pack_eval_state`.
-
-    The returned state is exclusively owned by the caller (checkpoint
-    payloads round-trip through pickle), so its network and dicts may
-    be adopted without copying.
-    """
-    if packed["kind"] == "soa":
-        return state_from_columns(packed["arrays"], packed["header"])
-    return packed["state"]
-
-
-def pack_network(network: Network, placement: Placement) -> dict:
-    """Network + placement only (no analysis) as a payload entry.
-
-    Rides the same column layout by wrapping them in an
-    :class:`EvalState` with empty analysis dicts — used for best-seen
-    snapshots and the inter-stage handoff, where no engine caches need
-    to survive.
-    """
-    return pack_eval_state(EvalState(
-        network=network,
-        placement=placement,
-        library=None,
-        period=None,
-        po_pad_cap=0.0,
-        arrival={},
-        slack={},
-        stars={},
-        levels={},
-        req0={},
-        max_delay=0.0,
-        version=network.version,
-    ))
-
-
-def graft_state(state: EvalState, network: Network,
-                placement: Placement) -> None:
-    """Adopt *state*'s network and placement into the live objects.
+def graft_state(saved: Network, saved_placement: Placement,
+                network: Network, placement: Placement) -> None:
+    """Adopt a saved network and placement into the live objects.
 
     The flow's other components (site factories, supergate caches,
     result reporting) hold references to the caller's *network* and
@@ -236,15 +232,14 @@ def graft_state(state: EvalState, network: Network,
     before any listener subscribes (engines and caches are built after
     resume) — and :meth:`Network.adopt` drops the derived indexes.
     """
-    network.name = state.network.name
-    network.adopt(state.network, announce=False)
-    network.version = state.version
-    saved = state.placement
-    placement.die_width = saved.die_width
-    placement.die_height = saved.die_height
-    placement.locations = dict(saved.locations)
-    placement.input_pads = dict(saved.input_pads)
-    placement.output_pads = dict(saved.output_pads)
+    network.name = saved.name
+    network.adopt(saved, announce=False)
+    network.version = saved.version
+    placement.die_width = saved_placement.die_width
+    placement.die_height = saved_placement.die_height
+    placement.locations = dict(saved_placement.locations)
+    placement.input_pads = dict(saved_placement.input_pads)
+    placement.output_pads = dict(saved_placement.output_pads)
 
 
 def engine_from_state(
@@ -255,14 +250,14 @@ def engine_from_state(
 ) -> TimingEngine:
     """Grafted live objects plus an engine resuming *state*'s analysis.
 
-    Mirrors :meth:`TimingEngine.from_eval_state` — the cached dicts are
-    adopted in their recorded iteration order, no analysis runs — but
-    binds the engine to the caller's live *network*/*placement*/
-    *library* so the rest of the run sees one consistent object graph.
-    The engine prices and commits bit-identically to the engine the
-    interrupted run would have carried into the same round.
+    The one constructor that adopts cached analysis: the saved dicts
+    are taken in their recorded iteration order and no analysis runs,
+    so the engine prices and commits bit-identically to the engine the
+    interrupted run would have carried into the same round.  It is
+    bound to the caller's live *network*/*placement*/*library*, so the
+    rest of the run sees one consistent object graph.
     """
-    graft_state(state, network, placement)
+    graft_state(state.network, state.placement, network, placement)
     engine = TimingEngine(
         network, placement, library,
         period=state.period, po_pad_cap=state.po_pad_cap,

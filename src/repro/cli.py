@@ -14,7 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checkpoint import CHECKPOINT_EXIT_CODE, RunInterrupted
+from .checkpoint import (
+    CHECKPOINT_EXIT_CODE,
+    CheckpointFormatError,
+    RunInterrupted,
+)
 from .rapids.report import Table1Row, averages
 from .suite.flow import FlowConfig, run_benchmark, run_suite
 from .suite.registry import (
@@ -189,9 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     def _optimizer_knobs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workers", type=int, default=1, metavar="N",
-            help="shard candidate-gain evaluation over N worker "
-                 "processes; the optimization trajectory is bit-identical "
-                 "for every N (default: 1, serial)",
+            help="processes selecting partitioned-polish regions; used "
+                 "with --partition, the trajectory is bit-identical for "
+                 "every N (default: 1, serial)",
         )
         p.add_argument(
             "--sim-backend", default="auto",
@@ -302,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UnknownBenchmarkError as exc:
         print(f"rapids: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except CheckpointFormatError as exc:
+        print(f"rapids: {exc}", file=sys.stderr)
         return 2
     except RunInterrupted as exc:
         print(f"rapids: {exc}", file=sys.stderr)

@@ -11,12 +11,11 @@ families are documented in ``docs/architecture.md``):
   purely from cached analysis state: no reachable call (through a
   module-local call graph) may mutate the :class:`~repro.network.
   netlist.Network` or emit mutation events.
-* :func:`worker_entry` — the decorated function is an
-  :class:`~repro.parallel.pool.EvalPool` worker entry point: code
+* :func:`worker_entry` — the decorated function is the entry point of
+  a child forked by :class:`~repro.parallel.pool.EvalPool`: code
   reachable from it must not write module-level mutable globals,
   except at sites explicitly waived with a ``# lint: allow(
-  worker-global)`` pragma (each such waiver is a known obstacle for
-  the session-scoping work in ROADMAP item 3).
+  worker-global)`` pragma.
 * modules that declare ``__deterministic__ = True`` opt into the
   determinism lint: unsorted ``set`` iteration whose results feed
   float accumulation, ``min``/``max``/``sorted`` tie-breaking, or
@@ -50,13 +49,12 @@ def projection_only(func: _F) -> _F:
 
 
 def worker_entry(func: _F) -> _F:
-    """Declare that *func* runs inside an :class:`EvalPool` worker.
+    """Declare that *func* runs inside a child forked by :class:`EvalPool`.
 
     Code reachable from a worker entry point must not write
-    module-level mutable globals: worker processes are shared across
-    batches (and, once ROADMAP item 3 lands, across sessions), so
-    hidden module state is either a correctness hazard or a
-    session-scoping obstacle.  ``python -m tools.lint`` walks the
+    module-level mutable globals: a child's writes vanish with it, so
+    any state the code means to keep would silently differ between the
+    parallel and the serial path.  ``python -m tools.lint`` walks the
     cross-module call graph from every marked entry point and flags
     each write; intentional caches carry a ``# lint: allow(
     worker-global)`` waiver at the write site.
@@ -64,18 +62,3 @@ def worker_entry(func: _F) -> _F:
     func.__worker_entry__ = True
     return func
 
-
-def fault_hook(func: _F) -> _F:
-    """Declare that *func* is a fault-injection hook
-    (:mod:`repro.parallel.faults`).
-
-    Fault hooks are deterministic, env-gated shims: they read the
-    ``REPRO_FAULT_PLAN`` environment payload, key every decision on an
-    explicit submission index, and do nothing when no plan is set.
-    The worker-global rule exempts their bodies — the parsed-plan
-    cache they keep is keyed by the immutable env payload, so it can
-    never leak state between batches or sessions — without a waiver,
-    keeping the waiver inventory an honest work list.
-    """
-    func.__fault_hook__ = True
-    return func

@@ -1,52 +1,16 @@
-"""Parallel candidate evaluation for the post-placement optimizer.
+"""Region-level parallelism for the partitioned wirelength polish.
 
-Candidate-move gain projection — "for every site, score every
-alternative against the current timing snapshot" — dominates the
-optimizer's remaining runtime and is embarrassingly parallel: every
-evaluation reads one frozen :class:`~repro.timing.sta.EvalState` and
-mutates nothing.  This package shards that loop:
+* :mod:`pool` — :class:`EvalPool`, a fork-per-round map: children of
+  the live process inherit the round-frozen state copy-on-write, so
+  nothing is serialized on the way in;
+* :mod:`regions` — :class:`~repro.parallel.regions.RegionEvalSession`,
+  which spreads one partitioned round's region selection over the pool.
 
-* :mod:`evaluate` — the per-site selection policy and the deterministic
-  order-tagged merge, shared verbatim by the serial path and the
-  workers so the two can never drift;
-* :mod:`pool` — :class:`EvalPool`, the process/thread pool that ships
-  one snapshot plus one contiguous site shard per worker and falls back
-  to inline evaluation wherever process pools are unavailable;
-* :mod:`snapshot` — the cross-batch snapshot differ: workers cache the
-  first full :class:`~repro.timing.sta.EvalState` of a session and
-  later batches ship only the nets dirtied since that baseline,
-  shrinking steady-state payloads by an order of magnitude.
-
-Invariant: ``optimize(..., workers=N)`` applies the bit-identical move
-sequence for every N (``tests/test_parallel_eval.py``); parallelism
-buys wall time only, never a different answer.  The snapshot-delta
-protocol is specified in ``docs/architecture.md``.
+Invariant: the partitioned trajectory is bit-identical for every worker
+count (``tests/test_partitioned_rewiring.py``); parallelism buys wall
+time only, never a different answer.
 """
 
-from .evaluate import (
-    Selection,
-    best_phase_move,
-    evaluate_shard,
-    merge_selections,
-    shard_sites,
-)
-from .pool import EvalPool
-from .snapshot import (
-    EvalDelta,
-    EvalSnapshotCodec,
-    SnapshotStats,
-    apply_delta,
-)
+from .pool import EvalPool, merge_selections, shard_sites
 
-__all__ = [
-    "EvalDelta",
-    "EvalPool",
-    "EvalSnapshotCodec",
-    "Selection",
-    "SnapshotStats",
-    "apply_delta",
-    "best_phase_move",
-    "evaluate_shard",
-    "merge_selections",
-    "shard_sites",
-]
+__all__ = ["EvalPool", "merge_selections", "shard_sites"]

@@ -1,535 +1,148 @@
-"""Shared evaluation pool: sharded gain projection over worker processes.
+"""Fork-per-round map: shards run in children of the live process.
 
-One :class:`EvalPool` lives for a whole ``optimize()`` run.  Per phase,
-the parent exports the timing engine's cached analysis once
-(:meth:`~repro.timing.sta.TimingEngine.export_eval_state`), serializes
-it once, and ships it with one contiguous site shard to each of
-``workers - 1`` worker processes, keeping the first shard to evaluate
-itself against the live engine while they run.  Workers rebuild a
-read-only engine from the snapshot (O(1) beyond unpickling — no STA
-runs) and return ``(site_order, selection)`` pairs;
-the parent merges them back into site-enumeration order, so the
-candidate list — and therefore the applied-move trajectory — is
-bit-identical to the serial path regardless of worker count, shard
-boundaries or completion order.
+One :meth:`EvalPool.map` call is one round.  It forks ``len(shards) -
+1`` children, each with one pipe, and runs ``entry(shard)`` in each of
+them.  Meanwhile the parent runs its own inline evaluator on shard 0.
+A forked child inherits the parent's whole address space
+copy-on-write, round-frozen engines included.  So nothing is encoded,
+shipped, cached or kept alive between rounds, and every child exits
+as soon as it has sent its result.
 
-Failures are supervised, not fatal.  Each shard submission carries a
-timeout and walks a recovery ladder before the pool gives anything up:
-
-1. **retry** — a worker-raised exception resubmits the shard to the
-   same pool with exponential backoff, up to ``max_shard_retries``;
-2. **rebuild** — a broken pool (killed worker → ``BrokenProcessPool``)
-   or a shard timeout tears the executor down, starts a fresh one, and
-   resends the *full* baseline with every still-pending shard (new
-   processes have no cached snapshot), up to ``max_pool_rebuilds``
-   times per pool lifetime;
-3. **inline** — only the shard that exhausted its budget is evaluated
-   by the parent against the live engine; the batch's other shards
-   stay parallel.
-
-A worker reporting ``("stale", None)`` (it missed the baseline
-shipment) gets one full-baseline resend before the parent falls back
-to inline for that shard.  Every rung is recorded in the structured
-:class:`PoolHealth` counters; only when the rebuild budget is spent
-does the pool degrade permanently (``health.degraded_reason``, still
-readable as :attr:`EvalPool.fallback_reason`).  Because the merge is
-site-order-deterministic and every recovery path scores the exact same
-candidates, results are bit-identical to serial under any failure
-pattern — only wall time changes.
+A child that dies or raises costs exactly one inline re-evaluation of
+its shard in the parent.  The failure is counted in
+``health["inline_fallbacks"]``, and the first failure's cause is kept
+in :attr:`EvalPool.fallback_reason`.  Later rounds fork again.
+Results are identical either way: the evaluator is read-only and
+deterministic, and the caller keys results by shard position, not by
+completion order.  Without the ``fork`` start method every shard runs
+inline and the reason is recorded.  (Forking is safe here because the
+program starts no threads that could hold a lock across the fork.)
 """
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+import multiprocessing
+from typing import Callable, Sequence, TypeVar
 
-from ..contracts import worker_entry
-from . import faults, shm
-from .evaluate import (
-    Selection,
-    evaluate_shard,
-    merge_selections,
-    shard_sites,
-)
-from .snapshot import EvalSnapshotCodec, decode as _decode_snapshot
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..library.cells import Library
-    from ..sizing.coudert import Site
-    from ..timing.sta import TimingEngine
-
-#: Default per-shard collection timeout (seconds); override with the
-#: ``REPRO_SHARD_TIMEOUT`` environment variable or the constructor.
-#: Generous on purpose — a timeout escalates straight to a pool
-#: rebuild, so false positives are expensive.
-DEFAULT_SHARD_TIMEOUT = 600.0
-
-_SWEPT_STALE = False
+_T = TypeVar("_T")
 
 
-@worker_entry
-def _evaluate_in_worker(
-    payload: bytes,
-    shard: list[tuple[int, "Site"]],
-    metric: str,
-    epsilon: float,
-    fault_token: int = -1,
-) -> tuple[str, list[tuple[int, Selection | None]] | None]:
-    """Worker entry point: rebuild the engine, evaluate one shard.
+def shard_sites(
+    sites: Sequence[_T], num_shards: int
+) -> list[list[tuple[int, _T]]]:
+    """Split *sites* into ``num_shards`` contiguous, balanced shards.
 
-    Module-level so every start method can import it; the snapshot
-    arrives as explicit payload bytes (serialized once in the parent,
-    shared by all shards of a phase) — either a full baseline this
-    process caches, or a delta against a cached baseline (see
-    :mod:`repro.parallel.snapshot`).  Returns ``("stale", None)`` when
-    the delta references a baseline this process never received; the
-    parent then resends the full baseline once before going inline.
-
-    *fault_token* is the parent's submission index for this attempt —
-    the deterministic key a :class:`~repro.parallel.faults.FaultPlan`
-    uses to kill, delay, or stale exactly this execution.
+    Contiguous slices keep each shard's items structurally close and
+    make the shard map trivially reproducible.  Every item keeps its
+    enumeration-order tag.
     """
-    from ..timing.sta import TimingEngine
+    tagged = list(enumerate(sites))
+    num_shards = max(1, min(num_shards, len(tagged)))
+    base, extra = divmod(len(tagged), num_shards)
+    shards: list[list[tuple[int, _T]]] = []
+    start = 0
+    for shard_index in range(num_shards):
+        size = base + (1 if shard_index < extra else 0)
+        shards.append(tagged[start:start + size])
+        start += size
+    return shards
 
-    if faults.worker_fault(fault_token) == "stale":
-        return ("stale", None)
-    state = _decode_snapshot(payload, fault_token)
-    if state is None:
-        return ("stale", None)
-    engine = TimingEngine.from_eval_state(state)
-    return ("ok", evaluate_shard(engine, state.library, shard, metric, epsilon))
 
+def merge_selections(
+    count: int, shard_results: Sequence[Sequence[tuple[int, object]]]
+) -> list:
+    """Scatter order-tagged shard results back into enumeration order.
 
-@dataclass
-class PoolHealth:
-    """Structured recovery-ladder accounting for one :class:`EvalPool`.
-
-    Replaces the old one-shot ``fallback_reason``: every rung of the
-    ladder is counted, and only ``degraded_reason`` (the rebuild
-    budget ran out, or sharded evaluation itself raised) is terminal.
+    Independent of shard boundaries, worker count and completion order.
     """
-
-    shard_retries: int = 0
-    shard_timeouts: int = 0
-    worker_exceptions: int = 0
-    pool_rebuilds: int = 0
-    inline_fallbacks: int = 0
-    stale_recoveries: int = 0
-    teardown_errors: int = 0
-    degraded_reason: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "shard_retries": self.shard_retries,
-            "shard_timeouts": self.shard_timeouts,
-            "worker_exceptions": self.worker_exceptions,
-            "pool_rebuilds": self.pool_rebuilds,
-            "inline_fallbacks": self.inline_fallbacks,
-            "stale_recoveries": self.stale_recoveries,
-            "teardown_errors": self.teardown_errors,
-            "degraded_reason": self.degraded_reason,
-        }
+    merged: list = [None] * count
+    for results in shard_results:
+        for order, selection in results:
+            merged[order] = selection
+    return merged
 
 
-@dataclass
-class _ShardBatch:
-    """In-flight bookkeeping for one supervised shard fan-out."""
-
-    entry: Callable
-    shards: list
-    extra: tuple
-    encode: Callable[[], bytes]
-    payload: bytes
-    #: shard position → outstanding future (removed once collected)
-    pending: dict[int, Future] = field(default_factory=dict)
-    #: positions that already consumed their one stale resend
-    resent: set[int] = field(default_factory=set)
+def _run_child(entry: Callable, shard, conn) -> None:
+    """Body of one forked child: evaluate, send, exit."""
+    try:
+        message = ("ok", entry(shard))
+    except Exception as error:
+        message = ("error", f"{type(error).__name__}: {error}")
+    conn.send(message)
+    conn.close()
 
 
 class EvalPool:
-    """Worker pool for candidate-gain evaluation with deterministic merge.
+    """*workers* counts the parent: ``workers=2`` forks one child per map."""
 
-    *workers* is the target parallelism, parent included (``workers=4``
-    means three pool processes plus the parent's own shard);
-    ``backend`` picks the executor:
-
-    * ``"process"`` (default) — ``ProcessPoolExecutor`` on the ``fork``
-      context when available (cheap start, no import replay), else the
-      platform default;
-    * ``"thread"``  — ``ThreadPoolExecutor`` sharing the parent engine
-      directly (useful for exercising the sharded code path without
-      process machinery; the GIL serializes the actual math);
-    * ``"serial"``  — no executor at all, evaluation stays inline.
-
-    Evaluation batches smaller than *min_sites* stay inline too: below
-    that, snapshot serialization costs more than it saves.  The
-    remaining knobs bound the recovery ladder (module docstring):
-    *shard_timeout* seconds per shard collection, *max_shard_retries*
-    same-pool resubmissions of an excepting shard, *max_pool_rebuilds*
-    executor resurrections per pool lifetime, *retry_backoff* the base
-    of the exponential retry sleep.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        backend: str = "process",
-        min_sites: int | None = None,
-        shard_timeout: float | None = None,
-        max_shard_retries: int = 2,
-        max_pool_rebuilds: int = 2,
-        retry_backoff: float = 0.05,
-    ) -> None:
-        if backend not in ("process", "thread", "serial"):
-            raise ValueError(f"unknown pool backend {backend!r}")
+    def __init__(self, workers: int) -> None:
         self.workers = max(1, int(workers))
-        self.backend = backend if self.workers > 1 else "serial"
-        self.min_sites = (
-            min_sites if min_sites is not None else 2 * self.workers
-        )
-        if shard_timeout is None:
-            text = os.environ.get("REPRO_SHARD_TIMEOUT")
-            shard_timeout = float(text) if text else DEFAULT_SHARD_TIMEOUT
-        self.shard_timeout = shard_timeout
-        self.max_shard_retries = max(0, int(max_shard_retries))
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        #: recovery-ladder counters (see :class:`PoolHealth`)
-        self.health = PoolHealth()
-        #: counters for benchmarks and tests
-        self.parallel_batches = 0
-        self.inline_batches = 0
-        self.sites_evaluated = 0
-        #: cross-batch snapshot differ (process backend only); its
-        #: ``stats`` record full/delta payload sizes and stale retries
-        self.snapshot = EvalSnapshotCodec()
-        self._executor: Executor | None = None
-        self._submission_index = 0
-        # reap /dev/shm segments of dead runs once per process: the
-        # first pool of a run is the natural janitor slot (cheap listdir
-        # when there is nothing to do)
-        global _SWEPT_STALE
-        if not _SWEPT_STALE:
-            _SWEPT_STALE = True
-            shm.sweep_stale_segments()
+        self.health = {"inline_fallbacks": 0}
+        self.fallback_reason: str | None = None
+        self._children: list = []
+        self._context = None
+        if self.workers > 1:
+            if "fork" in multiprocessing.get_all_start_methods():
+                self._context = multiprocessing.get_context("fork")
+            else:
+                self.fallback_reason = "no fork start method; ran inline"
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
-        """True while sharded evaluation is still on the table."""
-        return self.backend != "serial" and self.health.degraded_reason is None
+        """True when :meth:`map` forks children."""
+        return self._context is not None
 
-    @property
-    def fallback_reason(self) -> str | None:
-        """Terminal degradation reason (compatibility view of health)."""
-        return self.health.degraded_reason
+    def map(self, entry: Callable, shards: list, inline: Callable) -> list:
+        """``[entry(s) for s in shards]``, shards after the first forked.
 
-    def _ensure_executor(self) -> Executor:
-        if self._executor is None:
-            # the parent evaluates one shard itself, so the executor
-            # only ever sees workers-1 concurrent shards
-            if self.backend == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=max(1, self.workers - 1),
-                    thread_name_prefix="repro-eval",
-                )
-            else:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=max(1, self.workers - 1),
-                    mp_context=_fork_context(),
-                )
-        return self._executor
-
-    def _shutdown_executor(self, wait: bool) -> None:
-        """Tear the executor down; errors become health counters."""
-        executor = self._executor
-        self._executor = None
-        if executor is None:
-            return
+        *inline* evaluates shard 0 in the parent and re-evaluates any
+        shard whose child failed; it must return what *entry* returns.
+        """
+        if not self.active:
+            return [inline(shard) for shard in shards]
+        pipes = []
         try:
-            executor.shutdown(wait=wait, cancel_futures=True)
-        except Exception:
-            self.health.teardown_errors += 1
+            for shard in shards[1:]:
+                reader, writer = self._context.Pipe(duplex=False)
+                child = self._context.Process(
+                    target=_run_child, args=(entry, shard, writer),
+                    daemon=True,
+                )
+                child.start()
+                writer.close()
+                self._children.append(child)
+                pipes.append(reader)
+            results = [inline(shards[0])]
+            for shard, reader, child in zip(
+                shards[1:], pipes, self._children
+            ):
+                try:
+                    status, payload = reader.recv()
+                except EOFError:  # died before sending anything
+                    status, payload = "died", None
+                child.join()
+                if status != "ok":
+                    self.health["inline_fallbacks"] += 1
+                    if self.fallback_reason is None:
+                        self.fallback_reason = payload or (
+                            f"worker exited with status {child.exitcode}"
+                        )
+                    payload = inline(shard)
+                results.append(payload)
+            return results
+        finally:
+            for reader in pipes:
+                reader.close()
+            self.close()
 
     def close(self) -> None:
-        """Shut the executor down and release shm (idempotent).
+        """Kill and reap any child a failed round left behind (idempotent).
 
-        Teardown failures are recorded in ``health.teardown_errors``
-        instead of silently swallowed, and the snapshot codec's shared
-        baseline block is always released through the segment registry.
-        The codec's stats and the health counters stay readable —
-        benchmarks assert on them after the pool closes.
+        SIGKILL, not SIGTERM: a child inherits the parent's signal
+        handlers, including a checkpoint manager's SIGTERM flag setter.
         """
-        self._shutdown_executor(wait=True)
-        self.snapshot.close()
-
-    def __enter__(self) -> "EvalPool":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _degrade(self, reason: str) -> None:
-        """Give up on parallelism for the rest of the run.
-
-        Keeps the *first* reason (later failures are consequences of
-        the same outage) and tears down without waiting — a hung
-        worker is a likely cause, and blocking on it would stall the
-        optimizer the ladder just saved.
-        """
-        if self.health.degraded_reason is None:
-            self.health.degraded_reason = reason
-        self._shutdown_executor(wait=False)
-        self.snapshot.close()
-
-    # ------------------------------------------------------------------
-    # supervised shard fan-out (shared with RegionEvalSession)
-    # ------------------------------------------------------------------
-    def start_shards(
-        self,
-        entry: Callable,
-        shards: list,
-        extra: tuple,
-        encode: Callable[[], bytes],
-    ) -> _ShardBatch:
-        """Submit every shard to the executor under supervision.
-
-        *entry* is a worker entry point taking ``(payload, shard,
-        *extra, fault_token=...)``; *encode* produces a payload from
-        the live engine (called again on resend/rebuild, when it must
-        yield a fresh full baseline).  Collect with
-        :meth:`finish_shards` — between the two calls the parent is
-        free to evaluate its own local shard.
-        """
-        self._ensure_executor()
-        payload = encode()
-        batch = _ShardBatch(
-            entry=entry, shards=list(shards), extra=tuple(extra),
-            encode=encode, payload=payload,
-        )
-        for position, shard in enumerate(batch.shards):
-            batch.pending[position] = self._submit(batch, shard)
-        return batch
-
-    def finish_shards(
-        self, batch: _ShardBatch, inline_shard: Callable
-    ) -> list:
-        """Collect every shard's result, walking the recovery ladder.
-
-        Results come back in shard-submission order; *inline_shard* is
-        the parent-side fallback evaluator (rung 3) returning the same
-        shape as a worker's ``("ok", results)`` payload.
-        """
-        return [
-            self._collect(batch, position, inline_shard)
-            for position in range(len(batch.shards))
-        ]
-
-    def _submit(self, batch: _ShardBatch, shard) -> Future:
-        index = self._submission_index
-        self._submission_index += 1
-        executor = self._ensure_executor()
-        return executor.submit(
-            batch.entry, batch.payload, shard, *batch.extra,
-            fault_token=index,
-        )
-
-    def _collect(
-        self, batch: _ShardBatch, position: int, inline_shard: Callable
-    ):
-        shard = batch.shards[position]
-        attempts = 0
-        while True:
-            future = batch.pending.get(position)
-            if future is None or not self.active:
-                break
-            try:
-                status, results = future.result(timeout=self.shard_timeout)
-            except FuturesTimeoutError:
-                # the task may be hung; retrying on the same pool would
-                # queue behind it — escalate straight to a rebuild
-                self.health.shard_timeouts += 1
-                if not self._rebuild(batch):
-                    break
-                continue
-            except (BrokenExecutor, CancelledError):
-                if not self._rebuild(batch):
-                    break
-                continue
-            except Exception:
-                self.health.worker_exceptions += 1
-                attempts += 1
-                if attempts > self.max_shard_retries:
-                    break
-                self.health.shard_retries += 1
-                time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
-                batch.pending[position] = self._submit(batch, shard)
-                continue
-            if status == "stale":
-                self.snapshot.stats.stale_shards += 1
-                # any cached baseline in that process is unusable;
-                # force the next encode to ship a full snapshot
-                self.snapshot.invalidate()
-                if position in batch.resent:
-                    break
-                batch.resent.add(position)
-                batch.payload = batch.encode()
-                batch.pending[position] = self._submit(batch, shard)
-                continue
-            batch.pending.pop(position, None)
-            if position in batch.resent:
-                self.health.stale_recoveries += 1
-            return results
-        batch.pending.pop(position, None)
-        self.health.inline_fallbacks += 1
-        return inline_shard(shard)
-
-    def _rebuild(self, batch: _ShardBatch) -> bool:
-        """Rung 2: resurrect the executor, resend all pending shards.
-
-        The fresh processes have no cached baseline, so the payload is
-        re-encoded as a full snapshot before resubmission.  False once
-        the rebuild budget is spent — the pool degrades and the caller
-        falls back inline.
-        """
-        if self.health.pool_rebuilds >= self.max_pool_rebuilds:
-            self._degrade("pool rebuild budget exhausted")
-            return False
-        self.health.pool_rebuilds += 1
-        self._shutdown_executor(wait=False)
-        self.snapshot.invalidate()
-        batch.payload = batch.encode()
-        for position in sorted(batch.pending):
-            batch.pending[position] = self._submit(
-                batch, batch.shards[position]
-            )
-        return True
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        engine: "TimingEngine",
-        library: "Library",
-        sites: Sequence["Site"],
-        metric: str,
-        epsilon: float,
-    ) -> list[Selection | None]:
-        """Best candidate per site, in site order.
-
-        Exactly equivalent to running
-        :func:`~repro.parallel.evaluate.best_phase_move` over *sites*
-        with the parent *engine* — the sharded path merely computes it
-        on snapshot replicas.
-        """
-        def inline() -> list[Selection | None]:
-            self.inline_batches += 1
-            self.sites_evaluated += len(sites)
-            return [
-                selection for _, selection in evaluate_shard(
-                    engine, library, list(enumerate(sites)), metric, epsilon,
-                )
-            ]
-
-        if not self.active or len(sites) < self.min_sites:
-            return inline()
-        try:
-            merged = self._evaluate_sharded(
-                engine, library, sites, metric, epsilon
-            )
-        except Exception as error:
-            # the supervisor handles worker/pool failures internally;
-            # anything escaping it (encode failure, sandbox without
-            # process support) must still never kill the optimizer:
-            # finish this and every later batch inline
-            self._degrade(f"{type(error).__name__}: {error}")
-            return inline()
-        self.parallel_batches += 1
-        self.sites_evaluated += len(sites)
-        return merged
-
-    def _evaluate_sharded(
-        self,
-        engine: "TimingEngine",
-        library: "Library",
-        sites: Sequence["Site"],
-        metric: str,
-        epsilon: float,
-    ) -> list[Selection | None]:
-        shards = shard_sites(sites, self.workers)
-        # the parent keeps the first shard for itself: while workers
-        # chew on their replicas it scores its share against the live
-        # engine (identical results — the policy is shared and the
-        # replicas are exact), so *workers* counts the parent and the
-        # pool spawns workers-1 processes' worth of remote work
-        local_shard, remote_shards = shards[0], shards[1:]
-        if self.backend == "thread":
-            # threads share the parent's address space: hand them the
-            # live engine instead of a serialized replica
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(
-                    evaluate_shard, engine, library, shard, metric, epsilon
-                )
-                for shard in remote_shards
-            ]
-            local_results = evaluate_shard(
-                engine, library, local_shard, metric, epsilon
-            )
-            shard_results = [local_results] + [
-                future.result() for future in futures
-            ]
-            return merge_selections(len(sites), shard_results)
-        batch = None
-        if remote_shards:
-            # full baseline on the first batch of a session, a
-            # cumulative delta against it afterwards — see
-            # repro.parallel.snapshot for the contract
-            batch = self.start_shards(
-                _evaluate_in_worker,
-                remote_shards,
-                (metric, epsilon),
-                lambda: self.snapshot.encode(engine),
-            )
-        local_results = evaluate_shard(
-            engine, library, local_shard, metric, epsilon
-        )
-        shard_results = [local_results]
-        if batch is not None:
-            shard_results.extend(self.finish_shards(
-                batch,
-                lambda shard: evaluate_shard(
-                    engine, library, shard, metric, epsilon
-                ),
-            ))
-        return merge_selections(len(sites), shard_results)
-
-
-def _fork_context():
-    """The ``fork`` multiprocessing context when the platform has it.
-
-    Forked workers inherit the imported interpreter, so the first
-    evaluation does not replay the package import; platforms without
-    ``fork`` (Windows, some sandboxes) fall back to the default start
-    method.
-    """
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
+        for child in self._children:
+            if child.is_alive():
+                child.kill()
+            child.join()
+        self._children = []

@@ -1,190 +1,89 @@
 """Concurrent per-region candidate selection for partitioned rewiring.
 
 The partitioned pipeline (:mod:`repro.rapids.partition`) selects moves
-per region against *round-start* state and only then commits — so the
-per-region selection calls are pure functions of that frozen state and
-can run anywhere.  This module runs them on :class:`EvalPool` worker
-processes: the parent encodes one ``soa_full``/delta snapshot of its
-timing engine per round (the same codec, session cache and staleness
-protocol as gain evaluation — :mod:`repro.parallel.snapshot`), workers
-rebuild the netlist, placement and (for the timing-aware objective) a
-read-only timing engine from it, run the shared selector
-:func:`repro.rapids.wirelength._select_batch` over their region
-shard, and return the accepted selections keyed by region order.
+per region against *round-start* state and only then commits, so each
+round's selection calls are pure functions of that frozen state.  This
+module spreads them over :class:`~repro.parallel.pool.EvalPool`: per
+round the parent refreshes its engines, forks one child per remote
+shard of regions, and selects shard 0 itself.  Each child runs the
+parent's own selector against the engines it inherited and sends back
+its selections, its new rejected-candidate keys and its scored count.
 
-Worker-count invariance: a worker's replica is bit-exact (the snapshot
-round-trip is asserted bit-exact by ``tests/test_soa.py``) and the
-selector is deterministic and read-only, so inline and remote
-selection of the same region agree move-for-move.  The parent keeps
-shard 0 and evaluates it against its live engines while workers run,
-exactly like gain evaluation; failures walk the pool's supervised
-recovery ladder (retry → rebuild + full-baseline resend → inline for
-the failing shard only — see :mod:`repro.parallel.pool`), and only an
-exhausted rebuild budget degrades the session to inline selection with
-the reason recorded — results identical either way.
+Worker-count invariance: a child's engines *are* the parent's, frozen
+at the fork, and the selector is deterministic and read-only, so
+inline and forked selection of the same region agree move-for-move.
 """
 
 from __future__ import annotations
 
 from ..contracts import worker_entry
-from . import faults
-from .evaluate import shard_sites
-from .pool import EvalPool
-from .snapshot import decode as _decode_snapshot
+from .pool import EvalPool, merge_selections, shard_sites
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``).
 __deterministic__ = True
 
 
 @worker_entry
-def _select_regions_in_worker(
-    payload: bytes,
-    shard: list[tuple[int, tuple]],
-    timing_aware: bool,
-    margin: float,
-    min_gain: float,
-    fault_token: int = -1,
-) -> tuple[str, tuple | None]:
-    """Worker entry: rebuild engines from the snapshot, select a shard.
+def _select_shard(shard, select_inline, gate, engine) -> tuple:
+    """Forked-child entry: select one shard of ``(order, task)`` pairs.
 
-    *shard* holds ``(order, (region_index, pairs, crosses, klass))``
-    tuples (*klass* being pre-verified coloring class-swap candidates,
-    empty unless the partitioned run enabled ``class_swaps``).
-    Returns ``("stale", None)`` when the snapshot delta references a
-    baseline this process never cached (the parent then resends the
-    full baseline once before selecting the shard inline), else
-    ``("ok", (selections, rejected, scored))`` with ``selections`` as
-    ``(order, accepted)`` pairs, the worker gate's rejected-candidate
-    keys (merged into the parent's stats) and the replica engine's
-    scored-candidate count.  *fault_token* is the parent's submission
-    index, the :class:`~repro.parallel.faults.FaultPlan` key for this
-    execution.
+    The child owns its copy of *gate*, so it starts the rejected-key set
+    empty and returns only the keys its own selections added.
     """
-    from ..place.hpwl import WirelengthEngine
-    from ..rapids.wirelength import _TimingGate, _select_batch
-    from ..timing.sta import TimingEngine
-
-    if faults.worker_fault(fault_token) == "stale":
-        return ("stale", None)
-    state = _decode_snapshot(payload, fault_token)
-    if state is None:
-        return ("stale", None)
-    network = state.network
-    engine = WirelengthEngine(network, state.placement)
-    gate = None
-    if timing_aware:
-        gate = _TimingGate(TimingEngine.from_eval_state(state), margin)
+    if gate is not None:
+        gate.rejected_keys = set()
     scored_before = engine.candidates_scored
-    selections = []
-    for order, (region_index, pairs, crosses, klass) in shard:
-        del region_index  # selection is region-agnostic; kept for logs
-        selections.append(
-            (order, _select_batch(
-                network, engine, pairs, crosses, klass, min_gain, gate,
-            ))
-        )
+    selections = [(order, select_inline(task)) for order, task in shard]
     rejected = sorted(gate.rejected_keys) if gate is not None else []
-    scored = engine.candidates_scored - scored_before
-    return ("ok", (selections, rejected, scored))
+    return selections, rejected, engine.candidates_scored - scored_before
 
 
 class RegionEvalSession:
     """One partitioned run's worth of concurrent region selection.
 
-    Wraps an :class:`EvalPool` for its executor, snapshot codec and
-    degradation machinery.  *carrier* is the timing engine whose
-    exported :class:`~repro.timing.sta.EvalState` ships the netlist
-    and placement to workers — the slack gate's engine on the
-    timing-aware objective, or a snapshot-only engine built from the
-    library on the timing-blind one.  *gate* (optional) receives the
-    workers' rejected-candidate keys so the reported rejection stats
-    match the serial path.
+    *engine* is the run's :class:`~repro.place.hpwl.WirelengthEngine`
+    and *gate* its optional slack gate; both are refreshed before every
+    fork so no child repeats a catch-up the parent could do once.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        carrier,
-        timing_aware: bool,
-        margin: float,
-        min_gain: float,
-        gate=None,
-        backend: str = "process",
-    ) -> None:
-        self.carrier = carrier
-        self.timing_aware = timing_aware
-        self.margin = margin
-        self.min_gain = min_gain
+    def __init__(self, workers: int, engine, gate=None) -> None:
+        self.engine = engine
         self.gate = gate
-        self.pool = EvalPool(workers, backend=backend)
-        #: True when the most recent round actually ran on the pool.
+        self.pool = EvalPool(workers)
+        #: True when the most recent round forked.
         self.parallel_last_round = False
-
-    @property
-    def active(self) -> bool:
-        return self.pool.active
-
-    @property
-    def fallback_reason(self) -> str | None:
-        return self.pool.fallback_reason
-
-    def close(self) -> None:
-        self.pool.close()
 
     def select_round(
         self, tasks: list[tuple], select_inline
     ) -> tuple[list, int]:
-        """Selections for *tasks* (in order) plus remote scored count.
+        """Selections for *tasks* (in order) plus the children's scored count.
 
-        *select_inline* is the live-engine selector the parent uses
-        for its own shard and for every fallback; remote shards are
-        selected on workers against this round's snapshot.  Selection
-        is read-only and repeatable, so any failure path simply
-        re-selects inline — the returned selections are identical.
+        *select_inline* is the live-engine selector: the parent runs it
+        on shard 0 and on any shard whose child failed, and every child
+        runs it on its own shard.
         """
-        self.parallel_last_round = False
-        if not self.pool.active or len(tasks) < 2:
+        self.parallel_last_round = self.pool.active and len(tasks) > 1
+        if not self.parallel_last_round:
             return [select_inline(task) for task in tasks], 0
-        try:
-            return self._select_sharded(tasks, select_inline)
-        except Exception as error:
-            self.pool._degrade(f"{type(error).__name__}: {error}")
-            return [select_inline(task) for task in tasks], 0
+        self.engine.refresh()
+        if self.gate is not None:
+            self.gate.engine.refresh()
 
-    def _select_sharded(self, tasks, select_inline):
-        self.carrier.refresh()
-        shards = shard_sites(tasks, self.pool.workers)
-        local_shard, remote_shards = shards[0], shards[1:]
-        batch = None
-        if remote_shards:
-            batch = self.pool.start_shards(
-                _select_regions_in_worker,
-                remote_shards,
-                (self.timing_aware, self.margin, self.min_gain),
-                lambda: self.pool.snapshot.encode(self.carrier),
-            )
-        results: list = [None] * len(tasks)
-        for order, task in local_shard:
-            results[order] = select_inline(task)
+        def inline(shard) -> tuple:
+            return [(order, select_inline(task)) for order, task in shard], [], 0
+
+        packed = self.pool.map(
+            lambda shard: _select_shard(
+                shard, select_inline, self.gate, self.engine
+            ),
+            shard_sites(tasks, self.pool.workers),
+            inline,
+        )
         scored = 0
-        if batch is not None:
-            # the pool's supervisor walks the full recovery ladder
-            # (retry → rebuild+resend → inline) per shard; the inline
-            # fallback mirrors a worker's ("ok", ...) payload shape
-            for packed in self.pool.finish_shards(
-                batch,
-                lambda shard: (
-                    [(order, select_inline(task)) for order, task in shard],
-                    [], 0,
-                ),
-            ):
-                selections, rejected, shard_scored = packed
-                scored += shard_scored
-                if self.gate is not None and rejected:
-                    self.gate.rejected_keys.update(
-                        tuple(key) for key in rejected
-                    )
-                for order, accepted in selections:
-                    results[order] = accepted
-        self.parallel_last_round = True
-        return results, scored
+        for _selections, rejected, shard_scored in packed:
+            scored += shard_scored
+            if self.gate is not None:
+                self.gate.rejected_keys.update(rejected)
+        return merge_selections(
+            len(tasks), [selections for selections, _, _ in packed]
+        ), scored

@@ -439,8 +439,6 @@ def run_rapids(
     optional in benchmarks for speed); *sim_backend* picks the
     simulation backend that verification sweep runs on (``"auto"``
     resolves per sweep shape, see ``repro.logic.simcore.backends``).
-    *workers* > 1 shards candidate-gain evaluation across processes
-    with a serial-identical trajectory (see :mod:`repro.parallel`).
     *batch_limit* is the per-batch commit cap, or ``"auto"`` for the
     adaptive policy (:class:`repro.sizing.coudert.BatchPolicy`) that
     widens batches while each one dirties most of the network.
@@ -463,11 +461,11 @@ def run_rapids(
     With *partition* the polish runs region-bounded: the placed
     netlist is FM-carved into regions of at most
     *partition_max_gates* gates with frozen boundary nets, regions
-    are selected independently (concurrently when ``workers > 1``)
-    and committed through the serial conflict-free committer — same
-    semantics restricted to intra-region moves, scaling the polish to
-    1e5+ gates (see :mod:`repro.rapids.partition`; implies the
-    batched path).
+    are selected independently (on *workers* processes, see
+    :mod:`repro.parallel`) and committed through the serial
+    conflict-free committer — same semantics restricted to
+    intra-region moves, scaling the polish to 1e5+ gates (see
+    :mod:`repro.rapids.partition`; implies the batched path).
     With *checkpoint* a :class:`repro.checkpoint.CheckpointManager`
     saves resume state to that path every *checkpoint_every*-th flow
     boundary (optimization rounds, partitioned-rewiring rounds, stage
@@ -506,12 +504,9 @@ def run_rapids(
             find_easy_redundancies(network, sgn)
         )["events"]
         if stage == "done":
-            from ..checkpoint import graft_state, unpack_eval_state
+            from ..checkpoint import graft_state
 
-            graft_state(
-                unpack_eval_state(resume_payload["final_state"]),
-                network, placement,
-            )
+            graft_state(*resume_payload["final_state"], network, placement)
             result = resume_payload["result"]
             if reference is not None:
                 result.equivalent = networks_equivalent(
@@ -527,12 +522,9 @@ def run_rapids(
         if stage in ("wl", "wl_partition"):
             opt = resume_payload["opt"]
             if stage == "wl":
-                from ..checkpoint import graft_state, unpack_eval_state
+                from ..checkpoint import graft_state
 
-                graft_state(
-                    unpack_eval_state(resume_payload["run_state"]),
-                    network, placement,
-                )
+                graft_state(*resume_payload["run_state"], network, placement)
         else:
             opt = optimize(
                 network,
@@ -544,15 +536,12 @@ def run_rapids(
                 batch_limit=batch_limit,
                 collect_log=collect_log,
                 incremental=incremental,
-                workers=workers,
                 checkpoint=manager,
                 resume_data=(
                     resume_payload if stage == "optimize" else None
                 ),
             )
         if manager is not None:
-            from ..checkpoint import pack_network
-
             # every later payload carries the finished optimization
             # result via the manager context; the forced boundary also
             # converts a SIGTERM that landed after the optimizer's
@@ -561,7 +550,7 @@ def run_rapids(
             if stage not in ("wl", "wl_partition"):
                 manager.boundary(
                     "wl",
-                    lambda: {"run_state": pack_network(network, placement)},
+                    lambda: {"run_state": (network, placement)},
                     force=True,
                 )
         wirelength = None
@@ -570,19 +559,15 @@ def run_rapids(
 
             wl_timing = None
             if stage == "wl_partition":
-                from ..checkpoint import (
-                    engine_from_state,
-                    graft_state,
-                    unpack_eval_state,
-                )
+                from ..checkpoint import engine_from_state, graft_state
 
-                state = unpack_eval_state(resume_payload["engine_state"])
+                saved = resume_payload["engine_state"]
                 if resume_payload["timing_aware"]:
                     wl_timing = engine_from_state(
-                        state, network, placement, library
+                        saved, network, placement, library
                     )
                 else:
-                    graft_state(state, network, placement)
+                    graft_state(*saved, network, placement)
             elif wl_timing_aware:
                 # the guard band is measured against the delay the
                 # optimizer just achieved: the gate's engine pins its
@@ -643,8 +628,6 @@ def run_rapids(
                 reference, network, backend=sim_backend
             )
         if manager is not None:
-            from ..checkpoint import pack_network
-
             # a completed run checkpoints its own result: resuming a
             # finished checkpoint grafts the final netlist and returns
             # the saved report instead of redoing any work
@@ -652,7 +635,7 @@ def run_rapids(
             manager.save({
                 "stage": "done",
                 "result": result,
-                "final_state": pack_network(network, placement),
+                "final_state": (network, placement),
             })
         return result
     finally:

@@ -18,10 +18,9 @@ divide-and-conquer:
    the shared read-only selector
    (:func:`repro.rapids.wirelength._select_batch`) over every region's
    candidates.  Selection mutates nothing, so regions may be evaluated
-   in any order — or concurrently on ``EvalPool`` workers against
-   ``soa_full`` shared-memory snapshots
-   (:mod:`repro.parallel.regions`) — and produce bit-identical
-   selections.
+   in any order — or concurrently, in children forked from the live
+   process (:mod:`repro.parallel.regions`) — and produce
+   bit-identical selections.
 4. **Commit serially, in region order.**  The parent replays accepted
    moves region by region.  HPWL footprints of different regions are
    disjoint by construction (all internal nets); timing ``touched``
@@ -79,12 +78,12 @@ class PartitionedResult(WirelengthResult):
     #: Moves dropped for overlapping HPWL footprints across regions —
     #: impossible under the frozen-boundary contract; must stay 0.
     boundary_conflicts: int = 0
-    #: Parallelism actually achieved (see repro.parallel.regions).
+    #: Parallelism actually achieved (see repro.parallel.regions):
+    #: rounds that forked, the first failed child's cause, and the
+    #: pool's ``inline_fallbacks`` count (empty when the run was serial).
     workers: int = 1
     parallel_rounds: int = 0
     fallback_reason: str | None = None
-    #: Recovery-ladder counters of the session's pool (empty when the
-    #: run was serial); see :class:`repro.parallel.pool.PoolHealth`.
     health: dict = field(default_factory=dict)
 
 
@@ -165,12 +164,11 @@ def reduce_wirelength_partitioned(
     pass's first round, restricted to candidates whose entire
     cone-wide footprint is internal to one region.
 
-    *workers* > 1 evaluates regions concurrently on ``EvalPool``
-    processes; snapshots ship through the engine passed as
-    *timing_engine* or, on the timing-blind objective, one built from
-    *library* — without either, evaluation silently stays inline and
-    the result records ``fallback_reason``.  The committed trajectory
-    is identical for every worker count.
+    *workers* > 1 selects each round's regions concurrently, in
+    children forked from this process (see
+    :mod:`repro.parallel.regions`); the committed trajectory is
+    identical for every worker count.  *library* is unused and kept
+    only because existing callers pass it.
 
     *checkpoint* (a :class:`repro.checkpoint.CheckpointManager`) saves
     a ``"wl_partition"`` cursor after every applied round.  To resume,
@@ -207,20 +205,9 @@ def reduce_wirelength_partitioned(
     session = None
     fallback_reason = None
     if workers > 1:
-        carrier = gate.engine if gate is not None else None
-        if carrier is None and library is not None:
-            carrier = TimingEngine(network, placement, library)
-            carrier.analyze()
-        if carrier is None:
-            fallback_reason = "no timing engine or library for snapshots"
-        else:
-            from ..parallel.regions import RegionEvalSession
+        from ..parallel.regions import RegionEvalSession
 
-            session = RegionEvalSession(
-                workers, carrier,
-                timing_aware=gate is not None, margin=slack_margin,
-                min_gain=min_gain, gate=gate,
-            )
+        session = RegionEvalSession(workers, engine, gate)
 
     initial = engine.total_hpwl()
     leaf_applied = 0
@@ -271,8 +258,6 @@ def reduce_wirelength_partitioned(
 
     def cursor() -> dict:
         """Round-boundary resume payload (see the *checkpoint* doc)."""
-        from ..checkpoint import pack_eval_state, pack_network
-
         return {
             "regions": regions,
             "initial_hpwl": initial,
@@ -300,104 +285,99 @@ def reduce_wirelength_partitioned(
             },
             "timing_aware": gate is not None,
             "engine_state": (
-                pack_eval_state(gate.engine.export_eval_state())
-                if gate is not None
-                else pack_network(network, placement)
+                gate.engine.export_eval_state() if gate is not None
+                else (network, placement)
             ),
         }
 
-    try:
-        mid_pass = resuming
-        while passes < max_passes or mid_pass:
-            if mid_pass:
-                mid_pass = False
-                sgn = cache.get()
-                first_round = False
-            else:
-                passes += 1
-                sgn = cache.get()
-                pairs = _leaf_pairs(sgn, network)
-                crosses = _pure_crosses(sgn) if include_cross else []
-                klass: list = []
-                if class_swaps:
-                    # class candidates are re-verified (by simulation)
-                    # every pass against the current netlist
-                    klass, rejected = verified_class_swaps(network)
-                    klass_verified += len(klass)
-                    klass_rejected += rejected
-                tasks = _region_tasks(
-                    network, regions, pairs, crosses, klass
+    mid_pass = resuming
+    while passes < max_passes or mid_pass:
+        if mid_pass:
+            mid_pass = False
+            sgn = cache.get()
+            first_round = False
+        else:
+            passes += 1
+            sgn = cache.get()
+            pairs = _leaf_pairs(sgn, network)
+            crosses = _pure_crosses(sgn) if include_cross else []
+            klass: list = []
+            if class_swaps:
+                # class candidates are re-verified (by simulation)
+                # every pass against the current netlist
+                klass, rejected = verified_class_swaps(network)
+                klass_verified += len(klass)
+                klass_rejected += rejected
+            tasks = _region_tasks(
+                network, regions, pairs, crosses, klass
+            )
+            pass_applied = 0
+            first_round = True
+        while True:
+            rounds += 1
+            round_tasks = tasks if first_round else [
+                (index, task_pairs, [], [])
+                for index, task_pairs, _crosses, _klass in tasks
+            ]
+            first_round = False
+            if session is not None:
+                selections, scored = session.select_round(
+                    round_tasks, select_inline
                 )
-                pass_applied = 0
-                first_round = True
-            while True:
-                rounds += 1
-                round_tasks = tasks if first_round else [
-                    (index, task_pairs, [], [])
-                    for index, task_pairs, _crosses, _klass in tasks
+                remote_scored += scored
+                if session.parallel_last_round:
+                    parallel_rounds += 1
+            else:
+                selections = [
+                    select_inline(task) for task in round_tasks
                 ]
-                first_round = False
-                if session is not None and session.active:
-                    selections, scored = session.select_round(
-                        round_tasks, select_inline
-                    )
-                    remote_scored += scored
-                    if session.parallel_last_round:
-                        parallel_rounds += 1
-                else:
-                    selections = [
-                        select_inline(task) for task in round_tasks
-                    ]
-                # serial conflict-free commit, in region order: HPWL
-                # footprints cannot collide across regions (internal
-                # nets only — counted defensively all the same); exact
-                # timing neighborhoods can, so later regions defer
-                claimed_nets: set[str] = set()
-                claimed_timing: set[str] = set()
-                committed_projections: list = []
-                leaves = crossings = klasses = 0
-                for (_index, _p, _c, _k), accepted in zip(
-                    round_tasks, selections
-                ):
-                    kept = []
-                    for kind, payload, projection, footprint in accepted:
-                        if footprint & claimed_nets:
-                            boundary_conflicts += 1
-                            continue
-                        if projection is not None and (
-                            projection.touched & claimed_timing
-                        ):
-                            deferred += 1
-                            continue
-                        kept.append((kind, payload, projection, footprint))
-                        claimed_nets |= footprint
-                        if projection is not None:
-                            claimed_timing |= projection.touched
-                            committed_projections.append(projection)
-                    batch_leaves, batch_crosses, batch_klass = _apply_batch(
-                        network, sgn, kept
-                    )
-                    leaves += batch_leaves
-                    crossings += batch_crosses
-                    klasses += batch_klass
-                if gate is not None and committed_projections:
-                    gate.refold(committed_projections)
-                leaf_applied += leaves
-                cross_applied += crossings
-                klass_applied += klasses
-                pass_applied += leaves + crossings + klasses
-                if leaves + crossings + klasses == 0:
-                    break
-                if checkpoint is not None:
-                    checkpoint.boundary("wl_partition", cursor)
-            if pass_applied == 0:
+            # serial conflict-free commit, in region order: HPWL
+            # footprints cannot collide across regions (internal
+            # nets only — counted defensively all the same); exact
+            # timing neighborhoods can, so later regions defer
+            claimed_nets: set[str] = set()
+            claimed_timing: set[str] = set()
+            committed_projections: list = []
+            leaves = crossings = klasses = 0
+            for (_index, _p, _c, _k), accepted in zip(
+                round_tasks, selections
+            ):
+                kept = []
+                for kind, payload, projection, footprint in accepted:
+                    if footprint & claimed_nets:
+                        boundary_conflicts += 1
+                        continue
+                    if projection is not None and (
+                        projection.touched & claimed_timing
+                    ):
+                        deferred += 1
+                        continue
+                    kept.append((kind, payload, projection, footprint))
+                    claimed_nets |= footprint
+                    if projection is not None:
+                        claimed_timing |= projection.touched
+                        committed_projections.append(projection)
+                batch_leaves, batch_crosses, batch_klass = _apply_batch(
+                    network, sgn, kept
+                )
+                leaves += batch_leaves
+                crossings += batch_crosses
+                klasses += batch_klass
+            if gate is not None and committed_projections:
+                gate.refold(committed_projections)
+            leaf_applied += leaves
+            cross_applied += crossings
+            klass_applied += klasses
+            pass_applied += leaves + crossings + klasses
+            if leaves + crossings + klasses == 0:
                 break
-    finally:
-        if session is not None:
-            if fallback_reason is None:
-                fallback_reason = session.fallback_reason
-            health = session.pool.health.as_dict()
-            session.close()
+            if checkpoint is not None:
+                checkpoint.boundary("wl_partition", cursor)
+        if pass_applied == 0:
+            break
+    if session is not None:
+        fallback_reason = session.pool.fallback_reason
+        health = dict(session.pool.health)
 
     result = PartitionedResult(
         initial_hpwl=initial,

@@ -500,10 +500,10 @@ def _select_batch(
     """Score every candidate, select a maximal conflict-free subset.
 
     Read-only: pricing, slack projection and conflict resolution never
-    mutate the network, so a selection computed against a frozen
-    replica (a worker's snapshot rebuild) is bit-identical to one
-    computed against the live engine — the property the partitioned
-    pipeline's concurrent region evaluation rests on.
+    mutate the network, so a selection computed in a forked child
+    against the inherited engines is bit-identical to one computed in
+    the parent — the property the partitioned pipeline's concurrent
+    region evaluation rests on.
 
     Accepted moves may not share a net: each net's bounding box is
     then edited by at most one move, the priced deltas add exactly,
@@ -520,7 +520,7 @@ def _select_batch(
     Returns ``(kind, payload, projection, footprint)`` per accepted
     move — everything :func:`_apply_batch` and the cross-region
     committer need, and nothing tied to this process (pins, nets and
-    projections name gates/nets, so selections pickle across workers).
+    projections name gates/nets, so selections pickle across processes).
     """
     deltas = engine.score_swaps(
         [(pin_a, pin_b) for _, pin_a, pin_b in pairs]

@@ -27,13 +27,6 @@ engine incrementally re-propagates timing through the affected region
 re-running full STA.  ``incremental=False`` restores the historical
 rebuild-everything behaviour for A/B benchmarking
 (``benchmarks/bench_incremental_sta.py``).
-
-With ``workers > 1`` the per-site gain projection of both phases runs
-sharded over an :class:`~repro.parallel.EvalPool`: workers score sites
-against read-only snapshots of the engine's cached analysis and the
-parent merges the selections back in site order, so the trajectory is
-bit-identical to serial (``benchmarks/bench_parallel_eval.py`` measures
-the speedup, ``tests/test_parallel_eval.py`` locks the equivalence).
 """
 
 from __future__ import annotations
@@ -42,10 +35,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
+from ..contracts import projection_only
 from ..library.cells import Library
 from ..network import events
 from ..network.netlist import Network
-from ..parallel import EvalPool, best_phase_move
 from ..place.placement import Placement
 from ..timing.sta import Gains, TimingEngine
 
@@ -127,6 +120,51 @@ class Site:
 
 SiteFactory = Callable[[Network, TimingEngine], list[Site]]
 
+#: A site's winning candidate: (score, area delta, index into site.moves).
+Selection = tuple[float, float, int]
+
+
+@projection_only
+def best_phase_move(
+    site: Site,
+    engine: TimingEngine,
+    library: Library,
+    metric: str,
+    epsilon: float,
+) -> Selection | None:
+    """The site's best move under the phase metric, or ``None``.
+
+    Gates area-increasing and worst-slack-wrecking moves, breaks score
+    ties by area, and keeps the first of equal candidates in move-list
+    order.  Any edit here changes the optimizer trajectory.
+    """
+    best_index: int | None = None
+    best_score = epsilon
+    best_area = 0.0
+    for index, move in enumerate(site.moves):
+        gains = move.gains(engine)
+        score = gains.min_gain if metric == "min" else gains.sum_gain
+        area = move.area_delta(library)
+        if area > epsilon and gains.min_gain < 0.005:
+            # area-increasing moves (new inverters, upsizing) must
+            # buy a real timing win, not noise-level churn
+            continue
+        if metric == "sum" and gains.min_gain < -epsilon:
+            # relaxation must not wreck the local worst slack
+            if not (score > epsilon and gains.min_gain > -0.01):
+                continue
+        if score > best_score or (
+            abs(score - best_score) <= epsilon
+            and area < best_area
+            and best_index is not None
+        ):
+            best_index = index
+            best_score = score
+            best_area = area
+    if best_index is None:
+        return None
+    return (best_score, best_area, best_index)
+
 
 @dataclass
 class OptimizeResult:
@@ -182,8 +220,6 @@ def optimize(
     epsilon: float = 1e-9,
     collect_log: bool = False,
     incremental: bool = True,
-    workers: int = 1,
-    eval_pool: EvalPool | None = None,
     checkpoint=None,
     resume_data: dict | None = None,
 ) -> OptimizeResult:
@@ -194,13 +230,6 @@ def optimize(
     *incremental* (the default) a single timing engine survives the
     whole run and committed batches propagate through it locally;
     ``incremental=False`` rebuilds a fresh engine after every batch.
-
-    *workers* > 1 shards the per-site candidate-gain projection of both
-    phases across worker processes operating on read-only timing
-    snapshots (see :mod:`repro.parallel`); the applied-move trajectory
-    is bit-identical to the serial run for every worker count.  An
-    externally managed *eval_pool* overrides *workers* (callers that
-    amortize one pool over several ``optimize`` runs).
 
     *batch_limit* caps moves per committed batch; the string ``"auto"``
     opts into the adaptive :class:`BatchPolicy`, which grows the cap
@@ -213,49 +242,15 @@ def optimize(
     *network*/*placement* and re-enters the loop at the saved cursor,
     yielding a result identical to the uninterrupted run.
     """
-    pool = eval_pool
-    own_pool = False
-    if pool is None and workers > 1:
-        pool = EvalPool(workers)
-        own_pool = True
-    try:
-        return _optimize(
-            network, placement, library, site_factory, mode=mode,
-            max_rounds=max_rounds, batch_limit=batch_limit, epsilon=epsilon,
-            collect_log=collect_log, incremental=incremental, pool=pool,
-            checkpoint=checkpoint, resume_data=resume_data,
-        )
-    finally:
-        if own_pool and pool is not None:
-            pool.close()
-
-
-def _optimize(
-    network: Network,
-    placement: Placement,
-    library: Library,
-    site_factory: SiteFactory,
-    mode: str,
-    max_rounds: int,
-    batch_limit: "int | str",
-    epsilon: float,
-    collect_log: bool,
-    incremental: bool,
-    pool: EvalPool | None,
-    checkpoint=None,
-    resume_data: dict | None = None,
-) -> OptimizeResult:
     from ..synth.mapper import network_area
 
     policy = resolve_batch_policy(batch_limit)
     start = time.perf_counter()
     start_round = 0
     if resume_data is not None:
-        from ..checkpoint import (
-            engine_from_state, graft_state, unpack_eval_state,
-        )
+        from ..checkpoint import engine_from_state, graft_state
 
-        state = unpack_eval_state(resume_data["engine_state"])
+        state = resume_data["engine_state"]
         if incremental:
             # adopt the saved engine caches verbatim: incremental STA
             # resumed from them prices bit-identically to the engine
@@ -264,17 +259,13 @@ def _optimize(
         else:
             # the non-incremental loop rebuilds + re-analyzes every
             # round anyway, so a fresh analyze reproduces it exactly
-            graft_state(state, network, placement)
+            graft_state(state.network, state.placement, network, placement)
             engine = TimingEngine(network, placement, library)
             engine.analyze()
         initial_delay = resume_data["initial_delay"]
         initial_area = resume_data["initial_area"]
         best_delay = resume_data["best_delay"]
-        best_state = unpack_eval_state(resume_data["best"])
-        best_snapshot = (
-            best_state.network, best_state.placement,
-            resume_data["best_version"],
-        )
+        best_snapshot = (*resume_data["best"], resume_data["best_version"])
         policy.limit = resume_data["policy_limit"]
         stagnant = resume_data["stagnant"]
         start_round = resume_data["next_round"]
@@ -308,7 +299,7 @@ def _optimize(
         applied_min = _phase(
             network, placement, library, engine, site_factory,
             metric="min", policy=policy, epsilon=epsilon,
-            result=result, collect_log=collect_log, pool=pool,
+            result=result, collect_log=collect_log,
         )
         engine = _refreshed(engine, incremental)
         if engine.max_delay < best_delay - epsilon:
@@ -317,7 +308,7 @@ def _optimize(
         applied_sum = _phase(
             network, placement, library, engine, site_factory,
             metric="sum", policy=policy, epsilon=epsilon,
-            result=result, collect_log=collect_log, pool=pool,
+            result=result, collect_log=collect_log,
         )
         engine = _refreshed(engine, incremental)
         if engine.max_delay < best_delay - epsilon:
@@ -447,25 +438,17 @@ def _phase(
     epsilon: float,
     result: OptimizeResult,
     collect_log: bool,
-    pool: EvalPool | None = None,
 ) -> int:
     """One greedy batch of the given metric; returns moves applied.
 
-    Per-site candidate selection lives in
-    :func:`repro.parallel.best_phase_move` (one copy of the policy for
-    the serial and the sharded path); with a *pool* the selections are
-    computed on worker-side snapshot replicas and merged back in site
-    order, so the candidate list is identical either way.
+    Per-site candidate selection is :func:`best_phase_move`.
     """
     engine.refresh()
     sites = site_factory(network, engine)
-    if pool is not None:
-        selections = pool.evaluate(engine, library, sites, metric, epsilon)
-    else:
-        selections = [
-            best_phase_move(site, engine, library, metric, epsilon)
-            for site in sites
-        ]
+    selections = [
+        best_phase_move(site, engine, library, metric, epsilon)
+        for site in sites
+    ]
     candidates: list[tuple[float, float, int, Move]] = []
     for order, (site, selection) in enumerate(zip(sites, selections)):
         if selection is None:
@@ -516,13 +499,11 @@ def _optimize_cursor(
     to incremental STA), the best-seen snapshot with its capture
     version, the RNG-free loop cursor and the result counters.
     """
-    from ..checkpoint import pack_eval_state, pack_network
-
     best_network, best_placement, best_version = best_snapshot
     return {
         "next_round": round_index + 1,
         "best_delay": best_delay,
-        "best": pack_network(best_network, best_placement),
+        "best": (best_network, best_placement),
         "best_version": best_version,
         "stagnant": stagnant,
         "policy_limit": policy.limit,
@@ -531,7 +512,7 @@ def _optimize_cursor(
         "move_log": list(result.move_log),
         "initial_delay": initial_delay,
         "initial_area": initial_area,
-        "engine_state": pack_eval_state(engine.export_eval_state()),
+        "engine_state": engine.export_eval_state(),
     }
 
 

@@ -38,8 +38,9 @@ class FlowConfig:
     check_equivalence: bool = False
     sim_backend: str = "auto"         # simulation backend for verification
                                       # ("auto" = adaptive per sweep shape)
-    workers: int = 1                  # gain-evaluation worker processes
-                                      # (trajectory is worker-count-invariant)
+    workers: int = 1                  # processes selecting partitioned-
+                                      # polish regions (trajectory is
+                                      # worker-count-invariant)
     wl_passes: int = 1                # post-optimization wirelength-rewiring
                                       # passes (0 = skip the Section-5 polish;
                                       # on by default: the timing-aware gate

@@ -199,15 +199,14 @@ class TimingStats:
 
 @dataclass
 class EvalState:
-    """Picklable read-only snapshot of everything gain projection needs.
+    """Picklable snapshot of an engine's cached analysis (checkpoints).
 
-    Produced by :meth:`TimingEngine.export_eval_state` and consumed by
-    :meth:`TimingEngine.from_eval_state` — typically on the other side
-    of a process boundary (``repro.parallel``).  The snapshot carries
-    the engine's *cached* analysis results verbatim (arrival times,
-    slacks, star RC models, logic levels), never recomputed state, so
-    a reconstructed engine projects bit-identical gains: pickling
-    round-trips floats exactly and the what-if code paths are shared.
+    Produced by :meth:`TimingEngine.export_eval_state` and turned back
+    into an engine by :func:`repro.checkpoint.engine_from_state`.  The
+    snapshot carries the engine's *cached* analysis results verbatim
+    (arrival times, slacks, star RC models, logic levels), never
+    recomputed state, so a resumed engine projects bit-identical
+    gains: pickling round-trips floats exactly.
     """
 
     network: Network
@@ -1062,16 +1061,16 @@ class TimingEngine:
                 req0[names[index]] = (rise, fall)
 
     # ------------------------------------------------------------------
-    # snapshot export (parallel gain evaluation)
+    # snapshot export (checkpoints)
     # ------------------------------------------------------------------
     def export_eval_state(self) -> EvalState:
-        """Snapshot the cached analysis for read-only gain projection.
+        """Snapshot the cached analysis for a checkpoint payload.
 
         The returned :class:`EvalState` is picklable (the network drops
         its listeners on serialization) and references the engine's
-        live caches without copying — callers must treat it as frozen
-        and serialize it before the next committed batch.  A worker
-        rebuilt from it via :meth:`from_eval_state` computes
+        live caches without copying — callers must pickle it before the
+        next committed batch.  An engine rebuilt from it by
+        :func:`repro.checkpoint.engine_from_state` computes
         :meth:`swap_gain` / :meth:`resize_gain` bit-identically to this
         engine.
         """
@@ -1090,36 +1089,6 @@ class TimingEngine:
             max_delay=self.max_delay,
             version=self.network.version,
         )
-
-    @classmethod
-    def from_eval_state(cls, state: EvalState) -> "TimingEngine":
-        """Engine over a snapshot, ready for what-if evaluation.
-
-        No analysis runs: the cached dicts — including the zero-target
-        required pairs the incremental backward pass consumes — are
-        adopted verbatim, so the reconstruction cost is O(1) beyond
-        unpickling.  The primary use is the non-mutating projection
-        surface (``swap_gain``, ``resize_gain``, ``slack``,
-        ``worst_arrival``); committing moves through the replica also
-        works and triggers the normal incremental machinery against
-        the snapshot's network copy.
-        """
-        engine = cls(
-            state.network, state.placement, state.library,
-            period=state.period, po_pad_cap=state.po_pad_cap,
-        )
-        engine.arrival = state.arrival
-        engine.slack = state.slack
-        engine.stars = state.stars
-        engine._levels = state.levels
-        engine._req0 = state.req0
-        engine.max_delay = state.max_delay
-        engine._target = (
-            state.period if state.period is not None else state.max_delay
-        )
-        engine._analyzed_version = state.version
-        engine._needs_full = False
-        return engine
 
     # ------------------------------------------------------------------
     # reporting

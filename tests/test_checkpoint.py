@@ -5,7 +5,7 @@ saves its cursor at the next deterministic boundary and exits cleanly;
 rerunning with ``resume`` grafts the saved state back and finishes
 with a trajectory — and final fingerprint — bit-identical to a run
 that was never interrupted.  Tested bottom-up: the manager's save /
-cadence / signal machinery, the state packers' exact round-trips, the
+cadence / signal machinery, the pickled state's exact round-trips, the
 optimizer and whole-``run_rapids`` resume equivalence at every
 boundary, and a real SIGTERMed CLI process resumed to the same flow
 fingerprint.
@@ -13,7 +13,9 @@ fingerprint.
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -23,16 +25,14 @@ from helpers import random_network
 
 from repro.checkpoint import (
     CHECKPOINT_EXIT_CODE,
+    FAULT_PLAN_ENV,
+    CheckpointFormatError,
     CheckpointManager,
     RunInterrupted,
     engine_from_state,
     graft_state,
-    pack_eval_state,
-    pack_network,
-    unpack_eval_state,
 )
 from repro.library.cells import default_library
-from repro.parallel import faults
 from repro.place.placer import place
 from repro.rapids.engine import _gs_factory, run_rapids
 from repro.sizing.coudert import optimize
@@ -52,6 +52,17 @@ def _placed_design(seed: int, num_gates: int = 50):
     map_network(network, library)
     placement = place(network, library, seed=seed, anneal_moves=1500)
     return network, placement, library
+
+
+def _sigterm_at(monkeypatch, boundary: int) -> None:
+    """Plan a SIGTERM at checkpoint *boundary* (counted from 1)."""
+    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(
+        {"checkpoint_round": {boundary: {"action": "sigterm"}}}
+    ))
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value))
 
 
 def _result_fingerprint(network, result) -> tuple:
@@ -123,27 +134,48 @@ def test_sigterm_defers_to_the_next_boundary_then_unwinds(tmp_path):
     assert signal.getsignal(signal.SIGTERM) is previous
 
 
-def test_injected_sigterm_fault_interrupts_deterministically(tmp_path):
+def test_injected_sigterm_fault_interrupts_deterministically(
+    tmp_path, monkeypatch
+):
     manager = CheckpointManager(str(tmp_path / "run.ckpt"))
     manager.install()
+    _sigterm_at(monkeypatch, 2)
     try:
-        with faults.active({"checkpoint_round": {2: {"action": "sigterm"}}}):
-            manager.boundary("optimize", lambda: {"round": 1})
-            with pytest.raises(RunInterrupted):
-                manager.boundary("optimize", lambda: {"round": 2})
+        manager.boundary("optimize", lambda: {"round": 1})
+        with pytest.raises(RunInterrupted):
+            manager.boundary("optimize", lambda: {"round": 2})
     finally:
         manager.uninstall()
     assert manager.load()["round"] == 2
 
 
+def test_checkpoint_of_another_format_is_refused_by_name(tmp_path):
+    # the SoA column layout that preceded pickled payloads carried no
+    # format field; resuming it must say what to do, not hit KeyError
+    path = tmp_path / "old.ckpt"
+    with open(path, "wb") as handle:
+        pickle.dump({
+            "stage": "optimize",
+            "engine_state": {"kind": "soa", "arrays": {}, "header": {}},
+        }, handle)
+    network, placement, library = _placed_design(3, num_gates=20)
+    with pytest.raises(CheckpointFormatError) as excinfo:
+        run_rapids(
+            network, placement, library, mode="gs",
+            checkpoint=str(path), resume=True,
+        )
+    assert str(path) in str(excinfo.value)
+    assert "rerun without --resume" in str(excinfo.value)
+
+
 # ----------------------------------------------------------------------
-# state packing: exact round-trips
+# pickled state: exact round-trips
 # ----------------------------------------------------------------------
-def test_pack_eval_state_round_trips_the_engine_caches():
+def test_pickled_eval_state_round_trips_the_engine_caches():
     network, placement, library = _placed_design(5, num_gates=40)
     engine = TimingEngine(network, placement, library)
     engine.analyze()
-    state = unpack_eval_state(pack_eval_state(engine.export_eval_state()))
+    state = _round_trip(engine.export_eval_state())
     reference = engine.export_eval_state()
     assert state.arrival == reference.arrival
     assert state.slack == reference.slack
@@ -155,9 +187,9 @@ def test_pack_eval_state_round_trips_the_engine_caches():
 
 def test_graft_state_restores_content_into_live_objects():
     network, placement, library = _placed_design(7, num_gates=30)
-    packed = pack_network(network, placement)
+    saved, saved_pl = _round_trip((network, placement))
     target, target_pl = _placed_design(8, num_gates=25)[:2]
-    graft_state(unpack_eval_state(packed), target, target_pl)
+    graft_state(saved, saved_pl, target, target_pl)
     assert list(target._gates) == list(network._gates)
     assert {
         n: (g.gtype, tuple(g.fanins), g.cell)
@@ -176,9 +208,9 @@ def test_engine_from_state_prices_identically_without_reanalysis():
     network, placement, library = _placed_design(9, num_gates=40)
     engine = TimingEngine(network, placement, library)
     engine.analyze()
-    packed = pack_eval_state(engine.export_eval_state())
+    state = _round_trip(engine.export_eval_state())
     net2, pl2 = network.copy(), placement.copy()
-    replica = engine_from_state(unpack_eval_state(packed), net2, pl2, library)
+    replica = engine_from_state(state, net2, pl2, library)
     assert replica.arrival == engine.arrival
     assert replica.slack == engine.slack
     assert replica.max_delay == engine.max_delay
@@ -197,7 +229,9 @@ def test_engine_from_state_prices_identically_without_reanalysis():
 # ----------------------------------------------------------------------
 # optimizer resume: bit-identical trajectories
 # ----------------------------------------------------------------------
-def test_optimize_interrupted_and_resumed_matches_uninterrupted(tmp_path):
+def test_optimize_interrupted_and_resumed_matches_uninterrupted(
+    tmp_path, monkeypatch
+):
     network, placement, library = _placed_design(13, num_gates=60)
     factory = _gs_factory(library)
     plain_net, plain_pl = network.copy(), placement.copy()
@@ -209,15 +243,16 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(tmp_path):
     manager = CheckpointManager(str(tmp_path / "run.ckpt"))
     manager.install()
     int_net, int_pl = network.copy(), placement.copy()
+    _sigterm_at(monkeypatch, 1)
     try:
-        with faults.active({"checkpoint_round": {1: {"action": "sigterm"}}}):
-            with pytest.raises(RunInterrupted):
-                optimize(
-                    int_net, int_pl, library, factory,
-                    collect_log=True, checkpoint=manager,
-                )
+        with pytest.raises(RunInterrupted):
+            optimize(
+                int_net, int_pl, library, factory,
+                collect_log=True, checkpoint=manager,
+            )
     finally:
         manager.uninstall()
+        monkeypatch.delenv(FAULT_PLAN_ENV)
     payload = manager.load()
     assert payload["stage"] == "optimize"
 
@@ -240,7 +275,9 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(tmp_path):
 # ----------------------------------------------------------------------
 # whole-run resume: every boundary, identical fingerprint
 # ----------------------------------------------------------------------
-def test_run_rapids_resumes_identically_from_every_boundary(tmp_path):
+def test_run_rapids_resumes_identically_from_every_boundary(
+    tmp_path, monkeypatch
+):
     network, placement, library = _placed_design(17, num_gates=80)
     path = str(tmp_path / "run.ckpt")
     kwargs = dict(
@@ -255,17 +292,18 @@ def test_run_rapids_resumes_identically_from_every_boundary(tmp_path):
     while index <= 20:
         if os.path.exists(path):
             os.unlink(path)
-        plan = {"checkpoint_round": {index: {"action": "sigterm"}}}
         int_net = network.copy()
-        with faults.active(plan):
-            try:
-                run_rapids(
-                    int_net, placement.copy(), library,
-                    checkpoint=path, **kwargs,
-                )
-                break       # past the last boundary: run completed
-            except RunInterrupted as interrupt:
-                stages.append(interrupt.stage)
+        _sigterm_at(monkeypatch, index)
+        try:
+            run_rapids(
+                int_net, placement.copy(), library,
+                checkpoint=path, **kwargs,
+            )
+            break       # past the last boundary: run completed
+        except RunInterrupted as interrupt:
+            stages.append(interrupt.stage)
+        finally:
+            monkeypatch.delenv(FAULT_PLAN_ENV)
         res_net = network.copy()
         resumed = run_rapids(
             res_net, placement.copy(), library,
@@ -326,7 +364,7 @@ def test_sigtermed_cli_run_resumes_to_identical_fingerprint(tmp_path):
     path = str(tmp_path / "cli.ckpt")
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    env.pop(faults.ENV_VAR, None)
+    env.pop(FAULT_PLAN_ENV, None)
 
     plain = _run(
         [sys.executable, "-c",
@@ -336,9 +374,9 @@ def test_sigtermed_cli_run_resumes_to_identical_fingerprint(tmp_path):
     assert plain.returncode == 0, plain.stderr
 
     interrupted_env = dict(env)
-    interrupted_env[faults.ENV_VAR] = faults.FaultPlan(
+    interrupted_env[FAULT_PLAN_ENV] = json.dumps(
         {"checkpoint_round": {1: {"action": "sigterm"}}}
-    ).to_env()
+    )
     interrupted = _run(
         [sys.executable, "-m", "repro.cli", "bench", "alu2",
          "--scale", "0.05", "--checkpoint", path],

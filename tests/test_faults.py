@@ -1,100 +1,54 @@
-"""The fault-injection harness itself: plans, hooks, determinism.
+"""The checkpoint-boundary fault hook: plans, parsing, the real signal.
 
-``repro.parallel.faults`` carries a :class:`FaultPlan` through the
-``REPRO_FAULT_PLAN`` environment variable so forked workers inherit
-it, and every hook is a pure function of (plan, submission index).
-These tests pin the plan round-trip, the per-point hook behavior, and
-the no-plan fast path; the chaos tests in ``test_parallel_eval.py``
-and ``test_partitioned_rewiring.py`` drive the hooks end to end.
+:func:`repro.checkpoint.checkpoint_fault` reads a JSON plan from the
+``REPRO_FAULT_PLAN`` environment variable and SIGTERMs the run at the
+boundaries it names.  These tests pin the plan format, the no-plan and
+malformed-plan fast paths, and the genuinely raised signal;
+``tests/test_checkpoint.py`` drives the hook end to end.
 """
 
 from __future__ import annotations
 
-import os
+import json
 import signal
 
-import pytest
-
-from repro.parallel import faults
+from repro.checkpoint import FAULT_PLAN_ENV, checkpoint_fault
 
 
-def test_plan_round_trips_through_the_environment():
-    plan = faults.FaultPlan({
-        "worker": {0: {"action": "kill"}, 3: {"action": "stale"}},
-        "checkpoint_round": {2: {"action": "sigterm"}},
-    })
-    rebuilt = faults.FaultPlan.from_env(plan.to_env())
-    assert rebuilt.entries == plan.entries
-    assert rebuilt.get("worker", 0) == {"action": "kill"}
-    assert rebuilt.get("worker", 1) is None
-    assert rebuilt.get("nonexistent", 0) is None
+def test_plan_round_trips_through_the_environment(monkeypatch):
+    # integer boundary keys become strings in JSON; the hook still
+    # finds them, and only at the planned boundary
+    plan = {"checkpoint_round": {2: {"action": "noop"}}}
+    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(plan))
+    assert checkpoint_fault(2) == "noop"
+    assert checkpoint_fault(1) is None
+    assert checkpoint_fault(3) is None
 
 
-def test_active_scopes_and_restores_the_environment():
-    previous = os.environ.get(faults.ENV_VAR)
-    with faults.active({"worker": {0: {"action": "stale"}}}):
-        assert faults.ENV_VAR in os.environ
-        assert faults.spec("worker", 0) == {"action": "stale"}
-    assert os.environ.get(faults.ENV_VAR) == previous
-    assert faults.spec("worker", 0) is None
-
-
-def test_hooks_are_noops_without_a_plan():
-    with faults.active(None):
-        assert faults.worker_fault(0) is None
-        assert faults.worker_fault(-1) is None
-        assert not faults.decode_fault("shm_attach", 0)
-        assert faults.checkpoint_fault(1) is None
+def test_hooks_are_noops_without_a_plan(monkeypatch):
+    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+    assert checkpoint_fault(1) is None
+    monkeypatch.setenv(FAULT_PLAN_ENV, "")
+    assert checkpoint_fault(1) is None
 
 
 def test_malformed_plan_payload_is_ignored(monkeypatch):
-    monkeypatch.setenv(faults.ENV_VAR, "{not json")
-    assert faults.spec("worker", 0) is None
-    assert faults.worker_fault(0) is None
+    for text in ("{not json", "[1, 2]", '{"checkpoint_round": 5}'):
+        monkeypatch.setenv(FAULT_PLAN_ENV, text)
+        assert checkpoint_fault(1) is None
 
 
-def test_worker_fault_exception_and_stale_and_delay():
-    plan = {
-        "worker": {
-            0: {"action": "exception"},
-            1: {"action": "stale"},
-            2: {"action": "delay", "seconds": 0.0},
-        },
-    }
-    with faults.active(plan):
-        with pytest.raises(faults.FaultInjected):
-            faults.worker_fault(0)
-        assert faults.worker_fault(1) == "stale"
-        assert faults.worker_fault(2) is None   # delayed, then proceeds
-        assert faults.worker_fault(3) is None   # unplanned index
-
-
-def test_decode_fault_keys_on_point_and_token():
-    with faults.active({"shm_attach": {5: {"action": "fail"}}}):
-        assert faults.decode_fault("shm_attach", 5)
-        assert not faults.decode_fault("shm_attach", 4)
-        assert not faults.decode_fault("corrupt_delta", 5)
-        # the sentinel token (no parent submission) never fires
-        assert not faults.decode_fault("shm_attach", -1)
-
-
-def test_checkpoint_fault_raises_a_real_sigterm():
+def test_checkpoint_fault_raises_a_real_sigterm(monkeypatch):
     received = []
     previous = signal.signal(
         signal.SIGTERM, lambda signum, frame: received.append(signum)
     )
+    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(
+        {"checkpoint_round": {7: {"action": "sigterm"}}}
+    ))
     try:
-        with faults.active({"checkpoint_round": {7: {"action": "sigterm"}}}):
-            assert faults.checkpoint_fault(6) is None
-            assert faults.checkpoint_fault(7) == "sigterm"
+        assert checkpoint_fault(6) is None
+        assert checkpoint_fault(7) == "sigterm"
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert received == [signal.SIGTERM]
-
-
-def test_hooks_carry_the_lint_exemption_marker():
-    # the worker-global lint rule exempts @fault_hook functions (their
-    # whole purpose is to consult process-wide plan state from worker
-    # entries); the marker must actually be present
-    for hook in (faults.worker_fault, faults.decode_fault, faults.spec):
-        assert getattr(hook, "__fault_hook__", False), hook.__name__

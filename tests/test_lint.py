@@ -145,18 +145,6 @@ class TestWorkerGlobalRule:
         # locals/params are fine; the waiver pragma silences BASELINES
         assert lint("worker_clean.py") == []
 
-    def test_fault_hook_body_exempt_but_callees_walked(self):
-        # @fault_hook covers the hook body (its plan cache is keyed on
-        # the immutable env payload) — not the functions it calls
-        findings = lint("worker_fault_hook.py")
-        assert rules_of(findings) == {"worker-global"}
-        messages = [f.message for f in findings]
-        assert all("_plan_for" not in m for m in messages)
-        assert any(
-            "writes into module global 'TALLY'" in m for m in messages
-        )
-        assert len(findings) == 1
-
 
 # ------------------------------------------------------------ rule scope
 
@@ -245,9 +233,9 @@ def test_repo_projection_only_surfaces_are_marked():
 
 
 def test_repo_worker_entry_is_marked():
-    from repro.parallel.pool import _evaluate_in_worker
+    from repro.parallel.regions import _select_shard
 
-    assert getattr(_evaluate_in_worker, "__worker_entry__", False)
+    assert getattr(_select_shard, "__worker_entry__", False)
 
 
 def test_event_constants_keep_historical_wire_values():

@@ -1,14 +1,15 @@
-"""Serial ≡ parallel: sharded gain evaluation must change nothing.
+"""Serial ≡ parallel, and the pickled engine state checkpoints rely on.
 
-The contract of ``repro.parallel``: ``optimize(..., workers=N)`` walks
-the bit-identical applied-move trajectory for every N — same move log,
-same final delay, same final area — because workers score sites with
-the same policy (:func:`repro.parallel.best_phase_move`) against exact
-snapshots of the parent engine's cached analysis, and the parent merges
-selections back in site-enumeration order.  These tests pin that
-contract from the bottom (snapshot round-trip projects identical
-gains) to the top (whole-flow fingerprints are worker-count- and
-hash-seed-invariant across subprocesses).
+The contract of ``repro.parallel``: ``run_rapids(..., workers=N)``
+walks the bit-identical trajectory for every N, because forked
+children select partitioned-polish regions with the parent's own
+selector against the engines they inherited, and the parent merges the
+selections back in region order.  The pickled
+:class:`~repro.timing.sta.EvalState` that checkpoints store must
+rebuild an engine that prices and commits exactly like the original.
+These tests pin both, from the pool's fork map up to whole-flow
+fingerprints that are worker-count- and hash-seed-invariant across
+subprocesses.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ import sys
 
 import pytest
 
+from repro.checkpoint import engine_from_state
 from repro.library.cells import default_library
-from repro.parallel import (
-    EvalPool,
-    best_phase_move,
-    merge_selections,
-    shard_sites,
-)
-from repro.parallel import faults, shm
+from repro.parallel import EvalPool, merge_selections, shard_sites
 from repro.rapids.engine import run_rapids
+from repro.sizing.coudert import best_phase_move
 from repro.sizing.moves import resize_sites
 from repro.synth.mapper import map_network
 from repro.place.placer import place
@@ -53,19 +50,27 @@ def _placed_design(seed: int, num_gates: int = 50):
 
 
 def _trajectory(seed: int, workers: int):
-    network, placement, library = _placed_design(seed)
+    network, placement, library = _placed_design(seed, num_gates=300)
     result = run_rapids(
-        network, placement, library, mode="gsg_gs",
-        collect_log=True, workers=workers,
+        network, placement, library, mode="gsg_gs", collect_log=True,
+        workers=workers, wl_passes=2, partition=True,
+        partition_max_gates=30,
     )
-    opt = result.optimize
+    opt, wl = result.optimize, result.wirelength
     return (
         tuple(opt.move_log),
         opt.final_delay,
         opt.final_area,
         opt.moves_applied,
         opt.rounds,
+        (wl.swaps_applied, wl.cross_swaps_applied, wl.final_hpwl,
+         wl.candidates_scored, wl.timing_rejected),
+        sorted((g.name, tuple(g.fanins), g.cell) for g in network.gates()),
     )
+
+
+def _sum_orders(shard):
+    return sum(order for order, _item in shard)
 
 
 # ----------------------------------------------------------------------
@@ -84,58 +89,64 @@ def test_optimize_trajectory_worker_count_invariant(seed):
 
 @pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
 def test_parallel_batches_actually_run_in_the_pool():
-    """The equivalence above must not hold vacuously: with a pool the
-    sharded path has to execute (no silent fallback to inline)."""
-    network, placement, library = _placed_design(7)
-    from repro.rapids.engine import _gsg_gs_factory
-    from repro.sizing.coudert import optimize
-
-    with EvalPool(2, min_sites=1) as pool:
-        optimize(
-            network, placement, library, _gsg_gs_factory(library),
-            eval_pool=pool,
-        )
-        assert pool.fallback_reason is None
-        assert pool.parallel_batches > 0
-        assert pool.sites_evaluated > 0
+    """Every shard after the first runs in its own forked child, and
+    results come back in shard order."""
+    shards = shard_sites(list(range(10)), 4)
+    pool = EvalPool(4)
+    pids = pool.map(
+        lambda shard: (os.getpid(), _sum_orders(shard)), shards,
+        inline=lambda shard: (os.getpid(), _sum_orders(shard)),
+    )
+    assert [total for _pid, total in pids] == [
+        _sum_orders(shard) for shard in shards
+    ]
+    assert pids[0][0] == os.getpid()
+    assert len({pid for pid, _total in pids}) == 4
+    assert pool.fallback_reason is None
+    assert pool.health["inline_fallbacks"] == 0
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
-# snapshot round-trip: a worker's engine projects identical gains
+# pickled engine state: a resumed engine projects identical gains
 # ----------------------------------------------------------------------
+def _resumed(engine, network, placement, library):
+    state = pickle.loads(pickle.dumps(engine.export_eval_state()))
+    net2, pl2 = network.copy(), placement.copy()
+    return net2, engine_from_state(state, net2, pl2, library)
+
+
 def test_eval_state_pickle_roundtrip_projects_identical_gains():
     network, placement, library = _placed_design(5, num_gates=40)
     engine = TimingEngine(network, placement, library)
     engine.analyze()
-    state = pickle.loads(pickle.dumps(engine.export_eval_state()))
-    replica = TimingEngine.from_eval_state(state)
+    net2, replica = _resumed(engine, network, placement, library)
     sites = resize_sites(network, library)
+    replica_sites = resize_sites(net2, library)
     assert sites
-    for site in sites:
-        for move in site.moves:
-            assert move.gains(engine) == move.gains(replica), site.key
+    for site, twin in zip(sites, replica_sites):
+        assert site.key == twin.key
+        for move, twin_move in zip(site.moves, twin.moves):
+            assert move.gains(engine) == twin_move.gains(replica), site.key
     # the policy on top of the gains agrees too, bit for bit
     for metric in ("min", "sum"):
-        for site in sites:
+        for site, twin in zip(sites, replica_sites):
             assert best_phase_move(
                 site, engine, library, metric, 1e-9
-            ) == best_phase_move(site, replica, state.library, metric, 1e-9)
+            ) == best_phase_move(twin, replica, library, metric, 1e-9)
 
 
 def test_replica_engine_survives_committing_moves():
-    """The snapshot carries the backward-pass cache (req0) too, so a
-    replica is a full engine: committing a move through it must update
-    incrementally to the same answer as the parent."""
+    """The state carries the backward-pass cache (req0) too, so a
+    resumed engine is a full engine: committing a move through it must
+    update incrementally to the same answer as the original."""
     network, placement, library = _placed_design(23, num_gates=30)
     engine = TimingEngine(network, placement, library)
     engine.analyze()
-    state = pickle.loads(pickle.dumps(engine.export_eval_state()))
-    replica = TimingEngine.from_eval_state(state)
-    site = resize_sites(network, library)[0]
-    move = site.moves[0]
-    move.apply(network, library)
+    net2, replica = _resumed(engine, network, placement, library)
+    resize_sites(network, library)[0].moves[0].apply(network, library)
     engine.refresh()
-    move.apply(state.network, state.library)
+    resize_sites(net2, library)[0].moves[0].apply(net2, library)
     replica.refresh()
     assert replica.max_delay == engine.max_delay
     assert replica.slack == engine.slack
@@ -143,7 +154,7 @@ def test_replica_engine_survives_committing_moves():
 
 
 def test_pickled_network_arrives_unobserved():
-    """Listeners (engines, caches) must not travel with the snapshot."""
+    """Listeners (engines, caches) must not travel with a pickle."""
     network, placement, library = _placed_design(9, num_gates=30)
     engine = TimingEngine(network, placement, library)
     engine.analyze()
@@ -151,128 +162,6 @@ def test_pickled_network_arrives_unobserved():
     assert len(clone._listeners) == 0
     assert list(clone.gate_names()) == list(network.gate_names())
     assert clone.topo_order() == network.topo_order()
-
-
-# ----------------------------------------------------------------------
-# cross-batch snapshot diffing: deltas rebuild bit-identical engines
-# ----------------------------------------------------------------------
-def test_snapshot_delta_rebuilds_bit_identical_engine():
-    """Full baseline, then committed moves, then a delta: the decoded
-    state must match a fresh full export entry for entry — including
-    the slacks the worker refolds locally instead of receiving."""
-    from repro.parallel import snapshot as snap
-
-    network, placement, library = _placed_design(29, num_gates=45)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    codec = snap.EvalSnapshotCodec()
-    snap.clear_worker_cache()
-    first = snap.decode(codec.encode(engine))
-    assert first is not None
-    assert codec.stats.full_batches == 1
-    # commit a few real moves between "batches"
-    sites = resize_sites(network, library)
-    for site in sites[:5]:
-        site.moves[0].apply(network, library)
-    engine.refresh()
-    payload = codec.encode(engine)
-    assert codec.stats.delta_batches == 1
-    assert len(payload) < codec.stats.full_bytes
-    rebuilt = snap.decode(payload)
-    assert rebuilt is not None
-    reference = engine.export_eval_state()
-    assert rebuilt.arrival == reference.arrival
-    assert rebuilt.slack == reference.slack
-    assert rebuilt.req0 == reference.req0
-    assert rebuilt.levels == reference.levels
-    assert rebuilt.max_delay == reference.max_delay
-    assert rebuilt.version == reference.version
-    assert {
-        name: (g.gtype, tuple(g.fanins), g.cell)
-        for name, g in rebuilt.network._gates.items()
-    } == {
-        name: (g.gtype, tuple(g.fanins), g.cell)
-        for name, g in reference.network._gates.items()
-    }
-    # and the engine built from the delta selects identical moves
-    replica = TimingEngine.from_eval_state(rebuilt)
-    for metric in ("min", "sum"):
-        for site in resize_sites(network, library):
-            assert best_phase_move(
-                site, engine, library, metric, 1e-9
-            ) == best_phase_move(site, replica, library, metric, 1e-9)
-
-
-def test_snapshot_delta_is_cumulative_against_the_baseline():
-    """A worker that skipped intermediate batches must still decode the
-    latest delta correctly (deltas diff against the baseline, not the
-    previous batch)."""
-    from repro.parallel import snapshot as snap
-
-    network, placement, library = _placed_design(31, num_gates=40)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    codec = snap.EvalSnapshotCodec()
-    snap.clear_worker_cache()
-    assert snap.decode(codec.encode(engine)) is not None
-    sites = resize_sites(network, library)
-    sites[0].moves[0].apply(network, library)
-    engine.refresh()
-    codec.encode(engine)  # delta 1: never delivered to this "worker"
-    sites[1].moves[0].apply(network, library)
-    engine.refresh()
-    rebuilt = snap.decode(codec.encode(engine))  # delta 2, direct
-    assert rebuilt is not None
-    reference = engine.export_eval_state()
-    assert rebuilt.slack == reference.slack
-    assert rebuilt.arrival == reference.arrival
-
-
-def test_snapshot_stale_without_baseline():
-    """Deltas referencing an uncached baseline must report stale, and a
-    rebase must invalidate stale workers' old baselines."""
-    from repro.parallel import snapshot as snap
-
-    network, placement, library = _placed_design(37, num_gates=30)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    codec = snap.EvalSnapshotCodec()
-    snap.clear_worker_cache()
-    codec.encode(engine)  # baseline shipped, but this worker missed it
-    sites = resize_sites(network, library)
-    sites[0].moves[0].apply(network, library)
-    engine.refresh()
-    payload = codec.encode(engine)
-    assert pickle.loads(payload)[0] == "delta"
-    assert snap.decode(payload) is None  # baseline never cached here
-
-
-def test_optimize_with_pool_ships_deltas_and_matches_serial():
-    """The integrated path: a pooled optimize run must walk the serial
-    trajectory while shipping mostly deltas after the first batch."""
-    if not _FORK_AVAILABLE:
-        pytest.skip("no fork start method")
-    from repro.rapids.engine import _gsg_gs_factory
-    from repro.sizing.coudert import optimize
-
-    network_s, placement_s, library = _placed_design(19, num_gates=60)
-    network_p, placement_p = network_s.copy(), placement_s.copy()
-    serial = optimize(
-        network_s, placement_s, library, _gsg_gs_factory(library),
-        collect_log=True,
-    )
-    with EvalPool(2, min_sites=1) as pool:
-        pooled = optimize(
-            network_p, placement_p, library, _gsg_gs_factory(library),
-            collect_log=True, eval_pool=pool,
-        )
-        stats = pool.snapshot.stats
-        assert pool.fallback_reason is None
-        assert stats.full_batches >= 1
-        if stats.delta_batches:
-            assert stats.mean_delta_bytes() < stats.mean_full_bytes()
-    assert pooled.move_log == serial.move_log
-    assert pooled.final_delay == serial.final_delay
 
 
 # ----------------------------------------------------------------------
@@ -304,198 +193,24 @@ def test_merge_selections_ignores_shard_boundaries_and_order():
 
 
 # ----------------------------------------------------------------------
-# degradation: a broken pool falls back inline with identical results
+# failure: a child that raises costs one inline shard, nothing more
 # ----------------------------------------------------------------------
-def test_pool_degrades_to_inline_on_executor_failure(monkeypatch):
-    network, placement, library = _placed_design(13, num_gates=35)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    sites = resize_sites(network, library)
-    serial = [
-        best_phase_move(site, engine, library, "min", 1e-9)
-        for site in sites
-    ]
-    pool = EvalPool(2, min_sites=1)
-
-    def boom(*_args, **_kwargs):
-        raise OSError("no processes in this sandbox")
-
-    monkeypatch.setattr(pool, "_evaluate_sharded", boom)
-    got = pool.evaluate(engine, library, sites, "min", 1e-9)
-    assert got == serial
-    assert pool.fallback_reason is not None
-    assert not pool.active
-    # later batches stay inline, no retry storm
-    again = pool.evaluate(engine, library, sites, "min", 1e-9)
-    assert again == serial
-    assert pool.inline_batches == 2
-    pool.close()
-
-
-def test_thread_backend_matches_serial_exactly():
-    """The sharded code path itself (minus processes) changes nothing."""
-    network, placement, library = _placed_design(17, num_gates=35)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    sites = resize_sites(network, library)
-    serial = [
-        best_phase_move(site, engine, library, "sum", 1e-9)
-        for site in sites
-    ]
-    with EvalPool(3, backend="thread", min_sites=1) as pool:
-        assert pool.evaluate(engine, library, sites, "sum", 1e-9) == serial
-        assert pool.parallel_batches == 1
-
-
-# ----------------------------------------------------------------------
-# chaos: injected faults cost retries and rebuilds, never correctness
-# ----------------------------------------------------------------------
-def _chaos_reference(seed: int, num_gates: int = 35):
-    network, placement, library = _placed_design(seed, num_gates=num_gates)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    sites = resize_sites(network, library)
-    serial = [
-        best_phase_move(site, engine, library, "min", 1e-9)
-        for site in sites
-    ]
-    return network, engine, library, sites, serial
+def _raise_in_child(shard):
+    raise OSError("no room for this child")
 
 
 @pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
-def test_killed_worker_is_recovered_by_a_pool_rebuild():
-    _, engine, library, sites, serial = _chaos_reference(43)
-    with EvalPool(2, min_sites=1) as pool:
-        with faults.active({"worker": {0: {"action": "kill"}}}):
-            got = pool.evaluate(engine, library, sites, "min", 1e-9)
-        assert got == serial
-        assert pool.fallback_reason is None and pool.active
-        assert pool.health.pool_rebuilds >= 1
-    assert shm.registered_names() == []
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
-def test_worker_exception_is_retried_with_backoff():
-    _, engine, library, sites, serial = _chaos_reference(44)
-    with EvalPool(2, min_sites=1) as pool:
-        with faults.active({"worker": {0: {"action": "exception"}}}):
-            got = pool.evaluate(engine, library, sites, "min", 1e-9)
-        assert got == serial
-        assert pool.fallback_reason is None
-        assert pool.health.worker_exceptions >= 1
-        assert pool.health.shard_retries >= 1
-        assert pool.health.pool_rebuilds == 0  # rung 1 was enough
-    assert shm.registered_names() == []
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
-def test_stale_shard_gets_one_full_resend_before_inline():
-    _, engine, library, sites, serial = _chaos_reference(45)
-    with EvalPool(2, min_sites=1) as pool:
-        with faults.active({"worker": {0: {"action": "stale"}}}):
-            got = pool.evaluate(engine, library, sites, "min", 1e-9)
-        assert got == serial
-        assert pool.fallback_reason is None
-        assert pool.health.stale_recoveries == 1
-        assert pool.health.inline_fallbacks == 0
-    assert shm.registered_names() == []
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
-def test_hung_shard_times_out_and_escalates_to_rebuild():
-    _, engine, library, sites, serial = _chaos_reference(46)
-    with EvalPool(2, min_sites=1, shard_timeout=0.5) as pool:
-        with faults.active(
-            {"worker": {0: {"action": "delay", "seconds": 5.0}}}
-        ):
-            got = pool.evaluate(engine, library, sites, "min", 1e-9)
-        assert got == serial
-        assert pool.fallback_reason is None
-        assert pool.health.shard_timeouts >= 1
-        assert pool.health.pool_rebuilds >= 1
-    assert shm.registered_names() == []
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
-def test_corrupt_delta_forces_full_resend_not_wrong_answers():
-    network, engine, library, sites, serial = _chaos_reference(47, 40)
-    # fail every delta decode; full payloads never consult this point,
-    # so batch 1 and the recovery resends sail through untouched
-    plan = {"corrupt_delta": {i: {"action": "fail"} for i in range(16)}}
-    with EvalPool(2, min_sites=1) as pool:
-        with faults.active(plan):
-            assert pool.evaluate(
-                engine, library, sites, "min", 1e-9
-            ) == serial
-            sites[0].moves[0].apply(network, library)
-            engine.refresh()
-            fresh = resize_sites(network, library)
-            serial2 = [
-                best_phase_move(site, engine, library, "min", 1e-9)
-                for site in fresh
-            ]
-            assert pool.evaluate(
-                engine, library, fresh, "min", 1e-9
-            ) == serial2
-        assert pool.fallback_reason is None
-        assert pool.health.stale_recoveries >= 1
-    assert shm.registered_names() == []
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
-def test_relentless_kills_exhaust_the_ladder_and_degrade_inline():
-    """Rung 3: when every process dies on every attempt, the rebuild
-    budget runs out, the pool degrades, and the batch still completes
-    inline with serial-identical results."""
-    _, engine, library, sites, serial = _chaos_reference(48)
-    plan = {"worker": {i: {"action": "kill"} for i in range(64)}}
-    with EvalPool(2, min_sites=1) as pool:
-        with faults.active(plan):
-            got = pool.evaluate(engine, library, sites, "min", 1e-9)
-        assert got == serial
-        assert not pool.active
-        assert pool.health.degraded_reason is not None
-        assert pool.health.pool_rebuilds == pool.max_pool_rebuilds
-        assert pool.health.inline_fallbacks >= 1
-    assert shm.registered_names() == []
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="no fork start method")
-@pytest.mark.parametrize("workers,action", [(2, "kill"), (4, "stale")])
-def test_optimize_trajectory_survives_injected_faults(workers, action):
-    """The whole-run chaos property: a fault plan may change how often
-    the pool retries and rebuilds, never which moves get applied."""
-    from repro.rapids.engine import _gs_factory
-    from repro.sizing.coudert import optimize
-
-    network, placement, library = _placed_design(53, num_gates=45)
-    net_s, pl_s = network.copy(), placement.copy()
-    serial = optimize(
-        net_s, pl_s, library, _gs_factory(library), collect_log=True
-    )
-    assert serial.moves_applied > 0
-    net_c, pl_c = network.copy(), placement.copy()
-    with EvalPool(workers, min_sites=1) as pool:
-        with faults.active({"worker": {0: {"action": action}}}):
-            chaotic = optimize(
-                net_c, pl_c, library, _gs_factory(library),
-                collect_log=True, eval_pool=pool,
-            )
-        assert pool.fallback_reason is None
-        recovered = (
-            pool.health.pool_rebuilds if action == "kill"
-            else pool.health.stale_recoveries
-        )
-        assert recovered >= 1, "the fault never fired"
-    assert chaotic.move_log == serial.move_log
-    assert chaotic.final_delay == serial.final_delay
-    assert chaotic.final_area == serial.final_area
-    assert {
-        g.name: (g.cell, tuple(g.fanins)) for g in net_c.gates()
-    } == {
-        g.name: (g.cell, tuple(g.fanins)) for g in net_s.gates()
-    }
-    assert shm.registered_names() == []
+def test_pool_degrades_to_inline_on_executor_failure():
+    shards = shard_sites(list(range(9)), 3)
+    pool = EvalPool(3)
+    got = pool.map(_raise_in_child, shards, inline=_sum_orders)
+    assert got == [_sum_orders(shard) for shard in shards]
+    assert pool.health["inline_fallbacks"] == 2
+    assert pool.fallback_reason == "OSError: no room for this child"
+    # the failure is per shard and per round: the next round forks again
+    assert pool.map(_sum_orders, shards, inline=_sum_orders) == got
+    assert pool.health["inline_fallbacks"] == 2
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

@@ -12,17 +12,22 @@ The pipeline's contracts, each pinned by a property test:
   (``boundary_conflicts == 0``), and the rewired network stays
   functionally equivalent;
 * **worker invariance** — the trajectory is identical for 1, 2 and 4
-  workers (selection reads a round-frozen snapshot; commits are
-  serial in region order).
+  workers (forked children select against the round-frozen engines
+  they inherit; commits are serial in region order), and a child that
+  dies or raises costs an inline re-selection, never a different
+  answer.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
 
 import pytest
 from helpers import random_network
 
 from repro.library.cells import default_library
-from repro.parallel import faults, shm
+from repro.parallel import regions as region_selection
 from repro.place.placer import place
 from repro.place.regions import carve_regions
 from repro.rapids.partition import reduce_wirelength_partitioned
@@ -201,21 +206,21 @@ def test_remote_selection_actually_runs():
 
 
 # ----------------------------------------------------------------------
-# chaos: injected worker faults never change the trajectory
+# failures: a dead or raising child never changes the trajectory
 # ----------------------------------------------------------------------
-_CHAOS_REFERENCE: dict = {}
+_SERIAL_REFERENCE: dict = {}
 
 
-def _chaos_reference():
-    """Serial partitioned run on the chaos design (computed once)."""
-    if not _CHAOS_REFERENCE:
+def _serial_reference():
+    """Serial partitioned run on the failure-test design (computed once)."""
+    if not _SERIAL_REFERENCE:
         network, placement, library = _prepared(51, num_gates=220)
         net, pl = network.copy(), placement.copy()
         result = reduce_wirelength_partitioned(
             net, pl, max_gates=50, max_passes=2, timing_engine=None,
             workers=1, library=library,
         )
-        _CHAOS_REFERENCE.update(
+        _SERIAL_REFERENCE.update(
             inputs=(network, placement, library),
             fanins=_fanins(net),
             stats=(
@@ -225,30 +230,30 @@ def _chaos_reference():
                 result.candidates_scored,
             ),
         )
-    return _CHAOS_REFERENCE
+    return _SERIAL_REFERENCE
 
 
 @pytest.mark.parametrize("workers,action", [
-    (2, "kill"), (4, "kill"), (2, "stale"), (4, "stale"),
+    (2, "kill"), (4, "kill"), (2, "raise"),
 ])
-def test_partitioned_trajectory_survives_injected_faults(workers, action):
-    """Fault plans (a worker killed mid-shard, a stale delta forcing a
-    full-baseline resend) may only show up in the recovery counters —
-    the rewiring trajectory stays bit-identical to the serial run."""
-    reference = _chaos_reference()
+def test_partitioned_trajectory_survives_injected_faults(
+    workers, action, monkeypatch
+):
+    """Every forked child fails; the parent re-selects each failed shard
+    inline, so only the health counters show it."""
+    def failing_child(*_args):
+        if action == "kill":
+            os._exit(3)
+        raise RuntimeError("injected child failure")
+
+    monkeypatch.setattr(region_selection, "_select_shard", failing_child)
+    reference = _serial_reference()
     network, placement, library = reference["inputs"]
     net, pl = network.copy(), placement.copy()
-    with faults.active({"worker": {0: {"action": action}}}):
-        result = reduce_wirelength_partitioned(
-            net, pl, max_gates=50, max_passes=2, timing_engine=None,
-            workers=workers, library=library,
-        )
-    assert result.fallback_reason is None
-    recovered = (
-        result.health["pool_rebuilds"] if action == "kill"
-        else result.health["stale_recoveries"]
+    result = reduce_wirelength_partitioned(
+        net, pl, max_gates=50, max_passes=2, timing_engine=None,
+        workers=workers, library=library,
     )
-    assert recovered >= 1, "the fault never fired"
     assert _fanins(net) == reference["fanins"]
     assert (
         result.swaps_applied,
@@ -256,16 +261,28 @@ def test_partitioned_trajectory_survives_injected_faults(workers, action):
         result.final_hpwl,
         result.candidates_scored,
     ) == reference["stats"]
-    assert shm.registered_names() == []
+    assert result.health["inline_fallbacks"] >= 1
+    expected = (
+        "worker exited with status 3" if action == "kill"
+        else "RuntimeError: injected child failure"
+    )
+    assert result.fallback_reason == expected
+    assert multiprocessing.active_children() == []
 
 
-def test_inline_without_snapshot_carrier_records_reason():
-    # no timing engine and no library: snapshots cannot be encoded, so
-    # the session must degrade to inline selection and say why
-    network, placement, _ = _prepared(43, num_gates=150)
+def test_inline_without_fork_records_reason(monkeypatch):
+    # a platform without the fork start method selects every region
+    # inline, says why, and still walks the serial trajectory
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    reference = _serial_reference()
+    network, placement, library = reference["inputs"]
+    net, pl = network.copy(), placement.copy()
     result = reduce_wirelength_partitioned(
-        network, placement, max_gates=40, max_passes=1,
-        timing_engine=None, workers=2, library=None,
+        net, pl, max_gates=50, max_passes=2, timing_engine=None,
+        workers=2, library=library,
     )
     assert result.parallel_rounds == 0
-    assert result.fallback_reason is not None
+    assert "fork" in result.fallback_reason
+    assert _fanins(net) == reference["fanins"]

@@ -1,20 +1,17 @@
 """The SoA kernel must stay consistent with the object API, always.
 
-Three properties, all under randomized mutation sequences mirroring
+Two properties, both under randomized mutation sequences mirroring
 ``tests/test_incremental_sta.py``:
 
 * the kernel's flat form (and its numpy mirrors) equals a from-scratch
   ``compile_network`` after every committed move, whether the kernel
   absorbed the event as an in-place patch or rebuilt;
-* a shared-memory ``soa_full`` snapshot round-trips to an ``EvalState``
-  bit-identical to the pickled-object-graph payload it replaces;
 * the masked vector STA pass (forced on by dropping the seed-count
   gate to zero) matches a fresh full analysis after every move.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -22,7 +19,6 @@ import pytest
 from repro.logic.simcore.compiled import compile_network
 from repro.network.netlist import Pin
 from repro.network.soa import get_soa, sta_levels
-from repro.parallel import snapshot as snapshot_codec
 from repro.timing.sta import TimingEngine
 
 from test_incremental_sta import assert_matches_fresh, prepared, random_move
@@ -134,82 +130,6 @@ def test_kernel_absorbs_pin_rewires_without_rebuilding(library):
     assert compiled.revision > revision
     assert kernel.patches >= 1
     assert_kernel_matches_fresh(kernel, net, context="pin rewire")
-
-
-def _state_fields(state, ordered=True):
-    """Comparable capture of every ``EvalState`` field.
-
-    ``ordered=True`` also captures dictionary iteration order — the
-    guarantee full payloads make.  Deltas reconstruct on top of the
-    baseline's ordering (``dict.update`` keeps existing positions), so
-    they only promise value equality.
-    """
-    items = (lambda d: list(d.items())) if ordered else dict
-    return [
-        state.network.inputs,
-        state.network.outputs,
-        items(state.network._gates),
-        [
-            (g.name, g.gtype, g.fanins, g.cell)
-            for g in sorted(
-                state.network._gates.values(), key=lambda g: g.name
-            )
-        ],
-        state.network.version,
-        state.network.name,
-        items(state.placement.locations),
-        items(state.placement.input_pads),
-        items(state.placement.output_pads),
-        (state.placement.die_width, state.placement.die_height),
-        items(state.arrival),
-        items(state.slack),
-        items(state.stars),
-        items(state.levels),
-        items(state.req0),
-        state.period,
-        state.po_pad_cap,
-        state.max_delay,
-        state.version,
-    ]
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-def test_shared_memory_snapshot_round_trip(seed, library):
-    net, placement = prepared(seed, library)
-    engine = TimingEngine(net, placement, library)
-    engine.analyze()
-    codec = snapshot_codec.EvalSnapshotCodec()
-    snapshot_codec.clear_worker_cache()
-    try:
-        rng = random.Random(3000 + seed)
-        for step in range(4):
-            payload = codec.encode(engine)
-            kind = pickle.loads(payload)[0]
-            if step == 0:
-                assert kind == "soa_full", (
-                    "first batch must ship the shared-memory baseline"
-                )
-            decoded = snapshot_codec.decode(payload)
-            assert decoded is not None, f"step {step}: stale {kind}"
-            # the reference path: pickle the object graph and clone it,
-            # exactly what the retired protocol shipped
-            reference = snapshot_codec._clone_state(
-                pickle.loads(pickle.dumps(
-                    engine.export_eval_state(),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ))
-            )
-            ordered = kind != "delta"
-            assert (
-                _state_fields(decoded, ordered)
-                == _state_fields(reference, ordered)
-            ), f"step {step}: {kind} payload diverged"
-            label = random_move(net, library, rng)
-            assert label is not None
-            engine.apply_and_update()
-    finally:
-        codec.close()
-        snapshot_codec.clear_worker_cache()
 
 
 @pytest.mark.parametrize("seed", [1, 9])

@@ -1,11 +1,11 @@
 """Rule family W — worker-side module-global safety.
 
-:class:`~repro.parallel.pool.EvalPool` worker processes are shared
-across batches — and, once rewiring-as-a-service lands (ROADMAP item
-3), across *sessions*.  Any module-level mutable state written by
-worker-side code is therefore either a correctness hazard or a
-session-scoping obstacle (``rapids.engine.SUPERGATE_STORE`` is the
-canonical parent-side example of the pattern this rule fences off).
+:class:`~repro.parallel.pool.EvalPool` runs worker code in children
+forked from the live process, and a child's writes vanish with it.
+Any module-level mutable state written by worker-side code therefore
+silently differs between the parallel and the serial path
+(``rapids.engine.SUPERGATE_STORE`` is the canonical parent-side
+example of the pattern this rule fences off).
 
 The rule walks a cross-module call graph from every function marked
 ``@worker_entry`` (see :mod:`repro.contracts`), resolving:
@@ -23,8 +23,7 @@ subscript stores (``CACHE[k] = v``), attribute stores, deletes, and
 mutating method calls (``.update``, ``.append``, ``.clear``, ...).
 
 Intentional worker-side caches carry ``# lint: allow(worker-global)``
-at the write site — the waiver inventory *is* the work list for the
-session-scoping refactor.
+at the write site.
 """
 
 from __future__ import annotations
@@ -43,13 +42,6 @@ from .core import (
 RULE = "worker-global"
 
 MARKER = "worker_entry"
-
-#: Functions marked ``@fault_hook`` (repro.parallel.faults) are exempt
-#: from the write checks: they are deterministic env-gated shims whose
-#: only module state is a parsed-plan cache keyed by the immutable env
-#: payload.  Their *callees* are still walked — the exemption covers
-#: the hook body, not everything behind it.
-EXEMPT_MARKER = "fault_hook"
 
 _MUTATING_METHODS = frozenset({
     "add",
@@ -115,8 +107,6 @@ def _resolve_call(
 
 
 def _check_function(info: FunctionInfo, findings: list[Finding]) -> None:
-    if EXEMPT_MARKER in decorator_names(info.node):
-        return
     module = info.module
     func = info.node
     globals_of_module = module_level_names(module)
