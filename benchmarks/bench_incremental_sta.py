@@ -16,13 +16,7 @@ Checked properties, per circuit:
   evaluations, the unit both flows are made of): at least 1.4x less
   per circuit, at least 2x less over the whole set (XOR-heavy
   circuits like c499 propagate every batch almost everywhere, so the
-  2x acceptance floor is held in aggregate);
-* **cost-model work** — ``work_units`` prices each vector-lane
-  evaluation at a fraction of a scalar heap visit (the masked vector
-  pass touches a node for one fused numpy gather instead of a dict
-  walk), so it tracks actual re-propagation cost: the floor is 3x on
-  the XOR-dominated c499 (the circuit the node-updates metric could
-  only hold at ~2x) and 3x in aggregate.
+  2x acceptance floor is held in aggregate).
 
 ``REPRO_BENCH_SET=quick`` trims the circuit list for CI smoke runs.
 """
@@ -42,19 +36,13 @@ from bench_helpers import QUICK_SET, quick_mode, record_result
 MIN_AGGREGATE_REDUCTION = 2.0
 #: Per-circuit sanity floor (worst case: XOR-dominated netlists).
 MIN_CIRCUIT_REDUCTION = 1.4
-#: Cost-model (work_units) floors: the masked vector pass must lift
-#: the XOR-dominated worst case from ~2x to >= 3x.
-MIN_AGGREGATE_UNITS_REDUCTION = 3.0
-MIN_CIRCUIT_UNITS_REDUCTION = 2.0
-MIN_C499_UNITS_REDUCTION = 3.0
 
-#: name -> (full node updates, incr node updates,
-#:          full work units, incr work units)
-_WORK: dict[str, tuple[int, int, float, float]] = {}
+#: name -> (full node updates, incr node updates)
+_WORK: dict[str, tuple[int, int]] = {}
 
 _HEADER = (
     f"{'ckt':<8}{'gates':>6}{'moves':>6}{'full-updates':>14}"
-    f"{'incr-updates':>14}{'reduction':>10}{'units-red':>10}"
+    f"{'incr-updates':>14}{'reduction':>10}"
     f"{'full-s':>8}{'incr-s':>8}"
 )
 
@@ -91,22 +79,15 @@ def test_incremental_sta_agrees_and_saves_work(name, library):
     incr_work = incr.timing_stats["node_updates"]
     assert incr_work > 0, name
     reduction = full_work / incr_work
-    # cost-model work: the full flavor runs all-scalar analyze(), so
-    # its work_units equal its node_updates — an honest baseline for
-    # the vector-discounted incremental figure
-    full_units = full.timing_stats["work_units"]
-    incr_units = incr.timing_stats["work_units"]
-    units_reduction = full_units / incr_units
     print()
     print(_HEADER)
     print(
         f"{name:<8}{len(outcome.network):>6d}{full.moves_applied:>6d}"
         f"{full_work:>14d}{incr_work:>14d}{reduction:>9.1f}x"
-        f"{units_reduction:>9.1f}x"
         f"{runs['full']['seconds']:>8.2f}"
         f"{runs['incremental']['seconds']:>8.2f}"
     )
-    _WORK[name] = (full_work, incr_work, full_units, incr_units)
+    _WORK[name] = (full_work, incr_work)
     record_result(
         "incremental_sta", name,
         gates=len(outcome.network),
@@ -114,24 +95,12 @@ def test_incremental_sta_agrees_and_saves_work(name, library):
         full_node_updates=full_work,
         incr_node_updates=incr_work,
         node_update_reduction=round(reduction, 3),
-        full_work_units=round(full_units, 1),
-        incr_work_units=round(incr_units, 1),
-        work_unit_reduction=round(units_reduction, 3),
         full_seconds=round(runs["full"]["seconds"], 3),
         incr_seconds=round(runs["incremental"]["seconds"], 3),
     )
     assert reduction >= MIN_CIRCUIT_REDUCTION, (
         f"{name}: incremental STA saved only {reduction:.2f}x "
         f"(full={full_work}, incremental={incr_work})"
-    )
-    floor = (
-        MIN_C499_UNITS_REDUCTION if name == "c499"
-        else MIN_CIRCUIT_UNITS_REDUCTION
-    )
-    assert units_reduction >= floor, (
-        f"{name}: masked vector pass saved only {units_reduction:.2f}x "
-        f"work units (full={full_units:.0f}, incremental={incr_units:.0f}, "
-        f"floor {floor}x)"
     )
     # the incremental run must actually have run incrementally
     assert incr.timing_stats["incremental_updates"] > 0, name
@@ -142,30 +111,21 @@ def test_incremental_sta_aggregate_reduction():
     """The acceptance criterion: >= 2x less work over the whole set."""
     if not _WORK:
         pytest.skip("per-circuit benches were deselected")
-    full_total = sum(full for full, _, _, _ in _WORK.values())
-    incr_total = sum(incr for _, incr, _, _ in _WORK.values())
-    full_units = sum(units for _, _, units, _ in _WORK.values())
-    incr_units = sum(units for _, _, _, units in _WORK.values())
+    full_total = sum(full for full, _ in _WORK.values())
+    incr_total = sum(incr for _, incr in _WORK.values())
     reduction = full_total / incr_total
-    units_reduction = full_units / incr_units
     print(
         f"\naggregate over {sorted(_WORK)}: "
         f"full={full_total} incremental={incr_total} -> {reduction:.2f}x "
-        f"node updates, {units_reduction:.2f}x work units"
+        f"node updates"
     )
     record_result(
         "incremental_sta", "aggregate",
         node_update_reduction=round(reduction, 3),
-        work_unit_reduction=round(units_reduction, 3),
     )
     assert reduction >= MIN_AGGREGATE_REDUCTION, (
         f"incremental STA saved only {reduction:.2f}x in aggregate "
         f"(full={full_total}, incremental={incr_total})"
-    )
-    assert units_reduction >= MIN_AGGREGATE_UNITS_REDUCTION, (
-        f"masked vector pass saved only {units_reduction:.2f}x work "
-        f"units in aggregate (full={full_units:.0f}, "
-        f"incremental={incr_units:.0f})"
     )
 
 

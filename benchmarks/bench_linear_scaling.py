@@ -110,11 +110,11 @@ def test_extraction_throughput(benchmark):
 def test_soa_flatten_and_revalidate_floors():
     """SoA kernel cost structure at 1e5-gate scale.
 
-    The full flatten (python recompile + numpy mirrors) is the price
+    The full flatten (python recompile + numpy arrays) is the price
     of a structural mutation; absorbing a pin rewiring as an in-place
-    patch must leave only the numpy mirror rebuild, and an untouched
+    patch must leave only the numpy array rebuild, and an untouched
     kernel must hand out its cached view at near-zero cost — the
-    contract every per-move consumer (vector STA, HPWL rebuild) is
+    contract every per-move consumer (HPWL rebuild, coloring) is
     built on.
     """
     target = max(2000, int(100_000 * configured_scale()))

@@ -12,10 +12,10 @@ to build privately.  One :class:`SoAKernel` per network owns
   same arrays behind one shared version/revision counter;
 * the per-gate cell bindings in compiled order (sizing moves patch
   them without touching the logic arrays);
-* lazily built numpy mirrors (:meth:`SoAKernel.arrays`): int/bool
-  copies of the compiled lists, STA-flavor topological levels, and a
-  consumer CSR (edges grouped by driven net) — everything the masked
-  vector STA pass and the vectorized HPWL rebuild gather from.
+* lazily built numpy arrays (:meth:`SoAKernel.arrays`): the consumer
+  CSR (fanin edges grouped by driven net) the vectorized HPWL rebuild
+  gathers from, and the per-net PO listing counts symmetry coloring
+  reads.
 
 Synchronisation contract: the kernel subscribes to the network's typed
 mutation events.  ``REPLACE_FANIN``/``SWAP_FANINS`` are absorbed as
@@ -57,33 +57,6 @@ _STALE_KINDS = frozenset({
     events.RESTORE,
     events.UNKNOWN,
 })
-
-
-def sta_levels(compiled: CompiledNetwork) -> tuple[list[int], list[int]]:
-    """Topological levels in the STA convention, from the flat form.
-
-    Primary inputs sit at level 0 and every gate at
-    ``1 + max(fanin levels)`` (``1`` for constants, which have no
-    fanins) — exactly the ``TimingEngine`` ``_levels`` formula, so the
-    vector pass orders its sweeps identically to the scalar worklist.
-    Returns ``(gate_level, net_level)`` indexed by topological position
-    and net index respectively.
-    """
-    base = compiled.num_inputs
-    net_level = [0] * compiled.num_nets
-    gate_level = [0] * compiled.num_gates
-    offset = compiled.fanin_offset
-    flat = compiled.fanin_flat
-    for position in range(compiled.num_gates):
-        level = 0
-        for slot in range(offset[position], offset[position + 1]):
-            fanin_level = net_level[flat[slot]]
-            if fanin_level > level:
-                level = fanin_level
-        level += 1
-        gate_level[position] = level
-        net_level[base + position] = level
-    return gate_level, net_level
 
 
 class SoAKernel:
@@ -200,25 +173,15 @@ class SoAKernel:
         return self.compiled
 
     def arrays(self) -> dict | None:
-        """Numpy mirrors of the flat form, rebuilt per (epoch, revision).
+        """Numpy arrays over the flat form, rebuilt per (epoch, revision).
 
         ``None`` when numpy is unavailable.  Keys:
 
-        ``opcode``/``invert``
-            per-gate base opcode (int32) and inversion flag (bool);
-        ``fanin_offset``/``fanin_flat``/``fanin_counts``
-            the fanin CSR as int64 arrays;
-        ``gate_level``/``net_level``
-            STA-flavor levels (:func:`sta_levels`) as int64;
-        ``num_levels``
-            ``1 + max(gate_level)`` (1 when there are no gates);
-        ``consumer_offset``/``consumer_counts``/``consumer_gate``/\
-``consumer_pin``/``consumer_slot``
+        ``consumer_offset``/``consumer_counts``/``consumer_gate``
             consumer CSR: for net ``i`` the edge range
-            ``consumer_offset[i]:consumer_offset[i+1]`` lists every
-            (gate position, pin index) pair reading the net — plus the
-            originating fanin-CSR slot — grouped by net in stable
-            fanin-slot order;
+            ``consumer_offset[i]:consumer_offset[i+1]`` lists the
+            topological position of every gate reading the net, once
+            per pin, in stable fanin-slot order (int64);
         ``po_counts``
             primary-output listings per net (int64);
             ``consumer_counts + po_counts`` is the array form of
@@ -280,7 +243,6 @@ def ragged_indices(starts, counts):
 
 
 def _build_arrays(compiled: CompiledNetwork) -> dict:
-    gate_level, net_level = sta_levels(compiled)
     fanin_offset = np.asarray(compiled.fanin_offset, dtype=np.int64)
     fanin_flat = np.asarray(compiled.fanin_flat, dtype=np.int64)
     fanin_counts = np.diff(fanin_offset)
@@ -289,30 +251,15 @@ def _build_arrays(compiled: CompiledNetwork) -> dict:
     # consumer CSR: sort the edge slots by driven net; a stable sort
     # keeps each net's edges in (gate, pin) slot order
     owner = np.repeat(np.arange(num_gates, dtype=np.int64), fanin_counts)
-    slot_pin = (
-        np.arange(len(fanin_flat), dtype=np.int64)
-        - np.repeat(fanin_offset[:-1], fanin_counts)
-    )
     order = np.argsort(fanin_flat, kind="stable")
     consumer_counts = np.bincount(fanin_flat, minlength=num_nets)
     consumer_offset = np.concatenate(
         ([0], np.cumsum(consumer_counts))
     ).astype(np.int64)
-    gate_level_np = np.asarray(gate_level, dtype=np.int64)
     return {
-        "opcode": np.asarray(compiled.opcode, dtype=np.int32),
-        "invert": np.asarray(compiled.invert, dtype=bool),
-        "fanin_offset": fanin_offset,
-        "fanin_flat": fanin_flat,
-        "fanin_counts": fanin_counts,
-        "gate_level": gate_level_np,
-        "net_level": np.asarray(net_level, dtype=np.int64),
-        "num_levels": int(gate_level_np.max()) + 1 if num_gates else 1,
         "consumer_offset": consumer_offset,
         "consumer_counts": consumer_counts.astype(np.int64),
         "consumer_gate": owner[order],
-        "consumer_pin": slot_pin[order],
-        "consumer_slot": order,
         "po_counts": np.bincount(
             np.asarray(compiled.po_index, dtype=np.int64),
             minlength=num_nets,

@@ -33,7 +33,7 @@ committed only when its HPWL delta improves **and** its projected
 slack neighborhood stays inside a guard band (*slack_margin*, default
 0.0 — never eat into the critical path; negative margins trade bounded
 delay for wire).  Candidates are pre-filtered by the engine's
-vectorized frontier projection
+frontier projection
 (:meth:`~repro.timing.sta.TimingEngine.project_swap_slacks`), then
 verified by the exact full-cone projection, whose ``touched`` sets
 gate conflict-freedom: accepted moves may share neither a bounding-box
@@ -201,7 +201,7 @@ class _TimingGate:
         return len(self.rejected_keys)
 
     def prefilter(self, bindings_batch: list) -> list[bool]:
-        """Vectorized frontier projection over the whole candidate set."""
+        """Frontier projection over the whole candidate set."""
         projections = self.engine.project_swap_slacks(bindings_batch)
         return [p.admissible(self.margin) for p in projections]
 

@@ -40,23 +40,16 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-try:  # numpy accelerates batch slack projection; scalar path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
-
 from ..library.cells import Cell, Library
 from ..network.gatetype import CONST_TYPES, GateType, XOR_TYPES, is_inverted
 from ..contracts import projection_only
 from ..network import events
 from ..network.netlist import Network, Pin
-from ..network.soa import ragged_indices
 from ..place.placement import Placement
 from ..symmetry.swap import PinSwap
 from .netmodel import (
     PO_PAD_CAP,
     StarNet,
-    StarSink,
     build_star,
     pin_capacitance,
 )
@@ -69,56 +62,6 @@ __deterministic__ = True
 _NEGATIVE_UNATE = frozenset(
     {GateType.INV, GateType.NAND, GateType.NOR}
 )
-
-#: Minimum incremental-worklist size before a pass assembles the numpy
-#: arrays for the masked vector sweep; smaller frontiers stay on the
-#: scalar worklist, whose constant factors win there.  Both paths are
-#: bit-identical, so the threshold affects speed only.
-VECTOR_MIN_SEEDS = 16
-#: Work-unit cost model for :attr:`TimingStats.work_units`: one
-#: vectorized lane evaluation against one scalar dict-walk evaluation,
-#: and the per-net array-assembly overhead each vector context pays.
-#: Calibrated against measured wall time on the quick set.
-VECTOR_LANE_COST = 0.05
-VECTOR_SETUP_COST_PER_NET = 0.15
-
-
-@dataclass
-class _VectorContext:
-    """Dense arrays for one incremental update's masked vector sweeps.
-
-    Built transiently per :meth:`TimingEngine.apply_and_update` from
-    the shared SoA kernel plus this engine's cached stars — never
-    cached across updates, so there is no second source of truth to
-    drift.  ``edge_wire[slot]`` is the star-model wire delay of fanin
-    slot ``slot``; ``d_rise``/``d_fall`` are the per-gate cell delays
-    ``intrinsic + resistance * total_cap`` (the same mul-then-add the
-    scalar path performs, so lanes are bit-identical).
-    """
-
-    net_index: dict
-    net_names: tuple
-    num_inputs: int
-    num_gates: int
-    num_nets: int
-    num_levels: int
-    gate_level: "object"
-    net_level: "object"
-    fanin_offset: "object"
-    fanin_flat: "object"
-    fanin_counts: "object"
-    consumer_offset: "object"
-    consumer_counts: "object"
-    consumer_gate: "object"
-    consumer_slot: "object"
-    edge_wire: "object"
-    d_rise: "object"
-    d_fall: "object"
-    is_xor: "object"
-    is_neg: "object"
-    is_const: "object"
-
-
 
 
 @dataclass
@@ -137,7 +80,7 @@ class TimingStats:
     ``node_updates`` is the benchmarkable unit of timing-update work: a
     star RC rebuild, a gate arrival evaluation, or a required-time
     evaluation (the three per-node operations both the full and the
-    incremental flow are made of).
+    incremental flow are made of).  Projections are not counted.
     """
 
     full_analyses: int = 0
@@ -145,41 +88,15 @@ class TimingStats:
     stars_built: int = 0
     arrival_evals: int = 0
     required_evals: int = 0
-    #: Subset of arrival/required evaluations served by the masked
-    #: vector passes (each also counts in its scalar-named total, so
-    #: ``node_updates`` keeps its meaning across code paths).
-    vector_arrival_evals: int = 0
-    vector_required_evals: int = 0
-    #: One per vector pass actually dispatched.
-    vector_dispatches: int = 0
-    #: Nets charged for vector-context array assembly (once per
-    #: context build, ``num_nets`` each).
-    vector_setup_nets: int = 0
 
     @property
     def node_updates(self) -> int:
         return self.stars_built + self.arrival_evals + self.required_evals
 
     @property
-    def work_units(self) -> float:
-        """Cost-weighted timing-update work.
-
-        ``node_updates`` counts evaluations; this weights them by what
-        they cost: a vectorized lane evaluation is a small fraction of
-        a scalar dict-walk one, plus the per-net assembly the vector
-        context pays up front.  A full analysis is all-scalar, so for
-        it ``work_units == node_updates``.
-        """
-        vector_evals = self.vector_arrival_evals + self.vector_required_evals
-        scalar_evals = (
-            self.arrival_evals + self.required_evals - vector_evals
-        )
-        return (
-            self.stars_built
-            + scalar_evals
-            + VECTOR_LANE_COST * vector_evals
-            + VECTOR_SETUP_COST_PER_NET * self.vector_setup_nets
-        )
+    def work_units(self) -> int:
+        """Same as :attr:`node_updates`: every evaluation is one visit."""
+        return self.node_updates
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -188,12 +105,7 @@ class TimingStats:
             "stars_built": self.stars_built,
             "arrival_evals": self.arrival_evals,
             "required_evals": self.required_evals,
-            "vector_arrival_evals": self.vector_arrival_evals,
-            "vector_required_evals": self.vector_required_evals,
-            "vector_dispatches": self.vector_dispatches,
-            "vector_setup_nets": self.vector_setup_nets,
             "node_updates": self.node_updates,
-            "work_units": self.work_units,
         }
 
 
@@ -400,7 +312,13 @@ class TimingEngine:
     # full analysis
     # ------------------------------------------------------------------
     def analyze(self) -> None:
-        """Run full STA (arrival, required, slack for every net)."""
+        """Run full STA (arrival, required, slack for every net).
+
+        The evaluators the incremental worklist drives, run over every
+        net: arrivals in topological order, then zero-target required
+        pairs in reverse topological order, primary inputs last, so
+        each net pulls from its consumers' finished pairs.
+        """
         network = self.network
         self.placement.ensure_covered(network)
         self.stars = {}
@@ -411,20 +329,18 @@ class TimingEngine:
         order = network.topo_order()
         self._levels = {net: 0 for net in network.inputs}
         for name in order:
-            self._ensure_star(name)
-            self.arrival[name] = self._gate_arrival(name)
+            self.arrival[name] = self._arrival_pair(name, {}, {}, {})
             gate = network.gate(name)
             self._levels[name] = 1 + max(
                 (self._levels[f] for f in gate.fanins), default=0
             )
-        self.max_delay = 0.0
-        for output in network.outputs:
-            rise, fall = self.arrival[output]
-            po_delay = self._po_wire_delay(output)
-            self.max_delay = max(self.max_delay, rise + po_delay,
-                                 fall + po_delay)
+        self._req0 = {}
+        for net in [*reversed(order), *network.inputs]:
+            self._req0[net] = self._req0_pair(net, {}, {})
+        self.stats.arrival_evals += len(order)
+        self.stats.required_evals += len(self._req0)
+        self.max_delay = self._critical_delay()
         target = self.period if self.period is not None else self.max_delay
-        self._backward_required(order)
         self._fold_slacks(target)
         self._analyzed_version = network.version
         self.stats.full_analyses += 1
@@ -458,89 +374,109 @@ class TimingEngine:
             return None
         return self.library.cell(gate.cell)
 
-    def _gate_arrival(self, name: str) -> tuple[float, float]:
-        """Arrival (rise, fall) at a gate's output net."""
-        self.stats.arrival_evals += 1
-        network = self.network
-        gate = network.gate(name)
+    def _arrival_pair(
+        self,
+        name: str,
+        moved: dict[Pin, str],
+        new_stars: dict[str, StarNet],
+        over: dict[str, tuple[float, float]],
+    ) -> tuple[float, float]:
+        """Arrival (rise, fall) at a gate's output net.
+
+        Reads the cached state through three overlays, all empty for
+        the committed state: pins in *moved* read their new driving
+        net, nets in *new_stars* use that RC model (sink wire delays
+        and the gate's own load), and nets in *over* use that arrival
+        pair.
+        """
+        gate = self.network.gate(name)
+        own_star = new_stars.get(name) or self._ensure_star(name)
         if gate.gtype in CONST_TYPES:
             return (0.0, 0.0)
-        cell = self._cell_of(name)
-        load = self._ensure_star(name).total_cap
-        if cell is None:
+        if gate.cell is None:
             d_rise = d_fall = 0.0
         else:
-            d_rise = cell.delay(load, "rise")
-            d_fall = cell.delay(load, "fall")
+            cell = self.library.cell(gate.cell)
+            d_rise = cell.delay(own_star.total_cap, "rise")
+            d_fall = cell.delay(own_star.total_cap, "fall")
+        arrival = self.arrival
         worst_rise = 0.0
         worst_fall = 0.0
         for index, fanin in enumerate(gate.fanins):
             pin = Pin(name, index)
-            wire = self.stars[fanin].sink_delay(pin)
-            in_rise, in_fall = self.arrival[fanin]
-            pin_rise = in_rise + wire
-            pin_fall = in_fall + wire
+            if moved:
+                fanin = moved.get(pin, fanin)
+            star = new_stars.get(fanin) or self._ensure_star(fanin)
+            wire = star.sink_delay(pin)
+            in_rise, in_fall = (
+                over.get(fanin) or arrival.get(fanin, (0.0, 0.0))
+            )
             out_rise, out_fall = _propagate(
-                gate.gtype, pin_rise, pin_fall
+                gate.gtype, in_rise + wire, in_fall + wire
             )
             worst_rise = max(worst_rise, out_rise)
             worst_fall = max(worst_fall, out_fall)
         return (worst_rise + d_rise, worst_fall + d_fall)
 
-    def _po_wire_delay(self, output: str) -> float:
-        star = self.stars.get(output)
-        if star is None:
-            return 0.0
-        for sink in star.sinks:
-            if sink.pin is None:
-                return sink.wire_delay
-        return 0.0
+    def _req0_pair(
+        self,
+        net: str,
+        new_stars: dict[str, StarNet],
+        over: dict[str, tuple[float, float]],
+    ) -> tuple[float, float]:
+        """Zero-target required (rise, fall) at *net* from its consumers.
 
-    def _backward_required(self, order: list[str]) -> None:
-        """Per-transition required times relative to a zero target.
-
-        Unateness couples transitions the same way the forward pass
-        does, so on the critical path required meets arrival exactly
-        (zero slack at the default period).  The pairs stored in
-        ``_req0`` are offsets from the target: absolute required times
-        and slacks are derived by :meth:`_fold_slacks`.
+        A primary output starts from minus its pad wire delay.  Every
+        sink pin then bounds the pair by its consumer's required pair
+        (*over* first, then the cache; a consumer with neither is
+        skipped) less the consumer's arc delays, mapped back through
+        unateness, less the pin's wire delay.  Unateness couples
+        transitions as in the forward pass, so on the critical path
+        required meets arrival exactly.  Nets in *new_stars* use that
+        RC model for sink pins, wire delays and consumer loads.
         """
         network = self.network
-        INF = float("inf")
-        req: dict[str, tuple[float, float]] = {
-            net: (INF, INF) for net in network.nets()
-        }
-        for output in network.outputs:
-            po_delay = self._po_wire_delay(output)
-            old_rise, old_fall = req[output]
-            req[output] = (
-                min(old_rise, -po_delay),
-                min(old_fall, -po_delay),
-            )
-        for name in reversed(order):
-            self.stats.required_evals += 1
-            gate = network.gate(name)
-            cell = self._cell_of(name)
-            if cell is None:
+        req0 = self._req0
+        star = new_stars.get(net) or self._ensure_star(net)
+        rise = fall = float("inf")
+        if network.is_output(net):
+            rise = fall = -_pad_delay(star)
+        for sink in star.sinks:
+            pin = sink.pin
+            if pin is None:
+                continue
+            out_pair = over.get(pin.gate) or req0.get(pin.gate)
+            if out_pair is None:
+                continue
+            consumer = network.gate(pin.gate)
+            if consumer.cell is None:
                 d_rise = d_fall = 0.0
             else:
-                load = self.stars[name].total_cap
+                cell = self.library.cell(consumer.cell)
+                load = (
+                    new_stars.get(pin.gate) or self.stars[pin.gate]
+                ).total_cap
                 d_rise = cell.delay(load, "rise")
                 d_fall = cell.delay(load, "fall")
-            out_rise, out_fall = req[name]
-            # budget available at the gate's input pins per transition
-            pin_rise_budget, pin_fall_budget = _required_through(
-                gate.gtype, out_rise - d_rise, out_fall - d_fall
+            budget_rise, budget_fall = _required_through(
+                consumer.gtype, out_pair[0] - d_rise, out_pair[1] - d_fall
             )
-            for index, fanin in enumerate(gate.fanins):
-                pin = Pin(name, index)
-                wire = self.stars[fanin].sink_delay(pin)
-                old_rise, old_fall = req[fanin]
-                req[fanin] = (
-                    min(old_rise, pin_rise_budget - wire),
-                    min(old_fall, pin_fall_budget - wire),
-                )
-        self._req0 = req
+            rise = min(rise, budget_rise - sink.wire_delay)
+            fall = min(fall, budget_fall - sink.wire_delay)
+        return (rise, fall)
+
+    def _critical_delay(self) -> float:
+        """Worst primary-output arrival, pad wire delay included."""
+        delay = 0.0
+        for output in self.network.outputs:
+            rise, fall = self.arrival[output]
+            po_delay = self._po_wire_delay(output)
+            delay = max(delay, rise + po_delay, fall + po_delay)
+        return delay
+
+    def _po_wire_delay(self, output: str) -> float:
+        star = self.stars.get(output)
+        return 0.0 if star is None else _pad_delay(star)
 
     def _fold_slacks(self, target: float) -> None:
         """Derive absolute required times and slacks from ``_req0``."""
@@ -586,9 +522,9 @@ class TimingEngine:
         """Propagate committed network changes through cached timing.
 
         Re-propagates arrivals through the transitive fanout of the
-        changed nets only (levelized worklist, early termination on
-        convergence) and required times through the affected fanin
-        frontier; star models of untouched nets are reused.  The
+        changed nets only and required times through the affected fanin
+        frontier (:meth:`_repropagate`, early termination on
+        convergence); star models of untouched nets are reused.  The
         result matches a fresh :meth:`analyze` exactly.  *footprint*
         optionally names extra nets to invalidate (see
         :meth:`invalidate`).
@@ -619,7 +555,6 @@ class TimingEngine:
                 self._levels[name] = 1 + max(
                     (self._levels[f] for f in gate.fanins), default=0
                 )
-        levels = self._levels
         # 3. rebuild the RC models of touched nets
         rebuilt: set[str] = set()
         for net in self._dirty_stars:
@@ -631,434 +566,133 @@ class TimingEngine:
         for pi in network.inputs:
             if pi not in self.arrival:
                 self.arrival[pi] = (0.0, 0.0)
-        # 4. forward: re-propagate arrivals through the affected fanout
+        # 4. seeds: a rebuilt net's driver sees a new load and its sink
+        #    gates new wire delays; its required pair and its driver's
+        #    fanins' pairs move with them
         seeds: set[str] = set()
-        for net in rebuilt:
-            if not network.is_input(net):
-                seeds.add(net)                  # driver sees a new load
-            for sink in self.stars[net].sinks:
-                if sink.pin is not None:
-                    seeds.add(sink.pin.gate)    # sink wire delay moved
-        for name in self._dirty_gates:
-            if name in network and not network.is_input(name):
-                seeds.add(name)
-        # large frontiers take the masked vector sweep over the shared
-        # SoA arrays; small ones (and any state the arrays cannot
-        # describe) stay on the scalar worklist — both are bit-identical
-        ctx = (
-            self._vector_context()
-            if len(seeds) >= VECTOR_MIN_SEEDS
-            else None
-        )
-        if ctx is not None:
-            self._forward_arrival_vector(ctx, seeds)
-        else:
-            heap = [(levels.get(name, 0), name) for name in seeds]
-            heapq.heapify(heap)
-            done: set[str] = set()
-            while heap:
-                _, name = heapq.heappop(heap)
-                if name in done:
-                    continue
-                done.add(name)
-                new_arrival = self._gate_arrival(name)
-                if self.arrival.get(name) != new_arrival:
-                    self.arrival[name] = new_arrival
-                    for pin in network.fanout(name):
-                        if pin.gate not in done:
-                            heapq.heappush(
-                                heap, (levels.get(pin.gate, 0), pin.gate)
-                            )
-        # 5. critical path target
-        self.max_delay = 0.0
-        for output in network.outputs:
-            rise, fall = self.arrival[output]
-            po_delay = self._po_wire_delay(output)
-            self.max_delay = max(self.max_delay, rise + po_delay,
-                                 fall + po_delay)
-        target = self.period if self.period is not None else self.max_delay
-        # 6. backward: re-propagate required through the fanin frontier
         bseeds: set[str] = set()
         for net in rebuilt:
             bseeds.add(net)
             if not network.is_input(net):
+                seeds.add(net)
                 bseeds.update(network.gate(net).fanins)
+            for sink in self.stars[net].sinks:
+                if sink.pin is not None:
+                    seeds.add(sink.pin.gate)
         for name in self._dirty_gates:
             if name not in network:
                 continue
             bseeds.add(name)
             if not network.is_input(name):
+                seeds.add(name)
                 bseeds.update(network.gate(name).fanins)
-        if ctx is None and len(bseeds) >= VECTOR_MIN_SEEDS:
-            ctx = self._vector_context()
-        if ctx is not None:
-            self._backward_required_vector(ctx, bseeds)
-        else:
-            bheap = [(-levels.get(net, 0), net) for net in bseeds]
-            heapq.heapify(bheap)
-            bdone: set[str] = set()
-            while bheap:
-                _, net = heapq.heappop(bheap)
-                if net in bdone:
-                    continue
-                bdone.add(net)
-                pair = self._recompute_req0(net)
-                if self._req0.get(net) != pair:
-                    self._req0[net] = pair
-                    if not network.is_input(net):
-                        for fanin in network.gate(net).fanins:
-                            if fanin not in bdone:
-                                heapq.heappush(
-                                    bheap, (-levels.get(fanin, 0), fanin)
-                                )
-        # 7. fold slacks against the (possibly shifted) target
+        # 5. re-propagate and write the overlays back
+        arrivals, required, visited_fwd, visited_bwd = self._repropagate(
+            seeds, bseeds, {}, {}
+        )
+        self.arrival.update(arrivals)
+        self._req0.update(required)
+        self.stats.arrival_evals += len(visited_fwd)
+        self.stats.required_evals += len(visited_bwd)
+        # 6. fold slacks against the (possibly shifted) target
+        self.max_delay = self._critical_delay()
+        target = self.period if self.period is not None else self.max_delay
         self._fold_slacks(target)
         self._analyzed_version = network.version
         self._clear_dirty()
 
-    def _recompute_req0(self, net: str) -> tuple[float, float]:
-        """Zero-target required pair at *net* from its consumers' cache."""
-        self.stats.required_evals += 1
+    def _repropagate(
+        self,
+        seeds: Iterable[str],
+        bseeds: Iterable[str],
+        moved: dict[Pin, str],
+        new_stars: dict[str, StarNet],
+    ) -> tuple[
+        dict[str, tuple[float, float]],
+        dict[str, tuple[float, float]],
+        set[str],
+        set[str],
+    ]:
+        """Levelized worklists over the overlay *moved*/*new_stars*.
+
+        Arrivals propagate forward from the gates *seeds* in ascending
+        level order and zero-target required pairs backward from the
+        nets *bseeds* in descending level order; a net whose pair
+        changes pushes its consumers (forward) or its driver's fanins
+        (backward), so each walk stops where values converge.  New
+        pairs go into overlay dicts and the cached state is never
+        written.  Returns ``(arrivals, required, forward visited,
+        backward visited)``.
+
+        A popped ``(level, net)`` entry equal to the previous pop is
+        skipped: equal entries pop back to back.  With current levels
+        that is one evaluation per net.  When a rebinding leaves the
+        cached levels stale, a net re-pushed after a later pop is
+        evaluated again, and the walk still reaches the fixed point.
+        """
         network = self.network
-        INF = float("inf")
-        rise = fall = INF
-        if network.is_output(net):
-            po_delay = self._po_wire_delay(net)
-            rise = fall = -po_delay
-        for pin in network.fanout(net):
-            consumer = network.gate(pin.gate)
-            out_pair = self._req0.get(pin.gate)
-            if out_pair is None:
+        levels = self._levels
+        arrival = self.arrival
+        arrivals: dict[str, tuple[float, float]] = {}
+        visited_fwd: set[str] = set()
+        heap = [(levels.get(name, 0), name) for name in seeds]
+        heapq.heapify(heap)
+        previous = None
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry == previous:
                 continue
-            cell = self._cell_of(pin.gate)
-            if cell is None:
-                d_rise = d_fall = 0.0
-            else:
-                load = self.stars[pin.gate].total_cap
-                d_rise = cell.delay(load, "rise")
-                d_fall = cell.delay(load, "fall")
-            pin_rise_budget, pin_fall_budget = _required_through(
-                consumer.gtype, out_pair[0] - d_rise, out_pair[1] - d_fall
-            )
-            wire = self.stars[net].sink_delay(pin)
-            rise = min(rise, pin_rise_budget - wire)
-            fall = min(fall, pin_fall_budget - wire)
-        return (rise, fall)
-
-    # ------------------------------------------------------------------
-    # masked vector re-propagation (shared SoA kernel arrays)
-    # ------------------------------------------------------------------
-    def _vector_context(self) -> "_VectorContext | None":
-        """Assemble the dense arrays for the vector sweeps, or ``None``.
-
-        Bails to the scalar worklists whenever the flat view or the
-        cached timing state cannot fully describe the network — numpy
-        missing, a gate without a star, a cell name the library does
-        not know, or a star sink that no longer matches the current
-        wiring.  Both paths are bit-identical, so bailing only costs
-        speed.
-        """
-        if _np is None:
-            return None
-        from ..logic.simcore.compiled import OP_CONST0, OP_CONST1, OP_XOR
-        from ..network.soa import get_soa
-
-        kernel = get_soa(self.network)
-        compiled = kernel.sync()
-        arrays = kernel.arrays()
-        if arrays is None or compiled.num_gates == 0:
-            return None
-        num_inputs = compiled.num_inputs
-        num_gates = compiled.num_gates
-        stars = self.stars
-        cells = self.library
-        load = _np.zeros(num_gates)
-        rise_int = _np.zeros(num_gates)
-        rise_res = _np.zeros(num_gates)
-        fall_int = _np.zeros(num_gates)
-        fall_res = _np.zeros(num_gates)
-        for position, name in enumerate(compiled.gate_names):
-            star = stars.get(name)
-            if star is None:
-                return None
-            load[position] = star.total_cap
-            cell_name = kernel.cells[position]
-            if cell_name is None:
+            previous = entry
+            name = entry[1]
+            if name not in network or network.is_input(name):
                 continue
-            try:
-                cell = cells.cell(cell_name)
-            except KeyError:
-                return None
-            rise_int[position] = cell.rise_intrinsic
-            rise_res[position] = cell.rise_resistance
-            fall_int[position] = cell.fall_intrinsic
-            fall_res[position] = cell.fall_resistance
-        net_index = compiled.net_index
-        offsets = compiled.fanin_offset
-        flat = compiled.fanin_flat
-        num_edges = len(flat)
-        edge_wire = _np.zeros(num_edges)
-        edge_ok = _np.zeros(num_edges, dtype=bool)
-        for net, star in stars.items():
-            index = net_index.get(net)
-            if index is None:
+            visited_fwd.add(name)
+            pair = self._arrival_pair(name, moved, new_stars, arrivals)
+            if pair != arrivals.get(name, arrival.get(name)):
+                arrivals[name] = pair
+                for pin in self._sinks_under(name, new_stars):
+                    heapq.heappush(heap, (levels.get(pin.gate, 0), pin.gate))
+        req0 = self._req0
+        required: dict[str, tuple[float, float]] = {}
+        visited_bwd: set[str] = set()
+        heap = [(-levels.get(net, 0), net) for net in bseeds]
+        heapq.heapify(heap)
+        previous = None
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry == previous:
                 continue
-            for sink in star.sinks:
-                pin = sink.pin
-                if pin is None:
-                    continue
-                gate_index = net_index.get(pin.gate)
-                if gate_index is None or gate_index < num_inputs:
-                    continue
-                position = gate_index - num_inputs
-                width = offsets[position + 1] - offsets[position]
-                if not 0 <= pin.index < width:
-                    continue
-                slot = offsets[position] + pin.index
-                if flat[slot] != index or edge_ok[slot]:
-                    continue
-                edge_ok[slot] = True
-                edge_wire[slot] = sink.wire_delay
-        if not edge_ok.all():
-            return None
-        opcode = arrays["opcode"]
-        is_xor = opcode == OP_XOR
-        is_const = (opcode == OP_CONST0) | (opcode == OP_CONST1)
-        self.stats.vector_setup_nets += compiled.num_nets
-        return _VectorContext(
-            net_index=net_index,
-            net_names=compiled.inputs + compiled.gate_names,
-            num_inputs=num_inputs,
-            num_gates=num_gates,
-            num_nets=compiled.num_nets,
-            num_levels=arrays["num_levels"],
-            gate_level=arrays["gate_level"],
-            net_level=arrays["net_level"],
-            fanin_offset=arrays["fanin_offset"],
-            fanin_flat=arrays["fanin_flat"],
-            fanin_counts=arrays["fanin_counts"],
-            consumer_offset=arrays["consumer_offset"],
-            consumer_counts=arrays["consumer_counts"],
-            consumer_gate=arrays["consumer_gate"],
-            consumer_slot=arrays["consumer_slot"],
-            edge_wire=edge_wire,
-            d_rise=rise_int + rise_res * load,
-            d_fall=fall_int + fall_res * load,
-            is_xor=is_xor,
-            is_neg=arrays["invert"] & ~is_xor,
-            is_const=is_const,
-        )
-
-    def _forward_arrival_vector(
-        self, ctx: _VectorContext, seeds: set[str]
-    ) -> None:
-        """Levelized forward sweep over a dirty mask (= scalar worklist).
-
-        Arrivals live in dense (rise, fall, present) arrays; each level
-        gathers the dirty gates' fanin arrivals plus wire delays in one
-        ragged numpy pass, folds unateness and the cell delay, and
-        marks consumers of changed nets dirty.  The evaluation set and
-        every float match the scalar worklist exactly: fanins sit at
-        strictly lower levels, the reductions are pure selections, and
-        each lane performs the same mul-then-add arithmetic.
-        """
-        np = _np
-        num_inputs = ctx.num_inputs
-        arr_rise = np.zeros(ctx.num_nets)
-        arr_fall = np.zeros(ctx.num_nets)
-        present = np.zeros(ctx.num_nets, dtype=bool)
-        net_index = ctx.net_index
-        for net, pair in self.arrival.items():
-            index = net_index.get(net)
-            if index is not None:
-                arr_rise[index] = pair[0]
-                arr_fall[index] = pair[1]
-                present[index] = True
-        dirty = np.zeros(ctx.num_gates, dtype=bool)
-        for name in seeds:
-            index = net_index.get(name)
-            if index is not None and index >= num_inputs:
-                dirty[index - num_inputs] = True
-        self.stats.vector_dispatches += 1
-        gate_level = ctx.gate_level
-        changed_positions: list = []
-        for level in range(1, ctx.num_levels):
-            sel = np.nonzero(dirty & (gate_level == level))[0]
-            if sel.size == 0:
+            previous = entry
+            net = entry[1]
+            if net not in network:
                 continue
-            dirty[sel] = False
-            self.stats.arrival_evals += sel.size
-            self.stats.vector_arrival_evals += sel.size
-            counts = ctx.fanin_counts[sel]
-            worst_rise = np.zeros(sel.size)
-            worst_fall = np.zeros(sel.size)
-            edges, seg_starts = ragged_indices(ctx.fanin_offset[sel], counts)
-            if edges.size:
-                wire = ctx.edge_wire[edges]
-                fanin = ctx.fanin_flat[edges]
-                pin_rise = arr_rise[fanin] + wire
-                pin_fall = arr_fall[fanin] + wire
-                own_xor = np.repeat(ctx.is_xor[sel], counts)
-                own_neg = np.repeat(ctx.is_neg[sel], counts)
-                both = np.maximum(pin_rise, pin_fall)
-                out_rise = np.where(
-                    own_xor, both, np.where(own_neg, pin_fall, pin_rise)
-                )
-                out_fall = np.where(
-                    own_xor, both, np.where(own_neg, pin_rise, pin_fall)
-                )
-                nonempty = counts > 0
-                worst_rise[nonempty] = np.maximum.reduceat(
-                    out_rise, seg_starts[nonempty]
-                )
-                worst_fall[nonempty] = np.maximum.reduceat(
-                    out_fall, seg_starts[nonempty]
-                )
-                # scalar worst-folds start at 0.0
-                np.maximum(worst_rise, 0.0, out=worst_rise)
-                np.maximum(worst_fall, 0.0, out=worst_fall)
-            const = ctx.is_const[sel]
-            new_rise = np.where(const, 0.0, worst_rise + ctx.d_rise[sel])
-            new_fall = np.where(const, 0.0, worst_fall + ctx.d_fall[sel])
-            nets = sel + num_inputs
-            changed = (
-                ~present[nets]
-                | (new_rise != arr_rise[nets])
-                | (new_fall != arr_fall[nets])
-            )
-            arr_rise[nets] = new_rise
-            arr_fall[nets] = new_fall
-            present[nets] = True
-            changed_nets = nets[changed]
-            if changed_nets.size:
-                changed_positions.append(sel[changed])
-                cons, _ = ragged_indices(
-                    ctx.consumer_offset[changed_nets],
-                    ctx.consumer_counts[changed_nets],
-                )
-                if cons.size:
-                    dirty[ctx.consumer_gate[cons]] = True
-        if changed_positions:
-            all_changed = np.concatenate(changed_positions)
-            names = ctx.net_names
-            arrival = self.arrival
-            rises = arr_rise[all_changed + num_inputs].tolist()
-            falls = arr_fall[all_changed + num_inputs].tolist()
-            for position, rise, fall in zip(
-                all_changed.tolist(), rises, falls
-            ):
-                arrival[names[num_inputs + position]] = (rise, fall)
+            visited_bwd.add(net)
+            pair = self._req0_pair(net, new_stars, required)
+            if pair != required.get(net, req0.get(net)):
+                required[net] = pair
+                if not network.is_input(net):
+                    for fanin in self._fanins_under(net, moved):
+                        heapq.heappush(heap, (-levels.get(fanin, 0), fanin))
+        return arrivals, required, visited_fwd, visited_bwd
 
-    def _backward_required_vector(
-        self, ctx: _VectorContext, bseeds: set[str]
-    ) -> None:
-        """Levelized backward sweep over a dirty net mask.
+    def _sinks_under(
+        self, net: str, new_stars: dict[str, StarNet]
+    ) -> list[Pin]:
+        """Sink pins of *net*, from its overlay star when it has one."""
+        star = new_stars.get(net)
+        if star is None:
+            return self.network.fanout(net)
+        return [sink.pin for sink in star.sinks if sink.pin is not None]
 
-        The dense mirror of the scalar loop around
-        :meth:`_recompute_req0`: per level (descending) each dirty net
-        refolds its zero-target required pair from its consumers'
-        cached pairs, the consumer cell delays, unateness, and the
-        star wire delays; changed nets mark their driver's fanins
-        dirty.  A consumer with no cached pair contributes ``+inf`` —
-        the identity of the min fold — exactly like the scalar
-        ``continue``.
-        """
-        np = _np
-        INF = float("inf")
-        num_inputs = ctx.num_inputs
-        req_rise = np.full(ctx.num_nets, INF)
-        req_fall = np.full(ctx.num_nets, INF)
-        present = np.zeros(ctx.num_nets, dtype=bool)
-        net_index = ctx.net_index
-        for net, pair in self._req0.items():
-            index = net_index.get(net)
-            if index is not None:
-                req_rise[index] = pair[0]
-                req_fall[index] = pair[1]
-                present[index] = True
-        po_base = np.full(ctx.num_nets, INF)
-        for net in self.network.outputs:
-            index = net_index.get(net)
-            if index is not None:
-                po_base[index] = -self._po_wire_delay(net)
-        dirty = np.zeros(ctx.num_nets, dtype=bool)
-        for net in bseeds:
-            index = net_index.get(net)
-            if index is not None:
-                dirty[index] = True
-        self.stats.vector_dispatches += 1
-        net_level = ctx.net_level
-        changed_all: list = []
-        for level in range(ctx.num_levels - 1, -1, -1):
-            sel = np.nonzero(dirty & (net_level == level))[0]
-            if sel.size == 0:
-                continue
-            dirty[sel] = False
-            self.stats.required_evals += sel.size
-            self.stats.vector_required_evals += sel.size
-            new_rise = po_base[sel].copy()
-            new_fall = po_base[sel].copy()
-            counts = ctx.consumer_counts[sel]
-            edges, seg_starts = ragged_indices(
-                ctx.consumer_offset[sel], counts
-            )
-            if edges.size:
-                gates = ctx.consumer_gate[edges]
-                gate_nets = gates + num_inputs
-                # absent consumer pairs hold the +inf they were
-                # initialised with: a no-op in the min fold, like the
-                # scalar skip
-                out_rise = req_rise[gate_nets] - ctx.d_rise[gates]
-                out_fall = req_fall[gate_nets] - ctx.d_fall[gates]
-                g_xor = ctx.is_xor[gates]
-                g_neg = ctx.is_neg[gates]
-                both = np.minimum(out_rise, out_fall)
-                budget_rise = np.where(
-                    g_xor, both, np.where(g_neg, out_fall, out_rise)
-                )
-                budget_fall = np.where(
-                    g_xor, both, np.where(g_neg, out_rise, out_fall)
-                )
-                wire = ctx.edge_wire[ctx.consumer_slot[edges]]
-                contrib_rise = budget_rise - wire
-                contrib_fall = budget_fall - wire
-                nonempty = counts > 0
-                new_rise[nonempty] = np.minimum(
-                    new_rise[nonempty],
-                    np.minimum.reduceat(contrib_rise, seg_starts[nonempty]),
-                )
-                new_fall[nonempty] = np.minimum(
-                    new_fall[nonempty],
-                    np.minimum.reduceat(contrib_fall, seg_starts[nonempty]),
-                )
-            changed = (
-                ~present[sel]
-                | (new_rise != req_rise[sel])
-                | (new_fall != req_fall[sel])
-            )
-            req_rise[sel] = new_rise
-            req_fall[sel] = new_fall
-            present[sel] = True
-            changed_ids = sel[changed]
-            if changed_ids.size:
-                changed_all.append(changed_ids)
-                gate_ids = changed_ids[changed_ids >= num_inputs]
-                gate_ids = gate_ids - num_inputs
-                if gate_ids.size:
-                    fans, _ = ragged_indices(
-                        ctx.fanin_offset[gate_ids],
-                        ctx.fanin_counts[gate_ids],
-                    )
-                    if fans.size:
-                        dirty[ctx.fanin_flat[fans]] = True
-        if changed_all:
-            ids = np.concatenate(changed_all)
-            names = ctx.net_names
-            req0 = self._req0
-            rises = req_rise[ids].tolist()
-            falls = req_fall[ids].tolist()
-            for index, rise, fall in zip(ids.tolist(), rises, falls):
-                req0[names[index]] = (rise, fall)
+    def _fanins_under(self, name: str, moved: dict[Pin, str]) -> list[str]:
+        """Fanin nets of gate *name* with the rebound pins in *moved*."""
+        fanins = self.network.gate(name).fanins
+        if not moved:
+            return fanins
+        return [
+            moved.get(Pin(name, index), fanin)
+            for index, fanin in enumerate(fanins)
+        ]
 
     # ------------------------------------------------------------------
     # snapshot export (checkpoints)
@@ -1099,13 +733,13 @@ class TimingEngine:
         return max(rise, fall)
 
     def worst_slack(self) -> float:
-        """Minimum slack over all nets."""
+        """Minimum slack over all nets (of the current network)."""
+        self.refresh()
         return min(self.slack.values(), default=0.0)
 
     def critical_path(self) -> list[PathPoint]:
         """Trace the worst path from its primary output back to a PI."""
-        if not self.arrival:
-            self.analyze()
+        self.refresh()
         worst_po = max(
             self.network.outputs,
             key=lambda net: self.worst_arrival(net) + self._po_wire_delay(net),
@@ -1208,7 +842,7 @@ class TimingEngine:
             affected_gates,
             key=lambda name: (self._levels.get(name, 0), name),
         ):
-            projected = self._project_gate_arrival(
+            projected = self._projected_worst_arrival(
                 gate_name,
                 stars_new,
                 context,
@@ -1250,7 +884,7 @@ class TimingEngine:
             affected_gates,
             key=lambda other: (self._levels.get(other, 0), other),
         ):
-            projected = self._project_gate_arrival(
+            projected = self._projected_worst_arrival(
                 name,
                 stars_new,
                 context,
@@ -1272,7 +906,7 @@ class TimingEngine:
         delta = cell.worst_delay(new_load) - cell.worst_delay(old_load)
         return old + delta
 
-    def _project_gate_arrival(
+    def _projected_worst_arrival(
         self,
         gate_name: str,
         stars_new: dict[str, StarNet],
@@ -1315,17 +949,7 @@ class TimingEngine:
 
     def _po_delta(self, net: str, new_star: StarNet) -> float:
         """Change of the PO-pad wire delay when a net's star changes."""
-        old = 0.0
-        for sink in self._ensure_star(net).sinks:
-            if sink.pin is None:
-                old = sink.wire_delay
-                break
-        new = 0.0
-        for sink in new_star.sinks:
-            if sink.pin is None:
-                new = sink.wire_delay
-                break
-        return new - old
+        return _pad_delay(new_star) - _pad_delay(self._ensure_star(net))
 
     def _local_gain(self, frontier: dict[str, float]) -> Gains:
         """Compare projected vs. current slacks over the frontier nets.
@@ -1352,10 +976,6 @@ class TimingEngine:
             return Gains(0.0, 0.0, float("inf"))
         return Gains(projected_min - current_min, sum_delta, projected_min)
 
-    def slack_sum(self, nets: list[str]) -> float:
-        """Sum of slacks over the given nets (relaxation-phase metric)."""
-        return sum(self.slack.get(net, 0.0) for net in nets)
-
     # ------------------------------------------------------------------
     # batch slack projection (timing-aware wirelength rewiring)
     # ------------------------------------------------------------------
@@ -1374,60 +994,44 @@ class TimingEngine:
         reuses the cached star/arrival state and never mutates the
         network — zero events reach subscribed engines.
 
-        The default *frontier* mode scores the whole batch at once:
-        the affected nets' star RC models are re-derived in one
-        vectorized numpy pass (pure-Python fallback included) and
-        arrivals are re-folded over the two-net neighborhood only —
-        cheap, slightly approximate beyond the frontier, right for
-        pre-filtering thousands of candidates.
+        The default *frontier* mode rebuilds the affected nets' star RC
+        models and re-folds arrivals over the two-net neighborhood
+        only — cheap, slightly approximate beyond the frontier, right
+        for pre-filtering thousands of candidates.
 
-        ``exact=True`` instead mirrors :meth:`apply_and_update`
-        per candidate: arrivals are re-propagated through the whole
-        affected fanout and required times through the affected fanin
-        frontier (worklists over overlay dicts, early termination on
-        convergence), so the projected slacks equal the post-commit
-        re-fold to float noise and ``touched`` names every net the
-        walk visited.  Committing a set of moves whose exact
-        ``touched`` sets are pairwise disjoint realizes every
-        projection exactly — the additivity the batched wirelength
-        committer relies on.  Exact agreement with the applied state
-        additionally requires a pinned target (``period`` set):
-        with a floating target the re-timed critical path re-folds
-        every slack.  Consumers detect residual drift (float noise,
-        overlapping neighborhoods) against
+        ``exact=True`` instead runs the worklist :meth:`apply_and_update`
+        runs (:meth:`_repropagate`), with the rebinding as its overlay:
+        arrivals are re-propagated through the whole affected fanout
+        and required times through the affected fanin frontier, so the
+        projected slacks equal the post-commit re-fold to float noise
+        and ``touched`` names every net the walk visited.  Committing a
+        set of moves whose exact ``touched`` sets are pairwise disjoint
+        realizes every projection exactly — the additivity the batched
+        wirelength committer relies on.  Exact agreement with the
+        applied state additionally requires a pinned target (``period``
+        set): with a floating target the re-timed critical path
+        re-folds every slack.  Consumers detect residual drift (float
+        noise, overlapping neighborhoods) against
         :data:`PROJECTION_DRIFT_TOL` and fall back to re-pricing.
         """
         self.refresh()
-        if exact:
-            return [self._project_rebind_exact(tuple(b)) for b in batch]
-        prepared = [self._rebind_specs(tuple(b)) for b in batch]
-        jobs: list[tuple[str, list]] = []
-        slots: list[dict[str, int]] = []
-        for _moved, specs in prepared:
-            slot = {}
-            for net, spec in specs.items():
-                slot[net] = len(jobs)
-                jobs.append((net, spec))
-            slots.append(slot)
-        stars = self._rebound_stars(jobs)
-        projections = []
-        for (moved, _specs), slot, bindings in zip(prepared, slots, batch):
-            new_stars = {net: stars[index] for net, index in slot.items()}
-            projections.append(
-                self._fold_rebind_frontier(tuple(bindings), moved, new_stars)
-            )
-        return projections
+        project = (
+            self._project_rebind_exact if exact
+            else self._project_rebind_frontier
+        )
+        return [project(tuple(bindings)) for bindings in batch]
 
-    def _rebind_specs(
+    def _rebind_overlay(
         self, bindings: tuple[tuple[Pin, str], ...]
-    ) -> tuple[dict[Pin, str], dict[str, list]]:
-        """Post-move sink specs of every net a rebinding touches.
+    ) -> tuple[dict[Pin, str], dict[str, StarNet]]:
+        """Overlay of a rebinding: ``(moved, new_stars)``.
 
-        Returns ``(moved, specs)``: the effective pin -> new-net map
-        (no-op bindings dropped) and, per affected net, the
-        ``build_star`` override list — cached sinks minus departing
-        pins, arriving pins appended in binding order, so the spec
-        order (and the float sums derived from it) is deterministic.
+        ``moved`` is the effective pin -> new-net map (no-op bindings
+        dropped); ``new_stars`` holds the post-move star of every net
+        the rebinding touches, built from the cached sinks minus
+        departing pins with arriving pins appended in binding order, so
+        the sink order (and the float sums derived from it) is
+        deterministic.
         """
         network = self.network
         moved: dict[Pin, str] = {}
@@ -1439,12 +1043,11 @@ class TimingEngine:
             moved[pin] = new_net
             affected.add(old_net)
             affected.add(new_net)
-        specs: dict[str, list] = {}
+        new_stars: dict[str, StarNet] = {}
         for net in sorted(affected):
-            star = self._ensure_star(net)
             spec = [
                 (sink.pin, sink.location, sink.pin_cap)
-                for sink in star.sinks
+                for sink in self._ensure_star(net).sinks
                 if sink.pin is None or sink.pin not in moved
             ]
             for pin, new_net in moved.items():
@@ -1456,155 +1059,18 @@ class TimingEngine:
                             pin_capacitance(network, self.library, pin),
                         )
                     )
-            specs[net] = spec
-        return moved, specs
-
-    def _rebound_stars(self, jobs: list[tuple[str, list]]) -> list[StarNet]:
-        """Star RC models for edited sink lists, one vectorized pass.
-
-        Each job is ``(net, override_specs)``; the result matches
-        ``build_star(..., override_sinks=specs)`` (same formulas, same
-        per-net summation order) to float associativity.  The numpy
-        path flattens every job's sinks into one row table and derives
-        centers, loads and per-sink Elmore delays with whole-array
-        expressions; the scalar fallback loops over ``build_star``.
-        """
-        if _np is None or len(jobs) < 2:
-            return [
-                build_star(
-                    self.network, self.placement, self.library, net,
-                    po_pad_cap=self.po_pad_cap, override_sinks=spec,
-                )
-                for net, spec in jobs
-            ]
-        from ..library.cells import (
-            UNIT_WIRE_CAP_PER_UM as _CAP,
-            UNIT_WIRE_RES_PER_UM as _RES,
-        )
-        count = len(jobs)
-        placement = self.placement
-        network = self.network
-        src = _np.empty((count, 2))
-        n_sinks = _np.empty(count, dtype=_np.int64)
-        job_ids: list[int] = []
-        xs: list[float] = []
-        ys: list[float] = []
-        caps: list[float] = []
-        for index, (net, spec) in enumerate(jobs):
-            src[index] = placement.source_location(network, net)
-            n_sinks[index] = len(spec)
-            for _pin, (x, y), cap in spec:
-                job_ids.append(index)
-                xs.append(x)
-                ys.append(y)
-                caps.append(cap)
-        job = _np.asarray(job_ids, dtype=_np.int64)
-        x = _np.asarray(xs)
-        y = _np.asarray(ys)
-        cap = _np.asarray(caps)
-        n_points = 1 + n_sinks
-        cx = (src[:, 0] + _np.bincount(job, weights=x, minlength=count))
-        cy = (src[:, 1] + _np.bincount(job, weights=y, minlength=count))
-        cx /= n_points
-        cy /= n_points
-        empty = n_sinks == 0
-        cx[empty] = src[empty, 0]
-        cy[empty] = src[empty, 1]
-        source_len = _np.abs(src[:, 0] - cx) + _np.abs(src[:, 1] - cy)
-        r_source = _RES * source_len
-        c_source = _CAP * source_len
-        seg_len = _np.abs(x - cx[job]) + _np.abs(y - cy[job])
-        c_seg = _CAP * seg_len
-        downstream = _np.bincount(
-            job, weights=c_seg, minlength=count
-        ) + _np.bincount(job, weights=cap, minlength=count)
-        total_cap = c_source + downstream
-        total_cap[empty] = 0.0
-        delay = r_source[job] * (c_source + downstream)[job] + (
-            _RES * seg_len
-        ) * (c_seg + cap)
-        stars: list[StarNet] = []
-        row = 0
-        for index, (net, spec) in enumerate(jobs):
-            sinks = []
-            for pin, location, pin_cap in spec:
-                sinks.append(
-                    StarSink(
-                        pin=pin,
-                        location=location,
-                        pin_cap=pin_cap,
-                        wire_delay=float(delay[row]),
-                    )
-                )
-                row += 1
-            source = (float(src[index, 0]), float(src[index, 1]))
-            stars.append(
-                StarNet(
-                    net=net,
-                    source=source,
-                    center=source if not sinks else (
-                        float(cx[index]), float(cy[index])
-                    ),
-                    total_cap=float(total_cap[index]),
-                    sinks=tuple(sinks),
-                )
+            new_stars[net] = build_star(
+                network, self.placement, self.library, net,
+                po_pad_cap=self.po_pad_cap, override_sinks=spec,
             )
-        return stars
+        return moved, new_stars
 
-    def _rebound_gate_arrival(
-        self,
-        name: str,
-        moved: dict[Pin, str],
-        new_stars: dict[str, StarNet],
-        context: dict[str, tuple[float, float]],
-    ) -> tuple[float, float]:
-        """Exact (rise, fall) arrival of a gate under a rebind overlay.
-
-        Mirrors :meth:`_gate_arrival` with three overrides: pins in
-        *moved* read their new driving net, nets in *new_stars* use
-        the edited RC model (wire delays and the gate's own load), and
-        nets in *context* use the projected upstream arrival pair.
-        """
-        network = self.network
-        gate = network.gate(name)
-        if gate.gtype in CONST_TYPES:
-            return (0.0, 0.0)
-        cell = self._cell_of(name)
-        own_star = new_stars.get(name)
-        if own_star is None:
-            own_star = self._ensure_star(name)
-        if cell is None:
-            d_rise = d_fall = 0.0
-        else:
-            d_rise = cell.delay(own_star.total_cap, "rise")
-            d_fall = cell.delay(own_star.total_cap, "fall")
-        worst_rise = 0.0
-        worst_fall = 0.0
-        for index, fanin in enumerate(gate.fanins):
-            pin = Pin(name, index)
-            fanin = moved.get(pin, fanin)
-            star = new_stars.get(fanin)
-            if star is None:
-                star = self._ensure_star(fanin)
-            wire = star.sink_delay(pin)
-            in_pair = context.get(fanin)
-            if in_pair is None:
-                in_pair = self.arrival.get(fanin, (0.0, 0.0))
-            out_rise, out_fall = _propagate(
-                gate.gtype, in_pair[0] + wire, in_pair[1] + wire
-            )
-            worst_rise = max(worst_rise, out_rise)
-            worst_fall = max(worst_fall, out_fall)
-        return (worst_rise + d_rise, worst_fall + d_fall)
-
-    def _fold_rebind_frontier(
-        self,
-        bindings: tuple[tuple[Pin, str], ...],
-        moved: dict[Pin, str],
-        new_stars: dict[str, StarNet],
+    def _project_rebind_frontier(
+        self, bindings: tuple[tuple[Pin, str], ...]
     ) -> SlackProjection:
         """Frontier-only projection: drivers + sink gates of the moved nets."""
         network = self.network
+        moved, new_stars = self._rebind_overlay(bindings)
         context: dict[str, tuple[float, float]] = {}
         deltas: dict[str, float] = {}
         for net in new_stars:
@@ -1645,7 +1111,7 @@ class TimingEngine:
         for name in sorted(
             gates, key=lambda gate: (self._levels.get(gate, 0), gate)
         ):
-            pair = self._rebound_gate_arrival(name, moved, new_stars, context)
+            pair = self._arrival_pair(name, moved, new_stars, context)
             deltas[name] = max(pair) - max(self.arrival.get(name, (0.0, 0.0)))
             context[name] = pair
         current: dict[str, float] = {}
@@ -1667,109 +1133,49 @@ class TimingEngine:
     def _project_rebind_exact(
         self, bindings: tuple[tuple[Pin, str], ...]
     ) -> SlackProjection:
-        """Full-cone projection mirroring :meth:`apply_and_update`.
+        """Full-cone projection: :meth:`_repropagate` under the rebinding.
 
-        Forward arrivals and backward required times are re-derived
-        into overlay dicts with the same worklists the committed
-        update would run (changes re-push their neighbors, so the
-        result is the unique fixed point regardless of visit order);
-        the cached engine state is never written.  ``touched`` is the
-        complete visited set — the conflict footprint under which
-        batched projections add exactly.
+        Seeds are what the committed update would seed after the move:
+        the rebound nets' drivers and old and new sink gates forward,
+        the rebound nets, the moved pins' gates and their post-move
+        fanins backward.  ``touched`` is the complete visited set — the
+        conflict footprint under which batched projections add exactly.
         """
         network = self.network
-        moved, specs = self._rebind_specs(bindings)
+        moved, new_stars = self._rebind_overlay(bindings)
         if not moved:
             return SlackProjection(
                 bindings=bindings, current={}, projected={},
                 touched=frozenset(), exact=True,
             )
-        new_stars = {
-            net: build_star(
-                network, self.placement, self.library, net,
-                po_pad_cap=self.po_pad_cap, override_sinks=spec,
-            )
-            for net, spec in specs.items()
-        }
-        levels = self._levels
-
-        def consumers(net: str) -> list[Pin]:
-            star = new_stars.get(net)
-            if star is not None:
-                return [s.pin for s in star.sinks if s.pin is not None]
-            return network.fanout(net)
-
-        def effective_fanins(name: str) -> list[str]:
-            gate = network.gate(name)
-            return [
-                moved.get(Pin(name, index), fanin)
-                for index, fanin in enumerate(gate.fanins)
-            ]
-
-        # forward: arrivals through the affected fanout, overlay-only
-        arr_over: dict[str, tuple[float, float]] = {}
-        visited_fwd: set[str] = set()
         seeds: set[str] = set()
-        for net in new_stars:
-            if not network.is_input(net):
-                seeds.add(net)
-            for sink in self._ensure_star(net).sinks:
-                if sink.pin is not None:
-                    seeds.add(sink.pin.gate)
-            for pin in consumers(net):
-                seeds.add(pin.gate)
-        heap = [(levels.get(name, 0), name) for name in sorted(seeds)]
-        heapq.heapify(heap)
-        while heap:
-            _, name = heapq.heappop(heap)
-            if name not in network or network.is_input(name):
-                continue
-            visited_fwd.add(name)
-            pair = self._rebound_gate_arrival(name, moved, new_stars, arr_over)
-            old = arr_over.get(name, self.arrival.get(name))
-            if pair != old:
-                arr_over[name] = pair
-                for pin in consumers(name):
-                    heapq.heappush(
-                        heap, (levels.get(pin.gate, 0), pin.gate)
-                    )
-        # backward: required times through the affected fanin frontier
-        req_over: dict[str, tuple[float, float]] = {}
-        visited_bwd: set[str] = set()
         bseeds: set[str] = set()
         for net in new_stars:
             bseeds.add(net)
             if not network.is_input(net):
-                bseeds.update(effective_fanins(net))
+                seeds.add(net)
+                bseeds.update(self._fanins_under(net, moved))
+            for sink in self._ensure_star(net).sinks:
+                if sink.pin is not None:
+                    seeds.add(sink.pin.gate)
+            for pin in self._sinks_under(net, new_stars):
+                seeds.add(pin.gate)
         for pin in moved:
             bseeds.add(pin.gate)
             if pin.gate in network and not network.is_input(pin.gate):
-                bseeds.update(effective_fanins(pin.gate))
-        bheap = [(-levels.get(net, 0), net) for net in sorted(bseeds)]
-        heapq.heapify(bheap)
-        while bheap:
-            _, net = heapq.heappop(bheap)
-            if net not in network:
-                continue
-            visited_bwd.add(net)
-            pair = self._rebound_req0(net, moved, new_stars, req_over)
-            old = req_over.get(net, self._req0.get(net))
-            if pair != old:
-                req_over[net] = pair
-                if not network.is_input(net):
-                    for fanin in effective_fanins(net):
-                        heapq.heappush(
-                            bheap, (-levels.get(fanin, 0), fanin)
-                        )
+                bseeds.update(self._fanins_under(pin.gate, moved))
+        arrivals, required, visited_fwd, visited_bwd = self._repropagate(
+            seeds, bseeds, moved, new_stars
+        )
         # fold changed slacks against the engine's (pinned) target
         target = self.period if self.period is not None else self.max_delay
         current: dict[str, float] = {}
         projected: dict[str, float] = {}
-        for net in set(arr_over) | set(req_over):
-            req = req_over.get(net, self._req0.get(net))
+        for net in set(arrivals) | set(required):
+            req = required.get(net, self._req0.get(net))
             if req is None:
                 continue
-            arrival = arr_over.get(net, self.arrival.get(net, (0.0, 0.0)))
+            arrival = arrivals.get(net, self.arrival.get(net, (0.0, 0.0)))
             projected[net] = min(
                 req[0] - arrival[0], req[1] - arrival[1]
             ) + target
@@ -1783,56 +1189,6 @@ class TimingEngine:
             touched=frozenset(new_stars) | visited_fwd | visited_bwd,
             exact=True,
         )
-
-    def _rebound_req0(
-        self,
-        net: str,
-        moved: dict[Pin, str],
-        new_stars: dict[str, StarNet],
-        req_over: dict[str, tuple[float, float]],
-    ) -> tuple[float, float]:
-        """Zero-target required pair at *net* under a rebind overlay.
-
-        Mirrors :meth:`_recompute_req0`: consumer pins come from the
-        post-move sink lists, consumer loads and sink wire delays from
-        the overlay stars, consumer required pairs from the overlay.
-        """
-        network = self.network
-        INF = float("inf")
-        rise = fall = INF
-        star = new_stars.get(net)
-        if star is None:
-            star = self._ensure_star(net)
-        if network.is_output(net):
-            po_delay = 0.0
-            for sink in star.sinks:
-                if sink.pin is None:
-                    po_delay = sink.wire_delay
-                    break
-            rise = fall = -po_delay
-        sink_pins = [s.pin for s in star.sinks if s.pin is not None]
-        for pin in sink_pins:
-            consumer = network.gate(pin.gate)
-            out_pair = req_over.get(pin.gate, self._req0.get(pin.gate))
-            if out_pair is None:
-                continue
-            cell = self._cell_of(pin.gate)
-            if cell is None:
-                d_rise = d_fall = 0.0
-            else:
-                own_star = new_stars.get(pin.gate)
-                if own_star is None:
-                    own_star = self.stars[pin.gate]
-                load = own_star.total_cap
-                d_rise = cell.delay(load, "rise")
-                d_fall = cell.delay(load, "fall")
-            pin_rise_budget, pin_fall_budget = _required_through(
-                consumer.gtype, out_pair[0] - d_rise, out_pair[1] - d_fall
-            )
-            wire = star.sink_delay(pin)
-            rise = min(rise, pin_rise_budget - wire)
-            fall = min(fall, pin_fall_budget - wire)
-        return (rise, fall)
 
 
 def _propagate(
@@ -1877,3 +1233,11 @@ def _with_total_cap(star: StarNet, total_cap: float) -> StarNet:
         total_cap=max(total_cap, 0.0),
         sinks=star.sinks,
     )
+
+
+def _pad_delay(star: StarNet) -> float:
+    """Wire delay to a star's first primary-output pad (0 without one)."""
+    for sink in star.sinks:
+        if sink.pin is None:
+            return sink.wire_delay
+    return 0.0

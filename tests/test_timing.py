@@ -138,6 +138,31 @@ def test_sta_critical_path_is_connected(library):
     )
 
 
+def test_reports_follow_committed_mutations(library):
+    """critical_path/worst_slack refresh the caches after a rewire."""
+    net = random_network(11, num_gates=30, num_outputs=3)
+    map_network(net, library)
+    from repro.place.placer import place
+
+    pl = place(net, library, seed=1)
+    engine = TimingEngine(net, pl, library, period=5.0)
+    path = engine.critical_path()
+    last = path[-1].net
+    # move the critical pin of the PO driver onto a primary input
+    critical_pin = Pin(last, net.gate(last).fanins.index(path[-2].net))
+    net.replace_fanin(critical_pin, net.inputs[0])
+    fresh = TimingEngine(net, pl, library, period=5.0)
+    fresh.analyze()
+    assert engine.worst_slack() == pytest.approx(
+        fresh.worst_slack(), abs=1e-12
+    )
+    path = engine.critical_path()
+    expected = fresh.critical_path()
+    assert [point.net for point in path] == [point.net for point in expected]
+    for point, reference in zip(path, expected):
+        assert point.arrival == pytest.approx(reference.arrival, abs=1e-12)
+
+
 def test_arrivals_monotone_along_path(library):
     net = random_network(13, num_gates=25, num_outputs=2)
     map_network(net, library)

@@ -201,25 +201,6 @@ def test_projected_slacks_agree_with_applied(seed, library):
         bindings = _leaf_swap_bindings(network)
 
 
-def test_fast_projection_matches_scalar_fallback(library, monkeypatch):
-    """The one-numpy-pass star rebinding equals the build_star fallback."""
-    import repro.timing.sta as sta
-
-    network, placement = _prepared(5, library)
-    engine = _pinned_engine(network, placement, library)
-    bindings = _leaf_swap_bindings(network)
-    assert bindings
-    vectorized = engine.project_swap_slacks(bindings)
-    monkeypatch.setattr(sta, "_np", None)
-    scalar = engine.project_swap_slacks(bindings)
-    for fast, slow in zip(vectorized, scalar):
-        assert set(fast.projected) == set(slow.projected)
-        for net in fast.projected:
-            assert fast.projected[net] == pytest.approx(
-                slow.projected[net], abs=1e-12
-            )
-
-
 # ----------------------------------------------------------------------
 # guard-band monotonicity
 # ----------------------------------------------------------------------
