@@ -25,23 +25,32 @@ difference.  Batches of candidates are scored as single vectorized
 numpy expressions over gathered extrema rows (a pure-Python fallback
 keeps the engine importable without numpy).
 
+Cells move through the same arithmetic: a net's driver and sink gates
+are movable terminals, only pads are fixed.  ``cell_swap_delta`` prices
+exchanging two cells' locations (O(1) per net holding one terminal of
+the pair) and ``swap_cells`` commits it.  The annealer
+(:func:`repro.place.placer._anneal`) is the only caller that moves
+cells; after placement they stay put, the paper's premise.
+
 Freshness follows the mutation-event contract (see
 ``docs/architecture.md``): the engine subscribes to the network; pin
 rewires (``swap_fanins`` / ``replace_fanin``) are folded in
 incrementally (the two affected nets' extrema are rebuilt from their
 terminal lists), structural mutations mark the whole flattening stale
-for lazy rebuild.  The placement is assumed frozen — the paper's
-premise — and :meth:`rebuild` is the escape hatch for callers that
-move cells anyway.
+for lazy rebuild.  Cell moves made behind the engine's back (anything
+but :meth:`~WirelengthEngine.swap_cells`) need an explicit
+:meth:`~WirelengthEngine.rebuild`.
 """
 
 from __future__ import annotations
+
+from collections import ChainMap
 
 from ..contracts import projection_only
 from ..network import events
 from ..network.netlist import Network, Pin
 from ..network.soa import get_soa, ragged_indices
-from .placement import Placement
+from .placement import Placement, bbox_hpwl
 
 try:  # numpy accelerates batch scoring; the scalar path needs nothing
     import numpy as _np
@@ -53,7 +62,8 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
 #: set-iteration (= PYTHONHASHSEED) order.
 __deterministic__ = True
 
-_INCREMENTAL_EVENTS = frozenset({events.SWAP_FANINS, events.REPLACE_FANIN})
+_INF = float("inf")
+
 #: Mutations with no geometric effect: cell/type rebinds keep every
 #: terminal where it was.
 _GEOMETRY_NEUTRAL_EVENTS = frozenset({events.SET_CELL, events.SET_GATE_TYPE})
@@ -80,13 +90,14 @@ class WirelengthEngine:
         self.placement = placement
         #: work counters for benchmarks and tests
         self.rebuilds = 0
-        self.net_updates = 0
-        self.batches_scored = 0
         self.candidates_scored = 0
         self._needs_rebuild = True
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
         self._sink_pins: list[set[Pin]] = []
+        #: per net: the driving gate (``None`` for an input-driven net)
+        self._driver: list[str | None] = []
+        #: per net: the pads on it (input pad first, then PO pads)
         self._fixed: list[list[tuple[float, float]]] = []
         self._loc: dict[str, tuple[float, float]] = {}
         self._hpwl: list[float] = []
@@ -148,16 +159,17 @@ class WirelengthEngine:
         self._names = names
         self._ids = {net: index for index, net in enumerate(names)}
         self._sink_pins = [set() for _ in names]
-        self._fixed = [[] for _ in names]
+        self._driver = []
+        self._fixed = []
         pads = placement.output_pads
         for net in names:
-            index = self._ids[net]
-            self._fixed[index].append(
-                placement.source_location(network, net)
-            )
-            self._fixed[index].extend(
-                pads[slot] for slot in network.output_slots(net)
-            )
+            fixed = [pads[slot] for slot in network.output_slots(net)]
+            if network.is_input(net):
+                fixed.insert(0, placement.input_pads[net])
+                self._driver.append(None)
+            else:
+                self._driver.append(net)
+            self._fixed.append(fixed)
         for gate in network.gates():
             for pin_index, net in enumerate(gate.fanins):
                 self._sink_pins[self._ids[net]].add(
@@ -197,23 +209,24 @@ class WirelengthEngine:
             return False
         names = self._names
         net_index = compiled.net_index
-        kernel_ids = _np.empty(len(names), dtype=_np.int64)
-        for index, net in enumerate(names):
-            kernel_id = net_index.get(net)
-            if kernel_id is None:
-                return False
-            kernel_ids[index] = kernel_id
-        # terminal points per net: the fixed points (driver + pads)
-        # first, then every sink pin's gate location from the CSR
+        kernel_ids = _np.array(
+            [net_index.get(net, -1) for net in names], dtype=_np.int64
+        )
+        if (kernel_ids < 0).any():
+            return False
+        # terminal points per net: the pads first, then the driving
+        # gate, then every sink pin's gate location from the CSR
         fixed_counts = _np.array(
             [len(points) for points in self._fixed], dtype=_np.int64
         )
+        driven = kernel_ids >= compiled.num_inputs
+        driver_counts = driven.astype(_np.int64)
         sink_counts = arrays["consumer_counts"][kernel_ids]
         edges, _ = ragged_indices(
             arrays["consumer_offset"][kernel_ids], sink_counts
         )
         sink_points = table[arrays["consumer_gate"][edges]]
-        counts = fixed_counts + sink_counts
+        counts = fixed_counts + driver_counts + sink_counts
         total = int(counts.sum())
         points = _np.empty((total, 2))
         seg_starts = _np.concatenate(
@@ -224,8 +237,11 @@ class WirelengthEngine:
             point for net_points in self._fixed for point in net_points
         ]
         points[fixed_slots] = _np.asarray(flat_fixed).reshape(-1, 2)
+        points[(seg_starts + fixed_counts)[driven]] = table[
+            kernel_ids[driven] - compiled.num_inputs
+        ]
         sink_slots, _ = ragged_indices(
-            seg_starts + fixed_counts, sink_counts
+            seg_starts + fixed_counts + driver_counts, sink_counts
         )
         points[sink_slots] = sink_points
         rows = _np.empty((len(names), 12))
@@ -241,58 +257,53 @@ class WirelengthEngine:
             cnt_max = _np.add.reduceat(
                 (values == max1_rep).astype(_np.float64), seg_starts
             )
-            INF = float("inf")
             strict_min2 = _np.minimum.reduceat(
-                _np.where(values == min1_rep, INF, values), seg_starts
+                _np.where(values == min1_rep, _INF, values), seg_starts
             )
             strict_max2 = _np.maximum.reduceat(
-                _np.where(values == max1_rep, -INF, values), seg_starts
+                _np.where(values == max1_rep, -_INF, values), seg_starts
             )
-            # one unique extremum and >= 2 points: the strict second;
-            # otherwise (duplicated extremum, single point) the extremum
-            min2 = _np.where(
-                (cnt_min == 1.0) & _np.isfinite(strict_min2),
-                strict_min2, min1,
+            # a unique extremum's runner-up is the strict second (+-inf
+            # on a one-terminal net); a duplicated extremum is its own
+            min2 = _np.where(cnt_min == 1.0, strict_min2, min1)
+            max2 = _np.where(cnt_max == 1.0, strict_max2, max1)
+            rows[:, axis * 6:axis * 6 + 6] = _np.stack(
+                [min1, min2, cnt_min, max1, max2, cnt_max], axis=1
             )
-            max2 = _np.where(
-                (cnt_max == 1.0) & _np.isfinite(strict_max2),
-                strict_max2, max1,
-            )
-            base = axis * 6
-            rows[:, base + 0] = min1
-            rows[:, base + 1] = min2
-            rows[:, base + 2] = cnt_min
-            rows[:, base + 3] = max1
-            rows[:, base + 4] = max2
-            rows[:, base + 5] = cnt_max
-        hpwl = _np.where(
-            counts >= 2,
-            (rows[:, 3] - rows[:, 0]) + (rows[:, 9] - rows[:, 6]),
-            0.0,
-        )
+        hpwl = (rows[:, 3] - rows[:, 0]) + (rows[:, 9] - rows[:, 6])
         self._ext = rows.tolist()
         self._hpwl = hpwl.tolist()
         self._ext_np = rows
         self._hpwl_np = hpwl
-        self.net_updates += len(names)
         return True
+
+    def _points(
+        self, index: int, loc=None, moved=()
+    ) -> list[tuple[float, float]]:
+        """Terminal coordinates of one net: pads, driver, then sinks.
+
+        *loc* overrides the cached cell locations; sink pins in *moved*
+        are left out.
+        """
+        if loc is None:
+            loc = self._loc
+        points = list(self._fixed[index])
+        driver = self._driver[index]
+        if driver is not None:
+            points.append(loc[driver])
+        for pin in self._sink_pins[index]:
+            if pin not in moved:
+                points.append(loc[pin.gate])
+        return points
 
     def _recompute_net(self, index: int) -> None:
         """Exact extrema + HPWL of one net from its terminal list."""
-        points = list(self._fixed[index])
-        loc = self._loc
-        for pin in self._sink_pins[index]:
-            points.append(loc[pin.gate])
-        row = _extrema_row(points)
+        row = _extrema_row(self._points(index))
         self._ext[index] = row
-        if len(points) < 2:
-            self._hpwl[index] = 0.0
-        else:
-            self._hpwl[index] = (row[3] - row[0]) + (row[9] - row[6])
+        self._hpwl[index] = (row[3] - row[0]) + (row[9] - row[6])
         if self._ext_np is not None:
             self._ext_np[index] = row
             self._hpwl_np[index] = self._hpwl[index]
-        self.net_updates += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -308,6 +319,59 @@ class WirelengthEngine:
         return self._hpwl[self._ids[net]]
 
     # ------------------------------------------------------------------
+    # cell moves (the annealer)
+    # ------------------------------------------------------------------
+    def _cell_nets(self, a: str, b: str) -> list[tuple[int, int, int]]:
+        """(net index, terminals of *a*, terminals of *b*) for every net
+        either cell is on, in net-name order."""
+        gates = self.network.gate
+        nets_a = [a, *gates(a).fanins]
+        nets_b = [b, *gates(b).fanins]
+        ids = self._ids
+        return [
+            (ids[net], nets_a.count(net), nets_b.count(net))
+            for net in sorted(set(nets_a) | set(nets_b))
+        ]
+
+    @projection_only
+    def cell_swap_delta(self, a: str, b: str) -> float:
+        """HPWL change of exchanging two cells' locations: the affected
+        nets' HPWLs summed after minus before, both in net-name order.
+
+        A net holding one terminal of the pair is priced from its
+        extrema row; any other is re-boxed from its terminal list.
+        """
+        self.refresh()
+        loc = self._loc
+        loc_a, loc_b = loc[a], loc[b]
+        ax, ay = loc_a
+        bx, by = loc_b
+        hpwl = self._hpwl
+        before = []
+        after = []
+        for index, on_a, on_b in self._cell_nets(a, b):
+            before.append(hpwl[index])
+            if on_a == 1 and on_b == 0:
+                after.append(self._after(index, ax, ay, bx, by))
+            elif on_a == 0 and on_b == 1:
+                after.append(self._after(index, bx, by, ax, ay))
+            else:
+                swapped = ChainMap({a: loc_b, b: loc_a}, loc)
+                after.append(bbox_hpwl(self._points(index, swapped)))
+        return sum(after) - sum(before)
+
+    def swap_cells(self, a: str, b: str) -> None:
+        """Commit the exchange of two cells' locations: the placement,
+        the cached locations and the affected nets' extrema rows."""
+        self.refresh()
+        loc = self._loc
+        loc[a], loc[b] = loc[b], loc[a]
+        locations = self.placement.locations
+        locations[a], locations[b] = loc[a], loc[b]
+        for index, _, _ in self._cell_nets(a, b):
+            self._recompute_net(index)
+
+    # ------------------------------------------------------------------
     # candidate pricing (no mutation, no events)
     # ------------------------------------------------------------------
     @projection_only
@@ -315,28 +379,15 @@ class WirelengthEngine:
         """HPWL change of exchanging the two pins' drivers (negative =
         shorter), priced arithmetically against the cached extrema."""
         self.refresh()
-        network = self.network
-        net_a = network.fanin_net(pin_a)
-        net_b = network.fanin_net(pin_b)
-        if net_a == net_b:
-            return 0.0
-        index_a = self._ids[net_a]
-        index_b = self._ids[net_b]
-        ax, ay = self._loc[pin_a.gate]
-        bx, by = self._loc[pin_b.gate]
-        after_a = self._after(index_a, ax, ay, bx, by)
-        after_b = self._after(index_b, bx, by, ax, ay)
         self.candidates_scored += 1
-        return (after_a + after_b) - (
-            self._hpwl[index_a] + self._hpwl[index_b]
-        )
+        return self._scalar_delta(pin_a, pin_b)
 
     def _after(
         self, index: int,
         removed_x: float, removed_y: float,
         added_x: float, added_y: float,
     ) -> float:
-        """HPWL of a net after removing one sink and adding another."""
+        """HPWL of a net after removing one terminal and adding another."""
         row = self._ext[index]
         width = _axis_after(
             row[0], row[1], row[2], row[3], row[4], row[5],
@@ -356,7 +407,6 @@ class WirelengthEngine:
         calling :meth:`swap_delta` per pair (selection arithmetic only).
         """
         self.refresh()
-        self.batches_scored += 1
         self.candidates_scored += len(pairs)
         if _np is None or len(pairs) < 2:
             return [self._scalar_delta(pin_a, pin_b) for pin_a, pin_b in pairs]
@@ -380,10 +430,8 @@ class WirelengthEngine:
             self._hpwl_np = _np.asarray(self._hpwl)
         ext = self._ext_np
         hpwl = self._hpwl_np
-        rows_a = ext[index_a]
-        rows_b = ext[index_b]
-        after_a = _after_rows(rows_a, ax, ay, bx, by)
-        after_b = _after_rows(rows_b, bx, by, ax, ay)
+        after_a = _after_rows(ext[index_a], ax, ay, bx, by)
+        after_b = _after_rows(ext[index_b], bx, by, ax, ay)
         delta = (after_a + after_b) - (hpwl[index_a] + hpwl[index_b])
         delta[index_a == index_b] = 0.0
         return [float(value) for value in delta]
@@ -427,20 +475,11 @@ class WirelengthEngine:
         delta = 0.0
         for index in sorted(affected):
             net = self._names[index]
-            points = list(self._fixed[index])
-            for pin in self._sink_pins[index]:
-                if pin not in moved:
-                    points.append(loc[pin.gate])
+            points = self._points(index, moved=moved)
             for pin, new_net in moved.items():
                 if new_net == net:
                     points.append(loc[pin.gate])
-            if len(points) < 2:
-                new_hpwl = 0.0
-            else:
-                xs = [point[0] for point in points]
-                ys = [point[1] for point in points]
-                new_hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-            delta += new_hpwl - self._hpwl[index]
+            delta += bbox_hpwl(points) - self._hpwl[index]
         return delta
 
     def footprint_nets(self, pins: list[Pin]) -> set[str]:
@@ -450,38 +489,26 @@ class WirelengthEngine:
 
 
 def _extrema_row(points: list[tuple[float, float]]) -> list[float]:
-    """[min1, min2, cnt_min, max1, max2, cnt_max] for x then y."""
+    """[min1, min2, cnt_min, max1, max2, cnt_max] for x then y.
+
+    ``min2``/``max2`` are the extremum left after removing one copy of
+    ``min1``/``max1``: ``min1`` itself when it is duplicated, ``+-inf``
+    on a one-terminal net.
+    """
     row: list[float] = []
     for axis in (0, 1):
-        min1 = min2 = float("inf")
-        max1 = max2 = float("-inf")
-        cnt_min = cnt_max = 0
-        for point in points:
-            value = point[axis]
-            if value < min1:
-                min2 = min1
-                min1 = value
-                cnt_min = 1
-            elif value == min1:
-                cnt_min += 1
-                min2 = value
-            elif value < min2:
-                min2 = value
-            if value > max1:
-                max2 = max1
-                max1 = value
-                cnt_max = 1
-            elif value == max1:
-                cnt_max += 1
-                max2 = value
-            elif value > max2:
-                max2 = value
-        if not points:
-            min1 = min2 = max1 = max2 = 0.0
-        elif len(points) == 1:
-            min2 = min1
-            max2 = max1
-        row.extend([min1, min2, float(cnt_min), max1, max2, float(cnt_max)])
+        values = [point[axis] for point in points]
+        low = min(values)
+        high = max(values)
+        cnt_low = values.count(low)
+        cnt_high = values.count(high)
+        low2 = low if cnt_low > 1 else min(
+            [value for value in values if value != low], default=_INF
+        )
+        high2 = high if cnt_high > 1 else max(
+            [value for value in values if value != high], default=-_INF
+        )
+        row.extend([low, low2, float(cnt_low), high, high2, float(cnt_high)])
     return row
 
 
@@ -499,27 +526,20 @@ def _axis_after(
 
 
 def _after_rows(rows, removed_x, removed_y, added_x, added_y):
-    """Vectorized :func:`_axis_after` over gathered extrema rows."""
-    effective_max_x = _np.where(
-        (removed_x == rows[:, 3]) & (rows[:, 5] == 1.0),
-        rows[:, 4], rows[:, 3],
+    """Vectorized :meth:`WirelengthEngine._after` over gathered rows."""
+    return _axis_after_rows(rows[:, :6], removed_x, added_x) + (
+        _axis_after_rows(rows[:, 6:], removed_y, added_y)
     )
-    effective_min_x = _np.where(
-        (removed_x == rows[:, 0]) & (rows[:, 2] == 1.0),
-        rows[:, 1], rows[:, 0],
+
+
+def _axis_after_rows(axis, removed, added):
+    """Vectorized :func:`_axis_after` over one axis's extrema columns."""
+    effective_max = _np.where(
+        (removed == axis[:, 3]) & (axis[:, 5] == 1.0), axis[:, 4], axis[:, 3]
     )
-    effective_max_y = _np.where(
-        (removed_y == rows[:, 9]) & (rows[:, 11] == 1.0),
-        rows[:, 10], rows[:, 9],
+    effective_min = _np.where(
+        (removed == axis[:, 0]) & (axis[:, 2] == 1.0), axis[:, 1], axis[:, 0]
     )
-    effective_min_y = _np.where(
-        (removed_y == rows[:, 6]) & (rows[:, 8] == 1.0),
-        rows[:, 7], rows[:, 6],
+    return _np.maximum(effective_max, added) - _np.minimum(
+        effective_min, added
     )
-    width = _np.maximum(effective_max_x, added_x) - _np.minimum(
-        effective_min_x, added_x
-    )
-    height = _np.maximum(effective_max_y, added_y) - _np.minimum(
-        effective_min_y, added_y
-    )
-    return width + height

@@ -39,17 +39,6 @@ class Placement:
             return self.input_pads[net]
         return self.locations[net]
 
-    def sink_locations(
-        self, network: Network, net: str
-    ) -> list[tuple[float, float]]:
-        """Locations of every sink of *net*: fanout pins, then PO pads."""
-        sinks = [
-            self.locations[pin.gate] for pin in network.fanout(net)
-        ]
-        for index in network.output_slots(net):
-            sinks.append(self.output_pads[index])
-        return sinks
-
     def ensure_covered(self, network: Network) -> None:
         """Place any unplaced gate at its first sink (or die center).
 
@@ -91,20 +80,29 @@ def manhattan(
 def net_terminals(
     network: Network, placement: Placement, net: str
 ) -> list[tuple[float, float]]:
-    """All terminal coordinates of a net: source first, then sinks."""
-    return [
-        placement.source_location(network, net)
-    ] + placement.sink_locations(network, net)
+    """All terminal coordinates of a net: source first, then the
+    fanout pins' gates, then PO pads."""
+    locations = placement.locations
+    terminals = [placement.source_location(network, net)]
+    terminals.extend(locations[pin.gate] for pin in network.fanout(net))
+    terminals.extend(
+        placement.output_pads[slot] for slot in network.output_slots(net)
+    )
+    return terminals
+
+
+def bbox_hpwl(points: list[tuple[float, float]]) -> float:
+    """Half-perimeter of the bounding box of *points* (0.0 below two)."""
+    if len(points) < 2:
+        return 0.0
+    xs = [point[0] for point in points]
+    ys = [point[1] for point in points]
+    return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
 
 def net_hpwl(network: Network, placement: Placement, net: str) -> float:
-    """Half-perimeter wirelength of one net."""
-    terminals = net_terminals(network, placement, net)
-    if len(terminals) < 2:
-        return 0.0
-    xs = [t[0] for t in terminals]
-    ys = [t[1] for t in terminals]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
+    """Half-perimeter wirelength of one net (the interpreted oracle)."""
+    return bbox_hpwl(net_terminals(network, placement, net))
 
 
 def total_hpwl(network: Network, placement: Placement) -> float:

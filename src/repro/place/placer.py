@@ -22,7 +22,8 @@ import random
 from ..library.cells import Library, ROW_HEIGHT_UM
 from ..network.netlist import Network
 from .fm import bipartition
-from .placement import Placement, die_for, net_hpwl, total_hpwl
+from .hpwl import WirelengthEngine
+from .placement import Placement, die_for
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
 #: this module's float accumulations and tie-breaks must never follow
@@ -41,8 +42,9 @@ def place(
     """Place a mapped network; returns coordinates for every gate.
 
     ``anneal_moves`` > 0 enables the annealing polish with that move
-    budget (useful for small designs and tests; the Table 1 flow leaves
-    it off for speed, as bisection quality suffices for delay trends).
+    budget.  The Table 1 flow anneals 40 moves per gate, capped at
+    120,000, for its final placement and half that for the presize
+    proxy placement (``suite/flow.py``).
     """
     die_width, die_height = die_for(network, library, utilization)
     placement = Placement(die_width=die_width, die_height=die_height)
@@ -93,23 +95,16 @@ def _recursive_bisect(
             weights.append(library.cell(gate.cell).area)
         else:
             weights.append(ROW_HEIGHT_UM)
-    hyperedges: list[list[int]] = []
-    edge_weight: list[float] = []
-    for net in network.nets():
-        members = set()
-        if net in index_of:
-            members.add(index_of[net])
-        for pin in network.fanout(net):
-            members.add(index_of[pin.gate])
-        if len(members) > 1:
-            hyperedges.append(sorted(members))
-            weight = (net_weights or {}).get(net, 1.0)
-            edge_weight.append(weight)
     # weighted nets are replicated (integer weight) so FM favours them
     weighted_edges: list[list[int]] = []
-    for edge, weight in zip(hyperedges, edge_weight):
-        copies = max(1, min(4, round(weight)))
-        weighted_edges.extend([edge] * copies)
+    for net in network.nets():
+        members = {index_of[pin.gate] for pin in network.fanout(net)}
+        if net in index_of:
+            members.add(index_of[net])
+        if len(members) > 1:
+            weight = (net_weights or {}).get(net, 1.0)
+            copies = max(1, min(4, round(weight)))
+            weighted_edges.extend([sorted(members)] * copies)
 
     regions: dict[str, tuple[float, float]] = {}
 
@@ -205,36 +200,23 @@ def _anneal(
     seed: int,
     moves: int,
 ) -> None:
-    """Low-temperature pairwise-swap polish of the legal placement."""
+    """Low-temperature pairwise-swap polish of the legal placement.
+
+    Every move is priced by :meth:`WirelengthEngine.cell_swap_delta`
+    and an accepted one is committed by
+    :meth:`WirelengthEngine.swap_cells`.
+    """
     rng = random.Random(seed)
     names = list(network.gate_names())
     if len(names) < 2:
         return
-    nets_of: dict[str, list[str]] = {name: [name] for name in names}
-    for gate in network.gates():
-        for net in gate.fanins:
-            nets_of[gate.name].append(net)
-    current = total_hpwl(network, placement)
-    temperature = max(current / max(len(names), 1), 1.0)
-    for step in range(moves):
+    engine = WirelengthEngine(network, placement)
+    temperature = max(engine.total_hpwl() / len(names), 1.0)
+    for _ in range(moves):
         a, b = rng.sample(names, 2)
-        # sorted: HPWL deltas are float sums, and summing in set
-        # iteration order would make accept/reject decisions (and the
-        # whole trajectory) depend on PYTHONHASHSEED
-        affected = sorted(
-            net for net in set(nets_of[a]) | set(nets_of[b])
-            if net in placement.locations or network.is_input(net)
-        )
-        before = sum(
-            net_hpwl(network, placement, net) for net in affected
-        )
-        loc_a, loc_b = placement.locations[a], placement.locations[b]
-        placement.locations[a], placement.locations[b] = loc_b, loc_a
-        after = sum(net_hpwl(network, placement, net) for net in affected)
-        delta = after - before
-        if delta > 0 and rng.random() >= math.exp(
+        delta = engine.cell_swap_delta(a, b)
+        if delta <= 0 or rng.random() < math.exp(
             -delta / max(temperature, 1e-9)
         ):
-            placement.locations[a], placement.locations[b] = loc_a, loc_b
+            engine.swap_cells(a, b)
         temperature *= 0.999
-    return

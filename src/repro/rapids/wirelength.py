@@ -63,7 +63,12 @@ from dataclasses import dataclass
 from ..contracts import projection_only
 from ..network.netlist import Network, Pin
 from ..place.hpwl import WirelengthEngine
-from ..place.placement import Placement, net_terminals, total_hpwl
+from ..place.placement import (
+    Placement,
+    bbox_hpwl,
+    net_terminals,
+    total_hpwl,
+)
 from ..symmetry.cross import (
     CrossSwap,
     apply_cross_swap,
@@ -118,14 +123,6 @@ class WirelengthResult:
         ) / self.initial_hpwl
 
 
-def _hpwl_of(terminals: list[tuple[float, float]]) -> float:
-    if len(terminals) < 2:
-        return 0.0
-    xs = [t[0] for t in terminals]
-    ys = [t[1] for t in terminals]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-
 def _exchanged(
     terminals: list[tuple[float, float]],
     removed: tuple[float, float],
@@ -157,8 +154,8 @@ def swap_hpwl_delta(
     loc_b = placement.locations[swap.pin_b.gate]
     terms_a = net_terminals(network, placement, net_a)
     terms_b = net_terminals(network, placement, net_b)
-    before = _hpwl_of(terms_a) + _hpwl_of(terms_b)
-    after = _hpwl_of(_exchanged(terms_a, loc_a, loc_b)) + _hpwl_of(
+    before = bbox_hpwl(terms_a) + bbox_hpwl(terms_b)
+    after = bbox_hpwl(_exchanged(terms_a, loc_a, loc_b)) + bbox_hpwl(
         _exchanged(terms_b, loc_b, loc_a)
     )
     return after - before

@@ -1,5 +1,6 @@
 """Placement substrate: FM partitioning, placer, wirelength metrics."""
 
+import hashlib
 import random
 
 
@@ -149,6 +150,19 @@ def test_annealing_does_not_hurt(library):
     base = place(net, library, seed=0, anneal_moves=0)
     polished = place(net, library, seed=0, anneal_moves=4000)
     assert total_hpwl(net, polished) <= total_hpwl(net, base) * 1.02
+
+
+def test_anneal_trajectory_golden(library):
+    """The annealed placement is pinned bit for bit: a drifting move
+    trajectory (RNG draws, net order, float sums) changes the digest."""
+    net = random_network(3, num_gates=120, num_outputs=6)
+    map_network(net, library)
+    placement = place(net, library, seed=3, anneal_moves=4000)
+    digest = hashlib.blake2b(digest_size=16)
+    for name in sorted(placement.locations):
+        x, y = placement.locations[name]
+        digest.update(f"{name}:{x!r}:{y!r};".encode())
+    assert digest.hexdigest() == "961deb4ad57069bd0a7d0c87280107da"
 
 
 def test_die_sizing(library):

@@ -8,6 +8,9 @@ Locks the PR-4 contracts:
 * candidate pricing fires **zero** mutation events (listener spy);
 * batch deltas are bit-identical to scalar and to the interpreted
   trial-apply-and-revert computation;
+* cell-swap deltas (the annealer's pricing) are bit-identical to the
+  interpreted ``net_hpwl`` sums over the anneal's affected nets, and
+  committed cell swaps keep every cached box exact;
 * batched rewiring preserves function on random networks x random
   placements and never lengthens the total;
 * candidate enumeration is deduplicated, same-net-free and
@@ -24,6 +27,7 @@ import sys
 import pytest
 
 from repro.network.gatetype import GateType
+from repro.network.netlist import Pin
 from repro.place.hpwl import WirelengthEngine
 from repro.place.placement import net_hpwl, total_hpwl
 from repro.place.placer import place
@@ -144,6 +148,102 @@ def test_batch_deltas_bit_identical_to_interpreted(library):
             interpreted = after - before
             assert batch_delta == interpreted, (seed, pin_a, pin_b)
             assert scalar == interpreted, (seed, pin_a, pin_b)
+
+
+def _anneal_nets(net, a, b):
+    """The nets the annealer re-prices when cells *a* and *b* swap."""
+    return sorted({a, b, *net.gate(a).fanins, *net.gate(b).fanins})
+
+
+def _interpreted_cell_swap_delta(net, placement, a, b):
+    """Trial swap, interpreted ``net_hpwl`` sums before and after."""
+    nets = _anneal_nets(net, a, b)
+    locations = placement.locations
+    before = sum(net_hpwl(net, placement, name) for name in nets)
+    locations[a], locations[b] = locations[b], locations[a]
+    after = sum(net_hpwl(net, placement, name) for name in nets)
+    locations[a], locations[b] = locations[b], locations[a]
+    return after - before
+
+
+def _cell_swap_network(seed, library):
+    """A placed mapped network with a gate holding two pins on one net
+    and a dangling (one-terminal) gate."""
+    net, placement = prepared(seed, library, gates=90)
+    double = next(g for g in net.gates() if len(g.fanins) >= 2)
+    net.replace_fanin(Pin(double.name, 1), double.fanins[0])
+    dangling = net.fresh_name("dangling")
+    net.add_gate(dangling, GateType.INV, [double.name])
+    placement.ensure_covered(net)
+    placement.set_location(dangling, 1.5, 2.5)
+    return net, placement, double.name, dangling
+
+
+def test_cell_swap_delta_bit_identical_to_interpreted(library):
+    for seed in (61, 62, 63):
+        net, placement, double, dangling = _cell_swap_network(seed, library)
+        engine = WirelengthEngine(net, placement)
+        names = sorted(net.gate_names())
+        rng = random.Random(seed)
+        pairs = [tuple(rng.sample(names, 2)) for _ in range(150)]
+        for gate in net.gates():
+            # driver/sink pairs: nets holding both cells
+            sinks = net.fanout(gate.name)
+            if sinks:
+                pairs.append((gate.name, sinks[0].gate))
+        pairs += [(double, name) for name in names[:10] if name != double]
+        pairs += [(dangling, name) for name in names[:10]
+                  if name != dangling]
+        covered = set()
+        for a, b in pairs:
+            on_a = {a, *net.gate(a).fanins}
+            on_b = {b, *net.gate(b).fanins}
+            if any(net.is_input(name) for name in on_a | on_b):
+                covered.add("input")
+            if any(net.is_output(name) for name in on_a | on_b):
+                covered.add("output")
+            if on_a & on_b:
+                covered.add("both")
+            assert engine.cell_swap_delta(a, b) == (
+                _interpreted_cell_swap_delta(net, placement, a, b)
+            ), (seed, a, b)
+        assert covered == {"input", "output", "both"}, (seed, covered)
+
+
+def test_swap_cells_keeps_cached_boxes_exact(library):
+    for seed in (64, 65):
+        net, placement, double, dangling = _cell_swap_network(seed, library)
+        engine = WirelengthEngine(net, placement)
+        expected = dict(placement.locations)
+        names = sorted(net.gate_names())
+        rng = random.Random(seed)
+        moves = [tuple(rng.sample(names, 2)) for _ in range(200)]
+        moves += [(double, dangling), (dangling, names[0])]
+        for a, b in moves:
+            engine.swap_cells(a, b)
+            expected[a], expected[b] = expected[b], expected[a]
+        assert placement.locations == expected
+        for name in net.nets():
+            assert engine.net_hpwl(name) == net_hpwl(net, placement, name)
+        # committed rows (scalar re-box) == a fresh vectorized flattening
+        fresh = WirelengthEngine(net, placement)
+        fresh.refresh()
+        assert engine._ext == fresh._ext
+        # pin-swap pricing still agrees with the interpreted oracle
+        swaps = [
+            swap
+            for sg in extract_supergates(net).nontrivial()
+            for swap in enumerate_swaps(
+                sg, leaves_only=True, include_inverting=False, network=net
+            )
+        ]
+        assert swaps, seed
+        batch = engine.score_swaps([(s.pin_a, s.pin_b) for s in swaps])
+        for swap, batch_delta in zip(swaps, batch):
+            interpreted = swap_hpwl_delta(net, placement, swap)
+            assert engine.swap_delta(swap.pin_a, swap.pin_b) == interpreted
+            assert batch_delta == interpreted
+        assert engine.rebuilds == 1
 
 
 def test_batched_preserves_function_and_total(library):
