@@ -105,6 +105,10 @@ def _recursive_bisect(
             weight = (net_weights or {}).get(net, 1.0)
             copies = max(1, min(4, round(weight)))
             weighted_edges.extend([sorted(members)] * copies)
+    cell_edges: list[list[int]] = [[] for _ in names]
+    for edge_id, edge in enumerate(weighted_edges):
+        for cell in edge:
+            cell_edges[cell].append(edge_id)
 
     regions: dict[str, tuple[float, float]] = {}
 
@@ -122,11 +126,17 @@ def _recursive_bisect(
                     (y0 + y1) / 2.0,
                 )
             return
-        id_set = set(cell_ids)
         local_index = {cell: i for i, cell in enumerate(cell_ids)}
+        # only edges touching this split, in global edge order
+        touched = sorted({
+            edge_id for cell in cell_ids for edge_id in cell_edges[cell]
+        })
         local_nets = []
-        for edge in weighted_edges:
-            local = [local_index[c] for c in edge if c in id_set]
+        for edge_id in touched:
+            local = [
+                local_index[c] for c in weighted_edges[edge_id]
+                if c in local_index
+            ]
             if len(local) > 1:
                 local_nets.append(local)
         local_weights = [weights[c] for c in cell_ids]

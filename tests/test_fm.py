@@ -12,6 +12,7 @@ differ per process.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -135,3 +136,77 @@ def test_bipartition_independent_of_hash_seed():
         "FM partition depends on PYTHONHASHSEED: "
         + ", ".join(f"{s}->{o}" for s, o in outcomes.items())
     )
+
+
+def _golden_cases():
+    """Seeded hypergraphs over every regime the bucket structure has.
+
+    Unit, area-like, continuous, one-giant-cell and heavy-tailed
+    weights; random, alternating and skewed initial partitions (a side
+    that starts over the balance bound stays blocked for many pops);
+    balance 0.5-0.75; empty, single-pin and repeated-pin nets.
+    """
+    for case in range(216):
+        rng = random.Random(1000 + case)
+        num_cells = rng.choice((1, 2, 3, 7, 16, 40, 90, 160))
+        repeats = case % 7 == 6
+        nets = []
+        for _ in range(rng.randint(0, 2 * num_cells + 2)):
+            pins = rng.choice((0, 1, 2, 2, 2, 3, 3, 4, 6, 9))
+            if repeats:
+                nets.append([rng.randrange(num_cells) for _ in range(pins)])
+            else:
+                nets.append(rng.sample(range(num_cells), min(pins, num_cells)))
+        kind = case % 6
+        if kind == 0:
+            weights = None
+        elif kind == 1:
+            weights = [1.0] * num_cells
+        elif kind == 2:  # area-like: a few discrete cell sizes
+            weights = [
+                rng.choice((1.0, 1.5, 2.0, 3.5, 6.0))
+                for _ in range(num_cells)
+            ]
+        elif kind == 3:
+            weights = [rng.uniform(0.5, 8.0) for _ in range(num_cells)]
+        elif kind == 4:
+            weights = [1.0] * num_cells
+            weights[rng.randrange(num_cells)] = float(num_cells)
+        else:
+            weights = [
+                rng.choice((1.0, 1.0, 1.0, 2.0, 12.0))
+                for _ in range(num_cells)
+            ]
+        mode = (case // 6) % 4
+        if mode == 0:
+            initial = None
+        elif mode == 1:
+            initial = [rng.randint(0, 1) for _ in range(num_cells)]
+        elif mode == 2:
+            initial = [
+                0 if rng.random() < 0.85 else 1 for _ in range(num_cells)
+            ]
+        else:
+            initial = [cell % 2 for cell in range(num_cells)]
+        balance = rng.choice((0.5, 0.5, 0.55, 0.6, 0.75))
+        max_passes = rng.choice((1, 3, 8))
+        yield num_cells, nets, weights, balance, max_passes, case, initial
+
+
+def test_bipartition_golden():
+    """Every partition is pinned bit for bit: a change to the bucket
+    order, the tie-break, the balance test or the best-prefix rule
+    moves the digest (and with it every placement and carve)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for num_cells, nets, weights, balance, passes, seed, initial in (
+        _golden_cases()
+    ):
+        result = bipartition(
+            num_cells, nets, weights=weights, balance=balance,
+            max_passes=passes, seed=seed, initial=initial,
+        )
+        assert result.cut == _cut(nets, result.side)
+        digest.update(
+            f"{result.side}|{result.cut}|{result.passes};".encode()
+        )
+    assert digest.hexdigest() == "1f297a8ae8e7b1886d27f40b22bd62ab"

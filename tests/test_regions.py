@@ -10,6 +10,8 @@ direct test on mapped random networks.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from helpers import random_network
 
@@ -122,3 +124,23 @@ def test_stats_shape():
     assert stats["regions"] == float(len(regions.regions))
     assert stats["max_region_gates"] <= 20.0
     assert stats["boundary_nets"] == float(len(regions.boundary_nets))
+
+
+def test_carve_golden():
+    """The carve of a few-thousand-gate grid placement is pinned bit for
+    bit: regions, internal-net owners, boundary nets and FM passes."""
+    library = default_library()
+    network = random_network(
+        21, num_inputs=40, num_gates=6000, num_outputs=40
+    )
+    map_network(network, library)
+    regions = carve_regions(network, grid_placement(network), max_gates=300)
+    assert len(regions.regions) >= 10
+    digest = hashlib.blake2b(digest_size=16)
+    for region in regions.regions:
+        digest.update(("|".join(region.gates) + ";").encode())
+    for net in sorted(regions.net_region):
+        digest.update(f"{net}:{regions.net_region[net]};".encode())
+    digest.update("|".join(sorted(regions.boundary_nets)).encode())
+    digest.update(f"#{regions.fm_passes}".encode())
+    assert digest.hexdigest() == "4026f09a03f3f2f1ebcb60946ff00850"
