@@ -127,26 +127,3 @@ def test_incremental_sta_aggregate_reduction():
         f"incremental STA saved only {reduction:.2f}x in aggregate "
         f"(full={full_total}, incremental={incr_total})"
     )
-
-
-def test_auto_batch_limit_agrees(library):
-    """``batch_limit="auto"`` must not change the optimizer's answer.
-
-    The adaptive policy resizes commit batches from the measured
-    dirtied fraction — inputs both flavors compute identically — so
-    the trajectory must match the fixed-64 default move for move.
-    """
-    outcome = prepare_benchmark("c432", FlowConfig(), library)
-    runs = {}
-    for flavor, limit in (("fixed", 64), ("auto", "auto")):
-        net = outcome.network.copy()
-        placement = outcome.placement.copy()
-        result = run_rapids(
-            net, placement, library, mode="gsg_gs",
-            incremental=True, batch_limit=limit,
-        )
-        runs[flavor] = result.optimize
-    fixed, auto = runs["fixed"], runs["auto"]
-    assert auto.moves_applied == fixed.moves_applied
-    assert auto.final_delay == pytest.approx(fixed.final_delay, abs=1e-12)
-    assert auto.final_area == pytest.approx(fixed.final_area, abs=1e-12)

@@ -23,7 +23,10 @@ objects (:func:`graft_state` / :func:`engine_from_state`) and
 re-enters the loop at the saved cursor, producing a final fingerprint
 identical to an uninterrupted run (``tests/test_checkpoint.py`` locks
 this).  Every payload records :data:`PAYLOAD_FORMAT`; a file written in
-another format is refused with :class:`CheckpointFormatError`.
+another format is refused with :class:`CheckpointFormatError`.  Every
+payload also records the flow knobs that shape the trajectory; a
+resume under different values is refused with
+:class:`CheckpointMismatchError`, naming the knob.
 """
 
 from __future__ import annotations
@@ -76,6 +79,19 @@ class CheckpointFormatError(RuntimeError):
         self.path = path
 
 
+class CheckpointMismatchError(RuntimeError):
+    """The checkpoint was written by a run with different flow knobs."""
+
+    def __init__(self, path: str, knob: str, saved, given) -> None:
+        super().__init__(
+            f"checkpoint {path} was written with {knob}={saved!r}, this "
+            f"run has {knob}={given!r}; rerun with the same knobs, or "
+            f"without --resume to start fresh"
+        )
+        self.path = path
+        self.knob = knob
+
+
 def checkpoint_fault(index: int) -> str | None:
     """The planned action at checkpoint boundary *index*, if any.
 
@@ -103,15 +119,18 @@ class CheckpointManager:
     *every* is the boundary cadence (1 = save at every boundary).  The
     SIGTERM handler only sets a flag; the actual save happens at the
     next boundary, where the state is consistent by construction.
-    ``context`` entries (set by the orchestrator — benchmark name,
-    mode, flow knobs) ride along in every payload so resume can verify
-    it is continuing the same run.
+    ``context`` entries (set by the orchestrator) ride along in every
+    boundary payload.  ``knobs`` (also set by the orchestrator: the
+    arguments that shape the trajectory) are written into every saved
+    payload, and :meth:`load` refuses a payload whose recorded knobs
+    differ, so a resume always continues the same run.
     """
 
     def __init__(self, path: str, every: int = 1) -> None:
         self.path = str(path)
         self.every = max(1, int(every))
         self.context: dict = {}
+        self.knobs: dict = {}
         self.boundaries = 0
         self.saves = 0
         self.interrupted = False
@@ -160,7 +179,10 @@ class CheckpointManager:
         """The saved payload, or ``None`` (missing/corrupt → run fresh).
 
         Raises :class:`CheckpointFormatError` for a readable payload of
-        another format, instead of failing later on a missing key.
+        another format, instead of failing later on a missing key, and
+        :class:`CheckpointMismatchError` for one whose recorded knobs
+        differ from ``knobs`` (payloads that predate the record are not
+        checked).
         """
         try:
             with open(self.path, "rb") as handle:
@@ -173,6 +195,12 @@ class CheckpointManager:
         found = payload.pop("format", None)
         if found != PAYLOAD_FORMAT:
             raise CheckpointFormatError(self.path, found)
+        saved = payload.pop("knobs", {})
+        for knob, value in self.knobs.items():
+            if saved.get(knob, value) != value:
+                raise CheckpointMismatchError(
+                    self.path, knob, saved[knob], value
+                )
         return payload
 
     def save(self, payload: dict) -> None:
@@ -186,7 +214,8 @@ class CheckpointManager:
         tmp = f"{self.path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:
             pickle.dump(
-                {**payload, "format": PAYLOAD_FORMAT}, handle,
+                {**payload, "format": PAYLOAD_FORMAT, "knobs": self.knobs},
+                handle,
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             handle.flush()

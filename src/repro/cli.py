@@ -17,6 +17,7 @@ import sys
 from .checkpoint import (
     CHECKPOINT_EXIT_CODE,
     CheckpointFormatError,
+    CheckpointMismatchError,
     RunInterrupted,
 )
 from .rapids.report import Table1Row, averages
@@ -47,8 +48,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    config = FlowConfig(
+def _flow_config(args: argparse.Namespace) -> FlowConfig:
+    """The flow knobs ``table1`` and ``bench`` share."""
+    return FlowConfig(
         scale=args.scale,
         check_equivalence=args.verify,
         workers=args.workers,
@@ -64,6 +66,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         resume=args.resume,
         checkpoint_every=args.checkpoint_every,
     )
+
+
+def _cmd_table1(args: argparse.Namespace) -> int:
+    config = _flow_config(args)
     names = args.names or benchmark_names()
     print(Table1Row.HEADER)
     rows = []
@@ -95,22 +101,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = FlowConfig(
-        scale=args.scale,
-        check_equivalence=args.verify,
-        workers=args.workers,
-        sim_backend=args.sim_backend,
-        wl_passes=args.wl_passes,
-        wl_batched=args.wl_batched,
-        wl_timing_aware=args.wl_timing_aware,
-        wl_slack_margin=args.wl_slack_margin,
-        wl_class_swaps=args.wl_class_swaps,
-        partition=args.partition,
-        partition_max_gates=args.partition_max_gates,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
-    )
+    config = _flow_config(args)
     outcome = run_benchmark(args.name, config)
     print(f"benchmark {args.name} (scale {outcome.scale})")
     print(f"  gates {len(outcome.network)}  depth "
@@ -307,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownBenchmarkError as exc:
         print(f"rapids: {exc.args[0]}", file=sys.stderr)
         return 2
-    except CheckpointFormatError as exc:
+    except (CheckpointFormatError, CheckpointMismatchError) as exc:
         print(f"rapids: {exc}", file=sys.stderr)
         return 2
     except RunInterrupted as exc:

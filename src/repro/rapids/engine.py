@@ -415,7 +415,7 @@ def run_rapids(
     library: Library,
     mode: str = "gsg_gs",
     max_rounds: int = 12,
-    batch_limit: "int | str" = 64,
+    batch_limit: int = 64,
     check_equivalence: bool = False,
     collect_log: bool = False,
     incremental: bool = True,
@@ -439,9 +439,7 @@ def run_rapids(
     optional in benchmarks for speed); *sim_backend* picks the
     simulation backend that verification sweep runs on (``"auto"``
     resolves per sweep shape, see ``repro.logic.simcore.backends``).
-    *batch_limit* is the per-batch commit cap, or ``"auto"`` for the
-    adaptive policy (:class:`repro.sizing.coudert.BatchPolicy`) that
-    widens batches while each one dirties most of the network.
+    *batch_limit* is the per-batch commit cap.
     *wl_passes* > 0 appends that many Section-5 wirelength-rewiring
     passes after timing optimization (placement still untouched);
     *wl_batched* selects the vectorized conflict-free path over the
@@ -475,7 +473,11 @@ def run_rapids(
     cursor; the resumed run must be given the same inputs and flow
     knobs, and then finishes with a trajectory — and final
     fingerprint — bit-identical to an uninterrupted run (missing or
-    unreadable checkpoints fall back to a fresh run).
+    unreadable checkpoints fall back to a fresh run).  Every payload
+    records the knobs that shape the trajectory (all but *workers*,
+    the checkpoint settings, *check_equivalence*, *collect_log* and
+    *sim_backend*); resuming under different values raises
+    :class:`~repro.checkpoint.CheckpointMismatchError`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
@@ -486,6 +488,19 @@ def run_rapids(
         from ..checkpoint import CheckpointManager
 
         manager = CheckpointManager(checkpoint, every=checkpoint_every)
+        manager.knobs = {
+            "mode": mode,
+            "max_rounds": max_rounds,
+            "batch_limit": batch_limit,
+            "incremental": incremental,
+            "wl_passes": wl_passes,
+            "wl_batched": wl_batched,
+            "wl_timing_aware": wl_timing_aware,
+            "wl_slack_margin": wl_slack_margin,
+            "wl_class_swaps": wl_class_swaps,
+            "partition": partition,
+            "partition_max_gates": partition_max_gates,
+        }
         if resume:
             resume_payload = manager.load()
             if resume_payload is not None:

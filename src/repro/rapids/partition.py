@@ -1,9 +1,11 @@
 """Partitioned wirelength rewiring: FM-carved regions, frozen boundaries.
 
-Monolithic batched rewiring (:mod:`repro.rapids.wirelength`) enumerates
-and scores the whole netlist's candidate set every iteration — fine to
-a few thousand gates, hopeless at 1e5-1e6.  This module makes the flow
-divide-and-conquer:
+This module owns the batched polish's one pass/round loop
+(:func:`polish_rounds`).  Unpartitioned batched rewiring
+(:mod:`repro.rapids.wirelength`) runs it without a carve, enumerating
+and scoring the whole netlist's candidate set every round — fine to a
+few thousand gates, hopeless at 1e5-1e6.  The partitioned path makes
+the flow divide-and-conquer:
 
 1. **Carve once.**  :func:`repro.place.regions.carve_regions` bisects
    the placed netlist (geometry-seeded FM) into regions of at most
@@ -33,9 +35,10 @@ divide-and-conquer:
 Determinism: the carve, the per-region candidate order, the selection
 and the region-ordered commit are all ``PYTHONHASHSEED``-independent
 and worker-count-invariant, so the trajectory is bit-identical for
-every ``workers`` value — and, with one region, bit-identical to the
-unpartitioned batched path (both properties are locked by
-``tests/test_partitioned_rewiring.py``).
+every ``workers`` value (``tests/test_partitioned_rewiring.py`` locks
+it).  With one region the trajectory equals the unpartitioned batched
+path by construction: both run :func:`polish_rounds`, and a region
+that holds every gate admits every candidate.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ __deterministic__ = True
 
 @dataclass
 class PartitionedResult(WirelengthResult):
-    """Outcome of a partitioned run (extends the monolithic report)."""
+    """Outcome of a partitioned run (extends the unpartitioned report)."""
 
     #: Regions the carve produced / largest region / frozen nets.
     regions: int = 0
@@ -139,15 +142,11 @@ def reduce_wirelength_partitioned(
     placement: Placement,
     max_gates: int = 2500,
     max_passes: int = 4,
-    min_gain: float = 1e-9,
-    include_cross: bool = True,
     class_swaps: bool = False,
     timing_engine: TimingEngine | None = None,
     slack_margin: float = 0.0,
     workers: int = 1,
     library=None,
-    balance: float = 0.55,
-    refine_passes: int = 3,
     carve_seed: int = 0,
     checkpoint=None,
     resume_data: dict | None = None,
@@ -157,12 +156,13 @@ def reduce_wirelength_partitioned(
     Semantics match :func:`repro.rapids.wirelength.reduce_wirelength`
     (batched path) restricted to moves internal to one carved region;
     with *max_gates* >= the gate count the restriction vanishes and
-    the trajectory is bit-identical to the monolithic path.  With
+    the trajectory is bit-identical to the unpartitioned path.  With
     *timing_engine* every commit is slack-guarded exactly as there.
     *class_swaps* admits coloring-derived cross-supergate candidates
     (see :func:`repro.rapids.wirelength.verified_class_swaps`) on each
     pass's first round, restricted to candidates whose entire
-    cone-wide footprint is internal to one region.
+    cone-wide footprint is internal to one region.  *carve_seed*
+    seeds the FM carve.
 
     *workers* > 1 selects each round's regions concurrently, in
     children forked from this process (see
@@ -182,26 +182,55 @@ def reduce_wirelength_partitioned(
     carve, counters and slack-gate statistics, and finishes
     bit-identically to the uninterrupted run.
     """
+    gate = (
+        _TimingGate(timing_engine, slack_margin)
+        if timing_engine is not None else None
+    )
+    return polish_rounds(
+        network, placement, gate, max_passes, class_swaps,
+        max_gates=max_gates, carve_seed=carve_seed, workers=workers,
+        checkpoint=checkpoint, resume_data=resume_data,
+    )
+
+
+def polish_rounds(
+    network: Network,
+    placement: Placement,
+    gate: _TimingGate | None,
+    max_passes: int,
+    class_swaps: bool,
+    max_gates: int | None = None,
+    carve_seed: int = 0,
+    workers: int = 1,
+    checkpoint=None,
+    resume_data: dict | None = None,
+) -> PartitionedResult:
+    """The batched polish's pass/round loop, carved or not.
+
+    With *max_gates* ``None`` nothing is carved: every candidate forms
+    one task, so each round is one select + apply + refold over the
+    whole netlist (mode ``"batched"``).  Otherwise the netlist is
+    carved into regions of at most *max_gates* gates and each round
+    selects per region and commits in region order (mode
+    ``"partitioned"``).  The remaining arguments are those of
+    :func:`reduce_wirelength_partitioned`, with *gate* wrapping its
+    *timing_engine*.
+    """
     from .engine import SupergateCache
 
     resuming = resume_data is not None
     placement.ensure_covered(network)
     engine = WirelengthEngine(network, placement)
-    gate = (
-        _TimingGate(timing_engine, slack_margin)
-        if timing_engine is not None else None
-    )
     cache = SupergateCache(network)
     if resuming:
         # the carve is geometry-seeded on the *initial* netlist; the
         # resumed (rewired) netlist could carve differently, so the
         # original RegionSet rides in the checkpoint
         regions = resume_data["regions"]
+    elif max_gates is not None:
+        regions = carve_regions(network, placement, max_gates, seed=carve_seed)
     else:
-        regions = carve_regions(
-            network, placement, max_gates, balance=balance,
-            refine_passes=refine_passes, seed=carve_seed,
-        )
+        regions = None
     session = None
     fallback_reason = None
     if workers > 1:
@@ -252,9 +281,7 @@ def reduce_wirelength_partitioned(
 
     def select_inline(task):
         _index, pairs, crosses, klass = task
-        return _select_batch(
-            network, engine, pairs, crosses, klass, min_gain, gate
-        )
+        return _select_batch(network, engine, pairs, crosses, klass, gate)
 
     def cursor() -> dict:
         """Round-boundary resume payload (see the *checkpoint* doc)."""
@@ -300,7 +327,7 @@ def reduce_wirelength_partitioned(
             passes += 1
             sgn = cache.get()
             pairs = _leaf_pairs(sgn, network)
-            crosses = _pure_crosses(sgn) if include_cross else []
+            crosses = _pure_crosses(sgn)
             klass: list = []
             if class_swaps:
                 # class candidates are re-verified (by simulation)
@@ -308,8 +335,8 @@ def reduce_wirelength_partitioned(
                 klass, rejected = verified_class_swaps(network)
                 klass_verified += len(klass)
                 klass_rejected += rejected
-            tasks = _region_tasks(
-                network, regions, pairs, crosses, klass
+            tasks = [(0, pairs, crosses, klass)] if regions is None else (
+                _region_tasks(network, regions, pairs, crosses, klass)
             )
             pass_applied = 0
             first_round = True
@@ -384,7 +411,7 @@ def reduce_wirelength_partitioned(
         final_hpwl=engine.total_hpwl(),
         swaps_applied=leaf_applied,
         passes=passes,
-        mode="partitioned",
+        mode="batched" if regions is None else "partitioned",
         cross_swaps_applied=cross_applied,
         class_swaps_applied=klass_applied,
         class_candidates_verified=klass_verified,
@@ -392,9 +419,6 @@ def reduce_wirelength_partitioned(
         candidates_scored=(
             engine.candidates_scored - scored_before + remote_scored
         ),
-        regions=len(regions.regions),
-        max_region_gates=regions.max_region_gates,
-        boundary_nets=len(regions.boundary_nets),
         rounds=rounds,
         deferred_timing_conflicts=deferred,
         boundary_conflicts=boundary_conflicts,
@@ -403,5 +427,9 @@ def reduce_wirelength_partitioned(
         fallback_reason=fallback_reason,
         health=health,
     )
+    if regions is not None:
+        result.regions = len(regions.regions)
+        result.max_region_gates = regions.max_region_gates
+        result.boundary_nets = len(regions.boundary_nets)
     _attach_timing_stats(result, gate)
     return result

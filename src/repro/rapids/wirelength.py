@@ -11,16 +11,18 @@ Two execution paths share one candidate-pricing contract (candidates
 are **never** priced by mutating the network — pricing fires zero
 events into subscribed engines; see ``docs/architecture.md``):
 
-* **batched** (the default): every pass enumerates the full candidate
-  set once — leaf swaps of every non-trivial supergate plus pure
-  cross swaps — scores it as one vectorized batch against a
-  :class:`~repro.place.hpwl.WirelengthEngine`, and commits a maximal
-  conflict-free subset (no two accepted moves sharing a net, so the
-  priced deltas are exactly additive).  Scoring-and-committing repeats
-  within the pass until no candidate improves: non-inverting leaf
-  swaps preserve the supergate partition, so the pin-pair set stays
-  valid and only the driving nets need re-reading.  Supergates are
-  refreshed *incrementally* between passes through the PR-1
+* **batched** (the default): the round loop of
+  :mod:`repro.rapids.partition` with no carve — the whole netlist is
+  one region.  Every pass enumerates the full candidate set once —
+  leaf swaps of every non-trivial supergate plus pure cross swaps —
+  and each round scores it as one vectorized batch against a
+  :class:`~repro.place.hpwl.WirelengthEngine` (:func:`_select_batch`)
+  and commits a maximal conflict-free subset (:func:`_apply_batch`;
+  no two accepted moves share a net, so the priced deltas are exactly
+  additive).  Rounds repeat within the pass until none improves:
+  non-inverting leaf swaps preserve the supergate partition, so the
+  pin-pair set stays valid and only the driving nets need re-reading.
+  Supergates are refreshed *incrementally* between passes through the
   :class:`~repro.rapids.engine.SupergateCache`.
 * **greedy** (the reference): the historical interpreted trajectory —
   supergates re-extracted per pass, candidates priced and applied one
@@ -58,7 +60,7 @@ random placements through ``networks_equivalent``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..contracts import projection_only
 from ..network.netlist import Network, Pin
@@ -83,6 +85,9 @@ from ..timing.sta import PROJECTION_DRIFT_TOL, TimingEngine
 #: this module's float accumulations and tie-breaks must never follow
 #: set-iteration (= PYTHONHASHSEED) order.
 __deterministic__ = True
+
+#: Smallest HPWL reduction (um) a committed move must achieve.
+MIN_GAIN = 1e-9
 
 
 @dataclass
@@ -240,10 +245,7 @@ def reduce_wirelength(
     network: Network,
     placement: Placement,
     max_passes: int = 4,
-    min_gain: float = 1e-9,
     batched: bool = True,
-    include_cross: bool = True,
-    engine: WirelengthEngine | None = None,
     timing_engine: TimingEngine | None = None,
     slack_margin: float = 0.0,
     class_swaps: bool = False,
@@ -255,8 +257,6 @@ def reduce_wirelength(
     alone), so the placement is untouched and the gate count constant.
     *batched* selects the vectorized conflict-free path (see module
     docstring); ``batched=False`` runs the serial greedy reference.
-    *engine* lets callers reuse a prebuilt
-    :class:`~repro.place.hpwl.WirelengthEngine` across runs.
 
     With *timing_engine* every commit is additionally gated on its
     projected slack neighborhood staying above *slack_margin* (ns)
@@ -273,19 +273,22 @@ def reduce_wirelength(
     verified by simulation
     (:func:`~repro.symmetry.verify.nets_functionally_equal`) before it
     may enter a batch, carries a cone-wide conflict footprint, and is
-    considered on the first commit iteration of each pass only —
-    trajectories with the knob off are unchanged.
+    considered on the first round of each pass only — trajectories
+    with the knob off are unchanged.
     """
     gate = (
         _TimingGate(timing_engine, slack_margin)
         if timing_engine is not None else None
     )
-    if batched:
-        return _reduce_batched(
-            network, placement, max_passes, min_gain, include_cross,
-            engine, gate, class_swaps,
-        )
-    return _reduce_greedy(network, placement, max_passes, min_gain, gate)
+    if not batched:
+        return _reduce_greedy(network, placement, max_passes, gate)
+    from .partition import polish_rounds
+
+    result = polish_rounds(network, placement, gate, max_passes, class_swaps)
+    return WirelengthResult(**{
+        spec.name: getattr(result, spec.name)
+        for spec in fields(WirelengthResult)
+    })
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +298,6 @@ def _reduce_greedy(
     network: Network,
     placement: Placement,
     max_passes: int,
-    min_gain: float,
     gate: _TimingGate | None,
 ) -> WirelengthResult:
     initial = total_hpwl(network, placement)
@@ -313,7 +315,7 @@ def _reduce_greedy(
             ):
                 delta = swap_hpwl_delta(network, placement, swap)
                 scored += 1
-                if delta < -min_gain:
+                if delta < -MIN_GAIN:
                     if gate is not None and gate.verify(
                         swap_bindings(network, swap.pin_a, swap.pin_b)
                     ) is None:
@@ -330,80 +332,6 @@ def _reduce_greedy(
         passes=passes,
         mode="greedy",
         candidates_scored=scored,
-    )
-    _attach_timing_stats(result, gate)
-    return result
-
-
-# ----------------------------------------------------------------------
-# batched engine path
-# ----------------------------------------------------------------------
-def _reduce_batched(
-    network: Network,
-    placement: Placement,
-    max_passes: int,
-    min_gain: float,
-    include_cross: bool,
-    engine: WirelengthEngine | None,
-    gate: _TimingGate | None,
-    class_swaps: bool = False,
-) -> WirelengthResult:
-    from .engine import SupergateCache
-
-    placement.ensure_covered(network)
-    if engine is None:
-        engine = WirelengthEngine(network, placement)
-    cache = SupergateCache(network)
-    initial = engine.total_hpwl()
-    leaf_applied = 0
-    cross_applied = 0
-    klass_applied = 0
-    klass_verified = 0
-    klass_rejected = 0
-    passes = 0
-    scored_before = engine.candidates_scored
-    for _ in range(max_passes):
-        passes += 1
-        sgn = cache.get()
-        pairs = _leaf_pairs(sgn, network)
-        crosses = (
-            _pure_crosses(sgn) if include_cross else []
-        )
-        klass: list[tuple[Pin, Pin, frozenset[str]]] = []
-        if class_swaps:
-            # re-verified every pass: the premise (identical cone
-            # functions) must hold on the *current* netlist
-            klass, rejected = verified_class_swaps(network)
-            klass_verified += len(klass)
-            klass_rejected += rejected
-        pass_applied = 0
-        first_iteration = True
-        while True:
-            leaves, crossings, klasses = _commit_batch(
-                network, engine, sgn, pairs,
-                crosses if first_iteration else [],
-                klass if first_iteration else [], min_gain, gate,
-            )
-            first_iteration = False
-            leaf_applied += leaves
-            cross_applied += crossings
-            klass_applied += klasses
-            pass_applied += leaves + crossings + klasses
-            if leaves + crossings + klasses == 0:
-                break
-        if pass_applied == 0:
-            break
-    result = WirelengthResult(
-        initial_hpwl=initial,
-        final_hpwl=engine.total_hpwl(),
-        swaps_applied=leaf_applied,
-        passes=passes,
-        mode="batched",
-        cross_swaps_applied=cross_applied,
-        candidates_scored=engine.candidates_scored - scored_before,
-        class_swaps_applied=klass_applied,
-        class_candidates_verified=klass_verified,
-        class_candidates_rejected=klass_rejected,
     )
     _attach_timing_stats(result, gate)
     return result
@@ -491,7 +419,6 @@ def _select_batch(
     pairs: list[tuple[str, Pin, Pin]],
     crosses: list[tuple[CrossSwap, list[tuple[Pin, str]]]],
     klass: list[tuple[Pin, Pin, frozenset[str]]],
-    min_gain: float,
     gate: _TimingGate | None,
 ) -> list[tuple[int, object, object, frozenset[str]]]:
     """Score every candidate, select a maximal conflict-free subset.
@@ -524,7 +451,7 @@ def _select_batch(
     )
     candidates: list[tuple[float, int, tuple, set[str], object, tuple]] = []
     for (root, pin_a, pin_b), delta in zip(pairs, deltas):
-        if delta < -min_gain:
+        if delta < -MIN_GAIN:
             footprint = engine.footprint_nets([pin_a, pin_b])
             candidates.append(
                 (delta, 0, (root, pin_a, pin_b), footprint,
@@ -533,7 +460,7 @@ def _select_batch(
             )
     for cross, bindings in crosses:
         delta = engine.rebind_delta(bindings)
-        if delta < -min_gain:
+        if delta < -MIN_GAIN:
             footprint = engine.footprint_nets(
                 [pin for pin, _ in bindings]
             ) | {net for _, net in bindings}
@@ -549,7 +476,7 @@ def _select_batch(
         [(pin_a, pin_b) for pin_a, pin_b, _ in klass]
     ) if klass else []
     for (pin_a, pin_b, footprint), delta in zip(klass, klass_deltas):
-        if delta < -min_gain:
+        if delta < -MIN_GAIN:
             candidates.append(
                 (delta, 2, (pin_a, pin_b), set(footprint),
                  (pin_a, pin_b),
@@ -594,9 +521,9 @@ def _apply_batch(
 
     Returns ``(leaves, crosses, class_swaps)``.  The only mutation
     point of the batched path: everything upstream
-    (:func:`_select_batch`) is projection-only.  Callers that batch
-    multiple selections per timing refold (the partitioned round
-    committer) invoke ``gate.refold`` themselves.
+    (:func:`_select_batch`) is projection-only.  The caller
+    (:func:`repro.rapids.partition.polish_rounds`) refolds the timing
+    gate once per round, after every region's selection is applied.
     """
     leaves = crossings = klasses = 0
     for kind, payload, _projection, _footprint in accepted:
@@ -612,28 +539,4 @@ def _apply_batch(
             cross, _bindings = payload
             apply_cross_swap(network, sgn, cross)
             crossings += 1
-    return leaves, crossings, klasses
-
-
-def _commit_batch(
-    network: Network,
-    engine: WirelengthEngine,
-    sgn,
-    pairs: list[tuple[str, Pin, Pin]],
-    crosses: list[tuple[CrossSwap, list[tuple[Pin, str]]]],
-    klass: list[tuple[Pin, Pin, frozenset[str]]],
-    min_gain: float,
-    gate: _TimingGate | None,
-) -> tuple[int, int, int]:
-    """One select + apply + refold iteration (see :func:`_select_batch`).
-
-    All accepted moves are committed and the engine re-folds once,
-    with the drift fallback documented on :class:`_TimingGate`.
-    """
-    accepted = _select_batch(
-        network, engine, pairs, crosses, klass, min_gain, gate
-    )
-    leaves, crossings, klasses = _apply_batch(network, sgn, accepted)
-    if gate is not None and accepted:
-        gate.refold([p for _, _, p, _ in accepted if p is not None])
     return leaves, crossings, klasses

@@ -43,54 +43,6 @@ from ..place.placement import Placement
 from ..timing.sta import Gains, TimingEngine
 
 
-#: Adaptive commit-batch bounds (``batch_limit="auto"``).
-AUTO_BATCH_START = 64
-AUTO_BATCH_MAX = 256
-AUTO_GROW_FRACTION = 0.5
-AUTO_SHRINK_FRACTION = 0.1
-
-
-@dataclass
-class BatchPolicy:
-    """Per-run commit-batch sizing, optionally adaptive.
-
-    With a fixed integer limit this is inert.  In ``"auto"`` mode the
-    limit reacts to the previous batch's measured *dirtied fraction*
-    (committed footprint union over net count): when one batch dirties
-    most of the network, the post-batch timing update costs close to a
-    full recompute no matter how many moves rode in it, so doubling the
-    batch amortizes that fixed cost; when batches dirty little, the
-    limit decays back toward the default so timing stays fresh between
-    commits.  Both inputs are deterministic functions of the move
-    trajectory, so an ``"auto"`` run is reproducible bit-for-bit (it
-    just is not move-for-move identical to a fixed-64 run).
-    """
-
-    limit: int
-    adaptive: bool = False
-
-    def observe(self, touched: int, nets: int) -> None:
-        """Feed one committed batch's footprint-union size back in."""
-        if not self.adaptive or nets <= 0:
-            return
-        fraction = touched / nets
-        if fraction > AUTO_GROW_FRACTION:
-            self.limit = min(AUTO_BATCH_MAX, self.limit * 2)
-        elif fraction < AUTO_SHRINK_FRACTION:
-            self.limit = max(AUTO_BATCH_START, self.limit // 2)
-
-
-def resolve_batch_policy(batch_limit: "int | str") -> BatchPolicy:
-    """Policy for a ``batch_limit`` argument (an int or ``"auto"``)."""
-    if batch_limit == "auto":
-        return BatchPolicy(limit=AUTO_BATCH_START, adaptive=True)
-    if isinstance(batch_limit, bool) or not isinstance(batch_limit, int):
-        raise ValueError(
-            f"batch_limit must be an int or 'auto', got {batch_limit!r}"
-        )
-    return BatchPolicy(limit=batch_limit)
-
-
 class Move(Protocol):
     """One alternative implementation of a site."""
 
@@ -216,7 +168,7 @@ def optimize(
     site_factory: SiteFactory,
     mode: str = "custom",
     max_rounds: int = 12,
-    batch_limit: "int | str" = 64,
+    batch_limit: int = 64,
     epsilon: float = 1e-9,
     collect_log: bool = False,
     incremental: bool = True,
@@ -231,10 +183,7 @@ def optimize(
     whole run and committed batches propagate through it locally;
     ``incremental=False`` rebuilds a fresh engine after every batch.
 
-    *batch_limit* caps moves per committed batch; the string ``"auto"``
-    opts into the adaptive :class:`BatchPolicy`, which grows the cap
-    (up to ``AUTO_BATCH_MAX``) while batches dirty most of the network
-    and decays it back otherwise.
+    *batch_limit* caps moves per committed batch.
 
     *checkpoint* (a :class:`repro.checkpoint.CheckpointManager`)
     enables round-boundary saves; *resume_data* is a previously saved
@@ -244,7 +193,8 @@ def optimize(
     """
     from ..synth.mapper import network_area
 
-    policy = resolve_batch_policy(batch_limit)
+    if isinstance(batch_limit, bool) or not isinstance(batch_limit, int):
+        raise ValueError(f"batch_limit must be an int, got {batch_limit!r}")
     start = time.perf_counter()
     start_round = 0
     if resume_data is not None:
@@ -266,7 +216,6 @@ def optimize(
         initial_area = resume_data["initial_area"]
         best_delay = resume_data["best_delay"]
         best_snapshot = (*resume_data["best"], resume_data["best_version"])
-        policy.limit = resume_data["policy_limit"]
         stagnant = resume_data["stagnant"]
         start_round = resume_data["next_round"]
         result = OptimizeResult(
@@ -298,7 +247,7 @@ def optimize(
         result.rounds = round_index + 1
         applied_min = _phase(
             network, placement, library, engine, site_factory,
-            metric="min", policy=policy, epsilon=epsilon,
+            metric="min", batch_limit=batch_limit, epsilon=epsilon,
             result=result, collect_log=collect_log,
         )
         engine = _refreshed(engine, incremental)
@@ -307,7 +256,7 @@ def optimize(
             best_snapshot = _snapshot(network, placement)
         applied_sum = _phase(
             network, placement, library, engine, site_factory,
-            metric="sum", policy=policy, epsilon=epsilon,
+            metric="sum", batch_limit=batch_limit, epsilon=epsilon,
             result=result, collect_log=collect_log,
         )
         engine = _refreshed(engine, incremental)
@@ -324,7 +273,7 @@ def optimize(
         if checkpoint is not None:
             checkpoint.boundary("optimize", lambda: _optimize_cursor(
                 engine, round_index, best_delay, best_snapshot,
-                stagnant, policy, result, initial_delay, initial_area,
+                stagnant, result, initial_delay, initial_area,
             ))
     _restore(network, placement, best_snapshot)
     engine = _refreshed(engine, incremental)
@@ -434,7 +383,7 @@ def _phase(
     engine: TimingEngine,
     site_factory: SiteFactory,
     metric: str,
-    policy: BatchPolicy,
+    batch_limit: int,
     epsilon: float,
     result: OptimizeResult,
     collect_log: bool,
@@ -460,7 +409,6 @@ def _phase(
     candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
     touched: set[str] = set()
     applied = 0
-    batch_limit = policy.limit
     for score, _area, _order, move in candidates:
         if applied >= batch_limit:
             break
@@ -475,8 +423,6 @@ def _phase(
             result.move_log.append(
                 f"{metric}:{move.describe()} (score {score:+.4f})"
             )
-    if applied:
-        policy.observe(len(touched), len(network.inputs) + len(network))
     return applied
 
 
@@ -486,7 +432,6 @@ def _optimize_cursor(
     best_delay: float,
     best_snapshot: tuple[Network, Placement, int],
     stagnant: int,
-    policy: BatchPolicy,
     result: OptimizeResult,
     initial_delay: float,
     initial_area: float,
@@ -506,7 +451,6 @@ def _optimize_cursor(
         "best": (best_network, best_placement),
         "best_version": best_version,
         "stagnant": stagnant,
-        "policy_limit": policy.limit,
         "rounds": result.rounds,
         "moves_applied": result.moves_applied,
         "move_log": list(result.move_log),

@@ -28,6 +28,7 @@ from repro.checkpoint import (
     FAULT_PLAN_ENV,
     CheckpointFormatError,
     CheckpointManager,
+    CheckpointMismatchError,
     RunInterrupted,
     engine_from_state,
     graft_state,
@@ -76,7 +77,7 @@ def _result_fingerprint(network, result) -> tuple:
         opt.moves_applied, opt.rounds, opt.final_delay, opt.final_area,
         None if wl is None else (
             wl.swaps_applied, wl.cross_swaps_applied, wl.final_hpwl,
-            wl.rounds, wl.passes, wl.candidates_scored,
+            getattr(wl, "rounds", None), wl.passes, wl.candidates_scored,
         ),
     )
 
@@ -255,6 +256,8 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
         monkeypatch.delenv(FAULT_PLAN_ENV)
     payload = manager.load()
     assert payload["stage"] == "optimize"
+    # older optimize cursors also carry the batch cap; resume ignores it
+    payload["policy_limit"] = 64
 
     res_net, res_pl = network.copy(), placement.copy()
     resumed = optimize(
@@ -275,14 +278,15 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
 # ----------------------------------------------------------------------
 # whole-run resume: every boundary, identical fingerprint
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("partition", [True, False])
 def test_run_rapids_resumes_identically_from_every_boundary(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, partition
 ):
     network, placement, library = _placed_design(17, num_gates=80)
     path = str(tmp_path / "run.ckpt")
     kwargs = dict(
         mode="gs", max_rounds=3, wl_passes=2,
-        partition=True, partition_max_gates=30,
+        partition=partition, partition_max_gates=30,
     )
     plain_net = network.copy()
     plain = run_rapids(plain_net, placement.copy(), library, **kwargs)
@@ -323,6 +327,31 @@ def test_run_rapids_resumes_identically_from_every_boundary(
         checkpoint=path, resume=True, **kwargs,
     )
     assert _result_fingerprint(done_net, done) == reference
+
+
+def test_resume_under_different_knobs_is_refused_by_name(
+    tmp_path, monkeypatch
+):
+    network, placement, library = _placed_design(17, num_gates=80)
+    path = str(tmp_path / "run.ckpt")
+    _sigterm_at(monkeypatch, 1)
+    with pytest.raises(RunInterrupted):
+        run_rapids(
+            network.copy(), placement.copy(), library, mode="gs",
+            max_rounds=3, wl_passes=2, checkpoint=path,
+        )
+    monkeypatch.delenv(FAULT_PLAN_ENV)
+    with pytest.raises(CheckpointMismatchError, match="wl_passes=2"):
+        run_rapids(
+            network.copy(), placement.copy(), library, mode="gs",
+            max_rounds=3, wl_passes=1, checkpoint=path, resume=True,
+        )
+    # workers does not shape the trajectory: resuming with more is fine
+    run_rapids(
+        network.copy(), placement.copy(), library, mode="gs",
+        max_rounds=3, wl_passes=2, workers=2, checkpoint=path,
+        resume=True,
+    )
 
 
 def test_missing_checkpoint_with_resume_just_runs_fresh(tmp_path):

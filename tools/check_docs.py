@@ -13,6 +13,13 @@ every inline link and verifies:
 * ``http(s)``/``mailto`` links are accepted without network access
   (CI must stay hermetic).
 
+In ``README.md`` and ``docs/`` every backticked dotted ``repro.…``
+name must still resolve: its longest prefix naming a module under
+``src/`` is parsed with :mod:`ast` (nothing is imported) and each
+remaining part must be bound at that module's top level, or inside
+the class the previous part named.  The changelog, roadmap and issue
+name deleted code on purpose and are not checked.
+
 It also verifies the generated event tables in
 ``docs/architecture.md`` are byte-identical to what
 ``python -m tools.lint --fix-docs`` would regenerate from
@@ -25,6 +32,7 @@ dependencies.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -47,6 +55,11 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: Fenced code blocks are stripped before link extraction.
 FENCE_RE = re.compile(r"^(```|~~~)", re.MULTILINE)
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$", re.MULTILINE)
+#: Backticked dotted names in the package, e.g. `repro.timing.sta`.
+NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: Top-level targets whose ``repro.…`` names must resolve.
+NAME_TARGETS = ("README.md", "docs")
+SRC = REPO / "src"
 
 
 def github_slug(heading: str) -> str:
@@ -118,6 +131,66 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+def _module_source(parts: list[str]) -> Path | None:
+    base = SRC.joinpath(*parts)
+    for candidate in (base / "__init__.py", base.with_suffix(".py")):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _binding(body: list[ast.stmt], name: str) -> ast.stmt | None:
+    """The statement of *body* that binds *name* at its level, if any."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound = [
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+            ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            bound = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        if name in bound:
+            return node
+    return None
+
+
+def resolve_name(dotted: str) -> str | None:
+    """Why *dotted* does not resolve under ``src/``, or ``None``."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        source = _module_source(parts[:cut])
+        if source is not None:
+            break
+    else:
+        return "no such module"
+    body = ast.parse(source.read_text()).body
+    for name in parts[cut:]:
+        node = _binding(body, name)
+        if node is None:
+            return f"{name!r} not defined in {source.relative_to(REPO)}"
+        body = node.body if isinstance(node, ast.ClassDef) else []
+    return None
+
+
+def check_names(path: Path) -> list[str]:
+    errors: list[str] = []
+    for match in NAME_RE.finditer(strip_fences(path.read_text())):
+        reason = resolve_name(match.group(1))
+        if reason is not None:
+            errors.append(f"{path.relative_to(REPO)}: dangling name "
+                          f"-> {match.group(1)} ({reason})")
+    return errors
+
+
 def check_generated_blocks() -> list[str]:
     """Drift between docs/architecture.md and the events registry."""
     sys.path.insert(0, str(REPO))
@@ -141,6 +214,8 @@ def main(argv: list[str]) -> int:
     for path in files:
         links += len(LINK_RE.findall(strip_fences(path.read_text())))
         errors.extend(check_file(path))
+        if path.relative_to(REPO).parts[0] in NAME_TARGETS:
+            errors.extend(check_names(path))
     errors.extend(check_generated_blocks())
     for error in errors:
         print(error, file=sys.stderr)
