@@ -114,8 +114,7 @@ def test_soa_flatten_and_revalidate_floors():
     of a structural mutation; absorbing a pin rewiring as an in-place
     patch must leave only the numpy array rebuild, and an untouched
     kernel must hand out its cached view at near-zero cost — the
-    contract every per-move consumer (HPWL rebuild, coloring) is
-    built on.
+    contract the per-move HPWL rebuild is built on.
     """
     target = max(2000, int(100_000 * configured_scale()))
     net = random_control(

@@ -79,14 +79,22 @@ class CheckpointFormatError(RuntimeError):
         self.path = path
 
 
+#: Stands for a knob one side of a resume does not record.
+_ABSENT = object()
+
+
+def _setting(knob: str, value) -> str:
+    return f"no {knob} knob" if value is _ABSENT else f"{knob}={value!r}"
+
+
 class CheckpointMismatchError(RuntimeError):
     """The checkpoint was written by a run with different flow knobs."""
 
     def __init__(self, path: str, knob: str, saved, given) -> None:
         super().__init__(
-            f"checkpoint {path} was written with {knob}={saved!r}, this "
-            f"run has {knob}={given!r}; rerun with the same knobs, or "
-            f"without --resume to start fresh"
+            f"checkpoint {path} was written with {_setting(knob, saved)}, "
+            f"this run has {_setting(knob, given)}; rerun with the same "
+            f"knobs, or without --resume to start fresh"
         )
         self.path = path
         self.knob = knob
@@ -181,8 +189,8 @@ class CheckpointManager:
         Raises :class:`CheckpointFormatError` for a readable payload of
         another format, instead of failing later on a missing key, and
         :class:`CheckpointMismatchError` for one whose recorded knobs
-        differ from ``knobs`` (payloads that predate the record are not
-        checked).
+        differ from ``knobs``, including a knob only one side records
+        (payloads that predate the record are not checked).
         """
         try:
             with open(self.path, "rb") as handle:
@@ -195,12 +203,15 @@ class CheckpointManager:
         found = payload.pop("format", None)
         if found != PAYLOAD_FORMAT:
             raise CheckpointFormatError(self.path, found)
-        saved = payload.pop("knobs", {})
-        for knob, value in self.knobs.items():
-            if saved.get(knob, value) != value:
-                raise CheckpointMismatchError(
-                    self.path, knob, saved[knob], value
-                )
+        saved = payload.pop("knobs", None)
+        if saved is not None:
+            for knob in dict.fromkeys([*self.knobs, *saved]):
+                recorded = saved.get(knob, _ABSENT)
+                given = self.knobs.get(knob, _ABSENT)
+                if recorded != given:
+                    raise CheckpointMismatchError(
+                        self.path, knob, recorded, given
+                    )
         return payload
 
     def save(self, payload: dict) -> None:

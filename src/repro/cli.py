@@ -59,7 +59,6 @@ def _flow_config(args: argparse.Namespace) -> FlowConfig:
         wl_batched=args.wl_batched,
         wl_timing_aware=args.wl_timing_aware,
         wl_slack_margin=args.wl_slack_margin,
-        wl_class_swaps=args.wl_class_swaps,
         partition=args.partition,
         partition_max_gates=args.partition_max_gates,
         checkpoint=args.checkpoint,
@@ -130,16 +129,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{wl.timing_rejected} rejected)"
                 if wl.timing_aware else ""
             )
-            klass = (
-                f" + {wl.class_swaps_applied} class"
-                if wl.class_swaps_applied else ""
-            )
             print(
                 f"          wirelength ({wl.mode}): "
                 f"{wl.initial_hpwl:.0f} -> {wl.final_hpwl:.0f} um "
                 f"({wl.improvement_percent:+.1f}%), "
                 f"{wl.swaps_applied} swaps + {wl.cross_swaps_applied} "
-                f"cross{klass} in {wl.passes} passes" + guard
+                f"cross in {wl.passes} passes" + guard
             )
     return 0
 
@@ -226,16 +221,6 @@ def main(argv: list[str] | None = None) -> int:
                  "gate: 0.0 never degrades the re-timed delay, "
                  "negative values trade bounded delay for wire, "
                  "positive values keep a safety band (default: 0.0)",
-        )
-        p.add_argument(
-            "--wl-class-swaps", action=argparse.BooleanOptionalAction,
-            default=False,
-            help="admit coloring-derived cross-supergate swap "
-                 "candidates into the batched wirelength polish: pins "
-                 "reading functionally identical nets (same cone "
-                 "color) are exchanged when profitable, each candidate "
-                 "verified by simulation before entering a batch "
-                 "(default: off — trajectories unchanged)",
         )
         p.add_argument(
             "--partition", action=argparse.BooleanOptionalAction,

@@ -14,8 +14,7 @@ to build privately.  One :class:`SoAKernel` per network owns
   them without touching the logic arrays);
 * lazily built numpy arrays (:meth:`SoAKernel.arrays`): the consumer
   CSR (fanin edges grouped by driven net) the vectorized HPWL rebuild
-  gathers from, and the per-net PO listing counts symmetry coloring
-  reads.
+  gathers from.
 
 Synchronisation contract: the kernel subscribes to the network's typed
 mutation events.  ``REPLACE_FANIN``/``SWAP_FANINS`` are absorbed as
@@ -181,12 +180,7 @@ class SoAKernel:
             consumer CSR: for net ``i`` the edge range
             ``consumer_offset[i]:consumer_offset[i+1]`` lists the
             topological position of every gate reading the net, once
-            per pin, in stable fanin-slot order (int64);
-        ``po_counts``
-            primary-output listings per net (int64);
-            ``consumer_counts + po_counts`` is the array form of
-            :meth:`~repro.network.netlist.Network.fanout_degree`, the
-            boundary test of supergate growth and symmetry coloring.
+            per pin, in stable fanin-slot order (int64).
         """
         if np is None:
             return None
@@ -260,10 +254,6 @@ def _build_arrays(compiled: CompiledNetwork) -> dict:
         "consumer_offset": consumer_offset,
         "consumer_counts": consumer_counts.astype(np.int64),
         "consumer_gate": owner[order],
-        "po_counts": np.bincount(
-            np.asarray(compiled.po_index, dtype=np.int64),
-            minlength=num_nets,
-        ).astype(np.int64),
     }
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from ..library.cells import Library
 from ..network import events
@@ -35,7 +36,6 @@ from ..network.netlist import Network
 from ..place.placement import Placement, perturbation
 from ..sizing.coudert import OptimizeResult, Site, optimize
 from ..sizing.moves import resize_sites
-from ..symmetry.coloring import DedupStats, extract_supergates_colored
 from ..symmetry.redundancy import find_easy_redundancies, redundancy_counts
 from ..symmetry.supergate import (
     SupergateNetwork,
@@ -85,14 +85,13 @@ class PersistentSupergateStore:
     dict copy instead of an O(pins) re-growth.
     """
 
+    #: Inert: perfbench/flows.py reads ``dedup.hit_rate``; always 0.0.
+    dedup = SimpleNamespace(hit_rate=0.0)
+
     def __init__(self, max_entries: int = 16) -> None:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        #: intra-extraction dedup accounting: grown = one growth per
-        #: shape class, grafted = template replays, aggregated over
-        #: every :meth:`get_or_extract` miss
-        self.dedup = DedupStats()
         self._entries: "OrderedDict[str, tuple[dict, dict]]" = OrderedDict()
 
     def fetch(
@@ -130,20 +129,11 @@ class PersistentSupergateStore:
             self._entries.popitem(last=False)
 
     def get_or_extract(self, network: Network) -> SupergateNetwork:
-        """Cached partition when the content matches, else extract+store.
-
-        Misses extract through the shape-color dedup path
-        (:func:`~repro.symmetry.coloring.extract_supergates_colored`):
-        each structurally distinct region is grown once and replayed
-        onto every class mate, producing the exact partition a plain
-        :func:`~repro.symmetry.supergate.extract_supergates` would —
-        the two tiers of sharing compose (across networks by content
-        hash here, across regions by shape class inside one pass).
-        """
+        """Cached partition when the content matches, else extract+store."""
         key = network_content_hash(network)
         sgn = self.fetch(network, key=key)
         if sgn is None:
-            sgn = extract_supergates_colored(network, stats=self.dedup)
+            sgn = extract_supergates(network)
             self.store(network, sgn, key=key)
         return sgn
 
@@ -425,7 +415,7 @@ def run_rapids(
     wl_batched: bool = True,
     wl_timing_aware: bool = True,
     wl_slack_margin: float = 0.0,
-    wl_class_swaps: bool = False,
+    wl_class_swaps: bool = False,  # inert: perfbench/flows.py passes it
     partition: bool = False,
     partition_max_gates: int = 2500,
     checkpoint: str | None = None,
@@ -450,12 +440,7 @@ def run_rapids(
     recovers wirelength without giving back the delay the sizing
     passes just bought; ``wl_timing_aware=False`` restores the
     timing-blind HPWL-only objective.
-    With *wl_class_swaps* the batched polish additionally considers
-    cross-supergate candidates from whole-netlist symmetry coloring
-    (:mod:`repro.symmetry.coloring`): pins reading structurally
-    identical nets, each verified by simulation before it may enter a
-    batch.  Off by default — trajectories and fingerprints are
-    unchanged unless the knob is enabled.
+    *wl_class_swaps* must be ``False``.
     With *partition* the polish runs region-bounded: the placed
     netlist is FM-carved into regions of at most
     *partition_max_gates* gates with frozen boundary nets, regions
@@ -481,6 +466,8 @@ def run_rapids(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
+    if wl_class_swaps:
+        raise ValueError("wl_class_swaps=True is not supported")
     manager = None
     resume_payload = None
     stage = None
@@ -497,7 +484,6 @@ def run_rapids(
             "wl_batched": wl_batched,
             "wl_timing_aware": wl_timing_aware,
             "wl_slack_margin": wl_slack_margin,
-            "wl_class_swaps": wl_class_swaps,
             "partition": partition,
             "partition_max_gates": partition_max_gates,
         }
@@ -597,7 +583,6 @@ def run_rapids(
                     max_passes=wl_passes, timing_engine=wl_timing,
                     slack_margin=wl_slack_margin, workers=workers,
                     library=library,
-                    class_swaps=wl_class_swaps,
                     checkpoint=manager,
                     resume_data=(
                         resume_payload if stage == "wl_partition" else None
@@ -608,13 +593,8 @@ def run_rapids(
                     network, placement, max_passes=wl_passes,
                     batched=wl_batched, timing_engine=wl_timing,
                     slack_margin=wl_slack_margin,
-                    class_swaps=wl_class_swaps,
                 )
-            if (
-                wirelength.swaps_applied
-                or wirelength.cross_swaps_applied
-                or wirelength.class_swaps_applied
-            ):
+            if wirelength.swaps_applied or wirelength.cross_swaps_applied:
                 # the polish rewired nets after the optimizer's last
                 # STA: re-time so the reported delay describes the
                 # returned netlist (area is untouched — these moves add

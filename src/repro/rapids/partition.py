@@ -58,7 +58,6 @@ from .wirelength import (
     _leaf_pairs,
     _pure_crosses,
     _select_batch,
-    verified_class_swaps,
 )
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``).
@@ -95,25 +94,23 @@ def _region_tasks(
     regions: RegionSet,
     pairs,
     crosses,
-    klass=(),
-) -> list[tuple[int, list, list, list]]:
+) -> list[tuple[int, list, list]]:
     """Group candidates by region, dropping boundary candidates.
 
     A leaf pair is admissible iff both driving nets are internal to
     the same region (their sink gates then are too); a cross exchange
-    iff every net its bindings read or write is; a coloring class swap
-    iff its whole cone-wide footprint is.  Returns one
-    ``(region_index, pairs, crosses, klass)`` task per region with any
+    iff every net its bindings read or write is.  Returns one
+    ``(region_index, pairs, crosses)`` task per region with any
     admissible candidate, ordered by region index.
     """
     net_region = regions.net_region
-    by_region: dict[int, tuple[list, list, list]] = {}
+    by_region: dict[int, tuple[list, list]] = {}
     for root, pin_a, pin_b in pairs:
         home = net_region.get(network.fanin_net(pin_a))
         if home is None or net_region.get(network.fanin_net(pin_b)) != home:
             continue
         by_region.setdefault(
-            home, ([], [], [])
+            home, ([], [])
         )[0].append((root, pin_a, pin_b))
     for cross, bindings in crosses:
         nets = {network.fanin_net(pin) for pin, _ in bindings}
@@ -122,17 +119,10 @@ def _region_tasks(
         if len(homes) != 1 or None in homes:
             continue
         by_region.setdefault(
-            next(iter(homes)), ([], [], [])
+            next(iter(homes)), ([], [])
         )[1].append((cross, bindings))
-    for pin_a, pin_b, footprint in klass:
-        homes = {net_region.get(net) for net in footprint}
-        if len(homes) != 1 or None in homes:
-            continue
-        by_region.setdefault(
-            next(iter(homes)), ([], [], [])
-        )[2].append((pin_a, pin_b, footprint))
     return [
-        (index, task[0], task[1], task[2])
+        (index, task[0], task[1])
         for index, task in sorted(by_region.items())
     ]
 
@@ -142,7 +132,6 @@ def reduce_wirelength_partitioned(
     placement: Placement,
     max_gates: int = 2500,
     max_passes: int = 4,
-    class_swaps: bool = False,
     timing_engine: TimingEngine | None = None,
     slack_margin: float = 0.0,
     workers: int = 1,
@@ -158,11 +147,7 @@ def reduce_wirelength_partitioned(
     with *max_gates* >= the gate count the restriction vanishes and
     the trajectory is bit-identical to the unpartitioned path.  With
     *timing_engine* every commit is slack-guarded exactly as there.
-    *class_swaps* admits coloring-derived cross-supergate candidates
-    (see :func:`repro.rapids.wirelength.verified_class_swaps`) on each
-    pass's first round, restricted to candidates whose entire
-    cone-wide footprint is internal to one region.  *carve_seed*
-    seeds the FM carve.
+    *carve_seed* seeds the FM carve.
 
     *workers* > 1 selects each round's regions concurrently, in
     children forked from this process (see
@@ -187,7 +172,7 @@ def reduce_wirelength_partitioned(
         if timing_engine is not None else None
     )
     return polish_rounds(
-        network, placement, gate, max_passes, class_swaps,
+        network, placement, gate, max_passes,
         max_gates=max_gates, carve_seed=carve_seed, workers=workers,
         checkpoint=checkpoint, resume_data=resume_data,
     )
@@ -198,7 +183,6 @@ def polish_rounds(
     placement: Placement,
     gate: _TimingGate | None,
     max_passes: int,
-    class_swaps: bool,
     max_gates: int | None = None,
     carve_seed: int = 0,
     workers: int = 1,
@@ -241,9 +225,6 @@ def polish_rounds(
     initial = engine.total_hpwl()
     leaf_applied = 0
     cross_applied = 0
-    klass_applied = 0
-    klass_verified = 0
-    klass_rejected = 0
     passes = 0
     rounds = 0
     parallel_rounds = 0
@@ -253,14 +234,11 @@ def polish_rounds(
     scored_before = engine.candidates_scored
     remote_scored = 0
     pass_applied = 0
-    tasks: list[tuple[int, list, list, list]] = []
+    tasks: list[tuple[int, list, list]] = []
     if resuming:
         initial = resume_data["initial_hpwl"]
         leaf_applied = resume_data["leaf_applied"]
         cross_applied = resume_data["cross_applied"]
-        klass_applied = resume_data.get("klass_applied", 0)
-        klass_verified = resume_data.get("klass_verified", 0)
-        klass_rejected = resume_data.get("klass_rejected", 0)
         passes = resume_data["passes"]
         rounds = resume_data["rounds"]
         parallel_rounds = resume_data["parallel_rounds"]
@@ -270,7 +248,7 @@ def polish_rounds(
         remote_scored = resume_data["remote_scored"]
         scored_before = engine.candidates_scored - resume_data["local_scored"]
         tasks = [
-            (index, list(task_pairs), [], [])
+            (index, list(task_pairs), [])
             for index, task_pairs in resume_data["tasks_pairs"]
         ]
         if gate is not None and resume_data["gate_stats"] is not None:
@@ -280,8 +258,8 @@ def polish_rounds(
             gate.repricings = stats["repricings"]
 
     def select_inline(task):
-        _index, pairs, crosses, klass = task
-        return _select_batch(network, engine, pairs, crosses, klass, gate)
+        _index, pairs, crosses = task
+        return _select_batch(network, engine, pairs, crosses, gate)
 
     def cursor() -> dict:
         """Round-boundary resume payload (see the *checkpoint* doc)."""
@@ -290,9 +268,6 @@ def polish_rounds(
             "initial_hpwl": initial,
             "leaf_applied": leaf_applied,
             "cross_applied": cross_applied,
-            "klass_applied": klass_applied,
-            "klass_verified": klass_verified,
-            "klass_rejected": klass_rejected,
             "passes": passes,
             "rounds": rounds,
             "parallel_rounds": parallel_rounds,
@@ -303,7 +278,7 @@ def polish_rounds(
             "local_scored": engine.candidates_scored - scored_before,
             "tasks_pairs": [
                 (index, list(task_pairs))
-                for index, task_pairs, _crosses, _klass in tasks
+                for index, task_pairs, _crosses in tasks
             ],
             "gate_stats": None if gate is None else {
                 "rejected": sorted(gate.rejected_keys),
@@ -328,23 +303,16 @@ def polish_rounds(
             sgn = cache.get()
             pairs = _leaf_pairs(sgn, network)
             crosses = _pure_crosses(sgn)
-            klass: list = []
-            if class_swaps:
-                # class candidates are re-verified (by simulation)
-                # every pass against the current netlist
-                klass, rejected = verified_class_swaps(network)
-                klass_verified += len(klass)
-                klass_rejected += rejected
-            tasks = [(0, pairs, crosses, klass)] if regions is None else (
-                _region_tasks(network, regions, pairs, crosses, klass)
+            tasks = [(0, pairs, crosses)] if regions is None else (
+                _region_tasks(network, regions, pairs, crosses)
             )
             pass_applied = 0
             first_round = True
         while True:
             rounds += 1
             round_tasks = tasks if first_round else [
-                (index, task_pairs, [], [])
-                for index, task_pairs, _crosses, _klass in tasks
+                (index, task_pairs, [])
+                for index, task_pairs, _crosses in tasks
             ]
             first_round = False
             if session is not None:
@@ -365,8 +333,8 @@ def polish_rounds(
             claimed_nets: set[str] = set()
             claimed_timing: set[str] = set()
             committed_projections: list = []
-            leaves = crossings = klasses = 0
-            for (_index, _p, _c, _k), accepted in zip(
+            leaves = crossings = 0
+            for (_index, _p, _c), accepted in zip(
                 round_tasks, selections
             ):
                 kept = []
@@ -384,19 +352,17 @@ def polish_rounds(
                     if projection is not None:
                         claimed_timing |= projection.touched
                         committed_projections.append(projection)
-                batch_leaves, batch_crosses, batch_klass = _apply_batch(
+                batch_leaves, batch_crosses = _apply_batch(
                     network, sgn, kept
                 )
                 leaves += batch_leaves
                 crossings += batch_crosses
-                klasses += batch_klass
             if gate is not None and committed_projections:
                 gate.refold(committed_projections)
             leaf_applied += leaves
             cross_applied += crossings
-            klass_applied += klasses
-            pass_applied += leaves + crossings + klasses
-            if leaves + crossings + klasses == 0:
+            pass_applied += leaves + crossings
+            if leaves + crossings == 0:
                 break
             if checkpoint is not None:
                 checkpoint.boundary("wl_partition", cursor)
@@ -413,9 +379,6 @@ def polish_rounds(
         passes=passes,
         mode="batched" if regions is None else "partitioned",
         cross_swaps_applied=cross_applied,
-        class_swaps_applied=klass_applied,
-        class_candidates_verified=klass_verified,
-        class_candidates_rejected=klass_rejected,
         candidates_scored=(
             engine.candidates_scored - scored_before + remote_scored
         ),

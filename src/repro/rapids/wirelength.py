@@ -112,12 +112,11 @@ class WirelengthResult:
     #: Batches whose drift exceeded the tolerance and fell back to
     #: re-pricing from the refreshed engine.
     drift_repricings: int = 0
-    #: Coloring-sourced cross-supergate swaps committed (class_swaps).
-    class_swaps_applied: int = 0
-    #: Class candidates that passed the simulation gate into batches.
-    class_candidates_verified: int = 0
-    #: Class candidates the simulation gate refuted (never batched).
-    class_candidates_rejected: int = 0
+
+    @property
+    def class_swaps_applied(self) -> int:
+        """Always 0; perfbench/flows.py still sums it."""
+        return 0
 
     @property
     def improvement_percent(self) -> float:
@@ -248,7 +247,6 @@ def reduce_wirelength(
     batched: bool = True,
     timing_engine: TimingEngine | None = None,
     slack_margin: float = 0.0,
-    class_swaps: bool = False,
 ) -> WirelengthResult:
     """Shorten estimated wiring by symmetry-based rewiring.
 
@@ -265,16 +263,6 @@ def reduce_wirelength(
     default margin of 0.0 guarantees the polish never degrades the
     re-timed delay.  Negative margins permit bounded degradation,
     positive margins keep a safety band.
-
-    *class_swaps* (batched path only, default off) adds the
-    whole-netlist coloring candidate source: pins reading structurally
-    identical nets (:mod:`repro.symmetry.coloring`) become swap
-    candidates the per-supergate enumeration cannot see.  Each is
-    verified by simulation
-    (:func:`~repro.symmetry.verify.nets_functionally_equal`) before it
-    may enter a batch, carries a cone-wide conflict footprint, and is
-    considered on the first round of each pass only — trajectories
-    with the knob off are unchanged.
     """
     gate = (
         _TimingGate(timing_engine, slack_margin)
@@ -284,7 +272,7 @@ def reduce_wirelength(
         return _reduce_greedy(network, placement, max_passes, gate)
     from .partition import polish_rounds
 
-    result = polish_rounds(network, placement, gate, max_passes, class_swaps)
+    result = polish_rounds(network, placement, gate, max_passes)
     return WirelengthResult(**{
         spec.name: getattr(result, spec.name)
         for spec in fields(WirelengthResult)
@@ -372,37 +360,6 @@ def _leaf_pairs(sgn, network: Network) -> list[tuple[str, Pin, Pin]]:
     return pairs
 
 
-def verified_class_swaps(
-    network: Network,
-    cap: int = 32,
-    coloring=None,
-) -> tuple[list[tuple[Pin, Pin, frozenset[str]]], int]:
-    """Simulation-verified cross-supergate class-swap candidates.
-
-    Generates class-mate pin pairs from whole-netlist cone coloring
-    (:func:`~repro.symmetry.coloring.class_swap_candidates`) and keeps
-    only the pairs whose nets a simulation sweep confirms functionally
-    identical — the verification gate the differential test harness
-    pins down.  Returns ``(candidates, rejected)`` where each
-    candidate is ``(pin_a, pin_b, cone-wide footprint)``; applying one
-    is a plain ``swap_fanins``, so pricing and slack projection reuse
-    the leaf-swap machinery unchanged.
-    """
-    from ..symmetry.coloring import class_swap_candidates, color_network
-    from ..symmetry.verify import nets_functionally_equal
-
-    if coloring is None:
-        coloring = color_network(network)
-    verified: list[tuple[Pin, Pin, frozenset[str]]] = []
-    rejected = 0
-    for cand in class_swap_candidates(network, coloring, cap=cap):
-        if nets_functionally_equal(network, cand.net_a, cand.net_b):
-            verified.append((cand.pin_a, cand.pin_b, cand.footprint))
-        else:
-            rejected += 1
-    return verified, rejected
-
-
 def _pure_crosses(sgn) -> list[tuple[CrossSwap, list[tuple[Pin, str]]]]:
     """Cross swaps that move wires only (no inverter is ever added)."""
     pure: list[tuple[CrossSwap, list[tuple[Pin, str]]]] = []
@@ -418,7 +375,6 @@ def _select_batch(
     engine: WirelengthEngine,
     pairs: list[tuple[str, Pin, Pin]],
     crosses: list[tuple[CrossSwap, list[tuple[Pin, str]]]],
-    klass: list[tuple[Pin, Pin, frozenset[str]]],
     gate: _TimingGate | None,
 ) -> list[tuple[int, object, object, frozenset[str]]]:
     """Score every candidate, select a maximal conflict-free subset.
@@ -469,19 +425,6 @@ def _select_batch(
                  (cross.parent_root, cross.sg1_root, cross.sg2_root),
                  footprint, (cross, bindings), tuple(bindings))
             )
-    # coloring-sourced class swaps: priced exactly like leaf swaps
-    # (the move *is* a swap_fanins), but carrying the cone-wide
-    # footprint that protects their verified functional premise
-    klass_deltas = engine.score_swaps(
-        [(pin_a, pin_b) for pin_a, pin_b, _ in klass]
-    ) if klass else []
-    for (pin_a, pin_b, footprint), delta in zip(klass, klass_deltas):
-        if delta < -MIN_GAIN:
-            candidates.append(
-                (delta, 2, (pin_a, pin_b), set(footprint),
-                 (pin_a, pin_b),
-                 swap_bindings(network, pin_a, pin_b))
-            )
     candidates.sort(key=lambda item: (item[0], item[1], item[2]))
     admissible = (
         gate.prefilter([item[5] for item in candidates])
@@ -516,27 +459,23 @@ def _apply_batch(
     network: Network,
     sgn,
     accepted: list[tuple[int, object, object, frozenset[str]]],
-) -> tuple[int, int, int]:
+) -> tuple[int, int]:
     """Commit an accepted selection in order.
 
-    Returns ``(leaves, crosses, class_swaps)``.  The only mutation
+    Returns ``(leaves, crosses)``.  The only mutation
     point of the batched path: everything upstream
     (:func:`_select_batch`) is projection-only.  The caller
     (:func:`repro.rapids.partition.polish_rounds`) refolds the timing
     gate once per round, after every region's selection is applied.
     """
-    leaves = crossings = klasses = 0
+    leaves = crossings = 0
     for kind, payload, _projection, _footprint in accepted:
         if kind == 0:
             pin_a, pin_b = payload
             network.swap_fanins(pin_a, pin_b)
             leaves += 1
-        elif kind == 2:
-            pin_a, pin_b = payload
-            network.swap_fanins(pin_a, pin_b)
-            klasses += 1
         else:
             cross, _bindings = payload
             apply_cross_swap(network, sgn, cross)
             crossings += 1
-    return leaves, crossings, klasses
+    return leaves, crossings

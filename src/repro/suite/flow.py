@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..library.cells import Library, default_library
 from ..network.netlist import Network
@@ -51,10 +52,7 @@ class FlowConfig:
                                       # slack (False = HPWL-only objective)
     wl_slack_margin: float = 0.0      # guard band (ns) the slack gate
                                       # enforces; 0.0 = never degrade delay
-    wl_class_swaps: bool = False      # coloring-derived cross-supergate
-                                      # candidates in the wirelength polish
-                                      # (each verified by simulation first;
-                                      # off = trajectories unchanged)
+    wl_class_swaps: ClassVar[bool] = False  # inert; perfbench/flows.py reads
     partition: bool = False           # region-bounded wirelength polish:
                                       # FM-carved regions with frozen
                                       # boundary nets (repro.rapids.partition)
@@ -179,7 +177,6 @@ def run_benchmark(
             wl_batched=config.wl_batched,
             wl_timing_aware=config.wl_timing_aware,
             wl_slack_margin=config.wl_slack_margin,
-            wl_class_swaps=config.wl_class_swaps,
             partition=config.partition,
             partition_max_gates=config.partition_max_gates,
             checkpoint=(

@@ -13,7 +13,6 @@ from .supergate import (
     SupergateNetwork,
     extract_supergates,
     grow_supergate,
-    supergate_content_hash,
     supergate_truth_table,
 )
 from .swap import (
@@ -32,15 +31,6 @@ from .cross import (
     demorgan_box,
     find_cross_swaps,
 )
-from .coloring import (
-    ClassSwap,
-    Coloring,
-    DedupStats,
-    NetlistColoring,
-    class_swap_candidates,
-    color_network,
-    extract_supergates_colored,
-)
 from .redundancy import (
     Redundancy,
     find_easy_redundancies,
@@ -49,53 +39,37 @@ from .redundancy import (
     unique_stems,
 )
 from .verify import (
-    TruthTableMemo,
-    claimed_swaps_hold,
     cut_pin_function,
-    leaf_pair_symmetry,
-    nets_functionally_equal,
     pin_pair_symmetry,
     swap_preserves_outputs,
 )
 
 __all__ = [
-    "ClassSwap",
-    "Coloring",
     "CrossSwap",
-    "DedupStats",
-    "NetlistColoring",
     "PinSwap",
     "Redundancy",
     "SgClass",
     "SgLeaf",
     "Supergate",
     "SupergateNetwork",
-    "TruthTableMemo",
     "and_or_implied_value",
     "and_or_reachable",
     "apply_cross_swap",
     "apply_swap",
-    "claimed_swaps_hold",
-    "class_swap_candidates",
-    "color_network",
     "count_swappable_pairs",
     "cross_swap_bindings",
     "cut_pin_function",
     "demorgan_box",
     "enumerate_swaps",
     "extract_supergates",
-    "extract_supergates_colored",
     "find_cross_swaps",
     "find_easy_redundancies",
     "grow_supergate",
     "is_swappable",
-    "leaf_pair_symmetry",
-    "nets_functionally_equal",
     "pin_pair_symmetry",
     "reachability_class",
     "redundancy_counts",
     "remove_redundancy",
-    "supergate_content_hash",
     "supergate_truth_table",
     "swap_kinds",
     "swap_preserves_outputs",

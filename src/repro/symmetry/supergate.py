@@ -19,7 +19,6 @@ paper's Section 3 headline claim, benchmarked in
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
 from ..network.gatetype import (
@@ -212,45 +211,6 @@ def extract_supergates(network: Network) -> SupergateNetwork:
         owner=owner,
         network_version=network.version,
     )
-
-
-def supergate_content_hash(network: Network, sg: Supergate) -> str:
-    """Name-free structural digest of a supergate.
-
-    Two supergates hash equal exactly when they are pin-for-pin
-    isomorphic: gate names are replaced by their position in
-    ``covered`` (root = 0), and the class, root value, per-gate types,
-    tree edges, leaves and pin-value assignment are folded in covered /
-    recorded order.  Functional derivations — in particular
-    :func:`supergate_truth_table`, whose result depends only on this
-    structure — can therefore be memoized against the digest
-    (:class:`repro.symmetry.verify.TruthTableMemo`) and shared across
-    every structurally equivalent region coloring discovers.
-    ``PYTHONHASHSEED``-independent by construction.
-    """
-    index = {name: rel for rel, name in enumerate(sg.covered)}
-    h = hashlib.blake2b(digest_size=16)
-
-    def put(*parts: object) -> None:
-        for part in parts:
-            h.update(str(part).encode())
-            h.update(b"\x00")
-
-    put("sg", sg.sg_class.value, sg.root_value)
-    for name in sg.covered:
-        parent = sg.parent_pin.get(name)
-        put(
-            network.gate(name).gtype.name,
-            "-" if parent is None else index[parent.gate],
-            "-" if parent is None else parent.index,
-        )
-    put("leaves")
-    for leaf in sg.leaves:
-        put(index[leaf.pin.gate], leaf.pin.index, leaf.imp_value, leaf.depth)
-    put("pins")
-    for pin, value in sg.pin_values.items():
-        put(index[pin.gate], pin.index, value)
-    return h.hexdigest()
 
 
 def supergate_truth_table(

@@ -15,11 +15,6 @@ from ..network.netlist import Network, Pin
 from ..logic.simcore import SimEngine
 from ..logic.simulate import extract_cone
 from ..logic.truthtable import is_es, is_nes
-from .supergate import (
-    Supergate,
-    supergate_content_hash,
-    supergate_truth_table,
-)
 
 
 def cut_pin_function(
@@ -67,109 +62,6 @@ def pin_pair_symmetry(
     return kinds
 
 
-class TruthTableMemo:
-    """Per-pass truth-table cache keyed by supergate *structure*.
-
-    :func:`~repro.symmetry.supergate.supergate_truth_table` cuts every
-    leaf, extracts a cone and runs an exhaustive sweep — all of it a
-    function of the supergate's name-free structure alone, so two
-    structurally equivalent supergates (and, trivially, two candidates
-    on *one* supergate) share the exact same table.  Verification
-    passes previously recomputed it per candidate; routing calls
-    through a memo keyed by
-    (:func:`~repro.symmetry.supergate.supergate_content_hash`, width)
-    computes each distinct structure once.  The memo is scoped to one
-    verification pass: entries are only valid while the covered
-    regions stay unmodified, so callers create a fresh instance per
-    pass rather than sharing one across mutations.
-    """
-
-    def __init__(self, backend: str = "auto") -> None:
-        self.backend = backend
-        self.computed = 0
-        self.hits = 0
-        self._tables: dict[tuple[str, int], int] = {}
-
-    def table(self, network: Network, sg: Supergate) -> tuple[list[Pin], int]:
-        """``supergate_truth_table`` with structure-level memoization.
-
-        Returns *sg*'s own leaf pins (instance-specific) and the cached
-        table word (structure-specific): variable ``k`` is leaf ``k``.
-        """
-        key = (supergate_content_hash(network, sg), len(sg.leaves))
-        cached = self._tables.get(key)
-        if cached is None:
-            _pins, cached = supergate_truth_table(
-                network, sg, backend=self.backend
-            )
-            self._tables[key] = cached
-            self.computed += 1
-        else:
-            self.hits += 1
-        return [leaf.pin for leaf in sg.leaves], cached
-
-
-def leaf_pair_symmetry(
-    network: Network,
-    sg: Supergate,
-    pin_a: Pin,
-    pin_b: Pin,
-    memo: TruthTableMemo | None = None,
-) -> set[str]:
-    """Symmetry kinds of two *leaf* pins w.r.t. the supergate root.
-
-    The leaf-variable truth table already is the root's function with
-    every leaf cut, so the NES/ES checks reduce to two variable
-    positions of one (memoizable) table — the per-supergate analogue
-    of :func:`pin_pair_symmetry`, sharing tables across candidates and
-    across structurally equivalent supergates through *memo*.
-    """
-    if memo is None:
-        memo = TruthTableMemo()
-    pins, table = memo.table(network, sg)
-    var_a = pins.index(pin_a)
-    var_b = pins.index(pin_b)
-    num_vars = len(pins)
-    kinds: set[str] = set()
-    if is_nes(table, num_vars, var_a, var_b):
-        kinds.add("nes")
-    if is_es(table, num_vars, var_a, var_b):
-        kinds.add("es")
-    return kinds
-
-
-def nets_functionally_equal(
-    network: Network,
-    net_a: str,
-    net_b: str,
-    exhaustive_limit: int = 14,
-    rounds: int = 4,
-    backend: str = "auto",
-) -> bool:
-    """Simulation check that two nets compute the same function.
-
-    The gate for coloring's cross-supergate candidates
-    (:func:`repro.symmetry.coloring.class_swap_candidates`): a shared
-    cone of both nets is swept exhaustively when its support allows,
-    with wide random rounds otherwise.  Exhaustive verdicts are exact;
-    the random path is one-sided (it can only refute), matching the
-    filter role — a surviving candidate is still committed under the
-    batch-level ``networks_equivalent`` check.
-    """
-    if net_a == net_b:
-        return True
-    cone = extract_cone(network, [net_a, net_b])
-    engine = SimEngine(cone, backend)
-    try:
-        if len(cone.inputs) <= exhaustive_limit:
-            engine.set_exhaustive_patterns()
-        else:
-            engine.set_random_patterns(rounds=rounds)
-        return engine.word(net_a) == engine.word(net_b)
-    finally:
-        engine.detach()
-
-
 def swap_preserves_outputs(
     before: Network, after: Network, exhaustive_limit: int = 14,
     backend: str = "auto",
@@ -203,14 +95,3 @@ def swap_preserves_outputs(
     from ..verify.equiv import networks_equivalent
 
     return networks_equivalent(before, after, backend=backend)
-
-
-def claimed_swaps_hold(network: Network, sg: Supergate) -> bool:
-    """Exhaustively validate every enumerated swap of one supergate."""
-    from .swap import enumerate_swaps, swapped_copy
-
-    for swap in enumerate_swaps(sg, leaves_only=False):
-        trial = swapped_copy(network, swap)
-        if not swap_preserves_outputs(network, trial):
-            return False
-    return True

@@ -346,6 +346,28 @@ def test_resume_under_different_knobs_is_refused_by_name(
             network.copy(), placement.copy(), library, mode="gs",
             max_rounds=3, wl_passes=1, checkpoint=path, resume=True,
         )
+    # a knob the checkpoint records but this run does not have (here a
+    # removed polish option) is refused by name too
+    extra = str(tmp_path / "extra.ckpt")
+    with open(path, "rb") as handle:
+        payload = pickle.load(handle)
+    payload["knobs"] = {**payload["knobs"], "wl_min_gain": 0.5}
+    with open(extra, "wb") as handle:
+        pickle.dump(payload, handle)
+    with pytest.raises(CheckpointMismatchError, match="wl_min_gain=0.5"):
+        run_rapids(
+            network.copy(), placement.copy(), library, mode="gs",
+            max_rounds=3, wl_passes=2, checkpoint=extra, resume=True,
+        )
+    # and so is a record missing one of this run's knobs
+    del payload["knobs"]["wl_min_gain"], payload["knobs"]["wl_passes"]
+    with open(extra, "wb") as handle:
+        pickle.dump(payload, handle)
+    with pytest.raises(CheckpointMismatchError, match="no wl_passes knob"):
+        run_rapids(
+            network.copy(), placement.copy(), library, mode="gs",
+            max_rounds=3, wl_passes=2, checkpoint=extra, resume=True,
+        )
     # workers does not shape the trajectory: resuming with more is fine
     run_rapids(
         network.copy(), placement.copy(), library, mode="gs",

@@ -1,49 +1,20 @@
-"""Differential harness for whole-netlist coloring (ISSUE 10).
+"""The supergate store hands out the plain extraction partition.
 
-Every claim the coloring makes is checked against a functional ground
-truth computed by simulation, never against the coloring itself:
-
-* cone-color class mates must compute *identical functions*
-  (exhaustive sweep of the shared input cone) — zero false positives;
-* the leaf symmetry classes must rediscover every swap the paper's
-  per-supergate enumeration finds (superset, class-for-class), and
-  each claimed class-mate pair must be NES/ES of the region root's
-  cut function;
-* the coloring additionally sees cross-supergate candidates the
-  per-supergate walk cannot (strict superset), each of which survives
-  the simulation filter;
-* shape-color-deduplicated extraction must equal plain extraction
-  field-for-field, with the dedup accounting consistent;
-* the memoized verification layer (``TruthTableMemo``) must compute
-  each distinct supergate structure exactly once (call-count
-  regression for the repeated-``supergate_truth_table`` fix);
-* every partition is ``PYTHONHASHSEED``-independent (subprocess
-  fingerprint comparison).
+`PersistentSupergateStore.get_or_extract` once grew its partitions with
+shape-colored (template-deduplicated) extraction; it now runs plain
+:func:`~repro.symmetry.supergate.extract_supergates`.  Every partition
+the store returns — the cold miss and a warm hit re-bound to a copy —
+must equal a fresh plain extraction field for field, in insertion
+order, so rewiring trajectories cannot depend on which path produced
+the partition.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-from repro.symmetry import verify as verify_module
-from repro.symmetry.coloring import (
-    class_swap_candidates,
-    color_network,
-    extract_supergates_colored,
-    DedupStats,
-)
+from repro.rapids.engine import PersistentSupergateStore
 from repro.symmetry.supergate import extract_supergates
-from repro.symmetry.swap import enumerate_swaps
-from repro.symmetry.verify import (
-    TruthTableMemo,
-    leaf_pair_symmetry,
-    nets_functionally_equal,
-    pin_pair_symmetry,
-)
 
 from helpers import random_network
 
@@ -51,162 +22,16 @@ SEEDS = [0, 1, 2, 3, 4, 7, 11, 19]
 
 
 def _network(seed):
-    """Small enough for exhaustive cut-cone ground truth (<= 20 vars)."""
     return random_network(
         seed, num_inputs=6, num_gates=30, num_outputs=3, reuse=0.7
     )
 
 
-# ----------------------------------------------------------------------
-# cone colors: equal color => identical function
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS)
-def test_cone_class_mates_are_functionally_identical(seed):
-    net = _network(seed)
-    coloring = color_network(net)
-    checked = 0
-    for _digest, members in coloring.net_classes():
-        for net_a, net_b in zip(members, members[1:]):
-            assert nets_functionally_equal(net, net_a, net_b), (
-                f"seed {seed}: cone class mates {net_a}/{net_b} "
-                "differ functionally — false positive"
-            )
-            checked += 1
-    if checked:
-        # functional equality is transitive, so consecutive pairs
-        # certify the whole class; record that we exercised something
-        assert checked >= 1
-
-
-def test_cone_classes_found_somewhere():
-    """The property suite must not pass vacuously."""
-    total = sum(
-        len(color_network(_network(seed)).net_classes()) for seed in SEEDS
-    )
-    assert total > 0, "no cone-color classes across the whole seed sweep"
-
-
-# ----------------------------------------------------------------------
-# leaf classes: every claimed symmetry verified, every enumerated
-# swap rediscovered
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS)
-def test_symmetry_class_claims_hold_functionally(seed):
-    net = _network(seed)
-    coloring = color_network(net)
-    by_root: dict = {}
-    for (root, tag), pins in coloring.symmetry_classes():
-        by_root.setdefault(root, {})[tag] = pins
-    for root, tags in sorted(by_root.items()):
-        # same tag: consecutive distinct-net pairs claim NES
-        for tag, pins in sorted(tags.items(), key=lambda item: str(item[0])):
-            for pin_a, pin_b in zip(pins, pins[1:]):
-                if net.fanin_net(pin_a) == net.fanin_net(pin_b):
-                    continue
-                kinds = pin_pair_symmetry(net, root, pin_a, pin_b)
-                expected = {"nes", "es"} if tag == "x" else {"nes"}
-                assert expected <= kinds, (
-                    f"seed {seed}: {pin_a}/{pin_b} class ({root},{tag}) "
-                    f"claims {expected}, simulation says {kinds}"
-                )
-        # opposite 0/1 tags under one root claim ES
-        if 0 in tags and 1 in tags:
-            pin_a, pin_b = tags[0][0], tags[1][0]
-            if net.fanin_net(pin_a) != net.fanin_net(pin_b):
-                kinds = pin_pair_symmetry(net, root, pin_a, pin_b)
-                assert "es" in kinds, (
-                    f"seed {seed}: {pin_a}/{pin_b} across tags of {root} "
-                    f"claim ES, simulation says {kinds}"
-                )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_coloring_rediscovers_per_supergate_enumeration(seed):
-    """Superset: every enumerated leaf swap is a coloring class mate."""
-    net = _network(seed)
-    coloring = color_network(net)
-    leaf_class = coloring.leaf_class
-    swaps = 0
-    for sg in extract_supergates(net).nontrivial():
-        for swap in enumerate_swaps(sg, leaves_only=True):
-            swaps += 1
-            assert swap.pin_a in leaf_class, (seed, swap)
-            assert swap.pin_b in leaf_class, (seed, swap)
-            root_a, tag_a = leaf_class[swap.pin_a]
-            root_b, tag_b = leaf_class[swap.pin_b]
-            assert root_a == root_b, (
-                f"seed {seed}: {swap} pins land in different regions "
-                f"{root_a}/{root_b}"
-            )
-            if tag_a != "x":
-                if swap.inverting:
-                    assert tag_a != tag_b, (seed, swap)
-                else:
-                    assert tag_a == tag_b, (seed, swap)
-    assert swaps > 0 or seed not in (0, 1), (
-        "enumeration came up empty on a seed known to have swaps"
-    )
-
-
-def test_coloring_is_a_strict_superset():
-    """Somewhere in the sweep the coloring must see candidates the
-    per-supergate enumeration cannot — and they must be real."""
-    cross_verified = 0
-    for seed in SEEDS:
-        net = random_network(
-            seed, num_inputs=8, num_gates=60, num_outputs=4, reuse=0.7
-        )
-        coloring = color_network(net)
-        per_supergate = {
-            frozenset((swap.pin_a, swap.pin_b))
-            for sg in extract_supergates(net).nontrivial()
-            for swap in enumerate_swaps(sg, leaves_only=True)
-        }
-        for cand in class_swap_candidates(net, coloring):
-            if frozenset((cand.pin_a, cand.pin_b)) in per_supergate:
-                continue
-            assert nets_functionally_equal(net, cand.net_a, cand.net_b), (
-                f"seed {seed}: cross-supergate candidate "
-                f"{cand.net_a}/{cand.net_b} is a false positive"
-            )
-            cross_verified += 1
-    assert cross_verified > 0, (
-        "no cross-supergate candidate beyond the per-supergate "
-        "enumeration across the whole sweep — not a strict superset"
-    )
-
-
-def test_class_swap_footprint_covers_both_cones():
-    """The conflict-model contract: a class swap's footprint holds
-    both nets, every cone gate and every net a cone gate reads."""
-    for seed in SEEDS:
-        net = random_network(
-            seed, num_inputs=8, num_gates=60, num_outputs=4, reuse=0.7
-        )
-        for cand in class_swap_candidates(net, color_network(net)):
-            assert cand.net_a in cand.footprint
-            assert cand.net_b in cand.footprint
-            for name in net.fanin_cone(cand.net_a) | net.fanin_cone(
-                cand.net_b
-            ):
-                assert name in cand.footprint, (seed, cand, name)
-                for fanin in net.gate(name).fanins:
-                    assert fanin in cand.footprint, (seed, cand, fanin)
-
-
-# ----------------------------------------------------------------------
-# deduplicated extraction: byte-identical partitions
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS)
-def test_colored_extraction_equals_plain_extraction(seed):
-    net = _network(seed)
-    plain = extract_supergates(net)
-    stats = DedupStats()
-    colored = extract_supergates_colored(net, stats=stats)
-    assert set(plain.supergates) == set(colored.supergates)
-    assert plain.owner == colored.owner
+def _assert_same_partition(plain, other):
+    assert list(plain.supergates) == list(other.supergates)
+    assert plain.owner == other.owner
     for root, sg in plain.supergates.items():
-        twin = colored.supergates[root]
+        twin = other.supergates[root]
         assert sg.sg_class == twin.sg_class, root
         assert sg.root_value == twin.root_value, root
         assert sg.covered == twin.covered, root
@@ -215,100 +40,19 @@ def test_colored_extraction_equals_plain_extraction(seed):
             twin.pin_values.items()
         ), root
         assert sg.parent_pin == twin.parent_pin, root
-    assert stats.grown + stats.grafted + stats.fallbacks == len(
-        colored.supergates
-    )
 
 
-def test_extraction_dedup_actually_grafts():
-    total = DedupStats()
-    for seed in SEEDS:
-        extract_supergates_colored(_network(seed), stats=total)
-    assert total.grafted > 0, "dedup never replayed a template"
-    assert total.hit_rate > 0.0
-
-
-# ----------------------------------------------------------------------
-# memoized verification (the supergate_truth_table fix)
-# ----------------------------------------------------------------------
-def test_truth_table_memo_computes_each_structure_once(monkeypatch):
-    """Call-count regression: the expensive cut-and-sweep runs once
-    per distinct (content hash, width), every other lookup is a hit."""
-    net = random_network(3, num_inputs=8, num_gates=60, num_outputs=4,
-                         reuse=0.7)
-    calls = {"n": 0}
-    original = verify_module.supergate_truth_table
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(verify_module, "supergate_truth_table", counting)
-    memo = TruthTableMemo()
-    candidates = 0
-    for sg in extract_supergates(net).nontrivial():
-        if len(sg.leaves) > 14:
-            continue
-        for swap in enumerate_swaps(sg, leaves_only=True):
-            kinds = leaf_pair_symmetry(
-                net, sg, swap.pin_a, swap.pin_b, memo=memo
-            )
-            assert kinds, (sg.root, swap)
-            candidates += 1
-    assert candidates > 1, "regression net exercised too few candidates"
-    assert calls["n"] == memo.computed
-    assert memo.computed == len(memo._tables)
-    assert memo.hits == candidates - memo.computed
-    assert memo.hits > 0, (
-        "memo never hit — repeated supergate_truth_table calls are back"
-    )
-
-
-# ----------------------------------------------------------------------
-# PYTHONHASHSEED invariance
-# ----------------------------------------------------------------------
-_FINGERPRINT_SCRIPT = """
-import hashlib
-import sys
-
-from repro.symmetry.coloring import class_swap_candidates, color_network
-from helpers import random_network
-
-h = hashlib.blake2b(digest_size=16)
-for seed in (0, 3, 7):
-    net = random_network(
-        seed, num_inputs=8, num_gates=60, num_outputs=4, reuse=0.7
-    )
-    coloring = color_network(net)
-    h.update(repr(coloring.net_classes()).encode())
-    h.update(repr(coloring.symmetry_classes()).encode())
-    h.update(repr(sorted(coloring.shape.items())).encode())
-    h.update(repr(sorted(
-        (c.pin_a, c.pin_b, c.net_a, c.net_b, sorted(c.footprint))
-        for c in class_swap_candidates(net, coloring)
-    )).encode())
-print(h.hexdigest())
-"""
-
-
-def _coloring_fingerprint(hashseed: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hashseed
-    here = os.path.dirname(__file__)
-    src = os.path.abspath(os.path.join(here, os.pardir, "src"))
-    env["PYTHONPATH"] = os.pathsep.join([src, here])
-    result = subprocess.run(
-        [sys.executable, "-c", _FINGERPRINT_SCRIPT],
-        capture_output=True, text=True, env=env, check=True, timeout=300,
-    )
-    return result.stdout.strip()
-
-
-def test_coloring_fingerprint_independent_of_hash_seed():
-    fingerprints = {
-        seed: _coloring_fingerprint(seed) for seed in ("1", "4242", "random")
-    }
-    assert len(set(fingerprints.values())) == 1, (
-        "coloring depends on PYTHONHASHSEED: "
-        + ", ".join(f"{s}->{f}" for s, f in fingerprints.items())
-    )
+@pytest.mark.parametrize("seed", SEEDS)
+def test_colored_extraction_equals_plain_extraction(seed):
+    net = _network(seed)
+    plain = extract_supergates(net)
+    assert plain.nontrivial(), f"seed {seed}: no nontrivial supergate"
+    store = PersistentSupergateStore()
+    cold = store.get_or_extract(net)
+    assert (store.misses, store.hits) == (1, 0)
+    _assert_same_partition(plain, cold)
+    clone = net.copy()
+    warm = store.get_or_extract(clone)
+    assert (store.misses, store.hits) == (1, 1)
+    assert warm.network is clone
+    _assert_same_partition(plain, warm)

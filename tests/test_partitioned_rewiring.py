@@ -75,8 +75,6 @@ def test_one_region_matches_monolithic_timing_blind():
 
 
 def test_one_region_matches_monolithic_timing_aware():
-    # with class swaps on, so coloring-sourced candidates (kind 2) ride
-    # through both entry points: this input commits one of them
     network, placement, library = _prepared(12)
     net_a, pl_a = network.copy(), placement.copy()
     net_b, pl_b = network.copy(), placement.copy()
@@ -84,21 +82,17 @@ def test_one_region_matches_monolithic_timing_aware():
     eng_a.analyze()
     base = reduce_wirelength(
         net_a, pl_a, max_passes=3, timing_engine=eng_a, slack_margin=0.0,
-        class_swaps=True,
     )
     eng_b = TimingEngine(net_b, pl_b, library)
     eng_b.analyze()
     part = reduce_wirelength_partitioned(
         net_b, pl_b, max_gates=HUGE, max_passes=3,
-        timing_engine=eng_b, slack_margin=0.0, class_swaps=True,
+        timing_engine=eng_b, slack_margin=0.0,
     )
     assert part.regions == 1
     assert _fanins(net_a) == _fanins(net_b)
     assert part.swaps_applied == base.swaps_applied
     assert part.cross_swaps_applied == base.cross_swaps_applied
-    assert base.class_swaps_applied == 1
-    assert part.class_swaps_applied == base.class_swaps_applied
-    assert part.class_candidates_verified == base.class_candidates_verified
     assert part.timing_rejected == base.timing_rejected
     assert part.final_hpwl == base.final_hpwl
     assert networks_equivalent(network, net_a)

@@ -49,6 +49,12 @@ def test_unknown_mode_rejected(library):
         run_rapids(net, placement, library, mode="frobnicate")
 
 
+def test_class_swaps_knob_only_accepts_false(library):
+    net, placement = prepared(12, library)
+    with pytest.raises(ValueError, match="wl_class_swaps"):
+        run_rapids(net, placement, library, wl_class_swaps=True)
+
+
 def test_rewiring_moves_no_cells(library):
     """The paper's headline: gsg leaves every placed cell in place."""
     net, placement = prepared(13, library)
