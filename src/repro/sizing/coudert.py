@@ -438,7 +438,7 @@ def _optimize_cursor(
 ) -> dict:
     """Round-boundary resume payload for the two-phase loop.
 
-    Captures everything :func:`_optimize` needs to re-enter the loop at
+    Captures everything :func:`optimize` needs to re-enter the loop at
     ``next_round`` and finish bit-identically: the engine's cached
     analysis (the resume vehicle — re-analyzing would not be bit-exact
     to incremental STA), the best-seen snapshot with its capture

@@ -63,6 +63,12 @@ _NEGATIVE_UNATE = frozenset(
     {GateType.INV, GateType.NAND, GateType.NOR}
 )
 
+#: ``(cell, load, worst delay, terms)`` of one gate's committed state;
+#: see :meth:`TimingEngine._committed_terms`.
+_CommittedTerms = tuple[
+    Cell | None, float, float, list[tuple[str, Pin, float]] | None
+]
+
 
 @dataclass
 class PathPoint:
@@ -118,7 +124,9 @@ class EvalState:
     snapshot carries the engine's *cached* analysis results verbatim
     (arrival times, slacks, star RC models, logic levels), never
     recomputed state, so a resumed engine projects bit-identical
-    gains: pickling round-trips floats exactly.
+    gains: pickling round-trips floats exactly.  The per-gate pricing
+    memo is left out; a resumed engine rebuilds it from the same
+    cached state.
     """
 
     network: Network
@@ -236,6 +244,8 @@ class TimingEngine:
         self._dead: set[str] = set()
         self._structure_dirty = False
         self._needs_full = True
+        # per-gate committed pricing terms; see _committed_terms
+        self._pricing_memo: dict[str, _CommittedTerms] = {}
         network.subscribe(self)
 
     # ------------------------------------------------------------------
@@ -243,6 +253,7 @@ class TimingEngine:
     # ------------------------------------------------------------------
     def notify_network_event(self, kind: str, data: dict) -> None:
         """Accumulate dirty state from a network mutation event."""
+        self._pricing_memo.clear()
         if kind == events.REPLACE_FANIN:
             self._dirty_stars.add(data["old"])
             self._dirty_stars.add(data["new"])
@@ -345,6 +356,7 @@ class TimingEngine:
         self._analyzed_version = network.version
         self.stats.full_analyses += 1
         self._clear_dirty()
+        self._pricing_memo.clear()
 
     def is_fresh(self) -> bool:
         """True when the cached analysis matches the network version."""
@@ -600,6 +612,7 @@ class TimingEngine:
         self._fold_slacks(target)
         self._analyzed_version = network.version
         self._clear_dirty()
+        self._pricing_memo.clear()
 
     def _repropagate(
         self,
@@ -898,13 +911,43 @@ class TimingEngine:
         """Scalar arrival at *net* if its driver saw *new_load*."""
         if self.network.is_input(net):
             return 0.0
-        cell = self._cell_of(net)
+        cell, _load, old_delay, _terms = self._committed_terms(net)
         if cell is None:
             return self.worst_arrival(net)
-        old_load = self.stars[net].total_cap
         old = self.worst_arrival(net)
-        delta = cell.worst_delay(new_load) - cell.worst_delay(old_load)
+        delta = cell.worst_delay(new_load) - old_delay
         return old + delta
+
+    def _committed_terms(self, gate_name: str) -> _CommittedTerms:
+        """The committed pricing terms of a gate, memoized until the next
+        event, :meth:`analyze` or :meth:`apply_and_update`.
+
+        ``(cell, load, cell.worst_delay(load), terms)`` with one ``(fanin,
+        pin, worst arrival of fanin + pin wire delay)`` term per pin;
+        ``terms`` is ``None`` for a constant gate.  Each value is the
+        expression :meth:`_projected_worst_arrival` evaluates for an
+        overridden pin, read without overrides, so a pin a move leaves
+        alone prices bit for bit from its memoized term.
+        """
+        entry = self._pricing_memo.get(gate_name)
+        if entry is not None:
+            return entry
+        gate = self.network.gate(gate_name)
+        cell = self._cell_of(gate_name)
+        load = self.stars[gate_name].total_cap if (
+            gate_name in self.stars
+        ) else 0.0
+        delay = cell.worst_delay(load) if cell is not None else 0.0
+        terms = None
+        if gate.gtype not in CONST_TYPES:
+            terms = []
+            for index, fanin in enumerate(gate.fanins):
+                pin = Pin(gate_name, index)
+                wire = self._ensure_star(fanin).sink_delay(pin)
+                terms.append((fanin, pin, self.worst_arrival(fanin) + wire))
+        entry = (cell, load, delay, terms)
+        self._pricing_memo[gate_name] = entry
+        return entry
 
     def _projected_worst_arrival(
         self,
@@ -916,35 +959,43 @@ class TimingEngine:
         inv_pins: set[Pin] | None = None,
         resized: dict[str, Cell] | None = None,
     ) -> float:
-        """Scalar arrival of a gate with selected nets/pins overridden."""
-        network = self.network
-        gate = network.gate(gate_name)
-        if gate.gtype in CONST_TYPES:
+        """Scalar arrival of a gate with selected nets/pins overridden.
+
+        Starts from the gate's committed terms and recomputes only the
+        pins the move overrides: a pin in *swapped* or *inv_pins*, or
+        one whose fanin has an entry in *stars_new* or *new_arrivals*.
+        """
+        _cell, load, d_gate, terms = self._committed_terms(gate_name)
+        if terms is None:
             return 0.0
-        cell = (resized or {}).get(gate_name) or self._cell_of(gate_name)
-        load = self.stars[gate_name].total_cap if (
-            gate_name in self.stars
-        ) else 0.0
-        d_gate = cell.worst_delay(load) if cell is not None else 0.0
+        if resized and gate_name in resized:
+            d_gate = resized[gate_name].worst_delay(load)
+        if inv_cell is None or not inv_pins:
+            inv_pins = ()
         worst = 0.0
-        for index, fanin in enumerate(gate.fanins):
-            pin = Pin(gate_name, index)
-            if swapped and pin in swapped:
-                fanin = swapped[pin]
-            star = stars_new.get(fanin) or self._ensure_star(fanin)
-            try:
-                wire = star.sink_delay(pin)
-            except KeyError:
-                # what-if star: the pin keeps its cached wire delay
-                wire = self.stars[fanin].sink_delay(pin)
-            src = new_arrivals.get(fanin)
-            if src is None:
-                src = self.worst_arrival(fanin)
-            pin_arrival = src + wire
-            if inv_cell is not None and inv_pins and pin in inv_pins:
-                pin_cap = pin_capacitance(network, self.library, pin)
-                pin_arrival += inv_cell.worst_delay(pin_cap)
-            worst = max(worst, pin_arrival)
+        for fanin, pin, pin_arrival in terms:
+            rebound = swapped is not None and pin in swapped
+            if (
+                rebound or pin in inv_pins
+                or fanin in stars_new or fanin in new_arrivals
+            ):
+                if rebound:
+                    fanin = swapped[pin]
+                star = stars_new.get(fanin) or self._ensure_star(fanin)
+                try:
+                    wire = star.sink_delay(pin)
+                except KeyError:
+                    # what-if star: the pin keeps its cached wire delay
+                    wire = self.stars[fanin].sink_delay(pin)
+                src = new_arrivals.get(fanin)
+                if src is None:
+                    src = self.worst_arrival(fanin)
+                pin_arrival = src + wire
+                if pin in inv_pins:
+                    pin_cap = pin_capacitance(self.network, self.library, pin)
+                    pin_arrival += inv_cell.worst_delay(pin_cap)
+            if pin_arrival > worst:  # max(worst, pin_arrival), unrolled
+                worst = pin_arrival
         return worst + d_gate
 
     def _po_delta(self, net: str, new_star: StarNet) -> float:

@@ -17,6 +17,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from repro.suite.flow import FlowConfig, trajectory_fingerprint
+
 _FINGERPRINT_SCRIPT = """
 from repro.suite.flow import FlowConfig, trajectory_fingerprint
 
@@ -47,3 +51,25 @@ def test_flow_fingerprint_independent_of_hash_seed():
         "flow trajectory depends on PYTHONHASHSEED: "
         + ", ".join(f"{s}->{f}" for s, f in fingerprints.items())
     )
+
+
+# Golden optimizer trajectories.  Pricing caches must reproduce the
+# uncached estimator float for float, so any change to what the
+# optimizer prices, selects or commits moves one of these digests.
+GOLDEN_TRAJECTORIES = [
+    (
+        "alu2",
+        dict(scale=0.08, max_rounds=2, anneal_moves=1500),
+        "5f20337ded04afa0f6e134a60847feaa",
+    ),
+    ("s5378", dict(scale=0.08), "003dd1f02eece4771b5e7a879c3369ec"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,knobs,expected",
+    GOLDEN_TRAJECTORIES,
+    ids=[name for name, _, _ in GOLDEN_TRAJECTORIES],
+)
+def test_golden_trajectory_fingerprint(name, knobs, expected):
+    assert trajectory_fingerprint(name, FlowConfig(**knobs)) == expected
