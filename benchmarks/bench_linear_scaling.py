@@ -6,11 +6,10 @@ stay close to 1 (quadratic detection, the naive pairwise approach,
 would show ~2).  Also benchmarks one representative extraction so the
 per-gate cost is tracked by pytest-benchmark.
 
-A second workload exercises the SoA netlist kernel at 1e5-gate scale
-(scaled by ``REPRO_SCALE`` like everything else): a full flatten must
-sustain at least 10k gates/s, revalidating after one absorbed pin
-patch must beat a full flatten by 20x, and handing out the cached
-view must beat it by 50x.
+A second workload times the compiled netlist snapshot at 1e5-gate
+scale (scaled by ``REPRO_SCALE`` like everything else): a full
+``compile_network`` must sustain at least 10k gates/s, and a repeat
+``get_compiled`` hit on an unmutated network must beat it by 50x.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from __future__ import annotations
 import math
 import time
 
-from repro.network.netlist import Pin
-from repro.network.soa import get_soa
+from repro.logic.simcore import compile_network, get_compiled
 from repro.suite.circuits import random_control
 from repro.suite.registry import build_benchmark, configured_scale
 from repro.symmetry.supergate import extract_supergates
@@ -27,13 +25,9 @@ from repro.synth.strash import script_rugged
 
 from bench_helpers import record_result
 
-#: Floors for the SoA kernel workload (see module docstring).  The
-#: patch+arrays figure additionally rebuilds every numpy mirror, so
-#: its floor is lower than the pure-revalidation one.
-SOA_FLATTEN_GATES_PER_S = 10_000
-SOA_PATCH_REVALIDATE_SPEEDUP = 20.0
-SOA_PATCH_ARRAYS_SPEEDUP = 4.0
-SOA_CACHED_VIEW_SPEEDUP = 50.0
+#: Floors for the compiled-snapshot workload (see module docstring).
+COMPILE_GATES_PER_S = 10_000
+CACHED_VIEW_SPEEDUP = 50.0
 
 #: End-to-end throughput floor for one partitioned rewiring pass
 #: (carve + per-region selection + serial commit, timing-blind) over
@@ -107,14 +101,11 @@ def test_extraction_throughput(benchmark):
     assert sum(len(sg.covered) for sg in sgn.supergates.values()) == len(net)
 
 
-def test_soa_flatten_and_revalidate_floors():
-    """SoA kernel cost structure at 1e5-gate scale.
+def test_compile_and_cached_view_floors():
+    """Compiled-snapshot cost structure at 1e5-gate scale.
 
-    The full flatten (python recompile + numpy arrays) is the price
-    of a structural mutation; absorbing a pin rewiring as an in-place
-    patch must leave only the numpy array rebuild, and an untouched
-    kernel must hand out its cached view at near-zero cost — the
-    contract the per-move HPWL rebuild is built on.
+    A full compile is the price of any mutation; an unmutated network
+    must hand out its cached snapshot at near-zero cost.
     """
     target = max(2000, int(100_000 * configured_scale()))
     net = random_control(
@@ -124,80 +115,30 @@ def test_soa_flatten_and_revalidate_floors():
         seed=target,
         max_depth=40,
     )
-    kernel = get_soa(net)
-
-    def full_flatten():
-        net._touch()  # untracked mutation: forces a stale rebuild
-        kernel.sync()
-        kernel.arrays()
-
-    flatten_s = min(_timed(full_flatten) for _ in range(3))
-    gates_per_s = len(net) / flatten_s
-
-    # alternate one pin of one gate between two primary inputs: every
-    # call is a genuine absorbed patch plus a numpy mirror rebuild
-    gate = next(iter(net.gate_names()))
-    targets = net.inputs[:2]
-    toggle = [0]
-
-    def patch_and_arrays():
-        toggle[0] ^= 1
-        net.replace_fanin(Pin(gate, 0), targets[toggle[0]])
-        kernel.sync()
-        kernel.arrays()
-
-    patch_arrays_s = min(_timed(patch_and_arrays) for _ in range(5))
-
-    def patch_and_sync():
-        toggle[0] ^= 1
-        net.replace_fanin(Pin(gate, 0), targets[toggle[0]])
-        kernel.sync()
-
-    patch_sync_s = min(_timed(patch_and_sync) for _ in range(5))
-    kernel.arrays()  # leave the mirrors current for the cached probe
-
-    def cached_view():
-        kernel.sync()
-        kernel.arrays()
-
-    cached_s = min(_timed(cached_view) for _ in range(5))
-
-    arrays_speedup = flatten_s / patch_arrays_s
-    sync_speedup = flatten_s / patch_sync_s
-    cached_speedup = flatten_s / cached_s
+    compile_s = min(_timed(compile_network, net) for _ in range(3))
+    gates_per_s = len(net) / compile_s
+    get_compiled(net)  # fill the cache for the repeat-hit probe
+    cached_s = min(_timed(get_compiled, net) for _ in range(5))
+    cached_speedup = compile_s / cached_s
     print(
-        f"\nSoA kernel at {len(net)} gates:"
-        f"\n  full flatten:        {flatten_s * 1000:9.2f} ms "
+        f"\ncompiled snapshot at {len(net)} gates:"
+        f"\n  compile_network:   {compile_s * 1000:9.2f} ms "
         f"({gates_per_s:.0f} gates/s)"
-        f"\n  patch + arrays:      {patch_arrays_s * 1000:9.2f} ms "
-        f"({arrays_speedup:.0f}x)"
-        f"\n  patch + revalidate:  {patch_sync_s * 1000:9.4f} ms "
-        f"({sync_speedup:.0f}x)"
-        f"\n  cached view:         {cached_s * 1000:9.4f} ms "
+        f"\n  get_compiled hit:  {cached_s * 1000:9.4f} ms "
         f"({cached_speedup:.0f}x)"
     )
     record_result(
-        "linear_scaling", "soa_kernel",
+        "linear_scaling", "compiled_snapshot",
         gates=len(net),
-        flatten_gates_per_s=round(gates_per_s, 1),
-        patch_arrays_speedup=round(arrays_speedup, 1),
-        patch_revalidate_speedup=round(sync_speedup, 1),
+        compile_gates_per_s=round(gates_per_s, 1),
         cached_view_speedup=round(cached_speedup, 1),
     )
-    assert gates_per_s >= SOA_FLATTEN_GATES_PER_S, (
-        f"full flatten sustains only {gates_per_s:.0f} gates/s"
+    assert gates_per_s >= COMPILE_GATES_PER_S, (
+        f"compile_network sustains only {gates_per_s:.0f} gates/s"
     )
-    assert arrays_speedup >= SOA_PATCH_ARRAYS_SPEEDUP, (
-        f"patch + mirror rebuild is only {arrays_speedup:.1f}x faster "
-        f"than a full flatten"
-    )
-    assert sync_speedup >= SOA_PATCH_REVALIDATE_SPEEDUP, (
-        f"patched revalidation is only {sync_speedup:.1f}x faster "
-        f"than a full flatten"
-    )
-    assert cached_speedup >= SOA_CACHED_VIEW_SPEEDUP, (
-        f"cached view reuse is only {cached_speedup:.1f}x faster "
-        f"than a full flatten"
+    assert cached_speedup >= CACHED_VIEW_SPEEDUP, (
+        f"a cached get_compiled hit is only {cached_speedup:.1f}x faster "
+        f"than a full compile"
     )
 
 

@@ -108,7 +108,6 @@ def test_throughput_and_agreement(name):
         )
         # identical results across evaluators, bit for bit
         assert engine.words() == reference, (name, backend)
-        engine.detach()
 
     _THROUGHPUT[name] = rates
     print()
@@ -171,20 +170,14 @@ def _sim_filter_simcore(before, after, exhaustive_limit=14):
     """The same stages as run by today's ``networks_equivalent``."""
     engine_before = SimEngine(before)
     engine_after = SimEngine(after)
-    try:
-        if engine_before.random_output_words(rounds=4) != (
-            engine_after.random_output_words(rounds=4)
-        ):
-            return False
-        if len(before.inputs) <= exhaustive_limit:
-            engine_before.set_exhaustive_patterns()
-            engine_after.set_exhaustive_patterns(list(before.inputs))
-            return (
-                engine_before.output_words() == engine_after.output_words()
-            )
-    finally:
-        engine_before.detach()
-        engine_after.detach()
+    if engine_before.random_output_words(rounds=4) != (
+        engine_after.random_output_words(rounds=4)
+    ):
+        return False
+    if len(before.inputs) <= exhaustive_limit:
+        engine_before.set_exhaustive_patterns()
+        engine_after.set_exhaustive_patterns(list(before.inputs))
+        return engine_before.output_words() == engine_after.output_words()
     return True
 
 

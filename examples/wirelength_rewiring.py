@@ -24,7 +24,6 @@ from repro import (
     networks_equivalent,
     place,
     script_rugged,
-    total_hpwl,
 )
 from repro.rapids import reduce_wirelength
 from repro.place import perturbation

@@ -3,8 +3,8 @@
 Bit-parallel evaluation has two tiers: :mod:`repro.logic.simulate` is
 the simple per-call reference (walk the network, bigint words), and
 :mod:`repro.logic.simcore` is the compiled vectorized core (flattened
-index arrays, pluggable bigint / numpy backends, incremental
-resimulation, parallel-pattern fault simulation) that the hot paths —
+index arrays, pluggable bigint / numpy backends, parallel-pattern
+fault simulation) that the hot paths —
 equivalence filtering, symmetry verification, ATPG — run on.
 """
 

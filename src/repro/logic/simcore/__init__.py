@@ -4,23 +4,21 @@ The subsystem the hot paths of this repository stand on:
 
 * :mod:`compiled` — one-time flattening of a ``Network`` into
   topologically ordered opcode / fanin-index arrays (:func:`get_compiled`
-  caches per network, invalidated by the mutation-version counter);
+  caches one snapshot per network, keyed by its mutation version);
 * :mod:`backends` — the evaluation strategies: ``bigint`` (the
   historical arbitrary-precision reference) and ``numpy`` (dense
   ``uint64`` blocks, whole pattern batches per vectorized sweep);
-* :mod:`engine` — :class:`SimEngine`, which keeps state alive across
-  calls and resimulates *incrementally* after rewiring moves via the
-  network mutation-event hook;
+* :mod:`engine` — :class:`SimEngine`, which keeps pattern state alive
+  across calls and re-sweeps it when the network has mutated;
 * :mod:`faultsim` — parallel-pattern stuck-at fault simulation with
   sparse single-fault propagation, the batch fault-dropper behind ATPG
   and redundancy proofs.
 
-Invalidation contract: any ``Network`` mutation bumps the version and
-emits a typed event.  Stateless helpers (``get_compiled``,
-``fault_simulate``) revalidate by version; a ``SimEngine`` listens to
-events, patches pure pin rewires into its compiled form in place and
-falls back to recompile + full sweep for structural changes.  The
-full event taxonomy and per-engine invalidation rules live in
+Invalidation contract: any ``Network`` mutation bumps the version.
+There is one compiled snapshot per network version; ``get_compiled``,
+``fault_simulate`` and ``SimEngine`` all revalidate by version, and a
+``SimEngine`` read after a mutation recompiles and re-sweeps its
+stored patterns.  The per-engine invalidation rules live in
 ``docs/architecture.md``.
 """
 

@@ -14,9 +14,9 @@ over a :class:`~repro.logic.simcore.compiled.CompiledNetwork`:
   single sweep can carry far more than 64 patterns.
 
 Both backends expose the same small surface (make state, load/read
-bigint words at the boundary, full sweep, single-gate eval), and both
-produce identical :func:`read` results for identical inputs — the
-property ``tests/test_simcore.py`` checks bit-for-bit.
+bigint words at the boundary, full sweep), and both produce identical
+:func:`read` results for identical inputs — the property
+``tests/test_simcore.py`` checks bit-for-bit.
 
 :class:`AdaptiveBackend` (the ``"auto"`` of :func:`make_backend`)
 resolves to one of the two per pattern block from a static cost model
@@ -34,7 +34,7 @@ Words crossing the backend boundary are always plain Python integers
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 from .compiled import (
     CompiledNetwork,
@@ -90,8 +90,6 @@ class SimBackend(Protocol):
 
     def full_sweep(self, compiled: CompiledNetwork, state) -> None: ...
 
-    def eval_gate(self, compiled: CompiledNetwork, state, position: int) -> bool: ...
-
 
 class BigintState:
     """One arbitrary-precision integer word per net."""
@@ -135,22 +133,6 @@ class BigintBackend:
                 mask,
             )
 
-    def eval_gate(
-        self, compiled: CompiledNetwork, state: BigintState, position: int
-    ) -> bool:
-        words = state.words
-        out = compiled.num_inputs + position
-        new = eval_word(
-            compiled.opcode[position],
-            compiled.invert[position],
-            [words[k] for k in compiled.fanins_of(position)],
-            state.mask,
-        )
-        if new == words[out]:
-            return False
-        words[out] = new
-        return True
-
 
 class NumpyState:
     """Dense ``uint64`` block: one row of packed words per net.
@@ -192,12 +174,12 @@ def _binary_decomposition(compiled: CompiledNetwork):
     Returns ``(nodes, const_rows, num_slots)`` where each node is
     ``(level, op, invert, out_slot, a_slot, b_slot | -1 for copies)``
     and ``const_rows`` is ``[(row, op), ...]`` for constant gates.
-    Cached per compiled revision so plan and shape share one O(gates)
-    pass per (re)compile, not one each.
+    Cached on the snapshot so plan and shape share one O(gates) pass
+    per compile, not one each.
     """
     cached = getattr(compiled, "_binary_decomp", None)
-    if cached is not None and cached[0] == compiled.revision:
-        return cached[1]
+    if cached is not None:
+        return cached
     base = compiled.num_inputs
     level: list[int] = [0] * compiled.num_nets
     next_slot = compiled.num_nets
@@ -233,7 +215,7 @@ def _binary_decomposition(compiled: CompiledNetwork):
         level[out] = max(level[current[0]], level[current[1]]) + 1
         nodes.append((level[out], op, inv, out, current[0], current[1]))
     result = (nodes, const_rows, next_slot)
-    compiled._binary_decomp = (compiled.revision, result)
+    compiled._binary_decomp = result
     return result
 
 
@@ -278,11 +260,9 @@ class NumpyBackend:
             )
 
     def _plan(self, compiled: CompiledNetwork) -> _NumpyPlan:
-        cached = getattr(compiled, "_numpy_plan", None)
-        if cached is not None and cached[0] == compiled.revision:
-            return cached[1]
-        plan = _NumpyPlan(compiled)
-        compiled._numpy_plan = (compiled.revision, plan)
+        plan = getattr(compiled, "_numpy_plan", None)
+        if plan is None:
+            plan = compiled._numpy_plan = _NumpyPlan(compiled)
         return plan
 
     def make_state(self, compiled: CompiledNetwork, num_patterns: int) -> NumpyState:
@@ -302,37 +282,6 @@ class NumpyBackend:
             state.block[index].astype("<u8", copy=False).tobytes(), "little"
         )
 
-    def _eval_into(
-        self,
-        compiled: CompiledNetwork,
-        state: NumpyState,
-        position: int,
-        out,
-    ) -> None:
-        """Evaluate one gate's block into the *out* row."""
-        block = state.block
-        op = compiled.opcode[position]
-        fanins = compiled.fanins_of(position)
-        if op == OP_CONST0:
-            out[:] = 0
-        elif op == OP_CONST1:
-            out[:] = _np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-        elif op == OP_BUF or len(fanins) == 1:
-            out[:] = block[fanins[0]]
-        else:
-            func = (
-                _np.bitwise_and if op == OP_AND
-                else _np.bitwise_or if op == OP_OR
-                else _np.bitwise_xor
-            )
-            func(block[fanins[0]], block[fanins[1]], out=out)
-            for index in fanins[2:]:
-                func(out, block[index], out=out)
-        if compiled.invert[position]:
-            _np.invert(out, out=out)
-        if compiled.invert[position] or op == OP_CONST1:
-            out[-1] &= state.tail_mask
-
     def full_sweep(self, compiled: CompiledNetwork, state: NumpyState) -> None:
         block = state.block
         for op, inv, out_idx, a_idx, b_idx in self._plan(compiled).groups:
@@ -349,14 +298,6 @@ class NumpyBackend:
                 _np.invert(rows, out=rows)
                 rows[:, -1] &= state.tail_mask
             block[out_idx] = rows
-
-    def eval_gate(
-        self, compiled: CompiledNetwork, state: NumpyState, position: int
-    ) -> bool:
-        out = state.block[compiled.num_inputs + position]
-        old = out.copy()
-        self._eval_into(compiled, state, position, out)
-        return not _np.array_equal(old, out)
 
 
 def numpy_available() -> bool:
@@ -393,13 +334,12 @@ def sweep_shape(compiled: CompiledNetwork) -> SweepShape:
 
     Counts the same nodes and (level, op, invert) groups the numpy plan
     executes (:func:`_binary_decomposition` is the single source for
-    both) — no numpy needed, no simulation run — and is cached per
-    compiled revision, so the adaptive choice costs O(gates) once per
-    (re)compile.
+    both) — no numpy needed, no simulation run — and is cached on the
+    snapshot, so the adaptive choice costs O(gates) once per compile.
     """
     cached = getattr(compiled, "_sweep_shape", None)
-    if cached is not None and cached[0] == compiled.revision:
-        return cached[1]
+    if cached is not None:
+        return cached
     nodes, _const_rows, _num_slots = _binary_decomposition(compiled)
     shape = SweepShape(
         num_gates=compiled.num_gates,
@@ -408,7 +348,7 @@ def sweep_shape(compiled: CompiledNetwork) -> SweepShape:
             {(lvl, op, inv) for lvl, op, inv, _o, _a, _b in nodes}
         ),
     )
-    compiled._sweep_shape = (compiled.revision, shape)
+    compiled._sweep_shape = shape
     return shape
 
 
@@ -518,11 +458,6 @@ class AdaptiveBackend:
 
     def full_sweep(self, compiled: CompiledNetwork, state: AdaptiveState) -> None:
         state.backend.full_sweep(compiled, state.inner)
-
-    def eval_gate(
-        self, compiled: CompiledNetwork, state: AdaptiveState, position: int
-    ) -> bool:
-        return state.backend.eval_gate(compiled, state.inner, position)
 
 
 def make_backend(name: str = "auto") -> SimBackend:

@@ -9,16 +9,15 @@ network state in one flat vector (a list of bigint words, or a 2-D
 ``uint64`` numpy block) and evaluate it with a single forward sweep
 that never touches a dict or a Gate object.
 
-The compiled form is a *snapshot*: it records the network ``version``
-it was built from, and :func:`get_compiled` transparently recompiles
-when the network has mutated since (every mutation bumps the version
-through the PR-1 event hook, so a stale hit is impossible).  Engines
-that track mutation events can instead patch a privately owned
-instance in place — see :meth:`CompiledNetwork.patch_fanin`.
+The compiled form is an immutable *snapshot*: it records the network
+``version`` it was built from, and :func:`get_compiled` recompiles when
+the network has mutated since (every mutation bumps the version, so a
+stale hit is impossible).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from ...network.gatetype import GateType
@@ -66,9 +65,6 @@ class CompiledNetwork:
     po_index: list[int]
     net_index: dict[str, int]
     fanout: list[list[int]] = field(repr=False)
-    #: bumped by every in-place patch; backends key derived plans
-    #: (e.g. the numpy level-packed schedule) against it
-    revision: int = 0
 
     @property
     def num_inputs(self) -> int:
@@ -87,63 +83,6 @@ class CompiledNetwork:
         return self.fanin_flat[
             self.fanin_offset[position]:self.fanin_offset[position + 1]
         ]
-
-    def position_of(self, gate_name: str) -> int:
-        """Topological position of *gate_name* (its net index - P)."""
-        return self.net_index[gate_name] - len(self.inputs)
-
-    def clone(self) -> "CompiledNetwork":
-        """Private copy for in-place patching (copy-on-write).
-
-        Engines share the :func:`get_compiled` cache until their first
-        patch, then clone so concurrent engines on one network never
-        see each other's patches.
-        """
-        return CompiledNetwork(
-            name=self.name,
-            version=self.version,
-            inputs=self.inputs,
-            gate_names=self.gate_names,
-            opcode=self.opcode,          # never patched (type changes
-            invert=self.invert,          # recompile), safe to share
-            fanin_offset=self.fanin_offset,
-            fanin_flat=list(self.fanin_flat),
-            po_index=self.po_index,
-            net_index=self.net_index,
-            fanout=[list(sinks) for sinks in self.fanout],
-            revision=self.revision,
-        )
-
-    def patch_fanin(self, position: int, pin_index: int, net: str) -> bool:
-        """Point one fanin slot at a different net, in place.
-
-        Returns ``True`` when the patch keeps the stored topological
-        order valid (the new driver is compiled *before* the consumer);
-        ``False`` means the caller must recompile.  The fanout adjacency
-        is kept consistent either way.
-        """
-        new_index = self.net_index.get(net)
-        if new_index is None:
-            return False
-        slot = self.fanin_offset[position] + pin_index
-        old_index = self.fanin_flat[slot]
-        if old_index == new_index:
-            return True
-        self.fanin_flat[slot] = new_index
-        self.revision += 1
-        remaining = self.fanins_of(position)
-        if old_index not in remaining:
-            try:
-                self.fanout[old_index].remove(position)
-            except ValueError:
-                pass
-        if position not in self.fanout[new_index]:
-            self.fanout[new_index].append(position)
-        # a net index below P is a primary input; otherwise the driver
-        # must sit at an earlier topological position than the consumer
-        return new_index < self.num_inputs or (
-            new_index - self.num_inputs < position
-        )
 
 
 def compile_network(network: Network) -> CompiledNetwork:
@@ -186,18 +125,21 @@ def compile_network(network: Network) -> CompiledNetwork:
     )
 
 
+_SNAPSHOTS: "weakref.WeakKeyDictionary[Network, CompiledNetwork]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def get_compiled(network: Network) -> CompiledNetwork:
-    """Compiled form of *network*, served by the shared SoA kernel.
+    """Compiled snapshot of *network*'s current version.
 
-    One :class:`~repro.network.soa.SoAKernel` per network owns this
-    view: pin-rewiring and cell-binding mutations are absorbed as
-    in-place patches (``revision`` bumps, the object identity is
-    preserved), while structural mutations mark the kernel stale so
-    this call recompiles.  Either way the returned arrays are always
-    consistent with the live network — engines that want isolation
-    from later patches :meth:`~CompiledNetwork.clone` on first write,
-    exactly as before.
+    One snapshot is cached per network, held weakly so a dropped
+    network takes its snapshot with it.  A repeat call returns the
+    identical object until ``network.version`` moves; the next call
+    after any mutation compiles a fresh snapshot.
     """
-    from ...network.soa import get_soa
-
-    return get_soa(network).sync()
+    compiled = _SNAPSHOTS.get(network)
+    if compiled is None or compiled.version != network.version:
+        compiled = compile_network(network)
+        _SNAPSHOTS[network] = compiled
+    return compiled

@@ -1,18 +1,12 @@
-"""The simulation engine: compiled form + backend + incremental resim.
+"""The simulation engine: compiled snapshot + backend + pattern state.
 
 :class:`SimEngine` binds one network to one evaluation backend and
 keeps the whole simulation state (one word per net) alive between
-calls.  It subscribes to the network's mutation events (the PR-1
-hook), so after a rewiring move it can **resimulate incrementally**:
-only the gates whose fanin words actually changed are re-evaluated,
-propagating through the fanout in topological order and stopping as
-soon as words stop changing — the simulation twin of
-``TimingEngine.apply_and_update``.
-
-Pure pin rewires (``replace_fanin`` / ``swap_fanins``, the paper's
-moves) are patched into the privately owned compiled form in place;
-structural mutations (gates added or removed, type changes, restores)
-schedule a recompile plus full sweep on the next access.
+calls.  The state belongs to the compiled snapshot it was swept on;
+a read after the network has mutated (its ``version`` moved) fetches
+the current snapshot from :func:`~.compiled.get_compiled` and
+re-sweeps the stored patterns, so results always describe the live
+network.
 
 The pattern-loading helpers mirror the historical
 :mod:`repro.logic.simulate` API — random words use the same
@@ -23,27 +17,12 @@ checked against) the reference implementation.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Mapping
 
-from ...network import events
 from ...network.netlist import Network
 from ..simulate import variable_word
 from .backends import SimBackend, make_backend
 from .compiled import CompiledNetwork, get_compiled
-
-#: Structural mutation kinds that force a recompile + full resweep.
-_STRUCTURAL = frozenset({
-    events.ADD_GATE,
-    events.REMOVE_GATE,
-    events.ADD_INPUT,
-    events.ADD_OUTPUT,
-    events.REPLACE_OUTPUT,
-    events.SET_GATE_TYPE,
-    events.SET_FANINS,
-    events.RESTORE,
-    events.UNKNOWN,
-})
 
 
 class SimEngine:
@@ -54,82 +33,11 @@ class SimEngine:
         self.backend: SimBackend = (
             make_backend(backend) if isinstance(backend, str) else backend
         )
+        #: the snapshot the loaded patterns were swept on
         self._compiled: CompiledNetwork | None = None
-        self._owns_compiled = False
         self._state = None
         self._assignments: dict[str, int] = {}
         self.num_patterns = 0
-        self._dirty_gates: set[str] = set()
-        self._needs_recompile = True
-        self._needs_full_sweep = True
-        #: counters for benchmarks: how much work the engine avoided
-        self.full_sweeps = 0
-        self.incremental_updates = 0
-        self.gate_evals = 0
-        network.subscribe(self)
-
-    # ------------------------------------------------------------------
-    # mutation events
-    # ------------------------------------------------------------------
-    def notify_network_event(self, kind: str, data: dict) -> None:
-        if kind in (events.SET_CELL,):
-            return  # cell binding does not affect logic values
-        if kind in _STRUCTURAL:
-            self._needs_recompile = True
-            self._needs_full_sweep = True
-            return
-        if kind == events.REPLACE_FANIN:
-            self._patch(data["pin"].gate, data["pin"].index, data["new"])
-        elif kind == events.SWAP_FANINS:
-            self._patch(data["pin_a"].gate, data["pin_a"].index, data["net_b"])
-            self._patch(data["pin_b"].gate, data["pin_b"].index, data["net_a"])
-        else:  # unrecognized mutation: treat as untracked
-            self._needs_recompile = True
-            self._needs_full_sweep = True
-
-    def _patch(self, gate_name: str, pin_index: int, net: str) -> None:
-        self._dirty_gates.add(gate_name)
-        if self._needs_recompile or self._compiled is None:
-            return
-        if not self._owns_compiled:
-            # the compiled form is shared through the get_compiled
-            # cache; clone before the first in-place patch so other
-            # engines on this network keep an unpatched view
-            self._compiled = self._compiled.clone()
-            self._owns_compiled = True
-        position = self._compiled.position_of(gate_name)
-        if not self._compiled.patch_fanin(position, pin_index, net):
-            # the rewire broke the stored topological order (or points
-            # at a net the snapshot has never seen): recompile, but the
-            # dirty set still bounds the resimulation region
-            self._needs_recompile = True
-
-    # ------------------------------------------------------------------
-    # compiled form
-    # ------------------------------------------------------------------
-    @property
-    def compiled(self) -> CompiledNetwork:
-        """The engine's (patched) compiled form, recompiling if stale."""
-        if self._needs_recompile or self._compiled is None:
-            old = self._compiled
-        else:
-            return self._compiled
-        self._compiled = get_compiled(self.network)
-        self._owns_compiled = False
-        self._needs_recompile = False
-        if old is not None and not self._needs_full_sweep and self._state is not None:
-            # recompiled mid-session because a patch broke topo order:
-            # carry the old words over so resimulation stays incremental
-            self._state = self._migrate_state(old, self._compiled, self._state)
-        return self._compiled
-
-    def _migrate_state(self, old: CompiledNetwork, new: CompiledNetwork, state):
-        fresh = self.backend.make_state(new, self.num_patterns)
-        for net, index in new.net_index.items():
-            old_index = old.net_index.get(net)
-            if old_index is not None:
-                self.backend.load(fresh, index, self.backend.read(state, old_index))
-        return fresh
 
     # ------------------------------------------------------------------
     # pattern loading
@@ -140,7 +48,7 @@ class SimEngine:
         """Load one word per primary input and run a full sweep."""
         if num_patterns < 1:
             raise ValueError("need at least one pattern")
-        compiled = self.compiled
+        compiled = get_compiled(self.network)
         words: dict[str, int] = {}
         for pi in compiled.inputs:
             try:
@@ -155,10 +63,7 @@ class SimEngine:
         for pi, word in words.items():
             self.backend.load(self._state, compiled.net_index[pi], word)
         self.backend.full_sweep(compiled, self._state)
-        self.full_sweeps += 1
-        self.gate_evals += compiled.num_gates
-        self._dirty_gates.clear()
-        self._needs_full_sweep = False
+        self._compiled = compiled
 
     def set_random_patterns(
         self, width: int = 64, seed: int = 0, rounds: int = 1
@@ -172,7 +77,8 @@ class SimEngine:
         from .faultsim import random_pattern_block
 
         assignments, num_patterns = random_pattern_block(
-            self.compiled.inputs, width=width, seed=seed, rounds=rounds
+            get_compiled(self.network).inputs,
+            width=width, seed=seed, rounds=rounds,
         )
         self.set_patterns(assignments, num_patterns)
 
@@ -184,9 +90,8 @@ class SimEngine:
         otherwise); non-input support entries are permitted and consume
         a variable position without driving anything.
         """
-        compiled = self.compiled
         if support is None:
-            support = list(compiled.inputs)
+            support = list(get_compiled(self.network).inputs)
         num_vars = len(support)
         if num_vars > 24:
             raise ValueError(f"support of {num_vars} inputs is too large")
@@ -197,71 +102,33 @@ class SimEngine:
         self.set_patterns(assignments, 1 << num_vars)
 
     # ------------------------------------------------------------------
-    # incremental resimulation
+    # results
     # ------------------------------------------------------------------
-    def resimulate(self) -> None:
-        """Bring every net's word up to date after network mutations.
+    def _current(self) -> tuple[CompiledNetwork, object]:
+        """(snapshot, state) of the live network.
 
-        Event-driven: gates dirtied by rewires are re-evaluated in
-        topological order and changes propagate through the compiled
-        fanout adjacency only while words keep changing.  Structural
-        mutations fall back to a full sweep.
+        Re-sweeps the stored patterns over a fresh snapshot when the
+        network has mutated since they were swept.
         """
         if self._state is None:
             raise RuntimeError("no patterns loaded; call set_patterns first")
-        if self._needs_full_sweep:
+        if self._compiled.version != self.network.version:
             self.set_patterns(self._assignments, self.num_patterns)
-            return
-        if not self._dirty_gates:
-            return
-        compiled = self.compiled
-        state = self._state
-        heap: list[int] = []
-        for name in self._dirty_gates:
-            index = compiled.net_index.get(name)
-            if index is not None and index >= compiled.num_inputs:
-                heap.append(index - compiled.num_inputs)
-        heapq.heapify(heap)
-        done: set[int] = set()
-        evals = 0
-        while heap:
-            position = heapq.heappop(heap)
-            if position in done:
-                continue
-            done.add(position)
-            evals += 1
-            if self.backend.eval_gate(compiled, state, position):
-                for consumer in compiled.fanout[compiled.num_inputs + position]:
-                    if consumer not in done:
-                        heapq.heappush(heap, consumer)
-        self._dirty_gates.clear()
-        self.incremental_updates += 1
-        self.gate_evals += evals
-
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
-    def _current_state(self):
-        if self._state is None:
-            raise RuntimeError("no patterns loaded; call set_patterns first")
-        if self._needs_full_sweep or self._dirty_gates:
-            self.resimulate()
-        return self._state
+        return self._compiled, self._state
 
     def word(self, net: str) -> int:
         """Simulation word of one net as a plain integer."""
-        state = self._current_state()
-        return self.backend.read(state, self.compiled.net_index[net])
+        compiled, state = self._current()
+        return self.backend.read(state, compiled.net_index[net])
 
     def output_words(self) -> list[int]:
         """Primary-output words, in PO order."""
-        state = self._current_state()
-        return [self.backend.read(state, i) for i in self.compiled.po_index]
+        compiled, state = self._current()
+        return [self.backend.read(state, i) for i in compiled.po_index]
 
     def words(self, nets: Iterable[str] | None = None) -> dict[str, int]:
         """Words of the given nets (default: every net), as a dict."""
-        state = self._current_state()
-        compiled = self.compiled
+        compiled, state = self._current()
         if nets is None:
             nets = compiled.net_index
         return {
@@ -302,7 +169,3 @@ class SimEngine:
     def mask(self) -> int:
         """All-ones mask over the currently loaded pattern count."""
         return (1 << self.num_patterns) - 1 if self.num_patterns else 0
-
-    def detach(self) -> None:
-        """Stop listening to the network (optional; listeners are weak)."""
-        self.network.unsubscribe(self)

@@ -16,8 +16,8 @@ walk over the live network, convenient for one-off queries and as the
 oracle property tests compare against.  The hot paths (equivalence
 filtering, symmetry verification, ATPG fault dropping) run on
 :mod:`repro.logic.simcore` instead — the same word algebra over a
-compiled index-array form with pluggable bigint/numpy backends and
-incremental resimulation, 1-2 orders of magnitude faster per sweep.
+compiled index-array form with pluggable bigint/numpy backends,
+1-2 orders of magnitude faster per sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from ..network.gatetype import GateType
 from ..network.netlist import Network
 
 

@@ -22,8 +22,7 @@ exact new bounding box:
 Every value is a *selection* of an input coordinate — no accumulation
 — so deltas are bit-identical to the interpreted ``net_hpwl``
 difference.  Batches of candidates are scored as single vectorized
-numpy expressions over gathered extrema rows (a pure-Python fallback
-keeps the engine importable without numpy).
+numpy expressions over gathered extrema rows.
 
 Cells move through the same arithmetic: a net's driver and sink gates
 are movable terminals, only pads are fixed.  ``cell_swap_delta`` prices
@@ -45,17 +44,14 @@ but :meth:`~WirelengthEngine.swap_cells`) need an explicit
 from __future__ import annotations
 
 from collections import ChainMap
+from itertools import chain
+
+import numpy as np
 
 from ..contracts import projection_only
 from ..network import events
 from ..network.netlist import Network, Pin
-from ..network.soa import get_soa, ragged_indices
 from .placement import Placement, bbox_hpwl
-
-try:  # numpy accelerates batch scoring; the scalar path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
 #: this module's float accumulations and tie-breaks must never follow
@@ -104,8 +100,8 @@ class WirelengthEngine:
         # per-net, per-axis second-extrema rows:
         # [min1, min2, min_count, max1, max2, max_count] for x then y
         self._ext: list[list[float]] = []
-        # lazily materialized numpy mirrors of _ext/_hpwl, kept in sync
-        # row-wise by _recompute_net once built
+        # numpy mirrors of _ext/_hpwl for batch scoring, kept in sync
+        # row-wise by _recompute_net
         self._ext_np = None
         self._hpwl_np = None
         network.subscribe(self)
@@ -155,119 +151,63 @@ class WirelengthEngine:
         network = self.network
         placement = self.placement
         self._loc = dict(placement.locations)
-        names = list(network.nets())
+        inputs = network.inputs
+        names = list(network.nets())  # primary inputs, then gates
         self._names = names
-        self._ids = {net: index for index, net in enumerate(names)}
-        self._sink_pins = [set() for _ in names]
-        self._driver = []
-        self._fixed = []
-        pads = placement.output_pads
-        for net in names:
-            fixed = [pads[slot] for slot in network.output_slots(net)]
-            if network.is_input(net):
-                fixed.insert(0, placement.input_pads[net])
-                self._driver.append(None)
-            else:
-                self._driver.append(net)
-            self._fixed.append(fixed)
-        for gate in network.gates():
-            for pin_index, net in enumerate(gate.fanins):
-                self._sink_pins[self._ids[net]].add(
-                    Pin(gate.name, pin_index)
-                )
-        self._hpwl = [0.0] * len(names)
-        self._ext = [None] * len(names)  # type: ignore[list-item]
-        self._ext_np = None
-        self._hpwl_np = None
+        ids = self._ids = {net: index for index, net in enumerate(names)}
+        self._driver = [None] * len(inputs) + names[len(inputs):]
+        # pads per net: the input pad first, then PO pads in slot order
+        self._fixed = [[placement.input_pads[net]] for net in inputs] + [
+            [] for _ in range(len(names) - len(inputs))
+        ]
+        for slot, net in enumerate(network.outputs):
+            self._fixed[ids[net]].append(placement.output_pads[slot])
+        fanout = network.fanout
+        self._sink_pins = [set(fanout(net)) for net in names]
         self._needs_rebuild = False
-        if not self._rebuild_vector():
-            for index in range(len(names)):
-                self._recompute_net(index)
+        self._rebuild_vector()
         self.rebuilds += 1
 
-    def _rebuild_vector(self) -> bool:
+    def _rebuild_vector(self) -> None:
         """All nets' extrema rows + HPWL in one segmented numpy pass.
 
-        Sink terminals are gathered through the shared SoA kernel's
-        consumer CSR and placement table instead of walking Pin sets
-        per net; the second-extrema rows come from segmented
-        min/max/count reductions — selections and equality counts only,
-        so every row and HPWL is bit-identical to the per-net
-        :meth:`_recompute_net` scalar walk.  Returns ``False`` (caller
-        falls back to that walk) when numpy or a fully mapped kernel
-        view is unavailable.
+        Every net's :meth:`_points` terminal list is laid out in one
+        flat point array; the second-extrema rows come from segmented
+        min/max/count reductions — selections and equality counts
+        only, so every row and HPWL is bit-identical to
+        :func:`_extrema_row` over the same list.  Every net has at
+        least one terminal (its input pad or its driver), so no
+        segment is empty.
         """
-        if _np is None:
-            return False
-        kernel = get_soa(self.network)
-        compiled = kernel.sync()
-        arrays = kernel.arrays()
-        if arrays is None:
-            return False
-        table = kernel.location_table(self.placement)
-        if table is None:
-            return False
-        names = self._names
-        net_index = compiled.net_index
-        kernel_ids = _np.array(
-            [net_index.get(net, -1) for net in names], dtype=_np.int64
+        terminals = [self._points(index) for index in range(len(self._names))]
+        counts = np.fromiter(
+            map(len, terminals), dtype=np.int64, count=len(terminals)
         )
-        if (kernel_ids < 0).any():
-            return False
-        # terminal points per net: the pads first, then the driving
-        # gate, then every sink pin's gate location from the CSR
-        fixed_counts = _np.array(
-            [len(points) for points in self._fixed], dtype=_np.int64
-        )
-        driven = kernel_ids >= compiled.num_inputs
-        driver_counts = driven.astype(_np.int64)
-        sink_counts = arrays["consumer_counts"][kernel_ids]
-        edges, _ = ragged_indices(
-            arrays["consumer_offset"][kernel_ids], sink_counts
-        )
-        sink_points = table[arrays["consumer_gate"][edges]]
-        counts = fixed_counts + driver_counts + sink_counts
-        total = int(counts.sum())
-        points = _np.empty((total, 2))
-        seg_starts = _np.concatenate(
-            ([0], _np.cumsum(counts)[:-1])
-        ).astype(_np.int64)
-        fixed_slots, _ = ragged_indices(seg_starts, fixed_counts)
-        flat_fixed = [
-            point for net_points in self._fixed for point in net_points
-        ]
-        points[fixed_slots] = _np.asarray(flat_fixed).reshape(-1, 2)
-        points[(seg_starts + fixed_counts)[driven]] = table[
-            kernel_ids[driven] - compiled.num_inputs
-        ]
-        sink_slots, _ = ragged_indices(
-            seg_starts + fixed_counts + driver_counts, sink_counts
-        )
-        points[sink_slots] = sink_points
-        rows = _np.empty((len(names), 12))
+        points = np.fromiter(
+            chain.from_iterable(chain.from_iterable(terminals)),
+            dtype=np.float64, count=2 * int(counts.sum()),
+        ).reshape(-1, 2)
+        seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        rows = np.empty((len(terminals), 12))
         for axis in (0, 1):
             values = points[:, axis]
-            min1 = _np.minimum.reduceat(values, seg_starts)
-            max1 = _np.maximum.reduceat(values, seg_starts)
-            min1_rep = _np.repeat(min1, counts)
-            max1_rep = _np.repeat(max1, counts)
-            cnt_min = _np.add.reduceat(
-                (values == min1_rep).astype(_np.float64), seg_starts
+            min1 = np.minimum.reduceat(values, seg_starts)
+            max1 = np.maximum.reduceat(values, seg_starts)
+            is_min = values == np.repeat(min1, counts)
+            is_max = values == np.repeat(max1, counts)
+            cnt_min = np.add.reduceat(is_min.astype(np.float64), seg_starts)
+            cnt_max = np.add.reduceat(is_max.astype(np.float64), seg_starts)
+            strict_min2 = np.minimum.reduceat(
+                np.where(is_min, _INF, values), seg_starts
             )
-            cnt_max = _np.add.reduceat(
-                (values == max1_rep).astype(_np.float64), seg_starts
-            )
-            strict_min2 = _np.minimum.reduceat(
-                _np.where(values == min1_rep, _INF, values), seg_starts
-            )
-            strict_max2 = _np.maximum.reduceat(
-                _np.where(values == max1_rep, -_INF, values), seg_starts
+            strict_max2 = np.maximum.reduceat(
+                np.where(is_max, -_INF, values), seg_starts
             )
             # a unique extremum's runner-up is the strict second (+-inf
             # on a one-terminal net); a duplicated extremum is its own
-            min2 = _np.where(cnt_min == 1.0, strict_min2, min1)
-            max2 = _np.where(cnt_max == 1.0, strict_max2, max1)
-            rows[:, axis * 6:axis * 6 + 6] = _np.stack(
+            min2 = np.where(cnt_min == 1.0, strict_min2, min1)
+            max2 = np.where(cnt_max == 1.0, strict_max2, max1)
+            rows[:, axis * 6:axis * 6 + 6] = np.stack(
                 [min1, min2, cnt_min, max1, max2, cnt_max], axis=1
             )
         hpwl = (rows[:, 3] - rows[:, 0]) + (rows[:, 9] - rows[:, 6])
@@ -275,7 +215,6 @@ class WirelengthEngine:
         self._hpwl = hpwl.tolist()
         self._ext_np = rows
         self._hpwl_np = hpwl
-        return True
 
     def _points(
         self, index: int, loc=None, moved=()
@@ -301,9 +240,8 @@ class WirelengthEngine:
         row = _extrema_row(self._points(index))
         self._ext[index] = row
         self._hpwl[index] = (row[3] - row[0]) + (row[9] - row[6])
-        if self._ext_np is not None:
-            self._ext_np[index] = row
-            self._hpwl_np[index] = self._hpwl[index]
+        self._ext_np[index] = row
+        self._hpwl_np[index] = self._hpwl[index]
 
     # ------------------------------------------------------------------
     # queries
@@ -408,26 +346,23 @@ class WirelengthEngine:
         """
         self.refresh()
         self.candidates_scored += len(pairs)
-        if _np is None or len(pairs) < 2:
+        if len(pairs) < 2:
             return [self._scalar_delta(pin_a, pin_b) for pin_a, pin_b in pairs]
         network = self.network
         ids = self._ids
         loc = self._loc
         count = len(pairs)
-        index_a = _np.empty(count, dtype=_np.int64)
-        index_b = _np.empty(count, dtype=_np.int64)
-        ax = _np.empty(count)
-        ay = _np.empty(count)
-        bx = _np.empty(count)
-        by = _np.empty(count)
+        index_a = np.empty(count, dtype=np.int64)
+        index_b = np.empty(count, dtype=np.int64)
+        ax = np.empty(count)
+        ay = np.empty(count)
+        bx = np.empty(count)
+        by = np.empty(count)
         for k, (pin_a, pin_b) in enumerate(pairs):
             index_a[k] = ids[network.fanin_net(pin_a)]
             index_b[k] = ids[network.fanin_net(pin_b)]
             ax[k], ay[k] = loc[pin_a.gate]
             bx[k], by[k] = loc[pin_b.gate]
-        if self._ext_np is None:
-            self._ext_np = _np.asarray(self._ext)
-            self._hpwl_np = _np.asarray(self._hpwl)
         ext = self._ext_np
         hpwl = self._hpwl_np
         after_a = _after_rows(ext[index_a], ax, ay, bx, by)
@@ -534,12 +469,12 @@ def _after_rows(rows, removed_x, removed_y, added_x, added_y):
 
 def _axis_after_rows(axis, removed, added):
     """Vectorized :func:`_axis_after` over one axis's extrema columns."""
-    effective_max = _np.where(
+    effective_max = np.where(
         (removed == axis[:, 3]) & (axis[:, 5] == 1.0), axis[:, 4], axis[:, 3]
     )
-    effective_min = _np.where(
+    effective_min = np.where(
         (removed == axis[:, 0]) & (axis[:, 2] == 1.0), axis[:, 1], axis[:, 0]
     )
-    return _np.maximum(effective_max, added) - _np.minimum(
+    return np.maximum(effective_max, added) - np.minimum(
         effective_min, added
     )

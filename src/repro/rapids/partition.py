@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..network.netlist import Network, Pin
+from ..network.netlist import Network
 from ..place.hpwl import WirelengthEngine
 from ..place.placement import Placement
 from ..place.regions import RegionSet, carve_regions

@@ -78,20 +78,14 @@ def swap_preserves_outputs(
         return False
     engine_before = SimEngine(before, backend)
     engine_after = SimEngine(after, backend)
-    try:
-        if len(before.inputs) <= exhaustive_limit:
-            engine_before.set_exhaustive_patterns()
-            engine_after.set_exhaustive_patterns(list(before.inputs))
-            return (
-                engine_before.output_words() == engine_after.output_words()
-            )
-        if engine_before.random_output_words(rounds=4) != (
-            engine_after.random_output_words(rounds=4)
-        ):
-            return False
-    finally:
-        engine_before.detach()
-        engine_after.detach()
+    if len(before.inputs) <= exhaustive_limit:
+        engine_before.set_exhaustive_patterns()
+        engine_after.set_exhaustive_patterns(list(before.inputs))
+        return engine_before.output_words() == engine_after.output_words()
+    if engine_before.random_output_words(rounds=4) != (
+        engine_after.random_output_words(rounds=4)
+    ):
+        return False
     from ..verify.equiv import networks_equivalent
 
     return networks_equivalent(before, after, backend=backend)

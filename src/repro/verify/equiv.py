@@ -45,20 +45,14 @@ def networks_equivalent(
         return False
     engine_before = SimEngine(before, backend)
     engine_after = SimEngine(after, backend)
-    try:
-        if engine_before.random_output_words(rounds=random_rounds) != (
-            engine_after.random_output_words(rounds=random_rounds)
-        ):
-            return False
-        if len(before.inputs) <= exhaustive_limit:
-            engine_before.set_exhaustive_patterns()
-            engine_after.set_exhaustive_patterns(list(before.inputs))
-            return (
-                engine_before.output_words() == engine_after.output_words()
-            )
-    finally:
-        engine_before.detach()
-        engine_after.detach()
+    if engine_before.random_output_words(rounds=random_rounds) != (
+        engine_after.random_output_words(rounds=random_rounds)
+    ):
+        return False
+    if len(before.inputs) <= exhaustive_limit:
+        engine_before.set_exhaustive_patterns()
+        engine_after.set_exhaustive_patterns(list(before.inputs))
+        return engine_before.output_words() == engine_after.output_words()
     return _bdd_equivalent(before, after)
 
 
@@ -174,14 +168,10 @@ def find_counterexample(
         raise ValueError(f"too many inputs ({num_vars}) for exhaustive search")
     engine_before = SimEngine(before, backend)
     engine_after = SimEngine(after, backend)
-    try:
-        engine_before.set_exhaustive_patterns()
-        engine_after.set_exhaustive_patterns(list(before.inputs))
-        outs_before = engine_before.output_words()
-        outs_after = engine_after.output_words()
-    finally:
-        engine_before.detach()
-        engine_after.detach()
+    engine_before.set_exhaustive_patterns()
+    engine_after.set_exhaustive_patterns(list(before.inputs))
+    outs_before = engine_before.output_words()
+    outs_after = engine_after.output_words()
     for word_before, word_after in zip(outs_before, outs_after):
         diff = word_before ^ word_after
         if diff:

@@ -3,8 +3,7 @@
 The load-bearing property: the numpy backend must match the bigint
 reference backend (and the historical ``repro.logic.simulate`` walker)
 bit-for-bit — on random networks, at random pattern widths including
-non-multiples of 64, and after random mutations followed by
-incremental resimulation.
+non-multiples of 64, and on reads after random mutations.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from repro.network.gatetype import GateType
 from repro.network.netlist import Pin
 
 from helpers import random_network
+from test_incremental_sta import prepared, random_move
 
 BACKENDS = ["bigint"] + (["numpy"] if numpy_available() else [])
 
@@ -63,42 +63,85 @@ def test_get_compiled_caches_and_invalidates():
     first = get_compiled(net)
     assert get_compiled(net) is first
     name = next(net.gate_names())
-    # a cell rebind patches the shared view in place: same object,
-    # version kept current, logic arrays untouched
+    # every mutation moves the version, a cell rebind included: the
+    # next call hands out a new snapshot of the new version
     net.set_cell(name, None)
-    assert get_compiled(net) is first
-    assert first.version == net.version
-    # a structural mutation forces a fresh compile
+    second = get_compiled(net)
+    assert second is not first
+    assert second.version == net.version
+    assert get_compiled(net) is second
     gate = net.gate(name)
     net.set_fanins(name, list(gate.fanins))
-    assert get_compiled(net) is not first
+    assert get_compiled(net) is not second
     assert get_compiled(net).version == net.version
 
 
-def test_get_compiled_absorbs_pin_rewiring_in_place():
+def _flat_view(compiled):
+    """Per-gate (opcode, invert, fanin names) by name — order-free."""
+    names = list(compiled.inputs) + list(compiled.gate_names)
+    return {
+        gate: (
+            compiled.opcode[position],
+            compiled.invert[position],
+            tuple(names[index] for index in compiled.fanins_of(position)),
+        )
+        for position, gate in enumerate(compiled.gate_names)
+    }
+
+
+def test_get_compiled_recompiles_after_pin_rewiring():
     net = random_network(7, num_inputs=5, num_gates=14, num_outputs=2)
     first = get_compiled(net)
-    revision = first.revision
+    before = _flat_view(first)
     # find a gate pin that can legally point at a primary input it
     # does not already read
     for gate in net.gates():
-        for index, fanin in enumerate(gate.fanins):
+        for index in range(len(gate.fanins)):
             for candidate in net.inputs:
                 if candidate not in gate.fanins:
                     net.replace_fanin(Pin(gate.name, index), candidate)
-                    patched = get_compiled(net)
-                    assert patched is first
-                    assert patched.revision > revision
-                    assert patched.version == net.version
-                    slot = patched.fanin_offset[
-                        patched.position_of(gate.name)
-                    ] + index
-                    assert (
-                        patched.fanin_flat[slot]
-                        == patched.net_index[candidate]
+                    rewired = get_compiled(net)
+                    assert rewired is not first
+                    assert rewired.version == net.version
+                    assert _flat_view(rewired) == _flat_view(
+                        compile_network(net)
                     )
+                    assert rewired.fanins_of(
+                        rewired.gate_names.index(gate.name)
+                    )[index] == rewired.net_index[candidate]
+                    # the old snapshot is never edited
+                    assert _flat_view(first) == before
                     return
     pytest.skip("no legal rewiring candidate in the random net")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5, 9, 12])
+def test_get_compiled_matches_fresh_compile_after_random_moves(
+    seed, library
+):
+    """Under the randomized moves of ``tests/test_incremental_sta.py``
+    the cached snapshot always describes the live network, and a
+    repeat call without a mutation returns the identical object."""
+
+    def assert_current(context):
+        compiled = get_compiled(net)
+        assert compiled.version == net.version, context
+        assert _flat_view(compiled) == _flat_view(compile_network(net)), (
+            context
+        )
+        assert get_compiled(net) is compiled, context
+
+    net, _placement = prepared(seed, library)
+    assert_current("initial")
+    rng = random.Random(2000 + seed)
+    moves = 0
+    for step in range(20):
+        label = random_move(net, library, rng)
+        if label is None:
+            break
+        moves += 1
+        assert_current(f"step {step}: {label}")
+    assert moves, "property test never exercised a move"
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +312,8 @@ def test_auto_bit_identical_to_both_explicit_backends(net_builder):
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_adaptive_state_survives_incremental_resimulation():
-    """The choice travels with the state: mutate + resimulate on an
-    auto engine must keep matching the reference walker."""
+    """The choice travels with the state: reads after each mutation on
+    an auto engine must keep matching the reference walker."""
     net = random_network(21, num_inputs=6, num_gates=25, num_outputs=3)
     engine = SimEngine(net, "auto")
     assert isinstance(engine.backend, AdaptiveBackend)
@@ -279,7 +322,6 @@ def test_adaptive_state_survives_incremental_resimulation():
     engine.set_patterns(assignments, 100)
     for _ in range(15):
         _random_safe_mutation(net, rng)
-        engine.resimulate()
         assert engine.words() == simulate(net, assignments, (1 << 100) - 1)
 
 
@@ -313,7 +355,7 @@ def test_simcore_import_surface_is_complete():
 
 
 # ----------------------------------------------------------------------
-# incremental resimulation after mutations
+# reads after mutations re-sweep the stored patterns
 # ----------------------------------------------------------------------
 def _random_safe_mutation(net, rng):
     """Apply one function-changing mutation that keeps the DAG acyclic."""
@@ -350,8 +392,10 @@ def _random_safe_mutation(net, rng):
             ]))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS + ["auto"])
 def test_incremental_resimulation_matches_fresh(backend):
+    """Reads after each of a sequence of mutations match a fresh
+    reference simulation of the live network."""
     for seed in range(8):
         base = random_network(seed, num_inputs=6, num_gates=25, num_outputs=3)
         net = base.copy()
@@ -362,26 +406,8 @@ def test_incremental_resimulation_matches_fresh(backend):
         engine.set_patterns(assignments, width)
         for step in range(25):
             _random_safe_mutation(net, rng)
-            engine.resimulate()
             reference = simulate(net, assignments, mask=(1 << width) - 1)
             assert engine.words() == reference, (seed, backend, step)
-        # rewiring steps must actually have used the incremental path
-        assert engine.incremental_updates > 0, (seed, backend)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_incremental_cheaper_than_full_sweep(backend):
-    """A single swap must not re-evaluate the whole network."""
-    net = random_network(2, num_inputs=8, num_gates=60, num_outputs=4)
-    engine = SimEngine(net, backend)
-    assignments = random_words(net.inputs, width=64, seed=0)
-    engine.set_patterns(assignments, 64)
-    evals_before = engine.gate_evals
-    # swap two fanins of one gate: dirties two gates' fanout cones only
-    gate = next(g for g in net.gates() if g.arity() >= 2)
-    net.swap_fanins(Pin(gate.name, 0), Pin(gate.name, 1))
-    engine.resimulate()
-    assert engine.gate_evals - evals_before < len(net)
 
 
 def test_exhaustive_patterns_require_full_support():
@@ -401,7 +427,6 @@ def test_structural_mutation_forces_consistent_state():
     new = net.fresh_name("extra")
     net.add_gate(new, GateType.AND, [net.inputs[0], net.inputs[1]])
     net.replace_fanin(Pin(next(net.gate_names()), 0), new)
-    engine.resimulate()
     assert engine.words() == simulate(net, assignments, mask=(1 << 96) - 1)
 
 

@@ -4,6 +4,8 @@ Locks the PR-4 contracts:
 
 * cached per-net boxes == fresh ``total_hpwl`` to 1e-9 under random
   applied-swap sequences (incremental correctness);
+* the vectorized ``rebuild`` equals the scalar per-net extrema walk
+  row for row, on annealed and grid placements;
 * structural mutations invalidate the flattening (engine notices);
 * candidate pricing fires **zero** mutation events (listener spy);
 * batch deltas are bit-identical to scalar and to the interpreted
@@ -28,8 +30,8 @@ import pytest
 
 from repro.network.gatetype import GateType
 from repro.network.netlist import Pin
-from repro.place.hpwl import WirelengthEngine
-from repro.place.placement import net_hpwl, total_hpwl
+from repro.place.hpwl import WirelengthEngine, _extrema_row
+from repro.place.placement import grid_placement, net_hpwl, total_hpwl
 from repro.place.placer import place
 from repro.rapids.wirelength import reduce_wirelength, swap_hpwl_delta
 from repro.symmetry.supergate import extract_supergates
@@ -86,6 +88,51 @@ def test_incremental_matches_fresh_total(library):
             )
         # the whole sequence rode the event hook, never a rebuild
         assert engine.rebuilds == 1
+
+
+def _grid_network_with_lone_terminals(seed):
+    """A grid-placed random network plus two one-terminal nets: an
+    unused primary input (its pad only) and a fanout-free gate that is
+    no output (its driver only).  Grid rows and columns give many
+    duplicated extrema."""
+    net = random_network(seed, num_inputs=6, num_gates=40, num_outputs=4)
+    net.add_input(net.fresh_name("lone_pi"))
+    net.add_gate(net.fresh_name("lone_gate"), GateType.INV, [net.inputs[0]])
+    return net, grid_placement(net)
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_rebuild_rows_equal_scalar_extrema(seed, library):
+    """Every row and HPWL of the vectorized rebuild (and its numpy
+    mirrors) equals ``_extrema_row`` over the net's terminal list."""
+    cases = {
+        "annealed": prepared(seed, library),
+        "grid": _grid_network_with_lone_terminals(seed),
+    }
+    for label, (net, placement) in cases.items():
+        engine = WirelengthEngine(net, placement)
+        engine.rebuild()
+        seen = set()
+        for index, name in enumerate(engine._names):
+            points = engine._points(index)
+            row = _extrema_row(points)
+            context = (seed, label, name)
+            assert engine._ext[index] == row, context
+            assert engine._hpwl[index] == (
+                (row[3] - row[0]) + (row[9] - row[6])
+            ), context
+            assert engine._ext_np[index].tolist() == row, context
+            assert engine._hpwl_np[index] == engine._hpwl[index], context
+            if len(points) == 1:
+                seen.add("one-terminal")
+            if net.is_output(name):
+                seen.add("po-pad")
+            if row[2] > 1 or row[5] > 1 or row[8] > 1 or row[11] > 1:
+                seen.add("duplicate-extremum")
+        if label == "grid":
+            assert seen == {
+                "one-terminal", "po-pad", "duplicate-extremum"
+            }, context
 
 
 def test_structural_mutation_invalidates(library):
