@@ -4,12 +4,13 @@ A killed process used to lose the whole optimization trajectory; this
 module makes long runs restartable without changing what they compute.
 :class:`CheckpointManager` owns one checkpoint file and a SIGTERM
 handler; the flow's loops call :meth:`CheckpointManager.boundary` at
-deterministic points (an optimization round, a partitioned-rewiring
-round) with a builder producing the resume payload.  On cadence — and
-always when a SIGTERM arrived since the last boundary — the payload is
-written atomically (temp file, fsync, ``os.replace``), and after an
-interrupt save :class:`RunInterrupted` unwinds the run so the caller
-can exit with :data:`CHECKPOINT_EXIT_CODE`.
+deterministic points (an optimization round, a batched-polish round,
+the run's end) with a builder producing the resume payload.  On
+cadence — and always when a SIGTERM arrived since the last boundary —
+the payload is written atomically (temp file, fsync,
+``os.replace``), and after an interrupt save :class:`RunInterrupted`
+unwinds the run so the caller can exit with
+:data:`CHECKPOINT_EXIT_CODE`.
 
 Payloads hold the live objects themselves — :class:`~repro.network.
 netlist.Network`, :class:`~repro.place.placement.Placement` and the
@@ -45,9 +46,11 @@ from .timing.sta import EvalState, TimingEngine
 #: a temporary condition — rerun with ``--resume`` to continue).
 CHECKPOINT_EXIT_CODE = 75
 
-#: Layout of the saved payload: 2 pickles the live objects.  Files
-#: without the field hold the SoA column packing that preceded it.
-PAYLOAD_FORMAT = 2
+#: Layout of the saved payload: 2 pickled the live objects (files
+#: without the field hold the SoA column packing that preceded it); 3
+#: renamed the mid-polish stage ``wl_partition`` to ``wl_round`` when
+#: the unpartitioned polish began checkpointing its rounds too.
+PAYLOAD_FORMAT = 3
 
 #: Environment variable carrying a JSON fault plan that SIGTERMs the
 #: run at chosen boundaries, e.g. ``{"checkpoint_round": {"1":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .checkpoint import (
     CHECKPOINT_EXIT_CODE,
@@ -20,8 +21,9 @@ from .checkpoint import (
     CheckpointMismatchError,
     RunInterrupted,
 )
+from .config import FlowConfig, option_string, shown_default
 from .rapids.report import Table1Row, averages
-from .suite.flow import FlowConfig, run_benchmark, run_suite
+from .suite.flow import run_benchmark, run_suite
 from .suite.registry import (
     PAPER_AVERAGES,
     REGISTRY,
@@ -29,6 +31,25 @@ from .suite.registry import (
     benchmark_names,
     synthetic_names,
 )
+
+
+def _knob_flags():
+    """``(option, add_argument keywords)`` per flagged FlowConfig field."""
+    for spec in fields(FlowConfig):
+        name, meta = option_string(spec), spec.metadata
+        if name is None:
+            continue
+        kwargs = {"dest": spec.name, "default": spec.default,
+                  "help": f"{meta['help']} (default: {shown_default(spec)})"}
+        if meta["negatable"]:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif spec.type == "bool":
+            kwargs.update(action="store_true", help=meta["help"])
+        else:
+            parse = {"int": int, "float": float}.get(spec.type.split(" |")[0])
+            kwargs.update(metavar=meta["metavar"], choices=meta["choices"],
+                          type=parse)
+        yield name, kwargs
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -49,26 +70,14 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _flow_config(args: argparse.Namespace) -> FlowConfig:
-    """The flow knobs ``table1`` and ``bench`` share."""
-    return FlowConfig(
-        scale=args.scale,
-        check_equivalence=args.verify,
-        workers=args.workers,
-        sim_backend=args.sim_backend,
-        wl_passes=args.wl_passes,
-        wl_batched=args.wl_batched,
-        wl_timing_aware=args.wl_timing_aware,
-        wl_slack_margin=args.wl_slack_margin,
-        partition=args.partition,
-        partition_max_gates=args.partition_max_gates,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
-    )
+    """The flow knobs ``table1`` and ``bench`` share, from their flags."""
+    return FlowConfig(**{
+        spec.name: getattr(args, spec.name)
+        for spec in fields(FlowConfig) if option_string(spec)
+    })
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    config = _flow_config(args)
     names = args.names or benchmark_names()
     print(Table1Row.HEADER)
     rows = []
@@ -78,7 +87,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         print(outcome.row.format())
         sys.stdout.flush()
 
-    run_suite(names, config, progress=progress)
+    run_suite(names, args.config, progress=progress)
     avg = averages(rows)
     print(
         f"{'ave.':<10}{'':>7}{'':>7}"
@@ -100,8 +109,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = _flow_config(args)
-    outcome = run_benchmark(args.name, config)
+    outcome = run_benchmark(args.name, args.config)
     print(f"benchmark {args.name} (scale {outcome.scale})")
     print(f"  gates {len(outcome.network)}  depth "
           f"{outcome.network.depth()}  hpwl {outcome.hpwl:.0f} um")
@@ -165,8 +173,8 @@ def _cmd_symmetries(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for the ``rapids`` console script."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``rapids`` parser; the flow knobs' flags come from FlowConfig."""
     parser = argparse.ArgumentParser(
         prog="rapids",
         description="RAPIDS (DAC 2000) reproduction",
@@ -176,108 +184,35 @@ def main(argv: list[str] | None = None) -> int:
     p_list = sub.add_parser("list", help="registered benchmarks")
     p_list.set_defaults(func=_cmd_list)
 
-    def _optimizer_knobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="processes selecting partitioned-polish regions; used "
-                 "with --partition, the trajectory is bit-identical for "
-                 "every N (default: 1, serial)",
-        )
-        p.add_argument(
-            "--sim-backend", default="auto",
-            choices=["auto", "bigint", "numpy"],
-            help="simulation backend for equivalence sweeps; 'auto' "
-                 "picks bigint for deep narrow logic and numpy for wide "
-                 "shallow blocks from the compiled sweep shape "
-                 "(default: auto)",
-        )
-        p.add_argument(
-            "--wl-passes", type=int, default=1, metavar="N",
-            help="append N Section-5 wirelength-rewiring passes after "
-                 "timing optimization: symmetric signals are exchanged "
-                 "to shorten estimated wires, placement untouched "
-                 "(default: 1 — the timing-aware slack gate makes the "
-                 "polish delay-safe; 0 skips it)",
-        )
-        p.add_argument(
-            "--wl-batched", action=argparse.BooleanOptionalAction,
-            default=True,
-            help="score each wirelength pass's full candidate set as "
-                 "one vectorized batch and commit a conflict-free "
-                 "subset; --no-wl-batched runs the serial greedy "
-                 "reference instead (default: batched)",
-        )
-        p.add_argument(
-            "--wl-timing-aware", action=argparse.BooleanOptionalAction,
-            default=True,
-            help="gate every wirelength swap on its projected slack "
-                 "neighborhood staying above the guard band; "
-                 "--no-wl-timing-aware restores the HPWL-only "
-                 "objective (default: timing-aware)",
-        )
-        p.add_argument(
-            "--wl-slack-margin", type=float, default=0.0, metavar="NS",
-            help="guard band in ns for the timing-aware wirelength "
-                 "gate: 0.0 never degrades the re-timed delay, "
-                 "negative values trade bounded delay for wire, "
-                 "positive values keep a safety band (default: 0.0)",
-        )
-        p.add_argument(
-            "--partition", action=argparse.BooleanOptionalAction,
-            default=False,
-            help="run the wirelength polish region-bounded: FM-carve "
-                 "the placed netlist into regions with frozen boundary "
-                 "nets, select per region (concurrently with "
-                 "--workers), commit through the serial conflict-free "
-                 "committer — the 1e5+ gate path (default: off)",
-        )
-        p.add_argument(
-            "--partition-max-gates", type=int, default=2500, metavar="N",
-            help="region size cap for the partitioned carve; large "
-                 "enough for one region reproduces the unpartitioned "
-                 "trajectory bit-for-bit (default: 2500)",
-        )
-        p.add_argument(
-            "--checkpoint", default=None, metavar="PATH",
-            help="save resume state to PATH.<mode> at flow boundaries "
-                 "and on SIGTERM; an interrupted run exits with status "
-                 "75 (EX_TEMPFAIL) after a clean save (default: off)",
-        )
-        p.add_argument(
-            "--resume", action="store_true",
-            help="reload --checkpoint files and continue interrupted "
-                 "runs from the saved cursor; the finished run is "
-                 "bit-identical to an uninterrupted one (missing "
-                 "checkpoints just run fresh)",
-        )
-        p.add_argument(
-            "--checkpoint-every", type=int, default=1, metavar="N",
-            help="save only every N-th flow boundary (SIGTERM always "
-                 "saves at the next boundary; default: 1)",
-        )
-
     p_table = sub.add_parser("table1", help="reproduce Table 1")
     p_table.add_argument("names", nargs="*", help="subset of benchmarks")
-    p_table.add_argument("--scale", type=float, default=None)
-    p_table.add_argument("--verify", action="store_true",
-                         help="check functional equivalence per mode")
-    _optimizer_knobs(p_table)
     p_table.set_defaults(func=_cmd_table1)
 
     p_bench = sub.add_parser("bench", help="one benchmark, verbose")
     p_bench.add_argument("name")
-    p_bench.add_argument("--scale", type=float, default=None)
-    p_bench.add_argument("--verify", action="store_true")
-    _optimizer_knobs(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
+
+    for flow_parser in (p_table, p_bench):
+        for option, kwargs in _knob_flags():
+            flow_parser.add_argument(option, **kwargs)
 
     p_sym = sub.add_parser(
         "symmetries", help="supergate census of a BLIF/.bench file"
     )
     p_sym.add_argument("file")
     p_sym.set_defaults(func=_cmd_symmetries)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point for the ``rapids`` console script."""
+    parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("table1", "bench"):
+        try:
+            args.config = _flow_config(args)
+        except ValueError as exc:  # a knob out of range, named
+            parser.error(str(exc))
     try:
         return args.func(args)
     except UnknownBenchmarkError as exc:

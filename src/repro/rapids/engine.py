@@ -30,6 +30,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
+from ..config import MODES as MODES  # re-exported: callers import it here
+from ..config import RapidsConfig
 from ..library.cells import Library
 from ..network import events
 from ..network.netlist import Network
@@ -45,8 +47,6 @@ from ..symmetry.supergate import (
 from ..timing.sta import TimingEngine
 from ..verify.equiv import networks_equivalent
 from .moves import swap_sites
-
-MODES = ("gsg", "gs", "gsg_gs")
 
 
 def network_content_hash(network: Network) -> str:
@@ -399,104 +399,51 @@ def _gsg_gs_factory(library: Library):
     return factory
 
 
+_FACTORIES = {
+    "gsg": _gsg_factory, "gs": _gs_factory, "gsg_gs": _gsg_gs_factory,
+}
+
+
 def run_rapids(
     network: Network,
     placement: Placement,
     library: Library,
-    mode: str = "gsg_gs",
-    max_rounds: int = 12,
-    batch_limit: int = 64,
-    check_equivalence: bool = False,
-    collect_log: bool = False,
-    incremental: bool = True,
-    sim_backend: str = "auto",
-    workers: int = 1,
-    wl_passes: int = 0,
-    wl_batched: bool = True,
-    wl_timing_aware: bool = True,
-    wl_slack_margin: float = 0.0,
+    *,
     wl_class_swaps: bool = False,  # inert: perfbench/flows.py passes it
-    partition: bool = False,
-    partition_max_gates: int = 2500,
-    checkpoint: str | None = None,
-    resume: bool = False,
-    checkpoint_every: int = 1,
+    **knobs,
 ) -> RapidsResult:
     """Optimize a placed mapped network in place; returns the report.
 
-    With ``check_equivalence`` the optimized network is verified
-    functionally identical to the input (always on in the test suite;
-    optional in benchmarks for speed); *sim_backend* picks the
-    simulation backend that verification sweep runs on (``"auto"``
-    resolves per sweep shape, see ``repro.logic.simcore.backends``).
-    *batch_limit* is the per-batch commit cap.
-    *wl_passes* > 0 appends that many Section-5 wirelength-rewiring
-    passes after timing optimization (placement still untouched);
-    *wl_batched* selects the vectorized conflict-free path over the
-    serial greedy reference (see :mod:`repro.rapids.wirelength`).
-    With *wl_timing_aware* (the default) those passes gate every
-    accepted swap on a projected-slack guard band of *wl_slack_margin*
-    ns against the post-optimization critical delay, so the polish
-    recovers wirelength without giving back the delay the sizing
-    passes just bought; ``wl_timing_aware=False`` restores the
-    timing-blind HPWL-only objective.
+    *knobs* are the fields of :class:`repro.config.RapidsConfig`, which
+    documents each; a bad knob is refused before any work.  The run is
+    the ``mode`` optimizer, ``wl_passes`` wirelength-polish passes and
+    the optional equivalence check.  A ``checkpoint`` is saved at the
+    stage boundaries ``"optimize"`` (each round), ``"wl"``,
+    ``"wl_round"`` (each batched-polish round) and ``"done"``, where a
+    SIGTERM unwinds with :class:`~repro.checkpoint.RunInterrupted`;
+    ``resume`` finishes bit-identically to an uninterrupted run.
     *wl_class_swaps* must be ``False``.
-    With *partition* the polish runs region-bounded: the placed
-    netlist is FM-carved into regions of at most
-    *partition_max_gates* gates with frozen boundary nets, regions
-    are selected independently (on *workers* processes, see
-    :mod:`repro.parallel`) and committed through the serial
-    conflict-free committer — same semantics restricted to
-    intra-region moves, scaling the polish to 1e5+ gates (see
-    :mod:`repro.rapids.partition`; implies the batched path).
-    With *checkpoint* a :class:`repro.checkpoint.CheckpointManager`
-    saves resume state to that path every *checkpoint_every*-th flow
-    boundary (optimization rounds, partitioned-rewiring rounds, stage
-    handoffs) and always when a SIGTERM arrived, then unwinds with
-    :class:`~repro.checkpoint.RunInterrupted`.  *resume* reloads the
-    checkpoint and re-enters the interrupted stage at the saved
-    cursor; the resumed run must be given the same inputs and flow
-    knobs, and then finishes with a trajectory — and final
-    fingerprint — bit-identical to an uninterrupted run (missing or
-    unreadable checkpoints fall back to a fresh run).  Every payload
-    records the knobs that shape the trajectory (all but *workers*,
-    the checkpoint settings, *check_equivalence*, *collect_log* and
-    *sim_backend*); resuming under different values raises
-    :class:`~repro.checkpoint.CheckpointMismatchError`.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; pick one of {MODES}")
     if wl_class_swaps:
         raise ValueError("wl_class_swaps=True is not supported")
-    manager = None
-    resume_payload = None
-    stage = None
-    if checkpoint is not None:
-        from ..checkpoint import CheckpointManager
+    config = RapidsConfig(**knobs)
+    manager = saved = stage = None
+    if config.checkpoint is not None:
+        from ..checkpoint import CheckpointManager, graft_state
 
-        manager = CheckpointManager(checkpoint, every=checkpoint_every)
-        manager.knobs = {
-            "mode": mode,
-            "max_rounds": max_rounds,
-            "batch_limit": batch_limit,
-            "incremental": incremental,
-            "wl_passes": wl_passes,
-            "wl_batched": wl_batched,
-            "wl_timing_aware": wl_timing_aware,
-            "wl_slack_margin": wl_slack_margin,
-            "partition": partition,
-            "partition_max_gates": partition_max_gates,
-        }
-        if resume:
-            resume_payload = manager.load()
-            if resume_payload is not None:
-                stage = resume_payload["stage"]
+        manager = CheckpointManager(
+            config.checkpoint, every=config.checkpoint_every
+        )
+        manager.knobs = config.trajectory_knobs()
+        if config.resume:
+            saved = manager.load()
+            stage = saved and saved["stage"]
         manager.install()
     try:
         # pre-flight metrics run on the pristine input even when
         # resuming (the saved state is grafted only afterwards), so a
         # resumed report matches the uninterrupted one field for field
-        reference = network.copy() if check_equivalence else None
+        reference = network.copy() if config.check_equivalence else None
         placement_before = placement.copy()
         sgn = SUPERGATE_STORE.get_or_extract(network)
         coverage = sgn.coverage() * 100.0
@@ -505,134 +452,119 @@ def run_rapids(
             find_easy_redundancies(network, sgn)
         )["events"]
         if stage == "done":
-            from ..checkpoint import graft_state
-
-            graft_state(*resume_payload["final_state"], network, placement)
-            result = resume_payload["result"]
-            if reference is not None:
-                result.equivalent = networks_equivalent(
-                    reference, network, backend=sim_backend
-                )
-            return result
-        if mode == "gsg":
-            factory = _gsg_factory(library)
-        elif mode == "gs":
-            factory = _gs_factory(library)
+            # a finished checkpoint: graft the final netlist and return
+            # the saved report instead of redoing any work
+            graft_state(*saved["final_state"], network, placement)
+            result = saved["result"]
         else:
-            factory = _gsg_gs_factory(library)
-        if stage in ("wl", "wl_partition"):
-            opt = resume_payload["opt"]
-            if stage == "wl":
-                from ..checkpoint import graft_state
-
-                graft_state(*resume_payload["run_state"], network, placement)
-        else:
-            opt = optimize(
-                network,
-                placement,
-                library,
-                site_factory=factory,
-                mode=mode,
-                max_rounds=max_rounds,
-                batch_limit=batch_limit,
-                collect_log=collect_log,
-                incremental=incremental,
-                checkpoint=manager,
-                resume_data=(
-                    resume_payload if stage == "optimize" else None
-                ),
-            )
-        if manager is not None:
-            # every later payload carries the finished optimization
-            # result via the manager context; the forced boundary also
-            # converts a SIGTERM that landed after the optimizer's
-            # last round into a clean stage handoff
-            manager.context = {"opt": opt}
-            if stage not in ("wl", "wl_partition"):
-                manager.boundary(
-                    "wl",
-                    lambda: {"run_state": (network, placement)},
-                    force=True,
-                )
-        wirelength = None
-        if wl_passes > 0:
-            from .wirelength import reduce_wirelength
-
-            wl_timing = None
-            if stage == "wl_partition":
-                from ..checkpoint import engine_from_state, graft_state
-
-                saved = resume_payload["engine_state"]
-                if resume_payload["timing_aware"]:
-                    wl_timing = engine_from_state(
-                        saved, network, placement, library
-                    )
-                else:
-                    graft_state(*saved, network, placement)
-            elif wl_timing_aware:
-                # the guard band is measured against the delay the
-                # optimizer just achieved: the gate's engine pins its
-                # target to this analysis' critical path
-                wl_timing = TimingEngine(network, placement, library)
-                wl_timing.analyze()
-            if partition:
-                from .partition import reduce_wirelength_partitioned
-
-                wirelength = reduce_wirelength_partitioned(
-                    network, placement, max_gates=partition_max_gates,
-                    max_passes=wl_passes, timing_engine=wl_timing,
-                    slack_margin=wl_slack_margin, workers=workers,
-                    library=library,
-                    checkpoint=manager,
-                    resume_data=(
-                        resume_payload if stage == "wl_partition" else None
-                    ),
-                )
+            if stage in ("wl", "wl_round"):
+                opt = saved["opt"]
+                if stage == "wl":
+                    graft_state(*saved["run_state"], network, placement)
             else:
-                wirelength = reduce_wirelength(
-                    network, placement, max_passes=wl_passes,
-                    batched=wl_batched, timing_engine=wl_timing,
-                    slack_margin=wl_slack_margin,
+                opt = optimize(
+                    network,
+                    placement,
+                    library,
+                    site_factory=_FACTORIES[config.mode](library),
+                    mode=config.mode,
+                    max_rounds=config.max_rounds,
+                    batch_limit=config.batch_limit,
+                    collect_log=config.collect_log,
+                    incremental=config.incremental,
+                    checkpoint=manager,
+                    resume_data=saved if stage == "optimize" else None,
                 )
-            if wirelength.swaps_applied or wirelength.cross_swaps_applied:
-                # the polish rewired nets after the optimizer's last
-                # STA: re-time so the reported delay describes the
-                # returned netlist (area is untouched — these moves add
-                # no cells).  The guard engine already tracked every
-                # commit incrementally (incremental == fresh to 1e-9),
-                # so only the timing-blind path needs a from-scratch
-                # analysis.
-                if wl_timing is not None:
-                    wl_timing.refresh()
-                    opt.final_delay = wl_timing.max_delay
-                else:
-                    final_engine = TimingEngine(network, placement, library)
-                    final_engine.analyze()
-                    opt.final_delay = final_engine.max_delay
-        result = RapidsResult(
-            mode=mode,
-            optimize=opt,
-            coverage_percent=coverage,
-            max_supergate_inputs=max_inputs,
-            redundancies=redundancies,
-            perturbation=perturbation(placement_before, placement),
-            wirelength=wirelength,
-        )
+            if manager is not None:
+                # later payloads carry the finished optimization result;
+                # the forced boundary also turns a SIGTERM after the
+                # optimizer's last round into a clean stage handoff
+                manager.context = {"opt": opt}
+                if stage not in ("wl", "wl_round"):
+                    manager.boundary(
+                        "wl",
+                        lambda: {"run_state": (network, placement)},
+                        force=True,
+                    )
+            wirelength = None
+            if config.wl_passes > 0:
+                wirelength = _polish(
+                    network, placement, library, config, opt, manager,
+                    saved if stage == "wl_round" else None,
+                )
+            result = RapidsResult(
+                mode=config.mode,
+                optimize=opt,
+                coverage_percent=coverage,
+                max_supergate_inputs=max_inputs,
+                redundancies=redundancies,
+                perturbation=perturbation(placement_before, placement),
+                wirelength=wirelength,
+            )
         if reference is not None:
             result.equivalent = networks_equivalent(
-                reference, network, backend=sim_backend
+                reference, network, backend=config.sim_backend
             )
-        if manager is not None:
-            # a completed run checkpoints its own result: resuming a
-            # finished checkpoint grafts the final netlist and returns
-            # the saved report instead of redoing any work
+        if manager is not None and stage != "done":
+            # a SIGTERM no earlier boundary saw unwinds here, after the
+            # run's own result is saved
             manager.context = {}
-            manager.save({
-                "stage": "done",
-                "result": result,
-                "final_state": (network, placement),
-            })
+            manager.boundary(
+                "done",
+                lambda: {"result": result,
+                         "final_state": (network, placement)},
+                force=True,
+            )
         return result
     finally:
         if manager is not None:
             manager.uninstall()
+
+
+def _polish(network, placement, library, config, opt, manager, saved):
+    """:func:`run_rapids`' polish stage, resuming round payload *saved*;
+    calls go through module attributes, which wrappers may replace."""
+    from . import partition, wirelength
+
+    wl_timing = None
+    if saved is not None:
+        from ..checkpoint import engine_from_state, graft_state
+
+        state = saved["engine_state"]
+        if saved["timing_aware"]:
+            wl_timing = engine_from_state(state, network, placement, library)
+        else:
+            graft_state(*state, network, placement)
+    elif config.wl_timing_aware:
+        # the guard band is measured against the delay the optimizer
+        # just achieved: the gate's engine pins its target to this
+        # analysis' critical path
+        wl_timing = TimingEngine(network, placement, library)
+        wl_timing.analyze()
+    shared = dict(
+        max_passes=config.wl_passes, timing_engine=wl_timing,
+        slack_margin=config.wl_slack_margin, checkpoint=manager,
+        resume_data=saved,
+    )
+    if config.partition:
+        result = partition.reduce_wirelength_partitioned(
+            network, placement, max_gates=config.partition_max_gates,
+            workers=config.workers, **shared,
+        )
+    else:
+        result = wirelength.reduce_wirelength(
+            network, placement, batched=config.wl_batched, **shared,
+        )
+    if result.swaps_applied or result.cross_swaps_applied:
+        # the polish rewired nets after the optimizer's last STA:
+        # re-time so the reported delay describes the returned netlist
+        # (area is untouched — these moves add no cells).  The guard
+        # engine tracked every commit incrementally (incremental ==
+        # fresh to 1e-9), so only the timing-blind path re-analyzes.
+        if wl_timing is None:
+            wl_timing = TimingEngine(network, placement, library)
+            wl_timing.analyze()
+        else:
+            wl_timing.refresh()
+        opt.final_delay = wl_timing.max_delay
+    return result

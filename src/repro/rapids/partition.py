@@ -156,7 +156,7 @@ def reduce_wirelength_partitioned(
     only because existing callers pass it.
 
     *checkpoint* (a :class:`repro.checkpoint.CheckpointManager`) saves
-    a ``"wl_partition"`` cursor after every applied round.  To resume,
+    a ``"wl_round"`` cursor after every applied round.  To resume,
     the caller grafts the saved state back into *network* /
     *placement* / *timing_engine* first (see
     :func:`repro.checkpoint.graft_state` /
@@ -365,7 +365,7 @@ def polish_rounds(
             if leaves + crossings == 0:
                 break
             if checkpoint is not None:
-                checkpoint.boundary("wl_partition", cursor)
+                checkpoint.boundary("wl_round", cursor)
         if pass_applied == 0:
             break
     if session is not None:

@@ -247,6 +247,8 @@ def reduce_wirelength(
     batched: bool = True,
     timing_engine: TimingEngine | None = None,
     slack_margin: float = 0.0,
+    checkpoint=None,
+    resume_data: dict | None = None,
 ) -> WirelengthResult:
     """Shorten estimated wiring by symmetry-based rewiring.
 
@@ -255,6 +257,9 @@ def reduce_wirelength(
     alone), so the placement is untouched and the gate count constant.
     *batched* selects the vectorized conflict-free path (see module
     docstring); ``batched=False`` runs the serial greedy reference.
+    The batched path checkpoints and resumes per round exactly like
+    :func:`repro.rapids.partition.reduce_wirelength_partitioned`
+    (*checkpoint*, *resume_data*); the greedy reference ignores both.
 
     With *timing_engine* every commit is additionally gated on its
     projected slack neighborhood staying above *slack_margin* (ns)
@@ -272,7 +277,10 @@ def reduce_wirelength(
         return _reduce_greedy(network, placement, max_passes, gate)
     from .partition import polish_rounds
 
-    result = polish_rounds(network, placement, gate, max_passes)
+    result = polish_rounds(
+        network, placement, gate, max_passes,
+        checkpoint=checkpoint, resume_data=resume_data,
+    )
     return WirelengthResult(**{
         spec.name: getattr(result, spec.name)
         for spec in fields(WirelengthResult)

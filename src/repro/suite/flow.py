@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar
 
+from ..config import FlowConfig
 from ..library.cells import Library, default_library
 from ..network.netlist import Network
 from ..place.placement import Placement, total_hpwl
@@ -24,50 +24,7 @@ from ..synth.mapper import map_network, network_area
 from ..synth.strash import script_rugged
 from ..timing.sta import TimingEngine
 from .redundant import inject_redundant_wires
-from .registry import BenchmarkSpec, configured_scale, resolve_benchmark
-
-
-@dataclass
-class FlowConfig:
-    """Knobs of the experimental flow."""
-
-    scale: float | None = None        # None = REPRO_SCALE / default
-    place_seed: int = 0
-    modes: tuple[str, ...] = MODES
-    max_rounds: int = 12
-    batch_limit: int = 64
-    check_equivalence: bool = False
-    sim_backend: str = "auto"         # simulation backend for verification
-                                      # ("auto" = adaptive per sweep shape)
-    workers: int = 1                  # processes selecting partitioned-
-                                      # polish regions (trajectory is
-                                      # worker-count-invariant)
-    wl_passes: int = 1                # post-optimization wirelength-rewiring
-                                      # passes (0 = skip the Section-5 polish;
-                                      # on by default: the timing-aware gate
-                                      # makes the polish delay-safe)
-    wl_batched: bool = True           # vectorized conflict-free wirelength
-                                      # path (False = serial greedy reference)
-    wl_timing_aware: bool = True      # gate wirelength swaps on projected
-                                      # slack (False = HPWL-only objective)
-    wl_slack_margin: float = 0.0      # guard band (ns) the slack gate
-                                      # enforces; 0.0 = never degrade delay
-    wl_class_swaps: ClassVar[bool] = False  # inert; perfbench/flows.py reads
-    partition: bool = False           # region-bounded wirelength polish:
-                                      # FM-carved regions with frozen
-                                      # boundary nets (repro.rapids.partition)
-    partition_max_gates: int = 2500   # region size cap for the carve
-    anneal_moves: int | None = None  # None = auto (40 moves per gate)
-    presize: bool = True              # timing-driven sizing before placement
-    checkpoint: str | None = None     # checkpoint file path; each mode
-                                      # saves to "<path>.<mode>" so a
-                                      # multi-mode run resumes per mode
-    resume: bool = False              # reload per-mode checkpoints and
-                                      # continue interrupted runs
-    checkpoint_every: int = 1         # boundary cadence between saves
-
-    def effective_scale(self) -> float:
-        return self.scale if self.scale is not None else configured_scale()
+from .registry import BenchmarkSpec, resolve_benchmark
 
 
 @dataclass
@@ -161,30 +118,9 @@ def run_benchmark(
     library = library or default_library()
     outcome = prepare_benchmark(name, config, library)
     for mode in config.modes:
-        trial_network = outcome.network.copy()
-        trial_placement = outcome.placement.copy()
         outcome.results[mode] = run_rapids(
-            trial_network,
-            trial_placement,
-            library,
-            mode=mode,
-            max_rounds=config.max_rounds,
-            batch_limit=config.batch_limit,
-            check_equivalence=config.check_equivalence,
-            sim_backend=config.sim_backend,
-            workers=config.workers,
-            wl_passes=config.wl_passes,
-            wl_batched=config.wl_batched,
-            wl_timing_aware=config.wl_timing_aware,
-            wl_slack_margin=config.wl_slack_margin,
-            partition=config.partition,
-            partition_max_gates=config.partition_max_gates,
-            checkpoint=(
-                f"{config.checkpoint}.{mode}"
-                if config.checkpoint is not None else None
-            ),
-            resume=config.resume,
-            checkpoint_every=config.checkpoint_every,
+            outcome.network.copy(), outcome.placement.copy(), library,
+            **config.for_mode(mode),
         )
     if all(mode in outcome.results for mode in MODES):
         outcome.row = build_row(

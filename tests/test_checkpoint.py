@@ -169,6 +169,20 @@ def test_checkpoint_of_another_format_is_refused_by_name(tmp_path):
     assert "rerun without --resume" in str(excinfo.value)
 
 
+def test_format_2_checkpoint_with_the_old_polish_stage_is_refused(tmp_path):
+    # format 2 named the mid-polish stage "wl_partition"; resuming it
+    # under today's stage names must fail by name, not run fresh
+    path = tmp_path / "old.ckpt"
+    with open(path, "wb") as handle:
+        pickle.dump({"format": 2, "stage": "wl_partition"}, handle)
+    network, placement, library = _placed_design(3, num_gates=20)
+    with pytest.raises(CheckpointFormatError, match="payload format 2"):
+        run_rapids(
+            network, placement, library, mode="gs", wl_passes=1,
+            checkpoint=str(path), resume=True,
+        )
+
+
 # ----------------------------------------------------------------------
 # pickled state: exact round-trips
 # ----------------------------------------------------------------------
@@ -317,8 +331,8 @@ def test_run_rapids_resumes_identically_from_every_boundary(
             f"resume from boundary {index} ({stages[-1]}) diverged"
         )
         index += 1
-    assert "optimize" in stages
-    assert "wl" in stages
+    # both polish shapes checkpoint every applied round
+    assert {"optimize", "wl", "wl_round", "done"} <= set(stages)
     # resuming an already-finished checkpoint replays nothing and
     # returns the recorded result
     done_net = network.copy()
@@ -327,6 +341,73 @@ def test_run_rapids_resumes_identically_from_every_boundary(
         checkpoint=path, resume=True, **kwargs,
     )
     assert _result_fingerprint(done_net, done) == reference
+
+
+def test_sigterm_during_the_unpartitioned_polish_unwinds_and_resumes(
+    tmp_path, monkeypatch
+):
+    """A SIGTERM that lands inside the default (one-region) polish is
+    saved at the next polish round and unwinds; it is not swallowed."""
+    from repro.rapids import partition
+
+    network, placement, library = _placed_design(17, num_gates=80)
+    path = str(tmp_path / "run.ckpt")
+    kwargs = dict(mode="gs", max_rounds=3, wl_passes=2)
+    plain_net = network.copy()
+    plain = run_rapids(plain_net, placement.copy(), library, **kwargs)
+    assert plain.wirelength.swaps_applied > 0
+    select = partition._select_batch
+
+    def select_then_sigterm(*args):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return select(*args)
+
+    monkeypatch.setattr(partition, "_select_batch", select_then_sigterm)
+    with pytest.raises(RunInterrupted) as excinfo:
+        run_rapids(
+            network.copy(), placement.copy(), library,
+            checkpoint=path, **kwargs,
+        )
+    assert excinfo.value.stage == "wl_round"
+    monkeypatch.setattr(partition, "_select_batch", select)
+    res_net = network.copy()
+    resumed = run_rapids(
+        res_net, placement.copy(), library,
+        checkpoint=path, resume=True, **kwargs,
+    )
+    assert _result_fingerprint(res_net, resumed) == \
+        _result_fingerprint(plain_net, plain)
+
+
+@pytest.mark.parametrize("knobs, recorded", [
+    ({}, {
+        "mode": "gsg_gs", "max_rounds": 12, "batch_limit": 64,
+        "incremental": True, "wl_passes": 0, "wl_batched": True,
+        "wl_timing_aware": True, "wl_slack_margin": 0.0,
+        "partition": False, "partition_max_gates": 2500,
+    }),
+    ({
+        "mode": "gs", "max_rounds": 2, "batch_limit": 8,
+        "incremental": False, "wl_passes": 2, "wl_batched": False,
+        "wl_timing_aware": False, "wl_slack_margin": -0.25,
+        "partition": True, "partition_max_gates": 30,
+        "check_equivalence": True, "sim_backend": "bigint", "workers": 2,
+        "collect_log": True, "checkpoint_every": 3,
+    }, {
+        "mode": "gs", "max_rounds": 2, "batch_limit": 8,
+        "incremental": False, "wl_passes": 2, "wl_batched": False,
+        "wl_timing_aware": False, "wl_slack_margin": -0.25,
+        "partition": True, "partition_max_gates": 30,
+    }),
+])
+def test_checkpoint_records_exactly_the_trajectory_knobs(
+    tmp_path, knobs, recorded
+):
+    network, placement, library = _placed_design(3, num_gates=20)
+    path = tmp_path / "run.ckpt"
+    run_rapids(network, placement, library, checkpoint=str(path), **knobs)
+    with open(path, "rb") as handle:
+        assert pickle.load(handle)["knobs"] == recorded
 
 
 def test_resume_under_different_knobs_is_refused_by_name(

@@ -199,6 +199,21 @@ def test_docs_drift_detected(tmp_path):
     assert docs_sync.check(target) == []
 
 
+def test_readme_knob_table_drift_detected(tmp_path):
+    """README's CLI table is generated from the config's knob fields."""
+    target = tmp_path / "README.md"
+    target.write_text(
+        (REPO / "README.md").read_text().replace(
+            "| `--workers N` | 1 |", "| `--workers N` | 4 |", 1
+        )
+    )
+    findings = docs_sync.check(target)
+    assert len(findings) == 1
+    assert "drifted" in findings[0].message
+    assert docs_sync.fix(target) is True
+    assert target.read_text() == (REPO / "README.md").read_text()
+
+
 def test_missing_markers_is_an_error(tmp_path):
     target = tmp_path / "architecture.md"
     target.write_text("# no markers here\n")

@@ -9,7 +9,8 @@ Modes:
 
 * ``python -m tools.lint`` — lint everything, check docs;
 * ``python -m tools.lint --fix-docs`` — rewrite the generated tables
-  in ``docs/architecture.md`` from the registry and exit;
+  in ``docs/architecture.md`` (from the event registry) and
+  ``README.md`` (from the config's knob fields) and exit;
 * ``python -m tools.lint path.py ...`` — lint specific files only
   (used by the fixture tests; the docs check is skipped);
 * ``--rules events,purity,determinism,worker-global`` — restrict the
@@ -68,8 +69,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fix-docs",
         action="store_true",
-        help="regenerate the event tables in docs/architecture.md "
-        "from repro/network/events.py and exit",
+        help="regenerate the event tables in docs/architecture.md and "
+        "the CLI knobs table in README.md, then exit",
     )
     parser.add_argument(
         "--no-docs",
@@ -88,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         changed = docs_sync.fix()
         print(
             "tools.lint --fix-docs: "
-            + ("docs/architecture.md updated" if changed else "already in sync")
+            + ("generated blocks updated" if changed else "already in sync")
         )
         return 0
 

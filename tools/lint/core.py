@@ -1,9 +1,11 @@
 """Shared infrastructure for the contract linter.
 
 The linter is purely static: target modules are parsed with
-:mod:`ast`, never imported (the single exception is the event registry
-:mod:`repro.network.events`, which rule implementations import to get
-the authoritative kind table — it has no third-party dependencies).
+:mod:`ast`, never imported.  The two exceptions have no third-party
+dependencies: the event registry :mod:`repro.network.events`, which
+rule implementations import to get the authoritative kind table, and
+the knob declarations :mod:`repro.config`, which render README's CLI
+table.
 
 This module provides:
 
@@ -37,27 +39,37 @@ def ensure_src_on_path() -> None:
         sys.path.insert(0, src)
 
 
-def load_events_registry():
-    """The :mod:`repro.network.events` module, loaded standalone.
+def _load_standalone(name: str, relative: str):
+    """Module *relative* to ``src/repro``, executed from its file path.
 
-    Executed directly from its file path so importing the registry
-    does not trigger ``repro/__init__`` (which pulls in the full
-    package, numpy included) — the linter must run on a bare Python
-    install.  The registry itself only needs :mod:`dataclasses`.
+    Loading it this way does not trigger ``repro/__init__`` (which
+    pulls in the full package, numpy included) — the linter must run
+    on a bare Python install, so only stdlib-only modules qualify.
     """
     import importlib.util
 
-    name = "_tools_lint_events_registry"
     cached = sys.modules.get(name)
     if cached is not None:
         return cached
     spec = importlib.util.spec_from_file_location(
-        name, SRC / "repro" / "network" / "events.py"
+        name, SRC / "repro" / relative
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_events_registry():
+    """The :mod:`repro.network.events` module, loaded standalone."""
+    return _load_standalone(
+        "_tools_lint_events_registry", "network/events.py"
+    )
+
+
+def load_config():
+    """The :mod:`repro.config` knob declarations, loaded standalone."""
+    return _load_standalone("_tools_lint_config", "config.py")
 
 
 @dataclass(frozen=True)

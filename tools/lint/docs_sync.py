@@ -1,7 +1,11 @@
-"""Generated documentation blocks: registry -> ``docs/architecture.md``.
+"""Generated documentation blocks: declarations -> markdown.
 
-The event-kind tables in the architecture reference are *generated*
-from :mod:`repro.network.events`, between HTML comment markers:
+Two documents carry blocks generated between HTML comment markers:
+
+* ``docs/architecture.md``: the event-kind tables, from
+  :mod:`repro.network.events`;
+* ``README.md``: the CLI knobs table, from the flagged fields of
+  :class:`repro.config.FlowConfig`.
 
 .. code-block:: markdown
 
@@ -18,13 +22,15 @@ regeneration — doc/code agreement is mechanical, not social.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from .core import Finding, REPO, load_events_registry
+from .core import REPO, Finding, load_config, load_events_registry
 
 RULE = "docs"
 
 ARCHITECTURE = REPO / "docs" / "architecture.md"
+README = REPO / "README.md"
 
 _BEGIN = "<!-- BEGIN GENERATED: {name} -->"
 _END = "<!-- END GENERATED: {name} -->"
@@ -69,10 +75,39 @@ def render_emitters_table() -> str:
     return "\n".join(lines)
 
 
-#: Every generated block: marker name -> renderer.
+def render_cli_knobs() -> str:
+    """The ``table1``/``bench`` flags, one row per flagged config field."""
+    config = load_config()
+    lines = [
+        "| knob | default | effect |",
+        "|---|---|---|",
+    ]
+    for spec in fields(config.FlowConfig):
+        option = config.option_string(spec)
+        if option is None:
+            continue
+        meta = spec.metadata
+        if meta["negatable"]:
+            knob = f"`{option}` / `--no-{option[2:]}`"
+        elif meta["choices"] is not None:
+            knob = f"`{option} {{{','.join(meta['choices'])}}}`"
+        elif meta["metavar"] is not None:
+            knob = f"`{option} {meta['metavar']}`"
+        else:
+            knob = f"`{option}`"
+        lines.append(
+            f"| {knob} | {config.shown_default(spec)} | {meta['help']} |"
+        )
+    return "\n".join(lines)
+
+
+#: Every generated block, per document: marker name -> renderer.
 BLOCKS = {
-    "event-kinds": render_event_table,
-    "event-emitters": render_emitters_table,
+    ARCHITECTURE.name: {
+        "event-kinds": render_event_table,
+        "event-emitters": render_emitters_table,
+    },
+    README.name: {"cli-knobs": render_cli_knobs},
 }
 
 
@@ -85,9 +120,9 @@ def _block_re(name: str) -> re.Pattern[str]:
     )
 
 
-def regenerate(text: str) -> str:
-    """Text with every generated block replaced by a fresh rendering."""
-    for name, renderer in BLOCKS.items():
+def regenerate(text: str, blocks: dict) -> str:
+    """Text with each of *blocks* replaced by a fresh rendering."""
+    for name, renderer in blocks.items():
         pattern = _block_re(name)
         if not pattern.search(text):
             raise ValueError(
@@ -102,24 +137,40 @@ def regenerate(text: str) -> str:
     return text
 
 
-def fix(path: Path = ARCHITECTURE) -> bool:
-    """Rewrite generated blocks in place; True when the file changed."""
-    original = path.read_text()
-    updated = regenerate(original)
-    if updated != original:
-        path.write_text(updated)
-        return True
-    return False
+def _targets(path: Path | None) -> list[Path]:
+    return [ARCHITECTURE, README] if path is None else [path]
 
 
-def check(path: Path = ARCHITECTURE) -> list[Finding]:
-    """Findings when the committed blocks differ from regeneration."""
+def fix(path: Path | None = None) -> bool:
+    """Rewrite generated blocks in place (default: every document).
+
+    Returns True when a file changed.
+    """
+    changed = False
+    for target in _targets(path):
+        original = target.read_text()
+        updated = regenerate(original, BLOCKS[target.name])
+        if updated != original:
+            target.write_text(updated)
+            changed = True
+    return changed
+
+
+def check(path: Path | None = None) -> list[Finding]:
+    """Findings where committed blocks differ from regeneration."""
+    findings: list[Finding] = []
+    for target in _targets(path):
+        findings.extend(_check_one(target))
+    return findings
+
+
+def _check_one(path: Path) -> list[Finding]:
     try:
         original = path.read_text()
     except OSError as exc:
         return [Finding(RULE, path, 1, f"cannot read: {exc}")]
     try:
-        updated = regenerate(original)
+        updated = regenerate(original, BLOCKS[path.name])
     except ValueError as exc:
         return [Finding(RULE, path, 1, str(exc))]
     if updated == original:
@@ -145,7 +196,7 @@ def check(path: Path = ARCHITECTURE) -> list[Finding]:
             RULE,
             path,
             first_diff,
-            "generated event tables drifted from repro/network/events.py"
+            "generated blocks drifted from their declarations"
             " — run `python -m tools.lint --fix-docs`",
         )
     ]
