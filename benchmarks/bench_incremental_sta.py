@@ -18,6 +18,11 @@ Checked properties, per circuit:
   circuits like c499 propagate every batch almost everywhere, so the
   2x acceptance floor is held in aggregate).
 
+A third case times the committed updates of a timing-aware
+wirelength polish on the first quick-set circuit.  Its target is
+pinned, so after the initial analysis every update must cost what
+changed: no whole-network level pass and no whole-network slack fold.
+
 ``REPRO_BENCH_SET=quick`` trims the circuit list for CI smoke runs.
 """
 
@@ -28,7 +33,9 @@ import time
 import pytest
 
 from repro.rapids.engine import run_rapids
+from repro.rapids.wirelength import reduce_wirelength
 from repro.suite.flow import FlowConfig, prepare_benchmark
+from repro.timing.sta import TimingEngine
 
 from bench_helpers import QUICK_SET, quick_mode, record_result
 
@@ -127,3 +134,46 @@ def test_incremental_sta_aggregate_reduction():
         f"incremental STA saved only {reduction:.2f}x in aggregate "
         f"(full={full_total}, incremental={incr_total})"
     )
+
+
+def test_pinned_polish_updates_do_no_whole_network_pass(library):
+    """Committed updates under the polish's pinned target are local."""
+    name = QUICK_SET[0]
+    outcome = prepare_benchmark(name, FlowConfig(), library)
+    net = outcome.network.copy()
+    placement = outcome.placement.copy()
+    engine = TimingEngine(net, placement, library)
+    engine.analyze()
+    initial = (engine.stats.level_rebuilds, engine.stats.full_folds)
+    committed = engine.apply_and_update
+    seconds = 0.0
+
+    def timed_update(*args, **kwargs):
+        nonlocal seconds
+        start = time.perf_counter()
+        try:
+            committed(*args, **kwargs)
+        finally:
+            seconds += time.perf_counter() - start
+
+    engine.apply_and_update = timed_update
+    result = reduce_wirelength(net, placement, timing_engine=engine)
+    stats = engine.stats
+    print(
+        f"\n{name}: {result.swaps_applied} swaps, "
+        f"{stats.incremental_updates} committed updates in "
+        f"{seconds:.3f} s, level rebuilds {stats.level_rebuilds}, "
+        f"full folds {stats.full_folds}"
+    )
+    record_result(
+        "incremental_sta", f"{name}_pinned_polish",
+        gates=len(net),
+        swaps=result.swaps_applied,
+        committed_updates=stats.incremental_updates,
+        committed_update_seconds=round(seconds, 4),
+        level_rebuilds_after_analysis=stats.level_rebuilds - initial[0],
+        full_folds_after_analysis=stats.full_folds - initial[1],
+    )
+    assert stats.incremental_updates > 0, name
+    assert stats.full_analyses == 1, name
+    assert (stats.level_rebuilds, stats.full_folds) == initial, name

@@ -16,8 +16,9 @@ Payloads hold the live objects themselves — :class:`~repro.network.
 netlist.Network`, :class:`~repro.place.placement.Placement` and the
 timing engine's exported :class:`~repro.timing.sta.EvalState` — and
 the manager pickles them whole.  Pickle round-trips floats and dict
-order exactly, and the state carries the engine's *cached* analysis
-verbatim, never recomputed, so a resumed engine prices, commits and
+order exactly, and the state carries what the engine's analysis
+propagated verbatim, never recomputed; a resumed engine derives its
+levels, critical delay and slacks from it, so it prices, commits and
 logs exactly what the uninterrupted run would have.  Resume replays no
 work: ``run_rapids(resume=True)`` grafts the saved state into the live
 objects (:func:`graft_state` / :func:`engine_from_state`) and
@@ -49,8 +50,10 @@ CHECKPOINT_EXIT_CODE = 75
 #: Layout of the saved payload: 2 pickled the live objects (files
 #: without the field hold the SoA column packing that preceded it); 3
 #: renamed the mid-polish stage ``wl_partition`` to ``wl_round`` when
-#: the unpartitioned polish began checkpointing its rounds too.
-PAYLOAD_FORMAT = 3
+#: the unpartitioned polish began checkpointing its rounds too; 4 dropped
+#: the derived timing state (slacks, levels, critical delay) from the
+#: engine's ``EvalState``.
+PAYLOAD_FORMAT = 4
 
 #: Environment variable carrying a JSON fault plan that SIGTERMs the
 #: run at chosen boundaries, e.g. ``{"checkpoint_round": {"1":
@@ -294,11 +297,13 @@ def engine_from_state(
     """Grafted live objects plus an engine resuming *state*'s analysis.
 
     The one constructor that adopts cached analysis: the saved dicts
-    are taken in their recorded iteration order and no analysis runs,
-    so the engine prices and commits bit-identically to the engine the
-    interrupted run would have carried into the same round.  It is
-    bound to the caller's live *network*/*placement*/*library*, so the
-    rest of the run sees one consistent object graph.
+    are taken in their recorded iteration order and nothing is
+    re-propagated; one level pass, the critical delay and one slack
+    fold rebuild the derived state from them, so the engine prices and
+    commits bit-identically to the engine the interrupted run would
+    have carried into the same round.  It is bound to the caller's
+    live *network*/*placement*/*library*, so the rest of the run sees
+    one consistent object graph.
     """
     graft_state(state.network, state.placement, network, placement)
     engine = TimingEngine(
@@ -306,14 +311,9 @@ def engine_from_state(
         period=state.period, po_pad_cap=state.po_pad_cap,
     )
     engine.arrival = dict(state.arrival)
-    engine.slack = dict(state.slack)
     engine.stars = dict(state.stars)
-    engine._levels = dict(state.levels)
     engine._req0 = dict(state.req0)
-    engine.max_delay = state.max_delay
-    engine._target = (
-        state.period if state.period is not None else state.max_delay
-    )
+    engine._derive(network.topo_order())
     engine._analyzed_version = state.version
     engine._needs_full = False
     return engine

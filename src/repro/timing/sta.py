@@ -26,11 +26,14 @@ makes them independent of the clock period / critical-path target: a
 target shift rescales every slack without re-propagating anything.
 Star RC models of untouched nets are reused verbatim, so the
 expensive per-node work of an update — star geometry rebuilds and
-delay-model evaluations — is O(affected region), not O(network).
-(Folding slacks against the target and patching logic levels after a
-structural change remain cheap O(nets) arithmetic passes: the default
-target is the critical-path delay, which moves with almost every
-committed batch and shifts every slack with it.)
+delay-model evaluations — is O(affected region), not O(network).  The
+bookkeeping around it is too: logic levels are re-levelled over the
+rewired gates' forward cone only, the critical delay rescans the
+primary outputs only when the worst one got faster, and slacks are
+re-folded only for the nets the worklist changed while the target
+stays put (a pinned ``period``).  A floating target — the critical
+delay, which moves with almost every committed optimizer batch —
+shifts every slack, and then the fold is one O(nets) arithmetic pass.
 """
 
 from __future__ import annotations
@@ -87,6 +90,12 @@ class TimingStats:
     star RC rebuild, a gate arrival evaluation, or a required-time
     evaluation (the three per-node operations both the full and the
     incremental flow are made of).  Projections are not counted.
+
+    ``level_rebuilds`` and ``full_folds`` count the whole-network
+    passes (a logic-level pass, a slack fold over every net): one each
+    per :meth:`TimingEngine.analyze` or resumed engine, plus one fold
+    per committed update whose timing target moved.  They are not
+    node updates.
     """
 
     full_analyses: int = 0
@@ -94,6 +103,8 @@ class TimingStats:
     stars_built: int = 0
     arrival_evals: int = 0
     required_evals: int = 0
+    level_rebuilds: int = 0
+    full_folds: int = 0
 
     @property
     def node_updates(self) -> int:
@@ -112,6 +123,8 @@ class TimingStats:
             "arrival_evals": self.arrival_evals,
             "required_evals": self.required_evals,
             "node_updates": self.node_updates,
+            "level_rebuilds": self.level_rebuilds,
+            "full_folds": self.full_folds,
         }
 
 
@@ -121,12 +134,12 @@ class EvalState:
 
     Produced by :meth:`TimingEngine.export_eval_state` and turned back
     into an engine by :func:`repro.checkpoint.engine_from_state`.  The
-    snapshot carries the engine's *cached* analysis results verbatim
-    (arrival times, slacks, star RC models, logic levels), never
-    recomputed state, so a resumed engine projects bit-identical
-    gains: pickling round-trips floats exactly.  The per-gate pricing
-    memo is left out; a resumed engine rebuilds it from the same
-    cached state.
+    snapshot carries what the analysis *propagated* verbatim (arrival
+    pairs, zero-target required pairs, star RC models), so a resumed
+    engine projects bit-identical gains: pickling round-trips floats
+    exactly.  What is derived from those is left out and rebuilt on
+    load — logic levels, the critical delay, slacks and the per-gate
+    pricing memo.
     """
 
     network: Network
@@ -135,11 +148,8 @@ class EvalState:
     period: float | None
     po_pad_cap: float
     arrival: dict[str, tuple[float, float]]
-    slack: dict[str, float]
     stars: dict[str, "StarNet"]
-    levels: dict[str, int]
     req0: dict[str, tuple[float, float]]
-    max_delay: float
     version: int
 
 
@@ -228,12 +238,13 @@ class TimingEngine:
         self.period = period
         self.po_pad_cap = po_pad_cap
         self.arrival: dict[str, tuple[float, float]] = {}
-        self.required: dict[str, float] = {}
         self.slack: dict[str, float] = {}
         self.stars: dict[str, StarNet] = {}
         self.max_delay = 0.0
         self.stats = TimingStats()
         self._levels: dict[str, int] = {}
+        # the primary output that sets max_delay (None: no PO above 0)
+        self._worst_po: str | None = None
         self._analyzed_version = -1
         # required pairs relative to a zero target (target-independent)
         self._req0: dict[str, tuple[float, float]] = {}
@@ -242,7 +253,9 @@ class TimingEngine:
         self._dirty_stars: set[str] = set()
         self._dirty_gates: set[str] = set()
         self._dead: set[str] = set()
-        self._structure_dirty = False
+        # gates whose fanin nets changed: the seeds of _relevel
+        self._rewired: set[str] = set()
+        self._gates_added = False
         self._needs_full = True
         # per-gate committed pricing terms; see _committed_terms
         self._pricing_memo: dict[str, _CommittedTerms] = {}
@@ -258,26 +271,29 @@ class TimingEngine:
             self._dirty_stars.add(data["old"])
             self._dirty_stars.add(data["new"])
             self._dirty_gates.add(data["pin"].gate)
-            self._structure_dirty = True
+            self._rewired.add(data["pin"].gate)
         elif kind == events.SWAP_FANINS:
             self._dirty_stars.add(data["net_a"])
             self._dirty_stars.add(data["net_b"])
             self._dirty_gates.add(data["pin_a"].gate)
             self._dirty_gates.add(data["pin_b"].gate)
-            self._structure_dirty = True
+            self._rewired.add(data["pin_a"].gate)
+            self._rewired.add(data["pin_b"].gate)
         elif kind == events.ADD_GATE:
             self._dead.discard(data["gate"])
             self._dirty_stars.add(data["gate"])
             self._dirty_stars.update(data["fanins"])
             self._dirty_gates.add(data["gate"])
-            self._structure_dirty = True
+            self._rewired.add(data["gate"])
+            self._gates_added = True
         elif kind == events.REMOVE_GATE:
+            # a removed gate has no consumers: no other level moves
             name = data["gate"]
             self._dead.add(name)
             self._dirty_stars.discard(name)
             self._dirty_gates.discard(name)
+            self._rewired.discard(name)
             self._dirty_stars.update(data["fanins"])
-            self._structure_dirty = True
         elif kind in (events.SET_CELL, events.SET_GATE_TYPE):
             # own delay arcs change; fanin nets see a new pin load
             self._dirty_gates.add(data["gate"])
@@ -286,10 +302,10 @@ class TimingEngine:
             self._dirty_stars.update(data["old"])
             self._dirty_stars.update(data["new"])
             self._dirty_gates.add(data["gate"])
-            self._structure_dirty = True
+            self._rewired.add(data["gate"])
         elif kind == events.ADD_INPUT:
-            self._dirty_stars.add(data["net"])
-            self._structure_dirty = True
+            # a new level-0 net: analyze() runs the one full level pass
+            self._needs_full = True
         elif kind == events.ADD_OUTPUT:
             self._dirty_stars.add(data["net"])
         elif kind == events.REPLACE_OUTPUT:
@@ -304,17 +320,20 @@ class TimingEngine:
                 self._dead.add(name)
                 self._dirty_stars.discard(name)
                 self._dirty_gates.discard(name)
+                self._rewired.discard(name)
                 self._dirty_stars.update(fanins)
             for name, fanins in data["added"]:
                 self._dead.discard(name)
                 self._dirty_stars.add(name)
                 self._dirty_stars.update(fanins)
                 self._dirty_gates.add(name)
+                self._rewired.add(name)
+                self._gates_added = True
             for name, old_fanins, new_fanins in data["changed"]:
                 self._dirty_gates.add(name)
+                self._rewired.add(name)
                 self._dirty_stars.update(old_fanins)
                 self._dirty_stars.update(new_fanins)
-            self._structure_dirty = True
         else:
             # untracked mutation: all cached timing is suspect
             self._needs_full = True
@@ -338,25 +357,38 @@ class TimingEngine:
             self.arrival[pi] = (0.0, 0.0)
             self._ensure_star(pi)
         order = network.topo_order()
-        self._levels = {net: 0 for net in network.inputs}
         for name in order:
             self.arrival[name] = self._arrival_pair(name, {}, {}, {})
-            gate = network.gate(name)
-            self._levels[name] = 1 + max(
-                (self._levels[f] for f in gate.fanins), default=0
-            )
         self._req0 = {}
         for net in [*reversed(order), *network.inputs]:
             self._req0[net] = self._req0_pair(net, {}, {})
         self.stats.arrival_evals += len(order)
         self.stats.required_evals += len(self._req0)
-        self.max_delay = self._critical_delay()
-        target = self.period if self.period is not None else self.max_delay
-        self._fold_slacks(target)
+        self._derive(order)
         self._analyzed_version = network.version
         self.stats.full_analyses += 1
         self._clear_dirty()
         self._pricing_memo.clear()
+
+    def _derive(self, order: list[str]) -> None:
+        """Whole-network passes over the propagated state.
+
+        From the cached arrival and ``_req0`` pairs and a topological
+        *order* of the gates: every net's logic level, the critical
+        delay and every slack.  :meth:`analyze` ends with it, and a
+        resumed engine (:func:`repro.checkpoint.engine_from_state`)
+        rebuilds its derived state with it.
+        """
+        network = self.network
+        levels = {net: 0 for net in network.inputs}
+        for name in order:
+            levels[name] = 1 + max(
+                (levels[f] for f in network.gate(name).fanins), default=0
+            )
+        self._levels = levels
+        self.stats.level_rebuilds += 1
+        self.max_delay = self._critical_delay()
+        self._fold_slacks(self._current_target())
 
     def is_fresh(self) -> bool:
         """True when the cached analysis matches the network version."""
@@ -366,7 +398,8 @@ class TimingEngine:
         self._dirty_stars.clear()
         self._dirty_gates.clear()
         self._dead.clear()
-        self._structure_dirty = False
+        self._rewired.clear()
+        self._gates_added = False
         self._needs_full = False
 
     def _ensure_star(self, net: str) -> StarNet:
@@ -478,30 +511,81 @@ class TimingEngine:
         return (rise, fall)
 
     def _critical_delay(self) -> float:
-        """Worst primary-output arrival, pad wire delay included."""
+        """Worst primary-output arrival, pad wire delay included.
+
+        Also remembers the primary output that sets it, for
+        :meth:`_update_critical_delay`.
+        """
         delay = 0.0
+        self._worst_po = None
         for output in self.network.outputs:
-            rise, fall = self.arrival[output]
-            po_delay = self._po_wire_delay(output)
-            delay = max(delay, rise + po_delay, fall + po_delay)
+            po_delay = self._po_delay(output)
+            if po_delay > delay:
+                delay = po_delay
+                self._worst_po = output
         return delay
+
+    def _update_critical_delay(self, changed: Iterable[str]) -> float:
+        """:meth:`_critical_delay` after the nets *changed* moved.
+
+        *changed* must name every net whose arrival pair or RC model
+        changed since the last value.  Unless the worst primary output
+        got faster or stopped being an output, no other output can
+        have overtaken it from below, so the new value is the max of
+        the old one and the changed outputs; otherwise every output is
+        rescanned.
+        """
+        network = self.network
+        worst = self._worst_po
+        delay = self.max_delay
+        outputs = [net for net in changed if network.is_output(net)]
+        if worst is not None and (
+            not network.is_output(worst)
+            or (worst in outputs and self._po_delay(worst) < delay)
+        ):
+            return self._critical_delay()
+        for output in outputs:
+            po_delay = self._po_delay(output)
+            if po_delay > delay:
+                delay = po_delay
+                self._worst_po = output
+        return delay
+
+    def _po_delay(self, output: str) -> float:
+        """Worst arrival at a primary output's pad."""
+        rise, fall = self.arrival[output]
+        wire = self._po_wire_delay(output)
+        return max(rise + wire, fall + wire)
 
     def _po_wire_delay(self, output: str) -> float:
         star = self.stars.get(output)
         return 0.0 if star is None else _pad_delay(star)
 
+    def _current_target(self) -> float:
+        return self.period if self.period is not None else self.max_delay
+
     def _fold_slacks(self, target: float) -> None:
-        """Derive absolute required times and slacks from ``_req0``."""
+        """Derive every net's slack from ``_req0`` against *target*."""
         self._target = target
-        required: dict[str, float] = {}
-        slack: dict[str, float] = {}
+        self.slack = {}
+        self._refold_slacks(self._req0)
+        self.stats.full_folds += 1
+
+    def _refold_slacks(self, nets: Iterable[str]) -> None:
+        """Fold the slacks of *nets* against the current target."""
+        target = self._target
+        slack = self.slack
         arrival = self.arrival
-        for net, (req_rise, req_fall) in self._req0.items():
-            required[net] = min(req_rise, req_fall) + target
+        req0 = self._req0
+        for net in nets:
+            req_rise, req_fall = req0[net]
             rise, fall = arrival.get(net, (0.0, 0.0))
             slack[net] = min(req_rise - rise, req_fall - fall) + target
-        self.required = required
-        self.slack = slack
+
+    def required_time(self, net: str) -> float:
+        """Required time at *net* (worst of rise/fall) against the target."""
+        req_rise, req_fall = self._req0[net]
+        return min(req_rise, req_fall) + self._target
 
     # ------------------------------------------------------------------
     # incremental update
@@ -536,10 +620,11 @@ class TimingEngine:
         Re-propagates arrivals through the transitive fanout of the
         changed nets only and required times through the affected fanin
         frontier (:meth:`_repropagate`, early termination on
-        convergence); star models of untouched nets are reused.  The
-        result matches a fresh :meth:`analyze` exactly.  *footprint*
-        optionally names extra nets to invalidate (see
-        :meth:`invalidate`).
+        convergence); star models of untouched nets are reused.  Logic
+        levels, the critical delay and, while the target stays put,
+        slacks are patched over what changed too.  The result matches a
+        fresh :meth:`analyze` exactly.  *footprint* optionally names
+        extra nets to invalidate (see :meth:`invalidate`).
         """
         if footprint is not None:
             self.invalidate(footprint)
@@ -552,21 +637,15 @@ class TimingEngine:
         for net in self._dead:
             self.arrival.pop(net, None)
             self._req0.pop(net, None)
-            self.required.pop(net, None)
             self.slack.pop(net, None)
             self.stars.pop(net, None)
             self._levels.pop(net, None)
         # 1. place any gates rewiring created (inverters nestle at
         #    their sink, perturbing nothing)
-        self.placement.ensure_covered(network)
-        # 2. structural caches
-        if self._structure_dirty:
-            self._levels = {net: 0 for net in network.inputs}
-            for name in network.topo_order():
-                gate = network.gate(name)
-                self._levels[name] = 1 + max(
-                    (self._levels[f] for f in gate.fanins), default=0
-                )
+        if self._gates_added:
+            self.placement.ensure_covered(network)
+        # 2. logic levels: the worklists below pop in level order
+        self._relevel(self._rewired)
         # 3. rebuild the RC models of touched nets
         rebuilt: set[str] = set()
         for net in self._dirty_stars:
@@ -606,13 +685,49 @@ class TimingEngine:
         self._req0.update(required)
         self.stats.arrival_evals += len(visited_fwd)
         self.stats.required_evals += len(visited_bwd)
-        # 6. fold slacks against the (possibly shifted) target
-        self.max_delay = self._critical_delay()
-        target = self.period if self.period is not None else self.max_delay
-        self._fold_slacks(target)
+        # 6. fold slacks against the (possibly shifted) target: only a
+        #    changed arrival or required pair moves a slack unless the
+        #    target moved too
+        self.max_delay = self._update_critical_delay([*arrivals, *rebuilt])
+        target = self._current_target()
+        if target == self._target:
+            self._refold_slacks([*required, *arrivals])
+        else:
+            self._fold_slacks(target)
         self._analyzed_version = network.version
         self._clear_dirty()
         self._pricing_memo.clear()
+
+    def _relevel(self, rewired: Iterable[str]) -> None:
+        """Restore ``level = 1 + max(fanin levels)`` after rewiring.
+
+        A worklist from the gates whose fanins changed, lowest cached
+        level first; a gate pushes its consumers only when its own level
+        moved.  A DAG's levels are the one fixed point of that equation,
+        so the result equals a full level pass exactly — the sort keys
+        of :meth:`swap_gain`, :meth:`resize_gain` and the worklists rely
+        on it.  A gate without a level yet (just added) is itself a
+        seed, so reading it as 0 meanwhile is repaired when it pops.
+        """
+        network = self.network
+        levels = self._levels
+        queued = set(rewired)
+        heap = [(levels.get(name, 0), name) for name in queued]
+        heapq.heapify(heap)
+        while heap:
+            name = heapq.heappop(heap)[1]
+            queued.discard(name)
+            level = 1 + max(
+                (levels.get(f, 0) for f in network.gate(name).fanins),
+                default=0,
+            )
+            if levels.get(name) == level:
+                continue
+            levels[name] = level
+            for pin in network.fanout(name):
+                if pin.gate not in queued:
+                    queued.add(pin.gate)
+                    heapq.heappush(heap, (levels.get(pin.gate, 0), pin.gate))
 
     def _repropagate(
         self,
@@ -729,11 +844,8 @@ class TimingEngine:
             period=self.period,
             po_pad_cap=self.po_pad_cap,
             arrival=self.arrival,
-            slack=self.slack,
             stars=self.stars,
-            levels=self._levels,
             req0=self._req0,
-            max_delay=self.max_delay,
             version=self.network.version,
         )
 
@@ -1219,7 +1331,7 @@ class TimingEngine:
             seeds, bseeds, moved, new_stars
         )
         # fold changed slacks against the engine's (pinned) target
-        target = self.period if self.period is not None else self.max_delay
+        target = self._current_target()
         current: dict[str, float] = {}
         projected: dict[str, float] = {}
         for net in set(arrivals) | set(required):

@@ -183,6 +183,20 @@ def test_format_2_checkpoint_with_the_old_polish_stage_is_refused(tmp_path):
         )
 
 
+def test_format_3_checkpoint_with_pickled_slacks_is_refused(tmp_path):
+    # format 3 pickled the engine's slacks, levels and critical delay,
+    # which format 4 rebuilds on load; an old file must fail by name
+    path = tmp_path / "old.ckpt"
+    with open(path, "wb") as handle:
+        pickle.dump({"format": 3, "stage": "optimize"}, handle)
+    network, placement, library = _placed_design(3, num_gates=20)
+    with pytest.raises(CheckpointFormatError, match="payload format 3"):
+        run_rapids(
+            network, placement, library, mode="gs",
+            checkpoint=str(path), resume=True,
+        )
+
+
 # ----------------------------------------------------------------------
 # pickled state: exact round-trips
 # ----------------------------------------------------------------------
@@ -193,9 +207,8 @@ def test_pickled_eval_state_round_trips_the_engine_caches():
     state = _round_trip(engine.export_eval_state())
     reference = engine.export_eval_state()
     assert state.arrival == reference.arrival
-    assert state.slack == reference.slack
     assert state.req0 == reference.req0
-    assert state.max_delay == reference.max_delay
+    assert state.stars == reference.stars
     assert state.version == reference.version
     assert list(state.network._gates) == list(network._gates)
 
@@ -239,6 +252,26 @@ def test_engine_from_state_prices_identically_without_reanalysis():
     replica.refresh()
     assert replica.slack == engine.slack
     assert replica.max_delay == engine.max_delay
+
+
+def test_resumed_engine_reports_the_live_required_times():
+    # the state no longer carries slacks or levels: a resumed engine
+    # derives them, and its required times, from the propagated pairs
+    network, placement, library = _placed_design(11, num_gates=40)
+    for period in (None, 4.0):
+        engine = TimingEngine(network, placement, library, period=period)
+        engine.analyze()
+        state = _round_trip(engine.export_eval_state())
+        replica = engine_from_state(
+            state, network.copy(), placement.copy(), library
+        )
+        assert set(replica._req0) == set(engine._req0)
+        assert {
+            net: replica.required_time(net) for net in replica._req0
+        } == {net: engine.required_time(net) for net in engine._req0}
+        assert replica._levels == engine._levels
+        assert replica.slack == engine.slack
+        assert replica.max_delay == engine.max_delay
 
 
 # ----------------------------------------------------------------------

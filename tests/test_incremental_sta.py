@@ -3,9 +3,10 @@
 Property: after an arbitrary sequence of committed moves (pin swaps,
 inverting swaps, gate resizes, dead-gate sweeps), the incrementally
 maintained engine reports every net's arrival, required time and slack
-within 1e-9 of a freshly constructed full ``analyze()`` — while doing
-its work through ``apply_and_update`` only (exactly one full analysis
-for the initial state).
+within 1e-9 of a freshly constructed full ``analyze()``, and exactly
+its logic levels and critical delay — while doing its work through
+``apply_and_update`` only (exactly one full analysis for the initial
+state).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 
 import pytest
 
+from repro.network.gatetype import GateType
+from repro.network.netlist import Network
 from repro.network.transform import sweep
 from repro.place.placer import place
 from repro.rapids.moves import bind_new_inverters
@@ -41,15 +44,19 @@ def assert_matches_fresh(engine, network, placement, library, context=""):
     assert engine.max_delay == pytest.approx(
         fresh.max_delay, abs=TOL
     ), context
+    # levels are sort keys of the pricing and worklist order, and the
+    # critical delay is a max of identical arrivals: both are exact
+    assert engine._levels == fresh._levels, context
+    assert engine.max_delay == fresh.max_delay, context
     assert set(engine.arrival) == set(fresh.arrival), context
     for net, (rise, fall) in fresh.arrival.items():
         got_rise, got_fall = engine.arrival[net]
         assert got_rise == pytest.approx(rise, abs=TOL), (context, net)
         assert got_fall == pytest.approx(fall, abs=TOL), (context, net)
-    assert set(engine.required) == set(fresh.required), context
-    for net, req in fresh.required.items():
-        assert engine.required[net] == pytest.approx(
-            req, abs=TOL
+    assert set(engine._req0) == set(fresh._req0), context
+    for net in fresh._req0:
+        assert engine.required_time(net) == pytest.approx(
+            fresh.required_time(net), abs=TOL
         ), (context, net)
     assert set(engine.slack) == set(fresh.slack), context
     for net, slk in fresh.slack.items():
@@ -86,6 +93,16 @@ def random_move(network, library, rng):
     if added > 0:
         bind_new_inverters(network, library, network.recent_gates(added))
     return f"swap {swap.pin_a}<->{swap.pin_b} inv={swap.inverting}"
+
+
+def leaf_swaps(network, inverting):
+    """Leaf swaps of every non-trivial supergate with that polarity."""
+    return [
+        swap
+        for sg in extract_supergates(network).nontrivial()
+        for swap in enumerate_swaps(sg, leaves_only=True)
+        if swap.inverting == inverting
+    ]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5, 9, 12])
@@ -164,3 +181,96 @@ def test_refresh_full_fallback_on_untracked_mutation(library):
     engine.refresh()
     assert engine.stats.full_analyses == 2
     assert_matches_fresh(engine, net, placement, library, context="fallback")
+
+
+@pytest.mark.parametrize("seed", [3, 8, 13, 21])
+def test_pinned_period_inverting_swaps_and_sweeps(seed, library):
+    """A pinned target re-folds only the changed nets' slacks; inverting
+    swaps add inverters, undoing one strands its inverters and sweeps
+    remove them, re-levelling the cone each way."""
+    net, placement = prepared(seed, library)
+    probe = TimingEngine(net, placement, library)
+    probe.analyze()
+    engine = TimingEngine(net, placement, library, period=probe.max_delay)
+    engine.analyze()
+    rng = random.Random(500 + seed)
+    swept = 0
+    swap = None
+    for step in range(16):
+        if step % 2 == 0:
+            swaps = leaf_swaps(net, inverting=True)
+            assert swaps, f"step {step}: no inverting swap left"
+            swap = rng.choice(swaps)
+        # odd steps swap the same pins back through fresh inverters'
+        # complements, leaving the previous step's inverters dangling
+        before = len(net)
+        apply_swap(net, swap)
+        bind_new_inverters(net, library, net.recent_gates(len(net) - before))
+        label = f"step {step}: swap {swap.pin_a}<->{swap.pin_b}"
+        if step % 4 == 3:
+            removed = sweep(net)
+            swept += removed
+            label += f", sweep removed {removed}"
+        engine.apply_and_update()
+        assert_matches_fresh(engine, net, placement, library, context=label)
+    assert swept, "property test never swept a stranded inverter"
+    assert engine.stats.full_analyses == 1
+    assert engine.stats.level_rebuilds == 1
+    assert engine.stats.full_folds == 1
+
+
+def test_pinned_round_of_pin_swaps_does_no_whole_network_pass(
+    library, monkeypatch
+):
+    """Non-inverting pin swaps under a pinned period: no level rebuild,
+    no full slack fold and no topological sort in the committed update."""
+    net, placement = prepared(17, library, gates=60)
+    engine = TimingEngine(net, placement, library, period=10.0)
+    engine.analyze()
+    swaps = leaf_swaps(net, inverting=False)
+    assert swaps
+    sorts = []
+    original = Network.topo_order
+
+    def counted(self, *args, **kwargs):
+        sorts.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "topo_order", counted)
+    rng = random.Random(3)
+    for _ in range(6):
+        for swap in rng.sample(swaps, min(3, len(swaps))):
+            apply_swap(net, swap)
+        engine.apply_and_update()
+    assert sorts == []
+    assert engine.stats.incremental_updates == 6
+    assert engine.stats.level_rebuilds == 1  # the initial analysis
+    assert engine.stats.full_folds == 1
+    monkeypatch.undo()
+    assert_matches_fresh(engine, net, placement, library, context="pinned")
+
+
+def test_critical_delay_follows_a_pad_that_only_moves_its_wire(library):
+    """A primary input read as an output keeps arrival 0: only its pad
+    wire delay moves, first past the critical delay and then back."""
+    net = Network("pi_po")
+    for pi in "abc":
+        net.add_input(pi)
+    net.add_gate("g", GateType.AND, ["a", "b"])
+    net.add_gate("h", GateType.NOR, ["g", "c"])
+    net.add_output("h")
+    net.add_output("a")
+    map_network(net, library)
+    placement = place(net, library, seed=1)
+    engine = TimingEngine(net, placement, library)
+    engine.analyze()
+    baseline = engine.max_delay
+    (slot,) = net.output_slots("a")
+    x, y = placement.output_pads[slot]
+    for pad, label in (((x + 4000.0, y), "far pad"), ((x, y), "pad back")):
+        placement.output_pads[slot] = pad
+        engine.apply_and_update(footprint={"a"})
+        assert_matches_fresh(engine, net, placement, library, context=label)
+        if label == "far pad":
+            assert engine.max_delay > baseline
+    assert engine.max_delay == baseline
