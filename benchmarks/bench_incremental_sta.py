@@ -32,8 +32,9 @@ import time
 
 import pytest
 
-from repro.rapids.engine import run_rapids
+from repro.rapids.engine import _gsg_gs_factory
 from repro.rapids.wirelength import reduce_wirelength
+from repro.sizing.coudert import optimize
 from repro.suite.flow import FlowConfig, prepare_benchmark
 from repro.timing.sta import TimingEngine
 
@@ -67,15 +68,16 @@ def test_incremental_sta_agrees_and_saves_work(name, library):
         net = outcome.network.copy()
         placement = outcome.placement.copy()
         start = time.perf_counter()
-        result = run_rapids(
-            net, placement, library, mode="gsg_gs", incremental=incremental,
+        result = optimize(
+            net, placement, library, _gsg_gs_factory(library),
+            mode="gsg_gs", incremental=incremental,
         )
         runs[flavor] = {
             "result": result,
             "seconds": time.perf_counter() - start,
         }
-    full = runs["full"]["result"].optimize
-    incr = runs["incremental"]["result"].optimize
+    full = runs["full"]["result"]
+    incr = runs["incremental"]["result"]
     # agreement: incremental timing is exact, so the greedy loop makes
     # identical decisions and reaches an identical design
     assert incr.moves_applied == full.moves_applied, name

@@ -37,7 +37,7 @@ import time
 import pytest
 
 from repro.library.cells import default_library
-from repro.logic.simcore import SimEngine, numpy_available
+from repro.logic.simcore import SimEngine
 from repro.logic.simulate import (
     random_simulate_outputs,
     random_words,
@@ -100,8 +100,7 @@ def test_throughput_and_agreement(name):
     rates = {"legacy": gates * BLOCK / _time(legacy_sweep)}
     reference = simulate(network, assignments, mask)
 
-    backends = ["bigint"] + (["numpy"] if numpy_available() else [])
-    for backend in backends:
+    for backend in ("bigint", "numpy"):
         engine = SimEngine(network, backend)
         rates[backend] = gates * BLOCK / _time(
             lambda: engine.set_patterns(assignments, BLOCK)
@@ -112,7 +111,7 @@ def test_throughput_and_agreement(name):
     _THROUGHPUT[name] = rates
     print()
     print(_HEADER)
-    numpy_rate = rates.get("numpy", 0.0)
+    numpy_rate = rates["numpy"]
     print(
         f"{name:<8}{gates:>6d}"
         f"{rates['legacy'] / 1e6:>10.1f}Mp{rates['bigint'] / 1e6:>10.1f}Mp"
@@ -124,8 +123,6 @@ def test_throughput_and_agreement(name):
 
 def test_numpy_aggregate_speedup():
     """The acceptance criterion: >= 5x net-patterns/s over the reference."""
-    if not numpy_available():
-        pytest.skip("numpy not installed")
     if not _THROUGHPUT:
         pytest.skip("per-circuit benches were deselected")
     # aggregate = total work / total time, i.e. harmonic weighting

@@ -18,9 +18,9 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={"console_scripts": ["rapids=repro.cli:main"]},
 )

@@ -12,21 +12,26 @@ the payload is written atomically (temp file, fsync,
 unwinds the run so the caller can exit with
 :data:`CHECKPOINT_EXIT_CODE`.
 
-Payloads hold the live objects themselves — :class:`~repro.network.
-netlist.Network`, :class:`~repro.place.placement.Placement` and the
-timing engine's exported :class:`~repro.timing.sta.EvalState` — and
-the manager pickles them whole.  Pickle round-trips floats and dict
-order exactly, and the state carries what the engine's analysis
-propagated verbatim, never recomputed; a resumed engine derives its
-levels, critical delay and slacks from it, so it prices, commits and
-logs exactly what the uninterrupted run would have.  Resume replays no
-work: ``run_rapids(resume=True)`` grafts the saved state into the live
-objects (:func:`graft_state` / :func:`engine_from_state`) and
-re-enters the loop at the saved cursor, producing a final fingerprint
-identical to an uninterrupted run (``tests/test_checkpoint.py`` locks
-this).  Every payload records :data:`PAYLOAD_FORMAT`; a file written in
-another format is refused with :class:`CheckpointFormatError`.  Every
-payload also records the flow knobs that shape the trajectory; a
+Every payload has one shape whatever its stage: the live
+:class:`~repro.network.netlist.Network` and
+:class:`~repro.place.placement.Placement` under ``"network"`` and
+``"placement"``, the running timing engine's exported
+:class:`~repro.timing.sta.EvalState` under ``"engine_state"`` (``None``
+where no engine runs) and the stage's own entries (a loop's state
+object, the finished reports) — see :func:`stage_payload`.  The
+manager pickles them whole.  Pickle round-trips floats and dict order
+exactly, and the engine state carries what the analysis propagated
+verbatim, never recomputed; a resumed engine derives its levels,
+critical delay and slacks from it, so it prices, commits and logs
+exactly what the uninterrupted run would have.  Resume replays no
+work: ``run_rapids(resume=True)`` grafts the saved netlist into the
+live objects once (:func:`graft_state`), rebuilds the engine on them
+(:func:`engine_from_state`) and re-enters the loop with its saved
+state, producing a final fingerprint identical to an uninterrupted run
+(``tests/test_checkpoint.py`` locks this).  Every payload records
+:data:`PAYLOAD_FORMAT`; a file written in another format, or one that
+does not unpickle, is refused with :class:`CheckpointFormatError`.
+Every payload also records the flow knobs that shape the trajectory; a
 resume under different values is refused with
 :class:`CheckpointMismatchError`, naming the knob.
 """
@@ -52,8 +57,9 @@ CHECKPOINT_EXIT_CODE = 75
 #: renamed the mid-polish stage ``wl_partition`` to ``wl_round`` when
 #: the unpartitioned polish began checkpointing its rounds too; 4 dropped
 #: the derived timing state (slacks, levels, critical delay) from the
-#: engine's ``EvalState``.
-PAYLOAD_FORMAT = 4
+#: engine's ``EvalState``; 5 saved every stage's netlist under the
+#: same keys (:func:`stage_payload`) and each loop's state as one object.
+PAYLOAD_FORMAT = 5
 
 #: Environment variable carrying a JSON fault plan that SIGTERMs the
 #: run at chosen boundaries, e.g. ``{"checkpoint_round": {"1":
@@ -74,12 +80,11 @@ class RunInterrupted(RuntimeError):
 
 
 class CheckpointFormatError(RuntimeError):
-    """The checkpoint file was written in another payload format."""
+    """The checkpoint file does not hold a payload this version reads."""
 
-    def __init__(self, path: str, found) -> None:
+    def __init__(self, path: str, problem: str) -> None:
         super().__init__(
-            f"checkpoint {path} has payload format {found!r}, this "
-            f"version reads {PAYLOAD_FORMAT}; rerun without --resume to "
+            f"checkpoint {path} {problem}; rerun without --resume to "
             f"start fresh"
         )
         self.path = path
@@ -190,25 +195,35 @@ class CheckpointManager:
     # persistence
     # ------------------------------------------------------------------
     def load(self) -> dict | None:
-        """The saved payload, or ``None`` (missing/corrupt → run fresh).
+        """The saved payload, or ``None`` when the file is missing.
 
-        Raises :class:`CheckpointFormatError` for a readable payload of
-        another format, instead of failing later on a missing key, and
-        :class:`CheckpointMismatchError` for one whose recorded knobs
-        differ from ``knobs``, including a knob only one side records
-        (payloads that predate the record are not checked).
+        Saves are atomic, so an unreadable file is not a crashed run of
+        ours: it raises :class:`CheckpointFormatError`, as does a
+        payload of another format (instead of failing later on a
+        missing key).  Raises :class:`CheckpointMismatchError` for a
+        payload whose recorded knobs differ from ``knobs``, including a
+        knob only one side records (payloads that predate the record
+        are not checked).
         """
         try:
             with open(self.path, "rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, EOFError, pickle.UnpicklingError, ValueError,
-                AttributeError, ImportError):
+        except FileNotFoundError:
             return None
+        except Exception as exc:  # whatever unpickling garbage raises
+            raise CheckpointFormatError(
+                self.path, f"is unreadable ({type(exc).__name__}: {exc})"
+            ) from exc
         if not isinstance(payload, dict):
-            return None
+            raise CheckpointFormatError(
+                self.path, f"holds a {type(payload).__name__}, not a payload"
+            )
         found = payload.pop("format", None)
         if found != PAYLOAD_FORMAT:
-            raise CheckpointFormatError(self.path, found)
+            raise CheckpointFormatError(
+                self.path, f"has payload format {found!r}, this version "
+                f"reads {PAYLOAD_FORMAT}"
+            )
         saved = payload.pop("knobs", None)
         if saved is not None:
             for knob in dict.fromkeys([*self.knobs, *saved]):
@@ -267,6 +282,19 @@ class CheckpointManager:
             raise RunInterrupted(self.path, stage)
 
 
+def stage_payload(network: Network, placement: Placement,
+                  engine: TimingEngine | None = None, **entries) -> dict:
+    """A boundary payload: the live netlist under the keys every stage
+    shares, *engine*'s cached analysis (``None`` without an engine) and
+    the stage's own *entries*."""
+    return {
+        "network": network,
+        "placement": placement,
+        "engine_state": None if engine is None else engine.export_eval_state(),
+        **entries,
+    }
+
+
 def graft_state(saved: Network, saved_placement: Placement,
                 network: Network, placement: Placement) -> None:
     """Adopt a saved network and placement into the live objects.
@@ -274,7 +302,7 @@ def graft_state(saved: Network, saved_placement: Placement,
     The flow's other components (site factories, supergate caches,
     result reporting) hold references to the caller's *network* and
     *placement*, so resume must restore content *into* them rather
-    than swap objects.  No mutation events are emitted — callers graft
+    than swap objects.  No mutation events are emitted — the run grafts
     before any listener subscribes (engines and caches are built after
     resume) — and :meth:`Network.adopt` drops the derived indexes.
     """
@@ -294,7 +322,7 @@ def engine_from_state(
     placement: Placement,
     library,
 ) -> TimingEngine:
-    """Grafted live objects plus an engine resuming *state*'s analysis.
+    """An engine on the already grafted live objects, resuming *state*.
 
     The one constructor that adopts cached analysis: the saved dicts
     are taken in their recorded iteration order and nothing is
@@ -305,7 +333,6 @@ def engine_from_state(
     live *network*/*placement*/*library*, so the rest of the run sees
     one consistent object graph.
     """
-    graft_state(state.network, state.placement, network, placement)
     engine = TimingEngine(
         network, placement, library,
         period=state.period, po_pad_cap=state.po_pad_cap,
@@ -314,6 +341,6 @@ def engine_from_state(
     engine.stars = dict(state.stars)
     engine._req0 = dict(state.req0)
     engine._derive(network.topo_order())
-    engine._analyzed_version = state.version
+    engine._analyzed_version = network.version
     engine._needs_full = False
     return engine

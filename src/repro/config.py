@@ -85,8 +85,9 @@ class RunKnobs:
         "with status 75 after a clean save", flag=True, metavar="PATH")
     resume: bool = knob(
         False, "reload the checkpoint and continue an interrupted run "
-        "at its saved cursor, bit-identically to an uninterrupted run "
-        "(a missing checkpoint just runs fresh)", flag=True)
+        "from its saved state, bit-identically to an uninterrupted run "
+        "(a missing checkpoint just runs fresh, an unreadable one is "
+        "refused)", flag=True)
     checkpoint_every: int = knob(
         1, "save only every N-th flow boundary (a SIGTERM still saves "
         "at the next one)", flag=True, metavar="N", minimum=1)
@@ -114,9 +115,6 @@ class RapidsConfig(RunKnobs):
         "gates, gsg_gs does both", choices=MODES, trajectory=True)
     collect_log: bool = knob(
         False, "record every committed move in the optimize result")
-    incremental: bool = knob(
-        True, "incremental STA between optimizer batches; off re-runs "
-        "full STA every batch (the reference)", trajectory=True)
 
     def trajectory_knobs(self) -> dict:
         """The knobs a checkpoint records: those shaping the trajectory."""

@@ -18,7 +18,6 @@ from .simcore import (
     fault_simulate,
     get_compiled,
     make_backend,
-    numpy_available,
     sweep_shape,
 )
 from .values import (
@@ -75,7 +74,6 @@ __all__ = [
     "fault_simulate",
     "get_compiled",
     "make_backend",
-    "numpy_available",
     "sweep_shape",
     "all_symmetric_pairs",
     "and_values",

@@ -32,7 +32,6 @@ from .backends import (
     estimate_sweep_costs,
     eval_word,
     make_backend,
-    numpy_available,
     sweep_shape,
 )
 from .compiled import CompiledNetwork, compile_network, get_compiled
@@ -62,7 +61,6 @@ __all__ = [
     "fault_simulate",
     "get_compiled",
     "make_backend",
-    "numpy_available",
     "pack_tests",
     "random_pattern_block",
     "sweep_shape",

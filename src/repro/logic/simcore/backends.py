@@ -46,10 +46,7 @@ from .compiled import (
     OP_XOR,
 )
 
-try:  # numpy is an optional accelerator; the bigint backend needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as _np
 
 
 def eval_word(op: int, inv: bool, words: list[int], mask: int) -> int:
@@ -253,12 +250,6 @@ class NumpyBackend:
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "numpy is not available; use the 'bigint' backend"
-            )
-
     def _plan(self, compiled: CompiledNetwork) -> _NumpyPlan:
         plan = getattr(compiled, "_numpy_plan", None)
         if plan is None:
@@ -298,11 +289,6 @@ class NumpyBackend:
                 _np.invert(rows, out=rows)
                 rows[:, -1] &= state.tail_mask
             block[out_idx] = rows
-
-
-def numpy_available() -> bool:
-    """True when the numpy accelerator can be used."""
-    return _np is not None
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +386,6 @@ def estimate_sweep_costs(
 
 def choose_backend(compiled: CompiledNetwork, num_patterns: int) -> str:
     """Resolve ``"auto"`` to ``"bigint"`` or ``"numpy"`` for this sweep."""
-    if not numpy_available():
-        return "bigint"
     bigint_cost, numpy_cost = estimate_sweep_costs(compiled, num_patterns)
     return "bigint" if bigint_cost <= numpy_cost else "numpy"
 
@@ -432,7 +416,7 @@ class AdaptiveBackend:
 
     def __init__(self) -> None:
         self._bigint = BigintBackend()
-        self._numpy = NumpyBackend() if numpy_available() else None
+        self._numpy = NumpyBackend()
         #: backend name picked by the most recent ``make_state``
         self.last_choice: str | None = None
 
@@ -440,7 +424,7 @@ class AdaptiveBackend:
         """The concrete backend the cost model picks for this sweep."""
         choice = choose_backend(compiled, num_patterns)
         self.last_choice = choice
-        if choice == "numpy" and self._numpy is not None:
+        if choice == "numpy":
             return self._numpy
         return self._bigint
 
@@ -465,7 +449,7 @@ def make_backend(name: str = "auto") -> SimBackend:
 
     ``"auto"`` returns the adaptive backend, which resolves to bigint
     on deep narrow sweeps and numpy on wide shallow ones per pattern
-    block (and to bigint everywhere when numpy is not installed).
+    block.
     """
     if name == "auto":
         return AdaptiveBackend()

@@ -12,7 +12,7 @@ Three consumers rely on this module being exhaustive:
   `sizing/coudert.py`) pass these constants to ``Network._touch`` with
   a payload dict whose keys must equal the registered operand tuple;
 * **listeners** (`timing/sta.py`, `place/hpwl.py`,
-  `logic/simcore/engine.py`, `rapids/engine.py`) dispatch on these
+  `rapids/engine.py`) dispatch on these
   constants and must handle — or explicitly ignore — every registered
   kind;
 * **tooling**: ``python -m tools.lint`` statically verifies both rules
@@ -21,7 +21,7 @@ Three consumers rely on this module being exhaustive:
   code and docs cannot drift apart.
 
 Adding a kind therefore means: add the constant and registry entry
-here, emit it with a schema-matching payload, teach all four listeners
+here, emit it with a schema-matching payload, teach all three listeners
 about it, then run ``python -m tools.lint --fix-docs`` — the linter
 fails CI until every step is done.
 """

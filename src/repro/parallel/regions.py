@@ -31,10 +31,10 @@ def _select_shard(shard, select_inline, gate, engine) -> tuple:
     empty and returns only the keys its own selections added.
     """
     if gate is not None:
-        gate.rejected_keys = set()
+        gate.counters.rejected_keys = set()
     scored_before = engine.candidates_scored
     selections = [(order, select_inline(task)) for order, task in shard]
-    rejected = sorted(gate.rejected_keys) if gate is not None else []
+    rejected = sorted(gate.counters.rejected_keys) if gate is not None else []
     return selections, rejected, engine.candidates_scored - scored_before
 
 
@@ -83,7 +83,7 @@ class RegionEvalSession:
         for _selections, rejected, shard_scored in packed:
             scored += shard_scored
             if self.gate is not None:
-                self.gate.rejected_keys.update(rejected)
+                self.gate.counters.rejected_keys.update(rejected)
         return merge_selections(
             len(tasks), [selections for selections, _, _ in packed]
         ), scored

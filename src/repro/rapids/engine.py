@@ -30,6 +30,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
+from ..checkpoint import (
+    CheckpointManager,
+    engine_from_state,
+    graft_state,
+    stage_payload,
+)
 from ..config import MODES as MODES  # re-exported: callers import it here
 from ..config import RapidsConfig
 from ..library.cells import Library
@@ -429,8 +435,6 @@ def run_rapids(
     config = RapidsConfig(**knobs)
     manager = saved = stage = None
     if config.checkpoint is not None:
-        from ..checkpoint import CheckpointManager, graft_state
-
         manager = CheckpointManager(
             config.checkpoint, every=config.checkpoint_every
         )
@@ -451,16 +455,17 @@ def run_rapids(
         redundancies = redundancy_counts(
             find_easy_redundancies(network, sgn)
         )["events"]
+        if saved is not None:
+            # every stage saved the live netlist under the same keys
+            graft_state(saved["network"], saved["placement"],
+                        network, placement)
         if stage == "done":
-            # a finished checkpoint: graft the final netlist and return
-            # the saved report instead of redoing any work
-            graft_state(*saved["final_state"], network, placement)
+            # a finished checkpoint: return the saved report instead of
+            # redoing any work
             result = saved["result"]
         else:
             if stage in ("wl", "wl_round"):
                 opt = saved["opt"]
-                if stage == "wl":
-                    graft_state(*saved["run_state"], network, placement)
             else:
                 opt = optimize(
                     network,
@@ -471,9 +476,8 @@ def run_rapids(
                     max_rounds=config.max_rounds,
                     batch_limit=config.batch_limit,
                     collect_log=config.collect_log,
-                    incremental=config.incremental,
                     checkpoint=manager,
-                    resume_data=saved if stage == "optimize" else None,
+                    resume_data=saved,
                 )
             if manager is not None:
                 # later payloads carry the finished optimization result;
@@ -482,8 +486,7 @@ def run_rapids(
                 manager.context = {"opt": opt}
                 if stage not in ("wl", "wl_round"):
                     manager.boundary(
-                        "wl",
-                        lambda: {"run_state": (network, placement)},
+                        "wl", lambda: stage_payload(network, placement),
                         force=True,
                     )
             wirelength = None
@@ -511,8 +514,7 @@ def run_rapids(
             manager.context = {}
             manager.boundary(
                 "done",
-                lambda: {"result": result,
-                         "final_state": (network, placement)},
+                lambda: stage_payload(network, placement, result=result),
                 force=True,
             )
         return result
@@ -527,14 +529,10 @@ def _polish(network, placement, library, config, opt, manager, saved):
     from . import partition, wirelength
 
     wl_timing = None
-    if saved is not None:
-        from ..checkpoint import engine_from_state, graft_state
-
-        state = saved["engine_state"]
-        if saved["timing_aware"]:
-            wl_timing = engine_from_state(state, network, placement, library)
-        else:
-            graft_state(*state, network, placement)
+    if config.wl_timing_aware and saved is not None:
+        wl_timing = engine_from_state(
+            saved["engine_state"], network, placement, library
+        )
     elif config.wl_timing_aware:
         # the guard band is measured against the delay the optimizer
         # just achieved: the gate's engine pins its target to this

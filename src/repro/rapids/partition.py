@@ -45,12 +45,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..checkpoint import stage_payload
 from ..network.netlist import Network
 from ..place.hpwl import WirelengthEngine
 from ..place.placement import Placement
 from ..place.regions import RegionSet, carve_regions
 from ..timing.sta import TimingEngine
 from .wirelength import (
+    GateCounters,
     WirelengthResult,
     _TimingGate,
     _apply_batch,
@@ -87,6 +89,31 @@ class PartitionedResult(WirelengthResult):
     parallel_rounds: int = 0
     fallback_reason: str | None = None
     health: dict = field(default_factory=dict)
+
+
+@dataclass
+class PolishState:
+    """The polish loop's state between rounds.
+
+    A fresh run builds it, a round boundary checkpoints it whole, a
+    resumed run re-enters the interrupted pass with it, and the
+    returned report is its :attr:`result`.
+    """
+
+    #: the counters so far (passes, rounds, swaps, scored candidates...)
+    result: PartitionedResult
+    #: the carve (``None`` unpartitioned).  It is geometry-seeded on
+    #: the *initial* netlist, which a resumed (rewired) netlist is not,
+    #: so it rides in the checkpoint
+    regions: RegionSet | None
+    #: the slack gate's counters (``None`` for a timing-blind polish)
+    gate_counters: GateCounters | None
+    #: the current pass's ``(region, pairs, crosses)`` tasks; cross
+    #: exchanges ride only a pass's first round, so after it the tasks
+    #: hold leaf pairs alone
+    tasks: list[tuple[int, list, list]] = field(default_factory=list)
+    #: moves the current pass applied so far
+    pass_applied: int = 0
 
 
 def _region_tasks(
@@ -156,16 +183,14 @@ def reduce_wirelength_partitioned(
     only because existing callers pass it.
 
     *checkpoint* (a :class:`repro.checkpoint.CheckpointManager`) saves
-    a ``"wl_round"`` cursor after every applied round.  To resume,
-    the caller grafts the saved state back into *network* /
-    *placement* / *timing_engine* first (see
-    :func:`repro.checkpoint.graft_state` /
+    the loop's :class:`PolishState` after every applied round.  To
+    resume, the caller grafts the saved netlist into *network* /
+    *placement* and rebuilds *timing_engine* from the saved engine
+    state first (see :func:`repro.checkpoint.graft_state` /
     :func:`~repro.checkpoint.engine_from_state`) and passes the loaded
     payload as *resume_data*; the run re-enters the interrupted pass
-    mid-flight — resumed rounds are leaf-pair-only by construction
-    (cross exchanges ride only a pass's first round) — with the saved
-    carve, counters and slack-gate statistics, and finishes
-    bit-identically to the uninterrupted run.
+    mid-flight with the saved carve, counters and slack-gate
+    statistics, and finishes bit-identically to the uninterrupted run.
     """
     gate = (
         _TimingGate(timing_engine, slack_margin)
@@ -202,126 +227,70 @@ def polish_rounds(
     """
     from .engine import SupergateCache
 
-    resuming = resume_data is not None
     placement.ensure_covered(network)
     engine = WirelengthEngine(network, placement)
     cache = SupergateCache(network)
-    if resuming:
-        # the carve is geometry-seeded on the *initial* netlist; the
-        # resumed (rewired) netlist could carve differently, so the
-        # original RegionSet rides in the checkpoint
-        regions = resume_data["regions"]
-    elif max_gates is not None:
-        regions = carve_regions(network, placement, max_gates, seed=carve_seed)
+    if resume_data is not None:
+        state = resume_data["polish"]
+        if gate is not None:
+            gate.counters = state.gate_counters
     else:
-        regions = None
+        regions = None if max_gates is None else carve_regions(
+            network, placement, max_gates, seed=carve_seed
+        )
+        initial = engine.total_hpwl()
+        state = PolishState(
+            result=PartitionedResult(
+                initial_hpwl=initial, final_hpwl=initial, swaps_applied=0,
+                passes=0,
+                mode="batched" if regions is None else "partitioned",
+            ),
+            regions=regions,
+            gate_counters=None if gate is None else gate.counters,
+        )
+        if regions is not None:
+            state.result.regions = len(regions.regions)
+            state.result.max_region_gates = regions.max_region_gates
+            state.result.boundary_nets = len(regions.boundary_nets)
+    result = state.result
     session = None
-    fallback_reason = None
     if workers > 1:
         from ..parallel.regions import RegionEvalSession
 
         session = RegionEvalSession(workers, engine, gate)
 
-    initial = engine.total_hpwl()
-    leaf_applied = 0
-    cross_applied = 0
-    passes = 0
-    rounds = 0
-    parallel_rounds = 0
-    deferred = 0
-    boundary_conflicts = 0
-    health: dict = {}
-    scored_before = engine.candidates_scored
-    remote_scored = 0
-    pass_applied = 0
-    tasks: list[tuple[int, list, list]] = []
-    if resuming:
-        initial = resume_data["initial_hpwl"]
-        leaf_applied = resume_data["leaf_applied"]
-        cross_applied = resume_data["cross_applied"]
-        passes = resume_data["passes"]
-        rounds = resume_data["rounds"]
-        parallel_rounds = resume_data["parallel_rounds"]
-        deferred = resume_data["deferred"]
-        boundary_conflicts = resume_data["boundary_conflicts"]
-        pass_applied = resume_data["pass_applied"]
-        remote_scored = resume_data["remote_scored"]
-        scored_before = engine.candidates_scored - resume_data["local_scored"]
-        tasks = [
-            (index, list(task_pairs), [])
-            for index, task_pairs in resume_data["tasks_pairs"]
-        ]
-        if gate is not None and resume_data["gate_stats"] is not None:
-            stats = resume_data["gate_stats"]
-            gate.rejected_keys = {tuple(key) for key in stats["rejected"]}
-            gate.max_drift = stats["max_drift"]
-            gate.repricings = stats["repricings"]
-
     def select_inline(task):
         _index, pairs, crosses = task
         return _select_batch(network, engine, pairs, crosses, gate)
 
-    def cursor() -> dict:
-        """Round-boundary resume payload (see the *checkpoint* doc)."""
-        return {
-            "regions": regions,
-            "initial_hpwl": initial,
-            "leaf_applied": leaf_applied,
-            "cross_applied": cross_applied,
-            "passes": passes,
-            "rounds": rounds,
-            "parallel_rounds": parallel_rounds,
-            "deferred": deferred,
-            "boundary_conflicts": boundary_conflicts,
-            "pass_applied": pass_applied,
-            "remote_scored": remote_scored,
-            "local_scored": engine.candidates_scored - scored_before,
-            "tasks_pairs": [
-                (index, list(task_pairs))
-                for index, task_pairs, _crosses in tasks
-            ],
-            "gate_stats": None if gate is None else {
-                "rejected": sorted(gate.rejected_keys),
-                "max_drift": gate.max_drift,
-                "repricings": gate.repricings,
-            },
-            "timing_aware": gate is not None,
-            "engine_state": (
-                gate.engine.export_eval_state() if gate is not None
-                else (network, placement)
-            ),
-        }
-
-    mid_pass = resuming
-    while passes < max_passes or mid_pass:
+    mid_pass = resume_data is not None
+    while result.passes < max_passes or mid_pass:
+        sgn = cache.get()
         if mid_pass:
             mid_pass = False
-            sgn = cache.get()
-            first_round = False
         else:
-            passes += 1
-            sgn = cache.get()
+            result.passes += 1
             pairs = _leaf_pairs(sgn, network)
             crosses = _pure_crosses(sgn)
-            tasks = [(0, pairs, crosses)] if regions is None else (
-                _region_tasks(network, regions, pairs, crosses)
+            state.tasks = [(0, pairs, crosses)] if state.regions is None else (
+                _region_tasks(network, state.regions, pairs, crosses)
             )
-            pass_applied = 0
-            first_round = True
+            state.pass_applied = 0
         while True:
-            rounds += 1
-            round_tasks = tasks if first_round else [
+            result.rounds += 1
+            round_tasks = state.tasks
+            state.tasks = [
                 (index, task_pairs, [])
-                for index, task_pairs, _crosses in tasks
+                for index, task_pairs, _crosses in round_tasks
             ]
-            first_round = False
+            scored_before = engine.candidates_scored
             if session is not None:
                 selections, scored = session.select_round(
                     round_tasks, select_inline
                 )
-                remote_scored += scored
+                result.candidates_scored += scored
                 if session.parallel_last_round:
-                    parallel_rounds += 1
+                    result.parallel_rounds += 1
             else:
                 selections = [
                     select_inline(task) for task in round_tasks
@@ -340,12 +309,12 @@ def polish_rounds(
                 kept = []
                 for kind, payload, projection, footprint in accepted:
                     if footprint & claimed_nets:
-                        boundary_conflicts += 1
+                        result.boundary_conflicts += 1
                         continue
                     if projection is not None and (
                         projection.touched & claimed_timing
                     ):
-                        deferred += 1
+                        result.deferred_timing_conflicts += 1
                         continue
                     kept.append((kind, payload, projection, footprint))
                     claimed_nets |= footprint
@@ -359,40 +328,25 @@ def polish_rounds(
                 crossings += batch_crosses
             if gate is not None and committed_projections:
                 gate.refold(committed_projections)
-            leaf_applied += leaves
-            cross_applied += crossings
-            pass_applied += leaves + crossings
+            result.candidates_scored += (
+                engine.candidates_scored - scored_before
+            )
+            result.swaps_applied += leaves
+            result.cross_swaps_applied += crossings
+            state.pass_applied += leaves + crossings
             if leaves + crossings == 0:
                 break
             if checkpoint is not None:
-                checkpoint.boundary("wl_round", cursor)
-        if pass_applied == 0:
+                checkpoint.boundary("wl_round", lambda: stage_payload(
+                    network, placement, None if gate is None else gate.engine,
+                    polish=state,
+                ))
+        if state.pass_applied == 0:
             break
+    result.final_hpwl = engine.total_hpwl()
+    result.workers = workers
     if session is not None:
-        fallback_reason = session.pool.fallback_reason
-        health = dict(session.pool.health)
-
-    result = PartitionedResult(
-        initial_hpwl=initial,
-        final_hpwl=engine.total_hpwl(),
-        swaps_applied=leaf_applied,
-        passes=passes,
-        mode="batched" if regions is None else "partitioned",
-        cross_swaps_applied=cross_applied,
-        candidates_scored=(
-            engine.candidates_scored - scored_before + remote_scored
-        ),
-        rounds=rounds,
-        deferred_timing_conflicts=deferred,
-        boundary_conflicts=boundary_conflicts,
-        workers=workers,
-        parallel_rounds=parallel_rounds,
-        fallback_reason=fallback_reason,
-        health=health,
-    )
-    if regions is not None:
-        result.regions = len(regions.regions)
-        result.max_region_gates = regions.max_region_gates
-        result.boundary_nets = len(regions.boundary_nets)
+        result.fallback_reason = session.pool.fallback_reason
+        result.health = dict(session.pool.health)
     _attach_timing_stats(result, gate)
     return result

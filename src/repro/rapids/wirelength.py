@@ -60,7 +60,7 @@ random placements through ``networks_equivalent``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from ..contracts import projection_only
 from ..network.netlist import Network, Pin
@@ -175,13 +175,26 @@ def swap_bindings(
     )
 
 
+@dataclass
+class GateCounters:
+    """The slack gate's statistics (a polish checkpoint carries them)."""
+
+    #: unique rejected candidates — the fixed-point loop re-scores
+    #: (and re-rejects) the same candidate every iteration, so a
+    #: plain counter would inflate with the iteration count
+    rejected_keys: set[tuple] = field(default_factory=set)
+    max_drift: float = 0.0
+    repricings: int = 0
+
+
 class _TimingGate:
     """Slack guard for wirelength commits, wrapping one timing engine.
 
     Pins the engine's timing target to the pre-polish critical delay
     when no period is set, so every projected slack is measured
     against the netlist the polish started from.  Collects the
-    rejection / drift statistics reported on the result.
+    rejection / drift statistics reported on the result in
+    :attr:`counters`.
     """
 
     def __init__(self, engine: TimingEngine, margin: float) -> None:
@@ -190,16 +203,7 @@ class _TimingGate:
             engine.period = engine.max_delay
         self.engine = engine
         self.margin = margin
-        #: unique rejected candidates — the fixed-point loop re-scores
-        #: (and re-rejects) the same candidate every iteration, so a
-        #: plain counter would inflate with the iteration count
-        self.rejected_keys: set[tuple] = set()
-        self.max_drift = 0.0
-        self.repricings = 0
-
-    @property
-    def rejected(self) -> int:
-        return len(self.rejected_keys)
+        self.counters = GateCounters()
 
     def prefilter(self, bindings_batch: list) -> list[bool]:
         """Frontier projection over the whole candidate set."""
@@ -207,7 +211,7 @@ class _TimingGate:
         return [p.admissible(self.margin) for p in projections]
 
     def reject(self, bindings) -> None:
-        self.rejected_keys.add(tuple(bindings))
+        self.counters.rejected_keys.add(tuple(bindings))
 
     def verify(self, bindings):
         """Exact full-cone projection, or ``None`` when inadmissible."""
@@ -235,9 +239,10 @@ class _TimingGate:
                 realized = self.engine.slack.get(net)
                 if realized is not None:
                     drift = max(drift, abs(realized - value))
-        self.max_drift = max(self.max_drift, drift)
+        counters = self.counters
+        counters.max_drift = max(counters.max_drift, drift)
         if drift > PROJECTION_DRIFT_TOL:
-            self.repricings += 1
+            counters.repricings += 1
 
 
 def reduce_wirelength(
@@ -338,11 +343,12 @@ def _attach_timing_stats(
 ) -> None:
     if gate is None:
         return
+    counters = gate.counters
     result.timing_aware = True
     result.slack_margin = gate.margin
-    result.timing_rejected = gate.rejected
-    result.projection_drift = gate.max_drift
-    result.drift_repricings = gate.repricings
+    result.timing_rejected = len(counters.rejected_keys)
+    result.projection_drift = counters.max_drift
+    result.drift_repricings = counters.repricings
 
 
 def _leaf_pairs(sgn, network: Network) -> list[tuple[str, Pin, Pin]]:

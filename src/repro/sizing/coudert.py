@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
+from ..checkpoint import engine_from_state, stage_payload
 from ..contracts import projection_only
 from ..library.cells import Library
 from ..network import events
@@ -152,6 +153,24 @@ class OptimizeResult:
         ) / self.initial_area
 
 
+@dataclass
+class OptimizeState:
+    """The two-phase loop's state between rounds.
+
+    A fresh run builds it, a round boundary checkpoints it whole, a
+    resumed run re-enters the loop with it, and :func:`optimize` reads
+    its result from it.
+    """
+
+    result: OptimizeResult
+    best_delay: float
+    #: best (network, placement) seen, with its capture version
+    best: tuple[Network, Placement, int]
+    #: rounds in a row without a new best delay
+    stagnant: int = 0
+    next_round: int = 0
+
+
 def network_delay(
     network: Network, placement: Placement, library: Library
 ) -> float:
@@ -187,63 +206,43 @@ def optimize(
 
     *checkpoint* (a :class:`repro.checkpoint.CheckpointManager`)
     enables round-boundary saves; *resume_data* is a previously saved
-    ``"optimize"``-stage payload — the run grafts its state into
-    *network*/*placement* and re-enters the loop at the saved cursor,
-    yielding a result identical to the uninterrupted run.
+    ``"optimize"``-stage payload whose netlist the caller has already
+    grafted into *network*/*placement*
+    (:func:`repro.checkpoint.graft_state`).  The run rebuilds its engine
+    from the payload and re-enters the loop with the saved
+    :class:`OptimizeState`, yielding a result identical to the
+    uninterrupted run.
     """
     from ..synth.mapper import network_area
 
     if isinstance(batch_limit, bool) or not isinstance(batch_limit, int):
         raise ValueError(f"batch_limit must be an int, got {batch_limit!r}")
     start = time.perf_counter()
-    start_round = 0
     if resume_data is not None:
-        from ..checkpoint import engine_from_state, graft_state
-
-        state = resume_data["engine_state"]
-        if incremental:
-            # adopt the saved engine caches verbatim: incremental STA
-            # resumed from them prices bit-identically to the engine
-            # the interrupted run carried into this round
-            engine = engine_from_state(state, network, placement, library)
-        else:
-            # the non-incremental loop rebuilds + re-analyzes every
-            # round anyway, so a fresh analyze reproduces it exactly
-            graft_state(state.network, state.placement, network, placement)
-            engine = TimingEngine(network, placement, library)
-            engine.analyze()
-        initial_delay = resume_data["initial_delay"]
-        initial_area = resume_data["initial_area"]
-        best_delay = resume_data["best_delay"]
-        best_snapshot = (*resume_data["best"], resume_data["best_version"])
-        stagnant = resume_data["stagnant"]
-        start_round = resume_data["next_round"]
-        result = OptimizeResult(
-            mode=mode,
-            initial_delay=initial_delay,
-            final_delay=initial_delay,
-            initial_area=initial_area,
-            final_area=initial_area,
-            rounds=resume_data["rounds"],
-            moves_applied=resume_data["moves_applied"],
-            move_log=list(resume_data["move_log"]),
+        # adopt the saved engine caches verbatim: timing resumed from
+        # them prices bit-identically to the engine the interrupted run
+        # carried into this round (a freshly analysed one included)
+        engine = engine_from_state(
+            resume_data["engine_state"], network, placement, library
         )
+        state = resume_data["optimize"]
     else:
         engine = TimingEngine(network, placement, library)
         engine.analyze()
-        initial_delay = engine.max_delay
         initial_area = network_area(network, library)
-        best_delay = initial_delay
-        best_snapshot = _snapshot(network, placement)
-        result = OptimizeResult(
-            mode=mode,
-            initial_delay=initial_delay,
-            final_delay=initial_delay,
-            initial_area=initial_area,
-            final_area=initial_area,
+        state = OptimizeState(
+            result=OptimizeResult(
+                mode=mode,
+                initial_delay=engine.max_delay,
+                final_delay=engine.max_delay,
+                initial_area=initial_area,
+                final_area=initial_area,
+            ),
+            best_delay=engine.max_delay,
+            best=_snapshot(network, placement),
         )
-        stagnant = 0
-    for round_index in range(start_round, max_rounds):
+    result = state.result
+    for round_index in range(state.next_round, max_rounds):
         result.rounds = round_index + 1
         applied_min = _phase(
             network, placement, library, engine, site_factory,
@@ -251,35 +250,35 @@ def optimize(
             result=result, collect_log=collect_log,
         )
         engine = _refreshed(engine, incremental)
-        if engine.max_delay < best_delay - epsilon:
-            best_delay = engine.max_delay
-            best_snapshot = _snapshot(network, placement)
+        if engine.max_delay < state.best_delay - epsilon:
+            state.best_delay = engine.max_delay
+            state.best = _snapshot(network, placement)
         applied_sum = _phase(
             network, placement, library, engine, site_factory,
             metric="sum", batch_limit=batch_limit, epsilon=epsilon,
             result=result, collect_log=collect_log,
         )
         engine = _refreshed(engine, incremental)
-        if engine.max_delay < best_delay - epsilon:
-            best_delay = engine.max_delay
-            best_snapshot = _snapshot(network, placement)
-            stagnant = 0
+        if engine.max_delay < state.best_delay - epsilon:
+            state.best_delay = engine.max_delay
+            state.best = _snapshot(network, placement)
+            state.stagnant = 0
         else:
-            stagnant += 1
+            state.stagnant += 1
         if not applied_min and not applied_sum:
             break
-        if stagnant >= 2:
+        if state.stagnant >= 2:
             break
         if checkpoint is not None:
-            checkpoint.boundary("optimize", lambda: _optimize_cursor(
-                engine, round_index, best_delay, best_snapshot,
-                stagnant, result, initial_delay, initial_area,
+            state.next_round = round_index + 1
+            checkpoint.boundary("optimize", lambda: stage_payload(
+                network, placement, engine, optimize=state,
             ))
-    _restore(network, placement, best_snapshot)
+    _restore(network, placement, state.best)
     engine = _refreshed(engine, incremental)
     engine = _area_recovery(
         network, placement, library, engine, site_factory,
-        best_delay, epsilon, result, incremental=incremental,
+        state.best_delay, epsilon, result, incremental=incremental,
     )
     from ..network.transform import sweep
 
@@ -424,40 +423,6 @@ def _phase(
                 f"{metric}:{move.describe()} (score {score:+.4f})"
             )
     return applied
-
-
-def _optimize_cursor(
-    engine: TimingEngine,
-    round_index: int,
-    best_delay: float,
-    best_snapshot: tuple[Network, Placement, int],
-    stagnant: int,
-    result: OptimizeResult,
-    initial_delay: float,
-    initial_area: float,
-) -> dict:
-    """Round-boundary resume payload for the two-phase loop.
-
-    Captures everything :func:`optimize` needs to re-enter the loop at
-    ``next_round`` and finish bit-identically: the engine's cached
-    analysis (the resume vehicle — re-analyzing would not be bit-exact
-    to incremental STA), the best-seen snapshot with its capture
-    version, the RNG-free loop cursor and the result counters.
-    """
-    best_network, best_placement, best_version = best_snapshot
-    return {
-        "next_round": round_index + 1,
-        "best_delay": best_delay,
-        "best": (best_network, best_placement),
-        "best_version": best_version,
-        "stagnant": stagnant,
-        "rounds": result.rounds,
-        "moves_applied": result.moves_applied,
-        "move_log": list(result.move_log),
-        "initial_delay": initial_delay,
-        "initial_area": initial_area,
-        "engine_state": engine.export_eval_state(),
-    }
 
 
 def _snapshot(

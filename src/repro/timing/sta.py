@@ -133,24 +133,21 @@ class EvalState:
     """Picklable snapshot of an engine's cached analysis (checkpoints).
 
     Produced by :meth:`TimingEngine.export_eval_state` and turned back
-    into an engine by :func:`repro.checkpoint.engine_from_state`.  The
-    snapshot carries what the analysis *propagated* verbatim (arrival
-    pairs, zero-target required pairs, star RC models), so a resumed
-    engine projects bit-identical gains: pickling round-trips floats
-    exactly.  What is derived from those is left out and rebuilt on
-    load — logic levels, the critical delay, slacks and the per-gate
-    pricing memo.
+    into an engine on the checkpoint's netlist by
+    :func:`repro.checkpoint.engine_from_state`.  The snapshot carries
+    only what the analysis *propagated*, verbatim (arrival pairs,
+    zero-target required pairs, star RC models) plus the target
+    settings, so a resumed engine projects bit-identical gains:
+    pickling round-trips floats exactly.  What is derived from those is
+    left out and rebuilt on load — logic levels, the critical delay,
+    slacks and the per-gate pricing memo.
     """
 
-    network: Network
-    placement: Placement
-    library: Library
     period: float | None
     po_pad_cap: float
     arrival: dict[str, tuple[float, float]]
     stars: dict[str, "StarNet"]
     req0: dict[str, tuple[float, float]]
-    version: int
 
 
 class Gains(NamedTuple):
@@ -828,25 +825,20 @@ class TimingEngine:
     def export_eval_state(self) -> EvalState:
         """Snapshot the cached analysis for a checkpoint payload.
 
-        The returned :class:`EvalState` is picklable (the network drops
-        its listeners on serialization) and references the engine's
-        live caches without copying — callers must pickle it before the
-        next committed batch.  An engine rebuilt from it by
+        The returned :class:`EvalState` is picklable and references the
+        engine's live caches without copying — callers must pickle it
+        before the next committed batch.  An engine rebuilt from it by
         :func:`repro.checkpoint.engine_from_state` computes
         :meth:`swap_gain` / :meth:`resize_gain` bit-identically to this
         engine.
         """
         self.refresh()
         return EvalState(
-            network=self.network,
-            placement=self.placement,
-            library=self.library,
             period=self.period,
             po_pad_cap=self.po_pad_cap,
             arrival=self.arrival,
             stars=self.stars,
             req0=self._req0,
-            version=self.network.version,
         )
 
     # ------------------------------------------------------------------

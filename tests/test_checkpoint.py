@@ -34,6 +34,8 @@ from repro.checkpoint import (
     graft_state,
 )
 from repro.library.cells import default_library
+from repro.network.netlist import Network
+from repro.place.placement import Placement
 from repro.place.placer import place
 from repro.rapids.engine import _gs_factory, run_rapids
 from repro.sizing.coudert import optimize
@@ -85,7 +87,7 @@ def _result_fingerprint(network, result) -> tuple:
 # ----------------------------------------------------------------------
 # the manager: persistence, cadence, signals
 # ----------------------------------------------------------------------
-def test_save_is_atomic_and_load_tolerates_garbage(tmp_path):
+def test_save_is_atomic_and_load_refuses_garbage(tmp_path):
     path = tmp_path / "run.ckpt"
     manager = CheckpointManager(str(path))
     assert manager.load() is None           # missing file: fresh run
@@ -94,8 +96,17 @@ def test_save_is_atomic_and_load_tolerates_garbage(tmp_path):
     assert manager.saves == 1
     assert manager.save_seconds > 0.0
     assert not list(tmp_path.glob("*.tmp.*"))   # temp replaced, not left
-    path.write_bytes(b"\x80garbage")
-    assert manager.load() is None           # corrupt file: fresh run
+    # saves are atomic, so an unreadable file is no crash of ours:
+    # resuming it must fail by name, never quietly start over
+    for garbage in (
+        b"\x80garbage",                     # not a pickle
+        b"cos\nno_such_name\n.",            # names a missing object
+        pickle.dumps(["a", "list"]),         # not a payload
+    ):
+        path.write_bytes(garbage)
+        with pytest.raises(CheckpointFormatError) as excinfo:
+            manager.load()
+        assert str(path) in str(excinfo.value)
 
 
 def test_boundary_cadence_context_and_stage(tmp_path):
@@ -197,6 +208,22 @@ def test_format_3_checkpoint_with_pickled_slacks_is_refused(tmp_path):
         )
 
 
+def test_format_4_checkpoint_with_the_netlist_in_the_engine_state_is_refused(
+    tmp_path,
+):
+    # format 4 kept the optimizer's netlist inside its engine state and
+    # the polish's under per-stage keys; an old file must fail by name
+    path = tmp_path / "old.ckpt"
+    with open(path, "wb") as handle:
+        pickle.dump({"format": 4, "stage": "wl", "run_state": None}, handle)
+    network, placement, library = _placed_design(3, num_gates=20)
+    with pytest.raises(CheckpointFormatError, match="payload format 4"):
+        run_rapids(
+            network, placement, library, mode="gs", wl_passes=1,
+            checkpoint=str(path), resume=True,
+        )
+
+
 # ----------------------------------------------------------------------
 # pickled state: exact round-trips
 # ----------------------------------------------------------------------
@@ -209,8 +236,9 @@ def test_pickled_eval_state_round_trips_the_engine_caches():
     assert state.arrival == reference.arrival
     assert state.req0 == reference.req0
     assert state.stars == reference.stars
-    assert state.version == reference.version
-    assert list(state.network._gates) == list(network._gates)
+    assert (state.period, state.po_pad_cap) == (
+        reference.period, reference.po_pad_cap
+    )
 
 
 def test_graft_state_restores_content_into_live_objects():
@@ -303,10 +331,9 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
         monkeypatch.delenv(FAULT_PLAN_ENV)
     payload = manager.load()
     assert payload["stage"] == "optimize"
-    # older optimize cursors also carry the batch cap; resume ignores it
-    payload["policy_limit"] = 64
 
     res_net, res_pl = network.copy(), placement.copy()
+    graft_state(payload["network"], payload["placement"], res_net, res_pl)
     resumed = optimize(
         res_net, res_pl, library, factory,
         collect_log=True, resume_data=payload,
@@ -320,6 +347,47 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
     } == {
         g.name: (g.cell, tuple(g.fanins)) for g in plain_net.gates()
     }
+
+
+def test_full_sta_optimize_interrupted_and_resumed_matches_uninterrupted(
+    tmp_path, monkeypatch
+):
+    """The full-STA reference loop resumes through the same engine
+    rebuild as the incremental one: its engine at a round boundary is
+    a fresh analysis, which the saved state reproduces exactly."""
+    network, placement, library = _placed_design(13, num_gates=60)
+    factory = _gs_factory(library)
+    plain_net, plain_pl = network.copy(), placement.copy()
+    plain = optimize(
+        plain_net, plain_pl, library, factory, collect_log=True,
+        incremental=False,
+    )
+    assert plain.rounds > 1
+
+    manager = CheckpointManager(str(tmp_path / "run.ckpt"))
+    manager.install()
+    _sigterm_at(monkeypatch, 1)
+    try:
+        with pytest.raises(RunInterrupted):
+            optimize(
+                network.copy(), placement.copy(), library, factory,
+                collect_log=True, incremental=False, checkpoint=manager,
+            )
+    finally:
+        manager.uninstall()
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+    payload = manager.load()
+    assert payload["optimize"].next_round == 1
+
+    res_net, res_pl = network.copy(), placement.copy()
+    graft_state(payload["network"], payload["placement"], res_net, res_pl)
+    resumed = optimize(
+        res_net, res_pl, library, factory, collect_log=True,
+        incremental=False, resume_data=payload,
+    )
+    assert resumed.move_log == plain.move_log
+    assert resumed.final_delay == plain.final_delay
+    assert resumed.final_area == plain.final_area
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +423,12 @@ def test_run_rapids_resumes_identically_from_every_boundary(
             stages.append(interrupt.stage)
         finally:
             monkeypatch.delenv(FAULT_PLAN_ENV)
+        # one payload shape: every stage saves the live netlist under
+        # the same keys
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        assert isinstance(payload["network"], Network), stages[-1]
+        assert isinstance(payload["placement"], Placement), stages[-1]
         res_net = network.copy()
         resumed = run_rapids(
             res_net, placement.copy(), library,
@@ -415,20 +489,20 @@ def test_sigterm_during_the_unpartitioned_polish_unwinds_and_resumes(
 @pytest.mark.parametrize("knobs, recorded", [
     ({}, {
         "mode": "gsg_gs", "max_rounds": 12, "batch_limit": 64,
-        "incremental": True, "wl_passes": 0, "wl_batched": True,
+        "wl_passes": 0, "wl_batched": True,
         "wl_timing_aware": True, "wl_slack_margin": 0.0,
         "partition": False, "partition_max_gates": 2500,
     }),
     ({
         "mode": "gs", "max_rounds": 2, "batch_limit": 8,
-        "incremental": False, "wl_passes": 2, "wl_batched": False,
+        "wl_passes": 2, "wl_batched": False,
         "wl_timing_aware": False, "wl_slack_margin": -0.25,
         "partition": True, "partition_max_gates": 30,
         "check_equivalence": True, "sim_backend": "bigint", "workers": 2,
         "collect_log": True, "checkpoint_every": 3,
     }, {
         "mode": "gs", "max_rounds": 2, "batch_limit": 8,
-        "incremental": False, "wl_passes": 2, "wl_batched": False,
+        "wl_passes": 2, "wl_batched": False,
         "wl_timing_aware": False, "wl_slack_margin": -0.25,
         "partition": True, "partition_max_gates": 30,
     }),

@@ -24,7 +24,6 @@ from repro.logic.simcore import (
     estimate_sweep_costs,
     get_compiled,
     make_backend,
-    numpy_available,
     pack_tests,
     random_pattern_block,
     sweep_shape,
@@ -37,7 +36,7 @@ from repro.network.netlist import Pin
 from helpers import random_network
 from test_incremental_sta import prepared, random_move
 
-BACKENDS = ["bigint"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["bigint", "numpy"]
 
 WIDTHS = [1, 7, 64, 65, 100, 128, 200, 257]
 
@@ -160,7 +159,6 @@ def test_backend_matches_reference_walker(backend):
             assert engine.words() == reference, (seed, backend, width)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_numpy_matches_bigint_bit_for_bit():
     for seed in range(10):
         net = random_network(seed, num_inputs=7, num_gates=30, num_outputs=4)
@@ -237,7 +235,6 @@ def _wide_shallow_xor(levels: int = 4, width: int = 144,
     return builder.build()
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_auto_resolves_bigint_on_deep_narrow_chain():
     """One-gate level groups leave numpy nothing to amortize its ufunc
     dispatch over: bigint wins deep narrow control logic at every
@@ -253,7 +250,6 @@ def test_auto_resolves_bigint_on_deep_narrow_chain():
     assert engine.resolved_backend == "bigint"
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_auto_resolves_numpy_on_wide_shallow_xor():
     net = _wide_shallow_xor()
     compiled = get_compiled(net)
@@ -264,21 +260,6 @@ def test_auto_resolves_numpy_on_wide_shallow_xor():
     engine = SimEngine(net, "auto")
     engine.set_random_patterns(width=64, seed=0)
     assert engine.resolved_backend == "numpy"
-
-
-def test_auto_without_numpy_is_bigint_everywhere(monkeypatch):
-    import repro.logic.simcore.backends as backends_module
-
-    monkeypatch.setattr(backends_module, "_np", None)
-    nets = (
-        _deep_narrow_chain(40),
-        _wide_shallow_xor(levels=2, width=48, num_inputs=24),
-    )
-    for net in nets:
-        compiled = compile_network(net)
-        assert backends_module.choose_backend(compiled, 64) == "bigint"
-        backend = backends_module.make_backend("auto")
-        assert backend.resolve(compiled, 64).name == "bigint"
 
 
 def test_sweep_costs_are_shape_monotone():
@@ -310,7 +291,6 @@ def test_auto_bit_identical_to_both_explicit_backends(net_builder):
             assert words["auto"] == words[name], (net.name, width, name)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_adaptive_state_survives_incremental_resimulation():
     """The choice travels with the state: reads after each mutation on
     an auto engine must keep matching the reference walker."""
@@ -338,8 +318,8 @@ def test_simcore_import_surface_is_complete():
         "AdaptiveBackend", "BigintBackend", "NumpyBackend", "SimBackend",
         "CompiledNetwork", "SweepShape", "choose_backend",
         "compile_network", "estimate_sweep_costs", "eval_word",
-        "fault_simulate", "make_backend", "numpy_available",
-        "pack_tests", "random_pattern_block", "sweep_shape",
+        "fault_simulate", "make_backend", "pack_tests",
+        "random_pattern_block", "sweep_shape",
     }
     missing = required - set(simcore.__all__)
     assert not missing, f"missing from simcore __all__: {sorted(missing)}"
@@ -472,7 +452,6 @@ def _brute_force_detects(net, fault, assignments, mask, good):
     return any(words[out] != good[out] for out in net.outputs)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_fault_simulation_identical_across_backends():
     for seed in range(5):
         net = random_network(seed, num_inputs=6, num_gates=20, num_outputs=3)
