@@ -2,11 +2,16 @@
 
 ``tests/test_checkpoint.py`` locks *correctness* — a SIGTERMed
 checkpointed run resumes to the same fingerprint.  This bench records
-the price: an optimization run saving its pickled resume state
-(network, placement and the timing engine's exported ``EvalState``) at
-every round boundary is timed against the saving it does.
-``save_seconds / runtime`` must stay under 5%, and the checkpointed
-trajectory is asserted identical to the unguarded one.
+the price: a whole ``run_rapids`` run (the ``gs`` optimizer, then the
+timing-aware wirelength polish) saving its pickled resume state
+(network, placement and the timing engine's exported ``EvalState``)
+at every stage and round boundary is timed against the saving it
+does.  The run must save at least ``MIN_SAVES`` times — optimizer
+rounds, the polish hand-off, every polish round and the finished
+report — so the ratio measures the per-boundary save path rather than
+one fsync's latency.  ``save_seconds / runtime`` must stay under 5%,
+and the checkpointed result is asserted identical to the unguarded
+one.
 
 Rows land in ``REPRO_BENCH_JSON`` (``BENCH_9.json`` in CI) under the
 ``robustness`` key.
@@ -14,51 +19,77 @@ Rows land in ``REPRO_BENCH_JSON`` (``BENCH_9.json`` in CI) under the
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.checkpoint import CheckpointManager
-from repro.rapids.engine import _gs_factory
-from repro.sizing.coudert import optimize
+from repro.rapids import engine as rapids_engine
+from repro.rapids.engine import run_rapids
 from repro.suite.flow import FlowConfig, prepare_benchmark
 
 from bench_helpers import QUICK_SET, record_result
 
-#: The largest quick-set circuit: enough rounds that the ratio measures
-#: the save path rather than one fsync's latency.
+#: The largest quick-set circuit.
 CIRCUIT = QUICK_SET[-1]
 
-#: Ceiling on ``save_seconds / runtime`` for saving every round.
+#: Ceiling on ``save_seconds / runtime`` for saving every boundary.
 MAX_OVERHEAD = 0.05
 
+#: Boundaries the guarded run must save at for the ratio to mean
+#: per-save cost.
+MIN_SAVES = 3
 
-def test_checkpoint_overhead(library, tmp_path):
-    """Round-boundary checkpointing must cost a fraction of the run."""
+
+def _summary(result) -> tuple:
+    """What a checkpoint must not change: moves, delay, area, HPWL."""
+    return (
+        result.optimize.move_log,
+        result.optimize.final_delay,
+        result.optimize.final_area,
+        result.wirelength.final_hpwl,
+        result.wirelength.swaps_applied,
+    )
+
+
+def test_checkpoint_overhead(library, tmp_path, monkeypatch):
+    """Checkpointing every boundary must cost a fraction of the run."""
     outcome = prepare_benchmark(CIRCUIT, FlowConfig(), library)
     network, placement = outcome.network, outcome.placement
 
-    net_plain, pl_plain = network.copy(), placement.copy()
-    plain = optimize(
-        net_plain, pl_plain, library, _gs_factory(library),
-        collect_log=True,
+    plain = run_rapids(
+        network.copy(), placement.copy(), library, mode="gs",
+        wl_passes=1, collect_log=True,
     )
 
-    manager = CheckpointManager(str(tmp_path / "bench.ckpt"))
-    net_ckpt, pl_ckpt = network.copy(), placement.copy()
-    guarded = optimize(
-        net_ckpt, pl_ckpt, library, _gs_factory(library),
-        collect_log=True, checkpoint=manager,
+    managers: list[CheckpointManager] = []
+
+    class RecordedManager(CheckpointManager):
+        """The run's own manager, kept for its save counters."""
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            managers.append(self)
+
+    monkeypatch.setattr(rapids_engine, "CheckpointManager", RecordedManager)
+    path = tmp_path / "bench.ckpt"
+    started = time.perf_counter()
+    guarded = run_rapids(
+        network.copy(), placement.copy(), library, mode="gs",
+        wl_passes=1, collect_log=True, checkpoint=str(path),
     )
+    runtime = time.perf_counter() - started
+    (manager,) = managers
     # safety must be free of trajectory changes before it can be cheap
-    assert guarded.move_log == plain.move_log
-    assert guarded.final_delay == plain.final_delay
-    assert manager.saves >= 1
+    assert _summary(guarded) == _summary(plain)
+    assert manager.saves >= MIN_SAVES
 
-    overhead = manager.save_seconds / max(guarded.runtime_seconds, 1e-9)
-    size = (tmp_path / "bench.ckpt").stat().st_size
+    overhead = manager.save_seconds / max(runtime, 1e-9)
+    size = path.stat().st_size
     print(
         f"\ncheckpoint overhead on {CIRCUIT} ({len(network)} gates): "
         f"{manager.saves} saves, {manager.save_seconds:.3f}s of "
-        f"{guarded.runtime_seconds:.3f}s ({100 * overhead:.1f}%), "
+        f"{runtime:.3f}s ({100 * overhead:.1f}%), "
         f"{size} B on disk"
     )
     record_result(
@@ -67,12 +98,12 @@ def test_checkpoint_overhead(library, tmp_path):
         gates=len(network),
         saves=manager.saves,
         save_seconds=round(manager.save_seconds, 4),
-        runtime_seconds=round(guarded.runtime_seconds, 4),
+        runtime_seconds=round(runtime, 4),
         checkpoint_overhead=round(overhead, 4),
         checkpoint_bytes=size,
     )
     assert overhead < MAX_OVERHEAD, (
-        f"checkpointing every round costs {100 * overhead:.1f}% of the "
+        f"checkpointing every boundary costs {100 * overhead:.1f}% of the "
         f"run — the save path has regressed"
     )
 

@@ -21,8 +21,9 @@ where no engine runs) and the stage's own entries (a loop's state
 object, the finished reports) — see :func:`stage_payload`.  The
 manager pickles them whole.  Pickle round-trips floats and dict order
 exactly, and the engine state carries what the analysis propagated
-verbatim, never recomputed; a resumed engine derives its levels,
-critical delay and slacks from it, so it prices, commits and logs
+verbatim, never recomputed; a resumed engine rebuilds its star
+models from the netlist and derives its levels, critical delay and
+slacks from the state, so it prices, commits and logs
 exactly what the uninterrupted run would have.  Resume replays no
 work: ``run_rapids(resume=True)`` grafts the saved netlist into the
 live objects once (:func:`graft_state`), rebuilds the engine on them
@@ -58,8 +59,11 @@ CHECKPOINT_EXIT_CODE = 75
 #: the unpartitioned polish began checkpointing its rounds too; 4 dropped
 #: the derived timing state (slacks, levels, critical delay) from the
 #: engine's ``EvalState``; 5 saved every stage's netlist under the
-#: same keys (:func:`stage_payload`) and each loop's state as one object.
-PAYLOAD_FORMAT = 5
+#: same keys (:func:`stage_payload`) and each loop's state as one object;
+#: 6 dropped the star models from the engine's ``EvalState`` (a resumed
+#: engine rebuilds them) and saves the carve with its FM pop count
+#: (``RegionSet.fm_moves``).
+PAYLOAD_FORMAT = 6
 
 #: Environment variable carrying a JSON fault plan that SIGTERMs the
 #: run at chosen boundaries, e.g. ``{"checkpoint_round": {"1":
@@ -326,10 +330,10 @@ def engine_from_state(
 
     The one constructor that adopts cached analysis: the saved dicts
     are taken in their recorded iteration order and nothing is
-    re-propagated; one level pass, the critical delay and one slack
-    fold rebuild the derived state from them, so the engine prices and
-    commits bit-identically to the engine the interrupted run would
-    have carried into the same round.  It is bound to the caller's
+    re-propagated; one star model per net, one level pass, the critical
+    delay and one slack fold rebuild the derived state, so the engine
+    prices and commits bit-identically to the engine the interrupted
+    run would have carried into the same round.  It is bound to the caller's
     live *network*/*placement*/*library*, so the rest of the run sees
     one consistent object graph.
     """
@@ -338,7 +342,8 @@ def engine_from_state(
         period=state.period, po_pad_cap=state.po_pad_cap,
     )
     engine.arrival = dict(state.arrival)
-    engine.stars = dict(state.stars)
+    for net in network.nets():
+        engine._ensure_star(net)
     engine._req0 = dict(state.req0)
     engine._derive(network.topo_order())
     engine._analyzed_version = network.version

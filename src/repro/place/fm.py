@@ -17,6 +17,26 @@ move gain is the popped bucket level.  Disallowed cells are rescanned
 only inside a side that is open but holds cells too heavy to move —
 the area-weighted placer path; unit-weight carves never rescan.
 
+A pass stops popping once no later prefix can win (Fiduccia &
+Mattheyses' locked-net argument).  Call a net *dead* once locked cells
+sit on both of its sides: locked cells do not move again, so a dead
+net stays cut in every later prefix, and a prefix of length k has
+cut_k >= dead.  A popped gain never exceeds the true cut decrease of
+its move: the gain of a cell c on side s is the sum over its pins of
+``[n_s == 1] - [n_other == 0]`` (``n`` = the net's pins per side; the
+updates keep it exactly that), and per net with c on it m times this
+is ``m([n_s == 1] - [n_other == 0])`` against a true decrease of
+``[n_other > 0] - [n_s > m]``.  The two are equal for m = 1.  For a
+repeated pin (m >= 2, so n_s >= 2) the gain is 0 when n_other > 0,
+where the decrease is 0 or 1, and -m < -1 when n_other == 0, where
+the decrease is 0 or -1.  Summed over a prefix, its gain total is at most
+cut_0 - cut_k <= cut_0 - dead.  A later prefix replaces the best one
+only with a total above ``best_total``, so once
+``dead >= cut_0 - best_total`` none can, and the pass stops there: the
+committed prefix, the partition, the cut and the pass count are those
+of the full pass, bit for bit (``tests/test_fm.py`` checks it against
+a copy of the full pass).
+
 Deliberately kept quirk: the search cap ``best`` is shared by both
 sides and drops to each popped level.  A higher-gain cell that was
 blocked when ``best`` passed below it stays ignored after its side
@@ -39,6 +59,7 @@ class FmResult:
     side: list[int]          # 0 or 1 per cell
     cut: int                 # number of cut nets
     passes: int              # refinement passes executed
+    moves: int               # cells popped over all passes
 
 
 class _GainBuckets:
@@ -178,7 +199,8 @@ def bipartition(
 
     *balance* bounds either side's weight fraction.  *initial* seeds the
     partition (random when omitted).  Returns the best partition seen
-    over all passes.
+    over all passes: a pass commits only a prefix that lowers the cut,
+    so that is the partition the last pass leaves.
     """
     rng = random.Random(seed)
     if weights is None:
@@ -208,52 +230,45 @@ def bipartition(
             cell_nets[cell].append(net_id)
     max_degree = max((len(n) for n in cell_nets), default=1)
 
-    best_side = list(side)
-    best_cut = _cut_size(nets, side)
-    passes = 0
+    # pins per side of every net, kept exact across passes
+    counts = [[0, 0] for _ in nets]
+    for net, count in zip(nets, counts):
+        for cell in net:
+            count[side[cell]] += 1
+    cut = sum(1 for count in counts if count[0] and count[1])
+    passes = moves = 0
     for _ in range(max_passes):
         passes += 1
-        improved = _fm_pass(
-            num_cells, nets, cell_nets, weights, side, max_side, max_degree
+        pass_cut, popped = _fm_pass(
+            num_cells, nets, cell_nets, counts, weights, side, max_side,
+            max_degree, cut,
         )
-        cut = _cut_size(nets, side)
-        if cut < best_cut:
-            best_cut = cut
-            best_side = list(side)
-        if not improved:
-            break
-    return FmResult(side=best_side, cut=best_cut, passes=passes)
-
-
-def _cut_size(nets: list[list[int]], side: list[int]) -> int:
-    cut = 0
-    for net in nets:
-        if net:
-            first = side[net[0]]
-            for cell in net:
-                if side[cell] != first:
-                    cut += 1
-                    break
-    return cut
+        moves += popped
+        if pass_cut == cut:
+            break  # no prefix won: the pass kept its start
+        cut = pass_cut
+    return FmResult(side=side, cut=cut, passes=passes, moves=moves)
 
 
 def _fm_pass(
     num_cells: int,
     nets: list[list[int]],
     cell_nets: list[list[int]],
+    counts: list[list[int]],
     weights: list[float],
     side: list[int],
     max_side: float,
     max_degree: int,
-) -> bool:
+    cut: int,
+) -> tuple[int, int]:
     """One FM pass of tentative moves; commits the best prefix.
 
-    Returns True when the pass improved the cut.
+    *counts* holds every net's pins per side and *cut* the cut of
+    *side*; both are left describing the committed partition.  Returns
+    the new cut and the number of cells popped.  A committed non-empty
+    prefix lowers the cut by at least its positive gain sum, so the
+    cut is unchanged exactly when the pass kept its start.
     """
-    counts = [[0, 0] for _ in nets]
-    for net, count in zip(nets, counts):
-        for cell in net:
-            count[side[cell]] += 1
     # a move's gain: nets it uncuts (sole cell on its side) minus nets
     # it cuts (no cell on the other side)
     cell_gain = [0] * num_cells
@@ -273,15 +288,24 @@ def _fm_pass(
 
     update = buckets.update
     moves: list[int] = []
-    gains: list[int] = []
     locked = bytearray(num_cells)
-    while True:
+    # per net: bit s set once a locked cell sits on side s; a net with
+    # both bits ("dead") stays cut for the rest of the pass
+    locked_sides = bytearray(len(nets))
+    dead = 0
+    start_cut = cut
+    total = best_total = best_prefix = 0
+    best_cut = cut
+    # the cutoff (module docstring): once dead >= start_cut - best_total
+    # no later prefix can beat the best one
+    while dead < start_cut - best_total:
         cell = buckets.pop_best(side_weight)
         if cell is None:
             break
-        gains.append(buckets.best)
+        total += buckets.best
         origin = side[cell]
         target = 1 - origin
+        target_bit = 1 << target
         # update gains of neighbours per FM rules before flipping counts
         for net_id in cell_nets[cell]:
             net = nets[net_id]
@@ -290,39 +314,49 @@ def _fm_pass(
                 for other in net:
                     if other != cell and not locked[other]:
                         update(other, +1)
-            elif count[target] == 1:
-                for other in net:
-                    if other != cell and not locked[other] and (
-                        side[other] == target
-                    ):
-                        update(other, -1)
+            else:
+                cut -= 1
+                if count[target] == 1:
+                    for other in net:
+                        if other != cell and not locked[other] and (
+                            side[other] == target
+                        ):
+                            update(other, -1)
             count[origin] -= 1
             count[target] += 1
             if count[origin] == 0:
                 for other in net:
                     if other != cell and not locked[other]:
                         update(other, -1)
-            elif count[origin] == 1:
-                for other in net:
-                    if other != cell and not locked[other] and (
-                        side[other] == origin
-                    ):
-                        update(other, +1)
+            else:
+                cut += 1
+                if count[origin] == 1:
+                    for other in net:
+                        if other != cell and not locked[other] and (
+                            side[other] == origin
+                        ):
+                            update(other, +1)
+            seen = locked_sides[net_id]
+            if not seen & target_bit:
+                locked_sides[net_id] = seen | target_bit
+                if seen:
+                    dead += 1
         side_weight[origin] -= weights[cell]
         side_weight[target] += weights[cell]
         side[cell] = target
         locked[cell] = 1
         moves.append(cell)
-
-    # keep the best prefix of the move sequence
-    best_prefix, best_total = 0, 0
-    total = 0
-    for index, gain in enumerate(gains):
-        total += gain
         if total > best_total:
             best_total = total
-            best_prefix = index + 1
-    for cell in moves[best_prefix:]:
-        side[cell] = 1 - side[cell]
-    return best_total > 0
+            best_prefix = len(moves)
+            best_cut = cut
 
+    # keep the best prefix of the move sequence
+    for cell in moves[best_prefix:]:
+        origin = side[cell]
+        side[cell] = 1 - origin
+        for net_id in cell_nets[cell]:
+            count = counts[net_id]
+            count[origin] -= 1
+            count[1 - origin] += 1
+    return best_cut, len(moves)

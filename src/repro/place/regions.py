@@ -63,6 +63,7 @@ class RegionSet:
     net_region: dict[str, int]      # *internal* net -> region index
     boundary_nets: frozenset[str]   # nets spanning >= 2 regions (frozen)
     fm_passes: int                  # total FM refinement passes spent
+    fm_moves: int                   # total FM cells popped
 
     @property
     def max_region_gates(self) -> int:
@@ -76,6 +77,7 @@ class RegionSet:
             "min_region_gates": float(min(sizes, default=0)),
             "boundary_nets": float(len(self.boundary_nets)),
             "fm_passes": float(self.fm_passes),
+            "fm_moves": float(self.fm_moves),
         }
 
 
@@ -98,29 +100,25 @@ def _net_terminal_gates(network: Network) -> list[tuple[str, list[str]]]:
 
 
 def _geometric_initial(
-    members: list[int],
+    members: int,
+    orders: tuple[list[int], list[int]],
     locations: list[tuple[float, float]],
-    names: list[str],
+    local_of: list[int],
 ) -> list[int]:
     """Median split along the longer spread axis; 0/1 per member.
 
-    Members are ordered by coordinate with the gate name as tie-break
-    (coordinates collide on gridded placements; names never do), then
-    the first half by count goes to side 0 — both sides are non-empty
-    whenever there are >= 2 members.
+    ``orders`` holds the subset's cells sorted along x and along y, with
+    the gate name as tie-break (coordinates collide on gridded
+    placements; names never do).  The first half by count goes to side
+    0 — both sides are non-empty whenever there are >= 2 *members*.
     """
-    xs = [locations[cell][0] for cell in members]
-    ys = [locations[cell][1] for cell in members]
-    axis = 0 if (max(xs) - min(xs)) >= (max(ys) - min(ys)) else 1
-    order = sorted(
-        range(len(members)),
-        key=lambda local: (locations[members[local]][axis],
-                           names[members[local]]),
-    )
-    side = [0] * len(members)
-    for rank, local in enumerate(order):
-        if rank >= (len(members) + 1) // 2:
-            side[local] = 1
+    by_x, by_y = orders
+    x_spread = locations[by_x[-1]][0] - locations[by_x[0]][0]
+    y_spread = locations[by_y[-1]][1] - locations[by_y[0]][1]
+    order = by_x if x_spread >= y_spread else by_y
+    side = [1] * members
+    for cell in order[:(members + 1) // 2]:
+        side[local_of[cell]] = 0
     return side
 
 
@@ -163,48 +161,79 @@ def carve_regions(
             cell_edges[cell].append(edge_id)
 
     regions: list[Region] = []
-    fm_passes = 0
-    stack: list[list[int]] = [list(range(len(names)))]
+    fm_passes = fm_moves = 0
+    # the geometric orders are sorted once; a split's halves inherit
+    # theirs by filtering, which keeps the sort order
+    everyone = list(range(len(names)))
+    stack: list[tuple[list[int], tuple[list[int], list[int]]]] = [(
+        everyone,
+        tuple(
+            sorted(everyone, key=lambda cell: (locations[cell][axis],
+                                               names[cell]))
+            for axis in (0, 1)
+        ),
+    )]
+    # per-split scratch: a member's local index (-1 outside the split),
+    # its refined side and the last split that induced each edge
+    local_of = [-1] * len(names)
+    half_of = bytearray(len(names))
+    induced_in = [-1] * len(edges)
+    splits = 0
     while stack:
-        members = stack.pop()
+        members, orders = stack.pop()
         if len(members) <= max_gates:
             regions.append(Region(
                 index=len(regions),
                 gates=tuple(names[cell] for cell in members),
             ))
             continue
-        member_set = set(members)
-        local = {cell: i for i, cell in enumerate(members)}
+        splits += 1
+        for i, cell in enumerate(members):
+            local_of[cell] = i
         # induced hyperedges: every edge with >= 2 endpoints inside,
         # visited in deterministic edge order via the member adjacency
-        seen_edges: set[int] = set()
         local_edges: list[list[int]] = []
         for cell in members:
             for edge_id in cell_edges[cell]:
-                if edge_id in seen_edges:
+                if induced_in[edge_id] == splits:
                     continue
-                seen_edges.add(edge_id)
+                induced_in[edge_id] = splits
                 inside = [
-                    local[other] for other in edges[edge_id]
-                    if other in member_set
+                    index for index in map(local_of.__getitem__,
+                                           edges[edge_id])
+                    if index >= 0
                 ]
                 if len(inside) >= 2:
                     local_edges.append(inside)
-        initial = _geometric_initial(members, locations, names)
+        initial = _geometric_initial(
+            len(members), orders, locations, local_of
+        )
         result = bipartition(
             len(members), local_edges, balance=balance,
             max_passes=refine_passes, seed=seed, initial=initial,
         )
         fm_passes += result.passes
+        fm_moves += result.moves
         side = result.side
         if not (0 < sum(side) < len(members)):
             side = initial  # refinement degenerated: keep the median
-        side0 = [cell for i, cell in enumerate(members) if side[i] == 0]
-        side1 = [cell for i, cell in enumerate(members) if side[i] == 1]
+        for cell, cell_side in zip(members, side):
+            local_of[cell] = -1
+            half_of[cell] = cell_side
+        halves = [
+            (
+                [cell for cell in members if half_of[cell] == half],
+                tuple(
+                    [cell for cell in order if half_of[cell] == half]
+                    for order in orders
+                ),
+            )
+            for half in (0, 1)
+        ]
         # LIFO stack: push side1 first so side0 (geometrically lower
         # coordinates) is carved first — region indices sweep the die
-        stack.append(side1)
-        stack.append(side0)
+        stack.append(halves[1])
+        stack.append(halves[0])
 
     region_of = {
         name: region.index
@@ -227,4 +256,5 @@ def carve_regions(
         net_region=net_region,
         boundary_nets=frozenset(boundary),
         fm_passes=fm_passes,
+        fm_moves=fm_moves,
     )

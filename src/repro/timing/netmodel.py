@@ -14,24 +14,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..library.cells import (
+    UNIT_WIRE_CAP_PER_UM,
+    UNIT_WIRE_RES_PER_UM,
     Library,
-    wire_capacitance,
-    wire_resistance,
 )
 from ..network.netlist import Network, Pin
-from ..place.placement import Placement, manhattan
+from ..place.placement import Placement
 
 #: Default capacitive load of a primary-output pad (pF).
 PO_PAD_CAP = 0.050
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StarSink:
     """One sink of a star net.
 
     ``pin`` is ``None`` for a primary-output pad sink.  ``wire_delay``
     is the Elmore delay from the driver's output pin to this sink,
     *excluding* the driver's own load-dependent gate delay.
+
+    Star records are built for every net of every analysis, so they are
+    slotted (no per-instance dict) and not frozen (a frozen dataclass
+    sets each field through ``object.__setattr__``).  Treat them as
+    immutable all the same: the engine shares them between its caches.
     """
 
     pin: Pin | None
@@ -40,9 +45,10 @@ class StarSink:
     wire_delay: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StarNet:
-    """RC view of one placed net."""
+    """RC view of one placed net (immutable by convention, as
+    :class:`StarSink`)."""
 
     net: str
     source: tuple[float, float]
@@ -79,19 +85,24 @@ def build_star(
 
     ``override_sinks`` replaces the sink list for what-if evaluation
     (each entry: pin, location, pin capacitance) without mutating the
-    network.
+    network.  The wire R/C (:func:`repro.library.cells.wire_resistance`,
+    :func:`~repro.library.cells.wire_capacitance`) and Manhattan
+    lengths are inlined; every float expression keeps their operand
+    order, so the values are those of the helpers bit for bit.
     """
     source = placement.source_location(network, net)
     if override_sinks is None:
+        locations = placement.locations
+        gate = network.gate
+        cell = library.cell
         sink_specs: list[tuple[Pin | None, tuple[float, float], float]] = []
         for pin in network.fanout(net):
-            sink_specs.append(
-                (
-                    pin,
-                    placement.locations[pin.gate],
-                    pin_capacitance(network, library, pin),
-                )
-            )
+            name = gate(pin.gate).cell
+            sink_specs.append((
+                pin,
+                locations[pin.gate],
+                0.0 if name is None else cell(name).input_cap,
+            ))
         for index in network.output_slots(net):
             sink_specs.append(
                 (None, placement.output_pads[index], po_pad_cap)
@@ -99,39 +110,33 @@ def build_star(
     else:
         sink_specs = override_sinks
     if not sink_specs:
-        return StarNet(
-            net=net, source=source, center=source, total_cap=0.0, sinks=(),
-        )
+        return StarNet(net, source, source, 0.0, ())
     points = [source] + [spec[1] for spec in sink_specs]
-    center = (
-        sum(p[0] for p in points) / len(points),
-        sum(p[1] for p in points) / len(points),
-    )
-    source_len = manhattan(source, center)
-    r_source = wire_resistance(source_len)
-    c_source = wire_capacitance(source_len)
-    sink_lens = [manhattan(center, spec[1]) for spec in sink_specs]
-    c_segments = [wire_capacitance(length) for length in sink_lens]
-    downstream_cap = sum(c_segments) + sum(spec[2] for spec in sink_specs)
-    total_cap = c_source + downstream_cap
-    sinks = []
-    for spec, length, c_seg in zip(sink_specs, sink_lens, c_segments):
-        pin, location, cap = spec
-        r_seg = wire_resistance(length)
-        # Elmore: R_source sees its own cap (at center) + everything
-        # downstream; R_seg sees its segment cap + the sink pin.
-        delay = r_source * (c_source + downstream_cap) + r_seg * (
-            c_seg + cap
-        )
-        sinks.append(
-            StarSink(
-                pin=pin, location=location, pin_cap=cap, wire_delay=delay,
-            )
-        )
+    center_x = sum([p[0] for p in points]) / len(points)
+    center_y = sum([p[1] for p in points]) / len(points)
+    source_len = abs(source[0] - center_x) + abs(source[1] - center_y)
+    r_source = UNIT_WIRE_RES_PER_UM * source_len
+    c_source = UNIT_WIRE_CAP_PER_UM * source_len
+    sink_lens = [
+        abs(center_x - spec[1][0]) + abs(center_y - spec[1][1])
+        for spec in sink_specs
+    ]
+    c_segments = [UNIT_WIRE_CAP_PER_UM * length for length in sink_lens]
+    downstream_cap = sum(c_segments) + sum([spec[2] for spec in sink_specs])
+    # Elmore: R_source sees its own cap (at center) + everything
+    # downstream; each R_seg sees its segment cap + the sink pin
+    head = r_source * (c_source + downstream_cap)
     return StarNet(
-        net=net,
-        source=source,
-        center=center,
-        total_cap=total_cap,
-        sinks=tuple(sinks),
+        net,
+        source,
+        (center_x, center_y),
+        c_source + downstream_cap,
+        tuple([
+            StarSink(
+                pin, location, cap,
+                head + UNIT_WIRE_RES_PER_UM * length * (c_seg + cap),
+            )
+            for (pin, location, cap), length, c_seg
+            in zip(sink_specs, sink_lens, c_segments)
+        ]),
     )

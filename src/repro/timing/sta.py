@@ -62,9 +62,20 @@ from .netmodel import (
 #: set-iteration (= PYTHONHASHSEED) order.
 __deterministic__ = True
 
-_NEGATIVE_UNATE = frozenset(
-    {GateType.INV, GateType.NAND, GateType.NOR}
-)
+#: How a gate type maps pin transitions to output transitions: positive
+#: unate (rise drives rise), negative unate (INV/NAND/NOR: rise drives
+#: fall), binate (XOR class: either pin transition moves both), or a
+#: constant generator with no arcs.  One lookup per gate evaluation.
+_POSITIVE, _NEGATIVE, _BINATE, _CONSTANT = range(4)
+_UNATENESS = {
+    gtype: (
+        _CONSTANT if gtype in CONST_TYPES
+        else _BINATE if gtype in XOR_TYPES
+        else _NEGATIVE if is_inverted(gtype)
+        else _POSITIVE
+    )
+    for gtype in GateType
+}
 
 #: ``(cell, load, worst delay, terms)`` of one gate's committed state;
 #: see :meth:`TimingEngine._committed_terms`.
@@ -135,18 +146,18 @@ class EvalState:
     Produced by :meth:`TimingEngine.export_eval_state` and turned back
     into an engine on the checkpoint's netlist by
     :func:`repro.checkpoint.engine_from_state`.  The snapshot carries
-    only what the analysis *propagated*, verbatim (arrival pairs,
-    zero-target required pairs, star RC models) plus the target
-    settings, so a resumed engine projects bit-identical gains:
-    pickling round-trips floats exactly.  What is derived from those is
-    left out and rebuilt on load — logic levels, the critical delay,
+    only what the analysis *propagated*, verbatim (arrival pairs and
+    zero-target required pairs) plus the target settings, so a resumed
+    engine projects bit-identical gains: pickling round-trips floats
+    exactly.  What is derived is left out and rebuilt on load — the
+    star RC models (a function of the netlist and placement alone, and
+    most of the pickling cost), logic levels, the critical delay,
     slacks and the per-gate pricing memo.
     """
 
     period: float | None
     po_pad_cap: float
     arrival: dict[str, tuple[float, float]]
-    stars: dict[str, "StarNet"]
     req0: dict[str, tuple[float, float]]
 
 
@@ -429,35 +440,50 @@ class TimingEngine:
         the committed state: pins in *moved* read their new driving
         net, nets in *new_stars* use that RC model (sink wire delays
         and the gate's own load), and nets in *over* use that arrival
-        pair.
+        pair.  The worst pin rise and fall are taken first and mapped
+        to the output by the gate's unateness once; the cell's arc
+        delays are :meth:`repro.library.cells.Cell.delay` inlined.
         """
         gate = self.network.gate(name)
         own_star = new_stars.get(name) or self._ensure_star(name)
-        if gate.gtype in CONST_TYPES:
+        unateness = _UNATENESS[gate.gtype]
+        if unateness == _CONSTANT:
             return (0.0, 0.0)
         if gate.cell is None:
             d_rise = d_fall = 0.0
         else:
             cell = self.library.cell(gate.cell)
-            d_rise = cell.delay(own_star.total_cap, "rise")
-            d_fall = cell.delay(own_star.total_cap, "fall")
+            load = own_star.total_cap
+            d_rise = cell.rise_intrinsic + cell.rise_resistance * load
+            d_fall = cell.fall_intrinsic + cell.fall_resistance * load
         arrival = self.arrival
         worst_rise = 0.0
         worst_fall = 0.0
         for index, fanin in enumerate(gate.fanins):
-            pin = Pin(name, index)
+            pin = (name, index)  # equal to, and hashes like, its Pin
             if moved:
                 fanin = moved.get(pin, fanin)
             star = new_stars.get(fanin) or self._ensure_star(fanin)
-            wire = star.sink_delay(pin)
+            for sink in star.sinks:
+                if sink.pin == pin:
+                    wire = sink.wire_delay
+                    break
+            else:
+                raise KeyError(f"net {fanin} has no sink {Pin(*pin)}")
             in_rise, in_fall = (
                 over.get(fanin) or arrival.get(fanin, (0.0, 0.0))
             )
-            out_rise, out_fall = _propagate(
-                gate.gtype, in_rise + wire, in_fall + wire
-            )
-            worst_rise = max(worst_rise, out_rise)
-            worst_fall = max(worst_fall, out_fall)
+            pin_rise = in_rise + wire
+            pin_fall = in_fall + wire
+            if pin_rise > worst_rise:
+                worst_rise = pin_rise
+            if pin_fall > worst_fall:
+                worst_fall = pin_fall
+        if unateness == _NEGATIVE:
+            # pin fall drives out rise and vice versa
+            worst_rise, worst_fall = worst_fall, worst_rise
+        elif unateness == _BINATE:
+            worst_rise = worst_fall = max(worst_rise, worst_fall)
         return (worst_rise + d_rise, worst_fall + d_fall)
 
     def _req0_pair(
@@ -479,6 +505,8 @@ class TimingEngine:
         """
         network = self.network
         req0 = self._req0
+        stars = self.stars
+        cell_of = self.library.cell
         star = new_stars.get(net) or self._ensure_star(net)
         rise = fall = float("inf")
         if network.is_output(net):
@@ -487,24 +515,34 @@ class TimingEngine:
             pin = sink.pin
             if pin is None:
                 continue
-            out_pair = over.get(pin.gate) or req0.get(pin.gate)
+            consumer_name = pin[0]
+            out_pair = over.get(consumer_name) or req0.get(consumer_name)
             if out_pair is None:
                 continue
-            consumer = network.gate(pin.gate)
-            if consumer.cell is None:
-                d_rise = d_fall = 0.0
-            else:
-                cell = self.library.cell(consumer.cell)
+            consumer = network.gate(consumer_name)
+            budget_rise, budget_fall = out_pair
+            if consumer.cell is not None:
+                cell = cell_of(consumer.cell)
                 load = (
-                    new_stars.get(pin.gate) or self.stars[pin.gate]
+                    new_stars.get(consumer_name) or stars[consumer_name]
                 ).total_cap
-                d_rise = cell.delay(load, "rise")
-                d_fall = cell.delay(load, "fall")
-            budget_rise, budget_fall = _required_through(
-                consumer.gtype, out_pair[0] - d_rise, out_pair[1] - d_fall
-            )
-            rise = min(rise, budget_rise - sink.wire_delay)
-            fall = min(fall, budget_fall - sink.wire_delay)
+                budget_rise = budget_rise - (
+                    cell.rise_intrinsic + cell.rise_resistance * load
+                )
+                budget_fall = budget_fall - (
+                    cell.fall_intrinsic + cell.fall_resistance * load
+                )
+            unateness = _UNATENESS[consumer.gtype]
+            if unateness == _NEGATIVE:
+                # pin fall feeds out rise and vice versa
+                budget_rise, budget_fall = budget_fall, budget_rise
+            elif unateness == _BINATE:
+                budget_rise = budget_fall = min(budget_rise, budget_fall)
+            wire = sink.wire_delay
+            if budget_rise - wire < rise:
+                rise = budget_rise - wire
+            if budget_fall - wire < fall:
+                fall = budget_fall - wire
         return (rise, fall)
 
     def _critical_delay(self) -> float:
@@ -837,7 +875,6 @@ class TimingEngine:
             period=self.period,
             po_pad_cap=self.po_pad_cap,
             arrival=self.arrival,
-            stars=self.stars,
             req0=self._req0,
         )
 
@@ -1344,39 +1381,6 @@ class TimingEngine:
             touched=frozenset(new_stars) | visited_fwd | visited_bwd,
             exact=True,
         )
-
-
-def _propagate(
-    gtype: GateType, pin_rise: float, pin_fall: float
-) -> tuple[float, float]:
-    """Map pin-arrival transitions to output transitions by unateness."""
-    if gtype in XOR_TYPES:
-        worst = max(pin_rise, pin_fall)
-        return (worst, worst)
-    if gtype in _NEGATIVE_UNATE or (
-        is_inverted(gtype) and gtype is not GateType.XNOR
-    ):
-        return (pin_fall, pin_rise)
-    return (pin_rise, pin_fall)
-
-
-def _required_through(
-    gtype: GateType, out_rise_budget: float, out_fall_budget: float
-) -> tuple[float, float]:
-    """Inverse of :func:`_propagate` for the backward required pass.
-
-    Returns the (rise, fall) budgets at the gate's *input* pins given
-    the output budgets already reduced by the gate's arc delays.
-    """
-    if gtype in XOR_TYPES:
-        worst = min(out_rise_budget, out_fall_budget)
-        return (worst, worst)
-    if gtype in _NEGATIVE_UNATE or (
-        is_inverted(gtype) and gtype is not GateType.XNOR
-    ):
-        # pin fall feeds out rise and vice versa
-        return (out_fall_budget, out_rise_budget)
-    return (out_rise_budget, out_fall_budget)
 
 
 def _with_total_cap(star: StarNet, total_cap: float) -> StarNet:

@@ -18,7 +18,7 @@ import random
 import subprocess
 import sys
 
-from repro.place.fm import FmResult, bipartition
+from repro.place.fm import FmResult, _GainBuckets, bipartition
 
 
 def _random_hypergraph(
@@ -210,3 +210,156 @@ def test_bipartition_golden():
             f"{result.side}|{result.cut}|{result.passes};".encode()
         )
     assert digest.hexdigest() == "1f297a8ae8e7b1886d27f40b22bd62ab"
+
+
+# ----------------------------------------------------------------------
+# the dead-net cutoff against the full pass it replaced
+# ----------------------------------------------------------------------
+def _full_pass(num_cells, nets, cell_nets, weights, side, max_side,
+               max_degree):
+    """The FM pass before the cutoff, verbatim but for the pop count:
+    pops until no cell may move.  Returns ``(improved, pops)``."""
+    counts = [[0, 0] for _ in nets]
+    for net, count in zip(nets, counts):
+        for cell in net:
+            count[side[cell]] += 1
+    cell_gain = [0] * num_cells
+    side_weight = [0.0, 0.0]
+    for cell in range(num_cells):
+        origin = side[cell]
+        side_weight[origin] += weights[cell]
+        gain = 0
+        for net_id in cell_nets[cell]:
+            count = counts[net_id]
+            if count[origin] == 1:
+                gain += 1
+            if count[1 - origin] == 0:
+                gain -= 1
+        cell_gain[cell] = gain
+    buckets = _GainBuckets(max_degree, side, cell_gain, weights, max_side)
+    update = buckets.update
+    moves: list[int] = []
+    gains: list[int] = []
+    locked = bytearray(num_cells)
+    while True:
+        cell = buckets.pop_best(side_weight)
+        if cell is None:
+            break
+        gains.append(buckets.best)
+        origin = side[cell]
+        target = 1 - origin
+        for net_id in cell_nets[cell]:
+            net = nets[net_id]
+            count = counts[net_id]
+            if count[target] == 0:
+                for other in net:
+                    if other != cell and not locked[other]:
+                        update(other, +1)
+            elif count[target] == 1:
+                for other in net:
+                    if other != cell and not locked[other] and (
+                        side[other] == target
+                    ):
+                        update(other, -1)
+            count[origin] -= 1
+            count[target] += 1
+            if count[origin] == 0:
+                for other in net:
+                    if other != cell and not locked[other]:
+                        update(other, -1)
+            elif count[origin] == 1:
+                for other in net:
+                    if other != cell and not locked[other] and (
+                        side[other] == origin
+                    ):
+                        update(other, +1)
+        side_weight[origin] -= weights[cell]
+        side_weight[target] += weights[cell]
+        side[cell] = target
+        locked[cell] = 1
+        moves.append(cell)
+    best_prefix, best_total = 0, 0
+    total = 0
+    for index, gain in enumerate(gains):
+        total += gain
+        if total > best_total:
+            best_total = total
+            best_prefix = index + 1
+    for cell in moves[best_prefix:]:
+        side[cell] = 1 - side[cell]
+    return best_total > 0, len(moves)
+
+
+def _full_bipartition(num_cells, nets, weights, balance, max_passes,
+                      initial):
+    """``bipartition`` with full passes; returns (side, cut, passes, pops)."""
+    weights = weights or [1.0] * num_cells
+    total_weight = sum(weights) or 1.0
+    max_side = max(
+        balance * total_weight,
+        total_weight / 2.0 + max(weights, default=1.0),
+    )
+    side = list(initial)
+    cell_nets = [[] for _ in range(num_cells)]
+    for net_id, net in enumerate(nets):
+        for cell in net:
+            cell_nets[cell].append(net_id)
+    max_degree = max((len(n) for n in cell_nets), default=1)
+    best_side, best_cut = list(side), _cut(nets, side)
+    passes = pops = 0
+    for _ in range(max_passes):
+        passes += 1
+        improved, popped = _full_pass(
+            num_cells, nets, cell_nets, weights, side, max_side, max_degree
+        )
+        pops += popped
+        if _cut(nets, side) < best_cut:
+            best_cut, best_side = _cut(nets, side), list(side)
+        if not improved:
+            break
+    return best_side, best_cut, passes, pops
+
+
+def _oracle_cases():
+    """Repeated-pin nets, area weights, skewed (blocked-side) starts."""
+    for case in range(150):
+        rng = random.Random(7000 + case)
+        num_cells = rng.choice((2, 5, 12, 30, 60, 120))
+        nets = []
+        for _ in range(rng.randint(num_cells // 2, 3 * num_cells)):
+            pins = rng.choice((1, 2, 2, 3, 3, 4, 5, 8))
+            if case % 3 == 0:
+                nets.append([rng.randrange(num_cells) for _ in range(pins)])
+            else:
+                nets.append(rng.sample(range(num_cells), min(pins, num_cells)))
+        if case % 4 == 0:
+            weights = None
+        else:
+            weights = [
+                rng.choice((1.0, 1.0, 1.5, 2.0, 3.5, 9.0))
+                for _ in range(num_cells)
+            ]
+        skew = rng.choice((0.5, 0.5, 0.8, 0.95))
+        initial = [int(rng.random() >= skew) for _ in range(num_cells)]
+        balance = rng.choice((0.5, 0.55, 0.6, 0.75))
+        yield num_cells, nets, weights, balance, 1 + case % 8, initial
+
+
+def test_cutoff_matches_the_full_pass():
+    """The cutoff stops only where no later prefix could win: side, cut
+    and passes equal full passes bit for bit, with fewer pops."""
+    cut_short = 0
+    for num_cells, nets, weights, balance, passes, initial in _oracle_cases():
+        result = bipartition(
+            num_cells, nets, weights=weights, balance=balance,
+            max_passes=passes, initial=initial,
+        )
+        side, cut, full_passes, pops = _full_bipartition(
+            num_cells, nets, weights, balance, passes, initial,
+        )
+        assert (result.side, result.cut, result.passes) == (
+            side, cut, full_passes
+        )
+        assert result.moves <= pops
+        cut_short += result.moves < pops
+    assert cut_short >= 100

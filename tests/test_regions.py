@@ -79,7 +79,7 @@ def test_single_region_when_bound_exceeds_size():
     regions = carve_regions(network, placement, max_gates=10**9)
     assert len(regions.regions) == 1
     assert regions.boundary_nets == frozenset()
-    assert regions.fm_passes == 0
+    assert regions.fm_passes == regions.fm_moves == 0
     # every net with a terminal is internal to region 0
     for net in network.nets():
         if network.fanout(net) or not network.is_input(net):
@@ -124,6 +124,8 @@ def test_stats_shape():
     assert stats["regions"] == float(len(regions.regions))
     assert stats["max_region_gates"] <= 20.0
     assert stats["boundary_nets"] == float(len(regions.boundary_nets))
+    assert stats["fm_passes"] == float(regions.fm_passes) > 0
+    assert stats["fm_moves"] == float(regions.fm_moves) > 0
 
 
 def test_carve_golden():

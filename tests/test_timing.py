@@ -239,3 +239,174 @@ def test_resize_gain_sign_sanity(library):
         assert abs(gains.min_gain) < 10
         assert abs(gains.sum_gain) < 100
         break
+
+
+def _reference_star(network, placement, library, net, po_pad_cap,
+                    override_sinks=None):
+    """``build_star`` before it was inlined, as a list of plain fields:
+    (net, source, center, total_cap, [(pin, location, cap, delay)])."""
+    from repro.place.placement import manhattan
+    from repro.timing.netmodel import pin_capacitance
+
+    source = placement.source_location(network, net)
+    if override_sinks is None:
+        sink_specs = []
+        for pin in network.fanout(net):
+            sink_specs.append((
+                pin,
+                placement.locations[pin.gate],
+                pin_capacitance(network, library, pin),
+            ))
+        for index in network.output_slots(net):
+            sink_specs.append((None, placement.output_pads[index], po_pad_cap))
+    else:
+        sink_specs = override_sinks
+    if not sink_specs:
+        return (net, source, source, 0.0, [])
+    points = [source] + [spec[1] for spec in sink_specs]
+    center = (
+        sum(p[0] for p in points) / len(points),
+        sum(p[1] for p in points) / len(points),
+    )
+    source_len = manhattan(source, center)
+    r_source = wire_resistance(source_len)
+    c_source = wire_capacitance(source_len)
+    sink_lens = [manhattan(center, spec[1]) for spec in sink_specs]
+    c_segments = [wire_capacitance(length) for length in sink_lens]
+    downstream_cap = sum(c_segments) + sum(spec[2] for spec in sink_specs)
+    total_cap = c_source + downstream_cap
+    sinks = []
+    for spec, length, c_seg in zip(sink_specs, sink_lens, c_segments):
+        pin, location, cap = spec
+        r_seg = wire_resistance(length)
+        delay = r_source * (c_source + downstream_cap) + r_seg * (
+            c_seg + cap
+        )
+        sinks.append((pin, location, cap, delay))
+    return (net, source, center, total_cap, sinks)
+
+
+def _star_fields(star):
+    return (
+        star.net, star.source, star.center, star.total_cap,
+        [(s.pin, s.location, s.pin_cap, s.wire_delay) for s in star.sinks],
+    )
+
+
+def test_build_star_matches_the_reference_field_for_field(library):
+    """Every field of every star, bit for bit (``repr`` tells -0.0 from
+    0.0): PO pads (a net listed twice among the outputs too), unmapped
+    gates, repeated fanins and what-if ``override_sinks``."""
+    from repro.place.placer import place
+
+    checked = 0
+    for seed in (2, 9, 31):
+        network = random_network(seed, num_gates=40, num_outputs=6)
+        map_network(network, library)
+        gates = list(network.gates())
+        for gate in gates[::5]:
+            gate.cell = None  # unmapped: zero pin capacitance
+        for gate in gates[1::6]:
+            if len(gate.fanins) >= 2:  # a repeated fanin
+                network.replace_fanin(Pin(gate.name, 1), gate.fanins[0])
+        network.add_output(network.outputs[0])
+        placement = place(network, library, seed=seed)
+        for net in network.nets():
+            for cap in (PO_PAD_CAP, 0.125):
+                star = build_star(network, placement, library, net,
+                                  po_pad_cap=cap)
+                assert repr(_star_fields(star)) == repr(_reference_star(
+                    network, placement, library, net, cap
+                ))
+                checked += 1
+            specs = [
+                (Pin(gate.name, 0), placement.locations[gate.name], 0.01 * i)
+                for i, gate in enumerate(gates[seed % 7::9])
+            ] + [(None, (3.5, 1e3), PO_PAD_CAP)]
+            for override in (specs, specs[:1], []):
+                star = build_star(network, placement, library, net,
+                                  override_sinks=override)
+                assert repr(_star_fields(star)) == repr(_reference_star(
+                    network, placement, library, net, PO_PAD_CAP, override
+                ))
+    assert checked > 150
+
+
+# ----------------------------------------------------------------------
+# golden STA digests: the full pass, the committed worklist and the
+# projections, pinned bit for bit on three suite circuits
+# ----------------------------------------------------------------------
+def _hex_pair(pair) -> str:
+    return f"{pair[0].hex()},{pair[1].hex()}"
+
+
+def _digest_engine(digest, engine) -> None:
+    for net in sorted(engine.arrival):
+        digest.update(f"a{net}:{_hex_pair(engine.arrival[net])};".encode())
+    for net in sorted(engine._req0):
+        digest.update(f"r{net}:{_hex_pair(engine._req0[net])};".encode())
+    for net in sorted(engine.slack):
+        digest.update(f"s{net}:{engine.slack[net].hex()};".encode())
+    digest.update(f"#{engine.max_delay.hex()}".encode())
+
+
+def _sta_digest(library, name: str, scale: float) -> str:
+    import hashlib
+
+    from repro.place.placement import grid_placement
+    from repro.place.placer import place
+    from repro.suite.registry import build_benchmark
+    from repro.symmetry.swap import PinSwap
+
+    network = build_benchmark(name, scale)
+    map_network(network, library)
+    if name.startswith("tiled"):
+        placement = grid_placement(network)
+    else:
+        placement = place(network, library, seed=1, anneal_moves=2000)
+    engine = TimingEngine(network, placement, library, period=None)
+    engine.analyze()
+    digest = hashlib.blake2b(digest_size=16)
+    _digest_engine(digest, engine)
+    # exchanging the two fanins of one gate never closes a cycle
+    swaps = [
+        (Pin(gate.name, 0), Pin(gate.name, 1))
+        for gate in network.gates()
+        if len(gate.fanins) >= 2 and gate.fanins[0] != gate.fanins[1]
+    ][::7]
+    batch = [
+        ((pin_a, network.fanin_net(pin_b)), (pin_b, network.fanin_net(pin_a)))
+        for pin_a, pin_b in swaps
+    ]
+    for exact in (False, True):
+        for projection in engine.project_swap_slacks(batch, exact=exact):
+            for net in sorted(projection.projected):
+                digest.update(
+                    f"p{net}:{projection.projected[net].hex()}"
+                    f",{projection.current.get(net, 0.0).hex()};".encode()
+                )
+            digest.update("|".join(sorted(projection.touched)).encode())
+    for pin_a, pin_b in swaps:
+        gains = engine.swap_gain(PinSwap(pin_a.gate, pin_a, pin_b, False))
+        digest.update(f"g{gains.min_gain.hex()},{gains.sum_gain.hex()};".encode())
+    for pin_a, pin_b in swaps[::3]:
+        network.swap_fanins(pin_a, pin_b)
+        engine.apply_and_update()
+    _digest_engine(digest, engine)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, scale, expected",
+    [
+        ("alu2", 0.35, "c10ca9f616b2f94e85f040c7d020d469"),
+        ("s5378", 0.35, "ea176a9d62b087e9a8cdb27fbf5762d5"),
+        ("tiled100k", 0.02, "598933c36efed15ab580351bd200cf96"),
+    ],
+)
+def test_sta_golden_digest(library, name, scale, expected):
+    """Arrival, zero-target required and slack of every net, the
+    critical delay, frontier and exact projections, swap gains and the
+    state after committed swaps, pinned bit for bit: a reordered float
+    expression anywhere in the star model or the evaluators moves it."""
+    assert _sta_digest(library, name, scale) == expected
