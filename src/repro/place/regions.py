@@ -100,24 +100,24 @@ def _net_terminal_gates(network: Network) -> list[tuple[str, list[str]]]:
 
 
 def _geometric_initial(
-    members: int,
     orders: tuple[list[int], list[int]],
     locations: list[tuple[float, float]],
     local_of: list[int],
 ) -> list[int]:
     """Median split along the longer spread axis; 0/1 per member.
 
-    ``orders`` holds the subset's cells sorted along x and along y, with
+    ``orders`` holds the split's cells sorted along x and along y, with
     the gate name as tie-break (coordinates collide on gridded
-    placements; names never do).  The first half by count goes to side
-    0 — both sides are non-empty whenever there are >= 2 *members*.
+    placements; names never do); ``local_of`` maps a cell to its member
+    index.  The first half by count goes to side 0 — both sides are
+    non-empty whenever there are >= 2 members.
     """
     by_x, by_y = orders
     x_spread = locations[by_x[-1]][0] - locations[by_x[0]][0]
     y_spread = locations[by_y[-1]][1] - locations[by_y[0]][1]
     order = by_x if x_spread >= y_spread else by_y
-    side = [1] * members
-    for cell in order[:(members + 1) // 2]:
+    side = [1] * len(order)
+    for cell in order[:(len(order) + 1) // 2]:
         side[local_of[cell]] = 0
     return side
 
@@ -205,9 +205,7 @@ def carve_regions(
                 ]
                 if len(inside) >= 2:
                     local_edges.append(inside)
-        initial = _geometric_initial(
-            len(members), orders, locations, local_of
-        )
+        initial = _geometric_initial(orders, locations, local_of)
         result = bipartition(
             len(members), local_edges, balance=balance,
             max_passes=refine_passes, seed=seed, initial=initial,

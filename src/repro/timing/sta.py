@@ -464,12 +464,7 @@ class TimingEngine:
             if moved:
                 fanin = moved.get(pin, fanin)
             star = new_stars.get(fanin) or self._ensure_star(fanin)
-            for sink in star.sinks:
-                if sink.pin == pin:
-                    wire = sink.wire_delay
-                    break
-            else:
-                raise KeyError(f"net {fanin} has no sink {Pin(*pin)}")
+            wire = star.sink_delay(pin)
             in_rise, in_fall = (
                 over.get(fanin) or arrival.get(fanin, (0.0, 0.0))
             )
@@ -515,7 +510,7 @@ class TimingEngine:
             pin = sink.pin
             if pin is None:
                 continue
-            consumer_name = pin[0]
+            consumer_name = pin.gate
             out_pair = over.get(consumer_name) or req0.get(consumer_name)
             if out_pair is None:
                 continue

@@ -224,9 +224,9 @@ def test_format_4_checkpoint_with_the_netlist_in_the_engine_state_is_refused(
         )
 
 
-def test_format_5_checkpoint_with_dataclass_star_records_is_refused(tmp_path):
-    # format 5 pickled the star models as dataclasses and the carve
-    # without its FM pop count; an old file must fail by name
+def test_format_5_checkpoint_with_pickled_star_models_is_refused(tmp_path):
+    # format 5 pickled the engine's star models and the carve without
+    # its FM pop count; an old file must fail by name
     path = tmp_path / "old.ckpt"
     with open(path, "wb") as handle:
         pickle.dump({"format": 5, "stage": "optimize"}, handle)
