@@ -23,8 +23,8 @@ manager pickles them whole.  Pickle round-trips floats and dict order
 exactly, and the engine state carries what the analysis propagated
 verbatim, never recomputed; a resumed engine rebuilds its star
 models from the netlist and derives its levels, critical delay and
-slacks from the state, so it prices, commits and logs
-exactly what the uninterrupted run would have.  Resume replays no
+slacks from the state, so it prices, commits and logs exactly what
+the uninterrupted run would have.  Resume replays no
 work: ``run_rapids(resume=True)`` grafts the saved netlist into the
 live objects once (:func:`graft_state`), rebuilds the engine on them
 (:func:`engine_from_state`) and re-enters the loop with its saved
@@ -333,9 +333,9 @@ def engine_from_state(
     re-propagated; one star model per net, one level pass, the critical
     delay and one slack fold rebuild the derived state, so the engine
     prices and commits bit-identically to the engine the interrupted
-    run would have carried into the same round.  It is bound to the caller's
-    live *network*/*placement*/*library*, so the rest of the run sees
-    one consistent object graph.
+    run would have carried into the same round.  It is bound to the
+    caller's live *network*/*placement*/*library*, so the rest of the
+    run sees one consistent object graph.
     """
     engine = TimingEngine(
         network, placement, library,

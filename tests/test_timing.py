@@ -1,5 +1,7 @@
 """Timing substrate: star/Elmore net model and the STA engine."""
 
+import hashlib
+
 import pytest
 
 from repro.network.builder import NetworkBuilder
@@ -351,8 +353,6 @@ def _digest_engine(digest, engine) -> None:
 
 
 def _sta_digest(library, name: str, scale: float) -> str:
-    import hashlib
-
     from repro.place.placement import grid_placement
     from repro.place.placer import place
     from repro.suite.registry import build_benchmark
@@ -364,7 +364,7 @@ def _sta_digest(library, name: str, scale: float) -> str:
         placement = grid_placement(network)
     else:
         placement = place(network, library, seed=1, anneal_moves=2000)
-    engine = TimingEngine(network, placement, library, period=None)
+    engine = TimingEngine(network, placement, library)
     engine.analyze()
     digest = hashlib.blake2b(digest_size=16)
     _digest_engine(digest, engine)
