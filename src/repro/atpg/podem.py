@@ -248,11 +248,6 @@ class TestGenReport:
     random_dropped: int = 0   # faults detected by the random pre-pass
     sim_dropped: int = 0      # faults dropped by simulating PODEM tests
 
-    @property
-    def fault_coverage(self) -> float:
-        total = len(self.detected) + len(self.untestable) + len(self.undecided)
-        return len(self.detected) / total if total else 0.0
-
 
 def generate_tests(
     network: Network,

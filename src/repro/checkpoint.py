@@ -5,11 +5,11 @@ module makes long runs restartable without changing what they compute.
 :class:`CheckpointManager` owns one checkpoint file and a SIGTERM
 handler; the flow's loops call :meth:`CheckpointManager.boundary` at
 deterministic points (an optimization round, a batched-polish round,
-the run's end) with a builder producing the resume payload.  On
-cadence — and always when a SIGTERM arrived since the last boundary —
-the payload is written atomically (temp file, fsync,
-``os.replace``), and after an interrupt save :class:`RunInterrupted`
-unwinds the run so the caller can exit with
+the run's end) with a builder producing the resume payload.  When the
+save budget allows (:data:`SAVE_BUDGET`), and always when a SIGTERM
+arrived since the last boundary, the payload is written atomically
+(temp file, fsync, ``os.replace``), and after an interrupt save
+:class:`RunInterrupted` unwinds the run so the caller can exit with
 :data:`CHECKPOINT_EXIT_CODE`.
 
 Every payload has one shape whatever its stage: the live
@@ -43,7 +43,7 @@ import json
 import os
 import pickle
 import signal
-import time
+from time import perf_counter
 
 from .network.netlist import Network
 from .place.placement import Placement
@@ -62,8 +62,14 @@ CHECKPOINT_EXIT_CODE = 75
 #: same keys (:func:`stage_payload`) and each loop's state as one object;
 #: 6 dropped the star models from the engine's ``EvalState`` (a resumed
 #: engine rebuilds them) and saves the carve with its FM pop count
-#: (``RegionSet.fm_moves``).
-PAYLOAD_FORMAT = 6
+#: (``RegionSet.fm_moves``); 7 dropped ``po_pad_cap`` from the
+#: ``EvalState`` (every engine uses the module constant).
+PAYLOAD_FORMAT = 7
+
+#: Share of the run an unforced save may cost: a boundary that is not
+#: forced saves only once the time since the last save ended reaches
+#: that save's measured cost divided by this.
+SAVE_BUDGET = 0.02
 
 #: Environment variable carrying a JSON fault plan that SIGTERMs the
 #: run at chosen boundaries, e.g. ``{"checkpoint_round": {"1":
@@ -139,7 +145,10 @@ def checkpoint_fault(index: int) -> str | None:
 class CheckpointManager:
     """One run's checkpoint file, save cadence, and SIGTERM handling.
 
-    *every* is the boundary cadence (1 = save at every boundary).  The
+    The cadence comes from the manager's own clock: the first boundary
+    saves, and a later unforced one saves once the time since the last
+    save ended is at least that save's cost over :data:`SAVE_BUDGET`,
+    so unforced saves cost about that share of the run.  The
     SIGTERM handler only sets a flag; the actual save happens at the
     next boundary, where the state is consistent by construction.
     ``context`` entries (set by the orchestrator) ride along in every
@@ -149,9 +158,8 @@ class CheckpointManager:
     differ, so a resume always continues the same run.
     """
 
-    def __init__(self, path: str, every: int = 1) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.every = max(1, int(every))
         self.context: dict = {}
         self.knobs: dict = {}
         self.boundaries = 0
@@ -159,6 +167,9 @@ class CheckpointManager:
         self.interrupted = False
         #: cumulative seconds spent serializing + writing checkpoints
         self.save_seconds = 0.0
+        # perf_counter at the end of the last save and that save's cost
+        self._saved_at: float | None = None
+        self._save_cost = 0.0
         self._previous_handler = None
         self._installed = False
 
@@ -246,7 +257,7 @@ class CheckpointManager:
         leaves the previous checkpoint intact — the file on disk is
         always a complete, loadable payload.
         """
-        started = time.perf_counter()
+        started = perf_counter()
         tmp = f"{self.path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:
             pickle.dump(
@@ -257,14 +268,23 @@ class CheckpointManager:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
+        self._saved_at = perf_counter()
+        self._save_cost = self._saved_at - started
         self.saves += 1
-        self.save_seconds += time.perf_counter() - started
+        self.save_seconds += self._save_cost
+
+    def _due(self) -> bool:
+        """Whether the save budget allows an unforced save now."""
+        return self._saved_at is None or (
+            perf_counter() - self._saved_at
+            >= self._save_cost / SAVE_BUDGET
+        )
 
     def boundary(self, stage: str, builder, force: bool = False) -> None:
         """One deterministic save point inside a flow loop.
 
-        *builder* is called only when a save is due (cadence, *force*,
-        or a pending interrupt) and returns the resume payload for
+        *builder* is called only when a save is due (the save budget,
+        *force*, or a pending interrupt) and returns the resume payload for
         *stage*; ``stage`` and the manager ``context`` are merged in.
         After an interrupt-triggered save, raises :class:`RunInterrupted`
         to unwind the run.  Fault plans key the ``checkpoint_round``
@@ -277,7 +297,7 @@ class CheckpointManager:
             # set the flag directly so the injected interrupt is
             # deterministic regardless of delivery timing
             self.interrupted = True
-        if force or self.interrupted or self.boundaries % self.every == 0:
+        if force or self.interrupted or self._due():
             payload = dict(builder())
             payload["stage"] = stage
             payload.update(self.context)
@@ -337,10 +357,7 @@ def engine_from_state(
     caller's live *network*/*placement*/*library*, so the rest of the
     run sees one consistent object graph.
     """
-    engine = TimingEngine(
-        network, placement, library,
-        period=state.period, po_pad_cap=state.po_pad_cap,
-    )
+    engine = TimingEngine(network, placement, library, period=state.period)
     engine.arrival = dict(state.arrival)
     for net in network.nets():
         engine._ensure_star(net)

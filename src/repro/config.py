@@ -80,17 +80,16 @@ class RunKnobs:
         "netlist size reproduces the unpartitioned trajectory exactly",
         flag=True, metavar="N", minimum=1, trajectory=True)
     checkpoint: str | None = knob(
-        None, "save resume state to PATH (per mode: PATH.MODE) at "
-        "every flow boundary and on SIGTERM; an interrupted run exits "
-        "with status 75 after a clean save", flag=True, metavar="PATH")
+        None, "save resume state to PATH (per mode: PATH.MODE) at flow "
+        "boundaries as often as a small fixed share of the run's time "
+        "allows, at each stage's end and on SIGTERM; an interrupted run "
+        "exits with status 75 after a clean save", flag=True,
+        metavar="PATH")
     resume: bool = knob(
         False, "reload the checkpoint and continue an interrupted run "
         "from its saved state, bit-identically to an uninterrupted run "
-        "(a missing checkpoint just runs fresh, an unreadable one is "
-        "refused)", flag=True)
-    checkpoint_every: int = knob(
-        1, "save only every N-th flow boundary (a SIGTERM still saves "
-        "at the next one)", flag=True, metavar="N", minimum=1)
+        "(needs --checkpoint; a missing checkpoint just runs fresh, an "
+        "unreadable one is refused)", flag=True)
 
     def __post_init__(self) -> None:
         for spec in fields(self):
@@ -104,6 +103,8 @@ class RunKnobs:
                 )
             if minimum is not None and value is not None and value < minimum:
                 raise ValueError(f"{spec.name}={value!r}: must be >= {minimum}")
+        if self.resume and self.checkpoint is None:
+            raise ValueError("resume=True: needs a checkpoint to resume from")
 
 
 @dataclass(frozen=True, kw_only=True)

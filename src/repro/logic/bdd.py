@@ -226,19 +226,6 @@ class BddManager:
                 current = low
         return assignment
 
-    def node_count(self, node: int) -> int:
-        """Number of distinct internal nodes reachable from *node*."""
-        seen: set[int] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current in (ZERO, ONE) or current in seen:
-                continue
-            seen.add(current)
-            _, low, high = self._nodes[current]
-            stack.extend((low, high))
-        return len(seen)
-
 
 def network_bdds(
     network: Network,

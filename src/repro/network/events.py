@@ -176,13 +176,3 @@ MUTATING_NETWORK_METHODS: frozenset[str] = frozenset({
 STRUCTURAL_KINDS: frozenset[str] = frozenset(
     kind.name for kind in REGISTRY.values() if kind.structural
 )
-
-
-def is_registered(kind: str) -> bool:
-    """True when *kind* is a registered event kind."""
-    return kind in REGISTRY
-
-
-def operands_of(kind: str) -> tuple[str, ...]:
-    """Operand names of a registered kind (KeyError when unknown)."""
-    return REGISTRY[kind].operands

@@ -152,10 +152,6 @@ class Network:
         """Register a mutation listener (held weakly)."""
         self._listeners.add(listener)
 
-    def unsubscribe(self, listener: NetworkListener) -> None:
-        """Remove a previously subscribed listener (no-op if absent)."""
-        self._listeners.discard(listener)
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

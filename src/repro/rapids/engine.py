@@ -423,10 +423,12 @@ def run_rapids(
     *knobs* are the fields of :class:`repro.config.RapidsConfig`, which
     documents each; a bad knob is refused before any work.  The run is
     the ``mode`` optimizer, ``wl_passes`` wirelength-polish passes and
-    the optional equivalence check.  A ``checkpoint`` is saved at the
-    stage boundaries ``"optimize"`` (each round), ``"wl"``,
-    ``"wl_round"`` (each batched-polish round) and ``"done"``, where a
-    SIGTERM unwinds with :class:`~repro.checkpoint.RunInterrupted`;
+    the optional equivalence check.  A ``checkpoint`` has the stage
+    boundaries ``"optimize"`` (each round), ``"wl"``, ``"wl_round"``
+    (each batched-polish round) and ``"done"``; ``"wl"`` and ``"done"``
+    always save, the others as the save budget allows
+    (:data:`~repro.checkpoint.SAVE_BUDGET`), and a SIGTERM saves at the
+    next one and unwinds with :class:`~repro.checkpoint.RunInterrupted`;
     ``resume`` finishes bit-identically to an uninterrupted run.
     *wl_class_swaps* must be ``False``.
     """
@@ -435,9 +437,7 @@ def run_rapids(
     config = RapidsConfig(**knobs)
     manager = saved = stage = None
     if config.checkpoint is not None:
-        manager = CheckpointManager(
-            config.checkpoint, every=config.checkpoint_every
-        )
+        manager = CheckpointManager(config.checkpoint)
         manager.knobs = config.trajectory_knobs()
         if config.resume:
             saved = manager.load()

@@ -304,7 +304,7 @@ def _refreshed(engine: TimingEngine, incremental: bool) -> TimingEngine:
         return engine
     fresh = TimingEngine(
         engine.network, engine.placement, engine.library,
-        period=engine.period, po_pad_cap=engine.po_pad_cap,
+        period=engine.period,
     )
     fresh.stats = engine.stats
     fresh.analyze()

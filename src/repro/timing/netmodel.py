@@ -77,7 +77,6 @@ def build_star(
     placement: Placement,
     library: Library,
     net: str,
-    po_pad_cap: float = PO_PAD_CAP,
     override_sinks: list[tuple[Pin | None, tuple[float, float], float]]
     | None = None,
 ) -> StarNet:
@@ -105,7 +104,7 @@ def build_star(
             ))
         for index in network.output_slots(net):
             sink_specs.append(
-                (None, placement.output_pads[index], po_pad_cap)
+                (None, placement.output_pads[index], PO_PAD_CAP)
             )
     else:
         sink_specs = override_sinks

@@ -50,12 +50,7 @@ from ..network import events
 from ..network.netlist import Network, Pin
 from ..place.placement import Placement
 from ..symmetry.swap import PinSwap
-from .netmodel import (
-    PO_PAD_CAP,
-    StarNet,
-    build_star,
-    pin_capacitance,
-)
+from .netmodel import StarNet, build_star, pin_capacitance
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
 #: this module's float accumulations and tie-breaks must never follow
@@ -147,7 +142,7 @@ class EvalState:
     into an engine on the checkpoint's netlist by
     :func:`repro.checkpoint.engine_from_state`.  The snapshot carries
     only what the analysis *propagated*, verbatim (arrival pairs and
-    zero-target required pairs) plus the target settings, so a resumed
+    zero-target required pairs) plus the clock period, so a resumed
     engine projects bit-identical gains: pickling round-trips floats
     exactly.  What is derived is left out and rebuilt on load — the
     star RC models (a function of the netlist and placement alone, and
@@ -156,7 +151,6 @@ class EvalState:
     """
 
     period: float | None
-    po_pad_cap: float
     arrival: dict[str, tuple[float, float]]
     req0: dict[str, tuple[float, float]]
 
@@ -238,13 +232,11 @@ class TimingEngine:
         placement: Placement,
         library: Library,
         period: float | None = None,
-        po_pad_cap: float = PO_PAD_CAP,
     ) -> None:
         self.network = network
         self.placement = placement
         self.library = library
         self.period = period
-        self.po_pad_cap = po_pad_cap
         self.arrival: dict[str, tuple[float, float]] = {}
         self.slack: dict[str, float] = {}
         self.stars: dict[str, StarNet] = {}
@@ -413,10 +405,7 @@ class TimingEngine:
     def _ensure_star(self, net: str) -> StarNet:
         star = self.stars.get(net)
         if star is None:
-            star = build_star(
-                self.network, self.placement, self.library, net,
-                po_pad_cap=self.po_pad_cap,
-            )
+            star = build_star(self.network, self.placement, self.library, net)
             self.stars[net] = star
             self.stats.stars_built += 1
         return star
@@ -868,7 +857,6 @@ class TimingEngine:
         self.refresh()
         return EvalState(
             period=self.period,
-            po_pad_cap=self.po_pad_cap,
             arrival=self.arrival,
             req0=self._req0,
         )
@@ -970,7 +958,7 @@ class TimingEngine:
             )
             stars_new[net] = build_star(
                 network, self.placement, self.library, net,
-                po_pad_cap=self.po_pad_cap, override_sinks=specs,
+                override_sinks=specs,
             )
             context[net] = self._driver_arrival_with_load(
                 net, stars_new[net].total_cap
@@ -1248,7 +1236,7 @@ class TimingEngine:
                     )
             new_stars[net] = build_star(
                 network, self.placement, self.library, net,
-                po_pad_cap=self.po_pad_cap, override_sinks=spec,
+                override_sinks=spec,
             )
         return moved, new_stars
 

@@ -23,9 +23,11 @@ import sys
 import pytest
 from helpers import random_network
 
+from repro import checkpoint
 from repro.checkpoint import (
     CHECKPOINT_EXIT_CODE,
     FAULT_PLAN_ENV,
+    SAVE_BUDGET,
     CheckpointFormatError,
     CheckpointManager,
     CheckpointMismatchError,
@@ -109,8 +111,25 @@ def test_save_is_atomic_and_load_refuses_garbage(tmp_path):
         assert str(path) in str(excinfo.value)
 
 
-def test_boundary_cadence_context_and_stage(tmp_path):
-    manager = CheckpointManager(str(tmp_path / "run.ckpt"), every=2)
+class _Clock:
+    """A fake ``perf_counter`` as :mod:`repro.checkpoint` sees it: each
+    read returns ``now`` and then advances it by ``tick``, so a save
+    (two reads) costs exactly one tick."""
+
+    def __init__(self, monkeypatch, tick: float = 1.0) -> None:
+        self.now = 0.0
+        self.tick = tick
+        monkeypatch.setattr(checkpoint, "perf_counter", self)
+
+    def __call__(self) -> float:
+        now = self.now
+        self.now += self.tick
+        return now
+
+
+def test_boundary_cadence_context_and_stage(tmp_path, monkeypatch):
+    clock = _Clock(monkeypatch)
+    manager = CheckpointManager(str(tmp_path / "run.ckpt"))
     manager.context = {"benchmark": "alu2"}
     built = []
 
@@ -119,28 +138,43 @@ def test_boundary_cadence_context_and_stage(tmp_path):
         return {"round": len(built)}
 
     manager.boundary("optimize", builder)
-    assert built == []                      # boundary 1: off cadence
-    manager.boundary("optimize", builder)
-    assert len(built) == 1                  # boundary 2: saved
+    assert len(built) == 1                  # first boundary: no cost known
+    saved_at = clock.now - clock.tick       # the save's second read
+    wait = clock.tick / SAVE_BUDGET         # its cost over the budget
     payload = manager.load()
     assert payload["stage"] == "optimize"
     assert payload["benchmark"] == "alu2"
+    clock.now = saved_at + wait / 2
+    manager.boundary("optimize", builder)
+    assert len(built) == 1                  # too soon: builder not called
+    clock.now = saved_at + wait
+    manager.boundary("optimize", builder)
+    assert len(built) == 2                  # the budget has elapsed
     manager.boundary("wl", builder, force=True)
-    assert len(built) == 2                  # force overrides cadence
+    assert len(built) == 3                  # force overrides the budget
+    assert manager.load()["stage"] == "wl"
+    assert manager.boundaries == 4 and manager.saves == 3
 
 
-def test_sigterm_defers_to_the_next_boundary_then_unwinds(tmp_path):
-    manager = CheckpointManager(str(tmp_path / "run.ckpt"), every=10**9)
+def test_sigterm_defers_to_the_next_boundary_then_unwinds(
+    tmp_path, monkeypatch
+):
+    clock = _Clock(monkeypatch)
+    manager = CheckpointManager(str(tmp_path / "run.ckpt"))
+    manager.boundary("optimize", lambda: {"round": 1})
+    clock.tick = 0.0                        # held still: no save is due
+    manager.boundary("optimize", lambda: {"round": 2})
+    assert manager.load()["round"] == 1
     previous = signal.getsignal(signal.SIGTERM)
     manager.install()
     try:
         os.kill(os.getpid(), signal.SIGTERM)
         assert manager.interrupted          # flag only — no save yet
-        assert manager.load() is None
+        assert manager.load()["round"] == 1
         with pytest.raises(RunInterrupted) as excinfo:
             manager.boundary("optimize", lambda: {"round": 3})
         assert excinfo.value.stage == "optimize"
-        assert manager.load()["round"] == 3  # saved despite the cadence
+        assert manager.load()["round"] == 3  # saved despite the budget
     finally:
         manager.uninstall()
     assert signal.getsignal(signal.SIGTERM) is previous
@@ -238,6 +272,22 @@ def test_format_5_checkpoint_with_pickled_star_models_is_refused(tmp_path):
         )
 
 
+def test_format_6_checkpoint_with_a_pad_cap_in_the_engine_state_is_refused(
+    tmp_path
+):
+    # format 6 saved the PO pad capacitance in the engine's EvalState,
+    # which format 7 dropped; an old file must fail by name
+    path = tmp_path / "old.ckpt"
+    with open(path, "wb") as handle:
+        pickle.dump({"format": 6, "stage": "optimize"}, handle)
+    network, placement, library = _placed_design(3, num_gates=20)
+    with pytest.raises(CheckpointFormatError, match="payload format 6"):
+        run_rapids(
+            network, placement, library, mode="gs",
+            checkpoint=str(path), resume=True,
+        )
+
+
 # ----------------------------------------------------------------------
 # pickled state: exact round-trips
 # ----------------------------------------------------------------------
@@ -249,9 +299,7 @@ def test_pickled_eval_state_round_trips_the_engine_caches():
     reference = engine.export_eval_state()
     assert state.arrival == reference.arrival
     assert state.req0 == reference.req0
-    assert (state.period, state.po_pad_cap) == (
-        reference.period, reference.po_pad_cap
-    )
+    assert state.period == reference.period
 
 
 def test_graft_state_restores_content_into_live_objects():
@@ -454,7 +502,7 @@ def test_run_rapids_resumes_identically_from_every_boundary(
             f"resume from boundary {index} ({stages[-1]}) diverged"
         )
         index += 1
-    # both polish shapes checkpoint every applied round
+    # both polish shapes reach a boundary at every applied round
     assert {"optimize", "wl", "wl_round", "done"} <= set(stages)
     # resuming an already-finished checkpoint replays nothing and
     # returns the recorded result
@@ -515,7 +563,7 @@ def test_sigterm_during_the_unpartitioned_polish_unwinds_and_resumes(
         "wl_timing_aware": False, "wl_slack_margin": -0.25,
         "partition": True, "partition_max_gates": 30,
         "check_equivalence": True, "sim_backend": "bigint", "workers": 2,
-        "collect_log": True, "checkpoint_every": 3,
+        "collect_log": True,
     }, {
         "mode": "gs", "max_rounds": 2, "batch_limit": 8,
         "wl_passes": 2, "wl_batched": False,

@@ -39,7 +39,7 @@ from repro.synth.mapper import map_network
     (RapidsConfig, {"max_rounds": -1}),
     (RapidsConfig, {"batch_limit": 0}),
     (FlowConfig, {"workers": 0}),
-    (FlowConfig, {"checkpoint_every": 0}),
+    (FlowConfig, {"resume": True}),
     (FlowConfig, {"anneal_moves": -1}),
 ])
 def test_a_bad_knob_is_refused_by_name(config, knobs):
@@ -107,7 +107,6 @@ FLOW_FLAGS = {
     ("--partition-max-gates",): ("partition_max_gates", 2500, None),
     ("--checkpoint",): ("checkpoint", None, None),
     ("--resume",): ("resume", False, None),
-    ("--checkpoint-every",): ("checkpoint_every", 1, None),
 }
 
 

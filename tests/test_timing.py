@@ -243,8 +243,7 @@ def test_resize_gain_sign_sanity(library):
         break
 
 
-def _reference_star(network, placement, library, net, po_pad_cap,
-                    override_sinks=None):
+def _reference_star(network, placement, library, net, override_sinks=None):
     """``build_star`` before it was inlined, as a list of plain fields:
     (net, source, center, total_cap, [(pin, location, cap, delay)])."""
     from repro.place.placement import manhattan
@@ -260,7 +259,7 @@ def _reference_star(network, placement, library, net, po_pad_cap,
                 pin_capacitance(network, library, pin),
             ))
         for index in network.output_slots(net):
-            sink_specs.append((None, placement.output_pads[index], po_pad_cap))
+            sink_specs.append((None, placement.output_pads[index], PO_PAD_CAP))
     else:
         sink_specs = override_sinks
     if not sink_specs:
@@ -314,13 +313,11 @@ def test_build_star_matches_the_reference_field_for_field(library):
         network.add_output(network.outputs[0])
         placement = place(network, library, seed=seed)
         for net in network.nets():
-            for cap in (PO_PAD_CAP, 0.125):
-                star = build_star(network, placement, library, net,
-                                  po_pad_cap=cap)
-                assert repr(_star_fields(star)) == repr(_reference_star(
-                    network, placement, library, net, cap
-                ))
-                checked += 1
+            star = build_star(network, placement, library, net)
+            assert repr(_star_fields(star)) == repr(_reference_star(
+                network, placement, library, net
+            ))
+            checked += 1
             specs = [
                 (Pin(gate.name, 0), placement.locations[gate.name], 0.01 * i)
                 for i, gate in enumerate(gates[seed % 7::9])
@@ -329,9 +326,9 @@ def test_build_star_matches_the_reference_field_for_field(library):
                 star = build_star(network, placement, library, net,
                                   override_sinks=override)
                 assert repr(_star_fields(star)) == repr(_reference_star(
-                    network, placement, library, net, PO_PAD_CAP, override
+                    network, placement, library, net, override
                 ))
-    assert checked > 150
+    assert checked > 75
 
 
 # ----------------------------------------------------------------------
