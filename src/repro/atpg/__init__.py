@@ -1,44 +1,25 @@
-"""ATPG substrate: D-calculus search, stuck-at faults, symmetry baseline.
+"""ATPG substrate: D-calculus search and stuck-at faults.
 
-Test generation is backed by the compiled parallel-pattern fault
-simulator of :mod:`repro.logic.simcore`: random blocks pre-drop the
-easy faults and every PODEM-generated test batch-drops whatever else
-it detects (:func:`generate_tests`), while redundancy proofs use the
-same simulator as a fast testability filter.
+PODEM (:func:`find_test`) proves the redundancies of Fig. 1
+untestable.  Redundancy proofs first run the compiled parallel-pattern
+fault simulator of :mod:`repro.logic.simcore` as a fast testability
+filter, so the search runs only for candidates that may be redundant.
+The Lemma-1 symmetry baseline built on the same search is a test
+oracle (``tests/atpg_symmetry.py``).
 """
 
 from .faults import Fault, all_faults, fault_site_support
-from .podem import (
-    AtpgResult,
-    TestGenReport,
-    evaluate_gate,
-    find_test,
-    generate_tests,
-    is_testable,
-    simulate5,
-)
-from .redundancy import (
-    prove_branch_redundant,
-    prove_stem_redundant,
-    untestable_fault_count,
-)
-from .symmetry import es_by_atpg, nes_by_atpg, pin_symmetry_by_atpg
+from .podem import AtpgResult, evaluate_gate, find_test, is_testable, simulate5
+from .redundancy import prove_branch_redundant
 
 __all__ = [
     "AtpgResult",
     "Fault",
-    "TestGenReport",
     "all_faults",
-    "es_by_atpg",
     "evaluate_gate",
     "fault_site_support",
     "find_test",
-    "generate_tests",
     "is_testable",
-    "nes_by_atpg",
-    "pin_symmetry_by_atpg",
     "prove_branch_redundant",
-    "prove_stem_redundant",
     "simulate5",
-    "untestable_fault_count",
 ]

@@ -16,7 +16,7 @@ budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..network.gatetype import GateType, base_type
 from ..network.netlist import Network, Pin
@@ -27,7 +27,7 @@ from ..logic.values import (
     or_values,
     xor_values,
 )
-from .faults import Fault, all_faults, fault_site_support
+from .faults import Fault, fault_site_support
 
 
 @dataclass
@@ -226,98 +226,6 @@ def find_test(
 
 class _BacktrackBudget(Exception):
     """Raised when the backtrack budget is exhausted."""
-
-
-@dataclass
-class TestGenReport:
-    """Outcome of a full test-generation run with fault dropping.
-
-    ``tests`` holds the PODEM-generated cubes only; the faults the
-    random pre-pass dropped are covered by ``random_block`` — the
-    packed parallel words (PI -> word, pattern count) of that block —
-    so the complete test set a consumer must apply is ``random_block``
-    plus ``tests``.
-    """
-
-    tests: list[dict[str, int]] = field(default_factory=list)
-    detected: list[Fault] = field(default_factory=list)
-    untestable: list[Fault] = field(default_factory=list)
-    undecided: list[Fault] = field(default_factory=list)
-    random_block: tuple[dict[str, int], int] | None = None
-    podem_calls: int = 0
-    random_dropped: int = 0   # faults detected by the random pre-pass
-    sim_dropped: int = 0      # faults dropped by simulating PODEM tests
-
-
-def generate_tests(
-    network: Network,
-    faults: list[Fault] | None = None,
-    include_branches: bool = False,
-    random_width: int = 64,
-    random_rounds: int = 2,
-    max_backtracks: int = 20000,
-    backend: str = "auto",
-) -> TestGenReport:
-    """Full-fault-list test generation with parallel-pattern dropping.
-
-    The classical ATPG loop, accelerated by the compiled simulation
-    core: a random-pattern block first knocks out the easy faults in
-    one vectorized pass, then PODEM targets the survivors one at a
-    time — and after every generated test a parallel-pattern fault
-    simulation batch-drops every other fault that test detects, so the
-    backtracking search runs only for the hard residue.
-    """
-    from ..logic.simcore import (
-        FaultSimulator,
-        pack_tests,
-        random_pattern_block,
-    )
-
-    if faults is None:
-        faults = list(all_faults(network, include_branches=include_branches))
-    report = TestGenReport()
-    simulator = FaultSimulator(network, backend)
-    remaining = list(faults)
-    if random_rounds > 0 and remaining:
-        assignments, num_patterns = random_pattern_block(
-            network.inputs, width=random_width, rounds=random_rounds
-        )
-        simulator.load_patterns(assignments, num_patterns)
-        outcome = simulator.run(remaining)
-        report.detected.extend(outcome.detected)
-        report.random_dropped = len(outcome.detected)
-        if outcome.detected:
-            report.random_block = (assignments, num_patterns)
-        remaining = outcome.undetected
-    cursor = 0
-    while cursor < len(remaining):
-        fault = remaining[cursor]
-        cursor += 1
-        result = find_test(
-            network, fault=fault, max_backtracks=max_backtracks
-        )
-        report.podem_calls += 1
-        if result.test is None:
-            if result.proven_untestable:
-                report.untestable.append(fault)
-            else:
-                report.undecided.append(fault)
-            continue
-        report.tests.append(result.test)
-        report.detected.append(fault)
-        # batch-drop: one parallel pass of the new test over every
-        # still-unclassified fault
-        survivors = remaining[cursor:]
-        if survivors:
-            assignments, num_patterns = pack_tests(
-                network.inputs, [result.test]
-            )
-            simulator.load_patterns(assignments, num_patterns)
-            outcome = simulator.run(survivors)
-            report.detected.extend(outcome.detected)
-            report.sim_dropped += len(outcome.detected)
-            remaining[cursor:] = outcome.undetected
-    return report
 
 
 def is_testable(

@@ -11,8 +11,7 @@ Testability (the *negative* answer) is cheap: a parallel-pattern fault
 simulation of one random block (``repro.logic.simcore.faultsim``)
 proves most testable faults detected without ever entering the PODEM
 search, so the backtracking engine only runs for the candidates that
-might actually be redundant.  Set ``random_filter=False`` to force the
-historical search-only behaviour.
+might actually be redundant.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ def prove_branch_redundant(
     pin: Pin,
     stuck_at: int,
     max_backtracks: int = 20000,
-    random_filter: bool = True,
     backend: str = "auto",
 ) -> bool | None:
     """Is the branch feeding *pin* stuck-at-*stuck_at* untestable?
@@ -56,7 +54,7 @@ def prove_branch_redundant(
     """
     net = network.fanin_net(pin)
     fault = Fault(net=net, stuck_at=stuck_at, pin=pin)
-    if random_filter and _randomly_detected(network, fault, backend=backend):
+    if _randomly_detected(network, fault, backend=backend):
         return False
     result = find_test(
         network, fault=fault, max_backtracks=max_backtracks
@@ -67,68 +65,3 @@ def prove_branch_redundant(
         return True
     return None
 
-
-def prove_stem_redundant(
-    network: Network,
-    net: str,
-    stuck_at: int,
-    max_backtracks: int = 20000,
-    random_filter: bool = True,
-    backend: str = "auto",
-) -> bool | None:
-    """Is the stem of *net* stuck-at-*stuck_at* untestable?"""
-    fault = Fault(net=net, stuck_at=stuck_at)
-    if random_filter and _randomly_detected(network, fault, backend=backend):
-        return False
-    result = find_test(
-        network, fault=fault, max_backtracks=max_backtracks
-    )
-    if result.test is not None:
-        return False
-    if result.proven_untestable:
-        return True
-    return None
-
-
-def untestable_fault_count(
-    network: Network,
-    max_faults: int | None = None,
-    max_backtracks: int = 4000,
-    random_filter: bool = True,
-    backend: str = "auto",
-) -> dict[str, int]:
-    """Census of untestable stem faults.
-
-    With *random_filter* (the default) one parallel-pattern random
-    block classifies the bulk of the fault list as testable in a single
-    vectorized pass; PODEM examines only the survivors.  Faults the
-    filter detects are testable by construction, so the census can only
-    move ``undecided`` verdicts to ``testable`` relative to the
-    search-only baseline.
-    """
-    from .faults import all_faults
-
-    counts = {"testable": 0, "untestable": 0, "undecided": 0}
-    examined = list(all_faults(network, include_branches=False))
-    if max_faults is not None:
-        examined = examined[:max_faults]
-    if random_filter and examined and network.inputs:
-        assignments, num_patterns = random_pattern_block(
-            network.inputs, width=64, rounds=2
-        )
-        simulator = FaultSimulator(network, backend)
-        simulator.load_patterns(assignments, num_patterns)
-        outcome = simulator.run(examined)
-        counts["testable"] += len(outcome.detected)
-        examined = outcome.undetected
-    for fault in examined:
-        result = find_test(
-            network, fault=fault, max_backtracks=max_backtracks
-        )
-        if result.test is not None:
-            counts["testable"] += 1
-        elif result.proven_untestable:
-            counts["untestable"] += 1
-        else:
-            counts["undecided"] += 1
-    return counts

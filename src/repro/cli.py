@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from .checkpoint import (
     CHECKPOINT_EXIT_CODE,
@@ -147,18 +148,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse(path: str, problem: str) -> int:
+    print(f"rapids: {path}: {problem}", file=sys.stderr)
+    return 2
+
+
 def _cmd_symmetries(args: argparse.Namespace) -> int:
     from .network.bench_io import read_bench
     from .network.blif import read_blif
+    from .network.netlist import NetworkError
+    from .network.validate import check_network
     from .symmetry.redundancy import find_easy_redundancies, redundancy_counts
     from .symmetry.supergate import extract_supergates
     from .symmetry.swap import count_swappable_pairs
 
-    with open(args.file) as handle:
-        if args.file.endswith(".bench"):
-            network = read_bench(handle)
-        else:
-            network = read_blif(handle)
+    reader = {".bench": read_bench, ".blif": read_blif}.get(
+        Path(args.file).suffix
+    )
+    if reader is None:
+        return _refuse(args.file, "not a .blif or .bench netlist")
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            network = reader(handle)
+        check_network(network)
+    except OSError as exc:
+        return _refuse(args.file, exc.strerror or str(exc))
+    except (NetworkError, UnicodeDecodeError) as exc:
+        return _refuse(args.file, str(exc))
+    if not network.outputs:
+        return _refuse(args.file, "netlist has no primary outputs")
     sgn = extract_supergates(network)
     print(f"{network.name}: {len(network)} gates, "
           f"{len(sgn.supergates)} supergates")

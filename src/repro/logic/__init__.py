@@ -15,7 +15,6 @@ from .simcore import (
     SimEngine,
     choose_backend,
     compile_network,
-    fault_simulate,
     get_compiled,
     make_backend,
     sweep_shape,
@@ -71,7 +70,6 @@ __all__ = [
     "ZERO",
     "choose_backend",
     "compile_network",
-    "fault_simulate",
     "get_compiled",
     "make_backend",
     "sweep_shape",

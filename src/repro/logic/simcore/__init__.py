@@ -11,15 +11,15 @@ The subsystem the hot paths of this repository stand on:
 * :mod:`engine` — :class:`SimEngine`, which keeps pattern state alive
   across calls and re-sweeps it when the network has mutated;
 * :mod:`faultsim` — parallel-pattern stuck-at fault simulation with
-  sparse single-fault propagation, the batch fault-dropper behind ATPG
-  and redundancy proofs.
+  sparse single-fault propagation, the testability filter of
+  redundancy proofs.
 
 Invalidation contract: any ``Network`` mutation bumps the version.
-There is one compiled snapshot per network version; ``get_compiled``,
-``fault_simulate`` and ``SimEngine`` all revalidate by version, and a
-``SimEngine`` read after a mutation recompiles and re-sweeps its
-stored patterns.  The per-engine invalidation rules live in
-``docs/architecture.md``.
+There is one compiled snapshot per network version; ``get_compiled``
+and ``SimEngine`` revalidate by version (``FaultSimulator`` compiles
+when it loads a pattern block), and a ``SimEngine`` read after a
+mutation recompiles and re-sweeps its stored patterns.  The per-engine
+invalidation rules live in ``docs/architecture.md``.
 """
 
 from .backends import (
@@ -36,19 +36,12 @@ from .backends import (
 )
 from .compiled import CompiledNetwork, compile_network, get_compiled
 from .engine import SimEngine
-from .faultsim import (
-    FaultSimReport,
-    FaultSimulator,
-    fault_simulate,
-    pack_tests,
-    random_pattern_block,
-)
+from .faultsim import FaultSimulator, random_pattern_block
 
 __all__ = [
     "AdaptiveBackend",
     "BigintBackend",
     "CompiledNetwork",
-    "FaultSimReport",
     "FaultSimulator",
     "NumpyBackend",
     "SimBackend",
@@ -58,10 +51,8 @@ __all__ = [
     "compile_network",
     "estimate_sweep_costs",
     "eval_word",
-    "fault_simulate",
     "get_compiled",
     "make_backend",
-    "pack_tests",
     "random_pattern_block",
     "sweep_shape",
 ]

@@ -14,24 +14,22 @@ suite checks.
 
 The main entry points:
 
-* :func:`fault_simulate` — which of these faults do these patterns
-  detect?
-* :func:`pack_tests` — pack explicit PI assignment dicts (ATPG test
-  cubes) into one parallel pattern block.
+* :class:`FaultSimulator` — sweep one pattern block, then ask which
+  of its patterns detect a fault (:meth:`~FaultSimulator.detecting_patterns`);
+* :func:`random_pattern_block` — a random block, the same stream as
+  ``SimEngine``.
 
-ATPG uses this to *batch-drop* faults: after PODEM generates one test,
-a single parallel-pattern pass removes every other fault that test
-happens to detect (plus everything random patterns caught up front),
-so the expensive search runs only for the hard residue — see
-:func:`repro.atpg.podem.generate_tests`.
+Redundancy proofs use this as a fast testability filter: a fault one
+random block detects is testable, so the PODEM search runs only for
+candidates that might be redundant — see
+:func:`repro.atpg.redundancy.prove_branch_redundant`.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ...network.netlist import Network
 from .backends import SimBackend, eval_word, make_backend
@@ -40,36 +38,6 @@ from .compiled import CompiledNetwork, get_compiled
 if TYPE_CHECKING:  # pragma: no cover - the Fault type lives in repro.atpg;
     # imported only for annotations to keep the logic layer atpg-free
     from ...atpg.faults import Fault
-
-
-@dataclass
-class FaultSimReport:
-    """Outcome of one parallel-pattern fault-simulation pass."""
-
-    detected: list["Fault"] = field(default_factory=list)
-    undetected: list["Fault"] = field(default_factory=list)
-    num_patterns: int = 0
-
-    @property
-    def coverage(self) -> float:
-        total = len(self.detected) + len(self.undetected)
-        return len(self.detected) / total if total else 0.0
-
-
-def pack_tests(
-    inputs: Sequence[str], tests: Sequence[Mapping[str, int]]
-) -> tuple[dict[str, int], int]:
-    """Pack PI assignment dicts into parallel words (pattern k = test k).
-
-    Unassigned inputs default to 0, matching what
-    :func:`repro.atpg.podem.find_test` reports for don't-cares.
-    """
-    assignments = dict.fromkeys(inputs, 0)
-    for k, test in enumerate(tests):
-        for pi in inputs:
-            if test.get(pi, 0):
-                assignments[pi] |= 1 << k
-    return assignments, max(len(tests), 1)
 
 
 def random_pattern_block(
@@ -88,9 +56,9 @@ def random_pattern_block(
 class FaultSimulator:
     """Reusable fault simulator bound to one network snapshot.
 
-    Builds the good-machine state once per pattern block; :meth:`run`
-    can then be called with many fault lists (ATPG drops faults batch
-    by batch against the same block).
+    Builds the good-machine state once per pattern block;
+    :meth:`detecting_patterns` can then be asked about many faults
+    against the same block.
     """
 
     def __init__(
@@ -196,26 +164,3 @@ class FaultSimulator:
             if po in diff:
                 detected |= diff[po] ^ self._good_word(po)
         return detected
-
-    def run(self, faults: Iterable["Fault"]) -> FaultSimReport:
-        """Split *faults* into detected / undetected under the block."""
-        report = FaultSimReport(num_patterns=self.num_patterns)
-        for fault in faults:
-            if self.detecting_patterns(fault):
-                report.detected.append(fault)
-            else:
-                report.undetected.append(fault)
-        return report
-
-
-def fault_simulate(
-    network: Network,
-    faults: Iterable["Fault"],
-    assignments: Mapping[str, int],
-    num_patterns: int,
-    backend: str | SimBackend = "auto",
-) -> FaultSimReport:
-    """One-shot parallel-pattern fault simulation of a pattern block."""
-    simulator = FaultSimulator(network, backend)
-    simulator.load_patterns(assignments, num_patterns)
-    return simulator.run(faults)

@@ -1,6 +1,5 @@
 """Placement substrate: FM partitioning, placer, wirelength metrics."""
 
-from .congestion import CongestionStats, congestion_map, congestion_stats
 from .fm import FmResult, bipartition
 from .hpwl import WirelengthEngine
 from .placement import (
@@ -15,13 +14,10 @@ from .placement import (
 from .placer import place
 
 __all__ = [
-    "CongestionStats",
     "FmResult",
     "Placement",
     "WirelengthEngine",
     "bipartition",
-    "congestion_map",
-    "congestion_stats",
     "die_for",
     "manhattan",
     "net_hpwl",

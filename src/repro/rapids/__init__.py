@@ -2,22 +2,14 @@
 
 from .engine import MODES, RapidsResult, run_rapids
 from .moves import SwapMove, bind_new_inverters, swap_sites
-from .fanout import FanoutResult, buffer_net, heavy_nets, optimize_fanout
 from .wirelength import WirelengthResult, reduce_wirelength, swap_hpwl_delta
-from .report import (
-    Table1Row,
-    area_of,
-    averages,
-    build_row,
-    fanout_profile,
-)
+from .report import Table1Row, averages, build_row, fanout_profile
 
 __all__ = [
     "MODES",
     "RapidsResult",
     "SwapMove",
     "Table1Row",
-    "area_of",
     "averages",
     "bind_new_inverters",
     "build_row",
@@ -27,8 +19,4 @@ __all__ = [
     "swap_hpwl_delta",
     "reduce_wirelength",
     "WirelengthResult",
-    "FanoutResult",
-    "buffer_net",
-    "heavy_nets",
-    "optimize_fanout",
 ]

@@ -1,10 +1,9 @@
-"""Reporting helpers: Table 1 rows, fanout audit, placement perturbation."""
+"""Reporting helpers: Table 1 rows and the large-fanout audit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..library.cells import Library
 from ..network.netlist import Network
 from .engine import RapidsResult
 
@@ -111,9 +110,3 @@ def fanout_profile(network: Network) -> dict[str, float]:
         "nets_over_100": float(sum(1 for d in degrees if d > 100)),
     }
 
-
-def area_of(network: Network, library: Library) -> float:
-    """Convenience re-export of mapped area (um^2)."""
-    from ..synth.mapper import network_area
-
-    return network_area(network, library)

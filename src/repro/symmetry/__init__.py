@@ -1,11 +1,5 @@
 """The paper's core contribution: symmetry detection via supergates."""
 
-from .reachability import (
-    and_or_implied_value,
-    and_or_reachable,
-    reachability_class,
-    xor_reachable,
-)
 from .supergate import (
     SgClass,
     SgLeaf,
@@ -52,8 +46,6 @@ __all__ = [
     "SgLeaf",
     "Supergate",
     "SupergateNetwork",
-    "and_or_implied_value",
-    "and_or_reachable",
     "apply_cross_swap",
     "apply_swap",
     "count_swappable_pairs",
@@ -67,7 +59,6 @@ __all__ = [
     "grow_supergate",
     "is_swappable",
     "pin_pair_symmetry",
-    "reachability_class",
     "redundancy_counts",
     "remove_redundancy",
     "supergate_truth_table",
@@ -75,5 +66,4 @@ __all__ = [
     "swap_preserves_outputs",
     "swapped_copy",
     "unique_stems",
-    "xor_reachable",
 ]

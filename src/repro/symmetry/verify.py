@@ -1,8 +1,10 @@
 """Ground-truth validation of symmetry claims.
 
 The detector of this package never looks at functions — it reasons
-purely structurally (reachability).  These helpers re-derive the same
-facts *functionally*, so tests can assert Theorem 1 / Lemmas 6-8 on
+purely structurally, by growing supergates (the Definition-1
+reachability predicates themselves are a test oracle,
+``tests/reachability.py``).  These helpers re-derive the same facts
+*functionally*, so tests can assert Theorem 1 / Lemmas 6-8 on
 arbitrary networks: a claimed symmetric pin pair must be NES/ES of the
 root's function when the two pins are cut and driven by fresh
 variables, and an applied swap must leave every primary output's

@@ -8,14 +8,16 @@ differ".
 
 This is the *baseline* detector the paper improves on: exact but
 search-based, versus the linear-time reachability detector of
-``repro.symmetry``.  The test suite cross-validates the two.
+``repro.symmetry``.  No flow runs it: it lives with the tests, which
+cross-validate the two.
 """
 
 from __future__ import annotations
 
-from ..network.netlist import Network, Pin
-from ..logic.values import Value
-from .podem import find_test
+from repro.atpg.podem import find_test
+from repro.logic.simulate import extract_cone
+from repro.logic.values import Value
+from repro.network.netlist import Network, Pin
 
 
 def nes_by_atpg(
@@ -70,8 +72,6 @@ def pin_symmetry_by_atpg(
     fed by fresh inputs, and the cone of *root* becomes the network
     under test.
     """
-    from ..logic.simulate import extract_cone
-
     trial = network.copy()
     fresh: list[str] = []
     for number, pin in enumerate((pin_a, pin_b)):

@@ -11,22 +11,23 @@ to ``pi`` — including ``gj`` — is XOR, XNOR, INV or BUF.
 Both predicates are evaluated over *fanout-free* paths: descent stops
 at multi-fanout nets, exactly like supergate growth.  These standalone
 implementations deliberately mirror the definitions rather than the
-extraction code so the two can cross-validate each other in tests
-(Theorem 1).
+extraction code so the two can cross-validate each other (Theorem 1).
+No flow runs them: they live with the tests as an oracle.
 """
 
 from __future__ import annotations
 
-from ..network.gatetype import (
+from repro.network.gatetype import (
     CONST_TYPES,
     GateType,
     WIRE_TYPES,
     XOR_TYPES,
     base_type,
+    eval_gate,
     forcing_output_value,
 )
-from ..network.netlist import Network, Pin
-from ..logic.implication import implies_inputs
+from repro.network.netlist import Network, Pin
+from repro.logic.implication import implies_inputs
 
 
 def _root_forcing_value(network: Network, root: str) -> int | None:
@@ -38,8 +39,6 @@ def _root_forcing_value(network: Network, root: str) -> int | None:
     root.  ``None`` when the core is XOR-class or the chain dead-ends
     before reaching logic.
     """
-    from ..network.gatetype import eval_gate
-
     chain: list[GateType] = []
     current = root
     while True:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.atpg.faults import Fault, all_faults, fault_site_support
 from repro.atpg.podem import evaluate_gate, find_test, is_testable, simulate5
-from repro.atpg.symmetry import es_by_atpg, nes_by_atpg, pin_symmetry_by_atpg
 from repro.logic.simulate import truth_tables
 from repro.logic.truthtable import is_es, is_nes
 from repro.logic.values import Value
@@ -14,6 +13,7 @@ from repro.network.netlist import Pin
 from repro.symmetry.supergate import extract_supergates
 from repro.symmetry.swap import enumerate_swaps
 
+from atpg_symmetry import es_by_atpg, nes_by_atpg, pin_symmetry_by_atpg
 from helpers import random_network
 
 

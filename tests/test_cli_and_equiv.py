@@ -135,3 +135,29 @@ def test_cli_symmetries_on_bench(tmp_path, capsys):
     path.write_text(bench_text(net))
     assert main(["symmetries", str(path)]) == 0
     assert "swap" in capsys.readouterr().out.replace("swappable", "swap")
+
+
+@pytest.mark.parametrize("name, text, problem", [
+    # a Verilog file used to parse as an empty BLIF and exit 0
+    ("t.v", "module t (a, y); input a; output y; assign y = a; endmodule\n",
+     "not a .blif or .bench netlist"),
+    ("missing.blif", None, "No such file or directory"),
+    ("undefined.blif",
+     ".model m\n.inputs a\n.outputs y\n.names a q y\n11 1\n.end\n",
+     "references unknown net 'q'"),
+    ("no_outputs.blif", ".model m\n.inputs a\n.end\n",
+     "netlist has no primary outputs"),
+    ("binary.blif", b"\xff\xfe\x00", "can't decode byte 0xff"),
+], ids=["verilog", "missing", "undefined-net", "no-outputs", "binary"])
+def test_cli_symmetries_refuses_bad_input(tmp_path, capsys, name, text,
+                                          problem):
+    path = tmp_path / name
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    assert main(["symmetries", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rapids: {path}: ")
+    assert problem in captured.err

@@ -2,15 +2,15 @@
 
 from repro.network.builder import NetworkBuilder
 from repro.network.netlist import Pin
-from repro.symmetry.reachability import (
+from repro.symmetry.verify import pin_pair_symmetry
+
+from helpers import random_network
+from reachability import (
     and_or_implied_value,
     and_or_reachable,
     reachability_class,
     xor_reachable,
 )
-from repro.symmetry.verify import pin_pair_symmetry
-
-from helpers import random_network
 
 
 def test_and_or_reachability_basic():

@@ -13,8 +13,6 @@ import random
 import pytest
 
 from repro.atpg.faults import all_faults
-from repro.atpg.podem import find_test, generate_tests
-from repro.atpg.redundancy import untestable_fault_count
 from repro.logic.simcore import (
     AdaptiveBackend,
     FaultSimulator,
@@ -24,7 +22,6 @@ from repro.logic.simcore import (
     estimate_sweep_costs,
     get_compiled,
     make_backend,
-    pack_tests,
     random_pattern_block,
     sweep_shape,
 )
@@ -318,8 +315,7 @@ def test_simcore_import_surface_is_complete():
         "AdaptiveBackend", "BigintBackend", "NumpyBackend", "SimBackend",
         "CompiledNetwork", "SweepShape", "choose_backend",
         "compile_network", "estimate_sweep_costs", "eval_word",
-        "fault_simulate", "make_backend", "pack_tests",
-        "random_pattern_block", "sweep_shape",
+        "make_backend", "random_pattern_block", "sweep_shape",
     }
     missing = required - set(simcore.__all__)
     assert not missing, f"missing from simcore __all__: {sorted(missing)}"
@@ -465,63 +461,3 @@ def test_fault_simulation_identical_across_backends():
                 simulator.detecting_patterns(fault) for fault in faults
             ]
         assert reports["bigint"] == reports["numpy"], seed
-
-
-# ----------------------------------------------------------------------
-# ATPG integration: test generation with batch fault dropping
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_generate_tests_classification_sound(backend):
-    for seed in range(4):
-        net = random_network(seed, num_inputs=5, num_gates=14, num_outputs=2)
-        report = generate_tests(net, backend=backend, max_backtracks=4000)
-        total = (
-            len(report.detected) + len(report.untestable)
-            + len(report.undecided)
-        )
-        assert total == len(list(all_faults(net, include_branches=False)))
-        # every fault PODEM proved untestable really has no test
-        for fault in report.untestable:
-            assert find_test(net, fault=fault).test is None, str(fault)
-        # every claim of detection is backed by simulation: the
-        # reported random block plus the PODEM tests must together
-        # detect every fault in the detected list
-        if report.detected:
-            simulator = FaultSimulator(net, backend)
-            still = list(report.detected)
-            if report.random_block is not None:
-                assignments, num = report.random_block
-                simulator.load_patterns(assignments, num)
-                still = simulator.run(still).undetected
-            if report.tests and still:
-                assignments, num = pack_tests(net.inputs, report.tests)
-                simulator.load_patterns(assignments, num)
-                still = simulator.run(still).undetected
-            assert not still, (seed, [str(f) for f in still])
-
-
-def test_generate_tests_drops_most_faults_without_podem():
-    net = random_network(1, num_inputs=7, num_gates=40, num_outputs=4)
-    report = generate_tests(net, max_backtracks=4000)
-    total = (
-        len(report.detected) + len(report.untestable) + len(report.undecided)
-    )
-    # the vectorized random pre-pass must carry most of the load: PODEM
-    # may only run for the residue it left behind
-    assert report.random_dropped > 0
-    assert report.podem_calls < total
-    assert report.podem_calls == total - report.random_dropped - report.sim_dropped
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_untestable_fault_count_matches_search_only(backend):
-    for seed in range(4):
-        net = random_network(seed, num_inputs=5, num_gates=12, num_outputs=2)
-        filtered = untestable_fault_count(
-            net, max_backtracks=4000, random_filter=True, backend=backend
-        )
-        baseline = untestable_fault_count(
-            net, max_backtracks=4000, random_filter=False
-        )
-        # with a generous budget both classify everything identically
-        assert filtered == baseline, seed

@@ -6,10 +6,6 @@ from hypothesis import strategies as st
 
 from repro.network.builder import NetworkBuilder
 from repro.network.netlist import Pin
-from repro.symmetry.reachability import (
-    and_or_implied_value,
-    xor_reachable,
-)
 from repro.symmetry.supergate import (
     SgClass,
     extract_supergates,
@@ -17,6 +13,7 @@ from repro.symmetry.supergate import (
 )
 
 from helpers import fig2_network, random_network
+from reachability import and_or_implied_value, xor_reachable
 
 
 def test_fig2_supergate():
