@@ -71,7 +71,6 @@ class FaultSimulator:
         self._compiled: CompiledNetwork | None = None
         self._state = None
         self._good: dict[int, int] = {}
-        self.num_patterns = 0
         self.mask = 0
 
     def load_patterns(
@@ -86,7 +85,6 @@ class FaultSimulator:
         self._compiled = compiled
         self._state = state
         self._good = {}
-        self.num_patterns = num_patterns
         self.mask = (1 << num_patterns) - 1
 
     def _good_word(self, index: int) -> int:
