@@ -22,6 +22,7 @@ from repro.rapids.moves import swap_sites
 from repro.sizing.coudert import optimize
 from repro.suite.flow import FlowConfig, prepare_benchmark
 from repro.symmetry.supergate import extract_supergates
+from repro.timing.sta import TimingEngine
 
 CIRCUIT = "s5378"
 
@@ -86,7 +87,11 @@ def test_swap_flavour_ablation(
     result = benchmark.pedantic(
         optimize,
         args=(network, placement, ablation_library),
-        kwargs={"site_factory": factory, "mode": f"gsg-{label}"},
+        kwargs={
+            "site_factory": factory,
+            "engine": TimingEngine(network, placement, ablation_library),
+            "mode": f"gsg-{label}",
+        },
         rounds=1, iterations=1,
     )
     print(f"\ngsg[{label}]: {result.improvement_percent:.2f}% "

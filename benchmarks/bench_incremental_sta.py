@@ -2,8 +2,8 @@
 
 Each quick-set circuit runs the combined gsg+GS optimizer twice from
 the same placed design: once with the historical rebuild-everything
-flow (a fresh ``TimingEngine`` plus full ``analyze()`` after every
-committed batch) and once with the incremental engine
+flow (a full ``analyze()`` of the engine after every committed
+batch) and once with the incremental engine
 (``apply_and_update`` re-propagates only through the affected region).
 
 Checked properties, per circuit:
@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from repro.rapids.engine import _gsg_gs_factory
+from repro.rapids.engine import SupergateCache, _gsg_gs_factory
 from repro.rapids.wirelength import reduce_wirelength
 from repro.sizing.coudert import optimize
 from repro.suite.flow import FlowConfig, prepare_benchmark
@@ -69,7 +69,9 @@ def test_incremental_sta_agrees_and_saves_work(name, library):
         placement = outcome.placement.copy()
         start = time.perf_counter()
         result = optimize(
-            net, placement, library, _gsg_gs_factory(library),
+            net, placement, library,
+            _gsg_gs_factory(library, SupergateCache(net)),
+            TimingEngine(net, placement, library),
             mode="gsg_gs", incremental=incremental,
         )
         runs[flavor] = {

@@ -5,7 +5,8 @@ through the Berkeley Logic Interchange Format.  The reader accepts the
 combinational subset (``.model``, ``.inputs``, ``.outputs``, ``.names``
 with arbitrary two-level covers, ``.latch`` is skipped with its output
 re-declared as a pseudo primary input, matching the paper's treatment
-of "sequential circuits ... with all sequential elements removed").
+of "sequential circuits ... with all sequential elements removed") and
+refuses anything else with an error naming the line.
 Arbitrary single-output covers are synthesized into OR-of-AND trees so
 any BLIF file becomes a gate network; the writer emits one ``.names``
 block per gate.
@@ -20,13 +21,17 @@ from .gatetype import GateType
 from .netlist import Network, NetworkError
 
 
-def _tokens(handle: TextIO) -> Iterable[list[str]]:
-    """Yield logical BLIF lines as token lists, folding continuations."""
+def _tokens(handle: TextIO) -> Iterable[tuple[int, list[str]]]:
+    """Yield ``(line number, tokens)`` per logical line; a line folded
+    from continuations carries the number of its first physical line."""
     pending = ""
-    for raw in handle:
+    start = 0
+    for number, raw in enumerate(handle, start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line:
             continue
+        if not pending:
+            start = number
         if line.endswith("\\"):
             pending += line[:-1] + " "
             continue
@@ -34,9 +39,9 @@ def _tokens(handle: TextIO) -> Iterable[list[str]]:
         pending = ""
         parts = full.split()
         if parts:
-            yield parts
+            yield start, parts
     if pending.strip():
-        yield pending.split()
+        yield start, pending.split()
 
 
 class _NamesBlock:
@@ -45,6 +50,25 @@ class _NamesBlock:
         self.output = signals[-1]
         self.cubes: list[tuple[str, str]] = []  # (input pattern, output bit)
 
+    def add_cube(self, parts: list[str]) -> str | None:
+        """Record one cover row; returns what is wrong with it, if anything."""
+        if not self.inputs and len(parts) == 1:
+            parts = ["", parts[0]]
+        if len(parts) != 2:
+            return f"expected an input pattern and an output bit, got {parts}"
+        pattern, bit = parts
+        width = len(self.inputs)
+        if len(pattern) != width:
+            return f"cube {pattern!r} has {len(pattern)} literals, not {width}"
+        if set(pattern) - set("01-"):
+            return f"cube {pattern!r} holds a character other than 0, 1, -"
+        if bit not in ("0", "1"):
+            return f"output bit {bit!r} is not 0 or 1"
+        if self.cubes and bit != self.cubes[0][1]:
+            return "cover mixes on-set and off-set rows"
+        self.cubes.append((pattern, bit))
+        return None
+
 
 def parse_blif(text: str, name: str | None = None) -> Network:
     """Parse BLIF *text* into a :class:`Network`."""
@@ -52,41 +76,51 @@ def parse_blif(text: str, name: str | None = None) -> Network:
 
 
 def read_blif(handle: TextIO, name: str | None = None) -> Network:
-    """Read a combinational BLIF model from a file object."""
+    """Read a combinational BLIF model from a file object.
+
+    Anything outside the supported subset (another directive, a line
+    outside a cover, a malformed cover row) raises :class:`NetworkError`
+    naming the line.
+    """
     model_name = name or "blif"
     inputs: list[str] = []
     outputs: list[str] = []
     blocks: list[_NamesBlock] = []
     latch_outputs: list[str] = []
     current: _NamesBlock | None = None
-    for parts in _tokens(handle):
+    for number, parts in _tokens(handle):
         key = parts[0]
+        problem = None
+        if key.startswith("."):
+            current = None  # every directive ends a cover
         if key == ".model":
             if len(parts) > 1 and name is None:
                 model_name = parts[1]
-            current = None
         elif key == ".inputs":
             inputs.extend(parts[1:])
-            current = None
         elif key == ".outputs":
             outputs.extend(parts[1:])
-            current = None
         elif key == ".names":
-            current = _NamesBlock(parts[1:])
-            blocks.append(current)
+            if len(parts) < 2:
+                problem = ".names declares no signals"
+            else:
+                current = _NamesBlock(parts[1:])
+                blocks.append(current)
         elif key == ".latch":
             # .latch input output [type clock] [init]
-            latch_outputs.append(parts[2])
-            current = None
-        elif key == ".end":
-            current = None
+            if len(parts) < 3:
+                problem = ".latch needs an input and an output"
+            else:
+                latch_outputs.append(parts[2])
         elif key.startswith("."):
-            current = None  # unsupported directive, skipped
-        elif current is not None:
-            if len(parts) == 2:
-                current.cubes.append((parts[0], parts[1]))
-            elif len(parts) == 1 and not current.inputs:
-                current.cubes.append(("", parts[0]))
+            if key != ".end":
+                problem = f"unsupported directive {key}"
+        elif current is None:
+            problem = f"{' '.join(parts)!r} is outside a .names cover"
+        else:
+            problem = current.add_cube(parts)
+        if problem is not None:
+            raise NetworkError(f"line {number}: {problem}")
     network = Network(model_name)
     for pi in inputs:
         network.add_input(pi)
@@ -108,27 +142,20 @@ def _synthesize_block(network: Network, block: _NamesBlock) -> None:
     if not block.cubes:
         network.add_gate(out, GateType.CONST0)
         return
-    out_bits = {bit for _, bit in block.cubes}
-    if out_bits == {"0"}:
-        # off-set cover: complement of the OR of the cubes
-        product_nets = [
-            _synthesize_cube(network, block.inputs, pattern, out)
-            for pattern, _ in block.cubes
-        ]
-        _reduce(network, out, GateType.NOR, GateType.INV, product_nets)
-        return
-    cubes = [(pattern, bit) for pattern, bit in block.cubes if bit == "1"]
-    if not block.inputs:
-        value = cubes[0][1] if cubes else "0"
-        network.add_gate(
-            out, GateType.CONST1 if value == "1" else GateType.CONST0
-        )
+    off_set = block.cubes[0][1] == "0"  # the reader refuses mixed covers
+    if not block.inputs and not off_set:
+        network.add_gate(out, GateType.CONST1)
         return
     product_nets = [
         _synthesize_cube(network, block.inputs, pattern, out)
-        for pattern, _ in cubes
+        for pattern, _ in block.cubes
     ]
-    _reduce(network, out, GateType.OR, GateType.BUF, product_nets)
+    single = len(product_nets) == 1
+    if off_set:  # complement of the OR of the cubes
+        gtype = GateType.INV if single else GateType.NOR
+    else:
+        gtype = GateType.BUF if single else GateType.OR
+    network.add_gate(out, gtype, product_nets)
 
 
 def _synthesize_cube(
@@ -161,19 +188,6 @@ def _inverted_net(network: Network, net: str) -> str:
     inv = network.fresh_name(f"{net}_n")
     network.add_gate(inv, GateType.INV, [net])
     return inv
-
-
-def _reduce(
-    network: Network,
-    out: str,
-    gtype: GateType,
-    single_type: GateType,
-    nets: list[str],
-) -> None:
-    if len(nets) == 1:
-        network.add_gate(out, single_type, nets)
-    else:
-        network.add_gate(out, gtype, nets)
 
 
 _COVER_WRITERS = {

@@ -349,44 +349,25 @@ class RapidsResult:
         return self.optimize.runtime_seconds
 
 
-def _cached_sgn(slot: list[SupergateCache | None], network: Network):
-    """Supergate partition for *network* through a one-slot cache.
-
-    The optimizer calls its site factory on the same live network
-    every round; the identity check guards against a caller reusing
-    one factory across designs.
-    """
-    cache = slot[0]
-    if cache is None or cache.network is not network:
-        cache = SupergateCache(network)
-        slot[0] = cache
-    return cache.get()
-
-
-def _gsg_factory(library: Library, include_inverting: bool = True):
-    slot: list[SupergateCache | None] = [None]
-
+def _gsg_factory(library: Library, supergates: SupergateCache):
     def factory(network: Network, engine: TimingEngine) -> list[Site]:
-        sgn = _cached_sgn(slot, network)
-        return swap_sites(
-            network, engine, sgn, include_inverting=include_inverting
-        )
+        return swap_sites(network, engine, supergates.get())
 
     return factory
 
 
-def _gs_factory(library: Library):
+def _gs_factory(library: Library, supergates: SupergateCache | None):
+    """Sizing sites only; *supergates* is unused (uniform signature)."""
+
     def factory(network: Network, engine: TimingEngine) -> list[Site]:
         return resize_sites(network, library)
 
     return factory
 
 
-def _gsg_gs_factory(library: Library):
-    slot: list[SupergateCache | None] = [None]
-
+def _gsg_gs_factory(library: Library, supergates: SupergateCache):
     def factory(network: Network, engine: TimingEngine) -> list[Site]:
-        sgn = _cached_sgn(slot, network)
+        sgn = supergates.get()
         sites = swap_sites(network, engine, sgn)
         nontrivial_gates = {
             name
@@ -464,6 +445,17 @@ def run_rapids(
             # redoing any work
             result = saved["result"]
         else:
+            # one timing engine and one supergate cache serve every
+            # stage: the optimizer keeps both current, and the polish
+            # continues from them
+            engine_state = saved and saved["engine_state"]
+            if engine_state is None:
+                engine = TimingEngine(network, placement, library)
+            else:
+                engine = engine_from_state(
+                    engine_state, network, placement, library
+                )
+            supergates = SupergateCache(network)
             if stage in ("wl", "wl_round"):
                 opt = saved["opt"]
             else:
@@ -471,7 +463,8 @@ def run_rapids(
                     network,
                     placement,
                     library,
-                    site_factory=_FACTORIES[config.mode](library),
+                    site_factory=_FACTORIES[config.mode](library, supergates),
+                    engine=engine,
                     mode=config.mode,
                     max_rounds=config.max_rounds,
                     batch_limit=config.batch_limit,
@@ -492,8 +485,9 @@ def run_rapids(
             wirelength = None
             if config.wl_passes > 0:
                 wirelength = _polish(
-                    network, placement, library, config, opt, manager,
+                    network, placement, config, opt, manager,
                     saved if stage == "wl_round" else None,
+                    engine, supergates,
                 )
             result = RapidsResult(
                 mode=config.mode,
@@ -523,26 +517,18 @@ def run_rapids(
             manager.uninstall()
 
 
-def _polish(network, placement, library, config, opt, manager, saved):
-    """:func:`run_rapids`' polish stage, resuming round payload *saved*;
-    calls go through module attributes, which wrappers may replace."""
+def _polish(network, placement, config, opt, manager, saved, engine,
+            supergates):
+    """:func:`run_rapids`' polish stage on the run's engine and cache,
+    resuming round payload *saved*; calls go through module attributes,
+    which wrappers may replace."""
     from . import partition, wirelength
 
-    wl_timing = None
-    if config.wl_timing_aware and saved is not None:
-        wl_timing = engine_from_state(
-            saved["engine_state"], network, placement, library
-        )
-    elif config.wl_timing_aware:
-        # the guard band is measured against the delay the optimizer
-        # just achieved: the gate's engine pins its target to this
-        # analysis' critical path
-        wl_timing = TimingEngine(network, placement, library)
-        wl_timing.analyze()
     shared = dict(
-        max_passes=config.wl_passes, timing_engine=wl_timing,
+        max_passes=config.wl_passes,
+        timing_engine=engine if config.wl_timing_aware else None,
         slack_margin=config.wl_slack_margin, checkpoint=manager,
-        resume_data=saved,
+        resume_data=saved, supergates=supergates,
     )
     if config.partition:
         result = partition.reduce_wirelength_partitioned(
@@ -556,13 +542,9 @@ def _polish(network, placement, library, config, opt, manager, saved):
     if result.swaps_applied or result.cross_swaps_applied:
         # the polish rewired nets after the optimizer's last STA:
         # re-time so the reported delay describes the returned netlist
-        # (area is untouched — these moves add no cells).  The guard
-        # engine tracked every commit incrementally (incremental ==
-        # fresh to 1e-9), so only the timing-blind path re-analyzes.
-        if wl_timing is None:
-            wl_timing = TimingEngine(network, placement, library)
-            wl_timing.analyze()
-        else:
-            wl_timing.refresh()
-        opt.final_delay = wl_timing.max_delay
+        # (area is untouched — these moves add no cells).  A timing-
+        # aware polish already refolded every commit, so this refresh
+        # only does work after a timing-blind one.
+        engine.refresh()
+        opt.final_delay = engine.max_delay
     return result

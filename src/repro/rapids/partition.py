@@ -51,6 +51,7 @@ from ..place.hpwl import WirelengthEngine
 from ..place.placement import Placement
 from ..place.regions import RegionSet, carve_regions
 from ..timing.sta import TimingEngine
+from .engine import SupergateCache
 from .wirelength import (
     GateCounters,
     WirelengthResult,
@@ -166,6 +167,7 @@ def reduce_wirelength_partitioned(
     carve_seed: int = 0,
     checkpoint=None,
     resume_data: dict | None = None,
+    supergates: SupergateCache | None = None,
 ) -> PartitionedResult:
     """Region-bounded wirelength rewiring (see module docstring).
 
@@ -191,6 +193,9 @@ def reduce_wirelength_partitioned(
     payload as *resume_data*; the run re-enters the interrupted pass
     mid-flight with the saved carve, counters and slack-gate
     statistics, and finishes bit-identically to the uninterrupted run.
+
+    *supergates* is a :class:`~repro.rapids.engine.SupergateCache` on
+    *network* to refresh instead of building one.
     """
     gate = (
         _TimingGate(timing_engine, slack_margin)
@@ -200,6 +205,7 @@ def reduce_wirelength_partitioned(
         network, placement, gate, max_passes,
         max_gates=max_gates, carve_seed=carve_seed, workers=workers,
         checkpoint=checkpoint, resume_data=resume_data,
+        supergates=supergates,
     )
 
 
@@ -213,6 +219,7 @@ def polish_rounds(
     workers: int = 1,
     checkpoint=None,
     resume_data: dict | None = None,
+    supergates: SupergateCache | None = None,
 ) -> PartitionedResult:
     """The batched polish's pass/round loop, carved or not.
 
@@ -225,11 +232,10 @@ def polish_rounds(
     :func:`reduce_wirelength_partitioned`, with *gate* wrapping its
     *timing_engine*.
     """
-    from .engine import SupergateCache
-
     placement.ensure_covered(network)
     engine = WirelengthEngine(network, placement)
-    cache = SupergateCache(network)
+    if supergates is None:
+        supergates = SupergateCache(network)
     if resume_data is not None:
         state = resume_data["polish"]
         if gate is not None:
@@ -265,7 +271,7 @@ def polish_rounds(
 
     mid_pass = resume_data is not None
     while result.passes < max_passes or mid_pass:
-        sgn = cache.get()
+        sgn = supergates.get()
         if mid_pass:
             mid_pass = False
         else:

@@ -23,7 +23,7 @@ events into subscribed engines; see ``docs/architecture.md``):
   non-inverting leaf swaps preserve the supergate partition, so the
   pin-pair set stays valid and only the driving nets need re-reading.
   Supergates are refreshed *incrementally* between passes through the
-  :class:`~repro.rapids.engine.SupergateCache`.
+  caller's :class:`~repro.rapids.engine.SupergateCache` or a new one.
 * **greedy** (the reference): the historical interpreted trajectory —
   supergates re-extracted per pass, candidates priced and applied one
   at a time in enumeration order.  Deltas are bit-identical to the
@@ -254,6 +254,7 @@ def reduce_wirelength(
     slack_margin: float = 0.0,
     checkpoint=None,
     resume_data: dict | None = None,
+    supergates: "SupergateCache | None" = None,
 ) -> WirelengthResult:
     """Shorten estimated wiring by symmetry-based rewiring.
 
@@ -264,7 +265,8 @@ def reduce_wirelength(
     docstring); ``batched=False`` runs the serial greedy reference.
     The batched path checkpoints and resumes per round exactly like
     :func:`repro.rapids.partition.reduce_wirelength_partitioned`
-    (*checkpoint*, *resume_data*); the greedy reference ignores both.
+    (*checkpoint*, *resume_data*, *supergates*); the greedy reference
+    ignores all three.
 
     With *timing_engine* every commit is additionally gated on its
     projected slack neighborhood staying above *slack_margin* (ns)
@@ -285,6 +287,7 @@ def reduce_wirelength(
     result = polish_rounds(
         network, placement, gate, max_passes,
         checkpoint=checkpoint, resume_data=resume_data,
+        supergates=supergates,
     )
     return WirelengthResult(**{
         spec.name: getattr(result, spec.name)

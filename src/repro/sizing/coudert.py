@@ -20,12 +20,12 @@ supergate with its set of legal pin swaps):
 The loop keeps a snapshot of the best (network, placement) seen and
 restores it at the end, so results are monotone in the reported metric.
 
-One :class:`~repro.timing.sta.TimingEngine` stays alive across both
-phases, all rounds and area recovery: after each committed batch the
-engine incrementally re-propagates timing through the affected region
-(``engine.apply_and_update``) instead of rebuilding every star net and
-re-running full STA.  ``incremental=False`` restores the historical
-rebuild-everything behaviour for A/B benchmarking
+The caller's :class:`~repro.timing.sta.TimingEngine` stays alive across
+both phases, all rounds and area recovery: after each committed batch
+it re-propagates timing through the affected region only
+(``engine.apply_and_update``).  ``incremental=False`` re-analyzes the
+same engine in full after every batch instead, the historical
+behaviour kept for A/B benchmarking
 (``benchmarks/bench_incremental_sta.py``).
 """
 
@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from ..checkpoint import engine_from_state, stage_payload
+from ..checkpoint import stage_payload
 from ..contracts import projection_only
 from ..library.cells import Library
 from ..network import events
@@ -185,6 +185,7 @@ def optimize(
     placement: Placement,
     library: Library,
     site_factory: SiteFactory,
+    engine: TimingEngine,
     mode: str = "custom",
     max_rounds: int = 12,
     batch_limit: int = 64,
@@ -196,11 +197,13 @@ def optimize(
 ) -> OptimizeResult:
     """Run the two-phase loop; mutates *network* (and placement) in place.
 
+    *engine* is a :class:`TimingEngine` on *network*/*placement*, new
+    or analyzed; the run keeps it current to the end.
     *site_factory* is re-invoked after every committed batch because
     moves can restructure the network (swaps insert inverters).  With
-    *incremental* (the default) a single timing engine survives the
-    whole run and committed batches propagate through it locally;
-    ``incremental=False`` rebuilds a fresh engine after every batch.
+    *incremental* (the default) committed batches propagate through
+    the engine locally; ``incremental=False`` re-analyzes it in full
+    after every batch.
 
     *batch_limit* caps moves per committed batch.
 
@@ -208,27 +211,20 @@ def optimize(
     enables round-boundary saves; *resume_data* is a previously saved
     ``"optimize"``-stage payload whose netlist the caller has already
     grafted into *network*/*placement*
-    (:func:`repro.checkpoint.graft_state`).  The run rebuilds its engine
-    from the payload and re-enters the loop with the saved
-    :class:`OptimizeState`, yielding a result identical to the
-    uninterrupted run.
+    (:func:`repro.checkpoint.graft_state`) and whose engine state it
+    has turned into *engine* (:func:`repro.checkpoint.engine_from_state`).
+    The run re-enters the loop with the saved :class:`OptimizeState`,
+    yielding a result identical to the uninterrupted run.
     """
     from ..synth.mapper import network_area
 
     if isinstance(batch_limit, bool) or not isinstance(batch_limit, int):
         raise ValueError(f"batch_limit must be an int, got {batch_limit!r}")
     start = time.perf_counter()
+    engine.refresh()
     if resume_data is not None:
-        # adopt the saved engine caches verbatim: timing resumed from
-        # them prices bit-identically to the engine the interrupted run
-        # carried into this round (a freshly analysed one included)
-        engine = engine_from_state(
-            resume_data["engine_state"], network, placement, library
-        )
         state = resume_data["optimize"]
     else:
-        engine = TimingEngine(network, placement, library)
-        engine.analyze()
         initial_area = network_area(network, library)
         state = OptimizeState(
             result=OptimizeResult(
@@ -249,7 +245,7 @@ def optimize(
             metric="min", batch_limit=batch_limit, epsilon=epsilon,
             result=result, collect_log=collect_log,
         )
-        engine = _refreshed(engine, incremental)
+        _retime(engine, incremental)
         if engine.max_delay < state.best_delay - epsilon:
             state.best_delay = engine.max_delay
             state.best = _snapshot(network, placement)
@@ -258,7 +254,7 @@ def optimize(
             metric="sum", batch_limit=batch_limit, epsilon=epsilon,
             result=result, collect_log=collect_log,
         )
-        engine = _refreshed(engine, incremental)
+        _retime(engine, incremental)
         if engine.max_delay < state.best_delay - epsilon:
             state.best_delay = engine.max_delay
             state.best = _snapshot(network, placement)
@@ -275,15 +271,15 @@ def optimize(
                 network, placement, engine, optimize=state,
             ))
     _restore(network, placement, state.best)
-    engine = _refreshed(engine, incremental)
-    engine = _area_recovery(
+    _retime(engine, incremental)
+    _area_recovery(
         network, placement, library, engine, site_factory,
         state.best_delay, epsilon, result, incremental=incremental,
     )
     from ..network.transform import sweep
 
     sweep(network)
-    engine = _refreshed(engine, incremental)
+    _retime(engine, incremental)
     result.final_delay = engine.max_delay
     result.final_area = network_area(network, library)
     result.runtime_seconds = time.perf_counter() - start
@@ -291,24 +287,17 @@ def optimize(
     return result
 
 
-def _refreshed(engine: TimingEngine, incremental: bool) -> TimingEngine:
-    """Up-to-date engine after a committed batch.
+def _retime(engine: TimingEngine, incremental: bool) -> None:
+    """Bring *engine* up to date after a committed batch.
 
-    Incremental mode updates the live engine in place; the baseline
-    mode rebuilds one from scratch (the historical full-STA-per-round
-    behaviour), carrying the work counters across so A/B benchmarks
-    compare total timing-update work.
+    Incremental mode propagates what changed; the baseline mode re-runs
+    a full analysis (the historical full-STA-per-round behaviour), so
+    A/B benchmarks compare total timing-update work on one engine.
     """
     if incremental:
         engine.refresh()
-        return engine
-    fresh = TimingEngine(
-        engine.network, engine.placement, engine.library,
-        period=engine.period,
-    )
-    fresh.stats = engine.stats
-    fresh.analyze()
-    return fresh
+    else:
+        engine.analyze()
 
 
 def _area_recovery(
@@ -322,7 +311,7 @@ def _area_recovery(
     result: OptimizeResult,
     incremental: bool = True,
     max_rounds: int = 6,
-) -> TimingEngine:
+) -> None:
     """Downsize/simplify wherever it is free (Coudert's area recovery).
 
     Takes the largest-area-saving move per site whose projected
@@ -332,7 +321,7 @@ def _area_recovery(
     """
     slack_floor = -1e-9
     for _ in range(max_rounds):
-        engine = _refreshed(engine, incremental)
+        _retime(engine, incremental)
         sites = site_factory(network, engine)
         candidates: list[tuple[float, int, Move]] = []
         for order, site in enumerate(sites):
@@ -353,7 +342,7 @@ def _area_recovery(
             if best_move is not None:
                 candidates.append((best_area, order, best_move))
         if not candidates:
-            return engine
+            return
         candidates.sort(key=lambda item: (item[0], item[1]))
         snapshot = _snapshot(network, placement)
         touched: set[str] = set()
@@ -366,13 +355,13 @@ def _area_recovery(
             touched |= footprint
             applied += 1
         if not applied:
-            return engine
-        engine = _refreshed(engine, incremental)
+            return
+        _retime(engine, incremental)
         if engine.max_delay > best_delay + 1e-6:
             _restore(network, placement, snapshot)
-            return _refreshed(engine, incremental)
+            _retime(engine, incremental)
+            return
         result.moves_applied += applied
-    return engine
 
 
 def _phase(
@@ -389,9 +378,9 @@ def _phase(
 ) -> int:
     """One greedy batch of the given metric; returns moves applied.
 
-    Per-site candidate selection is :func:`best_phase_move`.
+    Per-site candidate selection is :func:`best_phase_move`.  *engine*
+    is up to date: :func:`optimize` refreshes it before every phase.
     """
-    engine.refresh()
     sites = site_factory(network, engine)
     selections = [
         best_phase_move(site, engine, library, metric, epsilon)

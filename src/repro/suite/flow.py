@@ -156,8 +156,9 @@ def trajectory_fingerprint(
     """Digest of one benchmark's whole flow trajectory.
 
     Hashes the prepared netlist (gates, types, fanins, cell bindings),
-    the placement coordinates and every mode's optimization outcome
-    (moves applied, final delay/area).  Two processes running the same
+    the placement coordinates, every mode's optimization outcome
+    (moves applied, final delay/area) and its wirelength polish (final
+    HPWL, leaf and cross swaps applied).  Two processes running the same
     flow must produce the same fingerprint regardless of
     ``PYTHONHASHSEED`` — the determinism contract
     ``tests/test_determinism.py`` and the CI hash-seed matrix enforce.
@@ -182,6 +183,12 @@ def trajectory_fingerprint(
             f"{mode}:{result.moves_applied}:{result.final_delay:.12f}:"
             f"{result.final_area:.9f}".encode()
         )
+        polish = outcome.results[mode].wirelength
+        if polish is not None:
+            digest.update(
+                f"{mode}:wl:{polish.final_hpwl:.9f}:{polish.swaps_applied}:"
+                f"{polish.cross_swaps_applied}".encode()
+            )
     return digest.hexdigest()
 
 

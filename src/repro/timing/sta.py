@@ -625,10 +625,8 @@ class TimingEngine:
 
     def refresh(self) -> None:
         """Bring cached timing up to date, incrementally when possible."""
-        if self._needs_full or self._analyzed_version < 0:
-            self.analyze()
-        elif (
-            not self.is_fresh()
+        if (
+            self._needs_full or not self.is_fresh()
             or self._dirty_stars or self._dirty_gates or self._dead
         ):
             self.apply_and_update()

@@ -373,10 +373,11 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
     tmp_path, monkeypatch
 ):
     network, placement, library = _placed_design(13, num_gates=60)
-    factory = _gs_factory(library)
+    factory = _gs_factory(library, None)
     plain_net, plain_pl = network.copy(), placement.copy()
     plain = optimize(
-        plain_net, plain_pl, library, factory, collect_log=True
+        plain_net, plain_pl, library, factory,
+        TimingEngine(plain_net, plain_pl, library), collect_log=True,
     )
     assert plain.moves_applied > 0
 
@@ -388,6 +389,7 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
         with pytest.raises(RunInterrupted):
             optimize(
                 int_net, int_pl, library, factory,
+                TimingEngine(int_net, int_pl, library),
                 collect_log=True, checkpoint=manager,
             )
     finally:
@@ -400,6 +402,7 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
     graft_state(payload["network"], payload["placement"], res_net, res_pl)
     resumed = optimize(
         res_net, res_pl, library, factory,
+        engine_from_state(payload["engine_state"], res_net, res_pl, library),
         collect_log=True, resume_data=payload,
     )
     assert resumed.move_log == plain.move_log
@@ -420,21 +423,24 @@ def test_full_sta_optimize_interrupted_and_resumed_matches_uninterrupted(
     rebuild as the incremental one: its engine at a round boundary is
     a fresh analysis, which the saved state reproduces exactly."""
     network, placement, library = _placed_design(13, num_gates=60)
-    factory = _gs_factory(library)
+    factory = _gs_factory(library, None)
     plain_net, plain_pl = network.copy(), placement.copy()
     plain = optimize(
-        plain_net, plain_pl, library, factory, collect_log=True,
+        plain_net, plain_pl, library, factory,
+        TimingEngine(plain_net, plain_pl, library), collect_log=True,
         incremental=False,
     )
     assert plain.rounds > 1
 
     manager = CheckpointManager(str(tmp_path / "run.ckpt"))
     manager.install()
+    int_net, int_pl = network.copy(), placement.copy()
     _sigterm_at(monkeypatch, 1)
     try:
         with pytest.raises(RunInterrupted):
             optimize(
-                network.copy(), placement.copy(), library, factory,
+                int_net, int_pl, library, factory,
+                TimingEngine(int_net, int_pl, library),
                 collect_log=True, incremental=False, checkpoint=manager,
             )
     finally:
@@ -446,8 +452,9 @@ def test_full_sta_optimize_interrupted_and_resumed_matches_uninterrupted(
     res_net, res_pl = network.copy(), placement.copy()
     graft_state(payload["network"], payload["placement"], res_net, res_pl)
     resumed = optimize(
-        res_net, res_pl, library, factory, collect_log=True,
-        incremental=False, resume_data=payload,
+        res_net, res_pl, library, factory,
+        engine_from_state(payload["engine_state"], res_net, res_pl, library),
+        collect_log=True, incremental=False, resume_data=payload,
     )
     assert resumed.move_log == plain.move_log
     assert resumed.final_delay == plain.final_delay
@@ -512,6 +519,84 @@ def test_run_rapids_resumes_identically_from_every_boundary(
         checkpoint=path, resume=True, **kwargs,
     )
     assert _result_fingerprint(done_net, done) == reference
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count timing engines built, full analyses and supergate caches
+    built from now on (the counts live in the returned dict)."""
+    from repro.rapids.engine import SupergateCache
+
+    counts = dict.fromkeys(("engines", "analyses", "caches"), 0)
+    for owner, attr, key in (
+        (TimingEngine, "__init__", "engines"),
+        (TimingEngine, "analyze", "analyses"),
+        (SupergateCache, "__init__", "caches"),
+    ):
+        def counted(*args, _original=getattr(owner, attr), _key=key,
+                    **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["gsg_gs", "gs"])
+@pytest.mark.parametrize("timing_aware", [True, False])
+@pytest.mark.parametrize("partition", [True, False])
+def test_run_rapids_builds_one_engine_and_one_cache(
+    monkeypatch, mode, timing_aware, partition
+):
+    """The optimizer and the polish share the run's engine and cache:
+    one engine, one full analysis and one cache per fresh run."""
+    network, placement, library = _placed_design(9, num_gates=120)
+    counts = _count_builds(monkeypatch)
+    result = run_rapids(
+        network, placement, library, mode=mode, max_rounds=3,
+        wl_passes=2, wl_timing_aware=timing_aware, partition=partition,
+        partition_max_gates=60,
+    )
+    # the polish committed, so the netlist was re-timed after it
+    assert result.wirelength.swaps_applied > 0
+    assert counts == {"engines": 1, "analyses": 1, "caches": 1}
+
+
+@pytest.mark.parametrize("timing_aware", [True, False])
+def test_run_rapids_resume_builds_one_engine(
+    tmp_path, monkeypatch, timing_aware
+):
+    """A resume from any boundary with work left builds the run's one
+    engine and one cache; a finished checkpoint builds neither."""
+    network, placement, library = _placed_design(9, num_gates=120)
+    path = str(tmp_path / "run.ckpt")
+    kwargs = dict(
+        mode="gsg_gs", max_rounds=3, wl_passes=2,
+        wl_timing_aware=timing_aware,
+    )
+    stages = []
+    for index in range(1, 21):
+        if os.path.exists(path):
+            os.unlink(path)
+        _sigterm_at(monkeypatch, index)
+        try:
+            run_rapids(
+                network.copy(), placement.copy(), library,
+                checkpoint=path, **kwargs,
+            )
+            break
+        except RunInterrupted as interrupt:
+            stages.append(interrupt.stage)
+        finally:
+            monkeypatch.delenv(FAULT_PLAN_ENV)
+        with monkeypatch.context() as patch:
+            counts = _count_builds(patch)
+            run_rapids(
+                network.copy(), placement.copy(), library,
+                checkpoint=path, resume=True, **kwargs,
+            )
+        built = 0 if stages[-1] == "done" else 1
+        assert counts["engines"] == counts["caches"] == built, stages[-1]
+        assert counts["analyses"] <= built, stages[-1]
+    assert {"optimize", "wl", "wl_round", "done"} <= set(stages)
 
 
 def test_sigterm_during_the_unpartitioned_polish_unwinds_and_resumes(

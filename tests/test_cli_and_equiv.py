@@ -148,7 +148,17 @@ def test_cli_symmetries_on_bench(tmp_path, capsys):
     ("no_outputs.blif", ".model m\n.inputs a\n.end\n",
      "netlist has no primary outputs"),
     ("binary.blif", b"\xff\xfe\x00", "can't decode byte 0xff"),
-], ids=["verilog", "missing", "undefined-net", "no-outputs", "binary"])
+    # both used to parse: the stray line was skipped, and .gate left
+    # its output undefined
+    ("stray.blif",
+     ".model m\n.inputs a b\n.outputs y\nthis is not blif\n"
+     ".names a b y\n11 1\n.end\n",
+     "line 4: 'this is not blif' is outside a .names cover"),
+    ("mapped.blif",
+     ".model m\n.inputs a b\n.outputs y\n.gate AND2 A=a B=b Y=y\n.end\n",
+     "line 4: unsupported directive .gate"),
+], ids=["verilog", "missing", "undefined-net", "no-outputs", "binary",
+        "stray-line", "gate"])
 def test_cli_symmetries_refuses_bad_input(tmp_path, capsys, name, text,
                                           problem):
     path = tmp_path / name

@@ -53,16 +53,17 @@ def test_flow_fingerprint_independent_of_hash_seed():
     )
 
 
-# Golden optimizer trajectories.  Pricing caches must reproduce the
+# Golden flow trajectories.  Pricing caches must reproduce the
 # uncached estimator float for float, so any change to what the
-# optimizer prices, selects or commits moves one of these digests.
+# optimizer or the wirelength polish prices, selects or commits moves
+# one of these digests.
 GOLDEN_TRAJECTORIES = [
     (
         "alu2",
         dict(scale=0.08, max_rounds=2, anneal_moves=1500),
-        "5f20337ded04afa0f6e134a60847feaa",
+        "fed43756d3c68dc10dd4a68d4aba9079",
     ),
-    ("s5378", dict(scale=0.08), "003dd1f02eece4771b5e7a879c3369ec"),
+    ("s5378", dict(scale=0.08), "6c0ab8b47d62219eb7a407040a36529d"),
 ]
 
 

@@ -106,6 +106,44 @@ def test_blif_continuation_lines():
     assert net.inputs == ["a", "b"]
 
 
+_HEADER = ".model m\n.inputs a b\n.outputs f\n"
+
+
+@pytest.mark.parametrize("text, problem", [
+    (_HEADER + "this is not blif\n.names a b f\n11 1\n",
+     "line 4: 'this is not blif' is outside a .names cover"),
+    (_HEADER + ".gate AND2 A=a B=b Y=f\n", "line 4: unsupported directive .gate"),
+    (_HEADER + ".subckt and2 x=a y=b z=f\n",
+     "line 4: unsupported directive .subckt"),
+    (_HEADER + ".names\n", "line 4: .names declares no signals"),
+    (_HEADER + ".latch f\n", "line 4: .latch needs an input and an output"),
+    (_HEADER + ".names a b f\n1 1\n", "line 5: cube '1' has 1 literals"),
+    (_HEADER + ".names a b f\n111 1\n", "line 5: cube '111' has 3 literals"),
+    (_HEADER + ".names a b f\n1x 1\n", "line 5: cube '1x' holds a character"),
+    (_HEADER + ".names a b f\n11 2\n", "line 5: output bit '2' is not 0 or 1"),
+    (_HEADER + ".names a b f\n11\n", "line 5: expected an input pattern"),
+    (_HEADER + ".names a b f\n11 1\n00 0\n",
+     "line 6: cover mixes on-set and off-set rows"),
+], ids=[
+    "stray-line", "gate", "subckt", "empty-names", "short-latch",
+    "short-cube", "long-cube", "bad-literal", "bad-output-bit",
+    "no-output-bit", "mixed-cover",
+])
+def test_blif_rejects_garbage(text, problem):
+    with pytest.raises(NetworkError) as error:
+        parse_blif(text)
+    assert str(error.value).startswith(problem)
+
+
+def test_blif_error_names_the_first_line_of_a_continued_line():
+    text = ".model m\n.inputs a \\\nb\n.outputs f\n.latch \\\nf\n"
+    with pytest.raises(NetworkError, match="^line 5: .latch needs"):
+        parse_blif(text)
+    text = ".model m\n.gate AND2 \\\nA=a\n"
+    with pytest.raises(NetworkError, match="^line 2: unsupported directive"):
+        parse_blif(text)
+
+
 def test_bench_dff_stripped():
     text = """
 INPUT(a)

@@ -6,6 +6,7 @@ from repro.place.placer import place
 from repro.sizing.coudert import network_delay, optimize
 from repro.sizing.moves import ResizeMove, resize_sites
 from repro.synth.mapper import map_network, network_area
+from repro.timing.sta import TimingEngine
 from repro.verify.equiv import networks_equivalent
 
 from helpers import random_network
@@ -49,6 +50,7 @@ def test_optimize_never_worsens_delay(library):
         result = optimize(
             net, placement, library,
             site_factory=lambda n, e: resize_sites(n, library),
+            engine=TimingEngine(net, placement, library),
             mode="gs",
         )
         after = network_delay(net, placement, library)
@@ -63,6 +65,7 @@ def test_improvement_percent_math(library):
     result = optimize(
         net, placement, library,
         site_factory=lambda n, e: resize_sites(n, library),
+        engine=TimingEngine(net, placement, library),
         mode="gs",
     )
     expect = 100.0 * (
@@ -78,6 +81,7 @@ def test_empty_site_factory_is_noop(library):
     result = optimize(
         net, placement, library,
         site_factory=lambda n, e: [],
+        engine=TimingEngine(net, placement, library),
         mode="noop",
     )
     assert result.moves_applied == 0
@@ -89,6 +93,7 @@ def test_collect_log(library):
     result = optimize(
         net, placement, library,
         site_factory=lambda n, e: resize_sites(n, library),
+        engine=TimingEngine(net, placement, library),
         collect_log=True,
     )
     if result.moves_applied:
@@ -112,6 +117,7 @@ def test_area_recovery_shrinks_oversized_designs(library):
     optimize(
         net, placement, library,
         site_factory=lambda n, e: resize_sites(n, library),
+        engine=TimingEngine(net, placement, library),
         mode="gs",
     )
     assert network_area(net, library) < inflated * 0.85
