@@ -1,28 +1,20 @@
 """Compiled simulation core vs. the interpreted reference walker.
 
-Three evaluators sweep identical pattern blocks over the quick-set
+Two evaluators sweep identical pattern blocks over the quick-set
 circuits:
 
 * **legacy** — ``repro.logic.simulate.simulate``: the historical
   per-call interpreted walker (dict lookups, per-gate list building,
   64-bit words per pass), the hot path everything used before the
   simcore refactor;
-* **bigint** — the simcore reference backend: the same arbitrary-
-  precision word algebra, but running over the compiled topo-ordered
-  index arrays with whole multi-word blocks per sweep;
-* **numpy** — the vectorized backend: ``uint64``-packed blocks with
-  level-packed evaluation (all same-op gates of a level in one ufunc
-  call).
+* **compiled** — :class:`repro.logic.simcore.SimEngine`: the same
+  arbitrary-precision word algebra, but running over the compiled
+  topo-ordered index arrays with whole multi-word blocks per sweep.
 
-Acceptance floor (ISSUE 2): the numpy backend must deliver >= 5x the
-aggregate throughput (net-patterns evaluated per second) of the
-interpreted bigint reference on the quick circuit set.  Both compiled
-backends clear it by an order of magnitude at the 4096-pattern block
-size fault simulation and equivalence filtering use; the printout also
-records the honest fine print — on deep, narrow control logic the
-compiled *bigint* backend beats numpy (CPython's big-int bitwise ops
-are C loops over limbs with less dispatch overhead than small-row
-ufuncs), while numpy wins on wide shallow XOR circuits like c499.
+Acceptance floor: the compiled sweep must deliver >= 5x the aggregate
+throughput (net-patterns evaluated per second) of the interpreted
+walker on the quick circuit set, at the 4096-pattern block size fault
+simulation and equivalence filtering use.
 
 The second table times the end-to-end consumer: a full
 ``networks_equivalent`` verification pass against the pre-refactor
@@ -53,16 +45,13 @@ from bench_helpers import QUICK_SET
 
 #: Patterns per sweep for the throughput comparison (64 words).
 BLOCK = 4096
-#: ISSUE 2 acceptance floor: numpy aggregate vs. interpreted reference.
-MIN_NUMPY_SPEEDUP = 5.0
+#: Acceptance floor: compiled aggregate vs. interpreted reference.
+MIN_COMPILED_SPEEDUP = 5.0
 
 #: circuit -> {evaluator: net-patterns per second}
 _THROUGHPUT: dict[str, dict[str, float]] = {}
 
-_HEADER = (
-    f"{'ckt':<8}{'gates':>6}{'legacy':>12}{'bigint':>12}{'numpy':>12}"
-    f"{'np/legacy':>11}{'np/bigint':>11}"
-)
+_HEADER = f"{'ckt':<8}{'gates':>6}{'legacy':>12}{'compiled':>12}{'speedup':>9}"
 
 
 def _mapped(name):
@@ -74,7 +63,7 @@ def _mapped(name):
 
 
 def _time(fn, min_seconds=0.2):
-    fn()  # warm caches (compiled form, numpy plan)
+    fn()  # warm caches (compiled form)
     reps = 0
     start = time.perf_counter()
     while True:
@@ -100,43 +89,37 @@ def test_throughput_and_agreement(name):
     rates = {"legacy": gates * BLOCK / _time(legacy_sweep)}
     reference = simulate(network, assignments, mask)
 
-    for backend in ("bigint", "numpy"):
-        engine = SimEngine(network, backend)
-        rates[backend] = gates * BLOCK / _time(
-            lambda: engine.set_patterns(assignments, BLOCK)
-        )
-        # identical results across evaluators, bit for bit
-        assert engine.words() == reference, (name, backend)
+    engine = SimEngine(network)
+    rates["compiled"] = gates * BLOCK / _time(
+        lambda: engine.set_patterns(assignments, BLOCK)
+    )
+    # identical results across evaluators, bit for bit
+    assert engine.words() == reference, name
 
     _THROUGHPUT[name] = rates
     print()
     print(_HEADER)
-    numpy_rate = rates["numpy"]
     print(
         f"{name:<8}{gates:>6d}"
-        f"{rates['legacy'] / 1e6:>10.1f}Mp{rates['bigint'] / 1e6:>10.1f}Mp"
-        f"{numpy_rate / 1e6:>10.1f}Mp"
-        f"{numpy_rate / rates['legacy']:>10.1f}x"
-        f"{numpy_rate / rates['bigint']:>10.2f}x"
+        f"{rates['legacy'] / 1e6:>10.1f}Mp{rates['compiled'] / 1e6:>10.1f}Mp"
+        f"{rates['compiled'] / rates['legacy']:>8.1f}x"
     )
 
 
-def test_numpy_aggregate_speedup():
+def test_compiled_aggregate_speedup():
     """The acceptance criterion: >= 5x net-patterns/s over the reference."""
     if not _THROUGHPUT:
         pytest.skip("per-circuit benches were deselected")
     # aggregate = total work / total time, i.e. harmonic weighting
     legacy_time = sum(1.0 / r["legacy"] for r in _THROUGHPUT.values())
-    numpy_time = sum(1.0 / r["numpy"] for r in _THROUGHPUT.values())
-    bigint_time = sum(1.0 / r["bigint"] for r in _THROUGHPUT.values())
-    speedup = legacy_time / numpy_time
+    compiled_time = sum(1.0 / r["compiled"] for r in _THROUGHPUT.values())
+    speedup = legacy_time / compiled_time
     print(
         f"\naggregate over {sorted(_THROUGHPUT)}: "
-        f"numpy {speedup:.1f}x vs interpreted reference "
-        f"(compiled bigint: {legacy_time / bigint_time:.1f}x)"
+        f"compiled {speedup:.1f}x vs interpreted reference"
     )
-    assert speedup >= MIN_NUMPY_SPEEDUP, (
-        f"numpy backend delivered only {speedup:.2f}x aggregate throughput"
+    assert speedup >= MIN_COMPILED_SPEEDUP, (
+        f"compiled sweep delivered only {speedup:.2f}x aggregate throughput"
     )
 
 

@@ -1,8 +1,9 @@
 """Interpreted vs engine-batched wirelength rewiring — Section 5 at speed.
 
 Each quick-set circuit is prepared once (generate → map → place); its
-first-pass leaf-swap candidate set then feeds the exact unit PR 4
-vectorized: price every candidate's HPWL delta.  That unit runs twice —
+first-pass leaf-swap candidate set then feeds the unit the wirelength
+engine exists for: price every candidate's HPWL delta.  That unit runs
+twice —
 
 * **interpreted** — the historical loop replicated verbatim: trial
   apply on the live network, two ``net_hpwl`` terminal walks, revert

@@ -5,7 +5,7 @@ The timing-blind Section-5 polish accepts any symmetric swap that
 shortens estimated wiring — including swaps that stretch a wire on the
 critical path.  The timing-aware polish (the Table-1 default since
 ``wl_passes=1``) prices every candidate twice: its HPWL delta against
-the vectorized wirelength engine *and* its projected slack
+the incremental wirelength engine *and* its projected slack
 neighborhood against the incremental STA engine
 (``TimingEngine.project_swap_slacks``).  A swap is committed only when
 the wiring improves and every projected slack stays inside the guard

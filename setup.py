@@ -18,7 +18,7 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy"],
+    install_requires=[],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },

@@ -27,15 +27,14 @@ def _randomly_detected(
     fault: Fault,
     width: int = 64,
     rounds: int = 2,
-    backend: str = "auto",
 ) -> bool:
-    """One vectorized random block: does it already detect the fault?"""
+    """One bit-parallel random block: does it already detect the fault?"""
     if not network.inputs:
         return False
     assignments, num_patterns = random_pattern_block(
         network.inputs, width=width, rounds=rounds
     )
-    simulator = FaultSimulator(network, backend)
+    simulator = FaultSimulator(network)
     simulator.load_patterns(assignments, num_patterns)
     return bool(simulator.detecting_patterns(fault))
 
@@ -45,7 +44,6 @@ def prove_branch_redundant(
     pin: Pin,
     stuck_at: int,
     max_backtracks: int = 20000,
-    backend: str = "auto",
 ) -> bool | None:
     """Is the branch feeding *pin* stuck-at-*stuck_at* untestable?
 
@@ -54,7 +52,7 @@ def prove_branch_redundant(
     """
     net = network.fanin_net(pin)
     fault = Fault(net=net, stuck_at=stuck_at, pin=pin)
-    if _randomly_detected(network, fault, backend=backend):
+    if _randomly_detected(network, fault):
         return False
     result = find_test(
         network, fault=fault, max_backtracks=max_backtracks

@@ -88,7 +88,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         print(outcome.row.format())
         sys.stdout.flush()
 
-    run_suite(names, args.config, progress=progress)
+    outcomes = run_suite(names, args.config, progress=progress)
     avg = averages(rows)
     print(
         f"{'ave.':<10}{'':>7}{'':>7}"
@@ -106,7 +106,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         f"{PAPER_AVERAGES['gsg_gs_area_percent']:.1f}"
         f"  cov {PAPER_AVERAGES['coverage_percent']:.1f}"
     )
-    return 0
+    return max([_refuted(outcome) for outcome in outcomes], default=0)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -145,7 +145,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{wl.swaps_applied} swaps + {wl.cross_swaps_applied} "
                 f"cross in {wl.passes} passes" + guard
             )
-    return 0
+    return _refuted(outcome)
+
+
+def _refuted(outcome) -> int:
+    """1 after naming each mode whose netlist the equivalence check
+    refuted, on stderr; 0 when none was (or none was checked)."""
+    failed = [mode for mode, result in outcome.results.items()
+              if result.equivalent is False]
+    for mode in failed:
+        print(f"rapids: {outcome.name}: {mode} netlist is not equivalent "
+              "to its input", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _refuse(path: str, problem: str) -> int:

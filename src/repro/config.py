@@ -16,9 +16,6 @@ from typing import ClassVar
 #: The optimizer modes of Section 6, in Table-1 column order.
 MODES = ("gsg", "gs", "gsg_gs")
 
-#: Simulation backends of equivalence sweeps (see repro.logic.simcore).
-SIM_BACKENDS = ("auto", "bigint", "numpy")
-
 
 def knob(default, help, *, flag=False, negatable=False, metavar=None,
          choices=None, minimum=None, trajectory=False):
@@ -43,10 +40,6 @@ class RunKnobs:
     check_equivalence: bool = knob(
         False, "check that every optimized netlist is functionally "
         "equivalent to its input", flag="--verify")
-    sim_backend: str = knob(
-        "auto", "simulation backend of the equivalence sweeps; auto "
-        "picks bigint for deep narrow logic and numpy for wide shallow "
-        "blocks", flag=True, choices=SIM_BACKENDS)
     workers: int = knob(
         1, "processes selecting partitioned-polish regions; used with "
         "--partition, the trajectory is bit-identical for every N",
@@ -57,9 +50,9 @@ class RunKnobs:
         "estimated wires, placement untouched; 0 skips the polish",
         flag=True, metavar="N", minimum=0, trajectory=True)
     wl_batched: bool = knob(
-        True, "score each polish pass's candidates as one vectorized "
-        "batch and commit a conflict-free subset; off runs the serial "
-        "greedy reference, which is not checkpointed",
+        True, "score each polish pass's candidates as one batch and "
+        "commit a conflict-free subset; off runs the serial greedy "
+        "reference, which is not checkpointed",
         flag=True, negatable=True, trajectory=True)
     wl_timing_aware: bool = knob(
         True, "gate every wirelength swap on its projected slack "
@@ -145,8 +138,9 @@ class FlowConfig(RunKnobs):
     wl_passes: int = field(
         default=1, metadata=RunKnobs.__dataclass_fields__["wl_passes"].metadata
     )
-    #: Inert: perfbench/flows.py reads it.
+    #: Inert: perfbench/flows.py reads them.
     wl_class_swaps: ClassVar[bool] = False
+    sim_backend: ClassVar[str] = "auto"
 
     def effective_scale(self) -> float:
         from .suite.registry import configured_scale

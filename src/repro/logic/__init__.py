@@ -2,22 +2,18 @@
 
 Bit-parallel evaluation has two tiers: :mod:`repro.logic.simulate` is
 the simple per-call reference (walk the network, bigint words), and
-:mod:`repro.logic.simcore` is the compiled vectorized core (flattened
-index arrays, pluggable bigint / numpy backends, parallel-pattern
-fault simulation) that the hot paths —
-equivalence filtering, symmetry verification, ATPG — run on.
+:mod:`repro.logic.simcore` is the compiled core (flattened index
+arrays swept with the same bigint words, parallel-pattern fault
+simulation) that the hot paths — equivalence filtering, symmetry
+verification, ATPG — run on.
 """
 
 from .simcore import (
-    AdaptiveBackend,
     CompiledNetwork,
     FaultSimulator,
     SimEngine,
-    choose_backend,
     compile_network,
     get_compiled,
-    make_backend,
-    sweep_shape,
 )
 from .values import (
     Value,
@@ -59,7 +55,6 @@ from .implication import (
 )
 
 __all__ = [
-    "AdaptiveBackend",
     "BddManager",
     "CompiledNetwork",
     "FaultSimulator",
@@ -68,11 +63,8 @@ __all__ = [
     "SimEngine",
     "Value",
     "ZERO",
-    "choose_backend",
     "compile_network",
     "get_compiled",
-    "make_backend",
-    "sweep_shape",
     "all_symmetric_pairs",
     "and_values",
     "backward_imply",

@@ -1,13 +1,12 @@
-"""Compiled, vectorized simulation core with pluggable backends.
+"""Compiled bit-parallel simulation core.
 
 The subsystem the hot paths of this repository stand on:
 
 * :mod:`compiled` — one-time flattening of a ``Network`` into
   topologically ordered opcode / fanin-index arrays (:func:`get_compiled`
   caches one snapshot per network, keyed by its mutation version);
-* :mod:`backends` — the evaluation strategies: ``bigint`` (the
-  historical arbitrary-precision reference) and ``numpy`` (dense
-  ``uint64`` blocks, whole pattern batches per vectorized sweep);
+* :mod:`backends` — the evaluator: one arbitrary-precision integer word
+  per net, filled by one forward sweep over the compiled arrays;
 * :mod:`engine` — :class:`SimEngine`, which keeps pattern state alive
   across calls and re-sweeps it when the network has mutated;
 * :mod:`faultsim` — parallel-pattern stuck-at fault simulation with
@@ -22,37 +21,18 @@ mutation recompiles and re-sweeps its stored patterns.  The per-engine
 invalidation rules live in ``docs/architecture.md``.
 """
 
-from .backends import (
-    AdaptiveBackend,
-    BigintBackend,
-    NumpyBackend,
-    SimBackend,
-    SweepShape,
-    choose_backend,
-    estimate_sweep_costs,
-    eval_word,
-    make_backend,
-    sweep_shape,
-)
+from .backends import eval_word, sweep
 from .compiled import CompiledNetwork, compile_network, get_compiled
 from .engine import SimEngine
 from .faultsim import FaultSimulator, random_pattern_block
 
 __all__ = [
-    "AdaptiveBackend",
-    "BigintBackend",
     "CompiledNetwork",
     "FaultSimulator",
-    "NumpyBackend",
-    "SimBackend",
     "SimEngine",
-    "SweepShape",
-    "choose_backend",
     "compile_network",
-    "estimate_sweep_costs",
     "eval_word",
     "get_compiled",
-    "make_backend",
     "random_pattern_block",
-    "sweep_shape",
+    "sweep",
 ]

@@ -4,10 +4,9 @@ A :class:`CompiledNetwork` is a one-time flattening of a
 :class:`~repro.network.netlist.Network` into topologically ordered
 opcode / fanin-index / output-index arrays.  Every net gets a dense
 integer index — primary inputs first (in PI order), then gate outputs
-in topological order — so a simulation backend can hold the whole
-network state in one flat vector (a list of bigint words, or a 2-D
-``uint64`` numpy block) and evaluate it with a single forward sweep
-that never touches a dict or a Gate object.
+in topological order — so the evaluator can hold the whole network
+state in one flat list of bigint words and fill it with a single
+forward sweep that never touches a dict or a Gate object.
 
 The compiled form is an immutable *snapshot*: it records the network
 ``version`` it was built from, and :func:`get_compiled` recompiles when
@@ -44,7 +43,7 @@ _OPCODE: dict[GateType, tuple[int, bool]] = {
 
 @dataclass
 class CompiledNetwork:
-    """Flat, index-based snapshot of a network for vectorized sweeps.
+    """Flat, index-based snapshot of a network for bit-parallel sweeps.
 
     ``num_inputs`` primary inputs occupy net indices ``0 .. P-1``; the
     gate at topological position ``g`` drives net index ``P + g``.

@@ -1,6 +1,6 @@
-"""The simulation engine: compiled snapshot + backend + pattern state.
+"""The simulation engine: compiled snapshot + pattern state.
 
-:class:`SimEngine` binds one network to one evaluation backend and
+:class:`SimEngine` binds one network to the compiled evaluator and
 keeps the whole simulation state (one word per net) alive between
 calls.  The state belongs to the compiled snapshot it was swept on;
 a read after the network has mutated (its ``version`` moved) fetches
@@ -21,21 +21,19 @@ from typing import Iterable, Mapping
 
 from ...network.netlist import Network
 from ..simulate import variable_word
-from .backends import SimBackend, make_backend
+from .backends import sweep
 from .compiled import CompiledNetwork, get_compiled
 
 
 class SimEngine:
-    """Bit-parallel simulator with pluggable backends, bound to a network."""
+    """Bit-parallel simulator bound to a network."""
 
-    def __init__(self, network: Network, backend: str | SimBackend = "auto") -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.backend: SimBackend = (
-            make_backend(backend) if isinstance(backend, str) else backend
-        )
         #: the snapshot the loaded patterns were swept on
         self._compiled: CompiledNetwork | None = None
-        self._state = None
+        #: one word per net of that snapshot, in its index order
+        self._words: list[int] | None = None
         self._assignments: dict[str, int] = {}
         self.num_patterns = 0
 
@@ -59,10 +57,7 @@ class SimEngine:
                 ) from None
         self._assignments = words
         self.num_patterns = num_patterns
-        self._state = self.backend.make_state(compiled, num_patterns)
-        for pi, word in words.items():
-            self.backend.load(self._state, compiled.net_index[pi], word)
-        self.backend.full_sweep(compiled, self._state)
+        self._words = sweep(compiled, words, (1 << num_patterns) - 1)
         self._compiled = compiled
 
     def set_random_patterns(
@@ -104,37 +99,34 @@ class SimEngine:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def _current(self) -> tuple[CompiledNetwork, object]:
-        """(snapshot, state) of the live network.
+    def _current(self) -> tuple[CompiledNetwork, list[int]]:
+        """(snapshot, words) of the live network.
 
         Re-sweeps the stored patterns over a fresh snapshot when the
         network has mutated since they were swept.
         """
-        if self._state is None:
+        if self._words is None:
             raise RuntimeError("no patterns loaded; call set_patterns first")
         if self._compiled.version != self.network.version:
             self.set_patterns(self._assignments, self.num_patterns)
-        return self._compiled, self._state
+        return self._compiled, self._words
 
     def word(self, net: str) -> int:
         """Simulation word of one net as a plain integer."""
-        compiled, state = self._current()
-        return self.backend.read(state, compiled.net_index[net])
+        compiled, words = self._current()
+        return words[compiled.net_index[net]]
 
     def output_words(self) -> list[int]:
         """Primary-output words, in PO order."""
-        compiled, state = self._current()
-        return [self.backend.read(state, i) for i in compiled.po_index]
+        compiled, words = self._current()
+        return [words[i] for i in compiled.po_index]
 
     def words(self, nets: Iterable[str] | None = None) -> dict[str, int]:
         """Words of the given nets (default: every net), as a dict."""
-        compiled, state = self._current()
+        compiled, words = self._current()
         if nets is None:
             nets = compiled.net_index
-        return {
-            net: self.backend.read(state, compiled.net_index[net])
-            for net in nets
-        }
+        return {net: words[compiled.net_index[net]] for net in nets}
 
     # ------------------------------------------------------------------
     # convenience drivers (the consumers' common call shapes)
@@ -153,17 +145,6 @@ class SimEngine:
         """Exhaustive truth-table words, like ``logic.simulate.truth_tables``."""
         self.set_exhaustive_patterns(support)
         return self.words(nets)
-
-    @property
-    def resolved_backend(self) -> str:
-        """Concrete backend name behind the current pattern block.
-
-        For the adaptive ``"auto"`` backend this is what the cost model
-        picked at the last ``set_patterns``; explicit backends report
-        their own name.  ``"auto"`` before any patterns are loaded.
-        """
-        choice = getattr(self.backend, "last_choice", None)
-        return choice or self.backend.name
 
     @property
     def mask(self) -> int:

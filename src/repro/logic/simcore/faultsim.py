@@ -1,16 +1,11 @@
 """Parallel-pattern stuck-at fault simulation on the compiled core.
 
 Classic single-fault propagation, vectorized across patterns: the
-fault-free circuit is swept once for the whole pattern block (that is
-the dense, backend-accelerated part), then every fault is propagated
-*sparsely* — only the nets whose words actually differ from the good
-machine are recomputed, walking the compiled fanout adjacency in
-topological order and stopping as soon as the difference dies out.
-
-The sparse walk operates on plain integer words read out of the
-backend state, so detection results are bit-identical no matter which
-backend ran the dense sweep — the cross-backend property the test
-suite checks.
+fault-free circuit is swept once for the whole pattern block (the
+dense part), then every fault is propagated *sparsely* — only the nets
+whose words actually differ from the good machine are recomputed,
+walking the compiled fanout adjacency in topological order and
+stopping as soon as the difference dies out.
 
 The main entry points:
 
@@ -32,7 +27,7 @@ import random
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ...network.netlist import Network
-from .backends import SimBackend, eval_word, make_backend
+from .backends import eval_word, sweep
 from .compiled import CompiledNetwork, get_compiled
 
 if TYPE_CHECKING:  # pragma: no cover - the Fault type lives in repro.atpg;
@@ -61,16 +56,11 @@ class FaultSimulator:
     against the same block.
     """
 
-    def __init__(
-        self, network: Network, backend: str | SimBackend = "auto"
-    ) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.backend: SimBackend = (
-            make_backend(backend) if isinstance(backend, str) else backend
-        )
         self._compiled: CompiledNetwork | None = None
-        self._state = None
-        self._good: dict[int, int] = {}
+        #: the fault-free machine's word per net
+        self._good: list[int] | None = None
         self.mask = 0
 
     def load_patterns(
@@ -78,21 +68,9 @@ class FaultSimulator:
     ) -> None:
         """Sweep the fault-free machine over one pattern block."""
         compiled = get_compiled(self.network)
-        state = self.backend.make_state(compiled, num_patterns)
-        for pi in compiled.inputs:
-            self.backend.load(state, compiled.net_index[pi], assignments[pi])
-        self.backend.full_sweep(compiled, state)
-        self._compiled = compiled
-        self._state = state
-        self._good = {}
         self.mask = (1 << num_patterns) - 1
-
-    def _good_word(self, index: int) -> int:
-        word = self._good.get(index)
-        if word is None:
-            word = self.backend.read(self._state, index)
-            self._good[index] = word
-        return word
+        self._good = sweep(compiled, assignments, self.mask)
+        self._compiled = compiled
 
     def detecting_patterns(self, fault: "Fault") -> int:
         """Word of patterns that detect *fault* (bit k = pattern k).
@@ -102,7 +80,8 @@ class FaultSimulator:
         re-evaluated in topological order and propagation stops when
         ``diff`` stops growing.
         """
-        if self._state is None:
+        good = self._good
+        if good is None:
             raise RuntimeError("no patterns loaded; call load_patterns first")
         compiled = self._compiled
         base = compiled.num_inputs
@@ -127,8 +106,7 @@ class FaultSimulator:
             branch_position = gate_index - base
             heapq.heappush(heap, branch_position)
         else:
-            good = self._good_word(site)
-            if faulty_word == good:
+            if faulty_word == good[site]:
                 return 0  # never excited
             diff[site] = faulty_word
             push_consumers(site)
@@ -145,14 +123,14 @@ class FaultSimulator:
                 if position == branch_position and offset == fault.pin.index:
                     words.append(faulty_word)
                 else:
-                    words.append(diff.get(fanin, self._good_word(fanin)))
+                    words.append(diff.get(fanin, good[fanin]))
             value = eval_word(
                 compiled.opcode[position],
                 compiled.invert[position],
                 words,
                 self.mask,
             )
-            if value != self._good_word(out_index):
+            if value != good[out_index]:
                 diff[out_index] = value
                 push_consumers(out_index)
             else:
@@ -160,5 +138,5 @@ class FaultSimulator:
         detected = 0
         for po in compiled.po_index:
             if po in diff:
-                detected |= diff[po] ^ self._good_word(po)
+                detected |= diff[po] ^ good[po]
         return detected

@@ -16,8 +16,7 @@ walk over the live network, convenient for one-off queries and as the
 oracle property tests compare against.  The hot paths (equivalence
 filtering, symmetry verification, ATPG fault dropping) run on
 :mod:`repro.logic.simcore` instead — the same word algebra over a
-compiled index-array form with pluggable bigint/numpy backends,
-1-2 orders of magnitude faster per sweep.
+compiled index-array form, 1-2 orders of magnitude faster per sweep.
 """
 
 from __future__ import annotations

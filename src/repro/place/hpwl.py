@@ -1,4 +1,4 @@
-"""Vectorized incremental half-perimeter wirelength engine.
+"""Incremental half-perimeter wirelength engine.
 
 The Section-5 wirelength flow prices thousands of candidate swaps per
 pass.  The interpreted path re-walks every net terminal through
@@ -21,8 +21,7 @@ exact new bounding box:
 
 Every value is a *selection* of an input coordinate — no accumulation
 — so deltas are bit-identical to the interpreted ``net_hpwl``
-difference.  Batches of candidates are scored as single vectorized
-numpy expressions over gathered extrema rows.
+difference.
 
 Cells move through the same arithmetic: a net's driver and sink gates
 are movable terminals, only pads are fixed.  ``cell_swap_delta`` prices
@@ -44,9 +43,6 @@ but :meth:`~WirelengthEngine.swap_cells`) need an explicit
 from __future__ import annotations
 
 from collections import ChainMap
-from itertools import chain
-
-import numpy as np
 
 from ..contracts import projection_only
 from ..network import events
@@ -100,10 +96,6 @@ class WirelengthEngine:
         # per-net, per-axis second-extrema rows:
         # [min1, min2, min_count, max1, max2, max_count] for x then y
         self._ext: list[list[float]] = []
-        # numpy mirrors of _ext/_hpwl for batch scoring, kept in sync
-        # row-wise by _recompute_net
-        self._ext_np = None
-        self._hpwl_np = None
         network.subscribe(self)
 
     # ------------------------------------------------------------------
@@ -165,56 +157,11 @@ class WirelengthEngine:
         fanout = network.fanout
         self._sink_pins = [set(fanout(net)) for net in names]
         self._needs_rebuild = False
-        self._rebuild_vector()
+        self._ext = [_extrema_row(self._points(index))
+                     for index in range(len(names))]
+        self._hpwl = [(row[3] - row[0]) + (row[9] - row[6])
+                      for row in self._ext]
         self.rebuilds += 1
-
-    def _rebuild_vector(self) -> None:
-        """All nets' extrema rows + HPWL in one segmented numpy pass.
-
-        Every net's :meth:`_points` terminal list is laid out in one
-        flat point array; the second-extrema rows come from segmented
-        min/max/count reductions — selections and equality counts
-        only, so every row and HPWL is bit-identical to
-        :func:`_extrema_row` over the same list.  Every net has at
-        least one terminal (its input pad or its driver), so no
-        segment is empty.
-        """
-        terminals = [self._points(index) for index in range(len(self._names))]
-        counts = np.fromiter(
-            map(len, terminals), dtype=np.int64, count=len(terminals)
-        )
-        points = np.fromiter(
-            chain.from_iterable(chain.from_iterable(terminals)),
-            dtype=np.float64, count=2 * int(counts.sum()),
-        ).reshape(-1, 2)
-        seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        rows = np.empty((len(terminals), 12))
-        for axis in (0, 1):
-            values = points[:, axis]
-            min1 = np.minimum.reduceat(values, seg_starts)
-            max1 = np.maximum.reduceat(values, seg_starts)
-            is_min = values == np.repeat(min1, counts)
-            is_max = values == np.repeat(max1, counts)
-            cnt_min = np.add.reduceat(is_min.astype(np.float64), seg_starts)
-            cnt_max = np.add.reduceat(is_max.astype(np.float64), seg_starts)
-            strict_min2 = np.minimum.reduceat(
-                np.where(is_min, _INF, values), seg_starts
-            )
-            strict_max2 = np.maximum.reduceat(
-                np.where(is_max, -_INF, values), seg_starts
-            )
-            # a unique extremum's runner-up is the strict second (+-inf
-            # on a one-terminal net); a duplicated extremum is its own
-            min2 = np.where(cnt_min == 1.0, strict_min2, min1)
-            max2 = np.where(cnt_max == 1.0, strict_max2, max1)
-            rows[:, axis * 6:axis * 6 + 6] = np.stack(
-                [min1, min2, cnt_min, max1, max2, cnt_max], axis=1
-            )
-        hpwl = (rows[:, 3] - rows[:, 0]) + (rows[:, 9] - rows[:, 6])
-        self._ext = rows.tolist()
-        self._hpwl = hpwl.tolist()
-        self._ext_np = rows
-        self._hpwl_np = hpwl
 
     def _points(
         self, index: int, loc=None, moved=()
@@ -240,8 +187,6 @@ class WirelengthEngine:
         row = _extrema_row(self._points(index))
         self._ext[index] = row
         self._hpwl[index] = (row[3] - row[0]) + (row[9] - row[6])
-        self._ext_np[index] = row
-        self._hpwl_np[index] = self._hpwl[index]
 
     # ------------------------------------------------------------------
     # queries
@@ -339,37 +284,11 @@ class WirelengthEngine:
 
     @projection_only
     def score_swaps(self, pairs: list[tuple[Pin, Pin]]) -> list[float]:
-        """Deltas for a batch of candidate pin swaps, one vectorized pass.
-
-        Same-net pairs score exactly 0.0.  Results are bit-identical to
-        calling :meth:`swap_delta` per pair (selection arithmetic only).
-        """
+        """Deltas for a batch of candidate pin swaps, one
+        :meth:`swap_delta` per pair; same-net pairs score exactly 0.0."""
         self.refresh()
         self.candidates_scored += len(pairs)
-        if len(pairs) < 2:
-            return [self._scalar_delta(pin_a, pin_b) for pin_a, pin_b in pairs]
-        network = self.network
-        ids = self._ids
-        loc = self._loc
-        count = len(pairs)
-        index_a = np.empty(count, dtype=np.int64)
-        index_b = np.empty(count, dtype=np.int64)
-        ax = np.empty(count)
-        ay = np.empty(count)
-        bx = np.empty(count)
-        by = np.empty(count)
-        for k, (pin_a, pin_b) in enumerate(pairs):
-            index_a[k] = ids[network.fanin_net(pin_a)]
-            index_b[k] = ids[network.fanin_net(pin_b)]
-            ax[k], ay[k] = loc[pin_a.gate]
-            bx[k], by[k] = loc[pin_b.gate]
-        ext = self._ext_np
-        hpwl = self._hpwl_np
-        after_a = _after_rows(ext[index_a], ax, ay, bx, by)
-        after_b = _after_rows(ext[index_b], bx, by, ax, ay)
-        delta = (after_a + after_b) - (hpwl[index_a] + hpwl[index_b])
-        delta[index_a == index_b] = 0.0
-        return [float(value) for value in delta]
+        return [self._scalar_delta(pin_a, pin_b) for pin_a, pin_b in pairs]
 
     def _scalar_delta(self, pin_a: Pin, pin_b: Pin) -> float:
         network = self.network
@@ -428,22 +347,32 @@ def _extrema_row(points: list[tuple[float, float]]) -> list[float]:
 
     ``min2``/``max2`` are the extremum left after removing one copy of
     ``min1``/``max1``: ``min1`` itself when it is duplicated, ``+-inf``
-    on a one-terminal net.
+    on a one-terminal net.  One pass per axis keeps each extremum, its
+    count and the strict runner-up; every value is a selection.
     """
     row: list[float] = []
     for axis in (0, 1):
-        values = [point[axis] for point in points]
-        low = min(values)
-        high = max(values)
-        cnt_low = values.count(low)
-        cnt_high = values.count(high)
-        low2 = low if cnt_low > 1 else min(
-            [value for value in values if value != low], default=_INF
+        low = low2 = _INF
+        high = high2 = -_INF
+        cnt_low = cnt_high = 0
+        for point in points:
+            value = point[axis]
+            if value < low:
+                low2, low, cnt_low = low, value, 1
+            elif value == low:
+                cnt_low += 1
+            elif value < low2:
+                low2 = value
+            if value > high:
+                high2, high, cnt_high = high, value, 1
+            elif value == high:
+                cnt_high += 1
+            elif value > high2:
+                high2 = value
+        row += (
+            low, low if cnt_low > 1 else low2, float(cnt_low),
+            high, high if cnt_high > 1 else high2, float(cnt_high),
         )
-        high2 = high if cnt_high > 1 else max(
-            [value for value in values if value != high], default=-_INF
-        )
-        row.extend([low, low2, float(cnt_low), high, high2, float(cnt_high)])
     return row
 
 
@@ -459,22 +388,3 @@ def _axis_after(
     new_min = added if added < effective_min else effective_min
     return new_max - new_min
 
-
-def _after_rows(rows, removed_x, removed_y, added_x, added_y):
-    """Vectorized :meth:`WirelengthEngine._after` over gathered rows."""
-    return _axis_after_rows(rows[:, :6], removed_x, added_x) + (
-        _axis_after_rows(rows[:, 6:], removed_y, added_y)
-    )
-
-
-def _axis_after_rows(axis, removed, added):
-    """Vectorized :func:`_axis_after` over one axis's extrema columns."""
-    effective_max = np.where(
-        (removed == axis[:, 3]) & (axis[:, 5] == 1.0), axis[:, 4], axis[:, 3]
-    )
-    effective_min = np.where(
-        (removed == axis[:, 0]) & (axis[:, 2] == 1.0), axis[:, 1], axis[:, 0]
-    )
-    return np.maximum(effective_max, added) - np.minimum(
-        effective_min, added
-    )

@@ -397,6 +397,7 @@ def run_rapids(
     library: Library,
     *,
     wl_class_swaps: bool = False,  # inert: perfbench/flows.py passes it
+    sim_backend: str = "auto",  # inert: perfbench/flows.py passes it
     **knobs,
 ) -> RapidsResult:
     """Optimize a placed mapped network in place; returns the report.
@@ -411,10 +412,12 @@ def run_rapids(
     (:data:`~repro.checkpoint.SAVE_BUDGET`), and a SIGTERM saves at the
     next one and unwinds with :class:`~repro.checkpoint.RunInterrupted`;
     ``resume`` finishes bit-identically to an uninterrupted run.
-    *wl_class_swaps* must be ``False``.
+    *wl_class_swaps* must be ``False`` and *sim_backend* ``"auto"``.
     """
     if wl_class_swaps:
         raise ValueError("wl_class_swaps=True is not supported")
+    if sim_backend != "auto":
+        raise ValueError(f"sim_backend={sim_backend!r} is not supported")
     config = RapidsConfig(**knobs)
     manager = saved = stage = None
     if config.checkpoint is not None:
@@ -499,9 +502,7 @@ def run_rapids(
                 wirelength=wirelength,
             )
         if reference is not None:
-            result.equivalent = networks_equivalent(
-                reference, network, backend=config.sim_backend
-            )
+            result.equivalent = networks_equivalent(reference, network)
         if manager is not None and stage != "done":
             # a SIGTERM no earlier boundary saw unwinds here, after the
             # run's own result is saved

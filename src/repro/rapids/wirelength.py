@@ -15,7 +15,7 @@ events into subscribed engines; see ``docs/architecture.md``):
   :mod:`repro.rapids.partition` with no carve — the whole netlist is
   one region.  Every pass enumerates the full candidate set once —
   leaf swaps of every non-trivial supergate plus pure cross swaps —
-  and each round scores it as one vectorized batch against a
+  and each round scores it as one batch against a
   :class:`~repro.place.hpwl.WirelengthEngine` (:func:`_select_batch`)
   and commits a maximal conflict-free subset (:func:`_apply_batch`;
   no two accepted moves share a net, so the priced deltas are exactly
@@ -261,7 +261,7 @@ def reduce_wirelength(
     Only non-inverting swaps and inverter-free cross exchanges are
     used (a move that adds cells is never justified by wirelength
     alone), so the placement is untouched and the gate count constant.
-    *batched* selects the vectorized conflict-free path (see module
+    *batched* selects the batched conflict-free path (see module
     docstring); ``batched=False`` runs the serial greedy reference.
     The batched path checkpoints and resumes per round exactly like
     :func:`repro.rapids.partition.reduce_wirelength_partitioned`

@@ -214,7 +214,7 @@ def extract_supergates(network: Network) -> SupergateNetwork:
 
 
 def supergate_truth_table(
-    network: Network, sg: Supergate, backend: str = "auto"
+    network: Network, sg: Supergate
 ) -> tuple[list[Pin], int]:
     """Truth table of a supergate's root over its own fanin leaves.
 
@@ -246,7 +246,7 @@ def supergate_truth_table(
         trial.replace_fanin(leaf.pin, var)
         fresh.append(var)
     cone = extract_cone(trial, [sg.root])
-    tables = SimEngine(cone, backend).truth_tables(
+    tables = SimEngine(cone).truth_tables(
         support=fresh, nets=[sg.root]
     )
     return [leaf.pin for leaf in sg.leaves], tables[sg.root]

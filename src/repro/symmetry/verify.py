@@ -65,8 +65,7 @@ def pin_pair_symmetry(
 
 
 def swap_preserves_outputs(
-    before: Network, after: Network, exhaustive_limit: int = 14,
-    backend: str = "auto",
+    before: Network, after: Network, exhaustive_limit: int = 14
 ) -> bool:
     """Check that two networks compute identical primary outputs.
 
@@ -78,8 +77,8 @@ def swap_preserves_outputs(
         after.outputs
     ):
         return False
-    engine_before = SimEngine(before, backend)
-    engine_after = SimEngine(after, backend)
+    engine_before = SimEngine(before)
+    engine_after = SimEngine(after)
     if len(before.inputs) <= exhaustive_limit:
         engine_before.set_exhaustive_patterns()
         engine_after.set_exhaustive_patterns(list(before.inputs))
@@ -90,4 +89,4 @@ def swap_preserves_outputs(
         return False
     from ..verify.equiv import networks_equivalent
 
-    return networks_equivalent(before, after, backend=backend)
+    return networks_equivalent(before, after)

@@ -9,11 +9,9 @@ unrelated logic never inflates the decision diagrams.
 
 All simulation rides on :mod:`repro.logic.simcore`: the historical
 four 64-bit random rounds collapse into one 256-pattern block swept by
-the compiled vectorized engine (the patterns applied are identical, so
-the filter decision is too), and the exhaustive stage reads whole
-truth-table blocks out of the same engine.  ``backend`` selects the
-evaluation strategy (``"auto"`` prefers numpy, ``"bigint"`` is the
-reference); results are identical across backends by construction.
+the compiled bit-parallel engine (the patterns applied are identical,
+so the filter decision is too), and the exhaustive stage reads whole
+truth-table blocks out of the same engine.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ def networks_equivalent(
     after: Network,
     exhaustive_limit: int = 14,
     random_rounds: int = 4,
-    backend: str = "auto",
 ) -> bool:
     """True when both networks compute identical primary outputs.
 
@@ -43,8 +40,8 @@ def networks_equivalent(
         return False
     if len(before.outputs) != len(after.outputs):
         return False
-    engine_before = SimEngine(before, backend)
-    engine_after = SimEngine(after, backend)
+    engine_before = SimEngine(before)
+    engine_after = SimEngine(after)
     if engine_before.random_output_words(rounds=random_rounds) != (
         engine_after.random_output_words(rounds=random_rounds)
     ):
@@ -157,7 +154,7 @@ def _cut_cone_bdd(
 
 
 def find_counterexample(
-    before: Network, after: Network, max_vars: int = 20, backend: str = "auto"
+    before: Network, after: Network, max_vars: int = 20
 ) -> dict[str, int] | None:
     """Input assignment on which the networks disagree, or ``None``.
 
@@ -166,8 +163,8 @@ def find_counterexample(
     num_vars = len(before.inputs)
     if num_vars > max_vars:
         raise ValueError(f"too many inputs ({num_vars}) for exhaustive search")
-    engine_before = SimEngine(before, backend)
-    engine_after = SimEngine(after, backend)
+    engine_before = SimEngine(before)
+    engine_after = SimEngine(after)
     engine_before.set_exhaustive_patterns()
     engine_after.set_exhaustive_patterns(list(before.inputs))
     outs_before = engine_before.output_words()
@@ -183,15 +180,13 @@ def find_counterexample(
     return None
 
 
-def assert_equivalent(
-    before: Network, after: Network, backend: str = "auto"
-) -> None:
+def assert_equivalent(before: Network, after: Network) -> None:
     """Raise :class:`EquivalenceError` with diagnostics on mismatch."""
-    if networks_equivalent(before, after, backend=backend):
+    if networks_equivalent(before, after):
         return
     detail = ""
     if len(before.inputs) <= 20:
-        example = find_counterexample(before, after, backend=backend)
+        example = find_counterexample(before, after)
         detail = f"; counterexample {example}"
     raise EquivalenceError(
         f"networks {before.name!r} and {after.name!r} differ{detail}"

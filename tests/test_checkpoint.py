@@ -647,7 +647,7 @@ def test_sigterm_during_the_unpartitioned_polish_unwinds_and_resumes(
         "wl_passes": 2, "wl_batched": False,
         "wl_timing_aware": False, "wl_slack_margin": -0.25,
         "partition": True, "partition_max_gates": 30,
-        "check_equivalence": True, "sim_backend": "bigint", "workers": 2,
+        "check_equivalence": True, "workers": 2,
         "collect_log": True,
     }, {
         "mode": "gs", "max_rounds": 2, "batch_limit": 8,

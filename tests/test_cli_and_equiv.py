@@ -1,5 +1,9 @@
 """Command-line interface and the equivalence checker itself."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -114,6 +118,66 @@ def test_cli_bench_small(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "initial delay" in out
     assert "gsg_gs" in out
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from repro.cli import main
+
+codes = [
+    main(["bench", "alu2", "--scale", "0.2", "--verify"]),
+    main(["bench", "alu2", "--scale", "0.2", "--verify", "--partition",
+          "--partition-max-gates", "40"]),
+]
+print("exit codes", codes)
+"""
+
+
+def test_runtime_needs_no_numpy():
+    """The whole flow, verified and partitioned, runs on the standard
+    library alone."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "exit codes [0, 0]", (
+        result.stdout
+    )
+    assert result.stdout.count("equivalent=True") == 6
+
+
+@pytest.mark.parametrize("command", ["bench", "table1"])
+def test_cli_refuted_verify_exits_1(capsys, monkeypatch, command):
+    import repro.rapids.engine as rapids_engine
+
+    monkeypatch.setattr(
+        rapids_engine, "networks_equivalent", lambda before, after: False
+    )
+    assert main([command, "alu2", "--scale", "0.2", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"rapids: alu2: {mode} netlist is not equivalent to its input"
+        for mode in ("gsg", "gs", "gsg_gs")
+    ]
+    # the report still comes out in full first
+    assert ("ave." if command == "table1" else "equivalent=False") in (
+        captured.out
+    )
+
+
+@pytest.mark.parametrize("command", ["bench", "table1"])
+def test_cli_verified_run_exits_0(capsys, command):
+    assert main([command, "alu2", "--scale", "0.2", "--verify"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "bench":
+        assert captured.out.count("equivalent=True") == 3
 
 
 def test_cli_symmetries_on_blif(tmp_path, capsys):

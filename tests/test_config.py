@@ -30,8 +30,8 @@ from repro.synth.mapper import map_network
 @pytest.mark.parametrize("config, knobs", [
     (RapidsConfig, {"mode": "frobnicate"}),
     (FlowConfig, {"modes": ("gsg", "frobnicate")}),
-    (FlowConfig, {"sim_backend": "nope", "check_equivalence": True}),
-    (FlowConfig, {"sim_backend": "nope"}),
+    (FlowConfig, {"max_rounds": -1, "check_equivalence": True}),
+    (FlowConfig, {"batch_limit": 0}),
     (RapidsConfig, {"partition_max_gates": 0}),
     (FlowConfig, {"partition_max_gates": 0, "partition": True}),
     (RapidsConfig, {"wl_passes": -1}),
@@ -97,7 +97,6 @@ FLOW_FLAGS = {
     ("--scale",): ("scale", None, None),
     ("--verify",): ("check_equivalence", False, None),
     ("--workers",): ("workers", 1, None),
-    ("--sim-backend",): ("sim_backend", "auto", ["auto", "bigint", "numpy"]),
     ("--wl-passes",): ("wl_passes", 1, None),
     ("--wl-batched", "--no-wl-batched"): ("wl_batched", True, None),
     ("--wl-timing-aware", "--no-wl-timing-aware"):
@@ -137,11 +136,11 @@ def test_parsed_flags_build_the_flow_config():
 
     args = build_parser().parse_args([
         "bench", "alu2", "--verify", "--scale", "0.2", "--wl-passes", "2",
-        "--no-wl-timing-aware", "--partition", "--sim-backend", "bigint",
+        "--no-wl-timing-aware", "--partition",
     ])
     assert _flow_config(args) == FlowConfig(
         check_equivalence=True, scale=0.2, wl_passes=2,
-        wl_timing_aware=False, partition=True, sim_backend="bigint",
+        wl_timing_aware=False, partition=True,
     )
     assert _flow_config(build_parser().parse_args(["table1"])) == \
         FlowConfig()

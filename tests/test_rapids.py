@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import FlowConfig
 from repro.place.placer import place
 from repro.rapids.engine import MODES, run_rapids
 from repro.rapids.moves import MAX_MOVES_PER_SITE, SwapMove, swap_sites
@@ -53,6 +54,13 @@ def test_class_swaps_knob_only_accepts_false(library):
     net, placement = prepared(12, library)
     with pytest.raises(ValueError, match="wl_class_swaps"):
         run_rapids(net, placement, library, wl_class_swaps=True)
+
+
+def test_sim_backend_knob_only_accepts_auto(library):
+    net, placement = prepared(12, library)
+    with pytest.raises(ValueError, match="sim_backend"):
+        run_rapids(net, placement, library, sim_backend="numpy")
+    assert FlowConfig.sim_backend == "auto"
 
 
 def test_rewiring_moves_no_cells(library):

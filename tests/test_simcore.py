@@ -1,9 +1,9 @@
-"""Compiled vectorized simulation core: backends, engine, fault sim.
+"""Compiled simulation core: compiled form, engine, fault sim.
 
-The load-bearing property: the numpy backend must match the bigint
-reference backend (and the historical ``repro.logic.simulate`` walker)
-bit-for-bit — on random networks, at random pattern widths including
-non-multiples of 64, and on reads after random mutations.
+The load-bearing property: the compiled sweep must match the
+interpreted ``repro.logic.simulate`` walker bit-for-bit — on random
+networks, at random pattern widths including non-multiples of 64, and
+on reads after random mutations.
 """
 
 from __future__ import annotations
@@ -14,16 +14,11 @@ import pytest
 
 from repro.atpg.faults import all_faults
 from repro.logic.simcore import (
-    AdaptiveBackend,
     FaultSimulator,
     SimEngine,
-    choose_backend,
     compile_network,
-    estimate_sweep_costs,
     get_compiled,
-    make_backend,
     random_pattern_block,
-    sweep_shape,
 )
 from repro.logic.simulate import random_words, simulate, truth_tables
 from repro.network.builder import NetworkBuilder
@@ -32,8 +27,6 @@ from repro.network.netlist import Pin
 
 from helpers import random_network
 from test_incremental_sta import prepared, random_move
-
-BACKENDS = ["bigint", "numpy"]
 
 WIDTHS = [1, 7, 64, 65, 100, 128, 200, 257]
 
@@ -141,43 +134,28 @@ def test_get_compiled_matches_fresh_compile_after_random_moves(
 
 
 # ----------------------------------------------------------------------
-# backends agree with each other and with the reference walker
+# the compiled sweep agrees with the reference walker
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_matches_reference_walker(backend):
+def test_engine_matches_reference_walker():
     for seed in range(8):
         net = random_network(seed, num_inputs=6, num_gates=22, num_outputs=3)
-        engine = SimEngine(net, backend)
+        engine = SimEngine(net)
         rng = random.Random(seed)
         for width in WIDTHS:
             assignments = random_words(net.inputs, width=width, seed=rng.randrange(999))
             engine.set_patterns(assignments, width)
             reference = simulate(net, assignments, mask=(1 << width) - 1)
-            assert engine.words() == reference, (seed, backend, width)
+            assert engine.words() == reference, (seed, width)
 
 
-def test_numpy_matches_bigint_bit_for_bit():
-    for seed in range(10):
-        net = random_network(seed, num_inputs=7, num_gates=30, num_outputs=4)
-        big = SimEngine(net, "bigint")
-        vec = SimEngine(net, "numpy")
-        for width in WIDTHS:
-            assignments = random_words(net.inputs, width=width, seed=seed)
-            big.set_patterns(assignments, width)
-            vec.set_patterns(assignments, width)
-            assert big.words() == vec.words(), (seed, width)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_truth_tables_match_reference(backend):
+def test_truth_tables_match_reference():
     for seed in range(6):
         net = random_network(seed, num_inputs=5, num_gates=15)
-        engine = SimEngine(net, backend)
-        assert engine.truth_tables() == truth_tables(net), (seed, backend)
+        engine = SimEngine(net)
+        assert engine.truth_tables() == truth_tables(net), seed
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_constants_and_wide_gates(backend):
+def test_constants_and_wide_gates():
     builder = NetworkBuilder("consts")
     a, b = builder.inputs(2)
     builder.gate(GateType.CONST1, name="one")
@@ -185,121 +163,13 @@ def test_constants_and_wide_gates(backend):
     wide = builder.gate(GateType.NAND, a, b, "one", name="wide")
     builder.output(builder.gate(GateType.XNOR, wide, "zero", name="f"))
     net = builder.build()
-    engine = SimEngine(net, backend)
+    engine = SimEngine(net)
     for width in (1, 3, 64, 130):
         assignments = random_words(net.inputs, width=width, seed=1)
         engine.set_patterns(assignments, width)
         assert engine.words() == simulate(
             net, assignments, mask=(1 << width) - 1
         )
-
-
-# ----------------------------------------------------------------------
-# adaptive "auto" backend: shape-driven choice, bit-identical results
-# ----------------------------------------------------------------------
-def _deep_narrow_chain(depth: int = 160):
-    """Alternating INV/NAND2 chain: one gate per level, width <= 2."""
-    builder = NetworkBuilder("chain")
-    head, side = builder.inputs(2)
-    current = head
-    for step in range(depth):
-        if step % 2:
-            current = builder.gate(GateType.NAND, current, side,
-                                   name=f"n{step}")
-        else:
-            current = builder.gate(GateType.INV, current, name=f"n{step}")
-    builder.output(current)
-    return builder.build()
-
-
-def _wide_shallow_xor(levels: int = 4, width: int = 144,
-                      num_inputs: int = 48):
-    """c499-flavoured XOR mesh: few levels, >100 same-op gates each."""
-    builder = NetworkBuilder("wide")
-    current = builder.inputs(num_inputs)
-    for level in range(levels):
-        current = [
-            builder.gate(
-                GateType.XOR,
-                current[k % len(current)],
-                current[(k * 7 + 3) % len(current)],
-                name=f"l{level}_{k}",
-            )
-            for k in range(width)
-        ]
-    for net in current[::3]:
-        builder.output(net)
-    return builder.build()
-
-
-def test_auto_resolves_bigint_on_deep_narrow_chain():
-    """One-gate level groups leave numpy nothing to amortize its ufunc
-    dispatch over: bigint wins deep narrow control logic at every
-    measured block width (the regime bench_simulate recorded)."""
-    net = _deep_narrow_chain()
-    compiled = get_compiled(net)
-    shape = sweep_shape(compiled)
-    assert shape.mean_group_size <= 2.0  # genuinely narrow
-    for width in (64, 256, 4096):
-        assert choose_backend(compiled, width) == "bigint", width
-    engine = SimEngine(net, "auto")
-    engine.set_random_patterns(width=64, seed=0)
-    assert engine.resolved_backend == "bigint"
-
-
-def test_auto_resolves_numpy_on_wide_shallow_xor():
-    net = _wide_shallow_xor()
-    compiled = get_compiled(net)
-    shape = sweep_shape(compiled)
-    assert shape.mean_group_size >= 16.0  # genuinely wide
-    for width in (64, 256, 4096):
-        assert choose_backend(compiled, width) == "numpy", width
-    engine = SimEngine(net, "auto")
-    engine.set_random_patterns(width=64, seed=0)
-    assert engine.resolved_backend == "numpy"
-
-
-def test_sweep_costs_are_shape_monotone():
-    """More words must never make a backend look cheaper."""
-    compiled = get_compiled(_deep_narrow_chain(60))
-    previous = (0.0, 0.0)
-    for width in (1, 64, 256, 1024):
-        costs = estimate_sweep_costs(compiled, width)
-        assert costs[0] >= previous[0] and costs[1] >= previous[1]
-        previous = costs
-
-
-@pytest.mark.parametrize(
-    "net_builder", [_deep_narrow_chain, _wide_shallow_xor],
-    ids=["chain", "wide-xor"],
-)
-def test_auto_bit_identical_to_both_explicit_backends(net_builder):
-    """Whatever "auto" picks, every word matches both explicit
-    backends — including widths that are not multiples of 64."""
-    net = net_builder()
-    engines = {name: SimEngine(net, name) for name in ["auto"] + BACKENDS}
-    for width in (1, 63, 65, 100, 257):
-        assignments = random_words(net.inputs, width=width, seed=width)
-        words = {}
-        for name, engine in engines.items():
-            engine.set_patterns(assignments, width)
-            words[name] = engine.words()
-        for name in BACKENDS:
-            assert words["auto"] == words[name], (net.name, width, name)
-
-
-def test_adaptive_state_survives_incremental_resimulation():
-    """The choice travels with the state: reads after each mutation on
-    an auto engine must keep matching the reference walker."""
-    net = random_network(21, num_inputs=6, num_gates=25, num_outputs=3)
-    engine = SimEngine(net, "auto")
-    assert isinstance(engine.backend, AdaptiveBackend)
-    rng = random.Random(21)
-    assignments = random_words(net.inputs, width=100, seed=21)
-    engine.set_patterns(assignments, 100)
-    for _ in range(15):
-        _random_safe_mutation(net, rng)
-        assert engine.words() == simulate(net, assignments, (1 << 100) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -311,11 +181,8 @@ def test_simcore_import_surface_is_complete():
     import repro.logic.simcore as simcore
 
     required = {
-        "SimEngine", "get_compiled", "FaultSimulator",
-        "AdaptiveBackend", "BigintBackend", "NumpyBackend", "SimBackend",
-        "CompiledNetwork", "SweepShape", "choose_backend",
-        "compile_network", "estimate_sweep_costs", "eval_word",
-        "make_backend", "random_pattern_block", "sweep_shape",
+        "SimEngine", "get_compiled", "FaultSimulator", "CompiledNetwork",
+        "compile_network", "eval_word", "random_pattern_block", "sweep",
     }
     missing = required - set(simcore.__all__)
     assert not missing, f"missing from simcore __all__: {sorted(missing)}"
@@ -325,7 +192,7 @@ def test_simcore_import_surface_is_complete():
     import repro.logic as logic
 
     for name in ("SimEngine", "get_compiled", "FaultSimulator",
-                 "AdaptiveBackend", "choose_backend", "sweep_shape"):
+                 "CompiledNetwork", "compile_network"):
         assert getattr(logic, name) is getattr(simcore, name), name
         assert name in logic.__all__, name
 
@@ -368,22 +235,21 @@ def _random_safe_mutation(net, rng):
             ]))
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ["auto"])
-def test_incremental_resimulation_matches_fresh(backend):
+def test_incremental_resimulation_matches_fresh():
     """Reads after each of a sequence of mutations match a fresh
     reference simulation of the live network."""
     for seed in range(8):
         base = random_network(seed, num_inputs=6, num_gates=25, num_outputs=3)
         net = base.copy()
         rng = random.Random(seed + 1000)
-        engine = SimEngine(net, backend)
+        engine = SimEngine(net)
         width = rng.choice(WIDTHS)
         assignments = random_words(net.inputs, width=width, seed=seed)
         engine.set_patterns(assignments, width)
         for step in range(25):
             _random_safe_mutation(net, rng)
             reference = simulate(net, assignments, mask=(1 << width) - 1)
-            assert engine.words() == reference, (seed, backend, step)
+            assert engine.words() == reference, (seed, step)
 
 
 def test_exhaustive_patterns_require_full_support():
@@ -409,8 +275,7 @@ def test_structural_mutation_forces_consistent_state():
 # ----------------------------------------------------------------------
 # fault simulation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fault_simulator_agrees_with_forced_resimulation(backend):
+def test_fault_simulator_agrees_with_forced_resimulation():
     for seed in range(6):
         net = random_network(seed, num_inputs=5, num_gates=16, num_outputs=3)
         assignments, num = random_pattern_block(
@@ -418,12 +283,12 @@ def test_fault_simulator_agrees_with_forced_resimulation(backend):
         )
         mask = (1 << num) - 1
         good = simulate(net, assignments, mask)
-        simulator = FaultSimulator(net, backend)
+        simulator = FaultSimulator(net)
         simulator.load_patterns(assignments, num)
         for fault in all_faults(net, include_branches=True):
             expected = _brute_force_detects(net, fault, assignments, mask, good)
             got = bool(simulator.detecting_patterns(fault))
-            assert got == expected, (seed, backend, str(fault))
+            assert got == expected, (seed, str(fault))
 
 
 def _brute_force_detects(net, fault, assignments, mask, good):
@@ -447,17 +312,3 @@ def _brute_force_detects(net, fault, assignments, mask, good):
         words[name] = word
     return any(words[out] != good[out] for out in net.outputs)
 
-
-def test_fault_simulation_identical_across_backends():
-    for seed in range(5):
-        net = random_network(seed, num_inputs=6, num_gates=20, num_outputs=3)
-        assignments, num = random_pattern_block(net.inputs, width=64, seed=seed)
-        faults = list(all_faults(net, include_branches=True))
-        reports = {}
-        for backend in ("bigint", "numpy"):
-            simulator = FaultSimulator(net, backend)
-            simulator.load_patterns(assignments, num)
-            reports[backend] = [
-                simulator.detecting_patterns(fault) for fault in faults
-            ]
-        assert reports["bigint"] == reports["numpy"], seed

@@ -1,11 +1,12 @@
-"""Vectorized incremental wirelength engine + batched rewiring.
+"""Incremental wirelength engine + batched rewiring.
 
 Locks the PR-4 contracts:
 
 * cached per-net boxes == fresh ``total_hpwl`` to 1e-9 under random
   applied-swap sequences (incremental correctness);
-* the vectorized ``rebuild`` equals the scalar per-net extrema walk
-  row for row, on annealed and grid placements;
+* ``rebuild``'s one-pass extrema rows equal the definition (min, max,
+  their counts, the runner-up after removing one copy) row for row,
+  on annealed and grid placements;
 * structural mutations invalidate the flattening (engine notices);
 * candidate pricing fires **zero** mutation events (listener spy);
 * batch deltas are bit-identical to scalar and to the interpreted
@@ -30,8 +31,13 @@ import pytest
 
 from repro.network.gatetype import GateType
 from repro.network.netlist import Pin
-from repro.place.hpwl import WirelengthEngine, _extrema_row
-from repro.place.placement import grid_placement, net_hpwl, total_hpwl
+from repro.place.hpwl import WirelengthEngine
+from repro.place.placement import (
+    bbox_hpwl,
+    grid_placement,
+    net_hpwl,
+    total_hpwl,
+)
 from repro.place.placer import place
 from repro.rapids.wirelength import reduce_wirelength, swap_hpwl_delta
 from repro.symmetry.supergate import extract_supergates
@@ -101,10 +107,30 @@ def _grid_network_with_lone_terminals(seed):
     return net, grid_placement(net)
 
 
+INF = float("inf")
+
+
+def _defined_extrema_row(points):
+    """The second-extrema row straight from its definition."""
+    row = []
+    for axis in (0, 1):
+        values = [point[axis] for point in points]
+        low, high = min(values), max(values)
+        cnt_low, cnt_high = values.count(low), values.count(high)
+        low2 = low if cnt_low > 1 else min(
+            [value for value in values if value != low], default=INF
+        )
+        high2 = high if cnt_high > 1 else max(
+            [value for value in values if value != high], default=-INF
+        )
+        row += [low, low2, float(cnt_low), high, high2, float(cnt_high)]
+    return row
+
+
 @pytest.mark.parametrize("seed", [51, 52, 53])
 def test_rebuild_rows_equal_scalar_extrema(seed, library):
-    """Every row and HPWL of the vectorized rebuild (and its numpy
-    mirrors) equals ``_extrema_row`` over the net's terminal list."""
+    """Every row and HPWL of ``rebuild`` equals the defined extrema of
+    the net's terminal list and its bounding-box HPWL."""
     cases = {
         "annealed": prepared(seed, library),
         "grid": _grid_network_with_lone_terminals(seed),
@@ -115,14 +141,13 @@ def test_rebuild_rows_equal_scalar_extrema(seed, library):
         seen = set()
         for index, name in enumerate(engine._names):
             points = engine._points(index)
-            row = _extrema_row(points)
+            row = _defined_extrema_row(points)
             context = (seed, label, name)
             assert engine._ext[index] == row, context
             assert engine._hpwl[index] == (
                 (row[3] - row[0]) + (row[9] - row[6])
             ), context
-            assert engine._ext_np[index].tolist() == row, context
-            assert engine._hpwl_np[index] == engine._hpwl[index], context
+            assert engine._hpwl[index] == bbox_hpwl(points), context
             if len(points) == 1:
                 seen.add("one-terminal")
             if net.is_output(name):
@@ -272,7 +297,7 @@ def test_swap_cells_keeps_cached_boxes_exact(library):
         assert placement.locations == expected
         for name in net.nets():
             assert engine.net_hpwl(name) == net_hpwl(net, placement, name)
-        # committed rows (scalar re-box) == a fresh vectorized flattening
+        # committed rows (per-net re-box) == a fresh flattening
         fresh = WirelengthEngine(net, placement)
         fresh.refresh()
         assert engine._ext == fresh._ext

@@ -43,8 +43,9 @@ def _load_standalone(name: str, relative: str):
     """Module *relative* to ``src/repro``, executed from its file path.
 
     Loading it this way does not trigger ``repro/__init__`` (which
-    pulls in the full package, numpy included) — the linter must run
-    on a bare Python install, so only stdlib-only modules qualify.
+    imports the full package) — the linter must run without the
+    package installed or importable, so only stdlib-only modules
+    qualify.
     """
     import importlib.util
 
