@@ -4,7 +4,7 @@
 checkpointed run resumes to the same fingerprint.  This bench records
 the price: a whole ``run_rapids`` run (the ``gsg_gs`` optimizer, then
 the timing-aware wirelength polish) saving its pickled resume state
-(network, placement and the timing engine's exported ``EvalState``)
+(network, placement, the timing engine's period and the loop's state)
 at its stage and round boundaries is timed against the saving it
 does.  The manager's save budget (``repro.checkpoint.SAVE_BUDGET``)
 decides which unforced boundaries save: the first one, then each one

@@ -15,20 +15,18 @@ arrived since the last boundary, the payload is written atomically
 Every payload has one shape whatever its stage: the live
 :class:`~repro.network.netlist.Network` and
 :class:`~repro.place.placement.Placement` under ``"network"`` and
-``"placement"``, the running timing engine's exported
-:class:`~repro.timing.sta.EvalState` under ``"engine_state"`` (``None``
-where no engine runs) and the stage's own entries (a loop's state
-object, the finished reports) — see :func:`stage_payload`.  The
-manager pickles them whole.  Pickle round-trips floats and dict order
-exactly, and the engine state carries what the analysis propagated
-verbatim, never recomputed; a resumed engine rebuilds its star
-models from the netlist and derives its levels, critical delay and
-slacks from the state, so it prices, commits and logs exactly what
-the uninterrupted run would have.  Resume replays no
-work: ``run_rapids(resume=True)`` grafts the saved netlist into the
-live objects once (:func:`graft_state`), rebuilds the engine on them
-(:func:`engine_from_state`) and re-enters the loop with its saved
-state, producing a final fingerprint identical to an uninterrupted run
+``"placement"``, the running timing engine's ``period`` under
+``"period"`` (``None`` where no engine runs or none is pinned) and the
+stage's own entries (a loop's state object, the finished reports) —
+see :func:`stage_payload`.  The manager pickles them whole, and
+pickle round-trips floats and dict order exactly.  No timing analysis
+is saved: incremental STA equals a fresh analysis bit for bit, so an
+engine built on the saved netlist with the saved period prices,
+commits and logs exactly what the uninterrupted run's engine would
+have.  Resume replays no moves: ``run_rapids(resume=True)`` grafts the
+saved netlist into the live objects once (:func:`graft_state`), builds
+its engine on them and re-enters the loop with its saved state,
+producing a final fingerprint identical to an uninterrupted run
 (``tests/test_checkpoint.py`` locks this).  Every payload records
 :data:`PAYLOAD_FORMAT`; a file written in another format, or one that
 does not unpickle, is refused with :class:`CheckpointFormatError`.
@@ -47,7 +45,7 @@ from time import perf_counter
 
 from .network.netlist import Network
 from .place.placement import Placement
-from .timing.sta import EvalState, TimingEngine
+from .timing.sta import TimingEngine
 
 #: Exit status of a run stopped at a checkpoint (BSD ``EX_TEMPFAIL``:
 #: a temporary condition — rerun with ``--resume`` to continue).
@@ -58,13 +56,15 @@ CHECKPOINT_EXIT_CODE = 75
 #: renamed the mid-polish stage ``wl_partition`` to ``wl_round`` when
 #: the unpartitioned polish began checkpointing its rounds too; 4 dropped
 #: the derived timing state (slacks, levels, critical delay) from the
-#: engine's ``EvalState``; 5 saved every stage's netlist under the
+#: saved engine state; 5 saved every stage's netlist under the
 #: same keys (:func:`stage_payload`) and each loop's state as one object;
-#: 6 dropped the star models from the engine's ``EvalState`` (a resumed
-#: engine rebuilds them) and saves the carve with its FM pop count
-#: (``RegionSet.fm_moves``); 7 dropped ``po_pad_cap`` from the
-#: ``EvalState`` (every engine uses the module constant).
-PAYLOAD_FORMAT = 7
+#: 6 dropped the star models from the saved engine state (a resumed
+#: engine rebuilt them) and saves the carve with its FM pop count
+#: (``RegionSet.fm_moves``); 7 dropped ``po_pad_cap`` from the saved
+#: engine state (every engine uses the module constant); 8 saves only
+#: the engine's ``period`` in place of its propagated arrival and
+#: required pairs (a resumed engine re-analyzes the saved netlist).
+PAYLOAD_FORMAT = 8
 
 #: Share of the run an unforced save may cost: a boundary that is not
 #: forced saves only once the time since the last save ended reaches
@@ -309,12 +309,12 @@ class CheckpointManager:
 def stage_payload(network: Network, placement: Placement,
                   engine: TimingEngine | None = None, **entries) -> dict:
     """A boundary payload: the live netlist under the keys every stage
-    shares, *engine*'s cached analysis (``None`` without an engine) and
+    shares, *engine*'s timing period (``None`` without an engine) and
     the stage's own *entries*."""
     return {
         "network": network,
         "placement": placement,
-        "engine_state": None if engine is None else engine.export_eval_state(),
+        "period": None if engine is None else engine.period,
         **entries,
     }
 
@@ -339,30 +339,3 @@ def graft_state(saved: Network, saved_placement: Placement,
     placement.input_pads = dict(saved_placement.input_pads)
     placement.output_pads = dict(saved_placement.output_pads)
 
-
-def engine_from_state(
-    state: EvalState,
-    network: Network,
-    placement: Placement,
-    library,
-) -> TimingEngine:
-    """An engine on the already grafted live objects, resuming *state*.
-
-    The one constructor that adopts cached analysis: the saved dicts
-    are taken in their recorded iteration order and nothing is
-    re-propagated; one star model per net, one level pass, the critical
-    delay and one slack fold rebuild the derived state, so the engine
-    prices and commits bit-identically to the engine the interrupted
-    run would have carried into the same round.  It is bound to the
-    caller's live *network*/*placement*/*library*, so the rest of the
-    run sees one consistent object graph.
-    """
-    engine = TimingEngine(network, placement, library, period=state.period)
-    engine.arrival = dict(state.arrival)
-    for net in network.nets():
-        engine._ensure_star(net)
-    engine._req0 = dict(state.req0)
-    engine._derive(network.topo_order())
-    engine._analyzed_version = network.version
-    engine._needs_full = False
-    return engine

@@ -49,11 +49,6 @@ class RunKnobs:
         "optimization: symmetric signals are exchanged to shorten "
         "estimated wires, placement untouched; 0 skips the polish",
         flag=True, metavar="N", minimum=0, trajectory=True)
-    wl_batched: bool = knob(
-        True, "score each polish pass's candidates as one batch and "
-        "commit a conflict-free subset; off runs the serial greedy "
-        "reference, which is not checkpointed",
-        flag=True, negatable=True, trajectory=True)
     wl_timing_aware: bool = knob(
         True, "gate every wirelength swap on its projected slack "
         "neighborhood staying inside the guard band; off restores the "
@@ -141,6 +136,7 @@ class FlowConfig(RunKnobs):
     #: Inert: perfbench/flows.py reads them.
     wl_class_swaps: ClassVar[bool] = False
     sim_backend: ClassVar[str] = "auto"
+    wl_batched: ClassVar[bool] = True
 
     def effective_scale(self) -> float:
         from .suite.registry import configured_scale

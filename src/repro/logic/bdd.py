@@ -55,11 +55,6 @@ class BddManager:
         level = self.declare(name)
         return self._mk(level, ZERO, ONE)
 
-    def nvar(self, name: str) -> int:
-        """BDD for the negative literal of *name*."""
-        level = self.declare(name)
-        return self._mk(level, ONE, ZERO)
-
     def level_of(self, node: int) -> int:
         """Variable level of *node* (terminals sort last)."""
         return self._nodes[node][0]
@@ -160,71 +155,6 @@ class BddManager:
             return result
 
         return walk(node)
-
-    def compose(self, node: int, name: str, replacement: int) -> int:
-        """Substitute *replacement* for variable *name* in *node*."""
-        positive = self.restrict(node, name, 1)
-        negative = self.restrict(node, name, 0)
-        return self.ite(replacement, positive, negative)
-
-    def support(self, node: int) -> set[str]:
-        """Names of variables the function depends on."""
-        seen: set[int] = set()
-        names: set[str] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current in (ZERO, ONE) or current in seen:
-                continue
-            seen.add(current)
-            level, low, high = self._nodes[current]
-            names.add(self.var_names[level])
-            stack.append(low)
-            stack.append(high)
-        return names
-
-    def sat_count(self, node: int, num_vars: int | None = None) -> int:
-        """Number of satisfying assignments over the declared variables."""
-        total_vars = num_vars if num_vars is not None else len(self.var_names)
-        cache: dict[int, int] = {}
-
-        def walk(current: int) -> int:
-            # counts assignments over variables below current's level
-            if current == ZERO:
-                return 0
-            if current == ONE:
-                return 1
-            cached = cache.get(current)
-            if cached is not None:
-                return cached
-            level, low, high = self._nodes[current]
-            low_level = min(self.level_of(low), total_vars)
-            high_level = min(self.level_of(high), total_vars)
-            count = walk(low) * (1 << (low_level - level - 1)) + walk(
-                high
-            ) * (1 << (high_level - level - 1))
-            cache[current] = count
-            return count
-
-        top_level = min(self.level_of(node), total_vars)
-        return walk(node) * (1 << top_level)
-
-    def any_sat(self, node: int) -> dict[str, int] | None:
-        """One satisfying assignment, or ``None`` for the zero function."""
-        if node == ZERO:
-            return None
-        assignment: dict[str, int] = {}
-        current = node
-        while current != ONE:
-            level, low, high = self._nodes[current]
-            name = self.var_names[level]
-            if high != ZERO:
-                assignment[name] = 1
-                current = high
-            else:
-                assignment[name] = 0
-                current = low
-        return assignment
 
 
 def network_bdds(

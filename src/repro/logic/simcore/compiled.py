@@ -73,10 +73,6 @@ class CompiledNetwork:
     def num_gates(self) -> int:
         return len(self.gate_names)
 
-    @property
-    def num_nets(self) -> int:
-        return len(self.inputs) + len(self.gate_names)
-
     def fanins_of(self, position: int) -> list[int]:
         """Fanin net indices of the gate at topological *position*."""
         return self.fanin_flat[

@@ -2,7 +2,7 @@
 
 from .engine import MODES, RapidsResult, run_rapids
 from .moves import SwapMove, bind_new_inverters, swap_sites
-from .wirelength import WirelengthResult, reduce_wirelength, swap_hpwl_delta
+from .wirelength import WirelengthResult, reduce_wirelength
 from .report import Table1Row, averages, build_row, fanout_profile
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "fanout_profile",
     "run_rapids",
     "swap_sites",
-    "swap_hpwl_delta",
     "reduce_wirelength",
     "WirelengthResult",
 ]

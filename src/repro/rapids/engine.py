@@ -30,12 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from ..checkpoint import (
-    CheckpointManager,
-    engine_from_state,
-    graft_state,
-    stage_payload,
-)
+from ..checkpoint import CheckpointManager, graft_state, stage_payload
 from ..config import MODES as MODES  # re-exported: callers import it here
 from ..config import RapidsConfig
 from ..library.cells import Library
@@ -117,7 +112,6 @@ class PersistentSupergateStore:
             network=network,
             supergates=dict(supergates),
             owner=dict(owner),
-            network_version=network.version,
         )
 
     def store(
@@ -240,7 +234,6 @@ class SupergateCache:
             return self._extract_full()
         sgn = self._sgn
         if not (self._touched_gates or self._touched_nets or self._removed):
-            sgn.network_version = network.version
             return sgn
         # gates whose coverage may have changed: the touched gates, the
         # drivers and the consumers of every touched net (the net's
@@ -294,7 +287,6 @@ class SupergateCache:
             for covered_name in sg.covered:
                 sgn.owner[covered_name] = name
             sgn.supergates[name] = sg
-        sgn.network_version = network.version
         self._reset_dirty()
         self.partial_refreshes += 1
         return sgn
@@ -398,6 +390,7 @@ def run_rapids(
     *,
     wl_class_swaps: bool = False,  # inert: perfbench/flows.py passes it
     sim_backend: str = "auto",  # inert: perfbench/flows.py passes it
+    wl_batched: bool = True,  # inert: perfbench/flows.py passes it
     **knobs,
 ) -> RapidsResult:
     """Optimize a placed mapped network in place; returns the report.
@@ -412,12 +405,15 @@ def run_rapids(
     (:data:`~repro.checkpoint.SAVE_BUDGET`), and a SIGTERM saves at the
     next one and unwinds with :class:`~repro.checkpoint.RunInterrupted`;
     ``resume`` finishes bit-identically to an uninterrupted run.
-    *wl_class_swaps* must be ``False`` and *sim_backend* ``"auto"``.
+    *wl_class_swaps* must be ``False``, *sim_backend* ``"auto"`` and
+    *wl_batched* ``True``.
     """
     if wl_class_swaps:
         raise ValueError("wl_class_swaps=True is not supported")
     if sim_backend != "auto":
         raise ValueError(f"sim_backend={sim_backend!r} is not supported")
+    if not wl_batched:
+        raise ValueError("wl_batched=False is not supported")
     config = RapidsConfig(**knobs)
     manager = saved = stage = None
     if config.checkpoint is not None:
@@ -450,14 +446,13 @@ def run_rapids(
         else:
             # one timing engine and one supergate cache serve every
             # stage: the optimizer keeps both current, and the polish
-            # continues from them
-            engine_state = saved and saved["engine_state"]
-            if engine_state is None:
-                engine = TimingEngine(network, placement, library)
-            else:
-                engine = engine_from_state(
-                    engine_state, network, placement, library
-                )
+            # continues from them.  A resumed engine analyzes the saved
+            # netlist afresh (incremental STA equals a fresh analysis
+            # bit for bit) with the saved period, which a timing-aware
+            # polish pinned to the pre-polish delay
+            engine = TimingEngine(
+                network, placement, library, period=saved and saved["period"]
+            )
             supergates = SupergateCache(network)
             if stage in ("wl", "wl_round"):
                 opt = saved["opt"]
@@ -538,7 +533,7 @@ def _polish(network, placement, config, opt, manager, saved, engine,
         )
     else:
         result = wirelength.reduce_wirelength(
-            network, placement, batched=config.wl_batched, **shared,
+            network, placement, **shared,
         )
     if result.swaps_applied or result.cross_swaps_applied:
         # the polish rewired nets after the optimizer's last STA:

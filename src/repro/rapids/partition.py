@@ -187,11 +187,10 @@ def reduce_wirelength_partitioned(
     *checkpoint* (a :class:`repro.checkpoint.CheckpointManager`) saves
     the loop's :class:`PolishState` after every applied round.  To
     resume, the caller grafts the saved netlist into *network* /
-    *placement* and rebuilds *timing_engine* from the saved engine
-    state first (see :func:`repro.checkpoint.graft_state` /
-    :func:`~repro.checkpoint.engine_from_state`) and passes the loaded
-    payload as *resume_data*; the run re-enters the interrupted pass
-    mid-flight with the saved carve, counters and slack-gate
+    *placement* (see :func:`repro.checkpoint.graft_state`), builds
+    *timing_engine* on it with the saved ``period`` and passes the
+    loaded payload as *resume_data*; the run re-enters the interrupted
+    pass mid-flight with the saved carve, counters and slack-gate
     statistics, and finishes bit-identically to the uninterrupted run.
 
     *supergates* is a :class:`~repro.rapids.engine.SupergateCache` on

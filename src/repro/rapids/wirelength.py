@@ -7,28 +7,21 @@ swaps (and inverter-free cross-supergate fanin-group exchanges)
 accepted whenever they shorten the estimated wiring, with the
 placement frozen.
 
-Two execution paths share one candidate-pricing contract (candidates
-are **never** priced by mutating the network — pricing fires zero
-events into subscribed engines; see ``docs/architecture.md``):
-
-* **batched** (the default): the round loop of
-  :mod:`repro.rapids.partition` with no carve — the whole netlist is
-  one region.  Every pass enumerates the full candidate set once —
-  leaf swaps of every non-trivial supergate plus pure cross swaps —
-  and each round scores it as one batch against a
-  :class:`~repro.place.hpwl.WirelengthEngine` (:func:`_select_batch`)
-  and commits a maximal conflict-free subset (:func:`_apply_batch`;
-  no two accepted moves share a net, so the priced deltas are exactly
-  additive).  Rounds repeat within the pass until none improves:
-  non-inverting leaf swaps preserve the supergate partition, so the
-  pin-pair set stays valid and only the driving nets need re-reading.
-  Supergates are refreshed *incrementally* between passes through the
-  caller's :class:`~repro.rapids.engine.SupergateCache` or a new one.
-* **greedy** (the reference): the historical interpreted trajectory —
-  supergates re-extracted per pass, candidates priced and applied one
-  at a time in enumeration order.  Deltas are bit-identical to the
-  old trial-apply-and-revert implementation (pure extrema selection),
-  minus the two mutation events it fired per candidate.
+Candidates are **never** priced by mutating the network — pricing
+fires zero events into subscribed engines (see
+``docs/architecture.md``).  The polish is the round loop of
+:mod:`repro.rapids.partition` with no carve — the whole netlist is one
+region.  Every pass enumerates the full candidate set once — leaf
+swaps of every non-trivial supergate plus pure cross swaps — and each
+round scores it as one batch against a
+:class:`~repro.place.hpwl.WirelengthEngine` (:func:`_select_batch`)
+and commits a maximal conflict-free subset (:func:`_apply_batch`; no
+two accepted moves share a net, so the priced deltas are exactly
+additive).  Rounds repeat within the pass until none improves:
+non-inverting leaf swaps preserve the supergate partition, so the
+pin-pair set stays valid and only the driving nets need re-reading.
+Supergates are refreshed *incrementally* between passes through the
+caller's :class:`~repro.rapids.engine.SupergateCache` or a new one.
 
 With a *timing_engine* the polish becomes **timing-aware**: a swap is
 committed only when its HPWL delta improves **and** its projected
@@ -50,35 +43,29 @@ reused).  The engine's timing target is pinned to the pre-polish
 critical delay when no period is set, so "no worse than the guard
 band" means "no worse than the netlist we started polishing".
 
-The batched path must end at a total HPWL no worse than greedy's on
-the quick set (``benchmarks/bench_wirelength.py`` asserts it, along
-with zero delay degradation for the timing-aware default) and is
-function-preserving by construction (every accepted move is a legal
-symmetry application; the property tests sweep random networks ×
-random placements through ``networks_equivalent``).
+The polish must end at a total HPWL no worse than a serial greedy
+loop's on the quick set (``benchmarks/bench_wirelength.py`` holds that
+reference and asserts it, along with zero delay degradation for the
+timing-aware default) and is function-preserving by construction
+(every accepted move is a legal symmetry application; the property
+tests sweep random networks × random placements through
+``networks_equivalent``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from ..contracts import projection_only
 from ..network.netlist import Network, Pin
 from ..place.hpwl import WirelengthEngine
-from ..place.placement import (
-    Placement,
-    bbox_hpwl,
-    net_terminals,
-    total_hpwl,
-)
+from ..place.placement import Placement
 from ..symmetry.cross import (
     CrossSwap,
     apply_cross_swap,
     cross_swap_bindings,
     find_cross_swaps,
 )
-from ..symmetry.supergate import extract_supergates
-from ..symmetry.swap import apply_swap, enumerate_swaps
+from ..symmetry.swap import enumerate_swaps
 from ..timing.sta import PROJECTION_DRIFT_TOL, TimingEngine
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
@@ -98,7 +85,7 @@ class WirelengthResult:
     final_hpwl: float
     swaps_applied: int
     passes: int
-    mode: str = "greedy"
+    mode: str = "batched"
     cross_swaps_applied: int = 0
     candidates_scored: int = 0
     #: True when a timing engine gated every commit on projected slack.
@@ -125,44 +112,6 @@ class WirelengthResult:
         return 100.0 * (
             self.initial_hpwl - self.final_hpwl
         ) / self.initial_hpwl
-
-
-def _exchanged(
-    terminals: list[tuple[float, float]],
-    removed: tuple[float, float],
-    added: tuple[float, float],
-) -> list[tuple[float, float]]:
-    edited = list(terminals)
-    edited.remove(removed)
-    edited.append(added)
-    return edited
-
-
-@projection_only
-def swap_hpwl_delta(
-    network: Network, placement: Placement, swap
-) -> float:
-    """Wirelength change (negative = shorter) of a candidate swap.
-
-    Footprint-only: the affected nets' terminal multisets are edited
-    arithmetically, so pricing never mutates the network — no version
-    bump, no mutation events into subscribed engines.  The returned
-    value is bit-identical to the historical trial-apply-and-revert
-    computation (extrema of the same multisets).
-    """
-    net_a = network.fanin_net(swap.pin_a)
-    net_b = network.fanin_net(swap.pin_b)
-    if net_a == net_b:
-        return 0.0
-    loc_a = placement.locations[swap.pin_a.gate]
-    loc_b = placement.locations[swap.pin_b.gate]
-    terms_a = net_terminals(network, placement, net_a)
-    terms_b = net_terminals(network, placement, net_b)
-    before = bbox_hpwl(terms_a) + bbox_hpwl(terms_b)
-    after = bbox_hpwl(_exchanged(terms_a, loc_a, loc_b)) + bbox_hpwl(
-        _exchanged(terms_b, loc_b, loc_a)
-    )
-    return after - before
 
 
 def swap_bindings(
@@ -249,7 +198,6 @@ def reduce_wirelength(
     network: Network,
     placement: Placement,
     max_passes: int = 4,
-    batched: bool = True,
     timing_engine: TimingEngine | None = None,
     slack_margin: float = 0.0,
     checkpoint=None,
@@ -261,12 +209,9 @@ def reduce_wirelength(
     Only non-inverting swaps and inverter-free cross exchanges are
     used (a move that adds cells is never justified by wirelength
     alone), so the placement is untouched and the gate count constant.
-    *batched* selects the batched conflict-free path (see module
-    docstring); ``batched=False`` runs the serial greedy reference.
-    The batched path checkpoints and resumes per round exactly like
+    The polish checkpoints and resumes per round exactly like
     :func:`repro.rapids.partition.reduce_wirelength_partitioned`
-    (*checkpoint*, *resume_data*, *supergates*); the greedy reference
-    ignores all three.
+    (*checkpoint*, *resume_data*, *supergates*).
 
     With *timing_engine* every commit is additionally gated on its
     projected slack neighborhood staying above *slack_margin* (ns)
@@ -276,14 +221,12 @@ def reduce_wirelength(
     re-timed delay.  Negative margins permit bounded degradation,
     positive margins keep a safety band.
     """
+    from .partition import polish_rounds
+
     gate = (
         _TimingGate(timing_engine, slack_margin)
         if timing_engine is not None else None
     )
-    if not batched:
-        return _reduce_greedy(network, placement, max_passes, gate)
-    from .partition import polish_rounds
-
     result = polish_rounds(
         network, placement, gate, max_passes,
         checkpoint=checkpoint, resume_data=resume_data,
@@ -293,52 +236,6 @@ def reduce_wirelength(
         spec.name: getattr(result, spec.name)
         for spec in fields(WirelengthResult)
     })
-
-
-# ----------------------------------------------------------------------
-# greedy reference path (the historical trajectory)
-# ----------------------------------------------------------------------
-def _reduce_greedy(
-    network: Network,
-    placement: Placement,
-    max_passes: int,
-    gate: _TimingGate | None,
-) -> WirelengthResult:
-    initial = total_hpwl(network, placement)
-    applied = 0
-    passes = 0
-    scored = 0
-    for _ in range(max_passes):
-        passes += 1
-        improved = 0
-        sgn = extract_supergates(network)
-        for sg in sgn.nontrivial():
-            for swap in enumerate_swaps(
-                sg, leaves_only=True, include_inverting=False,
-                network=network,
-            ):
-                delta = swap_hpwl_delta(network, placement, swap)
-                scored += 1
-                if delta < -MIN_GAIN:
-                    if gate is not None and gate.verify(
-                        swap_bindings(network, swap.pin_a, swap.pin_b)
-                    ) is None:
-                        continue
-                    apply_swap(network, swap)
-                    improved += 1
-        applied += improved
-        if not improved:
-            break
-    result = WirelengthResult(
-        initial_hpwl=initial,
-        final_hpwl=total_hpwl(network, placement),
-        swaps_applied=applied,
-        passes=passes,
-        mode="greedy",
-        candidates_scored=scored,
-    )
-    _attach_timing_stats(result, gate)
-    return result
 
 
 def _attach_timing_stats(

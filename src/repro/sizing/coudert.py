@@ -211,8 +211,8 @@ def optimize(
     enables round-boundary saves; *resume_data* is a previously saved
     ``"optimize"``-stage payload whose netlist the caller has already
     grafted into *network*/*placement*
-    (:func:`repro.checkpoint.graft_state`) and whose engine state it
-    has turned into *engine* (:func:`repro.checkpoint.engine_from_state`).
+    (:func:`repro.checkpoint.graft_state`) and on which it has built
+    *engine*.
     The run re-enters the loop with the saved :class:`OptimizeState`,
     yielding a result identical to the uninterrupted run.
     """

@@ -119,10 +119,6 @@ class Supergate:
             return False
         return pin_b in self.root_path(pin_a) or pin_a in self.root_path(pin_b)
 
-    def depth_of(self, pin: Pin) -> int:
-        """Number of covered gates between *pin* and the root (>= 1)."""
-        return len(self.root_path(pin))
-
 
 @dataclass
 class SupergateNetwork:
@@ -131,7 +127,6 @@ class SupergateNetwork:
     network: Network
     supergates: dict[str, Supergate]
     owner: dict[str, str]
-    network_version: int
 
     def supergate_of(self, gate_name: str) -> Supergate:
         """Supergate covering the given gate."""
@@ -183,10 +178,6 @@ class SupergateNetwork:
             **{f"class_{key}": val for key, val in sorted(by_class.items())},
         }
 
-    def is_stale(self) -> bool:
-        """True when the network changed since extraction."""
-        return self.network.version != self.network_version
-
 
 def extract_supergates(network: Network) -> SupergateNetwork:
     """Partition *network* into generalized implication supergates.
@@ -209,7 +200,6 @@ def extract_supergates(network: Network) -> SupergateNetwork:
         network=network,
         supergates=supergates,
         owner=owner,
-        network_version=network.version,
     )
 
 

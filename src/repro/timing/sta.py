@@ -99,9 +99,8 @@ class TimingStats:
 
     ``level_rebuilds`` and ``full_folds`` count the whole-network
     passes (a logic-level pass, a slack fold over every net): one each
-    per :meth:`TimingEngine.analyze` or resumed engine, plus one fold
-    per committed update whose timing target moved.  They are not
-    node updates.
+    per :meth:`TimingEngine.analyze`, plus one fold per committed update
+    whose timing target moved.  They are not node updates.
     """
 
     full_analyses: int = 0
@@ -132,27 +131,6 @@ class TimingStats:
             "level_rebuilds": self.level_rebuilds,
             "full_folds": self.full_folds,
         }
-
-
-@dataclass
-class EvalState:
-    """Picklable snapshot of an engine's cached analysis (checkpoints).
-
-    Produced by :meth:`TimingEngine.export_eval_state` and turned back
-    into an engine on the checkpoint's netlist by
-    :func:`repro.checkpoint.engine_from_state`.  The snapshot carries
-    only what the analysis *propagated*, verbatim (arrival pairs and
-    zero-target required pairs) plus the clock period, so a resumed
-    engine projects bit-identical gains: pickling round-trips floats
-    exactly.  What is derived is left out and rebuilt on load — the
-    star RC models (a function of the netlist and placement alone, and
-    most of the pickling cost), logic levels, the critical delay,
-    slacks and the per-gate pricing memo.
-    """
-
-    period: float | None
-    arrival: dict[str, tuple[float, float]]
-    req0: dict[str, tuple[float, float]]
 
 
 class Gains(NamedTuple):
@@ -347,7 +325,8 @@ class TimingEngine:
         The evaluators the incremental worklist drives, run over every
         net: arrivals in topological order, then zero-target required
         pairs in reverse topological order, primary inputs last, so
-        each net pulls from its consumers' finished pairs.
+        each net pulls from its consumers' finished pairs; then every
+        net's logic level, the critical delay and every slack.
         """
         network = self.network
         self.placement.ensure_covered(network)
@@ -364,22 +343,6 @@ class TimingEngine:
             self._req0[net] = self._req0_pair(net, {}, {})
         self.stats.arrival_evals += len(order)
         self.stats.required_evals += len(self._req0)
-        self._derive(order)
-        self._analyzed_version = network.version
-        self.stats.full_analyses += 1
-        self._clear_dirty()
-        self._pricing_memo.clear()
-
-    def _derive(self, order: list[str]) -> None:
-        """Whole-network passes over the propagated state.
-
-        From the cached arrival and ``_req0`` pairs and a topological
-        *order* of the gates: every net's logic level, the critical
-        delay and every slack.  :meth:`analyze` ends with it, and a
-        resumed engine (:func:`repro.checkpoint.engine_from_state`)
-        rebuilds its derived state with it.
-        """
-        network = self.network
         levels = {net: 0 for net in network.inputs}
         for name in order:
             levels[name] = 1 + max(
@@ -389,6 +352,10 @@ class TimingEngine:
         self.stats.level_rebuilds += 1
         self.max_delay = self._critical_delay()
         self._fold_slacks(self._current_target())
+        self._analyzed_version = network.version
+        self.stats.full_analyses += 1
+        self._clear_dirty()
+        self._pricing_memo.clear()
 
     def is_fresh(self) -> bool:
         """True when the cached analysis matches the network version."""
@@ -600,11 +567,6 @@ class TimingEngine:
             req_rise, req_fall = req0[net]
             rise, fall = arrival.get(net, (0.0, 0.0))
             slack[net] = min(req_rise - rise, req_fall - fall) + target
-
-    def required_time(self, net: str) -> float:
-        """Required time at *net* (worst of rise/fall) against the target."""
-        req_rise, req_fall = self._req0[net]
-        return min(req_rise, req_fall) + self._target
 
     # ------------------------------------------------------------------
     # incremental update
@@ -838,26 +800,6 @@ class TimingEngine:
             moved.get(Pin(name, index), fanin)
             for index, fanin in enumerate(fanins)
         ]
-
-    # ------------------------------------------------------------------
-    # snapshot export (checkpoints)
-    # ------------------------------------------------------------------
-    def export_eval_state(self) -> EvalState:
-        """Snapshot the cached analysis for a checkpoint payload.
-
-        The returned :class:`EvalState` is picklable and references the
-        engine's live caches without copying — callers must pickle it
-        before the next committed batch.  An engine rebuilt from it by
-        :func:`repro.checkpoint.engine_from_state` computes
-        :meth:`swap_gain` / :meth:`resize_gain` bit-identically to this
-        engine.
-        """
-        self.refresh()
-        return EvalState(
-            period=self.period,
-            arrival=self.arrival,
-            req0=self._req0,
-        )
 
     # ------------------------------------------------------------------
     # reporting

@@ -1,4 +1,5 @@
-"""Importable test helpers (network generators shared by the suite).
+"""Importable test helpers (network generators and oracles shared by
+the suite).
 
 These used to live in ``tests/conftest.py`` and were imported with
 ``from conftest import ...`` — which breaks the moment any *other*
@@ -15,6 +16,7 @@ import random
 from repro.network.builder import NetworkBuilder
 from repro.network.gatetype import GateType
 from repro.network.netlist import Network
+from repro.place.placement import Placement, bbox_hpwl, net_terminals
 
 ALL_LOGIC_TYPES = [
     GateType.AND,
@@ -82,3 +84,36 @@ def fig3_network() -> Network:
     sg2 = builder.and_(d, e, g, name="sg2")
     builder.output(builder.or_(sg1, sg2, name="f"))
     return builder.build()
+
+
+def _exchanged(
+    terminals: list[tuple[float, float]],
+    removed: tuple[float, float],
+    added: tuple[float, float],
+) -> list[tuple[float, float]]:
+    edited = list(terminals)
+    edited.remove(removed)
+    edited.append(added)
+    return edited
+
+
+def swap_hpwl_delta(network: Network, placement: Placement, swap) -> float:
+    """Interpreted wirelength change (negative = shorter) of a swap.
+
+    The oracle :class:`repro.place.hpwl.WirelengthEngine` is checked
+    against: the two nets' terminal multisets are edited
+    arithmetically and re-boxed, so pricing never mutates the network.
+    """
+    net_a = network.fanin_net(swap.pin_a)
+    net_b = network.fanin_net(swap.pin_b)
+    if net_a == net_b:
+        return 0.0
+    loc_a = placement.locations[swap.pin_a.gate]
+    loc_b = placement.locations[swap.pin_b.gate]
+    terms_a = net_terminals(network, placement, net_a)
+    terms_b = net_terminals(network, placement, net_b)
+    before = bbox_hpwl(terms_a) + bbox_hpwl(terms_b)
+    after = bbox_hpwl(_exchanged(terms_a, loc_a, loc_b)) + bbox_hpwl(
+        _exchanged(terms_b, loc_b, loc_a)
+    )
+    return after - before

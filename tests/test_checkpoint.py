@@ -32,8 +32,8 @@ from repro.checkpoint import (
     CheckpointManager,
     CheckpointMismatchError,
     RunInterrupted,
-    engine_from_state,
     graft_state,
+    stage_payload,
 )
 from repro.library.cells import default_library
 from repro.network.netlist import Network
@@ -288,20 +288,25 @@ def test_format_6_checkpoint_with_a_pad_cap_in_the_engine_state_is_refused(
         )
 
 
+def test_format_7_checkpoint_with_an_engine_state_is_refused(tmp_path):
+    # format 7 pickled the engine's propagated arrival and required
+    # pairs, which format 8 re-analyzes on resume; an old file must
+    # fail by name
+    path = tmp_path / "old.ckpt"
+    with open(path, "wb") as handle:
+        pickle.dump({"format": 7, "stage": "optimize",
+                     "engine_state": None}, handle)
+    network, placement, library = _placed_design(3, num_gates=20)
+    with pytest.raises(CheckpointFormatError, match="payload format 7"):
+        run_rapids(
+            network, placement, library, mode="gs",
+            checkpoint=str(path), resume=True,
+        )
+
+
 # ----------------------------------------------------------------------
 # pickled state: exact round-trips
 # ----------------------------------------------------------------------
-def test_pickled_eval_state_round_trips_the_engine_caches():
-    network, placement, library = _placed_design(5, num_gates=40)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    state = _round_trip(engine.export_eval_state())
-    reference = engine.export_eval_state()
-    assert state.arrival == reference.arrival
-    assert state.req0 == reference.req0
-    assert state.period == reference.period
-
-
 def test_graft_state_restores_content_into_live_objects():
     network, placement, library = _placed_design(7, num_gates=30)
     saved, saved_pl = _round_trip((network, placement))
@@ -321,46 +326,21 @@ def test_graft_state_restores_content_into_live_objects():
     assert target.topo_order() == network.topo_order()
 
 
-def test_engine_from_state_prices_identically_without_reanalysis():
-    network, placement, library = _placed_design(9, num_gates=40)
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    state = _round_trip(engine.export_eval_state())
-    net2, pl2 = network.copy(), placement.copy()
-    replica = engine_from_state(state, net2, pl2, library)
-    # the star models are rebuilt, not saved: every one as the live
-    # engine's, field for field
-    assert replica.stars == engine.stars
-    assert replica.arrival == engine.arrival
-    assert replica.slack == engine.slack
-    assert replica.max_delay == engine.max_delay
-    # and it keeps agreeing after an identical incremental commit
-    from repro.sizing.moves import resize_sites
-
-    site = resize_sites(network, library)[0]
-    site.moves[0].apply(network, library)
-    engine.refresh()
-    resize_sites(net2, library)[0].moves[0].apply(net2, library)
-    replica.refresh()
-    assert replica.slack == engine.slack
-    assert replica.max_delay == engine.max_delay
-
-
 def test_resumed_engine_reports_the_live_required_times():
-    # the state no longer carries slacks or levels: a resumed engine
-    # derives them, and its required times, from the propagated pairs
+    # a checkpoint saves no analysis: a fresh engine on the pickled
+    # netlist with the saved period derives the same required pairs,
+    # levels, slacks and critical delay, pinned period or not
     network, placement, library = _placed_design(11, num_gates=40)
     for period in (None, 4.0):
         engine = TimingEngine(network, placement, library, period=period)
         engine.analyze()
-        state = _round_trip(engine.export_eval_state())
-        replica = engine_from_state(
-            state, network.copy(), placement.copy(), library
+        saved = _round_trip(stage_payload(network, placement, engine))
+        replica = TimingEngine(
+            saved["network"], saved["placement"], library,
+            period=saved["period"],
         )
-        assert set(replica._req0) == set(engine._req0)
-        assert {
-            net: replica.required_time(net) for net in replica._req0
-        } == {net: engine.required_time(net) for net in engine._req0}
+        replica.refresh()
+        assert replica._req0 == engine._req0
         assert replica._levels == engine._levels
         assert replica.slack == engine.slack
         assert replica.max_delay == engine.max_delay
@@ -402,7 +382,7 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
     graft_state(payload["network"], payload["placement"], res_net, res_pl)
     resumed = optimize(
         res_net, res_pl, library, factory,
-        engine_from_state(payload["engine_state"], res_net, res_pl, library),
+        TimingEngine(res_net, res_pl, library, period=payload["period"]),
         collect_log=True, resume_data=payload,
     )
     assert resumed.move_log == plain.move_log
@@ -419,9 +399,9 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
 def test_full_sta_optimize_interrupted_and_resumed_matches_uninterrupted(
     tmp_path, monkeypatch
 ):
-    """The full-STA reference loop resumes through the same engine
-    rebuild as the incremental one: its engine at a round boundary is
-    a fresh analysis, which the saved state reproduces exactly."""
+    """The full-STA reference loop resumes like the incremental one:
+    a fresh engine on the saved netlist, whose first analysis equals
+    the engine the interrupted run carried into the same round."""
     network, placement, library = _placed_design(13, num_gates=60)
     factory = _gs_factory(library, None)
     plain_net, plain_pl = network.copy(), placement.copy()
@@ -453,7 +433,7 @@ def test_full_sta_optimize_interrupted_and_resumed_matches_uninterrupted(
     graft_state(payload["network"], payload["placement"], res_net, res_pl)
     resumed = optimize(
         res_net, res_pl, library, factory,
-        engine_from_state(payload["engine_state"], res_net, res_pl, library),
+        TimingEngine(res_net, res_pl, library, period=payload["period"]),
         collect_log=True, incremental=False, resume_data=payload,
     )
     assert resumed.move_log == plain.move_log
@@ -464,14 +444,18 @@ def test_full_sta_optimize_interrupted_and_resumed_matches_uninterrupted(
 # ----------------------------------------------------------------------
 # whole-run resume: every boundary, identical fingerprint
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["gs", "gsg_gs"])
 @pytest.mark.parametrize("partition", [True, False])
 def test_run_rapids_resumes_identically_from_every_boundary(
-    tmp_path, monkeypatch, partition
+    tmp_path, monkeypatch, partition, mode
 ):
-    network, placement, library = _placed_design(17, num_gates=80)
+    """A resume re-analyzes the saved netlist, so this also checks that
+    a fresh analysis equals incremental STA after every committed
+    move, inserted inverters (``gsg_gs``) included."""
+    network, placement, library = _placed_design(24, num_gates=80)
     path = str(tmp_path / "run.ckpt")
     kwargs = dict(
-        mode="gs", max_rounds=3, wl_passes=2,
+        mode=mode, max_rounds=3, wl_passes=2,
         partition=partition, partition_max_gates=30,
     )
     plain_net = network.copy()
@@ -519,6 +503,44 @@ def test_run_rapids_resumes_identically_from_every_boundary(
         checkpoint=path, resume=True, **kwargs,
     )
     assert _result_fingerprint(done_net, done) == reference
+
+
+def test_resume_mid_polish_keeps_the_pinned_period(tmp_path, monkeypatch):
+    """A ``wl_round`` payload records the period the slack gate pinned
+    to the pre-polish delay.  A negative margin lets the polish spend
+    delay, so a resume that pinned the current delay instead would
+    admit other swaps and diverge."""
+    network, placement, library = _placed_design(21, num_gates=80)
+    path = str(tmp_path / "run.ckpt")
+    kwargs = dict(mode="gs", max_rounds=3, wl_passes=2, wl_slack_margin=-0.3)
+    plain_net = network.copy()
+    plain = run_rapids(plain_net, placement.copy(), library, **kwargs)
+    reference = _result_fingerprint(plain_net, plain)
+    resumed = 0
+    for index in range(1, 21):
+        _sigterm_at(monkeypatch, index)
+        try:
+            run_rapids(
+                network.copy(), placement.copy(), library,
+                checkpoint=path, **kwargs,
+            )
+            break
+        except RunInterrupted as interrupt:
+            stage = interrupt.stage
+        finally:
+            monkeypatch.delenv(FAULT_PLAN_ENV)
+        if stage != "wl_round":
+            continue
+        with open(path, "rb") as handle:
+            assert pickle.load(handle)["period"] is not None
+        res_net = network.copy()
+        result = run_rapids(
+            res_net, placement.copy(), library,
+            checkpoint=path, resume=True, **kwargs,
+        )
+        assert _result_fingerprint(res_net, result) == reference, index
+        resumed += 1
+    assert resumed >= 2
 
 
 def _count_builds(monkeypatch) -> dict:
@@ -638,20 +660,20 @@ def test_sigterm_during_the_unpartitioned_polish_unwinds_and_resumes(
 @pytest.mark.parametrize("knobs, recorded", [
     ({}, {
         "mode": "gsg_gs", "max_rounds": 12, "batch_limit": 64,
-        "wl_passes": 0, "wl_batched": True,
+        "wl_passes": 0,
         "wl_timing_aware": True, "wl_slack_margin": 0.0,
         "partition": False, "partition_max_gates": 2500,
     }),
     ({
         "mode": "gs", "max_rounds": 2, "batch_limit": 8,
-        "wl_passes": 2, "wl_batched": False,
+        "wl_passes": 2,
         "wl_timing_aware": False, "wl_slack_margin": -0.25,
         "partition": True, "partition_max_gates": 30,
         "check_equivalence": True, "workers": 2,
         "collect_log": True,
     }, {
         "mode": "gs", "max_rounds": 2, "batch_limit": 8,
-        "wl_passes": 2, "wl_batched": False,
+        "wl_passes": 2,
         "wl_timing_aware": False, "wl_slack_margin": -0.25,
         "partition": True, "partition_max_gates": 30,
     }),

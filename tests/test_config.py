@@ -98,7 +98,6 @@ FLOW_FLAGS = {
     ("--verify",): ("check_equivalence", False, None),
     ("--workers",): ("workers", 1, None),
     ("--wl-passes",): ("wl_passes", 1, None),
-    ("--wl-batched", "--no-wl-batched"): ("wl_batched", True, None),
     ("--wl-timing-aware", "--no-wl-timing-aware"):
         ("wl_timing_aware", True, None),
     ("--wl-slack-margin",): ("wl_slack_margin", 0.0, None),

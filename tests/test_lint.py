@@ -229,12 +229,10 @@ def test_repo_projection_only_surfaces_are_marked():
     """The pricing surfaces named by the contract carry the marker."""
     from repro.place.hpwl import WirelengthEngine
     from repro.rapids.moves import SwapMove
-    from repro.rapids.wirelength import swap_hpwl_delta
     from repro.sizing.moves import ResizeMove
     from repro.timing.sta import TimingEngine
 
     for fn in (
-        swap_hpwl_delta,
         SwapMove.gains,
         ResizeMove.gains,
         TimingEngine.swap_gain,

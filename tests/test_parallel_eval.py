@@ -1,12 +1,12 @@
-"""Serial ≡ parallel, and the pickled engine state checkpoints rely on.
+"""Serial ≡ parallel, and the fresh engine a checkpoint resume builds.
 
 The contract of ``repro.parallel``: ``run_rapids(..., workers=N)``
 walks the bit-identical trajectory for every N, because forked
 children select partitioned-polish regions with the parent's own
 selector against the engines they inherited, and the parent merges the
-selections back in region order.  The pickled
-:class:`~repro.timing.sta.EvalState` that checkpoints store must
-rebuild an engine that prices and commits exactly like the original.
+selections back in region order.  A checkpoint saves the netlist and
+no timing analysis, so an engine built on the pickled netlist, as a
+resume builds it, must price and commit exactly like the original.
 These tests pin both, from the pool's fork map up to whole-flow
 fingerprints that are worker-count- and hash-seed-invariant across
 subprocesses.
@@ -22,7 +22,6 @@ import sys
 
 import pytest
 
-from repro.checkpoint import engine_from_state
 from repro.library.cells import default_library
 from repro.parallel import EvalPool, merge_selections, shard_sites
 from repro.rapids.engine import run_rapids
@@ -108,12 +107,14 @@ def test_parallel_batches_actually_run_in_the_pool():
 
 
 # ----------------------------------------------------------------------
-# pickled engine state: a resumed engine projects identical gains
+# resumed engine: a fresh analysis of the pickled netlist projects
+# identical gains
 # ----------------------------------------------------------------------
 def _resumed(engine, network, placement, library):
-    state = pickle.loads(pickle.dumps(engine.export_eval_state()))
-    net2, pl2 = network.copy(), placement.copy()
-    return net2, engine_from_state(state, net2, pl2, library)
+    net2, pl2 = pickle.loads(pickle.dumps((network, placement)))
+    replica = TimingEngine(net2, pl2, library, period=engine.period)
+    replica.refresh()
+    return net2, replica
 
 
 def test_eval_state_pickle_roundtrip_projects_identical_gains():
@@ -137,9 +138,8 @@ def test_eval_state_pickle_roundtrip_projects_identical_gains():
 
 
 def test_replica_engine_survives_committing_moves():
-    """The state carries the backward-pass cache (req0) too, so a
-    resumed engine is a full engine: committing a move through it must
-    update incrementally to the same answer as the original."""
+    """A resumed engine is a full engine: committing a move through it
+    must update incrementally to the same answer as the original."""
     network, placement, library = _placed_design(23, num_gates=30)
     engine = TimingEngine(network, placement, library)
     engine.analyze()

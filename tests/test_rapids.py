@@ -61,6 +61,11 @@ def test_sim_backend_knob_only_accepts_auto(library):
     with pytest.raises(ValueError, match="sim_backend"):
         run_rapids(net, placement, library, sim_backend="numpy")
     assert FlowConfig.sim_backend == "auto"
+    # the serial greedy polish is gone too; perfbench still passes the
+    # knob, so only its default value is accepted
+    with pytest.raises(ValueError, match="wl_batched"):
+        run_rapids(net, placement, library, wl_batched=False)
+    assert FlowConfig.wl_batched is True
 
 
 def test_rewiring_moves_no_cells(library):

@@ -4,16 +4,13 @@ import pytest
 
 from repro.place.placement import total_hpwl
 from repro.place.placer import place
-from repro.rapids.wirelength import (
-    reduce_wirelength,
-    swap_hpwl_delta,
-)
+from repro.rapids.wirelength import reduce_wirelength
 from repro.symmetry.supergate import extract_supergates
 from repro.symmetry.swap import enumerate_swaps
 from repro.synth.mapper import map_network
 from repro.verify.equiv import networks_equivalent
 
-from helpers import random_network
+from helpers import random_network, swap_hpwl_delta
 
 
 def prepared(seed, library, gates=50):

@@ -39,13 +39,13 @@ from repro.place.placement import (
     total_hpwl,
 )
 from repro.place.placer import place
-from repro.rapids.wirelength import reduce_wirelength, swap_hpwl_delta
+from repro.rapids.wirelength import reduce_wirelength
 from repro.symmetry.supergate import extract_supergates
 from repro.symmetry.swap import enumerate_swaps
 from repro.synth.mapper import map_network
 from repro.verify.equiv import networks_equivalent
 
-from helpers import random_network
+from helpers import random_network, swap_hpwl_delta
 
 
 def prepared(seed, library, gates=60):
@@ -324,7 +324,7 @@ def test_batched_preserves_function_and_total(library):
         net, placement = prepared(seed, library)
         reference = net.copy()
         before = total_hpwl(net, placement)
-        result = reduce_wirelength(net, placement, batched=True)
+        result = reduce_wirelength(net, placement)
         after = total_hpwl(net, placement)
         assert result.mode == "batched"
         assert after <= before + 1e-6
@@ -337,8 +337,8 @@ def test_batched_preserves_function_and_total(library):
 
 def test_batched_is_idempotent(library):
     net, placement = prepared(52, library)
-    reduce_wirelength(net, placement, batched=True)
-    again = reduce_wirelength(net, placement, batched=True)
+    reduce_wirelength(net, placement)
+    again = reduce_wirelength(net, placement)
     assert again.swaps_applied == 0
     assert again.cross_swaps_applied == 0
 
@@ -370,7 +370,7 @@ library = default_library()
 net = random_network(55, num_gates=70, num_outputs=4)
 map_network(net, library)
 placement = place(net, library, seed=55)
-result = reduce_wirelength(net, placement, batched=True)
+result = reduce_wirelength(net, placement)
 digest = hashlib.blake2b(digest_size=16)
 for name in sorted(net.gate_names()):
     gate = net.gate(name)

@@ -27,7 +27,7 @@ from repro.synth.mapper import map_network
 from repro.timing.sta import TimingEngine
 from repro.verify.equiv import networks_equivalent
 
-from helpers import random_network
+from helpers import random_network, swap_hpwl_delta
 
 
 def _prepared(seed, library, gates=60):
@@ -151,7 +151,6 @@ def test_critical_path_swap_accepted_at_negative_margin(library):
 
 
 def _hpwl_delta(network, placement, binding):
-    from repro.rapids.wirelength import swap_hpwl_delta
     from repro.symmetry.swap import PinSwap
 
     (pin_a, _), (pin_b, _) = binding
@@ -235,18 +234,6 @@ def test_timing_aware_polish_never_degrades_delay(library):
         retimed = TimingEngine(network, placement, library)
         retimed.analyze()
         assert retimed.max_delay <= baseline_delay + 1e-9, seed
-
-
-def test_greedy_path_honors_the_guard(library):
-    network, placement = _critical_tradeoff_case()
-    engine = _pinned_engine(network, placement, library)
-    result = reduce_wirelength(
-        network, placement, batched=False, timing_engine=engine,
-    )
-    assert result.mode == "greedy"
-    assert result.timing_aware
-    assert result.swaps_applied == 0
-    assert result.timing_rejected >= 1
 
 
 # ----------------------------------------------------------------------
