@@ -64,8 +64,6 @@ ROUNDS = 3
 
 #: name -> (interpreted s, engine s, candidates)
 _TIMES: dict[str, tuple[float, float, int]] = {}
-#: name -> (greedy final hpwl, batched final hpwl)
-_QUALITY: dict[str, tuple[float, float]] = {}
 #: name -> (blind hpwl win, timing-aware hpwl win)
 _RETENTION: dict[str, tuple[float, float]] = {}
 
@@ -214,7 +212,6 @@ def test_batched_final_hpwl_no_worse_than_greedy(name, library):
         f"({batched.swaps_applied}+{batched.cross_swaps_applied}x/"
         f"{batched.passes}p)"
     )
-    _QUALITY[name] = (greedy_hpwl, batched.final_hpwl)
     assert batched.final_hpwl <= greedy_hpwl + 1e-6, (
         f"{name}: batched ended at {batched.final_hpwl:.1f} um, worse "
         f"than greedy's {greedy_hpwl:.1f} um"

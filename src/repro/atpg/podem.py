@@ -29,6 +29,10 @@ from ..logic.values import (
 )
 from .faults import Fault, fault_site_support
 
+#: PODEM's search budget: past this many backtracks a query is
+#: undecided, neither a test nor a proof.
+MAX_BACKTRACKS = 20000
+
 
 @dataclass
 class AtpgResult:
@@ -146,14 +150,13 @@ def find_test(
     network: Network,
     fault: Fault | None = None,
     injections: dict[str, Value] | None = None,
-    fixed: dict[str, int] | None = None,
-    max_backtracks: int = 20000,
+    max_backtracks: int = MAX_BACKTRACKS,
 ) -> AtpgResult:
     """Search for a PI assignment that propagates a fault effect to a PO.
 
     Either a *fault* (stuck-at) or *injections* (forced D/D' values, the
-    symmetry queries) must be given.  ``fixed`` pins some PIs.  Returns
-    a test, or ``proven_untestable=True`` when the space is exhausted.
+    symmetry queries) must be given.  Returns a test, or
+    ``proven_untestable=True`` when the space is exhausted.
     """
     if fault is None and not injections:
         raise ValueError("need a fault or injections")
@@ -165,9 +168,6 @@ def find_test(
     if injections:
         support = [pi for pi in support if pi not in injections]
     assignment: dict[str, Value] = dict.fromkeys(network.inputs, Value.X)
-    if fixed:
-        for net, bit in fixed.items():
-            assignment[net] = from_bit(bit)
     backtracks = 0
 
     def search(depth: int) -> dict[str, int] | None:
@@ -228,11 +228,9 @@ class _BacktrackBudget(Exception):
     """Raised when the backtrack budget is exhausted."""
 
 
-def is_testable(
-    network: Network, fault: Fault, max_backtracks: int = 20000
-) -> bool | None:
+def is_testable(network: Network, fault: Fault) -> bool | None:
     """True/False when decided, None when the budget ran out."""
-    result = find_test(network, fault=fault, max_backtracks=max_backtracks)
+    result = find_test(network, fault=fault)
     if result.test is not None:
         return True
     if result.proven_untestable:

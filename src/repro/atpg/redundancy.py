@@ -22,17 +22,12 @@ from .faults import Fault
 from .podem import find_test
 
 
-def _randomly_detected(
-    network: Network,
-    fault: Fault,
-    width: int = 64,
-    rounds: int = 2,
-) -> bool:
-    """One bit-parallel random block: does it already detect the fault?"""
+def _randomly_detected(network: Network, fault: Fault) -> bool:
+    """Two 64-pattern random blocks: do they already detect the fault?"""
     if not network.inputs:
         return False
     assignments, num_patterns = random_pattern_block(
-        network.inputs, width=width, rounds=rounds
+        network.inputs, rounds=2
     )
     simulator = FaultSimulator(network)
     simulator.load_patterns(assignments, num_patterns)
@@ -43,20 +38,17 @@ def prove_branch_redundant(
     network: Network,
     pin: Pin,
     stuck_at: int,
-    max_backtracks: int = 20000,
 ) -> bool | None:
     """Is the branch feeding *pin* stuck-at-*stuck_at* untestable?
 
     ``True`` = proven redundant, ``False`` = a test exists, ``None`` =
-    budget exhausted.
+    :data:`~repro.atpg.podem.MAX_BACKTRACKS` exhausted.
     """
     net = network.fanin_net(pin)
     fault = Fault(net=net, stuck_at=stuck_at, pin=pin)
     if _randomly_detected(network, fault):
         return False
-    result = find_test(
-        network, fault=fault, max_backtracks=max_backtracks
-    )
+    result = find_test(network, fault=fault)
     if result.test is not None:
         return False
     if result.proven_untestable:

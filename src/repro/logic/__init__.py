@@ -46,7 +46,7 @@ from .truthtable import (
     nes_check_by_swap,
     swap_variables,
 )
-from .bdd import BddManager, ONE, ZERO, bdd_es, bdd_nes, network_bdds
+from .bdd import BddManager, ONE, ZERO, bdd_es, bdd_nes, cone_bdd
 from .implication import (
     ImplicationResult,
     backward_imply,
@@ -72,6 +72,7 @@ __all__ = [
     "bdd_nes",
     "cofactor",
     "complement_variable",
+    "cone_bdd",
     "cone_truth_table",
     "depends_on",
     "double_cofactor",
@@ -84,7 +85,6 @@ __all__ = [
     "is_es",
     "is_nes",
     "nes_check_by_swap",
-    "network_bdds",
     "or_values",
     "random_simulate_outputs",
     "random_words",

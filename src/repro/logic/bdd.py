@@ -11,7 +11,7 @@ the rewiring engine produces.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Container
 
 from ..network.gatetype import GateType, base_type, is_inverted
 from ..network.netlist import Network
@@ -157,40 +157,35 @@ class BddManager:
         return walk(node)
 
 
-def network_bdds(
-    network: Network,
-    manager: BddManager | None = None,
-    nets: list[str] | None = None,
-) -> tuple[BddManager, dict[str, int]]:
-    """Build BDDs for every net (or the cones of *nets*) of a network.
+def cone_bdd(
+    network: Network, manager: BddManager, root: str, cut: Container[str]
+) -> int:
+    """BDD of *root*'s cone with cut (and primary-input) nets as variables.
 
-    Primary inputs become BDD variables in PI order.  Returns the
-    manager and a map net -> BDD id.
+    Variables are declared on demand, so only the cone's inputs and cut
+    nets enter the order; on a manager declared in primary-input order,
+    an empty *cut* gives the cone's function over the primary inputs.
     """
-    if manager is None:
-        manager = BddManager(list(network.inputs))
     funcs: dict[str, int] = {}
-    for pi in network.inputs:
-        funcs[pi] = manager.var(pi)
-    needed: set[str] | None = None
-    if nets is not None:
-        needed = set()
-        stack = list(nets)
-        while stack:
-            current = stack.pop()
-            if current in needed or network.is_input(current):
-                continue
-            needed.add(current)
-            stack.extend(network.gate(current).fanins)
-    for name in network.topo_order():
-        if needed is not None and name not in needed:
+    stack = [root]
+    while stack:
+        net = stack.pop()
+        if net in funcs:
             continue
-        gate = network.gate(name)
+        if net in cut or network.is_input(net):
+            funcs[net] = manager.var(net)
+            continue
+        gate = network.gate(net)
         if gate.gtype is GateType.CONST0:
-            funcs[name] = ZERO
+            funcs[net] = ZERO
             continue
         if gate.gtype is GateType.CONST1:
-            funcs[name] = ONE
+            funcs[net] = ONE
+            continue
+        pending = [f for f in gate.fanins if f not in funcs]
+        if pending:
+            stack.append(net)
+            stack.extend(pending)
             continue
         operands = [funcs[f] for f in gate.fanins]
         base = base_type(gate.gtype)
@@ -204,8 +199,8 @@ def network_bdds(
             value = operands[0]
         if is_inverted(gate.gtype):
             value = manager.not_(value)
-        funcs[name] = value
-    return manager, funcs
+        funcs[net] = value
+    return funcs[root]
 
 
 def bdd_nes(manager: BddManager, func: int, var_i: str, var_j: str) -> bool:

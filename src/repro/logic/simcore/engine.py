@@ -24,6 +24,10 @@ from ..simulate import variable_word
 from .backends import sweep
 from .compiled import CompiledNetwork, get_compiled
 
+#: 64-pattern random blocks (seeds 0, 1, ...) behind
+#: :meth:`SimEngine.random_output_words`.
+RANDOM_ROUNDS = 4
+
 
 class SimEngine:
     """Bit-parallel simulator bound to a network."""
@@ -59,23 +63,6 @@ class SimEngine:
         self.num_patterns = num_patterns
         self._words = sweep(compiled, words, (1 << num_patterns) - 1)
         self._compiled = compiled
-
-    def set_random_patterns(
-        self, width: int = 64, seed: int = 0, rounds: int = 1
-    ) -> None:
-        """Load ``rounds`` concatenated random blocks of *width* patterns.
-
-        Block ``r`` reproduces ``random_words(inputs, width, seed + r)``
-        exactly, so a multi-round filter collapses into one wide sweep
-        without changing which patterns are applied.
-        """
-        from .faultsim import random_pattern_block
-
-        assignments, num_patterns = random_pattern_block(
-            get_compiled(self.network).inputs,
-            width=width, seed=seed, rounds=rounds,
-        )
-        self.set_patterns(assignments, num_patterns)
 
     def set_exhaustive_patterns(self, support: list[str] | None = None) -> None:
         """Load the full truth-table stimulus over *support* (default PIs).
@@ -131,11 +118,19 @@ class SimEngine:
     # ------------------------------------------------------------------
     # convenience drivers (the consumers' common call shapes)
     # ------------------------------------------------------------------
-    def random_output_words(
-        self, width: int = 64, seed: int = 0, rounds: int = 1
-    ) -> list[int]:
-        """Random-pattern PO words (cheap functional fingerprint)."""
-        self.set_random_patterns(width=width, seed=seed, rounds=rounds)
+    def random_output_words(self) -> list[int]:
+        """Random-pattern PO words (cheap functional fingerprint).
+
+        Loads :data:`RANDOM_ROUNDS` concatenated 64-pattern blocks;
+        block ``r`` reproduces ``random_words(inputs, 64, r)`` exactly,
+        so a multi-round filter is one wide sweep of the same patterns.
+        """
+        from .faultsim import random_pattern_block
+
+        assignments, num_patterns = random_pattern_block(
+            get_compiled(self.network).inputs, rounds=RANDOM_ROUNDS
+        )
+        self.set_patterns(assignments, num_patterns)
         return self.output_words()
 
     def truth_tables(

@@ -170,9 +170,3 @@ MUTATING_NETWORK_METHODS: frozenset[str] = frozenset({
     "_touch",
     "notify_network_event",
 })
-
-#: Kinds that change the gate/net structure itself; engines that
-#: flatten structure typically map these to "rebuild lazily".
-STRUCTURAL_KINDS: frozenset[str] = frozenset(
-    kind.name for kind in REGISTRY.values() if kind.structural
-)

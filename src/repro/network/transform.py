@@ -61,19 +61,12 @@ def complement_net(
     return inv_name
 
 
-def connect_inverted(
-    network: Network,
-    pin: Pin,
-    net: str,
-    unstable_pins: frozenset[Pin] = frozenset(),
-) -> str:
+def connect_inverted(network: Network, pin: Pin, net: str) -> str:
     """Connect the complement of *net* to *pin* (see :func:`complement_net`).
 
     Returns the net finally connected to the pin.
     """
-    target = complement_net(
-        network, net, unstable_pins=unstable_pins | {pin}
-    )
+    target = complement_net(network, net, unstable_pins=frozenset({pin}))
     network.replace_fanin(pin, target)
     return target
 

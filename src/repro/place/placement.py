@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 from ..library.cells import Library, ROW_HEIGHT_UM
 from ..network.netlist import Network
 
+#: Fraction of the die that cell area fills (:func:`die_for`).
+UTILIZATION = 0.60
+
 
 @dataclass
 class Placement:
@@ -114,22 +117,20 @@ def total_hpwl(network: Network, placement: Placement) -> float:
     return total
 
 
-def die_for(
-    network: Network, library: Library, utilization: float = 0.60
-) -> tuple[float, float]:
-    """Square die sized so cell area fills *utilization* of it."""
+def die_for(network: Network, library: Library) -> tuple[float, float]:
+    """Square die sized so cell area fills :data:`UTILIZATION` of it."""
     area = 0.0
     for gate in network.gates():
         if gate.cell is not None:
             area += library.cell(gate.cell).area
     area = max(area, 4 * ROW_HEIGHT_UM * ROW_HEIGHT_UM)
-    side = (area / max(utilization, 0.05)) ** 0.5
+    side = (area / UTILIZATION) ** 0.5
     rows = max(2, round(side / ROW_HEIGHT_UM))
     return side, rows * ROW_HEIGHT_UM
 
 
-def grid_placement(network: Network, spacing: float = 1.0) -> Placement:
-    """Row-major grid placement in netlist insertion order.
+def grid_placement(network: Network) -> Placement:
+    """Row-major grid placement, one um pitch, in netlist insertion order.
 
     The cheap deterministic stand-in for the annealer on workloads too
     large to anneal (the 1e5+-gate scaling benchmarks): gates land on a
@@ -143,13 +144,11 @@ def grid_placement(network: Network, spacing: float = 1.0) -> Placement:
     cols = max(1, math.isqrt(max(1, len(names) - 1)) + 1)
     rows = max(1, (len(names) + cols - 1) // cols)
     placement = Placement(
-        die_width=(cols + 1) * spacing,
-        die_height=(rows + 1) * spacing,
+        die_width=float(cols + 1), die_height=float(rows + 1),
     )
     for index, name in enumerate(names):
         placement.locations[name] = (
-            (index % cols + 1) * spacing,
-            (index // cols + 1) * spacing,
+            float(index % cols + 1), float(index // cols + 1),
         )
     inputs = list(network.inputs)
     for index, net in enumerate(inputs):

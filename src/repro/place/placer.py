@@ -10,8 +10,8 @@ pipeline is the classic late-90s recipe:
 3. an optional low-temperature annealing pass polishes HPWL with
    pairwise swaps (seeded, deterministic).
 
-Net weights bias the cut toward keeping timing-critical nets short,
-which is all the "timing-driven" part of a min-cut placer amounts to.
+Every net weighs the same in the cut: timing enters the flow after
+placement, through sizing and rewiring.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ def place(
     network: Network,
     library: Library,
     seed: int = 0,
-    net_weights: dict[str, float] | None = None,
     anneal_moves: int = 0,
-    utilization: float = 0.60,
 ) -> Placement:
     """Place a mapped network; returns coordinates for every gate.
 
@@ -46,15 +44,13 @@ def place(
     120,000, for its final placement and half that for the presize
     proxy placement (``suite/flow.py``).
     """
-    die_width, die_height = die_for(network, library, utilization)
+    die_width, die_height = die_for(network, library)
     placement = Placement(die_width=die_width, die_height=die_height)
     _place_pads(network, placement)
     names = list(network.gate_names())
     if not names:
         return placement
-    regions = _recursive_bisect(
-        network, library, names, seed, net_weights
-    )
+    regions = _recursive_bisect(network, library, names, seed)
     _legalize(network, library, placement, names, regions)
     if anneal_moves > 0:
         _anneal(network, placement, seed=seed, moves=anneal_moves)
@@ -84,7 +80,6 @@ def _recursive_bisect(
     library: Library,
     names: list[str],
     seed: int,
-    net_weights: dict[str, float] | None,
 ) -> dict[str, tuple[float, float]]:
     """Assign every gate a normalized (x, y) region center in [0, 1]^2."""
     index_of = {name: i for i, name in enumerate(names)}
@@ -95,18 +90,15 @@ def _recursive_bisect(
             weights.append(library.cell(gate.cell).area)
         else:
             weights.append(ROW_HEIGHT_UM)
-    # weighted nets are replicated (integer weight) so FM favours them
-    weighted_edges: list[list[int]] = []
+    edges: list[list[int]] = []
     for net in network.nets():
         members = {index_of[pin.gate] for pin in network.fanout(net)}
         if net in index_of:
             members.add(index_of[net])
         if len(members) > 1:
-            weight = (net_weights or {}).get(net, 1.0)
-            copies = max(1, min(4, round(weight)))
-            weighted_edges.extend([sorted(members)] * copies)
+            edges.append(sorted(members))
     cell_edges: list[list[int]] = [[] for _ in names]
-    for edge_id, edge in enumerate(weighted_edges):
+    for edge_id, edge in enumerate(edges):
         for cell in edge:
             cell_edges[cell].append(edge_id)
 
@@ -134,7 +126,7 @@ def _recursive_bisect(
         local_nets = []
         for edge_id in touched:
             local = [
-                local_index[c] for c in weighted_edges[edge_id]
+                local_index[c] for c in edges[edge_id]
                 if c in local_index
             ]
             if len(local) > 1:

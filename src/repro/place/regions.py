@@ -126,7 +126,6 @@ def carve_regions(
     network: Network,
     placement: Placement,
     max_gates: int,
-    balance: float = 0.55,
     refine_passes: int = 3,
     seed: int = 0,
 ) -> RegionSet:
@@ -207,7 +206,7 @@ def carve_regions(
                     local_edges.append(inside)
         initial = _geometric_initial(orders, locations, local_of)
         result = bipartition(
-            len(members), local_edges, balance=balance,
+            len(members), local_edges,
             max_passes=refine_passes, seed=seed, initial=initial,
         )
         fm_passes += result.passes

@@ -88,9 +88,10 @@ class PersistentSupergateStore:
 
     #: Inert: perfbench/flows.py reads ``dedup.hit_rate``; always 0.0.
     dedup = SimpleNamespace(hit_rate=0.0)
+    #: Partitions kept; the least recently used one goes first.
+    MAX_ENTRIES = 16
 
-    def __init__(self, max_entries: int = 16) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[str, tuple[dict, dict]]" = OrderedDict()
@@ -125,7 +126,7 @@ class PersistentSupergateStore:
             key = network_content_hash(network)
         self._entries[key] = (dict(sgn.supergates), dict(sgn.owner))
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
 
     def get_or_extract(self, network: Network) -> SupergateNetwork:

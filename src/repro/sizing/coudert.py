@@ -23,10 +23,9 @@ restores it at the end, so results are monotone in the reported metric.
 The caller's :class:`~repro.timing.sta.TimingEngine` stays alive across
 both phases, all rounds and area recovery: after each committed batch
 it re-propagates timing through the affected region only
-(``engine.apply_and_update``).  ``incremental=False`` re-analyzes the
-same engine in full after every batch instead, the historical
-behaviour kept for A/B benchmarking
-(``benchmarks/bench_incremental_sta.py``).
+(``engine.refresh``).  ``benchmarks/bench_incremental_sta.py`` runs the
+same loop on an engine that re-analyzes in full instead, and compares
+the timing work of the two.
 """
 
 from __future__ import annotations
@@ -76,6 +75,12 @@ SiteFactory = Callable[[Network, TimingEngine], list[Site]]
 #: A site's winning candidate: (score, area delta, index into site.moves).
 Selection = tuple[float, float, int]
 
+#: Score resolution of the loop: a gain must beat it to count, scores
+#: within it tie, and a new best delay must undercut the old by it.
+EPSILON = 1e-9
+#: Rounds of area recovery after the two-phase loop.
+AREA_RECOVERY_ROUNDS = 6
+
 
 @projection_only
 def best_phase_move(
@@ -83,7 +88,6 @@ def best_phase_move(
     engine: TimingEngine,
     library: Library,
     metric: str,
-    epsilon: float,
 ) -> Selection | None:
     """The site's best move under the phase metric, or ``None``.
 
@@ -92,22 +96,22 @@ def best_phase_move(
     order.  Any edit here changes the optimizer trajectory.
     """
     best_index: int | None = None
-    best_score = epsilon
+    best_score = EPSILON
     best_area = 0.0
     for index, move in enumerate(site.moves):
         gains = move.gains(engine)
         score = gains.min_gain if metric == "min" else gains.sum_gain
         area = move.area_delta(library)
-        if area > epsilon and gains.min_gain < 0.005:
+        if area > EPSILON and gains.min_gain < 0.005:
             # area-increasing moves (new inverters, upsizing) must
             # buy a real timing win, not noise-level churn
             continue
-        if metric == "sum" and gains.min_gain < -epsilon:
+        if metric == "sum" and gains.min_gain < -EPSILON:
             # relaxation must not wreck the local worst slack
-            if not (score > epsilon and gains.min_gain > -0.01):
+            if not (score > EPSILON and gains.min_gain > -0.01):
                 continue
         if score > best_score or (
-            abs(score - best_score) <= epsilon
+            abs(score - best_score) <= EPSILON
             and area < best_area
             and best_index is not None
         ):
@@ -189,9 +193,7 @@ def optimize(
     mode: str = "custom",
     max_rounds: int = 12,
     batch_limit: int = 64,
-    epsilon: float = 1e-9,
     collect_log: bool = False,
-    incremental: bool = True,
     checkpoint=None,
     resume_data: dict | None = None,
 ) -> OptimizeResult:
@@ -200,10 +202,8 @@ def optimize(
     *engine* is a :class:`TimingEngine` on *network*/*placement*, new
     or analyzed; the run keeps it current to the end.
     *site_factory* is re-invoked after every committed batch because
-    moves can restructure the network (swaps insert inverters).  With
-    *incremental* (the default) committed batches propagate through
-    the engine locally; ``incremental=False`` re-analyzes it in full
-    after every batch that changed the netlist.
+    moves can restructure the network (swaps insert inverters);
+    ``engine.refresh()`` propagates each committed batch locally.
 
     *batch_limit* caps moves per committed batch.
 
@@ -242,20 +242,20 @@ def optimize(
         result.rounds = round_index + 1
         applied_min = _phase(
             network, placement, library, engine, site_factory,
-            metric="min", batch_limit=batch_limit, epsilon=epsilon,
+            metric="min", batch_limit=batch_limit,
             result=result, collect_log=collect_log,
         )
-        _retime(engine, incremental)
-        if engine.max_delay < state.best_delay - epsilon:
+        engine.refresh()
+        if engine.max_delay < state.best_delay - EPSILON:
             state.best_delay = engine.max_delay
             state.best = _snapshot(network, placement)
         applied_sum = _phase(
             network, placement, library, engine, site_factory,
-            metric="sum", batch_limit=batch_limit, epsilon=epsilon,
+            metric="sum", batch_limit=batch_limit,
             result=result, collect_log=collect_log,
         )
-        _retime(engine, incremental)
-        if engine.max_delay < state.best_delay - epsilon:
+        engine.refresh()
+        if engine.max_delay < state.best_delay - EPSILON:
             state.best_delay = engine.max_delay
             state.best = _snapshot(network, placement)
             state.stagnant = 0
@@ -271,34 +271,20 @@ def optimize(
                 network, placement, engine, optimize=state,
             ))
     _restore(network, placement, state.best)
-    _retime(engine, incremental)
+    engine.refresh()
     _area_recovery(
         network, placement, library, engine, site_factory,
-        state.best_delay, epsilon, result, incremental=incremental,
+        state.best_delay, result,
     )
     from ..network.transform import sweep
 
     sweep(network)
-    _retime(engine, incremental)
+    engine.refresh()
     result.final_delay = engine.max_delay
     result.final_area = network_area(network, library)
     result.runtime_seconds = time.perf_counter() - start
     result.timing_stats = engine.stats.as_dict()
     return result
-
-
-def _retime(engine: TimingEngine, incremental: bool) -> None:
-    """Bring *engine* up to date after a committed batch.
-
-    Incremental mode propagates what changed; the baseline mode re-runs
-    a full analysis whenever the netlist changed since the last one
-    (the historical full-STA-per-round behaviour), so A/B benchmarks
-    compare total timing-update work on one engine.
-    """
-    if incremental:
-        engine.refresh()
-    elif not engine.is_fresh():
-        engine.analyze()
 
 
 def _area_recovery(
@@ -308,10 +294,7 @@ def _area_recovery(
     engine: TimingEngine,
     site_factory: SiteFactory,
     best_delay: float,
-    epsilon: float,
     result: OptimizeResult,
-    incremental: bool = True,
-    max_rounds: int = 6,
 ) -> None:
     """Downsize/simplify wherever it is free (Coudert's area recovery).
 
@@ -321,13 +304,13 @@ def _area_recovery(
     gsg+GS end up with the small area reductions Table 1 reports.
     """
     slack_floor = -1e-9
-    for _ in range(max_rounds):
-        _retime(engine, incremental)
+    for _ in range(AREA_RECOVERY_ROUNDS):
+        engine.refresh()
         sites = site_factory(network, engine)
         candidates: list[tuple[float, int, Move]] = []
         for order, site in enumerate(sites):
             best_move: Move | None = None
-            best_area = -epsilon
+            best_area = -EPSILON
             for move in site.moves:
                 area = move.area_delta(library)
                 if area >= best_area:
@@ -357,10 +340,10 @@ def _area_recovery(
             applied += 1
         if not applied:
             return
-        _retime(engine, incremental)
+        engine.refresh()
         if engine.max_delay > best_delay + 1e-6:
             _restore(network, placement, snapshot)
-            _retime(engine, incremental)
+            engine.refresh()
             return
         result.moves_applied += applied
 
@@ -373,7 +356,6 @@ def _phase(
     site_factory: SiteFactory,
     metric: str,
     batch_limit: int,
-    epsilon: float,
     result: OptimizeResult,
     collect_log: bool,
 ) -> int:
@@ -384,7 +366,7 @@ def _phase(
     """
     sites = site_factory(network, engine)
     selections = [
-        best_phase_move(site, engine, library, metric, epsilon)
+        best_phase_move(site, engine, library, metric)
         for site in sites
     ]
     candidates: list[tuple[float, float, int, Move]] = []

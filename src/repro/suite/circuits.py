@@ -24,6 +24,16 @@ from ..network.builder import NetworkBuilder
 from ..network.gatetype import GateType
 from ..network.netlist import Network
 
+#: Chance that a random-control gate's extra fanin is any earlier net
+#: rather than one sampled from a lower level (reconvergence).
+_CONTROL_REUSE = 0.45
+#: :func:`tiled_control`'s fixed tile shape: signals each tile borrows
+#: from the previous one, XOR share, depth bound and fanin reuse.
+_STITCH_WIDTH = 6
+_TILE_XOR_FRACTION = 0.06
+_TILE_MAX_DEPTH = 24
+_TILE_REUSE = 0.4
+
 
 def memo_tree(
     builder: NetworkBuilder,
@@ -422,7 +432,6 @@ def random_control(
     seed: int = 11,
     xor_fraction: float = 0.08,
     max_depth: int = 30,
-    reuse: float = 0.45,
     name: str = "ctl",
 ) -> Network:
     """Random multilevel control logic with ISCAS-like fanout.
@@ -457,7 +466,7 @@ def random_control(
         anchor_pool = by_level[top]
         fanins.append(rng.choice(anchor_pool))
         while len(fanins) < arity:
-            if rng.random() < reuse:
+            if rng.random() < _CONTROL_REUSE:
                 candidate = rng.choice(nets)
             else:
                 lvl = rng.randint(0, top)
@@ -484,11 +493,7 @@ def tiled_control(
     gates_per_tile: int = 400,
     inputs_per_tile: int = 24,
     outputs_per_tile: int = 8,
-    stitch_width: int = 6,
     seed: int = 17,
-    xor_fraction: float = 0.06,
-    max_depth: int = 24,
-    reuse: float = 0.4,
     name: str = "tiled",
 ) -> Network:
     """Tile-composed control logic for the 1e5-1e6 gate workloads.
@@ -496,8 +501,8 @@ def tiled_control(
     Real million-gate designs are not one amorphous cloud but many
     moderately coupled blocks; this generator composes *tiles* blocks
     of :func:`random_control`-style logic, each borrowing
-    *stitch_width* exported signals from the previous tile as extra
-    leaf inputs.  The sparse tile-to-tile stitching gives the FM
+    six exported signals from the previous tile as extra leaf
+    inputs.  The sparse tile-to-tile stitching gives the FM
     carve (``repro.place.regions``) natural min-cut seams, and tiles
     are emitted in sequence so insertion-order placements (the grid
     scaffolding benchmarks use) keep them spatially coherent — the
@@ -515,15 +520,15 @@ def tiled_control(
     weights = (
         [GateType.NAND] * 24 + [GateType.NOR] * 18 + [GateType.AND] * 16
         + [GateType.OR] * 16 + [GateType.INV] * 12
-        + [GateType.XOR] * max(1, int(100 * xor_fraction))
-        + [GateType.XNOR] * max(1, int(50 * xor_fraction))
+        + [GateType.XOR] * max(1, int(100 * _TILE_XOR_FRACTION))
+        + [GateType.XNOR] * max(1, int(50 * _TILE_XOR_FRACTION))
     )
     exports: list[str] = []
     for tile in range(tiles):
         pis = [
             builder.input(f"t{tile}x{i}") for i in range(inputs_per_tile)
         ]
-        borrowed = exports[:stitch_width]
+        borrowed = exports[:_STITCH_WIDTH]
         nets = pis + borrowed
         level_of = {net: 0 for net in nets}
         by_level: list[list[str]] = [list(nets)]
@@ -534,12 +539,12 @@ def tiled_control(
                 arity = 1
             else:
                 arity = rng.choice((2, 2, 2, 3, 3, 4))
-            target = rng.randint(1, max_depth)
+            target = rng.randint(1, _TILE_MAX_DEPTH)
             top = min(target - 1, len(by_level) - 1)
             fanins: list[str] = []
             fanins.append(rng.choice(by_level[top]))
             while len(fanins) < arity:
-                if rng.random() < reuse:
+                if rng.random() < _TILE_REUSE:
                     candidate = rng.choice(nets)
                 else:
                     lvl = rng.randint(0, top)
@@ -563,7 +568,7 @@ def tiled_control(
                 builder.output(net)
                 used.add(net)
             exports = rng.sample(
-                internal, min(stitch_width, len(internal))
+                internal, min(_STITCH_WIDTH, len(internal))
             )
             used.update(exports)
             for net in internal:

@@ -135,7 +135,6 @@ def run_benchmark(
 def run_suite(
     names: list[str] | None = None,
     config: FlowConfig | None = None,
-    library: Library | None = None,
     progress=None,
 ) -> list[FlowOutcome]:
     """Run the flow over several benchmarks (default: the whole Table 1)."""
@@ -143,7 +142,7 @@ def run_suite(
 
     outcomes = []
     for name in names or benchmark_names():
-        outcome = run_benchmark(name, config, library)
+        outcome = run_benchmark(name, config)
         outcomes.append(outcome)
         if progress is not None:
             progress(outcome)

@@ -24,10 +24,12 @@ import random
 from ..network.gatetype import GateType, base_type, is_inverted
 from ..network.netlist import Network
 
+#: Random picks :func:`inject_redundant_wires` may spend before it
+#: settles for fewer wires than asked.
+MAX_TRIES = 2000
 
-def inject_redundant_wires(
-    network: Network, count: int, seed: int = 0, max_tries: int = 2000
-) -> int:
+
+def inject_redundant_wires(network: Network, count: int, seed: int = 0) -> int:
     """Add up to *count* redundant transitive-literal connections.
 
     Returns the number of wires actually added.  Each injection picks a
@@ -41,7 +43,7 @@ def inject_redundant_wires(
         return 0
     added = 0
     tries = 0
-    while added < count and tries < max_tries:
+    while added < count and tries < MAX_TRIES:
         tries += 1
         h_name = rng.choice(names)
         h_gate = network.gate(h_name)

@@ -32,11 +32,7 @@ from .redundancy import (
     remove_redundancy,
     unique_stems,
 )
-from .verify import (
-    cut_pin_function,
-    pin_pair_symmetry,
-    swap_preserves_outputs,
-)
+from .verify import cut_pin_function, pin_pair_symmetry
 
 __all__ = [
     "CrossSwap",
@@ -63,7 +59,6 @@ __all__ = [
     "remove_redundancy",
     "supergate_truth_table",
     "swap_kinds",
-    "swap_preserves_outputs",
     "swapped_copy",
     "unique_stems",
 ]

@@ -7,8 +7,8 @@ reachability predicates themselves are a test oracle,
 *functionally*, so tests can assert Theorem 1 / Lemmas 6-8 on
 arbitrary networks: a claimed symmetric pin pair must be NES/ES of the
 root's function when the two pins are cut and driven by fresh
-variables, and an applied swap must leave every primary output's
-function untouched.
+variables.  That an applied swap leaves every primary output's
+function untouched is :func:`repro.verify.equiv.networks_equivalent`.
 """
 
 from __future__ import annotations
@@ -62,31 +62,3 @@ def pin_pair_symmetry(
     if is_es(table, num_vars, var_a, var_b):
         kinds.add("es")
     return kinds
-
-
-def swap_preserves_outputs(
-    before: Network, after: Network, exhaustive_limit: int = 14
-) -> bool:
-    """Check that two networks compute identical primary outputs.
-
-    Uses exhaustive simulation when the input count allows, random
-    parallel patterns plus a BDD check otherwise — both swept by the
-    compiled :class:`~repro.logic.simcore.SimEngine`.
-    """
-    if before.inputs != after.inputs or len(before.outputs) != len(
-        after.outputs
-    ):
-        return False
-    engine_before = SimEngine(before)
-    engine_after = SimEngine(after)
-    if len(before.inputs) <= exhaustive_limit:
-        engine_before.set_exhaustive_patterns()
-        engine_after.set_exhaustive_patterns(list(before.inputs))
-        return engine_before.output_words() == engine_after.output_words()
-    if engine_before.random_output_words(rounds=4) != (
-        engine_after.random_output_words(rounds=4)
-    ):
-        return False
-    from ..verify.equiv import networks_equivalent
-
-    return networks_equivalent(before, after)

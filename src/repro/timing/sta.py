@@ -14,10 +14,12 @@ Coudert's neighborhood formulation that the paper builds on.  The
 same cached state also feeds :meth:`TimingEngine.project_swap_slacks`,
 the batch slack projection behind timing-aware wirelength rewiring
 (``docs/architecture.md`` documents the projection-only pricing
-contract and the commit-time additivity rule).
+contract and the commit-time additivity rule); a pin swap's what-if
+star models and a projected rebinding's come from one builder.
 
 The engine is also *incremental*: it subscribes to the network's
-mutation events and, on :meth:`TimingEngine.apply_and_update`,
+mutation events, its only view of change (a placement edit emits
+none), and, on :meth:`TimingEngine.apply_and_update`,
 re-propagates arrival times only through the transitive fanout of the
 changed nets (a levelized worklist that stops as soon as values
 converge) and required times only through the affected fanin frontier.
@@ -571,20 +573,6 @@ class TimingEngine:
     # ------------------------------------------------------------------
     # incremental update
     # ------------------------------------------------------------------
-    def invalidate(self, nets: Iterable[str]) -> None:
-        """Mark nets' RC models and timing as stale.
-
-        For callers that change something the mutation events cannot
-        see (a placement tweak, an external edit): the named nets'
-        stars are rebuilt and their drivers re-evaluated on the next
-        :meth:`apply_and_update` / :meth:`refresh`.
-        """
-        network = self.network
-        for net in nets:
-            self._dirty_stars.add(net)
-            if net in network and not network.is_input(net):
-                self._dirty_gates.add(net)
-
     def refresh(self) -> None:
         """Bring cached timing up to date, incrementally when possible."""
         if (
@@ -593,7 +581,7 @@ class TimingEngine:
         ):
             self.apply_and_update()
 
-    def apply_and_update(self, footprint: Iterable[str] | None = None) -> None:
+    def apply_and_update(self) -> None:
         """Propagate committed network changes through cached timing.
 
         Re-propagates arrivals through the transitive fanout of the
@@ -602,11 +590,8 @@ class TimingEngine:
         convergence); star models of untouched nets are reused.  Logic
         levels, the critical delay and, while the target stays put,
         slacks are patched over what changed too.  The result matches a
-        fresh :meth:`analyze` exactly.  *footprint* optionally names
-        extra nets to invalidate (see :meth:`invalidate`).
+        fresh :meth:`analyze` exactly.
         """
-        if footprint is not None:
-            self.invalidate(footprint)
         if self._needs_full or self._analyzed_version < 0:
             self.analyze()
             return
@@ -872,34 +857,15 @@ class TimingEngine:
         inv_cell = None
         if swap.inverting:
             inv_cell = self.library.implementations(GateType.INV, 1)[0]
+        moved, stars_new = self._rebind_overlay(
+            ((swap.pin_a, net_b), (swap.pin_b, net_a)),
+            pin_cap=None if inv_cell is None else inv_cell.input_cap,
+        )
         context: dict[str, float] = {}
         frontier: dict[str, float] = {}
-        stars_new = {}
-        for net, lost_pin, gained_pin in (
-            (net_a, swap.pin_a, swap.pin_b),
-            (net_b, swap.pin_b, swap.pin_a),
-        ):
-            star = self._ensure_star(net)
-            specs = []
-            for sink in star.sinks:
-                if sink.pin == lost_pin:
-                    continue
-                specs.append((sink.pin, sink.location, sink.pin_cap))
-            gained_cap = (
-                inv_cell.input_cap if inv_cell is not None
-                else pin_capacitance(network, self.library, gained_pin)
-            )
-            specs.append(
-                (
-                    gained_pin,
-                    self.placement.locations[gained_pin.gate],
-                    gained_cap,
-                )
-            )
-            stars_new[net] = build_star(
-                network, self.placement, self.library, net,
-                override_sinks=specs,
-            )
+        affected_gates = {swap.pin_a.gate, swap.pin_b.gate}
+        # net_a first: the frontier's float-summed gains follow its order
+        for net in (net_a, net_b):
             context[net] = self._driver_arrival_with_load(
                 net, stars_new[net].total_cap
             )
@@ -907,8 +873,6 @@ class TimingEngine:
                 frontier[net] = context[net] + self._po_delta(
                     net, stars_new[net]
                 )
-        affected_gates = {swap.pin_a.gate, swap.pin_b.gate}
-        for net in (net_a, net_b):
             for sink in self.stars[net].sinks:
                 if sink.pin is not None:
                     affected_gates.add(sink.pin.gate)
@@ -923,7 +887,7 @@ class TimingEngine:
                 gate_name,
                 stars_new,
                 context,
-                swapped={swap.pin_a: net_b, swap.pin_b: net_a},
+                swapped=moved,
                 inv_cell=inv_cell,
                 inv_pins={swap.pin_a, swap.pin_b},
             )
@@ -1137,7 +1101,9 @@ class TimingEngine:
         return [project(tuple(bindings)) for bindings in batch]
 
     def _rebind_overlay(
-        self, bindings: tuple[tuple[Pin, str], ...]
+        self,
+        bindings: tuple[tuple[Pin, str], ...],
+        pin_cap: float | None = None,
     ) -> tuple[dict[Pin, str], dict[str, StarNet]]:
         """Overlay of a rebinding: ``(moved, new_stars)``.
 
@@ -1146,7 +1112,9 @@ class TimingEngine:
         the rebinding touches, built from the cached sinks minus
         departing pins with arriving pins appended in binding order, so
         the sink order (and the float sums derived from it) is
-        deterministic.
+        deterministic.  An arriving pin loads its new net with its own
+        capacitance, or with *pin_cap* when given (an inverting swap
+        lands an inverter's input there).
         """
         network = self.network
         moved: dict[Pin, str] = {}
@@ -1171,7 +1139,8 @@ class TimingEngine:
                         (
                             pin,
                             self.placement.locations[pin.gate],
-                            pin_capacitance(network, self.library, pin),
+                            pin_capacitance(network, self.library, pin)
+                            if pin_cap is None else pin_cap,
                         )
                     )
             new_stars[net] = build_star(

@@ -16,9 +16,13 @@ truth-table blocks out of the same engine.
 
 from __future__ import annotations
 
-from ..logic.bdd import BddManager, network_bdds
+from ..logic.bdd import BddManager, cone_bdd
 from ..logic.simcore import SimEngine
 from ..network.netlist import Network
+
+
+#: Widest input count :func:`find_counterexample` searches exhaustively.
+MAX_COUNTEREXAMPLE_INPUTS = 20
 
 
 class EquivalenceError(AssertionError):
@@ -29,7 +33,6 @@ def networks_equivalent(
     before: Network,
     after: Network,
     exhaustive_limit: int = 14,
-    random_rounds: int = 4,
 ) -> bool:
     """True when both networks compute identical primary outputs.
 
@@ -42,8 +45,8 @@ def networks_equivalent(
         return False
     engine_before = SimEngine(before)
     engine_after = SimEngine(after)
-    if engine_before.random_output_words(rounds=random_rounds) != (
-        engine_after.random_output_words(rounds=random_rounds)
+    if engine_before.random_output_words() != (
+        engine_after.random_output_words()
     ):
         return False
     if len(before.inputs) <= exhaustive_limit:
@@ -76,14 +79,12 @@ def _bdd_equivalent(before: Network, after: Network) -> bool:
         if old == new and (old in clean or before.is_input(old)):
             continue
         manager = BddManager()
-        if _cut_cone_bdd(before, manager, old, clean) == _cut_cone_bdd(
+        if cone_bdd(before, manager, old, clean) == cone_bdd(
             after, manager, new, clean
         ):
             continue
         full = BddManager(list(before.inputs))
-        _, funcs_before = network_bdds(before, manager=full, nets=[old])
-        _, funcs_after = network_bdds(after, manager=full, nets=[new])
-        if funcs_before[old] != funcs_after[new]:
+        if cone_bdd(before, full, old, ()) != cone_bdd(after, full, new, ()):
             return False
     return True
 
@@ -110,58 +111,16 @@ def _clean_nets(before: Network, after: Network) -> set[str]:
     return clean
 
 
-def _cut_cone_bdd(
-    network: Network, manager: BddManager, root: str, cut: set[str]
-) -> int:
-    """BDD of *root*'s cone with cut (and input) nets as variables."""
-    from ..network.gatetype import GateType, base_type, is_inverted
-
-    funcs: dict[str, int] = {}
-    stack = [root]
-    while stack:
-        net = stack.pop()
-        if net in funcs:
-            continue
-        if net in cut or network.is_input(net):
-            funcs[net] = manager.var(net)
-            continue
-        gate = network.gate(net)
-        if gate.gtype is GateType.CONST0:
-            funcs[net] = 0
-            continue
-        if gate.gtype is GateType.CONST1:
-            funcs[net] = 1
-            continue
-        pending = [f for f in gate.fanins if f not in funcs]
-        if pending:
-            stack.append(net)
-            stack.extend(pending)
-            continue
-        operands = [funcs[f] for f in gate.fanins]
-        base = base_type(gate.gtype)
-        if base is GateType.AND:
-            value = manager.apply_many(manager.and_, operands)
-        elif base is GateType.OR:
-            value = manager.apply_many(manager.or_, operands)
-        elif base is GateType.XOR:
-            value = manager.apply_many(manager.xor, operands)
-        else:  # BUF base
-            value = operands[0]
-        if is_inverted(gate.gtype):
-            value = manager.not_(value)
-        funcs[net] = value
-    return funcs[root]
-
-
 def find_counterexample(
-    before: Network, after: Network, max_vars: int = 20
+    before: Network, after: Network
 ) -> dict[str, int] | None:
     """Input assignment on which the networks disagree, or ``None``.
 
-    Only supports networks narrow enough for exhaustive search.
+    Only supports networks of at most
+    :data:`MAX_COUNTEREXAMPLE_INPUTS` inputs (exhaustive search).
     """
     num_vars = len(before.inputs)
-    if num_vars > max_vars:
+    if num_vars > MAX_COUNTEREXAMPLE_INPUTS:
         raise ValueError(f"too many inputs ({num_vars}) for exhaustive search")
     engine_before = SimEngine(before)
     engine_after = SimEngine(after)
@@ -185,7 +144,7 @@ def assert_equivalent(before: Network, after: Network) -> None:
     if networks_equivalent(before, after):
         return
     detail = ""
-    if len(before.inputs) <= 20:
+    if len(before.inputs) <= MAX_COUNTEREXAMPLE_INPUTS:
         example = find_counterexample(before, after)
         detail = f"; counterexample {example}"
     raise EquivalenceError(

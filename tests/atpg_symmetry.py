@@ -14,7 +14,7 @@ cross-validate the two.
 
 from __future__ import annotations
 
-from repro.atpg.podem import find_test
+from repro.atpg.podem import MAX_BACKTRACKS, find_test
 from repro.logic.simulate import extract_cone
 from repro.logic.values import Value
 from repro.network.netlist import Network, Pin
@@ -24,7 +24,7 @@ def nes_by_atpg(
     network: Network,
     input_a: str,
     input_b: str,
-    max_backtracks: int = 20000,
+    max_backtracks: int = MAX_BACKTRACKS,
 ) -> bool | None:
     """NES check on two primary inputs (None = budget exhausted)."""
     result = find_test(
@@ -43,7 +43,7 @@ def es_by_atpg(
     network: Network,
     input_a: str,
     input_b: str,
-    max_backtracks: int = 20000,
+    max_backtracks: int = MAX_BACKTRACKS,
 ) -> bool | None:
     """ES check on two primary inputs (None = budget exhausted)."""
     result = find_test(
@@ -63,7 +63,7 @@ def pin_symmetry_by_atpg(
     root: str,
     pin_a: Pin,
     pin_b: Pin,
-    max_backtracks: int = 20000,
+    max_backtracks: int = MAX_BACKTRACKS,
 ) -> set[str]:
     """Symmetry kinds of two internal pins w.r.t. *root*, via ATPG.
 

@@ -9,12 +9,20 @@ from repro.logic.bdd import (
     ZERO,
     bdd_es,
     bdd_nes,
-    network_bdds,
+    cone_bdd,
 )
-from repro.logic.simulate import table_mask, truth_tables
+from repro.logic.simulate import extract_cone, table_mask, truth_tables
 from repro.logic.truthtable import is_es, is_nes
 
 from helpers import random_network
+
+
+def output_bdds(net):
+    """Every output's BDD over the primary inputs, declared in PI order."""
+    manager = BddManager(list(net.inputs))
+    return manager, {
+        out: cone_bdd(net, manager, out, ()) for out in net.outputs
+    }
 
 
 def bdd_from_table(manager: BddManager, table: int, names: list[str]) -> int:
@@ -86,7 +94,7 @@ def test_restrict_cofactors():
 def test_network_bdds_agree_with_truth_tables():
     for seed in range(10):
         net = random_network(seed, num_gates=15)
-        manager, funcs = network_bdds(net)
+        manager, funcs = output_bdds(net)
         tables = truth_tables(net)
         for out in net.outputs:
             rebuilt = bdd_from_table(
@@ -99,7 +107,7 @@ def test_bdd_symmetry_checks_match_tables():
     for seed in range(8):
         net = random_network(seed, num_gates=12, num_outputs=1)
         out = net.outputs[0]
-        manager, funcs = network_bdds(net)
+        manager, funcs = output_bdds(net)
         tables = truth_tables(net)
         num_vars = len(net.inputs)
         for i in range(num_vars):
@@ -116,5 +124,12 @@ def test_bdd_symmetry_checks_match_tables():
 def test_cone_scoped_construction():
     net = random_network(2, num_gates=20, num_outputs=2)
     out = net.outputs[0]
-    manager, funcs = network_bdds(net, nets=[out])
-    assert out in funcs
+    manager = BddManager()
+    cone_bdd(net, manager, out, ())
+    # only the cone's primary inputs become variables
+    assert set(manager.var_names) == set(extract_cone(net, [out]).inputs)
+    # cut nets are variables: nothing behind them enters the order
+    fanins = set(net.gate(out).fanins)
+    cut = BddManager()
+    cone_bdd(net, cut, out, fanins)
+    assert set(cut.var_names) == fanins

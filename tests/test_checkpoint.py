@@ -396,51 +396,6 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
     }
 
 
-def test_full_sta_optimize_interrupted_and_resumed_matches_uninterrupted(
-    tmp_path, monkeypatch
-):
-    """The full-STA reference loop resumes like the incremental one:
-    a fresh engine on the saved netlist, whose first analysis equals
-    the engine the interrupted run carried into the same round."""
-    network, placement, library = _placed_design(13, num_gates=60)
-    factory = _gs_factory(library, None)
-    plain_net, plain_pl = network.copy(), placement.copy()
-    plain = optimize(
-        plain_net, plain_pl, library, factory,
-        TimingEngine(plain_net, plain_pl, library), collect_log=True,
-        incremental=False,
-    )
-    assert plain.rounds > 1
-
-    manager = CheckpointManager(str(tmp_path / "run.ckpt"))
-    manager.install()
-    int_net, int_pl = network.copy(), placement.copy()
-    _sigterm_at(monkeypatch, 1)
-    try:
-        with pytest.raises(RunInterrupted):
-            optimize(
-                int_net, int_pl, library, factory,
-                TimingEngine(int_net, int_pl, library),
-                collect_log=True, incremental=False, checkpoint=manager,
-            )
-    finally:
-        manager.uninstall()
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-    payload = manager.load()
-    assert payload["optimize"].next_round == 1
-
-    res_net, res_pl = network.copy(), placement.copy()
-    graft_state(payload["network"], payload["placement"], res_net, res_pl)
-    resumed = optimize(
-        res_net, res_pl, library, factory,
-        TimingEngine(res_net, res_pl, library, period=payload["period"]),
-        collect_log=True, incremental=False, resume_data=payload,
-    )
-    assert resumed.move_log == plain.move_log
-    assert resumed.final_delay == plain.final_delay
-    assert resumed.final_area == plain.final_area
-
-
 # ----------------------------------------------------------------------
 # whole-run resume: every boundary, identical fingerprint
 # ----------------------------------------------------------------------

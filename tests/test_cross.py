@@ -8,7 +8,7 @@ from repro.symmetry.cross import (
     find_cross_swaps,
 )
 from repro.symmetry.supergate import extract_supergates
-from repro.symmetry.verify import swap_preserves_outputs
+from repro.verify.equiv import networks_equivalent
 
 from helpers import fig3_network, random_network
 
@@ -23,7 +23,7 @@ def test_fig3_cross_swap_found_and_preserves():
     assert not cross.needs_output_inverters
     reference = net.copy()
     apply_cross_swap(net, sgn, cross)
-    assert swap_preserves_outputs(reference, net)
+    assert networks_equivalent(reference, net)
     # the fanin groups really moved
     assert set(net.gate("sg1").fanins) == {"i3", "i4", "i5"}
     assert set(net.gate("sg2").fanins) == {"i0", "i1", "i2"}
@@ -44,7 +44,7 @@ def test_mixed_polarity_cross_swap():
     assert crosses
     reference = net.copy()
     apply_cross_swap(net, sgn, crosses[0])
-    assert swap_preserves_outputs(reference, net)
+    assert networks_equivalent(reference, net)
 
 
 def test_opposite_polarity_requires_output_inverters():
@@ -64,7 +64,7 @@ def test_opposite_polarity_requires_output_inverters():
     for cross in crosses:
         trial = net.copy()
         apply_cross_swap(trial, extract_supergates(trial), cross)
-        assert swap_preserves_outputs(net, trial)
+        assert networks_equivalent(net, trial)
 
 
 def test_unequal_fanin_counts_rejected():
@@ -93,7 +93,7 @@ def test_cross_swaps_on_random_networks_preserve_function():
         for cross in find_cross_swaps(sgn):
             trial = net.copy()
             apply_cross_swap(trial, extract_supergates(trial), cross)
-            assert swap_preserves_outputs(net, trial), (seed, cross)
+            assert networks_equivalent(net, trial), (seed, cross)
             found += 1
     # the pattern is rare in random logic but must occur somewhere
     assert found >= 1

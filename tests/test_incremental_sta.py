@@ -145,20 +145,6 @@ def test_incremental_with_explicit_period(library):
     assert_matches_fresh(engine, net, placement, library, context="period")
 
 
-def test_footprint_argument_invalidates(library):
-    """apply_and_update(footprint) re-models the named nets."""
-    net, placement = prepared(41, library)
-    engine = TimingEngine(net, placement, library)
-    engine.analyze()
-    victim = next(iter(net.gate_names()))
-    x, y = placement.locations[victim]
-    placement.locations[victim] = (x + 150.0, y + 75.0)
-    # the engine cannot see placement edits; the caller names the nets
-    touched = {victim, *net.gate(victim).fanins}
-    engine.apply_and_update(footprint=touched)
-    assert_matches_fresh(engine, net, placement, library, context="move cell")
-
-
 def test_refresh_full_fallback_on_untracked_mutation(library):
     net, placement = prepared(55, library)
     engine = TimingEngine(net, placement, library)
@@ -255,7 +241,11 @@ def test_critical_delay_follows_a_pad_that_only_moves_its_wire(library):
     x, y = placement.output_pads[slot]
     for pad, label in (((x + 4000.0, y), "far pad"), ((x, y), "pad back")):
         placement.output_pads[slot] = pad
-        engine.apply_and_update(footprint={"a"})
+        # the engine sees the placement only through mutation events:
+        # rebinding a consumer of a to its own cell re-models net a
+        consumer = net.gate(net.fanout("a")[0].gate)
+        net.set_cell(consumer.name, consumer.cell)
+        engine.apply_and_update()
         assert_matches_fresh(engine, net, placement, library, context=label)
         if label == "far pad":
             assert engine.max_delay > baseline

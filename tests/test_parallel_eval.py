@@ -133,8 +133,8 @@ def test_eval_state_pickle_roundtrip_projects_identical_gains():
     for metric in ("min", "sum"):
         for site, twin in zip(sites, replica_sites):
             assert best_phase_move(
-                site, engine, library, metric, 1e-9
-            ) == best_phase_move(twin, replica, library, metric, 1e-9)
+                site, engine, library, metric
+            ) == best_phase_move(twin, replica, library, metric)
 
 
 def test_replica_engine_survives_committing_moves():

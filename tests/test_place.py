@@ -168,7 +168,7 @@ def test_anneal_trajectory_golden(library):
 def test_die_sizing(library):
     net = random_network(2, num_gates=30)
     map_network(net, library)
-    width, height = die_for(net, library, utilization=0.6)
+    width, height = die_for(net, library)
     from repro.synth.mapper import network_area
 
     assert width * height >= network_area(net, library)

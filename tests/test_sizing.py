@@ -122,32 +122,3 @@ def test_area_recovery_shrinks_oversized_designs(library):
     )
     assert network_area(net, library) < inflated * 0.85
     assert network_delay(net, placement, library) <= delay_before + 1e-9
-
-
-def test_full_sta_baseline_never_reanalyzes_an_unchanged_netlist(library):
-    """``incremental=False`` runs one full analysis per netlist version:
-    a phase, area-recovery round or sweep that committed nothing leaves
-    the engine fresh, and re-analyzing it would charge the baseline
-    work no real flow does."""
-    from repro.rapids.engine import _gs_factory
-
-    net = random_network(13, num_inputs=8, num_gates=60, num_outputs=4)
-    map_network(net, library)
-    placement = place(net, library, seed=13, anneal_moves=1500)
-    engine = TimingEngine(net, placement, library)
-    versions = []
-    analyze = engine.analyze
-
-    def counted():
-        versions.append(net.version)
-        analyze()
-
-    engine.analyze = counted
-    result = optimize(
-        net, placement, library, _gs_factory(library, None), engine,
-        incremental=False,
-    )
-    assert result.rounds > 1
-    assert len(versions) > 1
-    assert len(versions) == len(set(versions)), versions
-    assert engine.is_fresh()

@@ -20,14 +20,8 @@ remaining part must be bound at that module's top level, or inside
 the class the previous part named.  The changelog, roadmap and issue
 name deleted code on purpose and are not checked.
 
-It also verifies the generated event tables in
-``docs/architecture.md`` are byte-identical to what
-``python -m tools.lint --fix-docs`` would regenerate from
-``repro/network/events.py`` — drift fails the docs-check CI job.
-
-Exit status is the number of broken links (plus drift findings), so
-the CI job fails loudly and lists every offender.  No third-party
-dependencies.
+Exit status is the number of broken links and names, so the CI job
+fails loudly and lists every offender.  No third-party dependencies.
 """
 
 from __future__ import annotations
@@ -191,19 +185,6 @@ def check_names(path: Path) -> list[str]:
     return errors
 
 
-def check_generated_blocks() -> list[str]:
-    """Drift between docs/architecture.md and the events registry."""
-    sys.path.insert(0, str(REPO))
-    try:
-        from tools.lint import docs_sync
-        from tools.lint.core import ensure_src_on_path
-
-        ensure_src_on_path()
-        return [finding.render() for finding in docs_sync.check()]
-    finally:
-        sys.path.remove(str(REPO))
-
-
 def main(argv: list[str]) -> int:
     files = collect_files(argv[1:] or DEFAULT_TARGETS)
     if not files:
@@ -216,7 +197,6 @@ def main(argv: list[str]) -> int:
         errors.extend(check_file(path))
         if path.relative_to(REPO).parts[0] in NAME_TARGETS:
             errors.extend(check_names(path))
-    errors.extend(check_generated_blocks())
     for error in errors:
         print(error, file=sys.stderr)
     print(f"check_docs: {len(files)} files, {links} links, "

@@ -14,9 +14,9 @@ Two documents carry blocks generated between HTML comment markers:
    <!-- END GENERATED: event-kinds -->
 
 ``python -m tools.lint --fix-docs`` rewrites every generated block in
-place; the default lint run (and ``tools/check_docs.py``, which CI
-runs) fails when the committed text differs byte-for-byte from the
-regeneration — doc/code agreement is mechanical, not social.
+place; the default lint run fails when the committed text differs
+byte-for-byte from the regeneration — doc/code agreement is
+mechanical, not social.
 """
 
 from __future__ import annotations
