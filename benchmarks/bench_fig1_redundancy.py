@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.atpg.redundancy import prove_branch_redundant
 from repro.network.builder import NetworkBuilder
 from repro.network.netlist import Pin
 from repro.suite.registry import REGISTRY
 from repro.symmetry.redundancy import (
     find_easy_redundancies,
+    prove_branch_redundant,
     redundancy_counts,
 )
 
@@ -56,7 +56,7 @@ def test_fig1b_agreement_case(benchmark):
     # the paper's justification, verified exactly:
     assert prove_branch_redundant(net, Pin("h", 1), stuck_at=1) is True
     print("\nFig.1b agreement at stem", agreement.stem,
-          "(ATPG-confirmed untestable)")
+          "(untestable: confirmed by equivalence)")
 
 
 @pytest.mark.parametrize("name", table1_names()[:6])

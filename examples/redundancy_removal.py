@@ -3,18 +3,21 @@
 
 Constructs both Fig. 1 situations — conflicting and agreeing backward
 implication at a fanout stem — shows that extraction flags them, proves
-them untestable with the ATPG engine (the paper's theoretical
-justification), and removes one with a verified rewrite.  Then runs the
-detector over a generated benchmark with injected ISCAS-style
-redundancies.
+the agreeing branch untestable by tying it to its constant and checking
+equivalence (the paper's theoretical justification), and removes one
+with a verified rewrite.  Then runs the detector over a generated
+benchmark with injected ISCAS-style redundancies.
 
 Run:  python examples/redundancy_removal.py
 """
 
 from repro import NetworkBuilder, build_benchmark, networks_equivalent
-from repro.atpg import prove_branch_redundant
 from repro.network import Pin
-from repro.symmetry import find_easy_redundancies, remove_redundancy
+from repro.symmetry import (
+    find_easy_redundancies,
+    prove_branch_redundant,
+    remove_redundancy,
+)
 from repro.symmetry.redundancy import redundancy_counts
 from repro.synth import script_rugged
 from repro.suite.redundant import inject_redundant_wires
@@ -38,9 +41,10 @@ def agreement_case() -> None:
     agreement = next(e for e in events if e.kind == "agreement")
     assert agreement.stem == x
 
-    # paper's justification: the branch is untestable (ATPG proof)
+    # paper's justification: the branch is untestable (tying it to 1
+    # leaves every output function unchanged)
     proof = prove_branch_redundant(network, Pin("h", 1), stuck_at=1)
-    print(f"ATPG proves branch {Pin('h', 1)} s-a-1 untestable: {proof}")
+    print(f"equivalence proves branch {Pin('h', 1)} s-a-1 untestable: {proof}")
 
     reference = network.copy()
     removed = remove_redundancy(network, agreement)

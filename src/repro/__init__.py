@@ -3,7 +3,7 @@
 Reimplementation of Chang, Cheng, Suaris and Marek-Sadowska, *Fast
 Post-placement Rewiring Using Easily Detectable Functional Symmetries*
 (DAC 2000), together with every substrate the paper depends on: Boolean
-networks, logic simulation and BDDs, ATPG, a standard-cell library, a
+networks, logic simulation and BDDs, a standard-cell library, a
 synthesis/mapping pipeline, a min-cut placer, star-model/Elmore timing
 analysis, Coudert-style gate sizing, and the benchmark suite flow that
 regenerates Table 1.

@@ -1,27 +1,17 @@
-"""Logic substrate: values, simulation, truth tables, BDDs, implication.
+"""Logic substrate: simulation, truth tables, BDDs, implication.
 
 Bit-parallel evaluation has two tiers: :mod:`repro.logic.simulate` is
 the simple per-call reference (walk the network, bigint words), and
 :mod:`repro.logic.simcore` is the compiled core (flattened index
-arrays swept with the same bigint words, parallel-pattern fault
-simulation) that the hot paths — equivalence filtering, symmetry
-verification, ATPG — run on.
+arrays swept with the same bigint words) that the hot paths —
+equivalence filtering and symmetry verification — run on.
 """
 
 from .simcore import (
     CompiledNetwork,
-    FaultSimulator,
     SimEngine,
     compile_network,
     get_compiled,
-)
-from .values import (
-    Value,
-    and_values,
-    from_bit,
-    from_pair,
-    or_values,
-    xor_values,
 )
 from .simulate import (
     cone_truth_table,
@@ -57,16 +47,13 @@ from .implication import (
 __all__ = [
     "BddManager",
     "CompiledNetwork",
-    "FaultSimulator",
     "ImplicationResult",
     "ONE",
     "SimEngine",
-    "Value",
     "ZERO",
     "compile_network",
     "get_compiled",
     "all_symmetric_pairs",
-    "and_values",
     "backward_imply",
     "bdd_es",
     "bdd_nes",
@@ -79,13 +66,10 @@ __all__ = [
     "es_check_by_swap",
     "extract_cone",
     "forward_value",
-    "from_bit",
-    "from_pair",
     "implies_inputs",
     "is_es",
     "is_nes",
     "nes_check_by_swap",
-    "or_values",
     "random_simulate_outputs",
     "random_words",
     "simulate",
@@ -94,5 +78,4 @@ __all__ = [
     "table_mask",
     "truth_tables",
     "variable_word",
-    "xor_values",
 ]

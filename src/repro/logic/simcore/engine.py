@@ -17,16 +17,33 @@ checked against) the reference implementation.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import random
+from typing import Iterable, Mapping, Sequence
 
 from ...network.netlist import Network
 from ..simulate import variable_word
 from .backends import sweep
 from .compiled import CompiledNetwork, get_compiled
 
-#: 64-pattern random blocks (seeds 0, 1, ...) behind
-#: :meth:`SimEngine.random_output_words`.
+#: :meth:`SimEngine.random_output_words` sweeps ``RANDOM_ROUNDS`` blocks
+#: of ``RANDOM_WIDTH`` random patterns (block ``r`` seeded with ``r``).
 RANDOM_ROUNDS = 4
+RANDOM_WIDTH = 64
+
+
+def random_pattern_block(inputs: Sequence[str]) -> tuple[dict[str, int], int]:
+    """:data:`RANDOM_ROUNDS` concatenated blocks of :data:`RANDOM_WIDTH` patterns.
+
+    Block ``r`` draws from ``random.Random(r)``, the stream of
+    ``random_words(inputs, 64, r)``.
+    """
+    assignments = dict.fromkeys(inputs, 0)
+    for block in range(RANDOM_ROUNDS):
+        rng = random.Random(block)
+        shift = block * RANDOM_WIDTH
+        for pi in inputs:
+            assignments[pi] |= rng.getrandbits(RANDOM_WIDTH) << shift
+    return assignments, RANDOM_WIDTH * RANDOM_ROUNDS
 
 
 class SimEngine:
@@ -125,10 +142,8 @@ class SimEngine:
         block ``r`` reproduces ``random_words(inputs, 64, r)`` exactly,
         so a multi-round filter is one wide sweep of the same patterns.
         """
-        from .faultsim import random_pattern_block
-
         assignments, num_patterns = random_pattern_block(
-            get_compiled(self.network).inputs, rounds=RANDOM_ROUNDS
+            get_compiled(self.network).inputs
         )
         self.set_patterns(assignments, num_patterns)
         return self.output_words()

@@ -14,7 +14,7 @@ independent patterns.  The same engine therefore covers:
 This module is the *reference* evaluator: a straightforward interpreted
 walk over the live network, convenient for one-off queries and as the
 oracle property tests compare against.  The hot paths (equivalence
-filtering, symmetry verification, ATPG fault dropping) run on
+filtering, symmetry verification) run on
 :mod:`repro.logic.simcore` instead — the same word algebra over a
 compiled index-array form, 1-2 orders of magnitude faster per sweep.
 """

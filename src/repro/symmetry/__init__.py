@@ -28,6 +28,7 @@ from .cross import (
 from .redundancy import (
     Redundancy,
     find_easy_redundancies,
+    prove_branch_redundant,
     redundancy_counts,
     remove_redundancy,
     unique_stems,
@@ -55,6 +56,7 @@ __all__ = [
     "grow_supergate",
     "is_swappable",
     "pin_pair_symmetry",
+    "prove_branch_redundant",
     "redundancy_counts",
     "remove_redundancy",
     "supergate_truth_table",

@@ -19,6 +19,11 @@ applies the rewrite, guarded by an exact functional-equivalence check,
 since an event proves untestability only relative to the observing
 cone; Table 1 does not require removal, so the guard favours safety
 over yield.
+
+One proof serves both the guard and the paper's justification: a
+branch stuck-at-``v`` is untestable exactly when tying its pin to the
+constant ``v`` leaves every primary-output function unchanged, which
+``prove_branch_redundant`` decides with ``networks_equivalent``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from ..network.gatetype import GateType
 from ..network.netlist import Network, Pin
 from ..logic.implication import backward_imply, implies_inputs
+from ..verify.equiv import networks_equivalent
 from .supergate import SgClass, SupergateNetwork, extract_supergates
 
 
@@ -93,43 +99,52 @@ def remove_redundancy(network: Network, event: Redundancy) -> bool:
       tying the corresponding pin to the implied constant value.
 
     The rewrite is kept only if the network's primary-output functions
-    are exactly preserved (checked with BDDs over the affected cones);
-    returns ``True`` when a rewrite was committed.  The equivalence
-    guard makes removal sound even when the event's untestability only
-    holds relative to part of the fanout.
+    are exactly preserved (``networks_equivalent``); returns ``True``
+    when a rewrite was committed.  The equivalence guard makes removal
+    sound even when the event's untestability only holds relative to
+    part of the fanout.
     """
-    from ..verify.equiv import networks_equivalent
-
-    if event.kind == "conflict":
-        candidates: list[tuple[str, object]] = [("const_root", None)]
+    if event.kind == "agreement":
+        trials = (
+            _tied(network, pin, event.implied_value)
+            for pin in _agreement_pins(network, event)
+        )
     else:
-        candidates = [
-            ("tie_pin", pin) for pin in _agreement_pins(network, event)
-        ]
-    for action, payload in candidates:
+        sg_value = _root_forcing_value(network, event.root)
+        if sg_value is None:
+            return False
         trial = network.copy()
-        if action == "const_root":
-            sg_value = _root_forcing_value(network, event.root)
-            if sg_value is None:
-                continue
-            trial.set_fanins(event.root, [])
-            trial.set_gate_type(
-                event.root,
-                GateType.CONST0 if sg_value == 1 else GateType.CONST1,
-            )
-        else:
-            pin = payload
-            const_name = trial.fresh_name(f"{event.stem}_tie")
-            trial.add_gate(
-                const_name,
-                GateType.CONST1 if event.implied_value else GateType.CONST0,
-                [],
-            )
-            trial.replace_fanin(pin, const_name)
+        trial.set_fanins(event.root, [])
+        trial.set_gate_type(
+            event.root, GateType.CONST0 if sg_value == 1 else GateType.CONST1
+        )
+        trials = [trial]
+    for trial in trials:
         if networks_equivalent(network, trial):
             network.adopt(trial)
             return True
     return False
+
+
+def prove_branch_redundant(network: Network, pin: Pin, stuck_at: int) -> bool:
+    """Is the branch feeding *pin* stuck-at-*stuck_at* untestable?
+
+    A test for the fault is a pattern on which the tied copy differs
+    from *network* at some primary output, so the fault is untestable
+    (the branch redundant) exactly when the two are equivalent.
+    """
+    return networks_equivalent(network, _tied(network, pin, stuck_at))
+
+
+def _tied(network: Network, pin: Pin, value: int) -> Network:
+    """Copy of *network* with *pin* driven by a fresh constant *value*."""
+    trial = network.copy()
+    const_name = trial.fresh_name(f"{network.fanin_net(pin)}_tie")
+    trial.add_gate(
+        const_name, GateType.CONST1 if value else GateType.CONST0, []
+    )
+    trial.replace_fanin(pin, const_name)
+    return trial
 
 
 def _root_forcing_value(network: Network, root: str) -> int | None:

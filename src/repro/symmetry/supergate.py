@@ -32,6 +32,7 @@ from ..network.gatetype import (
 )
 from ..network.netlist import Network, Pin
 from ..logic.implication import implies_inputs
+from .verify import cut_pin_function
 
 
 class SgClass(enum.Enum):
@@ -209,37 +210,25 @@ def supergate_truth_table(
     """Truth table of a supergate's root over its own fanin leaves.
 
     Every leaf pin is cut and driven by a fresh variable (in leaf
-    order); the returned word is the root function over those
-    variables, computed by one exhaustive sweep of the compiled
-    simulation engine.  For an and-or supergate this is the canonical
+    order, by :func:`~repro.symmetry.verify.cut_pin_function`); the
+    returned word is the root function over those variables.  The
+    leaves cut the root off every other input, so they are the whole
+    support.  For an and-or supergate this is the canonical
     "root equals ``root_value`` iff every leaf equals its ``imp_value``"
-    form, which the test suite asserts; supergate libraries and the
-    cross-swap machinery use it as a functional fingerprint.
+    form, which the test suite asserts.
 
     Returns ``(leaf_pins, table)``; variable ``k`` of the table is the
     ``k``-th leaf.  Raises :class:`ValueError` for supergates too wide
     to enumerate exhaustively.
     """
-    from ..logic.simcore import SimEngine
-    from ..logic.simulate import extract_cone
-
     if len(sg.leaves) > 20:
         raise ValueError(
             f"supergate {sg.root} has {len(sg.leaves)} leaves; too wide "
             "for exhaustive truth-table extraction"
         )
-    trial = network.copy()
-    fresh: list[str] = []
-    for number, leaf in enumerate(sg.leaves):
-        var = trial.fresh_name(f"__leaf{number}")
-        trial.add_input(var)
-        trial.replace_fanin(leaf.pin, var)
-        fresh.append(var)
-    cone = extract_cone(trial, [sg.root])
-    tables = SimEngine(cone).truth_tables(
-        support=fresh, nets=[sg.root]
-    )
-    return [leaf.pin for leaf in sg.leaves], tables[sg.root]
+    pins = [leaf.pin for leaf in sg.leaves]
+    table, _, _ = cut_pin_function(network, sg.root, pins)
+    return pins, table
 
 
 def grow_supergate(network: Network, root: str) -> Supergate:

@@ -1,4 +1,4 @@
-"""Logic substrate: values, simulation, truth-table algebra."""
+"""Logic substrate: simulation, truth-table algebra."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,69 +24,9 @@ from repro.logic.truthtable import (
     nes_check_by_swap,
     swap_variables,
 )
-from repro.logic.values import (
-    Value,
-    and_values,
-    from_pair,
-    or_values,
-    xor_values,
-)
 from repro.network.builder import NetworkBuilder
 
 from helpers import random_network
-
-
-# ----------------------------------------------------------------------
-# five-valued algebra
-# ----------------------------------------------------------------------
-def test_value_channels():
-    assert Value.D.good == 1 and Value.D.faulty == 0
-    assert Value.DBAR.good == 0 and Value.DBAR.faulty == 1
-    assert Value.X.good is None
-    assert (~Value.D) is Value.DBAR
-    assert (~Value.X) is Value.X
-
-
-def test_value_predicates():
-    assert Value.D.is_fault_effect() and not Value.ONE.is_fault_effect()
-    assert Value.ZERO.is_binary() and not Value.D.is_binary()
-    assert not Value.X.is_assigned()
-
-
-@given(st.lists(st.sampled_from(list(Value)), min_size=1, max_size=4))
-def test_and_or_consistent_with_channelwise_eval(values):
-    for op in (and_values, or_values):
-        result = op(values)
-        expect_channels = []
-        for bits in (
-            [v.good for v in values], [v.faulty for v in values],
-        ):
-            if op is and_values:
-                expect_channels.append(
-                    0 if 0 in bits else (None if None in bits else 1)
-                )
-            else:
-                expect_channels.append(
-                    1 if 1 in bits else (None if None in bits else 0)
-                )
-        # the five-valued domain cannot represent "one channel known":
-        # such results collapse to X (conservative, like classic ATPG)
-        if None in expect_channels:
-            assert result is Value.X
-        else:
-            assert result is from_pair(*expect_channels)
-
-
-def test_xor_values_x_dominant():
-    assert xor_values([Value.D, Value.X]) is Value.X
-    assert xor_values([Value.D, Value.DBAR]) is Value.ONE
-    assert xor_values([Value.D, Value.D]) is Value.ZERO
-    assert xor_values([Value.D, Value.ONE]) is Value.DBAR
-
-
-def test_from_pair():
-    assert from_pair(1, 0) is Value.D
-    assert from_pair(None, 1) is Value.X
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Compiled simulation core: compiled form, engine, fault sim.
+"""Compiled simulation core: compiled form, engine.
 
 The load-bearing property: the compiled sweep must match the
 interpreted ``repro.logic.simulate`` walker bit-for-bit — on random
@@ -12,14 +12,7 @@ import random
 
 import pytest
 
-from repro.atpg.faults import all_faults
-from repro.logic.simcore import (
-    FaultSimulator,
-    SimEngine,
-    compile_network,
-    get_compiled,
-    random_pattern_block,
-)
+from repro.logic.simcore import SimEngine, compile_network, get_compiled
 from repro.logic.simulate import random_words, simulate, truth_tables
 from repro.network.builder import NetworkBuilder
 from repro.network.gatetype import GateType
@@ -181,7 +174,7 @@ def test_simcore_import_surface_is_complete():
     import repro.logic.simcore as simcore
 
     required = {
-        "SimEngine", "get_compiled", "FaultSimulator", "CompiledNetwork",
+        "SimEngine", "get_compiled", "CompiledNetwork",
         "compile_network", "eval_word", "random_pattern_block", "sweep",
     }
     missing = required - set(simcore.__all__)
@@ -191,7 +184,7 @@ def test_simcore_import_surface_is_complete():
     # the logic package facade re-exports the engine-level surface too
     import repro.logic as logic
 
-    for name in ("SimEngine", "get_compiled", "FaultSimulator",
+    for name in ("SimEngine", "get_compiled",
                  "CompiledNetwork", "compile_network"):
         assert getattr(logic, name) is getattr(simcore, name), name
         assert name in logic.__all__, name
@@ -270,45 +263,3 @@ def test_structural_mutation_forces_consistent_state():
     net.add_gate(new, GateType.AND, [net.inputs[0], net.inputs[1]])
     net.replace_fanin(Pin(next(net.gate_names()), 0), new)
     assert engine.words() == simulate(net, assignments, mask=(1 << 96) - 1)
-
-
-# ----------------------------------------------------------------------
-# fault simulation
-# ----------------------------------------------------------------------
-def test_fault_simulator_agrees_with_forced_resimulation():
-    for seed in range(6):
-        net = random_network(seed, num_inputs=5, num_gates=16, num_outputs=3)
-        assignments, num = random_pattern_block(
-            net.inputs, width=64, seed=seed, rounds=2
-        )
-        mask = (1 << num) - 1
-        good = simulate(net, assignments, mask)
-        simulator = FaultSimulator(net)
-        simulator.load_patterns(assignments, num)
-        for fault in all_faults(net, include_branches=True):
-            expected = _brute_force_detects(net, fault, assignments, mask, good)
-            got = bool(simulator.detecting_patterns(fault))
-            assert got == expected, (seed, str(fault))
-
-
-def _brute_force_detects(net, fault, assignments, mask, good):
-    words = {}
-    for pi in net.inputs:
-        word = assignments[pi] & mask
-        if fault.pin is None and fault.net == pi:
-            word = mask if fault.stuck_at else 0
-        words[pi] = word
-    for name in net.topo_order():
-        gate = net.gate(name)
-        fanin_words = []
-        for index, fanin in enumerate(gate.fanins):
-            word = words[fanin]
-            if fault.pin == Pin(name, index) and fault.net == fanin:
-                word = mask if fault.stuck_at else 0
-            fanin_words.append(word)
-        word = gate.eval(fanin_words, mask)
-        if fault.pin is None and fault.net == name:
-            word = mask if fault.stuck_at else 0
-        words[name] = word
-    return any(words[out] != good[out] for out in net.outputs)
-

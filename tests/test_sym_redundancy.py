@@ -1,10 +1,13 @@
-"""Fig. 1 redundancy events: detection, ATPG confirmation, removal."""
+"""Fig. 1 redundancy events: detection, exact confirmation, removal."""
 
-from repro.atpg.redundancy import prove_branch_redundant
+import pytest
+
+from repro.logic.simulate import simulate, table_mask, variable_word
 from repro.network.builder import NetworkBuilder
 from repro.network.netlist import Pin
 from repro.symmetry.redundancy import (
     find_easy_redundancies,
+    prove_branch_redundant,
     redundancy_counts,
     remove_redundancy,
     unique_stems,
@@ -52,7 +55,7 @@ def test_agreement_detected():
     assert agreements[0].implied_value == 1
 
 
-def test_agreement_confirmed_by_atpg():
+def test_agreement_confirmed_by_equivalence():
     """The paper's claim: the duplicated branch is s-a-1 untestable."""
     net = fig1b_network()
     assert prove_branch_redundant(net, Pin("h", 1), stuck_at=1) is True
@@ -60,6 +63,62 @@ def test_agreement_confirmed_by_atpg():
     assert prove_branch_redundant(net, Pin("g", 0), stuck_at=1) is True
     # but y's branch is testable
     assert prove_branch_redundant(net, Pin("g", 1), stuck_at=1) is False
+
+
+@pytest.mark.parametrize(
+    "num_inputs, num_gates, seeds",
+    [
+        (5, 16, range(10)),         # networks_equivalent: exhaustive path
+        (16, 40, range(100, 102)),  # beyond its exhaustive limit: BDDs
+        (18, 40, range(200, 202)),
+    ],
+    ids=["exhaustive-5in", "bdd-16in", "bdd-18in"],
+)
+def test_prover_matches_exhaustive_forced_simulation(
+    num_inputs, num_gates, seeds
+):
+    """A branch is redundant iff no input pattern detects its fault.
+
+    Every pin of every gate is checked at both stuck-at values against
+    a forced re-simulation over all ``2**n`` patterns.
+    """
+    verdicts = set()
+    for seed in seeds:
+        net = random_network(
+            seed, num_inputs=num_inputs, num_gates=num_gates, num_outputs=3
+        )
+        assignments = {
+            pi: variable_word(index, num_inputs)
+            for index, pi in enumerate(net.inputs)
+        }
+        mask = table_mask(num_inputs)
+        good = simulate(net, assignments, mask)
+        for gate in net.gates():
+            for index in range(gate.arity()):
+                pin = Pin(gate.name, index)
+                for stuck_at in (0, 1):
+                    proof = prove_branch_redundant(net, pin, stuck_at)
+                    detected = _brute_force_detects(
+                        net, pin, stuck_at, assignments, mask, good
+                    )
+                    assert isinstance(proof, bool), (seed, pin, stuck_at)
+                    assert proof == (not detected), (seed, pin, stuck_at)
+                    verdicts.add(proof)
+    assert verdicts == {True, False}
+
+
+def _brute_force_detects(net, pin, stuck_at, assignments, mask, good):
+    """Does any pattern tell the network with *pin* stuck apart?"""
+    words = {pi: assignments[pi] & mask for pi in net.inputs}
+    for name in net.topo_order():
+        gate = net.gate(name)
+        fanin_words = [
+            (mask if stuck_at else 0) if Pin(name, index) == pin
+            else words[fanin]
+            for index, fanin in enumerate(gate.fanins)
+        ]
+        words[name] = gate.eval(fanin_words, mask)
+    return any(words[out] != good[out] for out in net.outputs)
 
 
 def test_removal_preserves_function():
