@@ -31,8 +31,6 @@ from .network import (
     NetworkError,
     Pin,
     check_network,
-    parse_bench,
-    parse_blif,
 )
 from .library.cells import Cell, Library, default_library
 from .symmetry import (
@@ -53,7 +51,7 @@ from .synth import map_network, script_rugged
 from .rapids import RapidsResult, run_rapids
 from .sizing import OptimizeResult, optimize
 from .suite import FlowConfig, benchmark_names, build_benchmark, run_benchmark
-from .verify import assert_equivalent, networks_equivalent
+from .verify import networks_equivalent
 
 __version__ = "1.0.0"
 
@@ -78,7 +76,6 @@ __all__ = [
     "__version__",
     "apply_cross_swap",
     "apply_swap",
-    "assert_equivalent",
     "benchmark_names",
     "build_benchmark",
     "check_network",
@@ -90,8 +87,6 @@ __all__ = [
     "map_network",
     "networks_equivalent",
     "optimize",
-    "parse_bench",
-    "parse_blif",
     "place",
     "run_benchmark",
     "run_rapids",

@@ -255,19 +255,26 @@ class CheckpointManager:
 
         Write-to-temp + fsync + ``os.replace`` means a crash mid-save
         leaves the previous checkpoint intact — the file on disk is
-        always a complete, loadable payload.
+        always a complete, loadable payload.  A save that raises (an
+        unpicklable payload, a full disk) removes its temp file and
+        re-raises.
         """
         started = perf_counter()
         tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            pickle.dump(
-                {**payload, "format": PAYLOAD_FORMAT, "knobs": self.knobs},
-                handle,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "wb") as handle:
+                pickle.dump(
+                    {**payload, "format": PAYLOAD_FORMAT, "knobs": self.knobs},
+                    handle,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         self._saved_at = perf_counter()
         self._save_cost = self._saved_at - started
         self.saves += 1

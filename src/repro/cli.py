@@ -240,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("table1", "bench"):
         try:
             args.config = _flow_config(args)
+            args.config.effective_scale()  # a bad REPRO_SCALE, named
         except ValueError as exc:  # a knob out of range, named
             parser.error(str(exc))
     try:

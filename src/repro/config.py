@@ -10,6 +10,7 @@ naming the field.  Stdlib only, so ``tools/lint`` can load it alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -85,6 +86,8 @@ class RunKnobs:
             choices, minimum = (spec.metadata["choices"],
                                 spec.metadata["minimum"])
             values = value if isinstance(value, (tuple, list)) else (value,)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{spec.name}={value!r}: must be finite")
             if choices and any(entry not in choices for entry in values):
                 raise ValueError(
                     f"{spec.name}={value!r}: pick from {', '.join(choices)}"
@@ -137,6 +140,11 @@ class FlowConfig(RunKnobs):
     wl_class_swaps: ClassVar[bool] = False
     sim_backend: ClassVar[str] = "auto"
     wl_batched: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.scale is not None and not self.scale > 0:
+            raise ValueError(f"scale={self.scale!r}: must be > 0")
 
     def effective_scale(self) -> float:
         from .suite.registry import configured_scale

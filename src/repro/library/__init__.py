@@ -7,8 +7,6 @@ from .cells import (
     UNIT_WIRE_CAP_PER_UM,
     UNIT_WIRE_RES_PER_UM,
     default_library,
-    wire_capacitance,
-    wire_resistance,
 )
 
 __all__ = [
@@ -18,6 +16,4 @@ __all__ = [
     "UNIT_WIRE_CAP_PER_UM",
     "UNIT_WIRE_RES_PER_UM",
     "default_library",
-    "wire_capacitance",
-    "wire_resistance",
 ]

@@ -95,10 +95,6 @@ class Library:
         """Alternative implementations of the same function and arity."""
         return self.implementations(cell.function, cell.arity)
 
-    def has(self, function: GateType, arity: int) -> bool:
-        """True when a cell with this signature exists."""
-        return (function, arity) in self._by_signature
-
     def default_cell(self, function: GateType, arity: int) -> Cell:
         """The mid-strength implementation the mapper binds initially."""
         group = self.implementations(function, arity)
@@ -107,10 +103,6 @@ class Library:
                 f"library {self.name} has no {function.name}{arity} cell"
             )
         return group[min(1, len(group) - 1)]
-
-    def functions(self) -> set[tuple[GateType, int]]:
-        """All (function, arity) signatures in the library."""
-        return set(self._by_signature.keys())
 
     def max_arity(self, function: GateType) -> int:
         """Largest arity available for *function* (0 when absent)."""
@@ -190,13 +182,3 @@ def default_library() -> Library:
     cells += _scaled("XNOR2", GateType.XNOR, 2, 235.0, 0.014,
                      0.125, 3.9, 0.112, 3.4)
     return Library("repro035", cells)
-
-
-def wire_capacitance(length_um: float) -> float:
-    """Capacitance (pF) of a wire segment of the given length."""
-    return UNIT_WIRE_CAP_PER_UM * length_um
-
-
-def wire_resistance(length_um: float) -> float:
-    """Resistance (kOhm) of a wire segment of the given length."""
-    return UNIT_WIRE_RES_PER_UM * length_um

@@ -14,7 +14,6 @@ from .simcore import (
     get_compiled,
 )
 from .simulate import (
-    cone_truth_table,
     extract_cone,
     random_simulate_outputs,
     random_words,
@@ -25,22 +24,15 @@ from .simulate import (
     variable_word,
 )
 from .truthtable import (
-    all_symmetric_pairs,
     cofactor,
-    complement_variable,
-    depends_on,
     double_cofactor,
-    es_check_by_swap,
     is_es,
     is_nes,
-    nes_check_by_swap,
-    swap_variables,
 )
-from .bdd import BddManager, ONE, ZERO, bdd_es, bdd_nes, cone_bdd
+from .bdd import BddManager, ONE, ZERO, cone_bdd
 from .implication import (
     ImplicationResult,
     backward_imply,
-    forward_value,
     implies_inputs,
 )
 
@@ -53,28 +45,18 @@ __all__ = [
     "ZERO",
     "compile_network",
     "get_compiled",
-    "all_symmetric_pairs",
     "backward_imply",
-    "bdd_es",
-    "bdd_nes",
     "cofactor",
-    "complement_variable",
     "cone_bdd",
-    "cone_truth_table",
-    "depends_on",
     "double_cofactor",
-    "es_check_by_swap",
     "extract_cone",
-    "forward_value",
     "implies_inputs",
     "is_es",
     "is_nes",
-    "nes_check_by_swap",
     "random_simulate_outputs",
     "random_words",
     "simulate",
     "simulate_outputs",
-    "swap_variables",
     "table_mask",
     "truth_tables",
     "variable_word",

@@ -1,12 +1,11 @@
 """A compact reduced ordered binary decision diagram (ROBDD) package.
 
-The paper's verification needs — combinational equivalence of rewired
-networks and symmetry ground truth on cones too wide for exhaustive
-truth tables — are served by this self-contained BDD manager.  Nodes
-are hash-consed triples ``(level, low, high)`` referenced by integer
-ids; 0 and 1 are the terminal ids.  Complement edges are not used; the
-structure favours clarity over raw capacity, which suits the cone sizes
-the rewiring engine produces.
+Combinational equivalence of rewired networks on cones too wide for
+exhaustive truth tables is decided by this self-contained BDD
+manager.  Nodes are hash-consed triples ``(level, low, high)``
+referenced by integer ids; 0 and 1 are the terminal ids.  Complement
+edges are not used; the structure favours clarity over raw capacity,
+which suits the cone sizes the rewiring engine produces.
 """
 
 from __future__ import annotations
@@ -71,9 +70,6 @@ class BddManager:
         self._unique[key] = node_id
         return node_id
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     # ------------------------------------------------------------------
     # boolean operations (all via ITE)
     # ------------------------------------------------------------------
@@ -132,30 +128,6 @@ class BddManager:
             acc = op(acc, operand)
         return acc
 
-    # ------------------------------------------------------------------
-    # structure queries
-    # ------------------------------------------------------------------
-    def restrict(self, node: int, name: str, phase: int) -> int:
-        """Cofactor of *node* with variable *name* fixed to *phase*."""
-        level = self._var_index[name]
-        cache: dict[int, int] = {}
-
-        def walk(current: int) -> int:
-            node_level, low, high = self._nodes[current]
-            if node_level > level:
-                return current
-            cached = cache.get(current)
-            if cached is not None:
-                return cached
-            if node_level == level:
-                result = high if phase else low
-            else:
-                result = self._mk(node_level, walk(low), walk(high))
-            cache[current] = result
-            return result
-
-        return walk(node)
-
 
 def cone_bdd(
     network: Network, manager: BddManager, root: str, cut: Container[str]
@@ -201,17 +173,3 @@ def cone_bdd(
             value = manager.not_(value)
         funcs[net] = value
     return funcs[root]
-
-
-def bdd_nes(manager: BddManager, func: int, var_i: str, var_j: str) -> bool:
-    """NES check on a BDD: f(xi=1,xj=0) == f(xi=0,xj=1)."""
-    lhs = manager.restrict(manager.restrict(func, var_i, 1), var_j, 0)
-    rhs = manager.restrict(manager.restrict(func, var_i, 0), var_j, 1)
-    return lhs == rhs
-
-
-def bdd_es(manager: BddManager, func: int, var_i: str, var_j: str) -> bool:
-    """ES check on a BDD: f(xi=1,xj=1) == f(xi=0,xj=0)."""
-    lhs = manager.restrict(manager.restrict(func, var_i, 1), var_j, 1)
-    rhs = manager.restrict(manager.restrict(func, var_i, 0), var_j, 0)
-    return lhs == rhs

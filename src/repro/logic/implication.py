@@ -44,10 +44,6 @@ class ImplicationResult:
     agreements: list[str] = field(default_factory=list)
     frontier: list[str] = field(default_factory=list)
 
-    def imp_value(self, net: str) -> int | None:
-        """``imp_value(p)`` of the paper for the net feeding pin ``p``."""
-        return self.values.get(net)
-
 
 def implies_inputs(gtype: GateType, output_value: int) -> int | None:
     """Value forced on every in-pin when *output_value* sits on the out-pin.
@@ -121,20 +117,3 @@ def backward_imply(
             queue.append(fanin)
     return result
 
-
-def forward_value(network: Network, values: dict[str, int], net: str) -> int | None:
-    """Forward-evaluate *net* when all its fanins are known in *values*.
-
-    A small helper for consistency checks; returns ``None`` when some
-    fanin is unassigned.
-    """
-    if network.is_input(net):
-        return values.get(net)
-    gate = network.gate(net)
-    words: list[int] = []
-    for fanin in gate.fanins:
-        value = values.get(fanin)
-        if value is None:
-            return None
-        words.append(value)
-    return gate.eval(words, mask=1)

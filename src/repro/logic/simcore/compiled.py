@@ -73,12 +73,6 @@ class CompiledNetwork:
     def num_gates(self) -> int:
         return len(self.gate_names)
 
-    def fanins_of(self, position: int) -> list[int]:
-        """Fanin net indices of the gate at topological *position*."""
-        return self.fanin_flat[
-            self.fanin_offset[position]:self.fanin_offset[position + 1]
-        ]
-
 
 def compile_network(network: Network) -> CompiledNetwork:
     """Flatten *network* into a fresh :class:`CompiledNetwork`."""

@@ -115,11 +115,6 @@ class SimEngine:
             self.set_patterns(self._assignments, self.num_patterns)
         return self._compiled, self._words
 
-    def word(self, net: str) -> int:
-        """Simulation word of one net as a plain integer."""
-        compiled, words = self._current()
-        return words[compiled.net_index[net]]
-
     def output_words(self) -> list[int]:
         """Primary-output words, in PO order."""
         compiled, words = self._current()
@@ -155,8 +150,3 @@ class SimEngine:
         """Exhaustive truth-table words, like ``logic.simulate.truth_tables``."""
         self.set_exhaustive_patterns(support)
         return self.words(nets)
-
-    @property
-    def mask(self) -> int:
-        """All-ones mask over the currently loaded pattern count."""
-        return (1 << self.num_patterns) - 1 if self.num_patterns else 0

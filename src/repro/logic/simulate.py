@@ -107,18 +107,6 @@ def truth_tables(
     return simulate(network, assignments, mask=table_mask(num_vars))
 
 
-def cone_truth_table(network: Network, net: str) -> tuple[list[str], int]:
-    """Truth table of a single net over its own support.
-
-    Returns ``(support, table)`` where *support* lists the primary
-    inputs of the cone in PI order and *table* is the truth-table word.
-    """
-    support = network.cone_inputs(net)
-    extracted = extract_cone(network, [net])
-    tables = truth_tables(extracted, support)
-    return support, tables[net]
-
-
 def extract_cone(network: Network, nets: list[str]) -> Network:
     """Copy the transitive fanin cones of *nets* into a fresh network."""
     cone = Network(f"{network.name}_cone")

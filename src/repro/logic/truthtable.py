@@ -1,9 +1,9 @@
-"""Truth-table algebra: cofactors and ground-truth symmetry checks.
+"""Truth-table algebra: cofactors and the cofactor symmetry checks.
 
 A function over ``n`` variables is an integer whose bit ``k`` holds the
 function value on the input assignment ``k`` (variable ``i`` = bit ``i``
 of ``k``).  The symmetry definitions of Section 2.0 are evaluated
-directly:
+directly on cofactors:
 
 * **NES** (non-equivalence symmetry): ``f_{xi x̄j} == f_{x̄i xj}`` — the
   plain exchange of ``xi`` and ``xj`` leaves ``f`` unchanged.
@@ -11,8 +11,9 @@ directly:
   exchange of ``xi`` with the *complement* of ``xj`` (and vice versa)
   leaves ``f`` unchanged.
 
-These are the oracles the paper's reachability-based detector is
-validated against in the test suite.
+The symmetry verifier (:mod:`repro.symmetry.verify`) decides
+supergate-sized swaps with these checks, and the test suite validates
+the reachability-based detector against them.
 """
 
 from __future__ import annotations
@@ -63,75 +64,3 @@ def is_es(table: int, num_vars: int, var_i: int, var_j: int) -> bool:
     rhs = double_cofactor(table, num_vars, var_i, 0, var_j, 0)
     return lhs == rhs
 
-
-def swap_variables(table: int, num_vars: int, var_i: int, var_j: int) -> int:
-    """Truth table of f with variables *var_i* and *var_j* exchanged."""
-    if var_i == var_j:
-        return table
-    result = 0
-    for minterm in range(1 << num_vars):
-        bit_i = (minterm >> var_i) & 1
-        bit_j = (minterm >> var_j) & 1
-        swapped = minterm
-        if bit_i != bit_j:
-            swapped ^= (1 << var_i) | (1 << var_j)
-        if (table >> swapped) & 1:
-            result |= 1 << minterm
-    return result
-
-
-def complement_variable(table: int, num_vars: int, var: int) -> int:
-    """Truth table of f with variable *var* complemented."""
-    mask = table_mask(num_vars)
-    pattern = variable_word(var, num_vars)
-    period = 1 << var
-    positive = table & pattern
-    negative = table & ~pattern & mask
-    return ((positive >> period) | (negative << period)) & mask
-
-
-def depends_on(table: int, num_vars: int, var: int) -> bool:
-    """True when f actually depends on variable *var*."""
-    return (
-        cofactor(table, num_vars, var, 0)
-        != cofactor(table, num_vars, var, 1)
-    )
-
-
-def nes_check_by_swap(
-    table: int, num_vars: int, var_i: int, var_j: int
-) -> bool:
-    """NES via the exchange definition (must agree with :func:`is_nes`)."""
-    return swap_variables(table, num_vars, var_i, var_j) == table
-
-
-def es_check_by_swap(
-    table: int, num_vars: int, var_i: int, var_j: int
-) -> bool:
-    """ES via exchange-with-complement (must agree with :func:`is_es`)."""
-    swapped = swap_variables(table, num_vars, var_i, var_j)
-    swapped = complement_variable(swapped, num_vars, var_i)
-    swapped = complement_variable(swapped, num_vars, var_j)
-    return swapped == table
-
-
-def all_symmetric_pairs(
-    table: int, num_vars: int
-) -> list[tuple[int, int, str]]:
-    """Enumerate all NES / ES pairs of a function.
-
-    Returns tuples ``(i, j, kind)`` with ``i < j`` and kind in
-    ``{"nes", "es", "both"}``.
-    """
-    pairs: list[tuple[int, int, str]] = []
-    for var_i in range(num_vars):
-        for var_j in range(var_i + 1, num_vars):
-            nes = is_nes(table, num_vars, var_i, var_j)
-            es = is_es(table, num_vars, var_i, var_j)
-            if nes and es:
-                pairs.append((var_i, var_j, "both"))
-            elif nes:
-                pairs.append((var_i, var_j, "nes"))
-            elif es:
-                pairs.append((var_i, var_j, "es"))
-    return pairs

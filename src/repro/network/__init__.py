@@ -1,7 +1,6 @@
 """Boolean network substrate: gates, nets, I/O and primitive transforms."""
 
 from .gatetype import (
-    AND_OR_TYPES,
     CONST_TYPES,
     GateType,
     WIRE_TYPES,
@@ -9,7 +8,6 @@ from .gatetype import (
     base_type,
     complement_type,
     controlling_value,
-    demorgan_dual,
     eval_gate,
     forced_input_value,
     forcing_output_value,
@@ -23,19 +21,15 @@ from .transform import (
     cleanup,
     collapse_wire_pairs,
     complement_net,
-    connect_inverted,
-    demorgan_gate,
-    insert_inverter,
     propagate_constants,
     swap_inverting,
     swap_noninverting,
     sweep,
 )
-from .blif import blif_text, parse_blif, read_blif, write_blif
-from .bench_io import bench_text, parse_bench, read_bench, write_bench
+from .blif import read_blif
+from .bench_io import read_bench
 
 __all__ = [
-    "AND_OR_TYPES",
     "CONST_TYPES",
     "GateType",
     "WIRE_TYPES",
@@ -46,33 +40,23 @@ __all__ = [
     "NetworkError",
     "Pin",
     "base_type",
-    "bench_text",
-    "blif_text",
     "check_network",
     "cleanup",
     "collapse_wire_pairs",
     "complement_net",
     "complement_type",
-    "connect_inverted",
     "controlling_value",
     "dangling_gates",
-    "demorgan_dual",
-    "demorgan_gate",
     "eval_gate",
     "forced_input_value",
     "forcing_output_value",
-    "insert_inverter",
     "is_inverted",
     "network_problems",
     "noncontrolling_value",
-    "parse_bench",
-    "parse_blif",
     "propagate_constants",
     "read_bench",
     "read_blif",
     "swap_inverting",
     "swap_noninverting",
     "sweep",
-    "write_bench",
-    "write_blif",
 ]

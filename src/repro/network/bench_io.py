@@ -1,4 +1,4 @@
-"""ISCAS ``.bench`` reader / writer.
+"""ISCAS ``.bench`` reader.
 
 The ISCAS'85/'89 benchmark suites the paper evaluates on are
 conventionally distributed in the ``.bench`` format::
@@ -16,7 +16,6 @@ a pseudo primary output.
 
 from __future__ import annotations
 
-import io
 import re
 from typing import TextIO
 
@@ -40,11 +39,6 @@ _ASSIGN = re.compile(
     r"^\s*([\w.\[\]$]+)\s*=\s*(\w+)\s*\(([^)]*)\)\s*$"
 )
 _IO = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([\w.\[\]$]+)\s*\)\s*$")
-
-
-def parse_bench(text: str, name: str = "bench") -> Network:
-    """Parse ``.bench`` *text* into a :class:`Network`."""
-    return read_bench(io.StringIO(text), name=name)
 
 
 def read_bench(handle: TextIO, name: str = "bench") -> Network:
@@ -89,50 +83,3 @@ def read_bench(handle: TextIO, name: str = "bench") -> Network:
         network.add_output(net)
     return network
 
-
-_FUNC_NAMES = {
-    GateType.AND: "AND",
-    GateType.OR: "OR",
-    GateType.XOR: "XOR",
-    GateType.NAND: "NAND",
-    GateType.NOR: "NOR",
-    GateType.XNOR: "XNOR",
-    GateType.INV: "NOT",
-    GateType.BUF: "BUFF",
-}
-
-
-def write_bench(network: Network, handle: TextIO) -> None:
-    """Write the network in ``.bench`` syntax (constants are expanded)."""
-    handle.write(f"# {network.name}\n")
-    for net in network.inputs:
-        handle.write(f"INPUT({net})\n")
-    for net in network.outputs:
-        handle.write(f"OUTPUT({net})\n")
-    const_helpers: dict[str, str] = {}
-    for name in network.topo_order():
-        gate = network.gate(name)
-        if gate.gtype in (GateType.CONST0, GateType.CONST1):
-            # .bench has no constants: emit x AND NOT x / x OR NOT x
-            if not network.inputs:
-                raise NetworkError(
-                    "cannot express constants in .bench without inputs"
-                )
-            pi = network.inputs[0]
-            inv = const_helpers.get("inv")
-            if inv is None:
-                inv = f"{name}_helper_inv"
-                handle.write(f"{inv} = NOT({pi})\n")
-                const_helpers["inv"] = inv
-            func = "AND" if gate.gtype is GateType.CONST0 else "OR"
-            handle.write(f"{name} = {func}({pi}, {inv})\n")
-            continue
-        func = _FUNC_NAMES[gate.gtype]
-        handle.write(f"{name} = {func}({', '.join(gate.fanins)})\n")
-
-
-def bench_text(network: Network) -> str:
-    """Return the ``.bench`` serialization as a string."""
-    buffer = io.StringIO()
-    write_bench(network, buffer)
-    return buffer.getvalue()

@@ -1,4 +1,4 @@
-"""BLIF reader / writer.
+"""BLIF reader.
 
 SIS — the system the paper's prototype was built on — exchanges logic
 through the Berkeley Logic Interchange Format.  The reader accepts the
@@ -8,13 +8,11 @@ re-declared as a pseudo primary input, matching the paper's treatment
 of "sequential circuits ... with all sequential elements removed") and
 refuses anything else with an error naming the line.
 Arbitrary single-output covers are synthesized into OR-of-AND trees so
-any BLIF file becomes a gate network; the writer emits one ``.names``
-block per gate.
+any BLIF file becomes a gate network.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Iterable, TextIO
 
 from .gatetype import GateType
@@ -68,11 +66,6 @@ class _NamesBlock:
             return "cover mixes on-set and off-set rows"
         self.cubes.append((pattern, bit))
         return None
-
-
-def parse_blif(text: str, name: str | None = None) -> Network:
-    """Parse BLIF *text* into a :class:`Network`."""
-    return read_blif(io.StringIO(text), name=name)
 
 
 def read_blif(handle: TextIO, name: str | None = None) -> Network:
@@ -189,56 +182,3 @@ def _inverted_net(network: Network, net: str) -> str:
     network.add_gate(inv, GateType.INV, [net])
     return inv
 
-
-_COVER_WRITERS = {
-    GateType.AND: lambda n: [("1" * n, "1")],
-    GateType.NAND: lambda n: [("1" * n, "0")],
-    GateType.OR: lambda n: [
-        ("-" * i + "1" + "-" * (n - i - 1), "1") for i in range(n)
-    ],
-    GateType.NOR: lambda n: [("0" * n, "1")],
-    GateType.INV: lambda n: [("0", "1")],
-    GateType.BUF: lambda n: [("1", "1")],
-}
-
-
-def _xor_cover(arity: int, odd: bool) -> list[tuple[str, str]]:
-    rows = []
-    for value in range(1 << arity):
-        bits = format(value, f"0{arity}b")
-        ones = bits.count("1")
-        if (ones % 2 == 1) == odd:
-            rows.append((bits, "1"))
-    return rows
-
-
-def write_blif(network: Network, handle: TextIO) -> None:
-    """Write the network as combinational BLIF."""
-    handle.write(f".model {network.name}\n")
-    if network.inputs:
-        handle.write(".inputs " + " ".join(network.inputs) + "\n")
-    if network.outputs:
-        handle.write(".outputs " + " ".join(network.outputs) + "\n")
-    for name in network.topo_order():
-        gate = network.gate(name)
-        header = ".names " + " ".join([*gate.fanins, gate.name]) + "\n"
-        handle.write(header)
-        if gate.gtype is GateType.CONST1:
-            handle.write("1\n")
-        elif gate.gtype is GateType.CONST0:
-            pass  # empty cover = constant 0
-        elif gate.gtype in (GateType.XOR, GateType.XNOR):
-            odd = gate.gtype is GateType.XOR
-            for pattern, bit in _xor_cover(gate.arity(), odd):
-                handle.write(f"{pattern} {bit}\n")
-        else:
-            for pattern, bit in _COVER_WRITERS[gate.gtype](gate.arity()):
-                handle.write(f"{pattern} {bit}\n")
-    handle.write(".end\n")
-
-
-def blif_text(network: Network) -> str:
-    """Return the BLIF serialization of *network* as a string."""
-    buffer = io.StringIO()
-    write_blif(network, buffer)
-    return buffer.getvalue()

@@ -147,9 +147,6 @@ REGISTRY: dict[str, EventKind] = {
     )
 }
 
-#: Every registered kind name, in registry (= documentation) order.
-KINDS: tuple[str, ...] = tuple(REGISTRY)
-
 #: ``Network`` methods that mutate the observed structure and emit the
 #: like-named event (plus ``adopt``, the whole-content replacement, and
 #: the raw ``_touch`` hook itself).  The purity

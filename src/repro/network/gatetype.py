@@ -31,13 +31,6 @@ class GateType(enum.Enum):
         return f"GateType.{self.name}"
 
 
-#: Gate types whose base function is AND or OR (the "and-or class" of the
-#: paper); backward implication forces all inputs when the output carries
-#: the value obtained with every input at its non-controlling value.
-AND_OR_TYPES = frozenset(
-    {GateType.AND, GateType.OR, GateType.NAND, GateType.NOR}
-)
-
 #: Gate types whose base function is XOR; these have no controlling value
 #: and form the "xor-reachable" class of Definition 1.
 XOR_TYPES = frozenset({GateType.XOR, GateType.XNOR})
@@ -80,14 +73,6 @@ _COMPLEMENT = {
     GateType.CONST1: GateType.CONST0,
 }
 
-_DUAL = {
-    GateType.AND: GateType.OR,
-    GateType.OR: GateType.AND,
-    GateType.NAND: GateType.NOR,
-    GateType.NOR: GateType.NAND,
-}
-
-
 def base_type(gtype: GateType) -> GateType:
     """Return the base function of *gtype* with inversion stripped.
 
@@ -104,20 +89,6 @@ def is_inverted(gtype: GateType) -> bool:
 def complement_type(gtype: GateType) -> GateType:
     """Return the type computing the complement function (AND <-> NAND...)."""
     return _COMPLEMENT[gtype]
-
-
-def demorgan_dual(gtype: GateType) -> GateType:
-    """Return the DeMorgan dual of an and-or class type.
-
-    ``AND <-> OR`` and ``NAND <-> NOR``.  Used by the cross-supergate
-    swapping of Definition 4 / Theorem 2.  Raises :class:`ValueError`
-    for types outside the and-or class, mirroring the paper's
-    restriction ``type(SG) in {AND, OR}``.
-    """
-    try:
-        return _DUAL[gtype]
-    except KeyError:
-        raise ValueError(f"DeMorgan dual undefined for {gtype}") from None
 
 
 def controlling_value(gtype: GateType) -> int | None:

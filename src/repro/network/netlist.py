@@ -106,11 +106,6 @@ class Gate:
         """Evaluate the gate over bit-parallel words (see ``eval_gate``)."""
         return eval_gate(self.gtype, input_words, mask)
 
-    def pins(self) -> Iterator[Pin]:
-        """Iterate over this gate's in-pins."""
-        for index in range(len(self.fanins)):
-            yield Pin(self.name, index)
-
 
 #: Attributes derived from the structure: never pickled, rebuilt lazily.
 _DERIVED = frozenset({
@@ -356,42 +351,6 @@ class Network:
         """Maximum logic level over all nets (0 for an empty network)."""
         levels = self.levels()
         return max(levels.values(), default=0)
-
-    def fanin_cone(self, net: str) -> set[str]:
-        """Transitive fanin of *net*, including *net*, excluding PIs."""
-        cone: set[str] = set()
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            if current in cone or current in self._input_set:
-                continue
-            cone.add(current)
-            stack.extend(self._gates[current].fanins)
-        return cone
-
-    def cone_inputs(self, net: str) -> list[str]:
-        """Primary inputs feeding the cone of *net*, in PI order."""
-        cone = self.fanin_cone(net)
-        support: set[str] = set()
-        if net in self._input_set:
-            return [net]
-        for name in cone:
-            for fanin in self._gates[name].fanins:
-                if fanin in self._input_set:
-                    support.add(fanin)
-        return [pi for pi in self.inputs if pi in support]
-
-    def fanout_cone(self, net: str) -> set[str]:
-        """Transitive fanout of *net* (gate names), excluding *net* itself."""
-        cone: set[str] = set()
-        stack = [pin.gate for pin in self.fanout(net)]
-        while stack:
-            current = stack.pop()
-            if current in cone:
-                continue
-            cone.add(current)
-            stack.extend(pin.gate for pin in self.fanout(current))
-        return cone
 
     # ------------------------------------------------------------------
     # derived indexes

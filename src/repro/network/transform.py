@@ -2,7 +2,6 @@
 
 These are the mechanical edits the rest of the system composes:
 inverter insertion/cancellation for inverting swaps (Lemma 7/8),
-DeMorgan rewrites for cross-supergate swapping (Definition 4),
 constant propagation and sweeping for the synthesis substrate, and
 redundancy removal (Fig. 1).  All transforms preserve network
 functionality except where explicitly documented otherwise.
@@ -10,30 +9,9 @@ functionality except where explicitly documented otherwise.
 
 from __future__ import annotations
 
-from .gatetype import (
-    CONST_TYPES,
-    GateType,
-    complement_type,
-    demorgan_dual,
-    eval_gate,
-)
+from .gatetype import CONST_TYPES, GateType, eval_gate
 from .netlist import Network, NetworkError, Pin
 from .validate import dangling_gates
-
-
-def insert_inverter(network: Network, pin: Pin) -> str:
-    """Insert an INV between *pin* and its current driver.
-
-    Returns the name of the new inverter net.  This *changes* the
-    function seen at the pin; callers pair insertions so the overall
-    network function is preserved (e.g. the two legs of an inverting
-    swap).
-    """
-    source = network.fanin_net(pin)
-    inv_name = network.fresh_name(f"{source}_inv")
-    network.add_gate(inv_name, GateType.INV, [source])
-    network.replace_fanin(pin, inv_name)
-    return inv_name
 
 
 def complement_net(
@@ -61,16 +39,6 @@ def complement_net(
     return inv_name
 
 
-def connect_inverted(network: Network, pin: Pin, net: str) -> str:
-    """Connect the complement of *net* to *pin* (see :func:`complement_net`).
-
-    Returns the net finally connected to the pin.
-    """
-    target = complement_net(network, net, unstable_pins=frozenset({pin}))
-    network.replace_fanin(pin, target)
-    return target
-
-
 def swap_noninverting(network: Network, pin_a: Pin, pin_b: Pin) -> None:
     """Exchange the drivers of two pins without polarity change."""
     network.swap_fanins(pin_a, pin_b)
@@ -90,21 +58,6 @@ def swap_inverting(network: Network, pin_a: Pin, pin_b: Pin) -> None:
     target_b = complement_net(network, net_a, unstable_pins=unstable)
     network.replace_fanin(pin_a, target_a)
     network.replace_fanin(pin_b, target_b)
-
-
-def demorgan_gate(network: Network, name: str) -> None:
-    """Apply DeMorgan's law to an AND/OR-class gate in place.
-
-    ``AND(a, b) = NOR(a', b')`` and so on: the gate's type is replaced
-    by the complement of its dual and every fanin is complemented.  The
-    function of the net *name* is unchanged, so the network function is
-    preserved.  Raises for XOR-class / wire gates.
-    """
-    gate = network.gate(name)
-    new_type = complement_type(demorgan_dual(gate.gtype))
-    for pin in list(gate.pins()):
-        connect_inverted(network, pin, network.fanin_net(pin))
-    network.set_gate_type(name, new_type)
 
 
 def propagate_constants(network: Network) -> int:

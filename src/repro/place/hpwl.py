@@ -196,11 +196,6 @@ class WirelengthEngine:
         self.refresh()
         return float(sum(self._hpwl))
 
-    def net_hpwl(self, net: str) -> float:
-        """Cached HPWL of one net."""
-        self.refresh()
-        return self._hpwl[self._ids[net]]
-
     # ------------------------------------------------------------------
     # cell moves (the annealer)
     # ------------------------------------------------------------------
@@ -257,14 +252,6 @@ class WirelengthEngine:
     # ------------------------------------------------------------------
     # candidate pricing (no mutation, no events)
     # ------------------------------------------------------------------
-    @projection_only
-    def swap_delta(self, pin_a: Pin, pin_b: Pin) -> float:
-        """HPWL change of exchanging the two pins' drivers (negative =
-        shorter), priced arithmetically against the cached extrema."""
-        self.refresh()
-        self.candidates_scored += 1
-        return self._scalar_delta(pin_a, pin_b)
-
     def _after(
         self, index: int,
         removed_x: float, removed_y: float,
@@ -284,8 +271,9 @@ class WirelengthEngine:
 
     @projection_only
     def score_swaps(self, pairs: list[tuple[Pin, Pin]]) -> list[float]:
-        """Deltas for a batch of candidate pin swaps, one
-        :meth:`swap_delta` per pair; same-net pairs score exactly 0.0."""
+        """HPWL change (negative = shorter) of exchanging each pair's
+        pin drivers, priced arithmetically against the cached extrema;
+        same-net pairs score exactly 0.0."""
         self.refresh()
         self.candidates_scored += len(pairs)
         return [self._scalar_delta(pin_a, pin_b) for pin_a, pin_b in pairs]

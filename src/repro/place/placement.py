@@ -26,10 +26,6 @@ class Placement:
     input_pads: dict[str, tuple[float, float]] = field(default_factory=dict)
     output_pads: dict[int, tuple[float, float]] = field(default_factory=dict)
 
-    def location(self, gate_name: str) -> tuple[float, float]:
-        """Coordinate of a placed gate."""
-        return self.locations[gate_name]
-
     def set_location(self, gate_name: str, x: float, y: float) -> None:
         """Place or move a gate."""
         self.locations[gate_name] = (x, y)

@@ -4,7 +4,6 @@ from .coudert import (
     Move,
     OptimizeResult,
     Site,
-    network_delay,
     optimize,
 )
 from .moves import ResizeMove, resize_sites
@@ -14,7 +13,6 @@ __all__ = [
     "OptimizeResult",
     "ResizeMove",
     "Site",
-    "network_delay",
     "optimize",
     "resize_sites",
 ]

@@ -175,15 +175,6 @@ class OptimizeState:
     next_round: int = 0
 
 
-def network_delay(
-    network: Network, placement: Placement, library: Library
-) -> float:
-    """Critical-path delay of a placed network (fresh STA)."""
-    engine = TimingEngine(network, placement, library)
-    engine.analyze()
-    return engine.max_delay
-
-
 def optimize(
     network: Network,
     placement: Placement,

@@ -35,44 +35,6 @@ _TILE_MAX_DEPTH = 24
 _TILE_REUSE = 0.4
 
 
-def memo_tree(
-    builder: NetworkBuilder,
-    gtype: GateType,
-    nets: list[str],
-    memo: dict,
-) -> str:
-    """Balanced tree with build-time structural memoization.
-
-    Operand pairs are combined bottom-up; every (type, pair) is created
-    once per circuit and reused afterwards.  Trees over similar operand
-    sets therefore share their lower levels through genuine multi-fanout
-    nodes — the common-subexpression sharing multi-level synthesis
-    produces, which is what keeps supergate coverage at the paper's
-    20-50 % instead of the ~100 % of private trees.
-    """
-    if not nets:
-        raise ValueError("memo_tree needs at least one operand")
-
-    def combine(x: str, y: str) -> str:
-        key = (gtype, *sorted((x, y)))
-        found = memo.get(key)
-        if found is None:
-            found = builder.gate(gtype, x, y)
-            memo[key] = found
-        return found
-
-    level = list(nets)
-    while len(level) > 1:
-        paired = [
-            combine(level[i], level[i + 1])
-            for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level[0]
-
-
 def slotted_tree(
     builder: NetworkBuilder,
     gtype: GateType,

@@ -22,13 +22,19 @@ DEFAULT_SCALE = 0.35
 
 
 def configured_scale() -> float:
-    """Scale factor from ``REPRO_SCALE`` (default 0.35)."""
+    """Scale factor from ``REPRO_SCALE``: unset or empty is 0.35, and a
+    value below 0.05 runs at 0.05.  Anything but a finite positive
+    number raises :class:`ValueError` naming the variable."""
     raw = os.environ.get("REPRO_SCALE", "")
+    if not raw:
+        return DEFAULT_SCALE
     try:
         value = float(raw)
     except ValueError:
-        return DEFAULT_SCALE
-    return max(0.05, value) if value > 0 else DEFAULT_SCALE
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"REPRO_SCALE={raw!r}: must be a positive number")
+    return max(0.05, value)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,12 @@ from .supergate import (
     SupergateNetwork,
     extract_supergates,
     grow_supergate,
-    supergate_truth_table,
 )
 from .swap import (
     PinSwap,
     apply_swap,
     count_swappable_pairs,
     enumerate_swaps,
-    is_swappable,
     swap_kinds,
     swapped_copy,
 )
@@ -22,7 +20,6 @@ from .cross import (
     CrossSwap,
     apply_cross_swap,
     cross_swap_bindings,
-    demorgan_box,
     find_cross_swaps,
 )
 from .redundancy import (
@@ -48,18 +45,15 @@ __all__ = [
     "count_swappable_pairs",
     "cross_swap_bindings",
     "cut_pin_function",
-    "demorgan_box",
     "enumerate_swaps",
     "extract_supergates",
     "find_cross_swaps",
     "find_easy_redundancies",
     "grow_supergate",
-    "is_swappable",
     "pin_pair_symmetry",
     "prove_branch_redundant",
     "redundancy_counts",
     "remove_redundancy",
-    "supergate_truth_table",
     "swap_kinds",
     "swapped_copy",
     "unique_stems",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..network.gatetype import GateType
-from ..network.netlist import Network, NetworkError, Pin
+from ..network.netlist import Network, Pin
 from .supergate import SgClass, Supergate, SupergateNetwork
 from .swap import swap_kinds
 
@@ -39,33 +39,6 @@ class CrossSwap:
     sg1_root: str
     sg2_root: str
     needs_output_inverters: bool
-
-
-def demorgan_box(network: Network, sg: Supergate) -> str:
-    """Apply Definition 4 literally: invert all inputs and the output.
-
-    Inverters are inserted at every fanin leaf of the supergate and an
-    inverter is capped on the root; all former consumers of the root are
-    retargeted to the new inverter, whose net name is returned.  The
-    boxed region then computes the *dual* of its old function — this
-    operator deliberately changes functionality; Theorem 2 composes two
-    of them with a fanin-group exchange into a function-preserving
-    whole.
-    """
-    if sg.sg_class is not SgClass.ANDOR:
-        raise NetworkError("DeMorgan transform requires an and-or supergate")
-    for leaf in sg.leaves:
-        inv = network.fresh_name(f"{leaf.net}_dm")
-        network.add_gate(inv, GateType.INV, [leaf.net])
-        network.replace_fanin(leaf.pin, inv)
-    cap = network.fresh_name(f"{sg.root}_dm")
-    consumers = list(network.fanout(sg.root))
-    network.add_gate(cap, GateType.INV, [sg.root])
-    for pin in consumers:
-        network.replace_fanin(pin, cap)
-    if network.is_output(sg.root):
-        network.replace_output(sg.root, cap)
-    return cap
 
 
 def find_cross_swaps(sgn: SupergateNetwork) -> list[CrossSwap]:
@@ -208,7 +181,7 @@ def _pair_leaves(sg1: Supergate, sg2: Supergate):
 def _bind_inverted(network: Network, pin: Pin, net: str) -> None:
     """Connect the complement of *net* to *pin* with a fresh inverter.
 
-    Unlike :func:`repro.network.transform.connect_inverted` this never
+    Unlike :func:`repro.network.transform.complement_net` this never
     reuses a sibling inverter: during a cross swap other pins are being
     rebound concurrently, so sharing could alias a gate whose own input
     is about to change.  Tapping the input of the *driving* inverter is

@@ -32,7 +32,6 @@ from ..network.gatetype import (
 )
 from ..network.netlist import Network, Pin
 from ..logic.implication import implies_inputs
-from .verify import cut_pin_function
 
 
 class SgClass(enum.Enum):
@@ -129,10 +128,6 @@ class SupergateNetwork:
     supergates: dict[str, Supergate]
     owner: dict[str, str]
 
-    def supergate_of(self, gate_name: str) -> Supergate:
-        """Supergate covering the given gate."""
-        return self.supergates[self.owner[gate_name]]
-
     def nontrivial(self) -> list[Supergate]:
         """Supergates covering more than one gate, in root-name order.
 
@@ -202,33 +197,6 @@ def extract_supergates(network: Network) -> SupergateNetwork:
         supergates=supergates,
         owner=owner,
     )
-
-
-def supergate_truth_table(
-    network: Network, sg: Supergate
-) -> tuple[list[Pin], int]:
-    """Truth table of a supergate's root over its own fanin leaves.
-
-    Every leaf pin is cut and driven by a fresh variable (in leaf
-    order, by :func:`~repro.symmetry.verify.cut_pin_function`); the
-    returned word is the root function over those variables.  The
-    leaves cut the root off every other input, so they are the whole
-    support.  For an and-or supergate this is the canonical
-    "root equals ``root_value`` iff every leaf equals its ``imp_value``"
-    form, which the test suite asserts.
-
-    Returns ``(leaf_pins, table)``; variable ``k`` of the table is the
-    ``k``-th leaf.  Raises :class:`ValueError` for supergates too wide
-    to enumerate exhaustively.
-    """
-    if len(sg.leaves) > 20:
-        raise ValueError(
-            f"supergate {sg.root} has {len(sg.leaves)} leaves; too wide "
-            "for exhaustive truth-table extraction"
-        )
-    pins = [leaf.pin for leaf in sg.leaves]
-    table, _, _ = cut_pin_function(network, sg.root, pins)
-    return pins, table
 
 
 def grow_supergate(network: Network, root: str) -> Supergate:

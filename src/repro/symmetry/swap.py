@@ -93,11 +93,6 @@ def swap_kinds(sg: Supergate, pin_a: Pin, pin_b: Pin) -> set[str]:
     return {"inverting"}
 
 
-def is_swappable(sg: Supergate, pin_a: Pin, pin_b: Pin) -> bool:
-    """True when the pins admit at least one swap kind."""
-    return bool(swap_kinds(sg, pin_a, pin_b))
-
-
 def enumerate_swaps(
     sg: Supergate,
     leaves_only: bool = True,

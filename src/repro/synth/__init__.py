@@ -4,18 +4,14 @@ from .strash import script_rugged, simplify_trivial, strash
 from .mapper import (
     bind_cells,
     decompose,
-    is_mapped,
     map_network,
-    mapping_stats,
     network_area,
 )
 
 __all__ = [
     "bind_cells",
     "decompose",
-    "is_mapped",
     "map_network",
-    "mapping_stats",
     "network_area",
     "script_rugged",
     "simplify_trivial",

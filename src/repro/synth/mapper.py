@@ -200,23 +200,3 @@ def network_area(network: Network, library: Library) -> float:
             total += library.cell(gate.cell).area
     return total
 
-
-def is_mapped(network: Network) -> bool:
-    """True when every non-constant gate carries a cell binding."""
-    return all(
-        gate.cell is not None
-        for gate in network.gates()
-        if gate.gtype not in CONST_TYPES
-    )
-
-
-def mapping_stats(network: Network, library: Library) -> dict[str, float]:
-    """Size/area/depth summary after mapping."""
-    return {
-        "gates": float(len(network)),
-        "area": network_area(network, library),
-        "depth": float(network.depth()),
-        "inverters": float(
-            sum(1 for g in network.gates() if g.gtype is GateType.INV)
-        ),
-    }

@@ -84,10 +84,10 @@ def build_star(
 
     ``override_sinks`` replaces the sink list for what-if evaluation
     (each entry: pin, location, pin capacitance) without mutating the
-    network.  The wire R/C (:func:`repro.library.cells.wire_resistance`,
-    :func:`~repro.library.cells.wire_capacitance`) and Manhattan
-    lengths are inlined; every float expression keeps their operand
-    order, so the values are those of the helpers bit for bit.
+    network.  A segment of length ``l`` has resistance
+    ``UNIT_WIRE_RES_PER_UM * l`` and capacitance
+    ``UNIT_WIRE_CAP_PER_UM * l``; lengths are Manhattan distances, with
+    the arithmetic written out inline.
     """
     source = placement.source_location(network, net)
     if override_sinks is None:

@@ -179,11 +179,6 @@ class SlackProjection:
     touched: frozenset[str]
     exact: bool = False
 
-    @property
-    def projected_min(self) -> float:
-        """Post-move minimum slack over the neighborhood."""
-        return min(self.projected.values(), default=float("inf"))
-
     def admissible(self, margin: float) -> bool:
         """Guard-band test: may this move be committed at *margin*?
 
@@ -793,11 +788,6 @@ class TimingEngine:
         """Scalar (worst of rise/fall) arrival at a net."""
         rise, fall = self.arrival[net]
         return max(rise, fall)
-
-    def worst_slack(self) -> float:
-        """Minimum slack over all nets (of the current network)."""
-        self.refresh()
-        return min(self.slack.values(), default=0.0)
 
     def critical_path(self) -> list[PathPoint]:
         """Trace the worst path from its primary output back to a PI."""

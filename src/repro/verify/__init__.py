@@ -1,15 +1,5 @@
 """Functional verification substrate."""
 
-from .equiv import (
-    EquivalenceError,
-    assert_equivalent,
-    find_counterexample,
-    networks_equivalent,
-)
+from .equiv import networks_equivalent
 
-__all__ = [
-    "EquivalenceError",
-    "assert_equivalent",
-    "find_counterexample",
-    "networks_equivalent",
-]
+__all__ = ["networks_equivalent"]

@@ -21,14 +21,6 @@ from ..logic.simcore import SimEngine
 from ..network.netlist import Network
 
 
-#: Widest input count :func:`find_counterexample` searches exhaustively.
-MAX_COUNTEREXAMPLE_INPUTS = 20
-
-
-class EquivalenceError(AssertionError):
-    """Raised by :func:`assert_equivalent` with a counterexample report."""
-
-
 def networks_equivalent(
     before: Network,
     after: Network,
@@ -110,43 +102,3 @@ def _clean_nets(before: Network, after: Network) -> set[str]:
             clean.add(net)
     return clean
 
-
-def find_counterexample(
-    before: Network, after: Network
-) -> dict[str, int] | None:
-    """Input assignment on which the networks disagree, or ``None``.
-
-    Only supports networks of at most
-    :data:`MAX_COUNTEREXAMPLE_INPUTS` inputs (exhaustive search).
-    """
-    num_vars = len(before.inputs)
-    if num_vars > MAX_COUNTEREXAMPLE_INPUTS:
-        raise ValueError(f"too many inputs ({num_vars}) for exhaustive search")
-    engine_before = SimEngine(before)
-    engine_after = SimEngine(after)
-    engine_before.set_exhaustive_patterns()
-    engine_after.set_exhaustive_patterns(list(before.inputs))
-    outs_before = engine_before.output_words()
-    outs_after = engine_after.output_words()
-    for word_before, word_after in zip(outs_before, outs_after):
-        diff = word_before ^ word_after
-        if diff:
-            minterm = (diff & -diff).bit_length() - 1
-            return {
-                net: (minterm >> index) & 1
-                for index, net in enumerate(before.inputs)
-            }
-    return None
-
-
-def assert_equivalent(before: Network, after: Network) -> None:
-    """Raise :class:`EquivalenceError` with diagnostics on mismatch."""
-    if networks_equivalent(before, after):
-        return
-    detail = ""
-    if len(before.inputs) <= MAX_COUNTEREXAMPLE_INPUTS:
-        example = find_counterexample(before, after)
-        detail = f"; counterexample {example}"
-    raise EquivalenceError(
-        f"networks {before.name!r} and {after.name!r} differ{detail}"
-    )

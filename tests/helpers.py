@@ -117,3 +117,145 @@ def swap_hpwl_delta(network: Network, placement: Placement, swap) -> float:
         _exchanged(terms_b, loc_b, loc_a)
     )
     return after - before
+
+
+def fanin_cone(network: Network, net: str) -> set[str]:
+    """Transitive fanin gates of *net*, including *net*, excluding PIs."""
+    cone: set[str] = set()
+    stack = [net]
+    while stack:
+        current = stack.pop()
+        if current in cone or network.is_input(current):
+            continue
+        cone.add(current)
+        stack.extend(network.gate(current).fanins)
+    return cone
+
+
+def fanout_cone(network: Network, net: str) -> set[str]:
+    """Transitive fanout gates of *net*, excluding *net* itself."""
+    cone: set[str] = set()
+    stack = [pin.gate for pin in network.fanout(net)]
+    while stack:
+        current = stack.pop()
+        if current in cone:
+            continue
+        cone.add(current)
+        stack.extend(pin.gate for pin in network.fanout(current))
+    return cone
+
+
+# ----------------------------------------------------------------------
+# truth-table symmetry by exchange: the oracle for is_nes / is_es
+# ----------------------------------------------------------------------
+def swap_variables(table: int, num_vars: int, var_i: int, var_j: int) -> int:
+    """Truth table of f with variables *var_i* and *var_j* exchanged."""
+    result = 0
+    for minterm in range(1 << num_vars):
+        swapped = minterm
+        if (minterm >> var_i) & 1 != (minterm >> var_j) & 1:
+            swapped ^= (1 << var_i) | (1 << var_j)
+        if (table >> swapped) & 1:
+            result |= 1 << minterm
+    return result
+
+
+def complement_variable(table: int, num_vars: int, var: int) -> int:
+    """Truth table of f with variable *var* complemented."""
+    result = 0
+    for minterm in range(1 << num_vars):
+        if (table >> (minterm ^ (1 << var))) & 1:
+            result |= 1 << minterm
+    return result
+
+
+def nes_check_by_swap(
+    table: int, num_vars: int, var_i: int, var_j: int
+) -> bool:
+    """NES by its definition: exchanging xi and xj leaves f unchanged."""
+    return swap_variables(table, num_vars, var_i, var_j) == table
+
+
+def es_check_by_swap(
+    table: int, num_vars: int, var_i: int, var_j: int
+) -> bool:
+    """ES by its definition: exchanging xi with the complement of xj
+    (and vice versa) leaves f unchanged."""
+    swapped = swap_variables(table, num_vars, var_i, var_j)
+    swapped = complement_variable(swapped, num_vars, var_i)
+    swapped = complement_variable(swapped, num_vars, var_j)
+    return swapped == table
+
+
+# ----------------------------------------------------------------------
+# netlist writers: the round-trip oracles for read_blif / read_bench
+# ----------------------------------------------------------------------
+_BLIF_COVERS = {
+    GateType.AND: lambda n: [("1" * n, "1")],
+    GateType.NAND: lambda n: [("1" * n, "0")],
+    GateType.OR: lambda n: [
+        ("-" * i + "1" + "-" * (n - i - 1), "1") for i in range(n)
+    ],
+    GateType.NOR: lambda n: [("0" * n, "1")],
+    GateType.XOR: lambda n: _parity_cover(n, odd=True),
+    GateType.XNOR: lambda n: _parity_cover(n, odd=False),
+    GateType.INV: lambda n: [("0", "1")],
+    GateType.BUF: lambda n: [("1", "1")],
+    GateType.CONST1: lambda n: [("", "1")],
+    GateType.CONST0: lambda n: [],
+}
+
+
+def _parity_cover(arity: int, odd: bool) -> list[tuple[str, str]]:
+    rows = []
+    for value in range(1 << arity):
+        bits = format(value, f"0{arity}b")
+        if (bits.count("1") % 2 == 1) == odd:
+            rows.append((bits, "1"))
+    return rows
+
+
+def blif_text(network: Network) -> str:
+    """The network as combinational BLIF, one ``.names`` cover per gate."""
+    lines = [f".model {network.name}"]
+    if network.inputs:
+        lines.append(".inputs " + " ".join(network.inputs))
+    if network.outputs:
+        lines.append(".outputs " + " ".join(network.outputs))
+    for name in network.topo_order():
+        gate = network.gate(name)
+        lines.append(".names " + " ".join([*gate.fanins, name]))
+        for pattern, bit in _BLIF_COVERS[gate.gtype](gate.arity()):
+            lines.append(f"{pattern} {bit}".strip())
+    lines.append(".end")
+    return "\n".join(lines) + "\n"
+
+
+_BENCH_FUNCTIONS = {
+    GateType.AND: "AND", GateType.OR: "OR", GateType.XOR: "XOR",
+    GateType.NAND: "NAND", GateType.NOR: "NOR", GateType.XNOR: "XNOR",
+    GateType.INV: "NOT", GateType.BUF: "BUFF",
+}
+
+
+def bench_text(network: Network) -> str:
+    """The network in ``.bench`` syntax.  ``.bench`` has no constants,
+    so a constant is written as ``x AND NOT x`` / ``x OR NOT x`` over
+    the first primary input."""
+    lines = [f"# {network.name}"]
+    lines += [f"INPUT({net})" for net in network.inputs]
+    lines += [f"OUTPUT({net})" for net in network.outputs]
+    helper = None
+    for name in network.topo_order():
+        gate = network.gate(name)
+        if gate.gtype in (GateType.CONST0, GateType.CONST1):
+            pi = network.inputs[0]
+            if helper is None:
+                helper = f"{name}_helper_inv"
+                lines.append(f"{helper} = NOT({pi})")
+            func = "AND" if gate.gtype is GateType.CONST0 else "OR"
+            lines.append(f"{name} = {func}({pi}, {helper})")
+        else:
+            func = _BENCH_FUNCTIONS[gate.gtype]
+            lines.append(f"{name} = {func}({', '.join(gate.fanins)})")
+    return "\n".join(lines) + "\n"

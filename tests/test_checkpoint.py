@@ -111,6 +111,19 @@ def test_save_is_atomic_and_load_refuses_garbage(tmp_path):
         assert str(path) in str(excinfo.value)
 
 
+def test_a_failed_save_leaves_no_temp_file_and_the_old_checkpoint(tmp_path):
+    import threading
+
+    path = tmp_path / "run.ckpt"
+    manager = CheckpointManager(str(path))
+    manager.save({"stage": "x", "value": 7})
+    with pytest.raises(TypeError):      # a lock does not pickle
+        manager.save({"stage": "y", "lock": threading.Lock()})
+    assert not list(tmp_path.glob("*.tmp.*"))
+    assert manager.load() == {"stage": "x", "value": 7}
+    assert manager.saves == 1
+
+
 class _Clock:
     """A fake ``perf_counter`` as :mod:`repro.checkpoint` sees it: each
     read returns ``now`` and then advances it by ``tick``, so a save

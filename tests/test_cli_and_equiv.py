@@ -8,14 +8,9 @@ import pytest
 
 from repro.cli import main
 from repro.network.builder import NetworkBuilder
-from repro.verify.equiv import (
-    EquivalenceError,
-    assert_equivalent,
-    find_counterexample,
-    networks_equivalent,
-)
+from repro.verify.equiv import networks_equivalent
 
-from helpers import random_network
+from helpers import bench_text, blif_text, random_network
 
 
 # ----------------------------------------------------------------------
@@ -36,11 +31,9 @@ def test_single_gate_difference_detected():
 
     other.set_gate_type("f", GateType.OR)
     assert not networks_equivalent(net, other)
-    example = find_counterexample(net, other)
-    assert example is not None
-    from repro.logic.simulate import simulate_outputs
-
-    assert simulate_outputs(net, example) != simulate_outputs(other, example)
+    # an inverted output differs on every pattern
+    other.set_gate_type("f", GateType.NAND)
+    assert not networks_equivalent(net, other)
 
 
 def test_interface_mismatch_is_inequivalent():
@@ -48,20 +41,6 @@ def test_interface_mismatch_is_inequivalent():
     other = net.copy()
     other.add_input("extra")
     assert not networks_equivalent(net, other)
-
-
-def test_assert_equivalent_raises_with_counterexample():
-    builder = NetworkBuilder()
-    a, b = builder.inputs(2)
-    builder.output(builder.xor(a, b, name="f"))
-    net = builder.build()
-    other = net.copy()
-    from repro.network.gatetype import GateType
-
-    other.set_gate_type("f", GateType.XNOR)
-    with pytest.raises(EquivalenceError):
-        assert_equivalent(net, other)
-    assert_equivalent(net, net.copy())
 
 
 def test_wide_networks_use_bdd_path():
@@ -181,8 +160,6 @@ def test_cli_verified_run_exits_0(capsys, command):
 
 
 def test_cli_symmetries_on_blif(tmp_path, capsys):
-    from repro.network.blif import blif_text
-
     net = random_network(34, num_gates=12)
     path = tmp_path / "toy.blif"
     path.write_text(blif_text(net))
@@ -192,8 +169,6 @@ def test_cli_symmetries_on_blif(tmp_path, capsys):
 
 
 def test_cli_symmetries_on_bench(tmp_path, capsys):
-    from repro.network.bench_io import bench_text
-
     net = random_network(35, num_gates=12)
     path = tmp_path / "toy.bench"
     path.write_text(bench_text(net))

@@ -41,6 +41,15 @@ from repro.synth.mapper import map_network
     (FlowConfig, {"workers": 0}),
     (FlowConfig, {"resume": True}),
     (FlowConfig, {"anneal_moves": -1}),
+    # a NaN margin never equals itself, so its checkpoint could never
+    # resume; NaN or infinite floats are refused, and so is a scale <= 0
+    (RapidsConfig, {"wl_slack_margin": float("nan")}),
+    (FlowConfig, {"wl_slack_margin": float("inf")}),
+    (FlowConfig, {"wl_slack_margin": -float("inf")}),
+    (FlowConfig, {"scale": float("nan")}),
+    (FlowConfig, {"scale": float("inf")}),
+    (FlowConfig, {"scale": 0.0}),
+    (FlowConfig, {"scale": -1.0}),
 ])
 def test_a_bad_knob_is_refused_by_name(config, knobs):
     name = next(iter(knobs))
@@ -145,10 +154,24 @@ def test_parsed_flags_build_the_flow_config():
         FlowConfig()
 
 
-def test_cli_refuses_a_bad_knob_as_a_usage_error(capsys):
+def test_cli_refuses_a_bad_knob_as_a_usage_error(capsys, monkeypatch):
     from repro.cli import main
 
+    for argv, named in [
+        (["--partition-max-gates", "0"], "partition_max_gates=0"),
+        (["--wl-slack-margin", "nan"], "wl_slack_margin=nan"),
+        (["--wl-slack-margin", "inf"], "wl_slack_margin=inf"),
+        (["--scale", "nan"], "scale=nan"),
+        (["--scale", "0"], "scale=0.0"),
+        (["--scale", "-1"], "scale=-1.0"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "alu2", *argv])
+        assert excinfo.value.code == 2, argv
+        assert named in capsys.readouterr().err, argv
+    # a bad REPRO_SCALE is refused before any work, named, too
+    monkeypatch.setenv("REPRO_SCALE", "abc")
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "alu2", "--partition-max-gates", "0"])
+        main(["bench", "alu2"])
     assert excinfo.value.code == 2
-    assert "partition_max_gates=0" in capsys.readouterr().err
+    assert "REPRO_SCALE='abc'" in capsys.readouterr().err

@@ -1,12 +1,7 @@
 """Cross-supergate swapping (Definition 4 / Theorem 2)."""
 
 from repro.network.builder import NetworkBuilder
-from repro.logic.simulate import truth_tables, variable_word
-from repro.symmetry.cross import (
-    apply_cross_swap,
-    demorgan_box,
-    find_cross_swaps,
-)
+from repro.symmetry.cross import apply_cross_swap, find_cross_swaps
 from repro.symmetry.supergate import extract_supergates
 from repro.verify.equiv import networks_equivalent
 
@@ -97,21 +92,3 @@ def test_cross_swaps_on_random_networks_preserve_function():
             found += 1
     # the pattern is rare in random logic but must occur somewhere
     assert found >= 1
-
-
-def test_demorgan_box_computes_dual():
-    builder = NetworkBuilder()
-    a, b = builder.inputs(2)
-    s1 = builder.and_(a, b, name="s1")
-    f = builder.buf(s1, name="f")
-    builder.output(f)
-    net = builder.build()
-    sgn = extract_supergates(net)
-    sg = sgn.supergate_of("s1")
-    cap = demorgan_box(net, sg)
-    # consumers (here: the primary output) were retargeted to the cap
-    assert net.outputs == [cap]
-    tables = truth_tables(net)
-    w_a, w_b = variable_word(0, 2), variable_word(1, 2)
-    # the boxed region now computes the dual: OR instead of AND
-    assert tables[cap] == (w_a | w_b) & 0xF

@@ -7,7 +7,6 @@ from repro.network.gatetype import (
     base_type,
     complement_type,
     controlling_value,
-    demorgan_dual,
     eval_gate,
     forced_input_value,
     forcing_output_value,
@@ -75,13 +74,6 @@ def test_forced_input_value_is_ncv():
     assert forced_input_value(GateType.NAND) == 1
     assert forced_input_value(GateType.OR) == 0
     assert forced_input_value(GateType.NOR) == 0
-
-
-def test_demorgan_dual():
-    assert demorgan_dual(GateType.AND) is GateType.OR
-    assert demorgan_dual(GateType.NAND) is GateType.NOR
-    with pytest.raises(ValueError):
-        demorgan_dual(GateType.XOR)
 
 
 def test_eval_gate_truth_tables():

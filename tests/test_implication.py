@@ -1,10 +1,6 @@
 """Direct backward implication: the engine behind supergate growth."""
 
-from repro.logic.implication import (
-    backward_imply,
-    forward_value,
-    implies_inputs,
-)
+from repro.logic.implication import backward_imply, implies_inputs
 from repro.logic.simulate import truth_tables
 from repro.network.builder import NetworkBuilder
 from repro.network.gatetype import GateType
@@ -124,13 +120,3 @@ def test_implied_values_are_sound():
                             seed, target, value, net_name, minterm,
                         )
 
-
-def test_forward_value_helper():
-    builder = NetworkBuilder()
-    a, b = builder.inputs(2)
-    f = builder.and_(a, b, name="f")
-    builder.output(f)
-    net = builder.build()
-    assert forward_value(net, {"i0": 1, "i1": 1}, "f") == 1
-    assert forward_value(net, {"i0": 1}, "f") is None
-    assert forward_value(net, {"i0": 0}, "i0") == 0

@@ -1,19 +1,21 @@
-"""BLIF and .bench readers/writers: round trips and SIS-style corners."""
+"""BLIF and .bench readers: round trips and SIS-style corners."""
+
+from io import StringIO
 
 import pytest
 
 from repro.logic.simulate import truth_tables
-from repro.network.bench_io import bench_text, parse_bench
-from repro.network.blif import blif_text, parse_blif
+from repro.network.bench_io import read_bench
+from repro.network.blif import read_blif
 from repro.network.netlist import NetworkError
 
-from helpers import random_network
+from helpers import bench_text, blif_text, random_network
 
 
 def test_blif_round_trip_random_networks():
     for seed in range(12):
         net = random_network(seed, num_gates=16)
-        back = parse_blif(blif_text(net))
+        back = read_blif(StringIO(blif_text(net)))
         assert back.inputs == net.inputs
         tables_a = truth_tables(net)
         tables_b = truth_tables(back, support=list(net.inputs))
@@ -24,7 +26,7 @@ def test_blif_round_trip_random_networks():
 def test_bench_round_trip_random_networks():
     for seed in range(12):
         net = random_network(seed, num_gates=16)
-        back = parse_bench(bench_text(net))
+        back = read_bench(StringIO(bench_text(net)))
         tables_a = truth_tables(net)
         tables_b = truth_tables(back, support=list(net.inputs))
         for out_a, out_b in zip(net.outputs, back.outputs):
@@ -41,7 +43,7 @@ def test_blif_sop_cover_synthesis():
 --1 1
 .end
 """
-    net = parse_blif(text)
+    net = read_blif(StringIO(text))
     tables = truth_tables(net)
     from repro.logic.simulate import variable_word
 
@@ -61,7 +63,7 @@ def test_blif_offset_cover():
 01 0
 .end
 """
-    net = parse_blif(text)
+    net = read_blif(StringIO(text))
     tables = truth_tables(net)
     from repro.logic.simulate import variable_word
 
@@ -80,7 +82,7 @@ def test_blif_constants():
 .names zero
 .end
 """
-    net = parse_blif(text)
+    net = read_blif(StringIO(text))
     tables = truth_tables(net)
     assert tables["one"] == 0b11
     assert tables["zero"] == 0
@@ -96,13 +98,13 @@ def test_blif_latch_becomes_pseudo_input():
 11 1
 .end
 """
-    net = parse_blif(text)
+    net = read_blif(StringIO(text))
     assert "q" in net.inputs
 
 
 def test_blif_continuation_lines():
     text = ".model c\n.inputs a \\\nb\n.outputs f\n.names a b f\n11 1\n.end\n"
-    net = parse_blif(text)
+    net = read_blif(StringIO(text))
     assert net.inputs == ["a", "b"]
 
 
@@ -131,17 +133,17 @@ _HEADER = ".model m\n.inputs a b\n.outputs f\n"
 ])
 def test_blif_rejects_garbage(text, problem):
     with pytest.raises(NetworkError) as error:
-        parse_blif(text)
+        read_blif(StringIO(text))
     assert str(error.value).startswith(problem)
 
 
 def test_blif_error_names_the_first_line_of_a_continued_line():
     text = ".model m\n.inputs a \\\nb\n.outputs f\n.latch \\\nf\n"
     with pytest.raises(NetworkError, match="^line 5: .latch needs"):
-        parse_blif(text)
+        read_blif(StringIO(text))
     text = ".model m\n.gate AND2 \\\nA=a\n"
     with pytest.raises(NetworkError, match="^line 2: unsupported directive"):
-        parse_blif(text)
+        read_blif(StringIO(text))
 
 
 def test_bench_dff_stripped():
@@ -152,7 +154,7 @@ g = DFF(d)
 d = AND(a, g)
 f = NOT(d)
 """
-    net = parse_bench(text)
+    net = read_bench(StringIO(text))
     # DFF output becomes a pseudo input, its data input a pseudo output
     assert "g" in net.inputs
     assert "d" in net.outputs
@@ -160,14 +162,14 @@ f = NOT(d)
 
 def test_bench_rejects_garbage():
     with pytest.raises(NetworkError):
-        parse_bench("f = FROB(a, b)\n")
+        read_bench(StringIO("f = FROB(a, b)\n"))
     with pytest.raises(NetworkError):
-        parse_bench("this is not bench\n")
+        read_bench(StringIO("this is not bench\n"))
 
 
 def test_bench_undefined_output_rejected():
     with pytest.raises(NetworkError):
-        parse_bench("INPUT(a)\nOUTPUT(f)\n")
+        read_bench(StringIO("INPUT(a)\nOUTPUT(f)\n"))
 
 
 def test_bench_constant_expansion():
@@ -178,6 +180,6 @@ def test_bench_constant_expansion():
     one = builder.const1()
     builder.output(one)
     net = builder.build()
-    back = parse_bench(bench_text(net))
+    back = read_bench(StringIO(bench_text(net)))
     tables = truth_tables(back, support=["a"])
     assert tables[back.outputs[0]] == 0b11

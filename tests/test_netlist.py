@@ -82,15 +82,6 @@ def test_levels_and_depth():
     assert net.depth() == 2
 
 
-def test_cones():
-    net = build_simple()
-    assert net.fanin_cone("g2") == {"g1", "g2"}
-    assert net.cone_inputs("g2") == ["a", "b", "c"]
-    assert net.cone_inputs("g1") == ["a", "b"]
-    assert net.fanout_cone("a") == {"g1", "g2"}
-    assert net.cone_inputs("a") == ["a"]
-
-
 def test_replace_and_swap_fanins():
     net = build_simple()
     old = net.replace_fanin(Pin("g1", 1), "c")

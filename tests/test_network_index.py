@@ -45,7 +45,10 @@ def assert_fresh(net: Network) -> None:
 def _random_step(rng: random.Random, net: Network, step: int) -> None:
     nets = list(net.nets())
     gates = list(net.gate_names())
-    pins = [pin for gate in net.gates() for pin in gate.pins()]
+    pins = [
+        Pin(gate.name, index)
+        for gate in net.gates() for index in range(gate.arity())
+    ]
     action = rng.randrange(9)
     if action == 0 or not gates:
         fanins = rng.sample(nets, min(2, len(nets)))

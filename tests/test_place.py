@@ -74,10 +74,10 @@ def test_manhattan():
 def test_placement_accessors():
     pl = Placement(die_width=100, die_height=100)
     pl.set_location("g", 10, 20)
-    assert pl.location("g") == (10, 20)
+    assert pl.locations["g"] == (10, 20)
     dup = pl.copy()
     dup.set_location("g", 0, 0)
-    assert pl.location("g") == (10, 20)
+    assert pl.locations["g"] == (10, 20)
 
 
 def test_hpwl_of_simple_net():
@@ -113,7 +113,7 @@ def test_ensure_covered_places_new_gates():
     net.replace_fanin(__import__("repro.network.netlist",
                                  fromlist=["Pin"]).Pin("f", 0), inv)
     pl.ensure_covered(net)
-    assert pl.location(inv) == (40.0, 30.0)  # its sink's location
+    assert pl.locations[inv] == (40.0, 30.0)  # its sink's location
 
 
 def test_perturbation_audit():

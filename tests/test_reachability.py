@@ -4,7 +4,7 @@ from repro.network.builder import NetworkBuilder
 from repro.network.netlist import Pin
 from repro.symmetry.verify import pin_pair_symmetry
 
-from helpers import random_network
+from helpers import fanin_cone, random_network
 from reachability import (
     and_or_implied_value,
     and_or_reachable,
@@ -85,7 +85,8 @@ def test_classes_are_mutually_exclusive():
         roots = list(net.gate_names())
         for root in roots:
             for name in net.gate_names():
-                for pin in net.gate(name).pins():
+                for index in range(net.gate(name).arity()):
+                    pin = Pin(name, index)
                     ao = and_or_reachable(net, pin, root)
                     xo = xor_reachable(net, pin, root)
                     assert not (ao and xo), (seed, root, pin)
@@ -103,9 +104,9 @@ def test_theorem1_reachable_pins_are_symmetric():
         net = random_network(seed, num_gates=10, num_outputs=1, reuse=0.1)
         for root in list(net.gate_names())[-4:]:
             pins = [
-                pin
+                Pin(name, index)
                 for name in net.gate_names()
-                for pin in net.gate(name).pins()
+                for index in range(net.gate(name).arity())
             ]
             reach = {
                 pin: reachability_class(net, pin, root) for pin in pins
@@ -126,8 +127,8 @@ def test_theorem1_reachable_pins_are_symmetric():
 
 def _on_same_path(net, pin_a, pin_b, root) -> bool:
     """Proper-containment guard for the Theorem 1 test."""
-    cone_a = net.fanin_cone(net.fanin_net(pin_a)) | {net.fanin_net(pin_a)}
-    cone_b = net.fanin_cone(net.fanin_net(pin_b)) | {net.fanin_net(pin_b)}
+    cone_a = fanin_cone(net, net.fanin_net(pin_a)) | {net.fanin_net(pin_a)}
+    cone_b = fanin_cone(net, net.fanin_net(pin_b)) | {net.fanin_net(pin_b)}
     return pin_b.gate in cone_a or pin_a.gate in cone_b or (
         pin_a.gate == pin_b.gate and pin_a.index == pin_b.index
     )

@@ -18,10 +18,16 @@ from repro.network.builder import NetworkBuilder
 from repro.network.gatetype import GateType
 from repro.network.netlist import Pin
 
-from helpers import random_network
+from helpers import fanout_cone, random_network
 from test_incremental_sta import prepared, random_move
 
 WIDTHS = [1, 7, 64, 65, 100, 128, 200, 257]
+
+
+def _fanins(compiled, position):
+    """Fanin net indices of the gate at topological *position*."""
+    offset = compiled.fanin_offset
+    return compiled.fanin_flat[offset[position]:offset[position + 1]]
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +42,7 @@ def test_compiled_form_shape():
     assert len(compiled.po_index) == len(net.outputs)
     # every gate's fanins are compiled before it
     for position in range(compiled.num_gates):
-        for fanin in compiled.fanins_of(position):
+        for fanin in _fanins(compiled, position):
             assert fanin < compiled.num_inputs + position
 
 
@@ -65,7 +71,7 @@ def _flat_view(compiled):
         gate: (
             compiled.opcode[position],
             compiled.invert[position],
-            tuple(names[index] for index in compiled.fanins_of(position)),
+            tuple(names[index] for index in _fanins(compiled, position)),
         )
         for position, gate in enumerate(compiled.gate_names)
     }
@@ -88,8 +94,8 @@ def test_get_compiled_recompiles_after_pin_rewiring():
                     assert _flat_view(rewired) == _flat_view(
                         compile_network(net)
                     )
-                    assert rewired.fanins_of(
-                        rewired.gate_names.index(gate.name)
+                    assert _fanins(
+                        rewired, rewired.gate_names.index(gate.name)
                     )[index] == rewired.net_index[candidate]
                     # the old snapshot is never edited
                     assert _flat_view(first) == before
@@ -201,7 +207,7 @@ def _random_safe_mutation(net, rng):
     kind = rng.choice(["replace", "swap", "settype"])
     if kind == "replace":
         pin = Pin(name, rng.randrange(gate.arity()))
-        forbidden = net.fanout_cone(name) | {name}
+        forbidden = fanout_cone(net, name) | {name}
         candidates = [x for x in net.nets() if x not in forbidden]
         net.replace_fanin(pin, rng.choice(candidates))
     elif kind == "swap":
@@ -211,8 +217,8 @@ def _random_safe_mutation(net, rng):
         pin_b = Pin(other_name, rng.randrange(other.arity()))
         net_a, net_b = net.fanin_net(pin_a), net.fanin_net(pin_b)
         if (
-            net_b in net.fanout_cone(name) or net_b == name
-            or net_a in net.fanout_cone(other_name) or net_a == other_name
+            net_b in fanout_cone(net, name) or net_b == name
+            or net_a in fanout_cone(net, other_name) or net_a == other_name
         ):
             return  # would create a cycle; skip this step
         net.swap_fanins(pin_a, pin_b)

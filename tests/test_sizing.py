@@ -3,13 +3,20 @@
 import pytest
 
 from repro.place.placer import place
-from repro.sizing.coudert import network_delay, optimize
+from repro.sizing.coudert import optimize
 from repro.sizing.moves import ResizeMove, resize_sites
 from repro.synth.mapper import map_network, network_area
 from repro.timing.sta import TimingEngine
 from repro.verify.equiv import networks_equivalent
 
 from helpers import random_network
+
+
+def network_delay(net, placement, library):
+    """Critical-path delay of a fresh analysis."""
+    engine = TimingEngine(net, placement, library)
+    engine.analyze()
+    return engine.max_delay
 
 
 def prepared(seed, library, gates=40):

@@ -171,7 +171,14 @@ def test_unknown_benchmark_error_is_helpful():
 def test_configured_scale_env(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "0.5")
     assert configured_scale() == 0.5
-    monkeypatch.setenv("REPRO_SCALE", "garbage")
+    monkeypatch.setenv("REPRO_SCALE", "0.01")
+    assert configured_scale() == 0.05
+    # a value that is not a positive number is an error, not the default
+    for raw in ("garbage", "abc", "-3", "0", "nan", "inf"):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ValueError, match=f"^REPRO_SCALE={raw!r}"):
+            configured_scale()
+    monkeypatch.setenv("REPRO_SCALE", "")
     assert configured_scale() == pytest.approx(0.35)
     monkeypatch.delenv("REPRO_SCALE")
     assert configured_scale() == pytest.approx(0.35)
@@ -233,22 +240,6 @@ def test_run_benchmark_full_row(library):
 # ----------------------------------------------------------------------
 # tree-builder utilities behind the generators
 # ----------------------------------------------------------------------
-def test_memo_tree_shares_subtrees():
-    from repro.network.builder import NetworkBuilder
-    from repro.network.gatetype import GateType
-    from repro.suite.circuits import memo_tree
-
-    builder = NetworkBuilder()
-    nets = builder.inputs(8)
-    memo = {}
-    first = memo_tree(builder, GateType.AND, nets, memo)
-    gates_after_first = len(builder.network)
-    second = memo_tree(builder, GateType.AND, nets, memo)
-    # identical operand lists reuse every node
-    assert second == first
-    assert len(builder.network) == gates_after_first
-
-
 def test_slotted_tree_shares_aligned_halves():
     from repro.network.builder import NetworkBuilder
     from repro.network.gatetype import GateType

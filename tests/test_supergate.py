@@ -150,8 +150,8 @@ def test_stats_and_coverage():
 def test_supergate_of_lookup():
     net = fig2_network()
     sgn = extract_supergates(net)
-    assert sgn.supergate_of("inner").root == "f"
-    assert sgn.supergate_of("f").root == "f"
+    assert sgn.supergates[sgn.owner["inner"]].root == "f"
+    assert sgn.supergates[sgn.owner["f"]].root == "f"
 
 
 @given(st.integers(min_value=0, max_value=400))
@@ -168,13 +168,14 @@ def test_extraction_never_crashes_and_partitions(seed):
 def test_supergate_truth_table_canonical_forms():
     """The extracted local function matches the supergate algebra.
 
-    An and-or supergate computes "root equals ``root_value`` iff every
-    leaf equals its ``imp_value``" — an AND of leaf literals,
-    complemented when ``root_value`` is 0; an xor supergate computes a
-    parity (up to polarity) over its leaves.
+    Cutting every leaf pin (in leaf order) leaves the root's function
+    over the leaves.  An and-or supergate computes "root equals
+    ``root_value`` iff every leaf equals its ``imp_value``" — an AND of
+    leaf literals, complemented when ``root_value`` is 0; an xor
+    supergate computes a parity (up to polarity) over its leaves.
     """
     from repro.logic.simulate import table_mask, variable_word
-    from repro.symmetry.supergate import supergate_truth_table
+    from repro.symmetry.verify import cut_pin_function
 
     checked_andor = checked_xor = 0
     for seed in range(12):
@@ -183,9 +184,9 @@ def test_supergate_truth_table_canonical_forms():
         for sg in sgn.supergates.values():
             if sg.num_inputs == 0 or sg.num_inputs > 10:
                 continue
-            pins, table = supergate_truth_table(net, sg)
-            assert pins == [leaf.pin for leaf in sg.leaves]
-            num_vars = len(pins)
+            pins = [leaf.pin for leaf in sg.leaves]
+            table, num_vars, _ = cut_pin_function(net, sg.root, pins)
+            assert num_vars == len(pins)
             mask = table_mask(num_vars)
             if sg.sg_class is SgClass.ANDOR:
                 product = mask

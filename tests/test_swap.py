@@ -9,7 +9,6 @@ from repro.symmetry.swap import (
     apply_swap,
     count_swappable_pairs,
     enumerate_swaps,
-    is_swappable,
     swap_kinds,
     swapped_copy,
 )
@@ -30,7 +29,7 @@ def test_fig2_swap_kinds():
     assert swap_kinds(sg, Pin("f", 1), Pin("inner", 0)) == {"inverting"}
     # containment -> nothing (Lemma 6's constraint)
     assert swap_kinds(sg, Pin("f", 0), Pin("inner", 0)) == set()
-    assert not is_swappable(sg, Pin("f", 0), Pin("f", 0))
+    assert swap_kinds(sg, Pin("f", 0), Pin("f", 0)) == set()
 
 
 def test_xor_supergates_allow_both_kinds():

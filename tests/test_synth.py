@@ -8,9 +8,7 @@ from repro.network.gatetype import CONST_TYPES, GateType
 from repro.network.validate import check_network
 from repro.synth.mapper import (
     decompose,
-    is_mapped,
     map_network,
-    mapping_stats,
     network_area,
 )
 from repro.synth.phase import phase_map
@@ -130,7 +128,10 @@ def test_map_network_full_pipeline(library):
         reference = net.copy()
         map_network(net, library)
         check_network(net)
-        assert is_mapped(net)
+        assert all(
+            gate.cell is not None
+            for gate in net.gates() if gate.gtype not in CONST_TYPES
+        )
         assert networks_equivalent(reference, net), seed
         for gate in net.gates():
             if gate.cell is not None:
@@ -157,9 +158,8 @@ def test_area_and_stats(library):
     map_network(net, library)
     area = network_area(net, library)
     assert area > 0
-    stats = mapping_stats(net, library)
-    assert stats["area"] == area
-    assert stats["gates"] == len(net)
+    assert area == sum(library.cell(gate.cell).area for gate in net.gates()
+                       if gate.cell is not None)
 
 
 @given(st.integers(min_value=0, max_value=300))

@@ -1,7 +1,5 @@
 """Primitive transforms: all must preserve primary-output functions."""
 
-import pytest
-
 from repro.logic.simulate import truth_tables
 from repro.network.builder import NetworkBuilder
 from repro.network.gatetype import GateType
@@ -10,8 +8,6 @@ from repro.network.transform import (
     cleanup,
     collapse_wire_pairs,
     complement_net,
-    demorgan_gate,
-    insert_inverter,
     propagate_constants,
     swap_inverting,
     swap_noninverting,
@@ -20,19 +16,6 @@ from repro.network.transform import (
 from repro.verify.equiv import networks_equivalent
 
 from helpers import random_network
-
-
-def test_insert_inverter_flips_pin_function():
-    builder = NetworkBuilder()
-    a, b = builder.inputs(2)
-    f = builder.and_(a, b, name="f")
-    builder.output(f)
-    net = builder.build()
-    inv = insert_inverter(net, Pin("f", 0))
-    assert net.gate(inv).gtype is GateType.INV
-    tables = truth_tables(net)
-    # f is now (not a) and b
-    assert tables["f"] == (~tables["i0"] & tables["i1"]) & 0b1111
 
 
 def test_complement_net_taps_driving_inverter():
@@ -62,30 +45,6 @@ def test_complement_net_respects_unstable_pins():
     )
     assert fresh != "inv_a"
     assert net.gate(fresh).gtype is GateType.INV
-
-
-def test_demorgan_gate_preserves_function():
-    for seed in range(8):
-        net = random_network(seed, types=[
-            GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
-            GateType.INV,
-        ])
-        reference = net.copy()
-        for name in list(net.gate_names()):
-            if net.gate(name).gtype in (
-                GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
-            ):
-                demorgan_gate(net, name)
-        assert networks_equivalent(reference, net), seed
-
-
-def test_demorgan_gate_rejects_xor():
-    builder = NetworkBuilder()
-    a, b = builder.inputs(2)
-    builder.output(builder.xor(a, b, name="f"))
-    net = builder.build()
-    with pytest.raises(ValueError):
-        demorgan_gate(net, "f")
 
 
 def test_swap_noninverting_exchanges_nets():

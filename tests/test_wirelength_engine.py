@@ -170,9 +170,7 @@ def test_structural_mutation_invalidates(library):
     victim = gate.fanins[0]
     inv = net.fresh_name(f"{victim}_spy")
     net.add_gate(inv, GateType.INV, [victim])
-    net.replace_fanin(
-        next(iter(gate.pins())), inv
-    )
+    net.replace_fanin(Pin(gate.name, 0), inv)
     placement.ensure_covered(net)
     assert engine.total_hpwl() == pytest.approx(
         total_hpwl(net, placement), abs=1e-9
@@ -188,8 +186,8 @@ def test_candidate_pricing_fires_zero_events(library):
     assert pairs, "seed produced no swap candidates"
     spy = EventSpy(net)
     engine.score_swaps(pairs)
-    for pin_a, pin_b in pairs[:10]:
-        engine.swap_delta(pin_a, pin_b)
+    for pair in pairs[:10]:
+        engine.score_swaps([pair])
     sgn = extract_supergates(net)
     for sg in sgn.nontrivial():
         for swap in enumerate_swaps(
@@ -206,7 +204,7 @@ def test_batch_deltas_bit_identical_to_interpreted(library):
         pairs = leaf_pairs(net)
         batch = engine.score_swaps(pairs)
         for (pin_a, pin_b), batch_delta in zip(pairs, batch):
-            scalar = engine.swap_delta(pin_a, pin_b)
+            [scalar] = engine.score_swaps([(pin_a, pin_b)])
             net_a = net.fanin_net(pin_a)
             net_b = net.fanin_net(pin_b)
             before = net_hpwl(net, placement, net_a) + net_hpwl(
@@ -296,7 +294,8 @@ def test_swap_cells_keeps_cached_boxes_exact(library):
             expected[a], expected[b] = expected[b], expected[a]
         assert placement.locations == expected
         for name in net.nets():
-            assert engine.net_hpwl(name) == net_hpwl(net, placement, name)
+            cached = engine._hpwl[engine._ids[name]]
+            assert cached == net_hpwl(net, placement, name)
         # committed rows (per-net re-box) == a fresh flattening
         fresh = WirelengthEngine(net, placement)
         fresh.refresh()
@@ -313,7 +312,8 @@ def test_swap_cells_keeps_cached_boxes_exact(library):
         batch = engine.score_swaps([(s.pin_a, s.pin_b) for s in swaps])
         for swap, batch_delta in zip(swaps, batch):
             interpreted = swap_hpwl_delta(net, placement, swap)
-            assert engine.swap_delta(swap.pin_a, swap.pin_b) == interpreted
+            [single] = engine.score_swaps([(swap.pin_a, swap.pin_b)])
+            assert single == interpreted
             assert batch_delta == interpreted
         assert engine.rebuilds == 1
 
