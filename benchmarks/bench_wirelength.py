@@ -8,10 +8,10 @@ twice —
 * **interpreted** — the historical loop replicated verbatim: trial
   apply on the live network, two ``net_hpwl`` terminal walks, revert
   (each trial bumps the version, so every subscribed engine sees two
-  mutation events and the fanout map rebuilds on the next walk);
+  network changes and the fanout map rebuilds on the next walk);
 * **engine** — one :class:`repro.place.hpwl.WirelengthEngine` batch:
   extrema gathered once, deltas computed arithmetically, zero
-  mutation, zero events.
+  mutation, zero changes.
 
 Checked properties:
 
@@ -144,7 +144,7 @@ def test_engine_scoring_agrees_and_speeds_up(name, library):
     assert pairs, f"{name}: no swap candidates"
 
     # time the interpreted loop first, before any WirelengthEngine
-    # subscribes: its trial mutations must not be charged the event
+    # subscribes: its trial mutations must not be charged the change
     # handling of the very engine it is being compared against
     interpreted_seconds = 0.0
     interpreted = None

@@ -20,7 +20,7 @@ Quick start::
     sgn = extract_supergates(network)
     for sg in sgn.nontrivial():
         for swap in enumerate_swaps(sg):
-            print(swap.describe(network))
+            print(swap.root, swap.pin_a, swap.pin_b, swap.inverting)
 """
 
 from .network import (

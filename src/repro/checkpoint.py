@@ -333,7 +333,7 @@ def graft_state(saved: Network, saved_placement: Placement,
     The flow's other components (site factories, supergate caches,
     result reporting) hold references to the caller's *network* and
     *placement*, so resume must restore content *into* them rather
-    than swap objects.  No mutation events are emitted — the run grafts
+    than swap objects.  No listener is notified — the run grafts
     before any listener subscribes (engines and caches are built after
     resume) — and :meth:`Network.adopt` drops the derived indexes.
     """

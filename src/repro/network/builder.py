@@ -79,18 +79,6 @@ class NetworkBuilder:
     def buf(self, fanin: str, name: str | None = None) -> str:
         return self.gate(GateType.BUF, fanin, name=name)
 
-    def const0(self, name: str | None = None) -> str:
-        if name is None:
-            name = self._fresh("zero")
-        self.network.add_gate(name, GateType.CONST0, [])
-        return name
-
-    def const1(self, name: str | None = None) -> str:
-        if name is None:
-            name = self._fresh("one")
-        self.network.add_gate(name, GateType.CONST1, [])
-        return name
-
     # ------------------------------------------------------------------
     def tree(
         self,

@@ -27,17 +27,16 @@ a valid snapshot while it rewires.  Edits that bypass the mutators
 :meth:`Network.adopt`) drop the indexes; the next query rebuilds them.
 
 Incremental analyses additionally need to know *what* changed, not
-just *that* something changed: every mutating method therefore emits a
-typed mutation event to subscribed listeners (held weakly, so a
-forgotten engine never leaks).  Event kinds and operand schemas are
-declared once in :mod:`repro.network.events`; emission sites here pass
-those constants and are statically checked against the registry by
-``python -m tools.lint``.  A mutation performed outside these methods
-still bumps the version through :meth:`Network._touch`, which then
-emits the catch-all :data:`repro.network.events.UNKNOWN` event —
+just *that* something changed: every mutating method therefore hands
+subscribed listeners (held weakly, so a forgotten engine never leaks)
+one immutable :class:`Change` record saying which pins moved between
+nets, which gates came or went, which were rewritten and which were
+rebound to another cell — never which method ran.  A mutation
+performed outside these methods still bumps the version through
+:meth:`Network._touch`, which then delivers a ``whole`` change —
 listeners treat it as a full invalidation, so bypassing the typed
-mutators is safe, merely slower.  The event taxonomy and each engine's
-invalidation rules are documented in ``docs/architecture.md``.
+mutators is safe, merely slower.  Each engine's invalidation rules are
+documented in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Protocol
 
-from . import events
 from .gatetype import (
     CONST_TYPES,
     GateType,
@@ -72,16 +70,46 @@ class NetworkError(Exception):
     """Raised on structurally invalid network operations."""
 
 
+class Change(NamedTuple):
+    """What one network mutation changed, as facts rather than a verb.
+
+    Every field but ``whole`` is a tuple of entries, empty when the
+    mutation did not change that aspect:
+
+    * ``rebound`` — ``(pin, old net, new net)`` per pin moved between
+      nets;
+    * ``added`` / ``removed`` — ``(gate, fanins)`` per gate that came
+      or went;
+    * ``recelled`` — ``(gate, fanins)`` per gate rebound to another
+      library cell, nothing else changed;
+    * ``rewritten`` — ``(gate, old fanins, new fanins)`` per gate whose
+      logic type or whole fanin list may have changed (the tuples are
+      equal for a type change);
+    * ``whole`` — every state derived from the network is stale (an
+      IO change or an untracked mutation).
+    """
+
+    rebound: tuple[tuple[Pin, str, str], ...] = ()
+    added: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    removed: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    recelled: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    rewritten: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = ()
+    whole: bool = False
+
+
+#: The change of an IO mutation or an untracked edit.
+WHOLE = Change(whole=True)
+
+
 class NetworkListener(Protocol):
     """Anything that wants to observe network mutations.
 
-    ``kind`` names the mutation (``"add_gate"``, ``"replace_fanin"``,
-    ...); ``data`` carries its operands.  The ``"unknown"`` kind means
-    an untracked mutation happened and all cached state derived from
-    the network must be considered stale.
+    A listener receives one :class:`Change` per mutation and must act
+    on every field of it; ``change.whole`` means all cached state
+    derived from the network is stale.
     """
 
-    def notify_network_event(self, kind: str, data: dict) -> None: ...
+    def notify_network_event(self, change: Change) -> None: ...
 
 
 @dataclass
@@ -141,7 +169,7 @@ class Network:
         self._reset_indexes()
 
     # ------------------------------------------------------------------
-    # mutation events
+    # change listeners
     # ------------------------------------------------------------------
     def subscribe(self, listener: NetworkListener) -> None:
         """Register a mutation listener (held weakly)."""
@@ -158,7 +186,7 @@ class Network:
             raise NetworkError(f"net {name!r} already driven by a gate")
         self.inputs.append(name)
         self._input_set.add(name)
-        self._touch((events.ADD_INPUT, {"net": name}))
+        self._touch(WHOLE)
         return name
 
     def add_output(self, net: str) -> str:
@@ -167,7 +195,7 @@ class Network:
         index = self._po_index
         if index is not None:
             index[net] = index.get(net, ()) + (len(self._outputs) - 1,)
-        self._touch((events.ADD_OUTPUT, {"net": net}))
+        self._touch(WHOLE)
         return net
 
     def add_gate(
@@ -195,9 +223,7 @@ class Network:
             self._next_rank += 1
             for index, net in enumerate(fanin_list):
                 self._link(net, Pin(name, index))
-        self._touch((
-            events.ADD_GATE, {"gate": name, "fanins": tuple(fanin_list)}
-        ))
+        self._touch(Change(added=((name, tuple(fanin_list)),)))
         return gate
 
     def remove_gate(self, name: str) -> None:
@@ -216,7 +242,7 @@ class Network:
             self._unlink(net, Pin(name, index))
         self._rank.pop(name, None)
         del self._gates[name]
-        self._touch((events.REMOVE_GATE, {"gate": name, "fanins": fanins}))
+        self._touch(Change(removed=((name, fanins),)))
 
     # ------------------------------------------------------------------
     # queries
@@ -419,15 +445,15 @@ class Network:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _touch(self, event: tuple[str, dict] | None = None) -> None:
+    def _touch(self, change: Change | None = None) -> None:
         self.version += 1
-        if event is None:
+        if change is None:
             # an untracked edit: the indexes may no longer describe it
             self._reset_indexes()
+            change = WHOLE
         if self._listeners:
-            kind, data = event if event is not None else (events.UNKNOWN, {})
             for listener in tuple(self._listeners):
-                listener.notify_network_event(kind, data)
+                listener.notify_network_event(change)
 
     def replace_fanin(self, pin: Pin, net: str) -> str:
         """Reconnect *pin* to *net*; returns the previously connected net."""
@@ -439,9 +465,7 @@ class Network:
         if old != net:
             self._unlink(old, pin)
             self._link(net, pin)
-        self._touch((
-            events.REPLACE_FANIN, {"pin": pin, "old": old, "new": net}
-        ))
+        self._touch(Change(rebound=((pin, old, net),)))
         return old
 
     def swap_fanins(self, pin_a: Pin, pin_b: Pin) -> None:
@@ -455,9 +479,8 @@ class Network:
             self._unlink(net_b, pin_b)
             self._link(net_b, pin_a)
             self._link(net_a, pin_b)
-        self._touch((
-            events.SWAP_FANINS,
-            {"pin_a": pin_a, "pin_b": pin_b, "net_a": net_a, "net_b": net_b},
+        self._touch(Change(
+            rebound=((pin_a, net_a, net_b), (pin_b, net_b, net_a))
         ))
 
     def replace_output(self, old: str, new: str) -> None:
@@ -470,7 +493,7 @@ class Network:
             moved = index.pop(old, ())
             if moved:
                 index[new] = tuple(sorted(index.get(new, ()) + moved))
-        self._touch((events.REPLACE_OUTPUT, {"old": old, "new": new}))
+        self._touch(WHOLE)
 
     def set_gate_type(self, name: str, gtype: GateType) -> None:
         """Change a gate's logic type in place (arity must stay legal)."""
@@ -482,17 +505,14 @@ class Network:
             )
         gate.gtype = gtype
         gate.cell = None
-        self._touch((
-            events.SET_GATE_TYPE, {"gate": name, "fanins": tuple(gate.fanins)}
-        ))
+        fanins = tuple(gate.fanins)
+        self._touch(Change(rewritten=((name, fanins, fanins),)))
 
     def set_cell(self, name: str, cell: str | None) -> None:
         """Rebind a gate to a library cell (``None`` unbinds)."""
         gate = self.gate(name)
         gate.cell = cell
-        self._touch((
-            events.SET_CELL, {"gate": name, "fanins": tuple(gate.fanins)}
-        ))
+        self._touch(Change(recelled=((name, tuple(gate.fanins)),)))
 
     def set_fanins(self, name: str, fanins: Iterable[str]) -> None:
         """Replace a gate's whole fanin list.
@@ -507,10 +527,7 @@ class Network:
             self._unlink(net, Pin(name, index))
         for index, net in enumerate(gate.fanins):
             self._link(net, Pin(name, index))
-        self._touch((
-            events.SET_FANINS,
-            {"gate": name, "old": old, "new": tuple(gate.fanins)},
-        ))
+        self._touch(Change(rewritten=((name, old, tuple(gate.fanins)),)))
 
     def adopt(self, source: "Network", announce: bool = True) -> None:
         """Take over copies of *source*'s inputs, outputs and gates.
@@ -519,11 +536,11 @@ class Network:
         reference other components hold — which is how whole-netlist
         rewrites (mapping, committed trial copies, snapshot rollbacks,
         checkpoint grafts) land in a live network.  The derived indexes
-        are dropped.  With *announce* the change reaches listeners as
-        the catch-all ``unknown`` event; a caller that describes it
-        precisely (the optimizer's ``restore`` diff) or must not emit
-        at all (a checkpoint graft) passes ``False`` and owns the
-        version and event itself.
+        are dropped.  With *announce* the change reaches listeners as a
+        ``whole`` :class:`Change`; a caller that describes it precisely
+        (the optimizer's rollback diff) or must not notify at all (a
+        checkpoint graft) passes ``False`` and owns the version and the
+        change itself.
         """
         self.inputs = list(source.inputs)
         self._input_set = set(source._input_set)
@@ -589,19 +606,6 @@ class Network:
         other = Network(name or self.name)
         other.adopt(self, announce=False)
         return other
-
-    def stats(self) -> dict[str, int]:
-        """Simple size statistics used in reports."""
-        by_type: dict[str, int] = {}
-        for gate in self._gates.values():
-            by_type[gate.gtype.name] = by_type.get(gate.gtype.name, 0) + 1
-        return {
-            "inputs": len(self.inputs),
-            "outputs": len(self._outputs),
-            "gates": len(self._gates),
-            "depth": self.depth(),
-            **{f"n_{key.lower()}": val for key, val in sorted(by_type.items())},
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

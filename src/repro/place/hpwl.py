@@ -4,11 +4,11 @@ The Section-5 wirelength flow prices thousands of candidate swaps per
 pass.  The interpreted path re-walks every net terminal through
 ``net_hpwl`` *and* mutates the live network twice per candidate (trial
 apply + revert), which bumps the version counter and storms every
-subscribed incremental engine with events.  This module removes both
+subscribed incremental engine with changes.  This module removes both
 costs: the placement and the net -> terminal structure are flattened
 **once** into per-net bounding-box extrema, and a candidate swap's
 HPWL delta is computed *arithmetically* from those extrema — zero
-network mutation, zero event traffic, O(1) per candidate.
+network mutation, zero change traffic, O(1) per candidate.
 
 The trick is the classic placer second-extrema form: for each net and
 axis keep the two extreme coordinates plus the multiplicity of the
@@ -30,13 +30,13 @@ the pair) and ``swap_cells`` commits it.  The annealer
 (:func:`repro.place.placer._anneal`) is the only caller that moves
 cells; after placement they stay put, the paper's premise.
 
-Freshness follows the mutation-event contract (see
-``docs/architecture.md``): the engine subscribes to the network; pin
-rewires (``swap_fanins`` / ``replace_fanin``) are folded in
-incrementally (the two affected nets' extrema are rebuilt from their
-terminal lists), structural mutations mark the whole flattening stale
-for lazy rebuild.  Cell moves made behind the engine's back (anything
-but :meth:`~WirelengthEngine.swap_cells`) need an explicit
+Freshness follows the change contract (see ``docs/architecture.md``):
+the engine subscribes to the network; rebound pins (``swap_fanins`` /
+``replace_fanin``) are folded in incrementally (the two affected nets'
+extrema are rebuilt from their terminal lists), structural mutations
+mark the whole flattening stale for lazy rebuild.  Cell moves made
+behind the engine's back (anything but
+:meth:`~WirelengthEngine.swap_cells`) need an explicit
 :meth:`~WirelengthEngine.rebuild`.
 """
 
@@ -45,8 +45,7 @@ from __future__ import annotations
 from collections import ChainMap
 
 from ..contracts import projection_only
-from ..network import events
-from ..network.netlist import Network, Pin
+from ..network.netlist import Change, Network, Pin
 from .placement import Placement, bbox_hpwl
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
@@ -55,24 +54,6 @@ from .placement import Placement, bbox_hpwl
 __deterministic__ = True
 
 _INF = float("inf")
-
-#: Mutations with no geometric effect: cell/type rebinds keep every
-#: terminal where it was.
-_GEOMETRY_NEUTRAL_EVENTS = frozenset({events.SET_CELL, events.SET_GATE_TYPE})
-#: Everything else stales the flattening itself: gates or IO bindings
-#: appear/disappear (new terminals, new pad points) or the mutation is
-#: a restore/untracked change whose extent is unknown to this engine.
-_REBUILD_EVENTS = frozenset({
-    events.ADD_GATE,
-    events.REMOVE_GATE,
-    events.SET_FANINS,
-    events.ADD_INPUT,
-    events.ADD_OUTPUT,
-    events.REPLACE_OUTPUT,
-    events.RESTORE,
-    events.UNKNOWN,
-})
-
 
 class WirelengthEngine:
     """Incremental per-net HPWL with arithmetic candidate pricing."""
@@ -99,23 +80,20 @@ class WirelengthEngine:
         network.subscribe(self)
 
     # ------------------------------------------------------------------
-    # mutation events
+    # network changes
     # ------------------------------------------------------------------
-    def notify_network_event(self, kind: str, data: dict) -> None:
-        if self._needs_rebuild or kind in _GEOMETRY_NEUTRAL_EVENTS:
+    def notify_network_event(self, change: Change) -> None:
+        if change.whole or change.removed or change.added or change.rewritten:
+            # gates or IO bindings appear/disappear (new terminals, new
+            # pad points), a gate's fanin list was rewritten or the
+            # extent is unknown: the flattening itself is stale
+            self._needs_rebuild = True
+        if self._needs_rebuild:
             return
-        if kind == events.SWAP_FANINS:
-            self._move_pin(data["pin_a"], data["net_a"], data["net_b"])
-            self._move_pin(data["pin_b"], data["net_b"], data["net_a"])
-        elif kind == events.REPLACE_FANIN:
-            self._move_pin(data["pin"], data["old"], data["new"])
-        elif kind in _REBUILD_EVENTS:
-            # structural change (gates added/removed, IO rebinds,
-            # restores, untracked): the flattening itself is stale
-            self._needs_rebuild = True
-        else:
-            # unregistered/future kinds: treat as untracked
-            self._needs_rebuild = True
+        for pin, old, new in change.rebound:
+            self._move_pin(pin, old, new)
+        # change.recelled needs nothing: a cell rebind keeps every
+        # terminal where it was
 
     def _move_pin(self, pin: Pin, old_net: str, new_net: str) -> None:
         if old_net == new_net:
@@ -250,7 +228,7 @@ class WirelengthEngine:
             self._recompute_net(index)
 
     # ------------------------------------------------------------------
-    # candidate pricing (no mutation, no events)
+    # candidate pricing (no mutation, no changes)
     # ------------------------------------------------------------------
     def _after(
         self, index: int,
@@ -299,7 +277,7 @@ class WirelengthEngine:
 
         *bindings* maps pins to the nets they would be reconnected to.
         Affected nets' boxes are recomputed over the edited terminal
-        multisets — still footprint-only: no mutation, no events.
+        multisets — still footprint-only: no mutation, no changes.
         """
         self.refresh()
         network = self.network

@@ -69,17 +69,6 @@ class RegionSet:
     def max_region_gates(self) -> int:
         return max((len(r) for r in self.regions), default=0)
 
-    def stats(self) -> dict[str, float]:
-        sizes = [len(r) for r in self.regions]
-        return {
-            "regions": float(len(self.regions)),
-            "max_region_gates": float(max(sizes, default=0)),
-            "min_region_gates": float(min(sizes, default=0)),
-            "boundary_nets": float(len(self.boundary_nets)),
-            "fm_passes": float(self.fm_passes),
-            "fm_moves": float(self.fm_moves),
-        }
-
 
 def _net_terminal_gates(network: Network) -> list[tuple[str, list[str]]]:
     """(net, terminal gate names) in deterministic net order.

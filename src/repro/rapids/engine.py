@@ -34,8 +34,7 @@ from ..checkpoint import CheckpointManager, graft_state, stage_payload
 from ..config import MODES as MODES  # re-exported: callers import it here
 from ..config import RapidsConfig
 from ..library.cells import Library
-from ..network import events
-from ..network.netlist import Network
+from ..network.netlist import Change, Network
 from ..place.placement import Placement, perturbation
 from ..sizing.coudert import OptimizeResult, Site, optimize
 from ..sizing.moves import resize_sites
@@ -150,7 +149,7 @@ SUPERGATE_STORE = PersistentSupergateStore()
 class SupergateCache:
     """Supergate extraction cached across optimizer rounds.
 
-    Subscribes to the network's mutation events; :meth:`get` drops
+    Subscribes to the network's changes; :meth:`get` drops
     only the supergates whose covered gates — or whose boundary nets'
     fanout — were touched since the previous extraction and re-grows
     the freed region, reusing every untouched supergate.  Falls back
@@ -170,63 +169,33 @@ class SupergateCache:
         self._full = True
         network.subscribe(self)
 
-    def notify_network_event(self, kind: str, data: dict) -> None:
-        if kind == events.REPLACE_FANIN:
-            self._touched_nets.add(data["old"])
-            self._touched_nets.add(data["new"])
-            self._touched_gates.add(data["pin"].gate)
-        elif kind == events.SWAP_FANINS:
-            self._touched_nets.add(data["net_a"])
-            self._touched_nets.add(data["net_b"])
-            self._touched_gates.add(data["pin_a"].gate)
-            self._touched_gates.add(data["pin_b"].gate)
-        elif kind == events.ADD_GATE:
-            self._removed.discard(data["gate"])
-            self._touched_gates.add(data["gate"])
-            self._touched_nets.update(data["fanins"])
-        elif kind == events.REMOVE_GATE:
-            self._removed.add(data["gate"])
-            self._touched_gates.discard(data["gate"])
-            self._touched_nets.update(data["fanins"])
-        elif kind == events.SET_GATE_TYPE:
+    def notify_network_event(self, change: Change) -> None:
+        if change.whole:
+            # IO moved or an untracked mutation: fanout degree counts
+            # primary-output use, so any coverage boundary may move
+            self._full = True
+        for name, fanins in change.removed:
+            self._removed.add(name)
+            self._touched_gates.discard(name)
+            self._touched_nets.update(fanins)
+        for name, fanins in change.added:
+            self._removed.discard(name)
+            self._touched_gates.add(name)
+            self._touched_nets.update(fanins)
+        for name, old_fanins, new_fanins in change.rewritten:
             # the gate's own net is a growth boundary for its
             # consumers' supergates: a class change (say XOR -> INV)
             # can make it absorbable, so their owners must re-grow
-            self._touched_gates.add(data["gate"])
-            self._touched_nets.add(data["gate"])
-            self._touched_nets.update(data["fanins"])
-        elif kind == events.SET_FANINS:
-            self._touched_gates.add(data["gate"])
-            self._touched_nets.add(data["gate"])
-            self._touched_nets.update(data["old"])
-            self._touched_nets.update(data["new"])
-        elif kind == events.SET_CELL:
-            pass  # cell binding does not change supergate structure
-        elif kind in (events.ADD_OUTPUT, events.REPLACE_OUTPUT, events.ADD_INPUT):
-            # fanout degree counts primary-output use, so coverage
-            # boundaries can move when PO bindings change
-            for key in ("net", "old", "new"):
-                if key in data:
-                    self._touched_nets.add(data[key])
-        elif kind == events.RESTORE:
-            if data["io_changed"]:
-                self._full = True
-                return
-            for name, fanins in data["removed"]:
-                self._removed.add(name)
-                self._touched_gates.discard(name)
-                self._touched_nets.update(fanins)
-            for name, fanins in data["added"]:
-                self._removed.discard(name)
-                self._touched_gates.add(name)
-                self._touched_nets.update(fanins)
-            for name, old_fanins, new_fanins in data["changed"]:
-                self._touched_gates.add(name)
-                self._touched_nets.add(name)  # gtype may have changed
-                self._touched_nets.update(old_fanins)
-                self._touched_nets.update(new_fanins)
-        else:
-            self._full = True
+            self._touched_gates.add(name)
+            self._touched_nets.add(name)
+            self._touched_nets.update(old_fanins)
+            self._touched_nets.update(new_fanins)
+        for pin, old, new in change.rebound:
+            self._touched_nets.add(old)
+            self._touched_nets.add(new)
+            self._touched_gates.add(pin.gate)
+        # change.recelled needs nothing: a cell binding does not change
+        # supergate structure
 
     def get(self) -> SupergateNetwork:
         """Current supergate partition, refreshed as locally as possible."""

@@ -3,8 +3,8 @@
 Pricing contract: :meth:`SwapMove.gains` is *projection-only* — it
 rides :meth:`~repro.timing.sta.TimingEngine.swap_gain`, which rebuilds
 the two affected stars with sinks exchanged off the cached analysis
-and never mutates the network, so candidate evaluation fires zero
-mutation events (the wirelength path honors the same contract through
+and never mutates the network, so candidate evaluation hands
+listeners zero changes (the wirelength path honors the same contract through
 :mod:`repro.place.hpwl`); ``apply`` is the only mutating entry.
 """
 

@@ -8,7 +8,7 @@ accepted whenever they shorten the estimated wiring, with the
 placement frozen.
 
 Candidates are **never** priced by mutating the network — pricing
-fires zero events into subscribed engines (see
+hands zero changes to subscribed engines (see
 ``docs/architecture.md``).  The polish is the round loop of
 :mod:`repro.rapids.partition` with no carve — the whole netlist is one
 region.  Every pass enumerates the full candidate set once — leaf

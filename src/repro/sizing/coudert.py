@@ -37,8 +37,7 @@ from typing import Callable, Protocol
 from ..checkpoint import stage_payload
 from ..contracts import projection_only
 from ..library.cells import Library
-from ..network import events
-from ..network.netlist import Network
+from ..network.netlist import Change, Network
 from ..place.placement import Placement
 from ..timing.sta import Gains, TimingEngine
 
@@ -408,10 +407,10 @@ def _restore(
 ) -> None:
     """Copy the snapshot's contents back into the live objects.
 
-    Emits a ``"restore"`` mutation event carrying the exact gate-level
-    diff, so incremental listeners (the timing engine, the supergate
-    cache) invalidate only what the rollback actually changed instead
-    of re-analyzing the whole design.
+    Delivers one :class:`~repro.network.netlist.Change` carrying the
+    exact gate-level diff, so incremental listeners (the timing engine,
+    the supergate cache) invalidate only what the rollback actually
+    changed instead of re-analyzing the whole design.
     """
     best_network, best_placement, version = snapshot
     if network.version == version:
@@ -426,7 +425,7 @@ def _restore(
         (name, tuple(gate.fanins))
         for name, gate in best_gates.items() if name not in live_gates
     )
-    changed = []
+    rewritten = []
     for name, gate in best_gates.items():
         other = live_gates.get(name)
         if other is None:
@@ -436,11 +435,11 @@ def _restore(
             or gate.fanins != other.fanins
             or gate.cell != other.cell
         ):
-            changed.append((name, tuple(other.fanins), tuple(gate.fanins)))
+            rewritten.append((name, tuple(other.fanins), tuple(gate.fanins)))
     # the optimizer never rebinds IO or moves placed cells, but a
     # listener must not trust that silently — flag anything beyond a
     # pure gate-level rollback so it falls back to full re-analysis
-    io_changed = (
+    whole = (
         network.inputs != best_network.inputs
         or network.outputs != best_network.outputs
         or any(
@@ -453,12 +452,9 @@ def _restore(
     placement.locations = dict(best_placement.locations)
     placement.input_pads = dict(best_placement.input_pads)
     placement.output_pads = dict(best_placement.output_pads)
-    network._touch((
-        events.RESTORE,
-        {
-            "added": added,
-            "removed": removed,
-            "changed": tuple(changed),
-            "io_changed": io_changed,
-        },
+    network._touch(Change(
+        added=added,
+        removed=removed,
+        rewritten=tuple(rewritten),
+        whole=whole,
     ))

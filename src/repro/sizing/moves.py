@@ -3,7 +3,7 @@
 Pricing contract: :meth:`ResizeMove.gains` is *projection-only* — it
 rides :meth:`~repro.timing.sta.TimingEngine.resize_gain`, which builds
 what-if star models off the cached analysis and never touches the
-network.  Candidate evaluation therefore fires zero mutation events
+network.  Candidate evaluation therefore hands listeners zero changes
 (no trial apply-and-revert), the invariant the sharded evaluator and
 the incremental caches rely on; ``apply`` is the only mutating entry.
 """

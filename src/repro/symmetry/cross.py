@@ -111,7 +111,7 @@ def cross_swap_bindings(
     wirelength-only rewiring never wants.  For the pure case the
     returned ``(pin, new_net)`` list is precisely what
     :func:`apply_cross_swap` will execute, so callers can price the
-    move footprint-only (no mutation, no events) and trust the apply
+    move footprint-only (no mutation, no changes) and trust the apply
     to match.
     """
     if cross.needs_output_inverters:

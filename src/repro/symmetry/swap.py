@@ -33,16 +33,6 @@ class PinSwap:
     pin_b: Pin
     inverting: bool
 
-    def describe(self, network: Network) -> str:
-        """Human-readable one-liner for logs and reports."""
-        kind = "inverting" if self.inverting else "non-inverting"
-        net_a = network.fanin_net(self.pin_a)
-        net_b = network.fanin_net(self.pin_b)
-        return (
-            f"{kind} swap {self.pin_a}({net_a}) <-> {self.pin_b}({net_b}) "
-            f"in supergate {self.root}"
-        )
-
     def footprint(self, network: Network) -> set[str]:
         """Every net whose timing applying this swap can change.
 

@@ -18,11 +18,12 @@ contract and the commit-time additivity rule); a pin swap's what-if
 star models and a projected rebinding's come from one builder.
 
 The engine is also *incremental*: it subscribes to the network's
-mutation events, its only view of change (a placement edit emits
-none), and, on :meth:`TimingEngine.apply_and_update`,
-re-propagates arrival times only through the transitive fanout of the
-changed nets (a levelized worklist that stops as soon as values
-converge) and required times only through the affected fanin frontier.
+:class:`~repro.network.netlist.Change` records, its only view of
+change (a placement edit sends none), and, on
+:meth:`TimingEngine.apply_and_update`, re-propagates arrival times
+only through the transitive fanout of the changed nets (a levelized
+worklist that stops as soon as values converge) and required times
+only through the affected fanin frontier.
 Required times are cached relative to a zero timing target, which
 makes them independent of the clock period / critical-path target: a
 target shift rescales every slack without re-propagating anything.
@@ -48,8 +49,7 @@ from typing import Iterable, NamedTuple
 from ..library.cells import Cell, Library
 from ..network.gatetype import CONST_TYPES, GateType, XOR_TYPES, is_inverted
 from ..contracts import projection_only
-from ..network import events
-from ..network.netlist import Network, Pin
+from ..network.netlist import Change, Network, Pin
 from ..place.placement import Placement
 from ..symmetry.swap import PinSwap
 from .netmodel import StarNet, build_star, pin_capacitance
@@ -224,7 +224,7 @@ class TimingEngine:
         # required pairs relative to a zero target (target-independent)
         self._req0: dict[str, tuple[float, float]] = {}
         self._target = 0.0
-        # incremental-update state fed by network mutation events
+        # incremental-update state fed by network changes
         self._dirty_stars: set[str] = set()
         self._dirty_gates: set[str] = set()
         self._dead: set[str] = set()
@@ -239,79 +239,41 @@ class TimingEngine:
     # ------------------------------------------------------------------
     # mutation tracking
     # ------------------------------------------------------------------
-    def notify_network_event(self, kind: str, data: dict) -> None:
-        """Accumulate dirty state from a network mutation event."""
+    def notify_network_event(self, change: Change) -> None:
+        """Accumulate dirty state from one network change."""
         self._pricing_memo.clear()
-        if kind == events.REPLACE_FANIN:
-            self._dirty_stars.add(data["old"])
-            self._dirty_stars.add(data["new"])
-            self._dirty_gates.add(data["pin"].gate)
-            self._rewired.add(data["pin"].gate)
-        elif kind == events.SWAP_FANINS:
-            self._dirty_stars.add(data["net_a"])
-            self._dirty_stars.add(data["net_b"])
-            self._dirty_gates.add(data["pin_a"].gate)
-            self._dirty_gates.add(data["pin_b"].gate)
-            self._rewired.add(data["pin_a"].gate)
-            self._rewired.add(data["pin_b"].gate)
-        elif kind == events.ADD_GATE:
-            self._dead.discard(data["gate"])
-            self._dirty_stars.add(data["gate"])
-            self._dirty_stars.update(data["fanins"])
-            self._dirty_gates.add(data["gate"])
-            self._rewired.add(data["gate"])
-            self._gates_added = True
-        elif kind == events.REMOVE_GATE:
+        if change.whole:
+            # IO moved or an untracked mutation: all cached timing is
+            # suspect; analyze() runs the one full level pass
+            self._needs_full = True
+        for name, fanins in change.removed:
             # a removed gate has no consumers: no other level moves
-            name = data["gate"]
             self._dead.add(name)
             self._dirty_stars.discard(name)
             self._dirty_gates.discard(name)
             self._rewired.discard(name)
-            self._dirty_stars.update(data["fanins"])
-        elif kind in (events.SET_CELL, events.SET_GATE_TYPE):
+            self._dirty_stars.update(fanins)
+        for name, fanins in change.added:
+            self._dead.discard(name)
+            self._dirty_stars.add(name)
+            self._dirty_stars.update(fanins)
+            self._dirty_gates.add(name)
+            self._rewired.add(name)
+            self._gates_added = True
+        for name, old_fanins, new_fanins in change.rewritten:
+            self._dirty_gates.add(name)
+            self._rewired.add(name)
+            self._dirty_stars.update(old_fanins)
+            self._dirty_stars.update(new_fanins)
+        for pin, old, new in change.rebound:
+            self._dirty_stars.add(old)
+            self._dirty_stars.add(new)
+            self._dirty_gates.add(pin.gate)
+            self._rewired.add(pin.gate)
+        for name, fanins in change.recelled:
             # own delay arcs change; fanin nets see a new pin load
-            self._dirty_gates.add(data["gate"])
-            self._dirty_stars.update(data["fanins"])
-        elif kind == events.SET_FANINS:
-            self._dirty_stars.update(data["old"])
-            self._dirty_stars.update(data["new"])
-            self._dirty_gates.add(data["gate"])
-            self._rewired.add(data["gate"])
-        elif kind == events.ADD_INPUT:
-            # a new level-0 net: analyze() runs the one full level pass
-            self._needs_full = True
-        elif kind == events.ADD_OUTPUT:
-            self._dirty_stars.add(data["net"])
-        elif kind == events.REPLACE_OUTPUT:
-            self._dirty_stars.add(data["old"])
-            self._dirty_stars.add(data["new"])
-        elif kind == events.RESTORE:
-            # a snapshot rollback, delivered as an exact gate diff
-            if data["io_changed"]:
-                self._needs_full = True
-                return
-            for name, fanins in data["removed"]:
-                self._dead.add(name)
-                self._dirty_stars.discard(name)
-                self._dirty_gates.discard(name)
-                self._rewired.discard(name)
-                self._dirty_stars.update(fanins)
-            for name, fanins in data["added"]:
-                self._dead.discard(name)
-                self._dirty_stars.add(name)
-                self._dirty_stars.update(fanins)
-                self._dirty_gates.add(name)
-                self._rewired.add(name)
-                self._gates_added = True
-            for name, old_fanins, new_fanins in data["changed"]:
-                self._dirty_gates.add(name)
-                self._rewired.add(name)
-                self._dirty_stars.update(old_fanins)
-                self._dirty_stars.update(new_fanins)
-        else:
-            # untracked mutation: all cached timing is suspect
-            self._needs_full = True
+            self._dirty_gates.add(name)
+            self._dirty_stars.update(fanins)
 
     # ------------------------------------------------------------------
     # full analysis
@@ -938,7 +900,7 @@ class TimingEngine:
 
     def _committed_terms(self, gate_name: str) -> _CommittedTerms:
         """The committed pricing terms of a gate, memoized until the next
-        event, :meth:`analyze` or :meth:`apply_and_update`.
+        network change, :meth:`analyze` or :meth:`apply_and_update`.
 
         ``(cell, load, cell.worst_delay(load), terms)`` with one ``(fanin,
         pin, worst arrival of fanin + pin wire delay)`` term per pin;
@@ -1061,7 +1023,7 @@ class TimingEngine:
         non-inverting leaf swap, or the ``cross_swap_bindings`` list of
         a cross-supergate exchange.  Like :meth:`swap_gain`, pricing
         reuses the cached star/arrival state and never mutates the
-        network — zero events reach subscribed engines.
+        network — zero changes reach subscribed engines.
 
         The default *frontier* mode rebuilds the affected nets' star RC
         models and re-folds arrivals over the two-net neighborhood

@@ -145,6 +145,35 @@ def fanout_cone(network: Network, net: str) -> set[str]:
     return cone
 
 
+class ChangeSpy:
+    """Records every ``Change`` the network hands its listeners."""
+
+    def __init__(self, network):
+        self.changes = []
+        network.subscribe(self)
+
+    def notify_network_event(self, change):
+        self.changes.append(change)
+
+
+def partition_signature(sgn) -> dict:
+    """Everything a supergate partition promises, per root: class, root
+    value, covered gates and the sorted leaves (pin, net, implied
+    value, depth) — equal signatures mean equal partitions."""
+    return {
+        root: (
+            sg.sg_class,
+            sg.root_value,
+            frozenset(sg.covered),
+            tuple(sorted(
+                (leaf.pin, leaf.net, leaf.imp_value, leaf.depth)
+                for leaf in sg.leaves
+            )),
+        )
+        for root, sg in sgn.supergates.items()
+    }
+
+
 # ----------------------------------------------------------------------
 # truth-table symmetry by exchange: the oracle for is_nes / is_es
 # ----------------------------------------------------------------------

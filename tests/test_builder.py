@@ -103,8 +103,8 @@ def test_full_adder_function():
 def test_constants():
     builder = NetworkBuilder()
     builder.input()
-    one = builder.const1()
-    zero = builder.const0()
+    one = builder.network.add_gate("one", GateType.CONST1).name
+    zero = builder.network.add_gate("zero", GateType.CONST0).name
     builder.output(one)
     builder.output(zero)
     net = builder.build()

@@ -119,7 +119,7 @@ def test_incremental_handles_gate_removal(library):
     engine.analyze()
     rng = random.Random(77)
     # inverting swaps leave cancelled inverters dangling; sweep removes
-    # them through remove_gate events the engine must absorb
+    # them through remove_gate changes the engine must absorb
     for _ in range(8):
         random_move(net, library, rng)
     swept = sweep(net)
@@ -241,7 +241,7 @@ def test_critical_delay_follows_a_pad_that_only_moves_its_wire(library):
     x, y = placement.output_pads[slot]
     for pad, label in (((x + 4000.0, y), "far pad"), ((x, y), "pad back")):
         placement.output_pads[slot] = pad
-        # the engine sees the placement only through mutation events:
+        # the engine sees the placement only through network changes:
         # rebinding a consumer of a to its own cell re-models net a
         consumer = net.gate(net.fanout("a")[0].gate)
         net.set_cell(consumer.name, consumer.cell)

@@ -174,10 +174,11 @@ def test_bench_undefined_output_rejected():
 
 def test_bench_constant_expansion():
     from repro.network.builder import NetworkBuilder
+    from repro.network.gatetype import GateType
 
     builder = NetworkBuilder("c")
     builder.input("a")
-    one = builder.const1()
+    one = builder.network.add_gate("one", GateType.CONST1).name
     builder.output(one)
     net = builder.build()
     back = read_bench(StringIO(bench_text(net)))

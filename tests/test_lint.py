@@ -6,9 +6,13 @@ a plain pytest run catches contract breaks without the CI job).
 
 from __future__ import annotations
 
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,44 +36,6 @@ def rules_of(findings) -> set[str]:
 
 def lines_of(findings, rule: str) -> set[int]:
     return {f.line for f in findings if f.rule == rule}
-
-
-# ---------------------------------------------------------------- events
-
-
-class TestEventsRule:
-    def test_bad_fixture_caught(self):
-        findings = lint("events_bad.py")
-        assert rules_of(findings) == {"events"}
-        messages = "\n".join(f.message for f in findings)
-        # unregistered kind at the emission site
-        assert "unregistered event kind 'add_widget'" in messages
-        # schema mismatch: missing + smuggled operands
-        assert "missing operands ['fanins']" in messages
-        assert "unregistered operands ['extra']" in messages
-        # bare strings flagged at both emission and dispatch sites
-        assert "bare string event kind" in messages
-        # partial listener: no catch-all, kinds silently dropped
-        assert "no catch-all branch" in messages
-        assert "neither handles nor explicitly ignores" in messages
-        # operand misuse inside a kind-guarded branch
-        assert "data['old'] is not an operand" in messages
-
-    def test_clean_fixture_passes(self):
-        assert lint("events_clean.py") == []
-
-    def test_listener_coverage_counts_every_other_kind(self):
-        findings = lint("events_bad.py")
-        uncovered = {
-            f.message.rsplit("'", 2)[-2]
-            for f in findings
-            if "neither handles" in f.message
-        }
-        # 12 registered - replace_fanin - swap_fanins (mentioned) -
-        # unknown (catch-all's job, reported separately) = 9
-        assert len(uncovered) == 9
-        assert "replace_fanin" not in uncovered
-        assert "unknown" not in uncovered
 
 
 # ---------------------------------------------------------------- purity
@@ -176,27 +142,47 @@ def test_cli_exits_nonzero_on_findings(capsys):
     assert "[worker-global]" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--rules", "bogus"], "bogus"),
+        (["--rules", "events,purity"], "events"),
+        ([str(FIXTURES / "no_such_fixture.py")], "no_such_fixture.py"),
+    ],
+)
+def test_cli_usage_errors_exit_2(argv, named, capsys):
+    """An unknown rule or a missing path is refused, not a clean run."""
+    with pytest.raises(SystemExit) as exit_info:
+        lint_main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "findings" not in captured.out
+
+
 # --------------------------------------------------------- docs in sync
 
 
 def test_generated_docs_match_registry():
-    """docs/architecture.md tables byte-identical to regeneration."""
+    """README's knob table byte-identical to regeneration."""
     assert docs_sync.check() == []
 
 
 def test_docs_drift_detected(tmp_path):
-    target = tmp_path / "architecture.md"
-    target.write_text(
-        (REPO / "docs" / "architecture.md")
-        .read_text()
-        .replace("| `replace_fanin` |", "| `replace_pin` |", 1)
+    """A knob row missing from README's table is drift, and fixable."""
+    original = (REPO / "README.md").read_text()
+    row = next(
+        line for line in original.splitlines()
+        if line.startswith("| `--workers N` |")
     )
+    target = tmp_path / "README.md"
+    target.write_text(original.replace(row + "\n", "", 1))
     findings = docs_sync.check(target)
     assert len(findings) == 1
     assert "drifted" in findings[0].message
     # and --fix-docs repairs exactly that
     assert docs_sync.fix(target) is True
-    assert docs_sync.check(target) == []
+    assert target.read_text() == original
 
 
 def test_readme_knob_table_drift_detected(tmp_path):
@@ -215,7 +201,7 @@ def test_readme_knob_table_drift_detected(tmp_path):
 
 
 def test_missing_markers_is_an_error(tmp_path):
-    target = tmp_path / "architecture.md"
+    target = tmp_path / "README.md"
     target.write_text("# no markers here\n")
     findings = docs_sync.check(target)
     assert len(findings) == 1
@@ -250,13 +236,24 @@ def test_repo_worker_entry_is_marked():
     assert getattr(_select_shard, "__worker_entry__", False)
 
 
-def test_event_constants_keep_historical_wire_values():
-    """Fingerprint safety: constants are the exact historical strings."""
-    from repro.network import events
+def test_every_listener_reads_every_change_field():
+    """A new ``Change`` field cannot be dropped silently by a listener.
 
-    assert events.ADD_GATE == "add_gate"
-    assert events.REPLACE_FANIN == "replace_fanin"
-    assert events.SWAP_FANINS == "swap_fanins"
-    assert events.RESTORE == "restore"
-    assert events.UNKNOWN == "unknown"
-    assert len(events.REGISTRY) == 12
+    Each of the three incremental engines must read (or, for a field
+    it needs nothing from, name) every field in its
+    ``notify_network_event``; the record itself refuses unknown fields.
+    """
+    from repro.network.netlist import Change
+    from repro.place.hpwl import WirelengthEngine
+    from repro.rapids.engine import SupergateCache
+    from repro.timing.sta import TimingEngine
+
+    for listener in (TimingEngine, SupergateCache, WirelengthEngine):
+        source = inspect.getsource(listener.notify_network_event)
+        unread = [
+            field for field in Change._fields
+            if not re.search(rf"\bchange\.{field}\b", source)
+        ]
+        assert not unread, (listener.__name__, unread)
+    with pytest.raises(TypeError):
+        Change(bogus=1)

@@ -146,16 +146,6 @@ def test_fresh_name_never_collides():
     assert net.fresh_name("brand_new") == "brand_new"
 
 
-def test_stats_keys():
-    net = build_simple()
-    stats = net.stats()
-    assert stats["gates"] == 2
-    assert stats["inputs"] == 3
-    assert stats["outputs"] == 1
-    assert stats["depth"] == 2
-    assert stats["n_and"] == 1
-
-
 def test_random_networks_are_deterministic():
     one = random_network(7)
     two = random_network(7)

@@ -17,7 +17,7 @@ from repro.synth.mapper import map_network
 from repro.timing.sta import TimingEngine
 from repro.verify.equiv import networks_equivalent
 
-from helpers import random_network
+from helpers import partition_signature, random_network
 
 
 def prepared(seed, library, gates=45):
@@ -143,20 +143,6 @@ def test_supergate_cache_matches_fresh_extraction(library):
     from repro.rapids.engine import SupergateCache
     from repro.rapids.moves import bind_new_inverters
     from repro.symmetry.swap import apply_swap, enumerate_swaps
-
-    def partition_signature(sgn):
-        return {
-            root: (
-                sg.sg_class,
-                sg.root_value,
-                frozenset(sg.covered),
-                tuple(sorted(
-                    (leaf.pin, leaf.net, leaf.imp_value, leaf.depth)
-                    for leaf in sg.leaves
-                )),
-            )
-            for root, sg in sgn.supergates.items()
-        }
 
     for seed in (23, 29, 31):
         net, _ = prepared(seed, library)

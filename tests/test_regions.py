@@ -117,17 +117,6 @@ def test_geometric_seed_carve_is_spatially_coherent():
         assert box <= 0.5 * die_area
 
 
-def test_stats_shape():
-    network, placement = _placed(7, num_gates=60)
-    regions = carve_regions(network, placement, max_gates=20)
-    stats = regions.stats()
-    assert stats["regions"] == float(len(regions.regions))
-    assert stats["max_region_gates"] <= 20.0
-    assert stats["boundary_nets"] == float(len(regions.boundary_nets))
-    assert stats["fm_passes"] == float(regions.fm_passes) > 0
-    assert stats["fm_moves"] == float(regions.fm_moves) > 0
-
-
 def test_carve_golden():
     """The carve of a few-thousand-gate grid placement is pinned bit for
     bit: regions, internal-net owners, boundary nets and FM passes."""

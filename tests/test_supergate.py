@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.builder import NetworkBuilder
+from repro.network.gatetype import GateType
 from repro.network.netlist import Pin
 from repro.symmetry.supergate import (
     SgClass,
@@ -117,7 +118,7 @@ def test_inv_rooted_andor_supergate():
 def test_const_supergate():
     builder = NetworkBuilder()
     builder.input()
-    one = builder.const1(name="one")
+    one = builder.network.add_gate("one", GateType.CONST1).name
     builder.output(one)
     net = builder.build()
     sg = grow_supergate(net, "one")

@@ -57,7 +57,7 @@ def test_every_enumerated_swap_preserves_function():
             for swap in enumerate_swaps(sg, leaves_only=False):
                 trial = swapped_copy(net, swap)
                 assert networks_equivalent(net, trial), (
-                    seed, swap.describe(net),
+                    seed, swap,
                 )
                 total += 1
     assert total > 300
@@ -74,7 +74,7 @@ def test_swap_kinds_match_ground_truth_symmetry():
                     net, sg.root, swap.pin_a, swap.pin_b
                 )
                 expected = "es" if swap.inverting else "nes"
-                assert expected in truth, (seed, swap.describe(net))
+                assert expected in truth, (seed, swap)
 
 
 def test_leaves_only_excludes_internal_pins():

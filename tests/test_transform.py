@@ -78,8 +78,8 @@ def test_swap_inverting_cancels_against_inverter_drivers():
 def test_propagate_constants_fold():
     builder = NetworkBuilder()
     a = builder.input()
-    one = builder.const1()
-    zero = builder.const0()
+    one = builder.network.add_gate("one", GateType.CONST1).name
+    zero = builder.network.add_gate("zero", GateType.CONST0).name
     f = builder.and_(a, one, name="f")       # -> BUF(a)
     g = builder.and_(a, zero, name="g")      # -> CONST0
     h = builder.xor(a, one, name="h")        # -> INV(a)

@@ -8,7 +8,7 @@ Locks the PR-4 contracts:
   their counts, the runner-up after removing one copy) row for row,
   on annealed and grid placements;
 * structural mutations invalidate the flattening (engine notices);
-* candidate pricing fires **zero** mutation events (listener spy);
+* candidate pricing hands listeners **zero** changes (listener spy);
 * batch deltas are bit-identical to scalar and to the interpreted
   trial-apply-and-revert computation;
 * cell-swap deltas (the annealer's pricing) are bit-identical to the
@@ -45,7 +45,7 @@ from repro.symmetry.swap import enumerate_swaps
 from repro.synth.mapper import map_network
 from repro.verify.equiv import networks_equivalent
 
-from helpers import random_network, swap_hpwl_delta
+from helpers import ChangeSpy, random_network, swap_hpwl_delta
 
 
 def prepared(seed, library, gates=60):
@@ -64,17 +64,6 @@ def leaf_pairs(net):
         ):
             pairs.append((swap.pin_a, swap.pin_b))
     return pairs
-
-
-class EventSpy:
-    """Counts every mutation event the network emits."""
-
-    def __init__(self, network):
-        self.events = []
-        network.subscribe(self)
-
-    def notify_network_event(self, kind, data):
-        self.events.append(kind)
 
 
 def test_incremental_matches_fresh_total(library):
@@ -184,7 +173,7 @@ def test_candidate_pricing_fires_zero_events(library):
     engine.refresh()
     pairs = leaf_pairs(net)
     assert pairs, "seed produced no swap candidates"
-    spy = EventSpy(net)
+    spy = ChangeSpy(net)
     engine.score_swaps(pairs)
     for pair in pairs[:10]:
         engine.score_swaps([pair])
@@ -194,7 +183,7 @@ def test_candidate_pricing_fires_zero_events(library):
             sg, leaves_only=True, include_inverting=False
         ):
             swap_hpwl_delta(net, placement, swap)
-    assert spy.events == [], f"pricing mutated the network: {spy.events}"
+    assert spy.changes == [], f"pricing mutated the network: {spy.changes}"
 
 
 def test_batch_deltas_bit_identical_to_interpreted(library):

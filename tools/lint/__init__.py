@@ -1,14 +1,11 @@
 """AST-enforced contract linter for the repro codebase.
 
-Four rule families (run as ``python -m tools.lint``; see
+Three rule families (run as ``python -m tools.lint``; see
 ``docs/architecture.md`` § "Enforced contracts" for how to annotate
 new code):
 
-* **events** — every emitted mutation-event kind is registered in
-  :mod:`repro.network.events` with a schema-matching payload, and
-  every listener handles or explicitly ignores every registered kind;
 * **purity** — ``@projection_only`` code never reaches a mutating
-  ``Network`` call or event emission;
+  ``Network`` call or a listener notification;
 * **determinism** — modules marked ``__deterministic__ = True`` never
   feed set-iteration order into float sums, selections, or
   tie-breaks (the PR-2 ``PYTHONHASHSEED`` bug class);
@@ -17,7 +14,7 @@ new code):
   ``# lint: allow(worker-global)`` waiver.
 
 Plus the generated-docs drift check / ``--fix-docs`` regenerator for
-the event tables in ``docs/architecture.md``.
+README's CLI knobs table.
 """
 
 from .cli import main, run_lint

@@ -1,19 +1,19 @@
 """Command-line entry point: ``python -m tools.lint``.
 
-Runs the four contract rule families over ``src/repro`` (or explicit
+Runs the three contract rule families over ``src/repro`` (or explicit
 paths) plus the generated-docs drift check, prints every finding as
-``path:line: [rule] message``, and exits non-zero when anything is
-found — the CI ``static-analysis`` job runs exactly this.
+``path:line: [rule] message``, and exits 1 when anything is found —
+the CI ``static-analysis`` job runs exactly this.  An unknown rule
+name or a missing path is a usage error (exit 2).
 
 Modes:
 
 * ``python -m tools.lint`` — lint everything, check docs;
-* ``python -m tools.lint --fix-docs`` — rewrite the generated tables
-  in ``docs/architecture.md`` (from the event registry) and
-  ``README.md`` (from the config's knob fields) and exit;
+* ``python -m tools.lint --fix-docs`` — rewrite README's generated
+  CLI knobs table from the config's knob fields and exit;
 * ``python -m tools.lint path.py ...`` — lint specific files only
   (used by the fixture tests; the docs check is skipped);
-* ``--rules events,purity,determinism,worker-global`` — restrict the
+* ``--rules purity,determinism,worker-global,docs`` — restrict the
   rule families.
 """
 
@@ -23,12 +23,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import determinism, docs_sync, events_rule, purity, worker_safety
-from .core import Finding, Project, ensure_src_on_path
+from . import determinism, docs_sync, purity, worker_safety
+from .core import Finding, Project
 
 #: rule name -> checker(project) -> findings
 RULES = {
-    "events": events_rule.check,
     "purity": purity.check,
     "determinism": determinism.check,
     "worker-global": worker_safety.check,
@@ -41,7 +40,6 @@ def run_lint(
     include_docs: bool = True,
 ) -> list[Finding]:
     """All findings over *paths* (``None`` = the whole src tree)."""
-    ensure_src_on_path()
     project = Project.load(paths)
     findings: list[Finding] = []
     for name, checker in RULES.items():
@@ -57,7 +55,7 @@ def run_lint(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.lint",
-        description="AST-enforced contract linter (events, purity, "
+        description="AST-enforced contract linter (purity, "
         "determinism, worker safety, generated docs).",
     )
     parser.add_argument(
@@ -69,8 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fix-docs",
         action="store_true",
-        help="regenerate the event tables in docs/architecture.md and "
-        "the CLI knobs table in README.md, then exit",
+        help="regenerate the CLI knobs table in README.md, then exit",
     )
     parser.add_argument(
         "--no-docs",
@@ -85,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.fix_docs:
-        ensure_src_on_path()
         changed = docs_sync.fix()
         print(
             "tools.lint --fix-docs: "
@@ -98,6 +94,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.rules
         else None
     )
+    unknown = sorted(set(rules or ()) - {*RULES, "docs"})
+    if unknown:
+        parser.error(
+            f"unknown rule {', '.join(unknown)} "
+            f"(choose from {', '.join(RULES)}, docs)"
+        )
+    missing = [str(path) for path in args.paths if not path.is_file()]
+    if missing:
+        parser.error(f"no such file: {', '.join(missing)}")
     include_docs = not args.no_docs and not args.paths
     findings = run_lint(args.paths or None, rules, include_docs)
     for finding in findings:

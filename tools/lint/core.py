@@ -2,9 +2,9 @@
 
 The linter is purely static: target modules are parsed with
 :mod:`ast`, never imported.  The two exceptions have no third-party
-dependencies: the event registry :mod:`repro.network.events`, which
-rule implementations import to get the authoritative kind table, and
-the knob declarations :mod:`repro.config`, which render README's CLI
+dependencies: the contract markers :mod:`repro.contracts`, whose
+``MUTATING_NETWORK_METHODS`` the purity rule checks against, and the
+knob declarations :mod:`repro.config`, which render README's CLI
 table.
 
 This module provides:
@@ -32,13 +32,6 @@ REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 
 
-def ensure_src_on_path() -> None:
-    """Make ``import repro.network.events`` work from a repo checkout."""
-    src = str(SRC)
-    if src not in sys.path:
-        sys.path.insert(0, src)
-
-
 def _load_standalone(name: str, relative: str):
     """Module *relative* to ``src/repro``, executed from its file path.
 
@@ -61,11 +54,9 @@ def _load_standalone(name: str, relative: str):
     return module
 
 
-def load_events_registry():
-    """The :mod:`repro.network.events` module, loaded standalone."""
-    return _load_standalone(
-        "_tools_lint_events_registry", "network/events.py"
-    )
+def load_contracts():
+    """The :mod:`repro.contracts` markers, loaded standalone."""
+    return _load_standalone("_tools_lint_contracts", "contracts.py")
 
 
 def load_config():
@@ -170,8 +161,8 @@ class Module:
     def qualified(self, node: ast.expr) -> str | None:
         """Dotted target of a Name/Attribute chain, through the imports.
 
-        ``ev.ADD_GATE`` with ``from repro.network import events as ev``
-        resolves to ``repro.network.events.ADD_GATE``; unresolvable
+        ``nl.Network`` with ``from repro.network import netlist as nl``
+        resolves to ``repro.network.netlist.Network``; unresolvable
         expressions return ``None``.
         """
         parts: list[str] = []

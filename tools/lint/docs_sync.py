@@ -1,17 +1,14 @@
-"""Generated documentation blocks: declarations -> markdown.
+"""Generated documentation block: knob declarations -> markdown.
 
-Two documents carry blocks generated between HTML comment markers:
-
-* ``docs/architecture.md``: the event-kind tables, from
-  :mod:`repro.network.events`;
-* ``README.md``: the CLI knobs table, from the flagged fields of
-  :class:`repro.config.FlowConfig`.
+``README.md`` carries the CLI knobs table, generated from the flagged
+fields of :class:`repro.config.FlowConfig` between HTML comment
+markers:
 
 .. code-block:: markdown
 
-   <!-- BEGIN GENERATED: event-kinds -->
-   ...one table row per registered kind...
-   <!-- END GENERATED: event-kinds -->
+   <!-- BEGIN GENERATED: cli-knobs -->
+   ...one table row per flagged knob...
+   <!-- END GENERATED: cli-knobs -->
 
 ``python -m tools.lint --fix-docs`` rewrites every generated block in
 place; the default lint run fails when the committed text differs
@@ -25,54 +22,14 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from .core import REPO, Finding, load_config, load_events_registry
+from .core import REPO, Finding, load_config
 
 RULE = "docs"
 
-ARCHITECTURE = REPO / "docs" / "architecture.md"
 README = REPO / "README.md"
 
 _BEGIN = "<!-- BEGIN GENERATED: {name} -->"
 _END = "<!-- END GENERATED: {name} -->"
-
-
-def _registry():
-    return load_events_registry()
-
-
-def render_event_table() -> str:
-    """The kind/operand/meaning table, one row per registered kind."""
-    events = _registry()
-    lines = [
-        "| kind | operands | structural | meaning |",
-        "|---|---|---|---|",
-    ]
-    for kind in events.REGISTRY.values():
-        operands = ", ".join(f"`{op}`" for op in kind.operands) or "—"
-        structural = "yes" if kind.structural else "no"
-        lines.append(
-            f"| `{kind.name}` | {operands} | {structural} | {kind.meaning} |"
-        )
-    return "\n".join(lines)
-
-
-def render_emitters_table() -> str:
-    """Which API emits which kind (mutator methods + the two escapes)."""
-    events = _registry()
-    special = {
-        events.RESTORE: "`sizing/coudert.py` best-snapshot rollback",
-        events.UNKNOWN: "bare `Network._touch()` after an out-of-band mutation",
-    }
-    lines = [
-        "| emitter | kind |",
-        "|---|---|",
-    ]
-    for kind in events.REGISTRY.values():
-        emitter = special.get(
-            kind.name, f"`Network.{kind.name}()`"
-        )
-        lines.append(f"| {emitter} | `{kind.name}` |")
-    return "\n".join(lines)
 
 
 def render_cli_knobs() -> str:
@@ -101,14 +58,8 @@ def render_cli_knobs() -> str:
     return "\n".join(lines)
 
 
-#: Every generated block, per document: marker name -> renderer.
-BLOCKS = {
-    ARCHITECTURE.name: {
-        "event-kinds": render_event_table,
-        "event-emitters": render_emitters_table,
-    },
-    README.name: {"cli-knobs": render_cli_knobs},
-}
+#: Every generated block: marker name -> renderer.
+BLOCKS = {"cli-knobs": render_cli_knobs}
 
 
 def _block_re(name: str) -> re.Pattern[str]:
@@ -120,9 +71,9 @@ def _block_re(name: str) -> re.Pattern[str]:
     )
 
 
-def regenerate(text: str, blocks: dict) -> str:
-    """Text with each of *blocks* replaced by a fresh rendering."""
-    for name, renderer in blocks.items():
+def regenerate(text: str) -> str:
+    """Text with each generated block replaced by a fresh rendering."""
+    for name, renderer in BLOCKS.items():
         pattern = _block_re(name)
         if not pattern.search(text):
             raise ValueError(
@@ -137,40 +88,27 @@ def regenerate(text: str, blocks: dict) -> str:
     return text
 
 
-def _targets(path: Path | None) -> list[Path]:
-    return [ARCHITECTURE, README] if path is None else [path]
+def fix(path: Path = README) -> bool:
+    """Rewrite the generated blocks of *path* in place.
 
-
-def fix(path: Path | None = None) -> bool:
-    """Rewrite generated blocks in place (default: every document).
-
-    Returns True when a file changed.
+    Returns True when the file changed.
     """
-    changed = False
-    for target in _targets(path):
-        original = target.read_text()
-        updated = regenerate(original, BLOCKS[target.name])
-        if updated != original:
-            target.write_text(updated)
-            changed = True
-    return changed
+    original = path.read_text()
+    updated = regenerate(original)
+    if updated == original:
+        return False
+    path.write_text(updated)
+    return True
 
 
-def check(path: Path | None = None) -> list[Finding]:
+def check(path: Path = README) -> list[Finding]:
     """Findings where committed blocks differ from regeneration."""
-    findings: list[Finding] = []
-    for target in _targets(path):
-        findings.extend(_check_one(target))
-    return findings
-
-
-def _check_one(path: Path) -> list[Finding]:
     try:
         original = path.read_text()
     except OSError as exc:
         return [Finding(RULE, path, 1, f"cannot read: {exc}")]
     try:
-        updated = regenerate(original, BLOCKS[path.name])
+        updated = regenerate(original)
     except ValueError as exc:
         return [Finding(RULE, path, 1, str(exc))]
     if updated == original:

@@ -6,8 +6,8 @@ walks a module-local call graph from every marked function — direct
 calls to same-module functions, ``self.``/``cls.`` calls to
 same-class methods — and flags any reachable call whose target name
 is a mutating :class:`~repro.network.netlist.Network` API or the
-event machinery itself (``_touch`` / ``notify_network_event``), per
-:data:`repro.network.events.MUTATING_NETWORK_METHODS`.
+listener machinery itself (``_touch`` / ``notify_network_event``),
+per :data:`repro.contracts.MUTATING_NETWORK_METHODS`.
 
 The walk is deliberately name-based: ``anything.replace_fanin(...)``
 is flagged no matter what the receiver is, because the mutator names
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 
-from .core import Finding, Module, Project, decorator_names, load_events_registry
+from .core import Finding, Module, Project, decorator_names, load_contracts
 
 RULE = "purity"
 
@@ -31,7 +31,7 @@ MARKER = "projection_only"
 
 
 def _mutator_names() -> frozenset[str]:
-    return load_events_registry().MUTATING_NETWORK_METHODS
+    return load_contracts().MUTATING_NETWORK_METHODS
 
 
 def _receiver_is_self(node: ast.Attribute) -> bool:
