@@ -17,7 +17,7 @@ stale hit is impossible).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...network.gatetype import GateType
 from ...network.netlist import Network
@@ -48,9 +48,7 @@ class CompiledNetwork:
     ``num_inputs`` primary inputs occupy net indices ``0 .. P-1``; the
     gate at topological position ``g`` drives net index ``P + g``.
     ``fanin_flat[fanin_offset[g]:fanin_offset[g+1]]`` are gate ``g``'s
-    fanin net indices in pin order; ``fanout[i]`` lists the topological
-    positions of every gate consuming net ``i`` (branch multiplicity
-    preserved once per gate).
+    fanin net indices in pin order.
     """
 
     name: str
@@ -63,7 +61,6 @@ class CompiledNetwork:
     fanin_flat: list[int]
     po_index: list[int]
     net_index: dict[str, int]
-    fanout: list[list[int]] = field(repr=False)
 
     @property
     def num_inputs(self) -> int:
@@ -86,18 +83,13 @@ def compile_network(network: Network) -> CompiledNetwork:
     invert: list[bool] = []
     fanin_offset: list[int] = [0]
     fanin_flat: list[int] = []
-    fanout: list[list[int]] = [[] for _ in range(base + len(order))]
-    for position, name in enumerate(order):
+    for name in order:
         gate = network.gate(name)
         op, inv = _OPCODE[gate.gtype]
         opcode.append(op)
         invert.append(inv)
         for fanin in gate.fanins:
-            index = net_index[fanin]
-            fanin_flat.append(index)
-            sinks = fanout[index]
-            if not sinks or sinks[-1] != position:
-                sinks.append(position)
+            fanin_flat.append(net_index[fanin])
         fanin_offset.append(len(fanin_flat))
     return CompiledNetwork(
         name=network.name,
@@ -110,7 +102,6 @@ def compile_network(network: Network) -> CompiledNetwork:
         fanin_flat=fanin_flat,
         po_index=[net_index[net] for net in network.outputs],
         net_index=net_index,
-        fanout=fanout,
     )
 
 

@@ -257,16 +257,10 @@ class Network:
     def outputs(self) -> list[str]:
         """Primary-output nets in declaration order.
 
-        Change them through :meth:`add_output` / :meth:`replace_output`
-        or by assigning a whole new list (which drops the output index);
+        Change them through :meth:`add_output` / :meth:`replace_output`;
         never edit the returned list in place.
         """
         return self._outputs
-
-    @outputs.setter
-    def outputs(self, nets: Iterable[str]) -> None:
-        self._outputs = list(nets)
-        self._po_index = None
 
     def gate(self, name: str) -> Gate:
         """Return the gate driving net *name*."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..network.netlist import Network
 from .engine import RapidsResult
@@ -26,7 +26,6 @@ class Table1Row:
     coverage_percent: float
     max_supergate_inputs: int
     redundancies: int
-    extras: dict[str, float] = field(default_factory=dict)
 
     HEADER = (
         f"{'ckt':<10}{'gates':>7}{'init':>7}{'gsg%':>7}{'GS%':>7}"

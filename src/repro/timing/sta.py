@@ -14,8 +14,11 @@ Coudert's neighborhood formulation that the paper builds on.  The
 same cached state also feeds :meth:`TimingEngine.project_swap_slacks`,
 the batch slack projection behind timing-aware wirelength rewiring
 (``docs/architecture.md`` documents the projection-only pricing
-contract and the commit-time additivity rule); a pin swap's what-if
-star models and a projected rebinding's come from one builder.
+contract and the commit-time additivity rule).  A move's neighborhood
+is defined once: one builder makes a rebinding's what-if star models,
+one method lists the sink gates every what-if pricer walks, and the
+committed update and the exact projection seed their worklists
+through one call, so they seed the same nets by construction.
 
 The engine is also *incremental*: it subscribes to the network's
 :class:`~repro.network.netlist.Change` records, its only view of
@@ -173,11 +176,9 @@ class SlackProjection:
     are committed in one batch.
     """
 
-    bindings: tuple[tuple[Pin, str], ...]
     current: dict[str, float]
     projected: dict[str, float]
     touched: frozenset[str]
-    exact: bool = False
 
     def admissible(self, margin: float) -> bool:
         """Guard-band test: may this move be committed at *margin*?
@@ -578,35 +579,16 @@ class TimingEngine:
         for pi in network.inputs:
             if pi not in self.arrival:
                 self.arrival[pi] = (0.0, 0.0)
-        # 4. seeds: a rebuilt net's driver sees a new load and its sink
-        #    gates new wire delays; its required pair and its driver's
-        #    fanins' pairs move with them
-        seeds: set[str] = set()
-        bseeds: set[str] = set()
-        for net in rebuilt:
-            bseeds.add(net)
-            if not network.is_input(net):
-                seeds.add(net)
-                bseeds.update(network.gate(net).fanins)
-            for sink in self.stars[net].sinks:
-                if sink.pin is not None:
-                    seeds.add(sink.pin.gate)
-        for name in self._dirty_gates:
-            if name not in network:
-                continue
-            bseeds.add(name)
-            if not network.is_input(name):
-                seeds.add(name)
-                bseeds.update(network.gate(name).fanins)
-        # 5. re-propagate and write the overlays back
+        # 4. re-propagate from the rebuilt nets and the dirty gates, and
+        #    write the overlays back
         arrivals, required, visited_fwd, visited_bwd = self._repropagate(
-            seeds, bseeds, {}, {}
+            rebuilt, self._dirty_gates, {}, {}
         )
         self.arrival.update(arrivals)
         self._req0.update(required)
         self.stats.arrival_evals += len(visited_fwd)
         self.stats.required_evals += len(visited_bwd)
-        # 6. fold slacks against the (possibly shifted) target: only a
+        # 5. fold slacks against the (possibly shifted) target: only a
         #    changed arrival or required pair moves a slack unless the
         #    target moved too
         self.max_delay = self._update_critical_delay([*arrivals, *rebuilt])
@@ -626,9 +608,9 @@ class TimingEngine:
         level first; a gate pushes its consumers only when its own level
         moved.  A DAG's levels are the one fixed point of that equation,
         so the result equals a full level pass exactly — the sort keys
-        of :meth:`swap_gain`, :meth:`resize_gain` and the worklists rely
-        on it.  A gate without a level yet (just added) is itself a
-        seed, so reading it as 0 meanwhile is repaired when it pops.
+        of :meth:`_sink_gates` and the worklists rely on it.  A gate
+        without a level yet (just added) is itself a seed, so reading it
+        as 0 meanwhile is repaired when it pops.
         """
         network = self.network
         levels = self._levels
@@ -652,8 +634,8 @@ class TimingEngine:
 
     def _repropagate(
         self,
-        seeds: Iterable[str],
-        bseeds: Iterable[str],
+        nets: Iterable[str],
+        gates: Iterable[str],
         moved: dict[Pin, str],
         new_stars: dict[str, StarNet],
     ) -> tuple[
@@ -664,14 +646,17 @@ class TimingEngine:
     ]:
         """Levelized worklists over the overlay *moved*/*new_stars*.
 
-        Arrivals propagate forward from the gates *seeds* in ascending
-        level order and zero-target required pairs backward from the
-        nets *bseeds* in descending level order; a net whose pair
-        changes pushes its consumers (forward) or its driver's fanins
-        (backward), so each walk stops where values converge.  New
-        pairs go into overlay dicts and the cached state is never
-        written.  Returns ``(arrivals, required, forward visited,
-        backward visited)``.
+        The one definition of a change's neighborhood, shared by the
+        committed update and the exact projection: *nets* got a new RC
+        model, *gates* a new cell or fanin pin.  Their drivers and the
+        nets' sink gates seed the forward walk, in ascending level
+        order; they and their drivers' fanins seed the backward walk
+        of zero-target required pairs, in descending level order.  A
+        net whose pair changes pushes its consumers (forward) or its
+        driver's fanins (backward), so each walk stops where values
+        converge.  New pairs go into overlay dicts and the cached state
+        is never written.  Returns ``(arrivals, required, forward
+        visited, backward visited)``.
 
         A popped ``(level, net)`` entry equal to the previous pop is
         skipped: equal entries pop back to back.  With current levels
@@ -680,6 +665,16 @@ class TimingEngine:
         evaluated again, and the walk still reaches the fixed point.
         """
         network = self.network
+        changed = [name for name in (*nets, *gates) if name in network]
+        seeds = {
+            pin.gate
+            for net in nets for pin in self._sinks_under(net, new_stars)
+        }
+        bseeds = set(changed)
+        for name in changed:
+            if not network.is_input(name):
+                seeds.add(name)
+                bseeds.update(self._fanins_under(name, moved))
         levels = self._levels
         arrival = self.arrival
         arrivals: dict[str, tuple[float, float]] = {}
@@ -813,11 +808,52 @@ class TimingEngine:
             ((swap.pin_a, net_b), (swap.pin_b, net_a)),
             pin_cap=None if inv_cell is None else inv_cell.input_cap,
         )
+        # net_a first: the frontier's float-summed gains follow its order
+        return self._neighborhood_gain(
+            (net_a, net_b),
+            stars_new,
+            swapped=moved,
+            inv_cell=inv_cell,
+            inv_pins={swap.pin_a, swap.pin_b},
+        )
+
+    @projection_only
+    def resize_gain(self, gate_name: str, new_cell_name: str) -> Gains:
+        """Projected local slack gains of a gate resize."""
+        gate = self.network.gate(gate_name)
+        old_cell = self._cell_of(gate_name)
+        new_cell = self.library.cell(new_cell_name)
+        if old_cell is None:
+            return Gains(0.0, 0.0, float("inf"))
+        # fanin nets see a different pin capacitance; sorted so the
+        # frontier's float-summed gains are PYTHONHASHSEED-independent
+        fanins = sorted(set(gate.fanins))
+        delta_cap = new_cell.input_cap - old_cell.input_cap
+        stars_new: dict[str, StarNet] = {}
+        for fanin in fanins:
+            star = self._ensure_star(fanin)
+            new_cap = star.total_cap + delta_cap * gate.fanins.count(fanin)
+            stars_new[fanin] = _with_total_cap(star, new_cap)
+        return self._neighborhood_gain(
+            fanins, stars_new, resized={gate_name: new_cell}
+        )
+
+    def _neighborhood_gain(
+        self, nets: Iterable[str], stars_new: dict[str, StarNet], **overrides
+    ) -> Gains:
+        """:meth:`_local_gain` of a move that gives *nets* new stars.
+
+        Drivers are re-timed under their new loads (a primary output
+        enters the frontier with its new pad delay), then the sink
+        gates and any resized gate are projected in level order with
+        results fed forward, so chained effects inside a supergate are
+        captured.  *overrides* go to :meth:`_projected_worst_arrival`;
+        the frontier, and so the float-summed gains, follow *nets*.
+        """
+        network = self.network
         context: dict[str, float] = {}
         frontier: dict[str, float] = {}
-        affected_gates = {swap.pin_a.gate, swap.pin_b.gate}
-        # net_a first: the frontier's float-summed gains follow its order
-        for net in (net_a, net_b):
+        for net in nets:
             context[net] = self._driver_arrival_with_load(
                 net, stars_new[net].total_cap
             )
@@ -825,67 +861,27 @@ class TimingEngine:
                 frontier[net] = context[net] + self._po_delta(
                     net, stars_new[net]
                 )
-            for sink in self.stars[net].sinks:
-                if sink.pin is not None:
-                    affected_gates.add(sink.pin.gate)
-        # project in level order and feed results forward so chained
-        # effects inside a supergate (the logic-level-reduction move)
-        # are captured, not just first-order ones
-        for gate_name in sorted(
-            affected_gates,
-            key=lambda name: (self._levels.get(name, 0), name),
-        ):
+        resized = overrides.get("resized", ())
+        for name in self._sink_gates(stars_new, resized):
             projected = self._projected_worst_arrival(
-                gate_name,
-                stars_new,
-                context,
-                swapped=moved,
-                inv_cell=inv_cell,
-                inv_pins={swap.pin_a, swap.pin_b},
-            )
-            frontier[gate_name] = projected
-            context[gate_name] = projected
-        return self._local_gain(frontier)
-
-    @projection_only
-    def resize_gain(self, gate_name: str, new_cell_name: str) -> Gains:
-        """Projected local slack gains of a gate resize."""
-        network = self.network
-        gate = network.gate(gate_name)
-        old_cell = self._cell_of(gate_name)
-        new_cell = self.library.cell(new_cell_name)
-        if old_cell is None:
-            return Gains(0.0, 0.0, float("inf"))
-        context: dict[str, float] = {}
-        frontier: dict[str, float] = {}
-        stars_new: dict[str, StarNet] = {}
-        # fanin nets see a different pin capacitance; sorted so the
-        # frontier's float-summed gains are PYTHONHASHSEED-independent
-        delta_cap = new_cell.input_cap - old_cell.input_cap
-        affected_gates: set[str] = {gate_name}
-        for fanin in sorted(set(gate.fanins)):
-            star = self._ensure_star(fanin)
-            new_cap = star.total_cap + delta_cap * gate.fanins.count(fanin)
-            stars_new[fanin] = _with_total_cap(star, new_cap)
-            context[fanin] = self._driver_arrival_with_load(fanin, new_cap)
-            if network.is_output(fanin):
-                frontier[fanin] = context[fanin]
-            for sink in star.sinks:
-                if sink.pin is not None:
-                    affected_gates.add(sink.pin.gate)
-        for name in sorted(
-            affected_gates,
-            key=lambda other: (self._levels.get(other, 0), other),
-        ):
-            projected = self._projected_worst_arrival(
-                name,
-                stars_new,
-                context,
-                resized={gate_name: new_cell},
+                name, stars_new, context, **overrides
             )
             frontier[name] = projected
             context[name] = projected
         return self._local_gain(frontier)
+
+    def _sink_gates(
+        self, new_stars: dict[str, StarNet], gates: Iterable[str] = ()
+    ) -> list[str]:
+        """Sink gates of every net in *new_stars*, before and after the
+        move, plus *gates*, in ``(level, name)`` order."""
+        found = set(gates)
+        for net, star in new_stars.items():
+            for sink in (*self._ensure_star(net).sinks, *star.sinks):
+                if sink.pin is not None:
+                    found.add(sink.pin.gate)
+        levels = self._levels
+        return sorted(found, key=lambda name: (levels.get(name, 0), name))
 
     def _driver_arrival_with_load(self, net: str, new_load: float) -> float:
         """Scalar arrival at *net* if its driver saw *new_load*."""
@@ -1030,12 +1026,13 @@ class TimingEngine:
         only — cheap, slightly approximate beyond the frontier, right
         for pre-filtering thousands of candidates.
 
-        ``exact=True`` instead runs the worklist :meth:`apply_and_update`
-        runs (:meth:`_repropagate`), with the rebinding as its overlay:
-        arrivals are re-propagated through the whole affected fanout
-        and required times through the affected fanin frontier, so the
-        projected slacks equal the post-commit re-fold to float noise
-        and ``touched`` names every net the walk visited.  Committing a
+        ``exact=True`` instead runs :meth:`_repropagate`, seeded by the
+        same code as :meth:`apply_and_update` and with the rebinding as
+        its overlay: arrivals are re-propagated through the whole
+        affected fanout and required times through the affected fanin
+        frontier, so the projected slacks equal the post-commit re-fold
+        to float noise and ``touched`` names every net the walk
+        visited.  Committing a
         set of moves whose exact ``touched`` sets are pairwise disjoint
         realizes every projection exactly — the additivity the batched
         wirelength committer relies on.  Exact agreement with the
@@ -1136,17 +1133,8 @@ class TimingEngine:
                     max(new_pair) - max(old_pair)
                     + self._po_delta(net, new_stars[net])
                 )
-        gates: set[str] = set()
-        for net in new_stars:
-            for sink in self._ensure_star(net).sinks:
-                if sink.pin is not None:
-                    gates.add(sink.pin.gate)
-            for sink in new_stars[net].sinks:
-                if sink.pin is not None:
-                    gates.add(sink.pin.gate)
-        for name in sorted(
-            gates, key=lambda gate: (self._levels.get(gate, 0), gate)
-        ):
+        gates = self._sink_gates(new_stars)
+        for name in gates:
             pair = self._arrival_pair(name, moved, new_stars, context)
             deltas[name] = max(pair) - max(self.arrival.get(name, (0.0, 0.0)))
             context[name] = pair
@@ -1159,11 +1147,9 @@ class TimingEngine:
             current[net] = slack
             projected[net] = slack - delta
         return SlackProjection(
-            bindings=bindings,
             current=current,
             projected=projected,
             touched=frozenset(new_stars) | frozenset(gates),
-            exact=False,
         )
 
     def _project_rebind_exact(
@@ -1171,37 +1157,15 @@ class TimingEngine:
     ) -> SlackProjection:
         """Full-cone projection: :meth:`_repropagate` under the rebinding.
 
-        Seeds are what the committed update would seed after the move:
-        the rebound nets' drivers and old and new sink gates forward,
-        the rebound nets, the moved pins' gates and their post-move
-        fanins backward.  ``touched`` is the complete visited set — the
-        conflict footprint under which batched projections add exactly.
+        The rebound nets are the changed nets and the moved pins' gates
+        the changed gates, so the walk is seeded by the code that seeds
+        the committed update.  ``touched`` is the complete visited set —
+        the conflict footprint under which batched projections add
+        exactly.
         """
-        network = self.network
         moved, new_stars = self._rebind_overlay(bindings)
-        if not moved:
-            return SlackProjection(
-                bindings=bindings, current={}, projected={},
-                touched=frozenset(), exact=True,
-            )
-        seeds: set[str] = set()
-        bseeds: set[str] = set()
-        for net in new_stars:
-            bseeds.add(net)
-            if not network.is_input(net):
-                seeds.add(net)
-                bseeds.update(self._fanins_under(net, moved))
-            for sink in self._ensure_star(net).sinks:
-                if sink.pin is not None:
-                    seeds.add(sink.pin.gate)
-            for pin in self._sinks_under(net, new_stars):
-                seeds.add(pin.gate)
-        for pin in moved:
-            bseeds.add(pin.gate)
-            if pin.gate in network and not network.is_input(pin.gate):
-                bseeds.update(self._fanins_under(pin.gate, moved))
         arrivals, required, visited_fwd, visited_bwd = self._repropagate(
-            seeds, bseeds, moved, new_stars
+            new_stars, [pin.gate for pin in moved], moved, new_stars
         )
         # fold changed slacks against the engine's (pinned) target
         target = self._current_target()
@@ -1219,11 +1183,9 @@ class TimingEngine:
             if slack is not None:
                 current[net] = slack
         return SlackProjection(
-            bindings=bindings,
             current=current,
             projected=projected,
             touched=frozenset(new_stars) | visited_fwd | visited_bwd,
-            exact=True,
         )
 
 

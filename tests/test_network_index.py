@@ -106,8 +106,8 @@ def test_duplicate_outputs_and_retargeting():
     net.replace_output("g", "h")
     assert net.output_slots("h") == (0, 1, 2)
     assert not net.is_output("g")
-    net.outputs = ["g"]
-    assert net.output_slots("g") == (0,) and not net.is_output("h")
+    net.replace_output("h", "g")
+    assert net.output_slots("g") == (0, 1, 2) and not net.is_output("h")
     assert_fresh(net)
 
 

@@ -8,6 +8,9 @@ batched committer in :mod:`repro.rapids.wirelength`:
   batch is committed and the engine re-folds incrementally;
 * the guard band rejects wire-motivated swaps that would eat critical
   slack at margin 0 and admits them again at a negative margin;
+* an exact projection is complete: every net a committed leaf or
+  cross swap re-times lies in its ``touched`` set, and every changed
+  slack is one it projected;
 * a larger guard band always admits a subset of the moves a smaller
   one admits (monotonicity);
 * the Table-1 flow runs the slack-guarded polish by default.
@@ -21,6 +24,7 @@ from repro.place.placer import place
 from repro.rapids.engine import run_rapids
 from repro.rapids.wirelength import reduce_wirelength, swap_bindings
 from repro.suite.flow import FlowConfig
+from repro.symmetry.cross import cross_swap_bindings, find_cross_swaps
 from repro.symmetry.supergate import extract_supergates
 from repro.symmetry.swap import enumerate_swaps
 from repro.synth.mapper import map_network
@@ -198,6 +202,65 @@ def test_projected_slacks_agree_with_applied(seed, library):
         checked += 1
         # recompute candidates against the new wiring for the next round
         bindings = _leaf_swap_bindings(network)
+
+
+# ----------------------------------------------------------------------
+# exact projections are complete
+# ----------------------------------------------------------------------
+def _pure_cross_bindings(network):
+    """Every inverter-free cross swap as a rebinding list."""
+    sgn = extract_supergates(network)
+    found = [
+        cross_swap_bindings(sgn, cross) for cross in find_cross_swaps(sgn)
+    ]
+    return [bindings for bindings in found if bindings is not None]
+
+
+def _fresh_state(network, placement, library, period):
+    """Arrival, zero-target required and slack maps of a fresh analysis."""
+    fresh = TimingEngine(network, placement, library, period=period)
+    fresh.analyze()
+    return fresh.arrival, fresh._req0, fresh.slack
+
+
+@pytest.mark.parametrize("seed", [1, 11, 34])
+def test_exact_projection_covers_every_changed_net(seed, library):
+    """No net outside ``touched`` moves when a rebinding is committed.
+
+    Commits single leaf swaps and pure cross swaps one at a time and
+    diffs fresh analyses from before and after the move: every net
+    whose arrival, zero-target required pair or slack changed must be
+    in the engine's exact projection's ``touched``, and every changed
+    slack must be projected to 1e-9.  The engine follows each move
+    incrementally, and the move is undone before the next.
+    """
+    network, placement = _prepared(seed, library, gates=120)
+    engine = _pinned_engine(network, placement, library)
+    leaf = _leaf_swap_bindings(network)
+    crosses = _pure_cross_bindings(network)
+    assert leaf and crosses
+    for bindings in [*leaf[:: max(1, len(leaf) // 12)], *crosses]:
+        before = _fresh_state(network, placement, library, engine.period)
+        [projection] = engine.project_swap_slacks([bindings], exact=True)
+        undo = [(pin, network.fanin_net(pin)) for pin, _ in bindings]
+        for pin, net in bindings:
+            network.replace_fanin(pin, net)
+        engine.refresh()
+        after = _fresh_state(network, placement, library, engine.period)
+        for old, new in zip(before, after):
+            changed = {
+                net for net in old.keys() | new.keys()
+                if old.get(net) != new.get(net)
+            }
+            assert changed <= projection.touched, (seed, bindings)
+        for net, slack in after[2].items():
+            if slack != before[2][net]:
+                assert projection.projected[net] == pytest.approx(
+                    slack, abs=1e-9
+                ), (seed, bindings, net)
+        for pin, net in undo:
+            network.replace_fanin(pin, net)
+        engine.refresh()
 
 
 # ----------------------------------------------------------------------
