@@ -35,7 +35,7 @@ import time
 
 import pytest
 
-from repro.rapids.engine import SupergateCache, _gs_factory, _gsg_gs_factory
+from repro.rapids.engine import SupergateCache, _site_factory
 from repro.rapids.wirelength import reduce_wirelength
 from repro.sizing.coudert import optimize
 from repro.suite.flow import FlowConfig, prepare_benchmark
@@ -85,7 +85,7 @@ def test_incremental_sta_agrees_and_saves_work(name, library):
         start = time.perf_counter()
         result = optimize(
             net, placement, library,
-            _gsg_gs_factory(library, SupergateCache(net)),
+            _site_factory("gsg_gs", library, SupergateCache(net)),
             engine_class(net, placement, library),
             mode="gsg_gs",
         )
@@ -216,7 +216,7 @@ def test_full_sta_baseline_never_reanalyzes_an_unchanged_netlist(library):
 
     engine.analyze = counted
     result = optimize(
-        net, placement, library, _gs_factory(library, None), engine,
+        net, placement, library, _site_factory("gs", library, None), engine,
     )
     assert result.rounds > 1
     assert len(versions) > 1

@@ -51,19 +51,8 @@ from .timing.sta import TimingEngine
 #: a temporary condition — rerun with ``--resume`` to continue).
 CHECKPOINT_EXIT_CODE = 75
 
-#: Layout of the saved payload: 2 pickled the live objects (files
-#: without the field hold the SoA column packing that preceded it); 3
-#: renamed the mid-polish stage ``wl_partition`` to ``wl_round`` when
-#: the unpartitioned polish began checkpointing its rounds too; 4 dropped
-#: the derived timing state (slacks, levels, critical delay) from the
-#: saved engine state; 5 saved every stage's netlist under the
-#: same keys (:func:`stage_payload`) and each loop's state as one object;
-#: 6 dropped the star models from the saved engine state (a resumed
-#: engine rebuilt them) and saves the carve with its FM pop count
-#: (``RegionSet.fm_moves``); 7 dropped ``po_pad_cap`` from the saved
-#: engine state (every engine uses the module constant); 8 saves only
-#: the engine's ``period`` in place of its propagated arrival and
-#: required pairs (a resumed engine re-analyzes the saved netlist).
+#: Layout of the saved payload: the stage's pickled live objects, its
+#: loop state and the engine's ``period`` (CHANGES.md keeps the history).
 PAYLOAD_FORMAT = 8
 
 #: Share of the run an unforced save may cost: a boundary that is not
@@ -217,8 +206,8 @@ class CheckpointManager:
         payload of another format (instead of failing later on a
         missing key).  Raises :class:`CheckpointMismatchError` for a
         payload whose recorded knobs differ from ``knobs``, including a
-        knob only one side records (payloads that predate the record
-        are not checked).
+        knob only one side records; a payload without the record is a
+        :class:`CheckpointFormatError`.
         """
         try:
             with open(self.path, "rb") as handle:
@@ -240,14 +229,15 @@ class CheckpointManager:
                 f"reads {PAYLOAD_FORMAT}"
             )
         saved = payload.pop("knobs", None)
-        if saved is not None:
-            for knob in dict.fromkeys([*self.knobs, *saved]):
-                recorded = saved.get(knob, _ABSENT)
-                given = self.knobs.get(knob, _ABSENT)
-                if recorded != given:
-                    raise CheckpointMismatchError(
-                        self.path, knob, recorded, given
-                    )
+        if saved is None:
+            raise CheckpointFormatError(self.path, "records no flow knobs")
+        for knob in dict.fromkeys([*self.knobs, *saved]):
+            recorded = saved.get(knob, _ABSENT)
+            given = self.knobs.get(knob, _ABSENT)
+            if recorded != given:
+                raise CheckpointMismatchError(
+                    self.path, knob, recorded, given
+                )
         return payload
 
     def save(self, payload: dict) -> None:

@@ -4,26 +4,21 @@ The repository's headline guarantee — every incremental, batched, or
 parallel path is bit-identical to its serial reference — rests on a
 handful of invariants that used to live only in docstrings.  This
 module gives those invariants *names in the code* so the static
-analysis suite in ``tools/lint`` can enforce them (the three rule
-families are documented in ``docs/architecture.md``):
+analysis suite in ``tools/lint`` can enforce them (the rule families
+are documented in ``docs/architecture.md``):
 
 * :func:`projection_only` — the decorated callable prices candidates
   purely from cached analysis state: no reachable call (through a
   module-local call graph) may mutate the :class:`~repro.network.
   netlist.Network` or notify its listeners, i.e. call a name in
   :data:`MUTATING_NETWORK_METHODS`.
-* :func:`worker_entry` — the decorated function is the entry point of
-  a child forked by :class:`~repro.parallel.pool.EvalPool`: code
-  reachable from it must not write module-level mutable globals,
-  except at sites explicitly waived with a ``# lint: allow(
-  worker-global)`` pragma.
 * modules that declare ``__deterministic__ = True`` opt into the
   determinism lint: unsorted ``set`` iteration whose results feed
   float accumulation, ``min``/``max``/``sorted`` tie-breaking, or
   first-wins selection is flagged (the PR-2 ``PYTHONHASHSEED`` bug
   class).
 
-All markers are runtime no-ops: they only tag the object (or module)
+Both markers are runtime no-ops: they only tag the object (or module)
 for the linter and for readers.  The module imports nothing outside
 the standard library, so the linter loads it standalone.
 """
@@ -68,20 +63,5 @@ def projection_only(func: _F) -> _F:
     listener-spy tests verify it dynamically.
     """
     func.__projection_only__ = True
-    return func
-
-
-def worker_entry(func: _F) -> _F:
-    """Declare that *func* runs inside a child forked by :class:`EvalPool`.
-
-    Code reachable from a worker entry point must not write
-    module-level mutable globals: a child's writes vanish with it, so
-    any state the code means to keep would silently differ between the
-    parallel and the serial path.  ``python -m tools.lint`` walks the
-    cross-module call graph from every marked entry point and flags
-    each write; intentional caches carry a ``# lint: allow(
-    worker-global)`` waiver at the write site.
-    """
-    func.__worker_entry__ = True
     return func
 

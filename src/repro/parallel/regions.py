@@ -16,14 +16,12 @@ inline and forked selection of the same region agree move-for-move.
 
 from __future__ import annotations
 
-from ..contracts import worker_entry
 from .pool import EvalPool, merge_selections, shard_sites
 
 #: Opt-in to the determinism lint (rule D of ``python -m tools.lint``).
 __deterministic__ = True
 
 
-@worker_entry
 def _select_shard(shard, select_inline, gate, engine) -> tuple:
     """Forked-child entry: select one shard of ``(order, task)`` pairs.
 

@@ -311,46 +311,37 @@ class RapidsResult:
         return self.optimize.runtime_seconds
 
 
-def _gsg_factory(library: Library, supergates: SupergateCache):
+def _site_factory(
+    mode: str, library: Library, supergates: SupergateCache | None
+):
+    """The optimizer's sites for *mode*, re-enumerated per call.
+
+    ``gsg`` swaps over supergates, ``gs`` resizes every gate (without
+    touching *supergates*) and ``gsg_gs`` puts the swap sites first,
+    then resizes only the gates no nontrivial supergate covers.
+    """
+
     def factory(network: Network, engine: TimingEngine) -> list[Site]:
-        return swap_sites(network, engine, supergates.get())
-
-    return factory
-
-
-def _gs_factory(library: Library, supergates: SupergateCache | None):
-    """Sizing sites only; *supergates* is unused (uniform signature)."""
-
-    def factory(network: Network, engine: TimingEngine) -> list[Site]:
-        return resize_sites(network, library)
-
-    return factory
-
-
-def _gsg_gs_factory(library: Library, supergates: SupergateCache):
-    def factory(network: Network, engine: TimingEngine) -> list[Site]:
+        if mode == "gs":
+            return resize_sites(network, library)
         sgn = supergates.get()
         sites = swap_sites(network, engine, sgn)
-        nontrivial_gates = {
-            name
-            for sg in sgn.nontrivial()
-            for name in sg.covered
-        }
-        sites.extend(
-            resize_sites(
-                network,
-                library,
-                gate_filter=lambda name: name not in nontrivial_gates,
+        if mode == "gsg_gs":
+            nontrivial_gates = {
+                name
+                for sg in sgn.nontrivial()
+                for name in sg.covered
+            }
+            sites.extend(
+                resize_sites(
+                    network,
+                    library,
+                    gate_filter=lambda name: name not in nontrivial_gates,
+                )
             )
-        )
         return sites
 
     return factory
-
-
-_FACTORIES = {
-    "gsg": _gsg_factory, "gs": _gs_factory, "gsg_gs": _gsg_gs_factory,
-}
 
 
 def run_rapids(
@@ -431,7 +422,9 @@ def run_rapids(
                     network,
                     placement,
                     library,
-                    site_factory=_FACTORIES[config.mode](library, supergates),
+                    site_factory=_site_factory(
+                        config.mode, library, supergates
+                    ),
                     engine=engine,
                     mode=config.mode,
                     max_rounds=config.max_rounds,

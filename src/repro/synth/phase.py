@@ -21,6 +21,7 @@ from ..network.gatetype import (
     GateType,
     WIRE_TYPES,
     base_type,
+    complement_type,
     is_inverted,
 )
 from ..network.netlist import Network
@@ -94,9 +95,6 @@ def phase_map(network: Network) -> Network:
         _, fanin_positive = _implementation(gate.gtype, primary)
         for fanin in gate.fanins:
             demand(fanin, fanin_positive)
-        if len(demanded) == 2:
-            # secondary phase comes from an inverter on the primary net
-            pass
 
     result = Network(network.name)
     produced: dict[tuple[str, bool], str] = {}
@@ -127,8 +125,6 @@ def phase_map(network: Network) -> Network:
             result.add_gate(name, value_type, [])
             if False in demanded:
                 other = result.fresh_name(f"{name}_n")
-                from ..network.gatetype import complement_type
-
                 result.add_gate(other, complement_type(value_type), [])
                 produced[(name, False)] = other
             continue

@@ -39,7 +39,7 @@ from repro.library.cells import default_library
 from repro.network.netlist import Network
 from repro.place.placement import Placement
 from repro.place.placer import place
-from repro.rapids.engine import _gs_factory, run_rapids
+from repro.rapids.engine import _site_factory, run_rapids
 from repro.sizing.coudert import optimize
 from repro.synth.mapper import map_network
 from repro.timing.sta import TimingEngine
@@ -227,93 +227,51 @@ def test_checkpoint_of_another_format_is_refused_by_name(tmp_path):
     assert "rerun without --resume" in str(excinfo.value)
 
 
-def test_format_2_checkpoint_with_the_old_polish_stage_is_refused(tmp_path):
-    # format 2 named the mid-polish stage "wl_partition"; resuming it
-    # under today's stage names must fail by name, not run fresh
+@pytest.mark.parametrize("payload, knobs", [
+    # 2 named the mid-polish stage "wl_partition"
+    pytest.param(
+        {"format": 2, "stage": "wl_partition"}, {"wl_passes": 1},
+        id="format-2-old-polish-stage",
+    ),
+    # 3 pickled the engine's slacks, levels and critical delay
+    pytest.param(
+        {"format": 3, "stage": "optimize"}, {},
+        id="format-3-pickled-slacks",
+    ),
+    # 4 kept the optimizer's netlist inside its engine state
+    pytest.param(
+        {"format": 4, "stage": "wl", "run_state": None}, {"wl_passes": 1},
+        id="format-4-netlist-in-engine-state",
+    ),
+    # 5 pickled the engine's star models
+    pytest.param(
+        {"format": 5, "stage": "optimize"}, {},
+        id="format-5-pickled-star-models",
+    ),
+    # 6 saved the PO pad capacitance in the engine state
+    pytest.param(
+        {"format": 6, "stage": "optimize"}, {},
+        id="format-6-pad-cap-in-engine-state",
+    ),
+    # 7 pickled the engine's propagated arrival and required pairs
+    pytest.param(
+        {"format": 7, "stage": "optimize", "engine_state": None}, {},
+        id="format-7-engine-state",
+    ),
+])
+def test_checkpoint_of_an_old_format_is_refused(tmp_path, payload, knobs):
+    # resuming an old layout under today's reader must fail by name,
+    # not run fresh or hit a missing key
     path = tmp_path / "old.ckpt"
     with open(path, "wb") as handle:
-        pickle.dump({"format": 2, "stage": "wl_partition"}, handle)
+        pickle.dump(payload, handle)
     network, placement, library = _placed_design(3, num_gates=20)
-    with pytest.raises(CheckpointFormatError, match="payload format 2"):
-        run_rapids(
-            network, placement, library, mode="gs", wl_passes=1,
-            checkpoint=str(path), resume=True,
-        )
-
-
-def test_format_3_checkpoint_with_pickled_slacks_is_refused(tmp_path):
-    # format 3 pickled the engine's slacks, levels and critical delay,
-    # which format 4 rebuilds on load; an old file must fail by name
-    path = tmp_path / "old.ckpt"
-    with open(path, "wb") as handle:
-        pickle.dump({"format": 3, "stage": "optimize"}, handle)
-    network, placement, library = _placed_design(3, num_gates=20)
-    with pytest.raises(CheckpointFormatError, match="payload format 3"):
-        run_rapids(
-            network, placement, library, mode="gs",
-            checkpoint=str(path), resume=True,
-        )
-
-
-def test_format_4_checkpoint_with_the_netlist_in_the_engine_state_is_refused(
-    tmp_path,
-):
-    # format 4 kept the optimizer's netlist inside its engine state and
-    # the polish's under per-stage keys; an old file must fail by name
-    path = tmp_path / "old.ckpt"
-    with open(path, "wb") as handle:
-        pickle.dump({"format": 4, "stage": "wl", "run_state": None}, handle)
-    network, placement, library = _placed_design(3, num_gates=20)
-    with pytest.raises(CheckpointFormatError, match="payload format 4"):
-        run_rapids(
-            network, placement, library, mode="gs", wl_passes=1,
-            checkpoint=str(path), resume=True,
-        )
-
-
-def test_format_5_checkpoint_with_pickled_star_models_is_refused(tmp_path):
-    # format 5 pickled the engine's star models and the carve without
-    # its FM pop count; an old file must fail by name
-    path = tmp_path / "old.ckpt"
-    with open(path, "wb") as handle:
-        pickle.dump({"format": 5, "stage": "optimize"}, handle)
-    network, placement, library = _placed_design(3, num_gates=20)
-    with pytest.raises(CheckpointFormatError, match="payload format 5"):
+    with pytest.raises(
+        CheckpointFormatError, match=f"payload format {payload['format']}"
+    ):
         run_rapids(
             network, placement, library, mode="gs",
-            checkpoint=str(path), resume=True,
-        )
-
-
-def test_format_6_checkpoint_with_a_pad_cap_in_the_engine_state_is_refused(
-    tmp_path
-):
-    # format 6 saved the PO pad capacitance in the engine's EvalState,
-    # which format 7 dropped; an old file must fail by name
-    path = tmp_path / "old.ckpt"
-    with open(path, "wb") as handle:
-        pickle.dump({"format": 6, "stage": "optimize"}, handle)
-    network, placement, library = _placed_design(3, num_gates=20)
-    with pytest.raises(CheckpointFormatError, match="payload format 6"):
-        run_rapids(
-            network, placement, library, mode="gs",
-            checkpoint=str(path), resume=True,
-        )
-
-
-def test_format_7_checkpoint_with_an_engine_state_is_refused(tmp_path):
-    # format 7 pickled the engine's propagated arrival and required
-    # pairs, which format 8 re-analyzes on resume; an old file must
-    # fail by name
-    path = tmp_path / "old.ckpt"
-    with open(path, "wb") as handle:
-        pickle.dump({"format": 7, "stage": "optimize",
-                     "engine_state": None}, handle)
-    network, placement, library = _placed_design(3, num_gates=20)
-    with pytest.raises(CheckpointFormatError, match="payload format 7"):
-        run_rapids(
-            network, placement, library, mode="gs",
-            checkpoint=str(path), resume=True,
+            checkpoint=str(path), resume=True, **knobs,
         )
 
 
@@ -366,7 +324,7 @@ def test_optimize_interrupted_and_resumed_matches_uninterrupted(
     tmp_path, monkeypatch
 ):
     network, placement, library = _placed_design(13, num_gates=60)
-    factory = _gs_factory(library, None)
+    factory = _site_factory("gs", library, None)
     plain_net, plain_pl = network.copy(), placement.copy()
     plain = optimize(
         plain_net, plain_pl, library, factory,
@@ -691,6 +649,15 @@ def test_resume_under_different_knobs_is_refused_by_name(
     with open(extra, "wb") as handle:
         pickle.dump(payload, handle)
     with pytest.raises(CheckpointMismatchError, match="no wl_passes knob"):
+        run_rapids(
+            network.copy(), placement.copy(), library, mode="gs",
+            max_rounds=3, wl_passes=2, checkpoint=extra, resume=True,
+        )
+    # a payload without the record cannot show its knobs: refused too
+    del payload["knobs"]
+    with open(extra, "wb") as handle:
+        pickle.dump(payload, handle)
+    with pytest.raises(CheckpointFormatError, match="records no flow knobs"):
         run_rapids(
             network.copy(), placement.copy(), library, mode="gs",
             max_rounds=3, wl_passes=2, checkpoint=extra, resume=True,

@@ -94,29 +94,11 @@ class TestDeterminismRule:
             scratch.unlink()
 
 
-# --------------------------------------------------------- worker-global
-
-
-class TestWorkerGlobalRule:
-    def test_bad_fixture_caught(self):
-        findings = lint("worker_bad.py")
-        assert rules_of(findings) == {"worker-global"}
-        messages = "\n".join(f.message for f in findings)
-        # direct write in the entry, plus both transitive classes
-        assert "writes into module global 'RESULT_CACHE'" in messages
-        assert "rebinds module global 'COUNTER'" in messages
-        assert "mutates module global 'SEEN' via .add()" in messages
-
-    def test_clean_fixture_passes(self):
-        # locals/params are fine; the waiver pragma silences BASELINES
-        assert lint("worker_clean.py") == []
-
-
 # ------------------------------------------------------------ rule scope
 
 
 def test_rules_flag_restricts_families():
-    findings = lint("det_bad.py", "worker_bad.py", rules=["determinism"])
+    findings = lint("det_bad.py", "purity_bad.py", rules=["determinism"])
     assert findings and rules_of(findings) == {"determinism"}
 
 
@@ -136,10 +118,10 @@ def test_repo_lints_clean():
 
 
 def test_cli_exits_nonzero_on_findings(capsys):
-    rc = lint_main([str(FIXTURES / "worker_bad.py")])
+    rc = lint_main([str(FIXTURES / "purity_bad.py")])
     assert rc == 1
     captured = capsys.readouterr()
-    assert "[worker-global]" in captured.err
+    assert "[purity]" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -228,12 +210,6 @@ def test_repo_projection_only_surfaces_are_marked():
         WirelengthEngine.rebind_delta,
     ):
         assert getattr(fn, "__projection_only__", False), fn.__qualname__
-
-
-def test_repo_worker_entry_is_marked():
-    from repro.parallel.regions import _select_shard
-
-    assert getattr(_select_shard, "__worker_entry__", False)
 
 
 def test_every_listener_reads_every_change_field():

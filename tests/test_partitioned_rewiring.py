@@ -15,13 +15,19 @@ The pipeline's contracts, each pinned by a property test:
   workers (forked children select against the round-frozen engines
   they inherit; commits are serial in region order), and a child that
   dies or raises costs an inline re-selection, never a different
-  answer.
+  answer;
+* **fork safety** — a forked child leaves every ``repro`` module
+  global as it found it (audited inside the children themselves,
+  since a child's writes vanish with it and no static walk follows
+  the selector closure it runs).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
+from collections.abc import Mapping, Sequence, Set
 
 import pytest
 from helpers import random_network
@@ -30,9 +36,12 @@ from repro.library.cells import default_library
 from repro.parallel import regions as region_selection
 from repro.place.placer import place
 from repro.place.regions import carve_regions
+from repro.rapids import partition
+from repro.rapids.engine import SUPERGATE_STORE
 from repro.rapids.partition import reduce_wirelength_partitioned
 from repro.rapids.wirelength import reduce_wirelength
 from repro.suite.flow import FlowConfig, trajectory_fingerprint
+from repro.suite.registry import PAPER_AVERAGES
 from repro.synth.mapper import map_network
 from repro.timing.sta import TimingEngine
 from repro.verify.equiv import networks_equivalent
@@ -204,6 +213,120 @@ def test_remote_selection_actually_runs():
     assert result.workers == 2
     assert result.parallel_rounds > 0
     assert result.fallback_reason is None
+
+
+def _state(value, nested: bool = False) -> tuple:
+    """A module global plus a copy of what an in-place write changes.
+
+    Containers carry their content; an instance of a ``repro`` class
+    carries its attribute dict, one level deep.  Anything else is
+    compared by identity only, which catches rebinding.
+    """
+    if isinstance(value, Mapping):
+        content = list(value.items())
+    elif isinstance(value, Set):
+        content = set(value)
+    elif isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
+        content = list(value)
+    elif (
+        not nested
+        and type(value).__module__.startswith("repro.")
+        and hasattr(value, "__dict__")
+    ):
+        content = {
+            name: _state(attr, nested=True)
+            for name, attr in vars(value).items()
+        }
+    else:
+        content = None
+    return value, content
+
+
+def _module_state() -> dict:
+    """``(module, name) -> _state`` for every loaded ``repro`` global."""
+    return {
+        (modname, name): _state(value)
+        for modname, module in list(sys.modules.items())
+        if modname.startswith("repro.") and module is not None
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+    }
+
+
+def _audited_select_shard(*args):
+    """The real shard, inside the forked child, fenced by a state audit.
+
+    A child's writes vanish with it, so a worker that writes module
+    state would walk another trajectory than the serial run.  Raising
+    here turns such a write into the pool's ``fallback_reason``.
+    """
+    before = _module_state()
+    packed = _REAL_SELECT_SHARD(*args)
+    after = _module_state()
+    written = sorted(
+        key for key in before.keys() | after.keys()
+        if key not in before or key not in after
+        or before[key][0] is not after[key][0]
+        or before[key][1] != after[key][1]
+    )
+    if written:
+        raise RuntimeError(f"child wrote module state: {written}")
+    return packed
+
+
+_REAL_SELECT_SHARD = region_selection._select_shard
+
+
+def _store_hit():
+    SUPERGATE_STORE.hits += 1
+
+
+def _registry_write():
+    PAPER_AVERAGES["audit"] += 1
+
+
+@pytest.mark.parametrize("plant, written", [
+    pytest.param(None, None, id="clean"),
+    pytest.param(
+        _store_hit, "('repro.rapids.engine', 'SUPERGATE_STORE')",
+        id="planted-store-hit",
+    ),
+    pytest.param(
+        _registry_write, "('repro.suite.registry', 'PAPER_AVERAGES')",
+        id="planted-dict-write",
+    ),
+])
+def test_forked_children_leave_module_state_alone(
+    plant, written, monkeypatch
+):
+    """Timing-aware children score HPWL and project slacks without
+    writing any module global; a planted write is caught by name."""
+    monkeypatch.setattr(
+        region_selection, "_select_shard", _audited_select_shard
+    )
+    if plant is not None:
+        monkeypatch.setattr(SUPERGATE_STORE, "hits", SUPERGATE_STORE.hits)
+        monkeypatch.setitem(PAPER_AVERAGES, "audit", 0)
+        real_select_batch = partition._select_batch
+
+        def planted(*args):
+            plant()
+            return real_select_batch(*args)
+
+        monkeypatch.setattr(partition, "_select_batch", planted)
+    network, placement, library = _prepared(31, num_gates=200)
+    engine = TimingEngine(network, placement, library)
+    engine.analyze()
+    result = reduce_wirelength_partitioned(
+        network, placement, max_gates=50, max_passes=2,
+        timing_engine=engine, slack_margin=0.0, workers=2,
+        library=library,
+    )
+    assert result.parallel_rounds > 0
+    if written is None:
+        assert result.fallback_reason is None
+    else:
+        assert written in result.fallback_reason
 
 
 # ----------------------------------------------------------------------

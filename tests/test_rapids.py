@@ -205,12 +205,12 @@ def test_supergate_cache_sees_class_changing_folds(library):
 
 def test_combined_mode_superset_of_sites(library):
     """gsg+GS must expose sizing for trivially-covered gates."""
-    from repro.rapids.engine import SupergateCache, _gsg_gs_factory
+    from repro.rapids.engine import SupergateCache, _site_factory
 
     net, placement = prepared(19, library)
     engine = TimingEngine(net, placement, library)
     engine.analyze()
-    sites = _gsg_gs_factory(library, SupergateCache(net))(net, engine)
+    sites = _site_factory("gsg_gs", library, SupergateCache(net))(net, engine)
     kinds = {site.key.split(":")[0] for site in sites}
     assert "gate" in kinds  # sizing sites exist
     sgn = extract_supergates(net)

@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m tools.lint``.
 
-Runs the three contract rule families over ``src/repro`` (or explicit
+Runs the two contract rule families over ``src/repro`` (or explicit
 paths) plus the generated-docs drift check, prints every finding as
 ``path:line: [rule] message``, and exits 1 when anything is found —
 the CI ``static-analysis`` job runs exactly this.  An unknown rule
@@ -13,8 +13,7 @@ Modes:
   CLI knobs table from the config's knob fields and exit;
 * ``python -m tools.lint path.py ...`` — lint specific files only
   (used by the fixture tests; the docs check is skipped);
-* ``--rules purity,determinism,worker-global,docs`` — restrict the
-  rule families.
+* ``--rules purity,determinism,docs`` — restrict the rule families.
 """
 
 from __future__ import annotations
@@ -23,14 +22,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import determinism, docs_sync, purity, worker_safety
-from .core import Finding, Project
+from . import determinism, docs_sync, purity
+from .core import Finding, load_modules
 
-#: rule name -> checker(project) -> findings
+#: rule name -> checker(modules) -> findings
 RULES = {
     "purity": purity.check,
     "determinism": determinism.check,
-    "worker-global": worker_safety.check,
 }
 
 
@@ -40,12 +38,12 @@ def run_lint(
     include_docs: bool = True,
 ) -> list[Finding]:
     """All findings over *paths* (``None`` = the whole src tree)."""
-    project = Project.load(paths)
+    modules = load_modules(paths)
     findings: list[Finding] = []
     for name, checker in RULES.items():
         if rules is not None and name not in rules:
             continue
-        findings.extend(checker(project))
+        findings.extend(checker(modules))
     if include_docs and (rules is None or "docs" in rules):
         findings.extend(docs_sync.check())
     findings.sort(key=lambda f: (str(f.path), f.line, f.rule, f.message))
@@ -56,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.lint",
         description="AST-enforced contract linter (purity, "
-        "determinism, worker safety, generated docs).",
+        "determinism, generated docs).",
     )
     parser.add_argument(
         "paths",

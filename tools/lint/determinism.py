@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import ast
 
-from .core import Finding, Module, Project
+from .core import Finding, Module
 
 RULE = "determinism"
 
@@ -289,9 +289,9 @@ class _FunctionChecker:
                     )
 
 
-def check(project: Project) -> list[Finding]:
+def check(modules: list[Module]) -> list[Finding]:
     findings: list[Finding] = []
-    for module in project.modules:
+    for module in modules:
         if not is_marked(module):
             continue
         # map each function to the set-annotated attrs of its class

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 
-from .core import Finding, Module, Project, decorator_names, load_contracts
+from .core import Finding, Module, decorator_names, load_contracts
 
 RULE = "purity"
 
@@ -101,9 +101,9 @@ def _walk_function(
                 )
 
 
-def check(project: Project) -> list[Finding]:
+def check(modules: list[Module]) -> list[Finding]:
     findings: list[Finding] = []
-    for module in project.modules:
+    for module in modules:
         module_funcs: dict[str, ast.FunctionDef] = {}
         class_methods: dict[str, dict[str, ast.FunctionDef]] = {}
         marked: list[tuple[ast.FunctionDef, str | None]] = []
