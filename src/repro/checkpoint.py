@@ -53,7 +53,7 @@ CHECKPOINT_EXIT_CODE = 75
 
 #: Layout of the saved payload: the stage's pickled live objects, its
 #: loop state and the engine's ``period`` (CHANGES.md keeps the history).
-PAYLOAD_FORMAT = 8
+PAYLOAD_FORMAT = 9
 
 #: Share of the run an unforced save may cost: a boundary that is not
 #: forced saves only once the time since the last save ended reaches

@@ -31,7 +31,9 @@ just *that* something changed: every mutating method therefore hands
 subscribed listeners (held weakly, so a forgotten engine never leaks)
 one immutable :class:`Change` record saying which pins moved between
 nets, which gates came or went, which were rewritten and which were
-rebound to another cell — never which method ran.  A mutation
+rebound to another cell — never which method ran.  A mutator updates
+the indexes before it hands listeners the change, so a listener reads
+the post-change fanout while it handles it.  A mutation
 performed outside these methods still bumps the version through
 :meth:`Network._touch`, which then delivers a ``whole`` change —
 listeners treat it as a full invalidation, so bypassing the typed
@@ -106,19 +108,23 @@ class NetworkListener(Protocol):
 
     A listener receives one :class:`Change` per mutation and must act
     on every field of it; ``change.whole`` means all cached state
-    derived from the network is stale.
+    derived from the network is stale.  The network's fanout and
+    primary-output indexes already describe the mutated network when
+    the change arrives.
     """
 
     def notify_network_event(self, change: Change) -> None: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class Gate:
     """A single-output logic gate.
 
     ``fanins`` holds *net names* in pin order; the out-pin net carries
     the gate's own name.  ``cell`` names the bound library cell once the
     network is technology-mapped (``None`` for a generic logic network).
+    Slotted (no per-instance dict): a run keeps one per gate in each of
+    its two or three netlist copies.
     """
 
     name: str

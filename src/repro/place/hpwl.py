@@ -34,7 +34,12 @@ Freshness follows the change contract (see ``docs/architecture.md``):
 the engine subscribes to the network; rebound pins (``swap_fanins`` /
 ``replace_fanin``) are folded in incrementally (the two affected nets'
 extrema are rebuilt from their terminal lists), structural mutations
-mark the whole flattening stale for lazy rebuild.  Cell moves made
+mark the whole flattening stale for lazy rebuild.  The engine keeps no
+copy of the net -> sink structure: a net's sinks are read from the
+network's own fanout index (:meth:`Network.fanout`), which every
+mutator updates before it hands listeners the change.  Terminal order
+cannot change a value, because every extremum and every box is a
+selection.  Cell moves made
 behind the engine's back (anything but
 :meth:`~WirelengthEngine.swap_cells`) need an explicit
 :meth:`~WirelengthEngine.rebuild`.
@@ -67,16 +72,15 @@ class WirelengthEngine:
         self._needs_rebuild = True
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
-        self._sink_pins: list[set[Pin]] = []
         #: per net: the driving gate (``None`` for an input-driven net)
         self._driver: list[str | None] = []
         #: per net: the pads on it (input pad first, then PO pads)
-        self._fixed: list[list[tuple[float, float]]] = []
+        self._fixed: list[tuple[tuple[float, float], ...]] = []
         self._loc: dict[str, tuple[float, float]] = {}
         self._hpwl: list[float] = []
         # per-net, per-axis second-extrema rows:
-        # [min1, min2, min_count, max1, max2, max_count] for x then y
-        self._ext: list[list[float]] = []
+        # (min1, min2, min_count, max1, max2, max_count) for x then y
+        self._ext: list[tuple] = []
         network.subscribe(self)
 
     # ------------------------------------------------------------------
@@ -103,8 +107,6 @@ class WirelengthEngine:
         if old_id is None or new_id is None or pin.gate not in self._loc:
             self._needs_rebuild = True
             return
-        self._sink_pins[old_id].discard(pin)
-        self._sink_pins[new_id].add(pin)
         self._recompute_net(old_id)
         self._recompute_net(new_id)
 
@@ -127,13 +129,11 @@ class WirelengthEngine:
         ids = self._ids = {net: index for index, net in enumerate(names)}
         self._driver = [None] * len(inputs) + names[len(inputs):]
         # pads per net: the input pad first, then PO pads in slot order
-        self._fixed = [[placement.input_pads[net]] for net in inputs] + [
-            [] for _ in range(len(names) - len(inputs))
-        ]
+        fixed = self._fixed = [
+            (placement.input_pads[net],) for net in inputs
+        ] + [()] * (len(names) - len(inputs))
         for slot, net in enumerate(network.outputs):
-            self._fixed[ids[net]].append(placement.output_pads[slot])
-        fanout = network.fanout
-        self._sink_pins = [set(fanout(net)) for net in names]
+            fixed[ids[net]] += (placement.output_pads[slot],)
         self._needs_rebuild = False
         self._ext = [_extrema_row(self._points(index))
                      for index in range(len(names))]
@@ -146,8 +146,9 @@ class WirelengthEngine:
     ) -> list[tuple[float, float]]:
         """Terminal coordinates of one net: pads, driver, then sinks.
 
-        *loc* overrides the cached cell locations; sink pins in *moved*
-        are left out.
+        Sinks come from the network's own fanout index, which its
+        mutators update before listeners run.  *loc* overrides the
+        cached cell locations; sink pins in *moved* are left out.
         """
         if loc is None:
             loc = self._loc
@@ -155,7 +156,7 @@ class WirelengthEngine:
         driver = self._driver[index]
         if driver is not None:
             points.append(loc[driver])
-        for pin in self._sink_pins[index]:
+        for pin in self.network.fanout(self._names[index]):
             if pin not in moved:
                 points.append(loc[pin.gate])
         return points
@@ -308,15 +309,16 @@ class WirelengthEngine:
         return {network.fanin_net(pin) for pin in pins}
 
 
-def _extrema_row(points: list[tuple[float, float]]) -> list[float]:
-    """[min1, min2, cnt_min, max1, max2, cnt_max] for x then y.
+def _extrema_row(points: list[tuple[float, float]]) -> tuple:
+    """(min1, min2, cnt_min, max1, max2, cnt_max) for x then y.
 
     ``min2``/``max2`` are the extremum left after removing one copy of
     ``min1``/``max1``: ``min1`` itself when it is duplicated, ``+-inf``
     on a one-terminal net.  One pass per axis keeps each extremum, its
-    count and the strict runner-up; every value is a selection.
+    count (an ``int``) and the strict runner-up; every value is a
+    selection.
     """
-    row: list[float] = []
+    row: tuple = ()
     for axis in (0, 1):
         low = low2 = _INF
         high = high2 = -_INF
@@ -336,15 +338,15 @@ def _extrema_row(points: list[tuple[float, float]]) -> list[float]:
             elif value > high2:
                 high2 = value
         row += (
-            low, low if cnt_low > 1 else low2, float(cnt_low),
-            high, high if cnt_high > 1 else high2, float(cnt_high),
+            low, low if cnt_low > 1 else low2, cnt_low,
+            high, high if cnt_high > 1 else high2, cnt_high,
         )
     return row
 
 
 def _axis_after(
-    min1: float, min2: float, cnt_min: float,
-    max1: float, max2: float, cnt_max: float,
+    min1: float, min2: float, cnt_min: int,
+    max1: float, max2: float, cnt_max: int,
     removed: float, added: float,
 ) -> float:
     """Exact axis extent after removing one terminal and adding another."""

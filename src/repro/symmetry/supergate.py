@@ -19,7 +19,7 @@ paper's Section 3 headline claim, benchmarked in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..network.gatetype import (
     CONST_TYPES,
@@ -43,7 +43,12 @@ class SgClass(enum.Enum):
     CONST = "const"
 
 
-@dataclass(frozen=True)
+#: The ``parent_pin`` of every supergate covering one gate: shared, so
+#: never written (supergates are immutable after extraction).
+_NO_PARENTS: dict[str, Pin] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class SgLeaf:
     """A fanin leaf of a supergate.
 
@@ -60,7 +65,7 @@ class SgLeaf:
     depth: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Supergate:
     """One generalized implication supergate.
 
@@ -71,7 +76,10 @@ class Supergate:
     in-pin of every covered gate to its implied value; ``leaves`` is the
     boundary subset.  ``parent_pin`` records, for each covered non-root
     gate, the in-pin its output feeds — the tree edge used to compute
-    root paths for the proper-containment test of Lemma 6.
+    root paths for the proper-containment test of Lemma 6; every
+    supergate covering one gate shares one empty ``parent_pin``.
+    Supergates and their leaves are slotted: an extraction holds one
+    supergate per root and one leaf per boundary pin.
     """
 
     root: str
@@ -80,7 +88,7 @@ class Supergate:
     covered: list[str]
     leaves: list[SgLeaf]
     pin_values: dict[Pin, int | None]
-    parent_pin: dict[str, Pin] = field(default_factory=dict)
+    parent_pin: dict[str, Pin]
 
     @property
     def is_trivial(self) -> bool:
@@ -210,6 +218,7 @@ def grow_supergate(network: Network, root: str) -> Supergate:
             covered=[root],
             leaves=[],
             pin_values={},
+            parent_pin=_NO_PARENTS,
         )
     covered = [root]
     parent_pin: dict[str, Pin] = {}
@@ -273,7 +282,7 @@ def _wire_supergate(
         covered=list(chain),
         leaves=[leaf],
         pin_values=pin_values,
-        parent_pin=parent_pin,
+        parent_pin=parent_pin or _NO_PARENTS,
     )
 
 
@@ -330,7 +339,7 @@ def _grow_andor(
         covered=covered,
         leaves=leaves,
         pin_values=pin_values,
-        parent_pin=parent_pin,
+        parent_pin=parent_pin or _NO_PARENTS,
     )
 
 
@@ -384,5 +393,5 @@ def _grow_xor(
         covered=covered,
         leaves=leaves,
         pin_values=pin_values,
-        parent_pin=parent_pin,
+        parent_pin=parent_pin or _NO_PARENTS,
     )

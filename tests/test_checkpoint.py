@@ -13,6 +13,7 @@ fingerprint.
 
 from __future__ import annotations
 
+import copyreg
 import json
 import os
 import pickle
@@ -36,7 +37,7 @@ from repro.checkpoint import (
     stage_payload,
 )
 from repro.library.cells import default_library
-from repro.network.netlist import Network
+from repro.network.netlist import Gate, Network
 from repro.place.placement import Placement
 from repro.place.placer import place
 from repro.rapids.engine import _site_factory, run_rapids
@@ -258,6 +259,11 @@ def test_checkpoint_of_another_format_is_refused_by_name(tmp_path):
         {"format": 7, "stage": "optimize", "engine_state": None}, {},
         id="format-7-engine-state",
     ),
+    # 8 pickled gates with a per-instance __dict__
+    pytest.param(
+        {"format": 8, "stage": "optimize", "period": None}, {},
+        id="format-8-dict-state-gates",
+    ),
 ])
 def test_checkpoint_of_an_old_format_is_refused(tmp_path, payload, knobs):
     # resuming an old layout under today's reader must fail by name,
@@ -273,6 +279,42 @@ def test_checkpoint_of_an_old_format_is_refused(tmp_path, payload, knobs):
             network, placement, library, mode="gs",
             checkpoint=str(path), resume=True, **knobs,
         )
+
+
+class _DictStateGate:
+    """Pickles byte for byte as a format-8 ``Gate``, whose instances
+    carried a ``__dict__``: the class by reference plus that dict."""
+
+    def __init__(self, gate: Gate) -> None:
+        self.state = {
+            "name": gate.name, "gtype": gate.gtype,
+            "fanins": list(gate.fanins), "cell": gate.cell,
+        }
+
+    @property
+    def __class__(self):  # the pickler checks the reduced object's class
+        return Gate
+
+    def __reduce_ex__(self, protocol):
+        return copyreg.__newobj__, (Gate,), self.state
+
+
+def test_checkpoint_with_dict_state_gates_is_refused_as_unreadable(tmp_path):
+    # slotted gates cannot take a format-8 payload's dict state: the
+    # refusal names the file instead of escaping as an AttributeError
+    network, placement, _ = _placed_design(3, num_gates=20)
+    network._gates = {
+        name: _DictStateGate(gate) for name, gate in network._gates.items()
+    }
+    path = tmp_path / "format8.ckpt"
+    with open(path, "wb") as handle:
+        pickle.dump({
+            **stage_payload(network, placement), "stage": "optimize",
+            "format": 8, "knobs": {},
+        }, handle)
+    with pytest.raises(CheckpointFormatError, match="is unreadable") as excinfo:
+        CheckpointManager(str(path)).load()
+    assert str(path) in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------

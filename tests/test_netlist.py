@@ -4,6 +4,10 @@ import pytest
 
 from repro.network.gatetype import GateType
 from repro.network.netlist import Network, NetworkError, Pin
+from repro.place.placement import grid_placement
+from repro.symmetry.supergate import extract_supergates
+from repro.synth.mapper import map_network
+from repro.timing.netmodel import build_star
 
 from helpers import random_network
 
@@ -151,3 +155,25 @@ def test_random_networks_are_deterministic():
     two = random_network(7)
     assert list(one.gate_names()) == list(two.gate_names())
     assert [g.fanins for g in one.gates()] == [g.fanins for g in two.gates()]
+
+
+def test_per_gate_records_have_no_instance_dict(library):
+    # a run keeps one of these per gate, net, root or pin, tens of
+    # thousands at scale: slotted records carry no per-instance dict
+    net = random_network(5, num_gates=30, num_outputs=3)
+    map_network(net, library)
+    placement = grid_placement(net)
+    supergates = list(extract_supergates(net).supergates.values())
+    star = next(
+        build_star(net, placement, library, name)
+        for name in net.gate_names() if net.fanout(name)
+    )
+    records = {
+        "Gate": next(net.gates()),
+        "Supergate": supergates[0],
+        "SgLeaf": next(leaf for sg in supergates for leaf in sg.leaves),
+        "StarNet": star,
+        "StarSink": star.sinks[0],
+    }
+    for kind, record in records.items():
+        assert not hasattr(record, "__dict__"), kind

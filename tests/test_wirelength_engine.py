@@ -7,6 +7,9 @@ Locks the PR-4 contracts:
 * ``rebuild``'s one-pass extrema rows equal the definition (min, max,
   their counts, the runner-up after removing one copy) row for row,
   on annealed and grid placements;
+* after random ``replace_fanin``/``swap_fanins`` rebindings every
+  folded-in row equals a fresh ``rebuild`` (the engine reads sinks
+  from the network's fanout index while it handles a change);
 * structural mutations invalidate the flattening (engine notices);
 * candidate pricing hands listeners **zero** changes (listener spy);
 * batch deltas are bit-identical to scalar and to the interpreted
@@ -100,8 +103,9 @@ INF = float("inf")
 
 
 def _defined_extrema_row(points):
-    """The second-extrema row straight from its definition."""
-    row = []
+    """The second-extrema row straight from its definition (a tuple
+    with ``int`` counts, the engine's representation)."""
+    row = ()
     for axis in (0, 1):
         values = [point[axis] for point in points]
         low, high = min(values), max(values)
@@ -112,7 +116,7 @@ def _defined_extrema_row(points):
         high2 = high if cnt_high > 1 else max(
             [value for value in values if value != high], default=-INF
         )
-        row += [low, low2, float(cnt_low), high, high2, float(cnt_high)]
+        row += (low, low2, cnt_low, high, high2, cnt_high)
     return row
 
 
@@ -133,6 +137,9 @@ def test_rebuild_rows_equal_scalar_extrema(seed, library):
             row = _defined_extrema_row(points)
             context = (seed, label, name)
             assert engine._ext[index] == row, context
+            assert list(map(type, engine._ext[index])) == list(
+                map(type, row)
+            ), context
             assert engine._hpwl[index] == (
                 (row[3] - row[0]) + (row[9] - row[6])
             ), context
@@ -147,6 +154,45 @@ def test_rebuild_rows_equal_scalar_extrema(seed, library):
             assert seen == {
                 "one-terminal", "po-pad", "duplicate-extremum"
             }, context
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_rebound_rows_equal_a_fresh_rebuild(seed, library):
+    """After random ``replace_fanin``/``swap_fanins`` rebindings every
+    extrema row and HPWL the live engine folded in equals a fresh
+    ``rebuild`` on the same network.  The engine reads sinks from the
+    network's fanout index while it handles the change, so this fails
+    if the network ever hands listeners a change before it updates the
+    index."""
+    net, placement = prepared(seed, library)
+    engine = WirelengthEngine(net, placement)
+    engine.rebuild()
+    rng = random.Random(seed)
+    # rebind only to nets earlier in one fixed topological order, so
+    # the network stays acyclic
+    order = {name: rank for rank, name in enumerate(net.topo_order())}
+    rank = {**dict.fromkeys(net.inputs, -1), **order}
+    pins = [Pin(g.name, i) for g in net.gates() for i in range(g.arity())]
+    rebound = 0
+    for _ in range(60):
+        pin = rng.choice(pins)
+        if rng.random() < 0.5:
+            earlier = [n for n in rank if rank[n] < order[pin.gate]]
+            net.replace_fanin(pin, rng.choice(earlier))
+        else:
+            other = rng.choice(pins)
+            nets = (net.fanin_net(pin), net.fanin_net(other))
+            if max(map(rank.get, nets)) >= min(order[pin.gate], order[other.gate]):
+                continue
+            net.swap_fanins(pin, other)
+        rebound += 1
+        fresh = WirelengthEngine(net, placement)
+        fresh.rebuild()
+        assert engine._ext == fresh._ext, (seed, rebound)
+        assert engine._hpwl == fresh._hpwl, (seed, rebound)
+    assert rebound >= 40, seed
+    # every rebinding was folded in incrementally, never by a rebuild
+    assert engine.rebuilds == 1 and not engine._needs_rebuild
 
 
 def test_structural_mutation_invalidates(library):
