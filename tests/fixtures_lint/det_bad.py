@@ -9,6 +9,9 @@ rule is regression-locked against the bug class it was built for:
   unsorted fanin set;
 * ``bounded_swaps`` — ``rapids.wirelength._bounded_swaps``: min()
   selection whose key cannot break ties, falling back to set order.
+
+``listed_sum`` shows that ``list(...)`` keeps set order: only
+``sorted(...)`` launders it.
 """
 
 __deterministic__ = True
@@ -25,6 +28,13 @@ def resize_gain(gate, cap):
     total = 0.0
     for fanin in set(gate.fanins):  # dedup, then hash-order sum
         total += cap[fanin]
+    return total
+
+
+def listed_sum(weights: set):
+    total = 0.0
+    for weight in list(weights):  # a list copy keeps hash order
+        total += weight
     return total
 
 

@@ -1,11 +1,9 @@
 """Shared infrastructure for the contract linter.
 
 The linter is purely static: target modules are parsed with
-:mod:`ast`, never imported.  The two exceptions have no third-party
-dependencies: the contract markers :mod:`repro.contracts`, whose
-``MUTATING_NETWORK_METHODS`` the purity rule checks against, and the
-knob declarations :mod:`repro.config`, which render README's CLI
-table.
+:mod:`ast`, never imported.  The one exception has no third-party
+dependencies: the knob declarations :mod:`repro.config`, which render
+README's CLI table.
 
 This module provides:
 
@@ -50,11 +48,6 @@ def _load_standalone(name: str, relative: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
-
-
-def load_contracts():
-    """The :mod:`repro.contracts` markers, loaded standalone."""
-    return _load_standalone("_tools_lint_contracts", "contracts.py")
 
 
 def load_config():
@@ -111,14 +104,3 @@ def load_modules(paths: list[Path] | None = None) -> list[Module]:
         paths = sorted((SRC / "repro").rglob("*.py"))
     return [Module(path) for path in paths]
 
-
-def decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Bare names of a function's decorators (``a.b.c`` -> ``c``)."""
-    names: set[str] = set()
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Name):
-            names.add(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.add(target.attr)
-    return names

@@ -16,11 +16,13 @@ What counts as **unordered** (tracked per function, syntactically):
 * names assigned from the above inside the same function;
 * names/attributes *annotated* ``set[...]`` / ``frozenset[...]`` —
   including ``self.attr`` annotations collected from the enclosing
-  class (so long-lived dirty-sets are covered).
+  class (so long-lived dirty-sets are covered);
+* ``list(U)``, ``tuple(U)``, ``enumerate(U)``, ``iter(U)`` and
+  ``reversed(U)`` of an unordered ``U``: they keep its set order.
 
-``sorted(...)`` / ``list(...)`` / ``tuple(...)`` launder an unordered
-value into a deterministic one (dict iteration is insertion-ordered in
-modern Python and is *not* flagged).
+Only ``sorted(...)`` launders an unordered value into a deterministic
+one (dict iteration is insertion-ordered in modern Python and is
+*not* flagged).
 
 The flagged sinks:
 
@@ -55,7 +57,8 @@ _SET_METHODS = frozenset({
     "copy",
 })
 _SET_BINOPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-_LAUNDERING = frozenset({"sorted", "list", "tuple", "len", "bool", "any", "all"})
+#: calls whose result iterates in their argument's order
+_ORDER_KEEPING = frozenset({"list", "tuple", "enumerate", "iter", "reversed"})
 
 
 def is_marked(module: Module) -> bool:
@@ -136,8 +139,8 @@ class _FunctionChecker:
             if isinstance(func, ast.Name):
                 if func.id in ("set", "frozenset"):
                     return True
-                if func.id in _LAUNDERING:
-                    return False
+                if func.id in _ORDER_KEEPING:
+                    return any(self.is_unordered(arg) for arg in node.args)
                 return False
             if isinstance(func, ast.Attribute):
                 if func.attr in _SET_METHODS:
@@ -175,17 +178,6 @@ class _FunctionChecker:
     # ------------------------------------------------------------------
     # sinks
     # ------------------------------------------------------------------
-    def _iterates_unordered(self, iter_expr: ast.expr) -> bool:
-        if self.is_unordered(iter_expr):
-            return True
-        if isinstance(iter_expr, ast.Call) and isinstance(
-            iter_expr.func, ast.Name
-        ):
-            # enumerate(U) / iter(U) / reversed(U) keep the hazard
-            if iter_expr.func.id in ("enumerate", "iter", "reversed"):
-                return any(self.is_unordered(a) for a in iter_expr.args)
-        return False
-
     def _arg_is_unordered_iteration(self, node: ast.Call) -> bool:
         if not node.args:
             return False
@@ -251,7 +243,7 @@ class _FunctionChecker:
                             "tuple (key=lambda x: (score(x), x))",
                         )
             elif isinstance(node, ast.For):
-                if not self._iterates_unordered(node.iter):
+                if not self.is_unordered(node.iter):
                     continue
                 self._check_loop_body(node)
         return self.findings
