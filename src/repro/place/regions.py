@@ -37,11 +37,6 @@ from ..network.netlist import Network
 from .fm import bipartition
 from .placement import Placement
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
-#: carve order, geometric medians and tie-breaks must never follow
-#: set-iteration (= PYTHONHASHSEED) order.
-__deterministic__ = True
-
 
 @dataclass(frozen=True)
 class Region:

@@ -21,11 +21,6 @@ from ..symmetry.supergate import Supergate, SupergateNetwork
 from ..symmetry.swap import PinSwap, apply_swap, enumerate_swaps
 from ..timing.sta import Gains, TimingEngine
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
-#: this module's float accumulations and tie-breaks must never follow
-#: set-iteration (= PYTHONHASHSEED) order.
-__deterministic__ = True
-
 #: Per-supergate cap on evaluated swap candidates; beyond this, pairs
 #: are restricted to the most timing-critical pins.
 MAX_MOVES_PER_SITE = 80

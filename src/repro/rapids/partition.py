@@ -63,9 +63,6 @@ from .wirelength import (
     _select_batch,
 )
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``).
-__deterministic__ = True
-
 
 @dataclass
 class PartitionedResult(WirelengthResult):

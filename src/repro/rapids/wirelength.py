@@ -68,11 +68,6 @@ from ..symmetry.cross import (
 from ..symmetry.swap import enumerate_swaps
 from ..timing.sta import PROJECTION_DRIFT_TOL, TimingEngine
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
-#: this module's float accumulations and tie-breaks must never follow
-#: set-iteration (= PYTHONHASHSEED) order.
-__deterministic__ = True
-
 #: Smallest HPWL reduction (um) a committed move must achieve.
 MIN_GAIN = 1e-9
 

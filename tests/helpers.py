@@ -11,8 +11,12 @@ module with an unambiguous name; ``conftest.py`` keeps only fixtures.
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import random
 
+import repro
 from repro.network.builder import NetworkBuilder
 from repro.network.gatetype import GateType
 from repro.network.netlist import Network
@@ -143,6 +147,28 @@ def fanout_cone(network: Network, net: str) -> set[str]:
         cone.add(current)
         stack.extend(pin.gate for pin in network.fanout(current))
     return cone
+
+
+def projection_only_surfaces() -> list[tuple[object, str, str]]:
+    """``(owner, attribute, label)`` of every ``@projection_only``
+    callable of the ``repro`` package, counted only in the module that
+    defines it: the pricing surfaces both run-time audits wrap."""
+    found = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        leaf = module.__name__.rsplit(".", 1)[-1]
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if getattr(value, "__projection_only__", False):
+                found.append((module, name, f"{leaf}.{name}"))
+            elif inspect.isclass(value):
+                found.extend(
+                    (value, attr, f"{value.__name__}.{attr}")
+                    for attr, member in vars(value).items()
+                    if getattr(member, "__projection_only__", False)
+                )
+    return found
 
 
 class ChangeSpy:

@@ -2,9 +2,10 @@
 
 Every callable marked ``@projection_only`` (``repro.contracts``) prices
 a candidate move as a what-if and must leave the ``Network`` as it
-found it.  This audit wraps each marked callable of the loaded
-``repro`` modules in place and runs a timing-aware ``gsg_gs`` flow,
-unpartitioned and with a partitioned polish.  While any wrapped call
+found it.  This audit wraps each marked callable of the ``repro``
+package (``helpers.projection_only_surfaces``) in place and runs a
+timing-aware ``gsg_gs`` flow, unpartitioned and with a partitioned
+polish.  While any wrapped call
 is on the stack, a write of ``Network.version`` or a call of
 ``Network._touch`` (the hook every mutator announces through) raises
 at once, naming the innermost priced function.  It raises rather than
@@ -15,19 +16,17 @@ flow would crash on that before a recorded offender could be shown.
 from __future__ import annotations
 
 import functools
-import importlib
-import inspect
-import pkgutil
 
 import pytest
 
-import repro
 from repro.config import FlowConfig
 from repro.contracts import projection_only
 from repro.network.netlist import Network
 from repro.place.hpwl import WirelengthEngine
 from repro.suite.flow import run_benchmark
 from repro.timing.sta import TimingEngine
+
+from helpers import projection_only_surfaces
 
 PRICING_SURFACES = {
     "TimingEngine.swap_gain",
@@ -44,27 +43,6 @@ PRICING_SURFACES = {
 
 class PricedMutation(AssertionError):
     """A ``@projection_only`` call wrote the network it was pricing."""
-
-
-def _marked() -> list[tuple[object, str, str]]:
-    """``(owner, attribute, label)`` of every ``@projection_only``
-    callable, counted only in the module that defines it."""
-    found = []
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        module = importlib.import_module(info.name)
-        leaf = module.__name__.rsplit(".", 1)[-1]
-        for name, value in vars(module).items():
-            if getattr(value, "__module__", None) != module.__name__:
-                continue
-            if getattr(value, "__projection_only__", False):
-                found.append((module, name, f"{leaf}.{name}"))
-            elif inspect.isclass(value):
-                found.extend(
-                    (value, attr, f"{value.__name__}.{attr}")
-                    for attr, member in vars(value).items()
-                    if getattr(member, "__projection_only__", False)
-                )
-    return found
 
 
 def _install_audit(monkeypatch) -> set[str]:
@@ -84,7 +62,7 @@ def _install_audit(monkeypatch) -> set[str]:
 
         return audited
 
-    for owner, attr, label in _marked():
+    for owner, attr, label in projection_only_surfaces():
         monkeypatch.setattr(owner, attr, priced(label, getattr(owner, attr)))
 
     real_setattr = Network.__setattr__
@@ -113,7 +91,9 @@ def _flow(partition: bool) -> None:
 
 
 def test_discovery_finds_every_pricing_surface():
-    assert {label for _, _, label in _marked()} == PRICING_SURFACES
+    assert {
+        label for _, _, label in projection_only_surfaces()
+    } == PRICING_SURFACES
 
 
 def test_priced_calls_never_write_the_network(monkeypatch):

@@ -1,24 +1,18 @@
-"""AST-enforced contract linter for the repro codebase.
+"""Generated-docs check for the repro codebase.
 
-One rule family (run as ``python -m tools.lint``; see
-``docs/architecture.md`` § "Enforced contracts" for how to annotate
-new code):
+``python -m tools.lint`` fails when README's CLI knobs table differs
+from a regeneration from the knob declarations in
+:mod:`repro.config`; ``python -m tools.lint --fix-docs`` rewrites it.
 
-* **determinism** — modules marked ``__deterministic__ = True`` never
-  feed set-iteration order into float sums, selections, or
-  tie-breaks (the PR-2 ``PYTHONHASHSEED`` bug class).
-
-Plus the generated-docs drift check / ``--fix-docs`` regenerator for
-README's CLI knobs table.
-
-Two contracts are not lints, because no static walk sees the code
-they govern at run time.  The projection-only pricing contract is
-audited where priced calls run (``tests/test_projection_audit.py``),
-and the fork-safety contract of the region pool's children inside the
-forked children themselves (``tests/test_partitioned_rewiring.py``).
+The contracts are not lints: each is audited where the code it
+governs runs (see ``docs/architecture.md`` § "Enforced
+contracts").  Projection-only pricing is audited in
+``tests/test_projection_audit.py``, hash-seed determinism of every
+priced value in ``tests/test_determinism.py``, and the fork safety of
+the region pool's children inside the children themselves
+(``tests/test_partitioned_rewiring.py``).
 """
 
-from .cli import main, run_lint
-from .core import Finding
+from .cli import main
 
-__all__ = ["Finding", "main", "run_lint"]
+__all__ = ["main"]

@@ -19,10 +19,52 @@ mechanical, not social.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .core import REPO, Finding, load_config
+REPO = Path(__file__).resolve().parents[2]
+
+
+def load_config():
+    """The :mod:`repro.config` knob declarations, executed from their
+    file path.
+
+    Loading it this way does not trigger ``repro/__init__`` (which
+    imports the full package): the check must run without the package
+    installed or importable, and ``repro.config`` is stdlib-only.
+    """
+    import importlib.util
+
+    name = "_tools_lint_config"
+    cached = sys.modules.get(name)
+    if cached is not None:
+        return cached
+    spec = importlib.util.spec_from_file_location(
+        name, REPO / "src" / "repro" / "config.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One reported drift."""
+
+    rule: str
+    path: Path
+    line: int
+    message: str
+
+    def render(self) -> str:
+        try:
+            shown = self.path.relative_to(REPO)
+        except ValueError:
+            shown = self.path
+        return f"{shown}:{self.line}: [{self.rule}] {self.message}"
+
 
 RULE = "docs"
 
